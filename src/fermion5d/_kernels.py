@@ -1,184 +1,70 @@
-"""Hot product kernels: numba-jitted loops with a pure-numpy fallback.
+"""The geometric-product kernel: one numpy gather over precomputed tables.
 
 The geometric product of dense multivectors is a signed bilinear contraction:
 ``out[i ^ j] += sign[i, j] * a[i] * b[j]`` where ``sign`` is the precomputed
 blade-product sign table of the algebra (entries -1/0/+1) and ``i ^ j`` is the
-index set of the resulting blade.  Everything downstream (residual sweeps,
-operator matrices, demo grids) funnels through these few loops, so they carry
-the numba treatment.
+index set of the resulting blade.  Substituting ``j = i ^ k`` turns the
+scatter into a gather over two tables derived once per sign table,
 
-Set the environment variable ``FERMION5D_NO_NUMBA=1`` to force the pure-numpy
-path.  Both paths accumulate contributions in the same (i-ascending) order per
-output slot, so their results are bit-for-bit identical; the benchmark in
-``benchmarks/bench_kernels.py`` times them against each other.
+    X[i, k] = i ^ k        S[i, k] = sign[i, i ^ k]
+
+so that ``out[k] = sum_i a[i] * S[i, k] * b[X[i, k]]``.  Everything downstream
+(residual sweeps, operator matrices, demo grids) funnels through ``gp``.
+
+``gp`` is bit-for-bit equal to the plain accumulation loop ``gp_reference``
+on finite inputs: both start from +0.0 and add the terms of each output slot
+in ascending ``i``.  The gather also adds the zero rows of ``a``, which only
+matters when ``b`` holds an infinity or NaN: ``0 * inf`` is NaN, so ``gp`` can
+give NaN where the reference is finite, but never a finite value where the
+reference is not.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "FERMION5D_NO_NUMBA"
+BACKEND = "numpy"
+
+#: id(sign) -> (sign, X, S).  Keeping ``sign`` in the entry keeps its id from
+#: being reused, so identity is a safe key for the cached, read-only tables
+#: of ``algebra.tables``.
+_GATHER: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
+def _gather_tables(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index table ``X`` and float sign table ``S`` for ``sign``."""
+    entry = _GATHER.get(id(sign))
+    if entry is None:
+        idx = np.arange(sign.shape[0])
+        xor = idx[:, None] ^ idx[None, :]
+        signs = sign[idx[:, None], xor].astype(np.float64)
+        xor.setflags(write=False)
+        signs.setflags(write=False)
+        entry = _GATHER[id(sign)] = (sign, xor, signs)
+    return entry[1], entry[2]
 
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _numba_disabled()
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-#
-# XOR index rows are precomputed per table size: xor_rows[i] = i ^ arange(D),
-# a permutation of 0..D-1, so fancy-index accumulation never aliases.
-# ---------------------------------------------------------------------------
-
-_XOR_ROWS: dict[int, np.ndarray] = {}
+def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of coefficient vectors ``a`` and ``b`` under the sign table."""
+    xor, signs = _gather_tables(sign)
+    nonzero = a.nonzero()[0]
+    if nonzero.size == 1:
+        # a single blade on the left: one gathered row, no reduction
+        i = nonzero[0]
+        row = b[xor[i]]
+        row *= signs[i]
+        row *= a[i]
+        row += 0.0
+        return row
+    terms = b[xor]
+    terms *= signs
+    terms *= a[:, None]
+    return terms.sum(0, initial=0.0)
 
 
-def xor_rows(n_blades: int) -> np.ndarray:
-    rows = _XOR_ROWS.get(n_blades)
-    if rows is None:
-        idx = np.arange(n_blades)
-        rows = idx[:, None] ^ idx[None, :]
-        rows.setflags(write=False)
-        _XOR_ROWS[n_blades] = rows
-    return rows
-
-
-def gp_numpy(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gp_reference(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The plain scatter loop that ``gp`` must reproduce, kept as its oracle."""
     out = np.zeros_like(b)
-    rows = xor_rows(sign.shape[0])
+    idx = np.arange(sign.shape[0])
     for i in np.nonzero(a)[0]:
-        out[rows[i]] += a[i] * (sign[i] * b)
+        out[idx ^ i] += a[i] * (sign[i] * b)
     return out
-
-
-def gp_batch_numpy(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(b)
-    rows = xor_rows(sign.shape[0])
-    for i in range(sign.shape[0]):
-        col = a[:, i]
-        if np.any(col):
-            out[:, rows[i]] += col[:, None] * (sign[i] * b)
-    return out
-
-
-def gp_left_numpy(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Constant left operand ``a`` against a batch ``b`` of shape (N, D)."""
-    out = np.zeros_like(b)
-    rows = xor_rows(sign.shape[0])
-    for i in np.nonzero(a)[0]:
-        out[:, rows[i]] += a[i] * (sign[i] * b)
-    return out
-
-
-def gp_right_numpy(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batch ``a`` of shape (N, D) against a constant right operand ``b``."""
-    out = np.zeros_like(a)
-    rows = xor_rows(sign.shape[0])
-    for i in range(sign.shape[0]):
-        col = a[:, i]
-        if np.any(col):
-            out[:, rows[i]] += col[:, None] * (sign[i] * b)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same accumulation order as the numpy path)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def gp_numba(sign, a, b):  # pragma: no cover - exercised via dispatch
-        n = a.shape[0]
-        out = np.zeros(n, dtype=np.float64)
-        for i in range(n):
-            ai = a[i]
-            if ai != 0.0:
-                for j in range(n):
-                    s = sign[i, j]
-                    if s != 0:
-                        out[i ^ j] += s * ai * b[j]
-        return out
-
-    @njit(cache=True)
-    def gp_batch_numba(sign, a, b):  # pragma: no cover
-        m, n = a.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        for k in range(m):
-            for i in range(n):
-                ai = a[k, i]
-                if ai != 0.0:
-                    for j in range(n):
-                        s = sign[i, j]
-                        if s != 0:
-                            out[k, i ^ j] += s * ai * b[k, j]
-        return out
-
-    @njit(cache=True)
-    def gp_left_numba(sign, a, b):  # pragma: no cover
-        m, n = b.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        for i in range(n):
-            ai = a[i]
-            if ai != 0.0:
-                for k in range(m):
-                    for j in range(n):
-                        s = sign[i, j]
-                        if s != 0:
-                            out[k, i ^ j] += s * ai * b[k, j]
-        return out
-
-    @njit(cache=True)
-    def gp_right_numba(sign, a, b):  # pragma: no cover
-        m, n = a.shape
-        out = np.zeros((m, n), dtype=np.float64)
-        for k in range(m):
-            for i in range(n):
-                ai = a[k, i]
-                if ai != 0.0:
-                    for j in range(n):
-                        s = sign[i, j]
-                        if s != 0:
-                            out[k, i ^ j] += s * ai * b[j]
-        return out
-
-else:  # pragma: no cover
-    gp_numba = gp_batch_numba = gp_left_numba = gp_right_numba = None
-
-
-if USE_NUMBA:
-    gp = gp_numba
-    gp_batch = gp_batch_numba
-    gp_left = gp_left_numba
-    gp_right = gp_right_numba
-    BACKEND = "numba"
-else:
-    gp = gp_numpy
-    gp_batch = gp_batch_numpy
-    gp_left = gp_left_numpy
-    gp_right = gp_right_numpy
-    BACKEND = "numpy"
-
-
-def warmup(sign: np.ndarray) -> None:
-    """Trigger JIT compilation so later timings measure steady-state cost."""
-    a = np.zeros(sign.shape[0])
-    a[0] = 1.0
-    gp(sign, a, a)
-    batch = a[None, :].copy()
-    gp_batch(sign, batch, batch)
-    gp_left(sign, a, batch)
-    gp_right(sign, batch, a)

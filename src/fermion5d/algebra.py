@@ -411,5 +411,5 @@ def random_multivector(
 
 
 def kernel_backend() -> str:
-    """Which product-kernel path is active ("numba" or "numpy")."""
+    """Name of the product kernel's backend (always "numpy")."""
     return _kernels.BACKEND

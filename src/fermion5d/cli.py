@@ -59,6 +59,7 @@ from .beyond import (
 )
 from .constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from .coulomb import (
+    ANGULAR_LETTERS,
     CoulombParams,
     angular_coupling_matrix,
     e0_sandwich_matrix,
@@ -83,12 +84,44 @@ from .wave import (
 )
 
 _E012 = e(CL32, 0, 1, 2)
+#: Largest ``spectrum --max-n``: one orbital letter per l = 0 .. n - 1.
+MAX_N = len(ANGULAR_LETTERS)
 
 
 def _usage_error(message: str) -> SystemExit:
     """Usage errors exit with status 2, like argparse's own."""
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+# argparse types: a bad value becomes argparse's one-line usage error (exit 2)
+
+
+def finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -128,23 +161,28 @@ def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool)
         z = random_multivector(rng, CL32)
         worst = max(worst, ((x * y) * z - x * (y * z)).inf_norm())
     checks.append(make_check("product-associativity", "algebra", worst, 1e-12))
+    return checks
 
-    if kernel_backend() == "numba":
-        sign = tables(CL32).sign.astype(np.int8)
-        worst = 0.0
-        for _ in range(10):
+
+def _kernel_check(seed: int) -> Check:
+    """The product kernel against its reference loop, exactly.
+
+    Dense and single-blade left operands, under both sign tables.  The
+    operands come from a generator of their own, so the shared stream that
+    every other check draws from is left as it was.
+    """
+    rng = np.random.default_rng([seed, 1])
+    t = tables(CL32)
+    worst = 0.0
+    for sign in (t.sign, t.wedge_sign):
+        for _ in range(5):
             a = rng.uniform(-1, 1, size=CL32.n_blades)
             b = rng.uniform(-1, 1, size=CL32.n_blades)
-            fast = _kernels.gp(sign, a, b)
-            plain = _kernels.gp_numpy(sign, a, b)
-            diff = np.abs(fast - plain)
-            worst = max(worst, float(diff.max()) if diff.size else 0.0)
-        checks.append(make_check("kernel-backend-agreement", "plumbing", worst, 0.0))
-    else:
-        checks.append(
-            Check("kernel-backend-agreement", "plumbing", "skipped")
-        )
-    return checks
+            blade = Multivector.blade(int(rng.integers(CL32.n_blades)), CL32, a[0]).coeffs
+            for left in (a, blade):
+                diff = _kernels.gp(sign, left, b) - _kernels.gp_reference(sign, left, b)
+                worst = max(worst, float(np.abs(diff).max()))
+    return make_check("kernel-backend-agreement", "plumbing", worst, 0.0)
 
 
 def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
@@ -304,6 +342,7 @@ def cmd_verify(args: argparse.Namespace) -> ReportDocument:
     rng = np.random.default_rng(args.seed)
     checks: list[Check] = []
     checks += _algebra_checks(rng, args.trials, args.debug_corrupt_metric)
+    checks.append(_kernel_check(args.seed))
     checks += _spinor_checks(rng, args.trials)
     checks += _wave_checks(rng, args.trials)
     checks += _coulomb_checks()
@@ -582,7 +621,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
             "seed": args.seed,
         }
     else:
-        n_fields = max(1, args.trials)
+        n_fields = args.trials
         worst_grade = 0.0
         for _ in range(n_fields):
             fld = random_minus_field(rng)
@@ -642,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-module invariant suites")
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--trials", type=int, default=1000,
+    p_verify.add_argument("--trials", type=positive_int, default=1000,
                           help="random trials for property checks (>= 1)")
     p_verify.add_argument("--format", choices=("table", "json"), default="table")
     p_verify.add_argument(
@@ -654,35 +693,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="hydrogen-like bound-state table")
     p_spec.add_argument("--z", type=int, default=1, help="nuclear charge (1..137)")
-    p_spec.add_argument("--max-n", type=int, default=3, dest="max_n",
-                        help="largest principal quantum number to enumerate")
-    p_spec.add_argument("--alpha", type=float, default=FINE_STRUCTURE)
-    p_spec.add_argument("--electron-mass-ev", type=float, default=ELECTRON_MASS_EV,
+    p_spec.add_argument("--max-n", type=positive_int, default=3, dest="max_n",
+                        help="largest principal quantum number to enumerate "
+                             f"(1..{MAX_N})")
+    p_spec.add_argument("--alpha", type=positive_float, default=FINE_STRUCTURE)
+    p_spec.add_argument("--electron-mass-ev", type=positive_float, default=ELECTRON_MASS_EV,
                         dest="electron_mass_ev")
     p_spec.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p_spec.set_defaults(func=_run_spectrum)
 
     p_wave = sub.add_parser("planewave", help="build and check one plane wave")
-    p_wave.add_argument("--mass", type=float, default=1.0)
-    p_wave.add_argument("--k1", type=float, default=0.0)
-    p_wave.add_argument("--k2", type=float, default=0.0)
-    p_wave.add_argument("--k3", type=float, default=0.0)
-    p_wave.add_argument("--k4", type=float, default=0.0,
+    p_wave.add_argument("--mass", type=finite_float, default=1.0)
+    p_wave.add_argument("--k1", type=finite_float, default=0.0)
+    p_wave.add_argument("--k2", type=finite_float, default=0.0)
+    p_wave.add_argument("--k3", type=finite_float, default=0.0)
+    p_wave.add_argument("--k4", type=finite_float, default=0.0,
                         help="momentum along the second time axis")
     p_wave.add_argument("--gamma", choices=("e12", "e0e"), default="e12",
                         help="phase bivector choice")
     p_wave.add_argument("--seed", type=int, default=42)
-    p_wave.add_argument("--tolerance", type=float, default=1e-10)
+    p_wave.add_argument("--tolerance", type=finite_float, default=1e-10)
     p_wave.add_argument("--format", choices=("table", "json"), default="table")
     p_wave.set_defaults(func=_run_planewave)
 
     p_beyond = sub.add_parser("beyond", help="beyond-flatness demos")
     p_beyond.add_argument("--demo", choices=("scalar", "sources"), required=True)
-    p_beyond.add_argument("--s", type=float, default=0.1,
+    p_beyond.add_argument("--s", type=finite_float, default=0.1,
                           help="scalar potential strength (scalar demo)")
-    p_beyond.add_argument("--mass", type=float, default=1.0)
+    p_beyond.add_argument("--mass", type=finite_float, default=1.0)
     p_beyond.add_argument("--seed", type=int, default=42)
-    p_beyond.add_argument("--trials", type=int, default=100,
+    p_beyond.add_argument("--trials", type=positive_int, default=100,
                           help="random fields for the grade-structure check")
     p_beyond.add_argument("--format", choices=("table", "json"), default="table")
     p_beyond.set_defaults(func=_run_beyond)
@@ -698,8 +738,6 @@ def _emit(doc: ReportDocument, fmt: str) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise _usage_error("--trials must be at least 1")
     return _emit(cmd_verify(args), args.format)
 
 
@@ -709,8 +747,11 @@ def _run_spectrum(args: argparse.Namespace) -> int:
             "--z must be in 1..137 so that the coupling z*alpha stays inside "
             "the bound-state domain (coupling^2 < kappa^2)"
         )
-    if args.max_n < 1:
-        raise _usage_error("--max-n must be at least 1")
+    if args.max_n > MAX_N:
+        raise _usage_error(
+            f"--max-n must be at most {MAX_N}: the orbital letters end at "
+            f"l = {MAX_N - 1} ({ANGULAR_LETTERS[-1]})"
+        )
     doc, rows = cmd_spectrum(args)
     if args.format == "csv":
         sys.stdout.write(rows_to_csv(_SPECTRUM_FIELDS, rows))

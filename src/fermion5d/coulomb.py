@@ -45,7 +45,9 @@ _E0 = e(CL32, 0)
 _E3 = e(CL32, 3)
 _PSEUDO = pseudoscalar(CL32)
 
-ANGULAR_LETTERS = "spdfghik"
+#: Orbital letters for l = 0, 1, 2, ...: "spdf", then alphabetical from g,
+#: skipping j and the letters already used (p, s).
+ANGULAR_LETTERS = "spdfghiklmnoqrtuvwxyz"
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def report(criterion: str, description: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger any jit compilation before the timed criterion runs
+    # build the cached sign and gather tables before the timed criterion runs
     x = random_multivector(np.random.default_rng(0), CL32)
     for _ in range(3):
         x = x * x + Multivector.scalar(1.0) - x

@@ -171,10 +171,20 @@ def test_spectrum_usage_errors(capsys):
         ["spectrum", "--z", "0"],
         ["spectrum", "--z", "138"],
         ["spectrum", "--max-n", "0"],
+        ["spectrum", "--max-n", "22"],
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert "error" in err
+
+
+@pytest.mark.parametrize("max_n, last_letter", [(9, "l"), (12, "o")])
+def test_spectrum_runs_past_the_first_eight_orbital_letters(max_n, last_letter, capsys):
+    code, out, _ = run_cli(["spectrum", "--max-n", str(max_n), "--format", "csv"], capsys)
+    assert code == 0
+    labels = [line.split(",")[0] for line in out.strip("\n").split("\n")[1:]]
+    assert len(labels) == max_n**2
+    assert f"{max_n}{last_letter}{2 * max_n - 1}/2" in labels
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +319,30 @@ def test_beyond_requires_a_demo_choice(capsys):
 # ---------------------------------------------------------------------------
 # parser-level behaviour
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--alpha", "nan"], "expected a finite number, got 'nan'"),
+        (["spectrum", "--alpha", "-0.1"], "expected a positive number, got '-0.1'"),
+        (["spectrum", "--electron-mass-ev", "inf", "--format", "json"],
+         "expected a finite number, got 'inf'"),
+        (["planewave", "--k1", "nan", "--format", "json"],
+         "expected a finite number, got 'nan'"),
+        (["planewave", "--tolerance", "inf"], "expected a finite number, got 'inf'"),
+        (["beyond", "--demo", "scalar", "--s", "nan"], "expected a finite number, got 'nan'"),
+        (["beyond", "--demo", "sources", "--trials", "0"],
+         "expected a positive integer, got '0'"),
+        (["verify", "--trials", "-3"], "expected a positive integer, got '-3'"),
+    ],
+)
+def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.rstrip("\n").split("\n")[-1].endswith(message)
+    assert "Traceback" not in err
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

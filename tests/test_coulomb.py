@@ -164,8 +164,10 @@ def test_quantum_numbers_and_labels():
         quantum_numbers(0, 0)
     with pytest.raises(ValueError):
         quantum_numbers(1, -1)
+    assert [orbital_letter(-l - 1) for l in range(7, 13)] == list("klmnoq")
+    assert orbital_letter(20) == "z"
     with pytest.raises(ValueError):
-        orbital_letter(9)
+        orbital_letter(21)
 
 
 # ---------------------------------------------------------------------------
