@@ -171,10 +171,12 @@ class ScalarPotentialDemo:
             )
         self.mass = float(mass)
         self.potential = float(potential)
+        rate = math.sqrt(abs(self.mass * self.potential))
+        if not math.isfinite(rate):
+            raise ValueError("the profile rate sqrt(|mass * potential|) overflows")
         self.carrier = hestenes_plane_wave_field(
             k_spatial, self.mass + self.potential, amplitude
         )
-        rate = math.sqrt(abs(self.mass * self.potential))
         if self.potential >= 0:
 
             def profile(w: float, order: int) -> float:

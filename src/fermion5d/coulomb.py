@@ -23,6 +23,7 @@ compositions of two grade-flipping maps multiply as plain 16 x 16 matrices.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -121,6 +122,25 @@ def _radial_unit(radial_unit: Multivector | None) -> Multivector:
     return radial_unit
 
 
+@functools.lru_cache(maxsize=8)
+def _radial_blocks(
+    gamma: GammaChoice, radial_unit: Multivector | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant blocks ``(Z, R H Z, R)`` of the radial system, read-only.
+
+    They depend only on the phase bivector and the radial unit, so they are
+    built once per pair and shared by every ``S`` and ``T``.  An invalid
+    radial unit raises on every call (exceptions are not cached).
+    """
+    z = e0_sandwich_matrix()
+    h = gamma_e0_right_matrix(gamma)
+    r = radial_left_matrix(radial_unit)
+    rhz = r @ h @ z
+    for mat in (z, rhz, r):
+        mat.setflags(write=False)
+    return z, rhz, r
+
+
 def angular_coupling_matrix(
     kappa: int,
     coupling: float,
@@ -134,10 +154,8 @@ def angular_coupling_matrix(
     (the last two in the pseudoscalar-paired encoding, so ``R H`` is the true
     matrix of their composition).  Satisfies ``S^2 = (kappa^2-coupling^2) I``.
     """
-    z = e0_sandwich_matrix()
-    h = gamma_e0_right_matrix(gamma)
-    r = radial_left_matrix(radial_unit)
-    return kappa * z + coupling * (r @ h @ z)
+    z, rhz, _ = _radial_blocks(gamma, radial_unit)
+    return kappa * z + coupling * rhz
 
 
 def mass_energy_matrix(
@@ -151,10 +169,8 @@ def mass_energy_matrix(
     ``T = mass R - energy R H Z`` in the notation of
     :func:`angular_coupling_matrix`; satisfies ``T^2 = (mass^2-energy^2) I``.
     """
-    z = e0_sandwich_matrix()
-    h = gamma_e0_right_matrix(gamma)
-    r = radial_left_matrix(radial_unit)
-    return mass * r - energy * (r @ h @ z)
+    _, rhz, r = _radial_blocks(gamma, radial_unit)
+    return mass * r - energy * rhz
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +307,9 @@ class RadialSolution:
         return self.energy - self.params.mass
 
 
-def _quantization_gap(decay: np.ndarray, params: CoulombParams) -> np.ndarray:
+def _quantization_gap(
+    decay: float | np.ndarray, params: CoulombParams
+) -> float | np.ndarray:
     """Termination condition as a function of the decay constant ``|beta|``.
 
     Strictly increasing on (0, m); its unique root fixes the bound state.
@@ -336,7 +354,7 @@ def solve_radial(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _quantization_gap(np.array([mid]), params)[0] < 0.0:
+        if _quantization_gap(mid, params) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -359,10 +377,12 @@ def solve_radial(
     # quantization kills the whole chain).  Both cases are handled uniformly
     # by thresholding the restricted map against the generic magnitude a
     # non-quantized chain would have.
-    chain = beta * eye + t_mat
-    generic_scale = np.linalg.norm(chain, 2)
+    termination = beta * eye + t_mat
+    termination_norm = float(np.linalg.norm(termination, 2))
+    chain = termination
+    generic_scale = termination_norm
     for p in range(n_r, 0, -1):
-        step = np.linalg.solve((p + q) * eye - s_mat, -(beta * eye + t_mat))
+        step = np.linalg.solve((p + q) * eye - s_mat, -termination)
         chain = chain @ step
         generic_scale *= np.linalg.norm(step, 2)
 
@@ -430,7 +450,6 @@ def solve_radial(
     # direction scores O(1) in this measure)
     last_ext = chain_ext[-1]
     last_norm = float(np.linalg.norm(last_ext.astype(np.float64)))
-    termination_norm = float(np.linalg.norm(beta * eye + t_mat, 2))
     termination_relative = float(
         np.linalg.norm((beta_ext * last_ext + t_ext @ last_ext).astype(np.float64))
         / (termination_norm * last_norm)

@@ -6,11 +6,15 @@ document schema, and the negative control that forces a failure.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -178,6 +182,21 @@ def test_spectrum_usage_errors(capsys):
         assert "error" in err
 
 
+def test_spectrum_reports_a_series_solver_failure_as_a_failed_check(capsys):
+    # at this weak coupling the n_r = 2 series misses the termination bound
+    argv = ["spectrum", "--alpha", "1e-6"]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    by_name = {c["name"]: c for c in load_document(out)["checks"]}
+    assert by_name["closed-form-vs-series-solver"]["status"] == "fail"
+    assert by_name["closed-form-vs-series-solver"]["measured"] is None
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 1
+    solver = {line.split(",")[0]: line.split(",")[6] for line in out.split("\n")[1:] if line}
+    assert solver["3s1/2"] == "nan" and solver["1s1/2"] != "nan"
+
+
 @pytest.mark.parametrize("max_n, last_letter", [(9, "l"), (12, "o")])
 def test_spectrum_runs_past_the_first_eight_orbital_letters(max_n, last_letter, capsys):
     code, out, _ = run_cli(["spectrum", "--max-n", str(max_n), "--format", "csv"], capsys)
@@ -335,6 +354,19 @@ def test_beyond_requires_a_demo_choice(capsys):
         (["beyond", "--demo", "sources", "--trials", "0"],
          "expected a positive integer, got '0'"),
         (["verify", "--trials", "-3"], "expected a positive integer, got '-3'"),
+        (["verify", "--seed", "-1"], "expected a non-negative integer, got '-1'"),
+        (["planewave", "--seed", "-1", "--format", "json"],
+         "expected a non-negative integer, got '-1'"),
+        (["beyond", "--demo", "sources", "--seed", "-1"],
+         "expected a non-negative integer, got '-1'"),
+        (["beyond", "--demo", "scalar", "--s", "1e300", "--format", "json"],
+         "SVD did not converge"),
+        (["beyond", "--demo", "scalar", "--mass", "1e300", "--format", "json"],
+         "SVD did not converge"),
+        (["beyond", "--demo", "scalar", "--mass", "1e300", "--s=-1e300"],
+         "the profile rate sqrt(|mass * potential|) overflows"),
+        (["beyond", "--demo", "scalar", "--mass", "1e20", "--format", "json"],
+         "math range error"),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
@@ -343,6 +375,61 @@ def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
     assert out == ""
     assert err.rstrip("\n").split("\n")[-1].endswith(message)
     assert "Traceback" not in err
+
+
+#: Text for a numeric option: non-finite, negative, zero, extreme, ordinary
+#: and non-numeric.  Integers stay within -3..3, so that ``--trials`` and
+#: ``--max-n`` keep each run cheap.
+NUMERIC_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "-1e300", "abc", ""]),
+    st.integers(min_value=-3, max_value=3).map(str),
+    st.floats(min_value=-10.0, max_value=10.0).map(repr),
+)
+
+#: Each subcommand with the arguments that keep it cheap, and its numeric options.
+FUZZ_COMMANDS = {
+    "verify": (["verify", "--trials", "1"], ["--seed", "--trials"]),
+    "spectrum": (
+        ["spectrum", "--max-n", "3"],
+        ["--z", "--max-n", "--alpha", "--electron-mass-ev"],
+    ),
+    "planewave": (
+        ["planewave"],
+        ["--mass", "--k1", "--k2", "--k3", "--k4", "--tolerance", "--seed"],
+    ),
+    "beyond-scalar": (["beyond", "--demo", "scalar"], ["--s", "--mass", "--seed"]),
+    "beyond-sources": (
+        ["beyond", "--demo", "sources", "--trials", "1"],
+        ["--trials", "--seed", "--s", "--mass"],
+    ),
+}
+
+
+def run_in_process(argv):
+    """``run_cli`` without ``capsys``, which hypothesis cannot reset between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as ex:
+            code = ex.code if isinstance(ex.code, int) else 2
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_for_any_numeric_input(command, data):
+    base, options = FUZZ_COMMANDS[command]
+    chosen = data.draw(st.lists(st.sampled_from(options), unique=True))
+    # ``--opt=value`` keeps argparse from reading "-1e300" as an option name
+    argv = base + [f"{opt}={data.draw(NUMERIC_TEXT, label=opt)}" for opt in chosen]
+    code, out, err = run_in_process(argv + ["--format", "json"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code in (0, 1):
+        json.loads(out)
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from fermion5d import coulomb
 from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from fermion5d.coulomb import (
@@ -105,6 +106,49 @@ def test_radial_system_square_identities(gamma):
     t_mat = mass_energy_matrix(mass, energy, gamma)
     assert np.abs(s_mat @ s_mat - (kappa**2 - coupling**2) * EYE).max() < 1e-12
     assert np.abs(t_mat @ t_mat - (mass**2 - energy**2) * EYE).max() < 1e-12
+
+
+RADIAL_UNITS = (None, e(CL32, 1), e(CL32, 2))
+
+
+@pytest.mark.parametrize("radial_unit", RADIAL_UNITS, ids=("default", "e1", "e2"))
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_cached_blocks_compose_to_the_freshly_built_matrices(gamma, radial_unit):
+    z = e0_sandwich_matrix()
+    h = gamma_e0_right_matrix(gamma)
+    r = radial_left_matrix(radial_unit)
+    kappa, coupling, mass, energy = -2, 0.3, 1.0, 0.95
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        s_mat = angular_coupling_matrix(kappa, coupling, gamma, radial_unit)
+        t_mat = mass_energy_matrix(mass, energy, gamma, radial_unit)
+        assert s_mat.tobytes() == (kappa * z + coupling * (r @ h @ z)).tobytes()
+        assert t_mat.tobytes() == (mass * r - energy * (r @ h @ z)).tobytes()
+    blocks = coulomb._radial_blocks(gamma, radial_unit)
+    assert all(not block.flags.writeable for block in blocks)
+    # the public builders still hand out fresh, writable arrays
+    assert z.flags.writeable and h.flags.writeable and r.flags.writeable
+    assert not any(np.shares_memory(z, block) for block in blocks)
+
+
+def test_cached_blocks_are_keyed_by_phase_bivector_and_radial_unit():
+    z12, rhz12, r12 = coulomb._radial_blocks(GammaChoice.e12(), None)
+    z0e, rhz0e, r0e = coulomb._radial_blocks(GammaChoice.e0E(), None)
+    assert np.array_equal(z12, z0e) and np.array_equal(r12, r0e)
+    assert not np.array_equal(rhz12, rhz0e)
+    _, rhz1, r1 = coulomb._radial_blocks(GammaChoice.e12(), e(CL32, 1))
+    _, rhz3, r3 = coulomb._radial_blocks(GammaChoice.e12(), e(CL32, 3))
+    assert not np.array_equal(r1, r3) and not np.array_equal(rhz1, rhz3)
+    # None and an explicit e3 name the same radial unit
+    assert np.array_equal(r3, r12) and np.array_equal(rhz3, rhz12)
+
+
+def test_invalid_radial_unit_raises_on_every_call():
+    bad = 2.0 * e(CL32, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="square"):
+            radial_left_matrix(bad)
+        with pytest.raises(ValueError, match="square"):
+            angular_coupling_matrix(-1, 0.3, GammaChoice.e12(), bad)
 
 
 def test_even_operator_matrix_rejects_parity_violations():
