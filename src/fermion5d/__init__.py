@@ -54,6 +54,7 @@ from .fields import (
     Field5,
     FiniteDifferenceField,
     MappedField,
+    PhaseField,
     minkowski_dot,
 )
 from .report import Check, ReportDocument, make_check
@@ -64,8 +65,10 @@ from .wave import (
     PlaneWave,
     build_plane_wave,
     dirac5_residual,
+    dirac5_residuals,
     gamma_classify,
     hestenes_dirac_residual,
+    hestenes_dirac_residuals,
     hestenes_plane_wave_field,
     plane_wave_field,
     sector_fields,
@@ -98,6 +101,7 @@ __all__ = [
     "Field5",
     "FiniteDifferenceField",
     "MappedField",
+    "PhaseField",
     "minkowski_dot",
     # pair split
     "cylinder_check",
@@ -110,8 +114,10 @@ __all__ = [
     "PlaneWave",
     "build_plane_wave",
     "dirac5_residual",
+    "dirac5_residuals",
     "gamma_classify",
     "hestenes_dirac_residual",
+    "hestenes_dirac_residuals",
     "hestenes_plane_wave_field",
     "plane_wave_field",
     "sector_fields",

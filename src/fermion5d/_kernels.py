@@ -61,6 +61,20 @@ def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return terms.sum(0, initial=0.0)
 
 
+def blade_gather(sign: np.ndarray, mask: int, left: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index and float sign of the product by the basis blade ``mask``.
+
+    ``(e_mask * b)[k] = S[mask, k] * b[X[mask, k]]`` on the left and
+    ``(b * e_mask)[k] = sign[k ^ mask, mask] * b[k ^ mask]`` on the right: a
+    signed permutation, read off the tables instead of multiplied out.
+    """
+    xor, signs = _gather_tables(sign)
+    index = xor[mask]
+    if left:
+        return index, signs[mask]
+    return index, sign[index, mask].astype(np.float64)
+
+
 def gp_reference(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The plain scatter loop that ``gp`` must reproduce, kept as its oracle."""
     out = np.zeros_like(b)

@@ -262,7 +262,8 @@ class Multivector:
         return self.signature == other.signature and np.array_equal(self.coeffs, other.coeffs)
 
     def __hash__(self):
-        return hash((self.signature, self.coeffs.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which ``__eq__`` treats as equal
+        return hash((self.signature, (self.coeffs + 0.0).tobytes()))
 
     # -- grade operations ---------------------------------------------------
 
@@ -359,6 +360,51 @@ def from_even_coeffs(vec: Sequence[float], signature: Signature = CL32) -> Multi
     coeffs = np.zeros(signature.n_blades)
     coeffs[list(masks)] = vec
     return Multivector(coeffs, signature)
+
+
+class BladeOperator:
+    """Product by a fixed multivector with one non-zero coefficient, on arrays.
+
+    Multiplying by ``c * e_mask`` permutes the coefficients and flips some of
+    their signs, so ``op(x)[..., k] = sign[k] * x[..., index[k]]`` along the
+    last axis of a ``(..., n_blades)`` array.  The trailing ``+ 0.0`` turns
+    -0.0 into 0.0 as the product kernel does, so ``BladeOperator.left(b)(x)``
+    equals ``(b * x).coeffs`` and ``BladeOperator.right(b)(x)`` equals
+    ``(x * b).coeffs`` bit for bit on finite input.
+    """
+
+    __slots__ = ("index", "sign")
+
+    def __init__(self, index: np.ndarray, sign: np.ndarray):
+        self.index = index
+        self.sign = sign
+
+    @classmethod
+    def left(cls, blade: Multivector) -> "BladeOperator":
+        """``x -> blade * x``."""
+        return cls._of(blade, left=True)
+
+    @classmethod
+    def right(cls, blade: Multivector) -> "BladeOperator":
+        """``x -> x * blade``."""
+        return cls._of(blade, left=False)
+
+    @classmethod
+    def _of(cls, blade: Multivector, left: bool) -> "BladeOperator":
+        nonzero = np.nonzero(blade.coeffs)[0]
+        if nonzero.size != 1:
+            raise ValueError(f"expected a single blade, got {blade!r}")
+        mask = int(nonzero[0])
+        index, sign = _kernels.blade_gather(tables(blade.signature).sign, mask, left)
+        sign = sign * blade.coeffs[mask]
+        sign.setflags(write=False)
+        return cls(index, sign)
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        out = coeffs.take(self.index, axis=-1)
+        out *= self.sign
+        out += 0.0
+        return out
 
 
 def linear_map_matrix(

@@ -50,6 +50,7 @@ __all__ = [
     "DEMO_GRID_POINTS",
     "DEMO_GRID_SPACING",
     "CURRENT_MASKS",
+    "FORBIDDEN_CURRENT_MASKS",
     "SECOND_TIME_EVEN_MASKS",
     "GradeStructureError",
     "MINUS_CONSTANCY_BOUND",
@@ -89,6 +90,9 @@ SECOND_TIME_EVEN_MASKS = tuple(
 CURRENT_MASKS = frozenset(
     m for m in range(32) if bin(m).count("1") in (1, 3) and not (m >> 4) & 1
 )
+#: The other blades, ascending: a source current must leave them empty.
+FORBIDDEN_CURRENT_MASKS = np.array([m for m in range(32) if m not in CURRENT_MASKS])
+FORBIDDEN_CURRENT_MASKS.setflags(write=False)
 
 
 def spacetime_gradient(field: Field5, x: Sequence[float]) -> Multivector:
@@ -371,9 +375,9 @@ def grade_structure_violations(mv: Multivector) -> list[str]:
     if mv.signature != CL32:
         raise ValueError("grade structure is defined on the Cl(3,2) algebra")
     return [
-        CL32.blade_name(mask)
-        for mask in range(CL32.n_blades)
-        if mask not in CURRENT_MASKS and mv.coeffs[mask] != 0.0
+        CL32.blade_name(int(mask))
+        for mask in FORBIDDEN_CURRENT_MASKS
+        if mv.coeffs[mask] != 0.0
     ]
 
 

@@ -45,6 +45,7 @@ from .algebra import (
     tables,
 )
 from .beyond import (
+    FORBIDDEN_CURRENT_MASKS,
     ScalarPotentialDemo,
     SourceCurrent,
     demo_grid,
@@ -71,16 +72,17 @@ from .coulomb import (
     spectroscopic_label,
     quantum_numbers,
 )
-from .fields import MappedField, random_points
+from .fields import random_points
 from .report import Check, ReportDocument, make_check, rows_to_csv
 from .spinor import idempotent_split, pm_split
 from .wave import (
     GammaChoice,
     GammaRejectionError,
     build_plane_wave,
-    dirac5_residual,
+    dirac5_residuals,
     gamma_classify,
-    hestenes_dirac_residual,
+    hestenes_dirac_residuals,
+    sector_fields,
 )
 
 _E012 = e(CL32, 0, 1, 2)
@@ -111,6 +113,13 @@ def positive_float(text: str) -> float:
     value = finite_float(text)
     if value <= 0.0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
     return value
 
 
@@ -197,27 +206,29 @@ def _kernel_check(seed: int) -> Check:
 
 def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     e34 = e(CL32, 3, 4)
+    one_minus_e34 = Multivector.scalar(1.0, CL32) - e34
+    generators = [e(CL32, a) for a in range(5)]
     worst_swap = worst_lock = worst_partition = 0.0
     n = max(1, min(trials, 50))
     for _ in range(n):
         x = random_multivector(rng, CL32, even=True)
         plus, minus = pm_split(x)
         for mu in range(4):
-            shifted = pm_split(e(CL32, mu) * x)
+            shifted = pm_split(generators[mu] * x)
             worst_swap = max(
                 worst_swap,
-                (shifted.plus - e(CL32, mu) * minus).inf_norm(),
-                (shifted.minus - e(CL32, mu) * plus).inf_norm(),
+                (shifted.plus - generators[mu] * minus).inf_norm(),
+                (shifted.minus - generators[mu] * plus).inf_norm(),
             )
-        kept = pm_split(e(CL32, 4) * x)
+        kept = pm_split(generators[4] * x)
         worst_swap = max(
             worst_swap,
-            (kept.plus - e(CL32, 4) * plus).inf_norm(),
-            (kept.minus - e(CL32, 4) * minus).inf_norm(),
+            (kept.plus - generators[4] * plus).inf_norm(),
+            (kept.minus - generators[4] * minus).inf_norm(),
         )
         pair = idempotent_split(x)
         worst_lock = max(worst_lock, (pair.minus + pair.plus * e34).inf_norm())
-        recon = pair.plus + pair.minus - x * (Multivector.scalar(1.0, CL32) - e34)
+        recon = pair.plus + pair.minus - x * one_minus_e34
         worst_partition = max(worst_partition, recon.inf_norm())
     return [
         make_check("class-swap-rule", "pair-split", worst_swap, 0.0),
@@ -236,12 +247,9 @@ def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
         for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
             wave = build_plane_wave(k_spatial, 0.0, mass, gamma)
             worst_disp = max(worst_disp, wave.dispersion_residual())
-            field = wave.field()
-            for half in ("plus", "minus"):
-                xi = MappedField(field, lambda mv, h=half: getattr(idempotent_split(mv), h))
-                for x in pts:
-                    res = hestenes_dirac_residual(xi, mass, x)
-                    worst_red = max(worst_red, res.inf_norm())
+            for half in sector_fields(wave.field()):
+                res = hestenes_dirac_residuals(half, mass, pts)
+                worst_red = max(worst_red, float(np.abs(res).max()))
     checks = [
         make_check("plane-wave-reduction", "reduction", worst_red, 1e-10),
         make_check("plane-wave-dispersion", "dispersion", worst_disp, 1e-10),
@@ -314,7 +322,7 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
             worst_grade = max(
                 worst_grade,
                 max(
-                    (abs(float(v)) for v in current.coeffs[_forbidden_masks()]),
+                    (abs(float(v)) for v in current.coeffs[FORBIDDEN_CURRENT_MASKS]),
                     default=0.0,
                 ),
             )
@@ -335,17 +343,6 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     )
     checks.append(make_check("sourced-equation", "source-current", worst_src, 1e-12))
     return checks
-
-
-_FORBIDDEN_CACHE: list[int] = []
-
-
-def _forbidden_masks() -> list[int]:
-    if not _FORBIDDEN_CACHE:
-        from .beyond import CURRENT_MASKS
-
-        _FORBIDDEN_CACHE.extend(m for m in range(32) if m not in CURRENT_MASKS)
-    return _FORBIDDEN_CACHE
 
 
 def cmd_verify(args: argparse.Namespace) -> ReportDocument:
@@ -563,17 +560,14 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
         make_check(
             "field-residual",
             "wave-equation",
-            max(dirac5_residual(field, args.mass, x).inf_norm() for x in pts),
+            float(np.abs(dirac5_residuals(field, args.mass, pts)).max()),
             args.tolerance,
         ),
     ]
 
     if args.k4 == 0.0:
-        for half in ("plus", "minus"):
-            xi = MappedField(field, lambda mv, h=half: getattr(idempotent_split(mv), h))
-            worst = max(
-                hestenes_dirac_residual(xi, args.mass, x).inf_norm() for x in pts
-            )
+        for half, xi in zip(("plus", "minus"), sector_fields(field)):
+            worst = float(np.abs(hestenes_dirac_residuals(xi, args.mass, pts)).max())
             checks.append(
                 make_check(f"reduction-{half}-half", "reduction", worst, args.tolerance)
             )
@@ -661,7 +655,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
                 worst_grade = max(
                     worst_grade,
                     max(
-                        (abs(float(current.coeffs[m])) for m in _forbidden_masks()),
+                        (abs(float(v)) for v in current.coeffs[FORBIDDEN_CURRENT_MASKS]),
                         default=0.0,
                     ),
                 )
@@ -734,7 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.set_defaults(func=_run_spectrum)
 
     p_wave = sub.add_parser("planewave", help="build and check one plane wave")
-    p_wave.add_argument("--mass", type=finite_float, default=1.0)
+    p_wave.add_argument("--mass", type=nonnegative_float, default=1.0,
+                        help="rest mass (>= 0; 0 gives a massless wave)")
     p_wave.add_argument("--k1", type=finite_float, default=0.0)
     p_wave.add_argument("--k2", type=finite_float, default=0.0)
     p_wave.add_argument("--k3", type=finite_float, default=0.0)

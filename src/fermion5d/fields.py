@@ -4,9 +4,17 @@ A field exposes ``value(x)`` and ``partial(axis, x)`` where ``partial`` is the
 plain coordinate derivative (lower index); metric raising is applied by the
 consumers.  Analytic fields carry exact derivatives; sampled fields fall back
 to second-order central differences with a configurable step.
+
+The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
+N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
+for bit to the per-point call at ``points[n]``.  :class:`PhaseField` (plane
+waves) and :class:`MappedField` with an array map compute them with array
+operations; fields built from per-point callables loop over the points
+(:class:`PointwiseField`).
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -27,6 +35,13 @@ def as_point(x: Sequence[float]) -> np.ndarray:
     return pt
 
 
+def as_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 5:
+        raise ValueError(f"points must have shape (N, 5), got {pts.shape}")
+    return pts
+
+
 def minkowski_dot(a: Sequence[float], b: Sequence[float]) -> float:
     """Inner product with signature (-,+,+,+,-) on (t, x, y, z, w)."""
     return float(np.dot(METRIC_SIGNS * as_point(a), as_point(b)))
@@ -37,8 +52,29 @@ class Field5(Protocol):
 
     def partial(self, axis: int, x: Sequence[float]) -> Multivector: ...
 
+    def values(self, points) -> np.ndarray: ...
 
-class AnalyticField:
+    def partials(self, points) -> np.ndarray: ...
+
+
+def _rows(mvs: list[Multivector]) -> np.ndarray:
+    if not mvs:
+        return np.zeros((0, CL32.n_blades))
+    return np.array([mv.coeffs for mv in mvs])
+
+
+class PointwiseField:
+    """Batch evaluation as a loop over the per-point ``value``/``partial``."""
+
+    def values(self, points) -> np.ndarray:
+        return _rows([self.value(x) for x in as_points(points)])
+
+    def partials(self, points) -> np.ndarray:
+        pts = as_points(points)
+        return np.stack([_rows([self.partial(a, x) for x in pts]) for a in range(5)])
+
+
+class AnalyticField(PointwiseField):
     """Field defined by explicit value and derivative callables."""
 
     def __init__(
@@ -58,7 +94,7 @@ class AnalyticField:
         return self._partial(axis, as_point(x))
 
 
-class FiniteDifferenceField:
+class FiniteDifferenceField(PointwiseField):
     """Central-difference derivatives (O(step^2)) around a value callable."""
 
     def __init__(self, value_fn: Callable[[np.ndarray], Multivector], step: float = DEFAULT_FD_STEP):
@@ -80,7 +116,7 @@ class FiniteDifferenceField:
         return (self._value(fwd) - self._value(bwd)) / (2 * self.step)
 
 
-class ConstantField:
+class ConstantField(PointwiseField):
     def __init__(self, mv: Multivector):
         self._mv = mv
         self._zero = Multivector.zero(mv.signature)
@@ -96,22 +132,82 @@ class ConstantField:
         return self._zero
 
 
-class MappedField:
+class MappedField(PointwiseField):
     """Pointwise application of a linear, x-independent map to a base field.
 
     Linearity lets the map commute with differentiation, so partials are the
-    map applied to the base partials.
+    map applied to the base partials.  ``array_fn``, if given, is the same map
+    on coefficient arrays along their last axis; the batch methods then map
+    the base field's batch values and partials in one call each.
     """
 
-    def __init__(self, base: Field5, linear_fn: Callable[[Multivector], Multivector]):
+    def __init__(
+        self,
+        base: Field5,
+        linear_fn: Callable[[Multivector], Multivector],
+        array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
         self._base = base
         self._fn = linear_fn
+        self._array_fn = array_fn
 
     def value(self, x):
         return self._fn(self._base.value(x))
 
     def partial(self, axis, x):
         return self._fn(self._base.partial(axis, x))
+
+    def values(self, points):
+        if self._array_fn is None:
+            return super().values(points)
+        return self._array_fn(self._base.values(points))
+
+    def partials(self, points):
+        if self._array_fn is None:
+            return super().partials(points)
+        return self._array_fn(self._base.partials(points))
+
+
+class PhaseField:
+    """``A cos(k.x) + B sin(k.x)`` with constant ``A``, ``B`` and lower-index ``k``.
+
+    The per-point methods are the batch ones on a single point.  Each phase
+    is ``np.dot`` of ``k`` with one point and goes through ``math.cos`` and
+    ``math.sin``, so every point's value is independent of the batch it is
+    evaluated in (a matrix-vector product can round the phases differently).
+    """
+
+    def __init__(self, cos_amp: Multivector, sin_amp: Multivector, k_low: Sequence[float]):
+        self._cos_amp = cos_amp.coeffs
+        self._sin_amp = sin_amp.coeffs
+        self._k_low = as_point(k_low).copy()
+        self._k_low.setflags(write=False)
+
+    def _cos_sin(self, points) -> tuple[np.ndarray, np.ndarray]:
+        phases = [float(np.dot(self._k_low, x)) for x in as_points(points)]
+        cos = np.array([math.cos(th) for th in phases]).reshape(-1, 1)
+        sin = np.array([math.sin(th) for th in phases]).reshape(-1, 1)
+        return cos, sin
+
+    def _slopes(self, points) -> np.ndarray:
+        """``-A sin + B cos``: the value's derivative along the phase."""
+        cos, sin = self._cos_sin(points)
+        return self._cos_amp * (-sin) + self._sin_amp * cos
+
+    def values(self, points) -> np.ndarray:
+        cos, sin = self._cos_sin(points)
+        return self._cos_amp * cos + self._sin_amp * sin
+
+    def partials(self, points) -> np.ndarray:
+        return self._k_low[:, None, None] * self._slopes(points)
+
+    def value(self, x):
+        return Multivector(self.values([as_point(x)])[0])
+
+    def partial(self, axis, x):
+        if not 0 <= axis <= 4:
+            raise ValueError(f"axis must be 0..4, got {axis}")
+        return Multivector(self._slopes([as_point(x)])[0] * self._k_low[axis])
 
 
 def sample_grid(center: Sequence[float], half_extent: float, points_per_axis: int) -> np.ndarray:

@@ -10,12 +10,20 @@ left-multiplying by one of ``e0..e3`` swaps the two parts.
 halves.  Each half carries eight real components and, for fields that are
 independent of the second time coordinate, obeys the four-dimensional Dirac
 equation in Hestenes form.
+
+Both are products by single blades, so they run as array operations: the
+sandwich by ``e4`` is a diagonal sign and ``* e3e4`` a signed gather.
+:func:`pm_split_coeffs` and :func:`idempotent_split_coeffs` apply them along
+the last axis of coefficient arrays of any shape, bit for bit equal to the
+multivector products they replace.
 """
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .algebra import CL32, Multivector, e
+import numpy as np
+
+from .algebra import CL32, BladeOperator, Multivector, e, odd_masks
 
 
 class ProjectionPair(NamedTuple):
@@ -31,6 +39,20 @@ class IdempotentPair(NamedTuple):
 _E4 = e(CL32, 4)
 _E4_RAISED = -_E4  # index raised with the metric: e^4 = g^44 e4 = -e4
 _E34 = e(CL32, 3, 4)
+_RIGHT_E34 = BladeOperator.right(_E34)
+_ODD_MASKS = list(odd_masks(CL32))
+
+#: ``e^4 x e4 = x * _SANDWICH_SIGN``: each blade commutes or anticommutes with e4.
+_SANDWICH_SIGN = BladeOperator.right(_E4)(BladeOperator.left(_E4_RAISED)(np.eye(CL32.n_blades)))
+_SANDWICH_SIGN = _SANDWICH_SIGN.diagonal().copy()
+_SANDWICH_SIGN.setflags(write=False)
+
+
+def pm_split_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pm_split` on Cl(3,2) coefficient arrays ``(..., 32)``."""
+    sandwich = coeffs * _SANDWICH_SIGN
+    sandwich += 0.0
+    return (coeffs + sandwich) / 2, (coeffs - sandwich) / 2
 
 
 def pm_split(x: Multivector) -> ProjectionPair:
@@ -41,8 +63,8 @@ def pm_split(x: Multivector) -> ProjectionPair:
     """
     if x.signature != CL32:
         raise ValueError("pm_split is defined on the Cl(3,2) algebra")
-    sandwich = _E4_RAISED * x * _E4
-    return ProjectionPair(plus=(x + sandwich) / 2, minus=(x - sandwich) / 2)
+    plus, minus = pm_split_coeffs(x.coeffs)
+    return ProjectionPair(plus=Multivector(plus), minus=Multivector(minus))
 
 
 def project_pm(phi: Multivector) -> ProjectionPair:
@@ -71,8 +93,18 @@ def idempotent_split(phi: Multivector) -> IdempotentPair:
     """
     if not phi.is_even:
         raise ValueError("idempotent_split expects an even multivector")
-    plus, minus = pm_split(phi)
-    return IdempotentPair(plus=plus - minus * _E34, minus=minus - plus * _E34)
+    if phi.signature != CL32:
+        raise ValueError("idempotent_split is defined on the Cl(3,2) algebra")
+    plus, minus = idempotent_split_coeffs(phi.coeffs)
+    return IdempotentPair(plus=Multivector(plus), minus=Multivector(minus))
+
+
+def idempotent_split_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`idempotent_split` on Cl(3,2) coefficient arrays ``(..., 32)``."""
+    if np.any(coeffs[..., _ODD_MASKS] != 0.0):
+        raise ValueError("idempotent_split expects an even multivector")
+    plus, minus = pm_split_coeffs(coeffs)
+    return plus - _RIGHT_E34(minus), minus - _RIGHT_E34(plus)
 
 
 def cylinder_check(field, points: Iterable, tolerance: float) -> bool:

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebra import (
     CL32,
+    BladeOperator,
     Multivector,
     e,
     even_masks,
@@ -26,8 +28,17 @@ from .algebra import (
     nullspace,
     pseudoscalar,
 )
-from .fields import AnalyticField, Field5, MappedField, METRIC_SIGNS, as_point, minkowski_dot
-from .spinor import idempotent_split, pm_split
+from .fields import (
+    METRIC_SIGNS,
+    AnalyticField,
+    Field5,
+    MappedField,
+    PhaseField,
+    as_point,
+    as_points,
+    minkowski_dot,
+)
+from .spinor import idempotent_split, idempotent_split_coeffs, pm_split
 
 _E_BLADES = [e(CL32, a) for a in range(5)]
 _PSEUDO = pseudoscalar(CL32)
@@ -36,10 +47,18 @@ _E34 = e(CL32, 3, 4)
 _E012 = e(CL32, 0, 1, 2)
 _E0E = e(CL32, 0) * _PSEUDO  # equals -e1e2e3e4
 
+# the constant products of the free equations, as signed gathers
+_LEFT_E = tuple(BladeOperator.left(b) for b in _E_BLADES)  # e_a x
+_LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # E x
+_RIGHT_E012 = BladeOperator.right(_E012)  # x e012
+
 #: Even blades free of the second time generator (the 4D Dirac sector).
 NO_E4_EVEN_MASKS = tuple(m for m in even_masks(CL32) if not m & 0b10000)
 
 NULLSPACE_RCOND = 1e-10
+
+#: Largest ``|d4 phi|`` at which a field counts as flat along the second time axis.
+CYLINDER_TOLERANCE = 1e-10
 
 
 class GammaRejectionError(ValueError):
@@ -151,22 +170,55 @@ def gamma_classify(candidate: Multivector, tolerance: float = 1e-12) -> GammaCho
 
 def momentum_vector(k: Sequence[float]) -> Multivector:
     """The grade-1 multivector ``k^A e_A`` from contravariant components."""
-    k = as_point(k)
-    out = Multivector.zero(CL32)
-    for a in range(5):
-        out = out + float(k[a]) * _E_BLADES[a]
-    return out
+    coeffs = np.zeros(CL32.n_blades)
+    coeffs[[1 << a for a in range(5)]] = as_point(k) + 0.0  # -0.0 becomes 0.0
+    return Multivector(coeffs, CL32)
+
+
+def _require_finite(k: np.ndarray, mass: float) -> None:
+    if not (np.all(np.isfinite(k)) and math.isfinite(mass)):
+        raise ValueError("momentum and mass must be finite")
+
+
+@lru_cache(maxsize=8)  # keyed by phase bivector; mixtures could grow it without bound
+def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(V, P)`` with ``V[a]`` the matrix of ``amp -> e_a amp gamma`` and ``P``
+    that of ``amp -> E amp``, on the even basis; None unless ``gamma`` is a
+    single blade (only inadmissible or rounded mixtures are not)."""
+    gmv = gamma.as_multivector()
+    if np.count_nonzero(gmv.coeffs) != 1:
+        return None
+    masks = even_masks(CL32)
+    vec = np.stack(
+        [linear_map_matrix(lambda mv, b=b: b * mv * gmv, CL32, masks) for b in _E_BLADES]
+    )
+    pseudo = linear_map_matrix(lambda mv: _PSEUDO * mv, CL32, masks)
+    vec.setflags(write=False)
+    pseudo.setflags(write=False)
+    return vec, pseudo
 
 
 def momentum_constraint_matrix(k: Sequence[float], mass: float, gamma: GammaChoice) -> np.ndarray:
-    """Matrix (32 x 16) of ``amp -> K amp gamma + m E amp`` on the even basis."""
-    kvec = momentum_vector(k)
-    gmv = gamma.as_multivector()
+    """Matrix (32 x 16) of ``amp -> K amp gamma + m E amp`` on the even basis.
 
-    def fn(mv: Multivector) -> Multivector:
-        return kvec * mv * gmv + mass * (_PSEUDO * mv)
-
-    return linear_map_matrix(fn, CL32, even_masks(CL32))
+    Each entry of ``K amp gamma`` is a single signed ``k^A``, so the sum of the
+    precomputed blocks is exactly the product that it replaces.
+    """
+    k = as_point(k)
+    _require_finite(k, mass)
+    blocks = _constraint_blocks(gamma)
+    if blocks is None:
+        kvec = momentum_vector(k)
+        gmv = gamma.as_multivector()
+        return linear_map_matrix(
+            lambda mv: kvec * mv * gmv + mass * (_PSEUDO * mv), CL32, even_masks(CL32)
+        )
+    vec, pseudo = blocks
+    mat = float(mass) * pseudo
+    for a in range(5):
+        mat += float(k[a]) * vec[a]
+    mat += 0.0
+    return mat
 
 
 def solve_momentum_constraint(
@@ -176,9 +228,13 @@ def solve_momentum_constraint(
 
     Dimension 8 on the mass shell ``k.k = -m^2``, zero off it.
     """
-    gamma.require_admissible()
-    basis = nullspace(momentum_constraint_matrix(k, mass, gamma), NULLSPACE_RCOND)
+    basis = _constraint_nullspace(k, mass, gamma)
     return [from_even_coeffs(basis[:, i]) for i in range(basis.shape[1])]
+
+
+def _constraint_nullspace(k: Sequence[float], mass: float, gamma: GammaChoice) -> np.ndarray:
+    gamma.require_admissible()
+    return nullspace(momentum_constraint_matrix(k, mass, gamma), NULLSPACE_RCOND)
 
 
 def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> float:
@@ -190,11 +246,14 @@ def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> 
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
     if k_spatial.shape != (3,):
         raise ValueError("k_spatial must have three components")
-    disc = float(k_spatial @ k_spatial) + mass * mass - k4 * k4
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        disc = float(k_spatial @ k_spatial) + mass * mass - k4 * k4
     if disc < 0:
         raise ValueError(
             f"no real frequency: |k|^2 + m^2 - (k^4)^2 = {disc:.6g} is negative"
         )
+    if not math.isfinite(disc):
+        raise ValueError("the frequency overflows: |k|^2 + m^2 - (k^4)^2 is not finite")
     return math.sqrt(disc)
 
 
@@ -225,21 +284,9 @@ class PlaneWave:
         """|k.k + m^2| — zero on the mass shell."""
         return abs(minkowski_dot(self.k, self.k) + self.mass**2)
 
-    def field(self) -> AnalyticField:
+    def field(self) -> PhaseField:
         amp = self.amplitude
-        amp_gamma = amp * self.gamma.as_multivector()
-        k = self.k
-        k_low = METRIC_SIGNS * k
-
-        def value(x: np.ndarray) -> Multivector:
-            th = minkowski_dot(k, x)
-            return amp * math.cos(th) + amp_gamma * math.sin(th)
-
-        def partial(axis: int, x: np.ndarray) -> Multivector:
-            th = minkowski_dot(k, x)
-            return (amp * (-math.sin(th)) + amp_gamma * math.cos(th)) * float(k_low[axis])
-
-        return AnalyticField(value, partial)
+        return PhaseField(amp, amp * self.gamma.as_multivector(), METRIC_SIGNS * self.k)
 
 
 def build_plane_wave(
@@ -253,10 +300,10 @@ def build_plane_wave(
     k0 = solve_time_component(k_spatial, k4, mass)
     k = np.array([k0, *np.asarray(k_spatial, dtype=np.float64), k4])
     if amplitude is None:
-        basis = solve_momentum_constraint(k, mass, gamma)
-        if not basis:
+        basis = _constraint_nullspace(k, mass, gamma)
+        if not basis.shape[1]:
             raise ValueError("momentum constraint has no nontrivial amplitude")
-        amplitude = basis[0]
+        amplitude = from_even_coeffs(basis[:, 0])
     return PlaneWave(amplitude=amplitude, k=k, gamma=gamma, mass=mass)
 
 
@@ -266,7 +313,7 @@ def plane_wave_field(
     mass: float,
     gamma: GammaChoice,
     amplitude: Multivector | None = None,
-) -> AnalyticField:
+) -> PhaseField:
     return build_plane_wave(k_spatial, k4, mass, gamma, amplitude).field()
 
 
@@ -290,13 +337,23 @@ def specialized_constraint_residual(wave: PlaneWave) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _add_gradient(res: np.ndarray, partials: np.ndarray, axes: range) -> np.ndarray:
+    """``res + sum_a e_a d^a field`` over ``axes``, added in ascending order."""
+    for a in axes:
+        res += METRIC_SIGNS[a] * _LEFT_E[a](partials[a])
+    return res
+
+
+def dirac5_residuals(field: Field5, mass: float, points) -> np.ndarray:
+    """:func:`dirac5_residual` at every row of an ``(N, 5)`` point array."""
+    pts = as_points(points)
+    res = _LEFT_PSEUDO(field.values(pts)) * float(mass)
+    return _add_gradient(res, field.partials(pts), range(5))
+
+
 def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivector:
     """Left side minus right side of the free equation at a point."""
-    pt = as_point(x)
-    res = mass * (_PSEUDO * field.value(pt))
-    for a in range(5):
-        res = res + float(METRIC_SIGNS[a]) * (_E_BLADES[a] * field.partial(a, pt))
-    return res
+    return Multivector(dirac5_residuals(field, mass, [as_point(x)])[0])
 
 
 def _potential_value(potential, x) -> Multivector:
@@ -356,7 +413,7 @@ def hestenes_dirac_residual(
     x: Sequence[float],
     charge: float = 0.0,
     potential=None,
-    cylinder_tolerance: float = 1e-10,
+    cylinder_tolerance: float = CYLINDER_TOLERANCE,
 ) -> Multivector:
     """Residual of the 4D Dirac equation in Hestenes form at a point.
 
@@ -365,14 +422,8 @@ def hestenes_dirac_residual(
     with no second-time component.
     """
     pt = as_point(x)
-    d4 = field.partial(4, pt).inf_norm()
-    if d4 >= cylinder_tolerance:
-        raise ValueError(
-            f"field varies along the second time axis (|d4| = {d4:.3e}); "
-            "the 4D reduction does not apply"
-        )
-    val = field.value(pt)
-    res = -mass * (val * _E012)
+    values, partials = _flat_samples(field, [pt], cylinder_tolerance)
+    coupling = None
     if charge != 0.0:
         if potential is None:
             raise ValueError("charge given without a potential")
@@ -383,16 +434,53 @@ def hestenes_dirac_residual(
             )
         if np.any(a_val.coeffs[[1 << 4]]):
             raise ValueError("potential must have no second-time component")
-        res = res - charge * (a_val * val * _E12)
-    for mu in range(4):
-        res = res + float(METRIC_SIGNS[mu]) * (_E_BLADES[mu] * field.partial(mu, pt))
-    return res
+        coupling = (charge * (a_val * Multivector(values[0]) * _E12)).coeffs
+    return Multivector(_hestenes_sum(values, partials, mass, coupling)[0])
+
+
+def hestenes_dirac_residuals(field: Field5, mass: float, points) -> np.ndarray:
+    """Free-case :func:`hestenes_dirac_residual` at every row of ``points``.
+
+    Raises when the field is not flat along the second time axis (to
+    :data:`CYLINDER_TOLERANCE`) at any of the points.
+    """
+    values, partials = _flat_samples(field, points, CYLINDER_TOLERANCE)
+    return _hestenes_sum(values, partials, mass)
+
+
+def _flat_samples(field: Field5, points, cylinder_tolerance: float):
+    """Batch values and partials, after checking ``|d4| < cylinder_tolerance``."""
+    pts = as_points(points)
+    partials = field.partials(pts)
+    d4 = float(np.abs(partials[4]).max(initial=0.0))
+    if d4 >= cylinder_tolerance:
+        raise ValueError(
+            f"field varies along the second time axis (|d4| = {d4:.3e}); "
+            "the 4D reduction does not apply"
+        )
+    return field.values(pts), partials
+
+
+def _hestenes_sum(values, partials, mass, coupling=None) -> np.ndarray:
+    """``-m phi e012 [- coupling] + sum_mu e_mu d^mu phi``, in that order."""
+    res = _RIGHT_E012(values) * float(-mass)
+    if coupling is not None:
+        res -= coupling
+    return _add_gradient(res, partials, range(4))
 
 
 def sector_fields(field: Field5) -> tuple[Field5, Field5]:
     """Plus/minus idempotent-transform halves of a field, as fields."""
-    plus = MappedField(field, lambda mv: idempotent_split(mv).plus)
-    minus = MappedField(field, lambda mv: idempotent_split(mv).minus)
+    plus = MappedField(
+        field,
+        lambda mv: idempotent_split(mv).plus,
+        lambda coeffs: idempotent_split_coeffs(coeffs)[0],
+    )
+    minus = MappedField(
+        field,
+        lambda mv: idempotent_split(mv).minus,
+        lambda coeffs: idempotent_split_coeffs(coeffs)[1],
+    )
     return plus, minus
 
 
@@ -409,18 +497,37 @@ def minkowski4_dot(a: Sequence[float], b: Sequence[float]) -> float:
     return float(-a[0] * b[0] + a[1:] @ b[1:])
 
 
+@lru_cache(maxsize=None)
+def _hestenes_blocks() -> tuple[np.ndarray, np.ndarray]:
+    """``(V, R)`` with ``V[mu]`` the matrix of ``psi -> e_mu psi e12`` and ``R``
+    that of ``psi -> psi e012``, on the even blades free of e4."""
+    vec = np.stack(
+        [
+            linear_map_matrix(lambda mv, b=b: b * mv * _E12, CL32, NO_E4_EVEN_MASKS)
+            for b in _E_BLADES[:4]
+        ]
+    )
+    right = linear_map_matrix(lambda mv: mv * _E012, CL32, NO_E4_EVEN_MASKS)
+    vec.setflags(write=False)
+    right.setflags(write=False)
+    return vec, right
+
+
 def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivector]:
     """Amplitudes for the 4D wave: null space of ``K psi e12 - m psi e012``.
 
-    Works on the eight even blades free of the second time generator.
+    Works on the eight even blades free of the second time generator; the
+    matrix is a sum of precomputed blocks, as in
+    :func:`momentum_constraint_matrix`.
     """
     k4 = np.asarray(k4, dtype=np.float64)
-    kvec = momentum_vector(np.concatenate([k4, [0.0]]))
-
-    def fn(mv: Multivector) -> Multivector:
-        return kvec * mv * _E12 - mass * (mv * _E012)
-
-    mat = linear_map_matrix(fn, CL32, NO_E4_EVEN_MASKS)
+    if k4.shape != (4,):
+        raise ValueError("four-vectors expected")
+    _require_finite(k4, mass)
+    vec, right = _hestenes_blocks()
+    mat = float(-mass) * right
+    for mu in range(4):
+        mat += float(k4[mu]) * vec[mu]
     basis = nullspace(mat, NULLSPACE_RCOND)
     out = []
     for i in range(basis.shape[1]):
@@ -435,7 +542,10 @@ def hestenes_plane_wave_field(
 ) -> AnalyticField:
     """4D Dirac plane wave as a five-coordinate field flat along the last axis."""
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
-    k0 = math.sqrt(float(k_spatial @ k_spatial) + mass * mass)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        k0 = math.sqrt(float(k_spatial @ k_spatial) + mass * mass)
+    if not math.isfinite(k0):
+        raise ValueError("the frequency overflows: |k|^2 + m^2 is not finite")
     k4 = np.array([k0, *k_spatial])
     if amplitude is None:
         basis = solve_hestenes_amplitude(k4, mass)

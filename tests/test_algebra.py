@@ -19,6 +19,7 @@ from fermion5d.algebra import (
     CL31,
     CL32,
     CL41,
+    BladeOperator,
     Multivector,
     Signature,
     SignatureMismatchError,
@@ -312,6 +313,17 @@ def test_equality_and_hash_follow_value_semantics():
     assert (a == "not a multivector") is NotImplemented or (a != "not a multivector")
 
 
+def test_hash_agrees_with_equality_on_signed_zeros():
+    z = Multivector.zero()
+    assert z == -z
+    assert hash(z) == hash(-z)
+    assert len({z, -z}) == 1
+    x = e(CL32, 1) * 2.0
+    signed = Multivector(np.where(x.coeffs == 0.0, -0.0, x.coeffs))
+    assert signed == x and len({x, signed}) == 1
+    assert {x: "hit"}[signed] == "hit"
+
+
 def test_repr_names_blades():
     x = 2.0 * e(CL32, 0, 1) - e(CL32, 4) + Multivector.scalar(3.0)
     text = repr(x)
@@ -431,3 +443,45 @@ def test_gather_index_rows_are_permutations():
     xor, _ = _kernels._gather_tables(tables(CL32).sign)
     for i in range(32):
         assert sorted(xor[i]) == list(range(32))
+
+
+# ---------------------------------------------------------------------------
+# blade operators
+# ---------------------------------------------------------------------------
+
+
+def _gather_inputs(rng, signature):
+    n = signature.n_blades
+    dense = rng.uniform(-1, 1, size=n)
+    signed_zeros = dense.copy()
+    signed_zeros[rng.random(n) < 0.4] = -0.0
+    single = np.full(n, -0.0)
+    single[rng.integers(n)] = rng.uniform(-1, 1)
+    integer = rng.integers(-2, 3, size=n).astype(np.float64)
+    return [dense, signed_zeros, single, integer, np.zeros(n), np.full(n, -0.0)]
+
+
+@pytest.mark.parametrize("signature", ALL_SIGNATURES, ids=str)
+def test_blade_gathers_equal_the_product_for_every_blade(signature, rng):
+    for mask in range(signature.n_blades):
+        for coeff in (1.0, -1.0, 0.37):
+            blade = Multivector.blade(mask, signature, coeff)
+            left, right = BladeOperator.left(blade), BladeOperator.right(blade)
+            rows = _gather_inputs(rng, signature)
+            for x in rows:
+                mv = Multivector(x, signature)
+                assert left(x).tobytes() == (blade * mv).coeffs.tobytes()
+                assert right(x).tobytes() == (mv * blade).coeffs.tobytes()
+            # along the last axis of a stacked array, row by row
+            stacked = np.stack(rows)
+            assert left(stacked).tobytes() == np.stack([left(x) for x in rows]).tobytes()
+            assert right(stacked).tobytes() == np.stack([right(x) for x in rows]).tobytes()
+
+
+def test_blade_operator_needs_exactly_one_blade():
+    with pytest.raises(ValueError, match="single blade"):
+        BladeOperator.left(e(CL32, 1) + e(CL32, 2))
+    with pytest.raises(ValueError, match="single blade"):
+        BladeOperator.right(Multivector.zero())
+    # -0.0 in the other slots does not count as a second blade
+    assert np.array_equal(BladeOperator.left(-(-e(CL32, 0))).sign, BladeOperator.left(e(CL32, 0)).sign)

@@ -266,6 +266,14 @@ def test_planewave_imaginary_frequency_fails_cleanly(capsys):
     ]
 
 
+def test_planewave_massless_wave_passes(capsys):
+    code, out, _ = run_cli(["planewave", "--mass", "0", "--k1", "0.4", "--format", "json"], capsys)
+    assert code == 0
+    doc = load_document(out)
+    assert doc["inputs"]["k0"] == 0.4
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
 def test_planewave_tolerance_is_wired_through(capsys):
     code, out, _ = run_cli(
         ["planewave", "--k1", "0.3", "--tolerance", "1e-30", "--format", "json"],
@@ -360,13 +368,15 @@ def test_beyond_requires_a_demo_choice(capsys):
         (["beyond", "--demo", "sources", "--seed", "-1"],
          "expected a non-negative integer, got '-1'"),
         (["beyond", "--demo", "scalar", "--s", "1e300", "--format", "json"],
-         "SVD did not converge"),
+         "the frequency overflows: |k|^2 + m^2 is not finite"),
         (["beyond", "--demo", "scalar", "--mass", "1e300", "--format", "json"],
-         "SVD did not converge"),
+         "the frequency overflows: |k|^2 + m^2 is not finite"),
         (["beyond", "--demo", "scalar", "--mass", "1e300", "--s=-1e300"],
          "the profile rate sqrt(|mass * potential|) overflows"),
         (["beyond", "--demo", "scalar", "--mass", "1e20", "--format", "json"],
          "math range error"),
+        (["planewave", "--mass", "-1", "--format", "json"],
+         "expected a non-negative number, got '-1'"),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
@@ -375,6 +385,22 @@ def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
     assert out == ""
     assert err.rstrip("\n").split("\n")[-1].endswith(message)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("option", ["--s", "--mass"])
+def test_overflowing_scalar_demo_writes_one_stderr_line(option):
+    # a fresh interpreter with every warning shown: numpy's once-per-location
+    # filter cannot hide a RuntimeWarning that an earlier test already raised
+    result = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "fermion5d", "beyond", "--demo",
+         "scalar", option, "1e300", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
 #: Text for a numeric option: non-finite, negative, zero, extreme, ordinary

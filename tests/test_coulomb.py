@@ -142,6 +142,18 @@ def test_cached_blocks_are_keyed_by_phase_bivector_and_radial_unit():
     assert np.array_equal(r3, r12) and np.array_equal(rhz3, rhz12)
 
 
+def test_cached_blocks_hit_on_a_radial_unit_with_a_negative_zero_slot():
+    unit = e(CL32, 1)
+    signed = Multivector(np.where(unit.coeffs == 0.0, -0.0, unit.coeffs))
+    assert signed == unit
+    coulomb._radial_blocks.cache_clear()
+    first = coulomb._radial_blocks(GammaChoice.e12(), unit)
+    again = coulomb._radial_blocks(GammaChoice.e12(), signed)
+    info = coulomb._radial_blocks.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert all(a is b for a, b in zip(first, again))
+
+
 def test_invalid_radial_unit_raises_on_every_call():
     bad = 2.0 * e(CL32, 3)
     for _ in range(2):

@@ -1,0 +1,111 @@
+"""Tests for the batch field protocol: ``values``/``partials`` on point arrays.
+
+Every field class that has the batch methods must give, at row ``n``, the
+same bytes as its per-point call at ``points[n]`` (``tobytes()``, so the sign
+of a zero counts too).
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from fermion5d.algebra import CL32, e, random_multivector
+from fermion5d.beyond import oscillating_source_pair
+from fermion5d.fields import (
+    AnalyticField,
+    ConstantField,
+    FiniteDifferenceField,
+    MappedField,
+    PhaseField,
+    as_points,
+)
+from fermion5d.spinor import idempotent_split
+from fermion5d.wave import (
+    GammaChoice,
+    build_plane_wave,
+    hestenes_plane_wave_field,
+    sector_fields,
+)
+
+
+def assert_batch_matches_points(field, points):
+    values = field.values(points)
+    partials = field.partials(points)
+    assert values.shape == (len(points), CL32.n_blades)
+    assert partials.shape == (5, len(points), CL32.n_blades)
+    for n, x in enumerate(points):
+        assert values[n].tobytes() == field.value(x).coeffs.tobytes()
+        for axis in range(5):
+            assert partials[axis, n].tobytes() == field.partial(axis, x).coeffs.tobytes()
+
+
+def plane_wave_fields():
+    waves = [
+        build_plane_wave((0.3, -0.7, 0.2), 0.0, 1.1, GammaChoice.e12()),
+        build_plane_wave((-0.4, 0.1, 0.9), 0.35, 0.8, GammaChoice.e0E()),
+        build_plane_wave((0.0, 0.0, 0.0), 0.0, 1.0, GammaChoice.e0E()),  # rest frame
+    ]
+    return [w.field() for w in waves]
+
+
+def test_plane_wave_batch_matches_the_point_calls(rng):
+    points = rng.uniform(-3.0, 3.0, size=(40, 5))
+    for field in plane_wave_fields():
+        assert isinstance(field, PhaseField)
+        assert_batch_matches_points(field, points)
+
+
+def test_sector_field_batch_matches_the_point_calls(rng):
+    points = rng.uniform(-3.0, 3.0, size=(25, 5))
+    for field in plane_wave_fields():
+        for half in sector_fields(field):
+            assert_batch_matches_points(half, points)
+
+
+def test_fallback_fields_batch_matches_the_point_calls(rng):
+    points = rng.uniform(-1.0, 1.0, size=(6, 5))
+    amp = random_multivector(rng, CL32, even=True)
+    freq = rng.uniform(-1, 1, size=5)
+
+    def value(pt):
+        return math.cos(float(freq @ pt)) * amp
+
+    def partial(axis, pt):
+        return float(-math.sin(float(freq @ pt)) * freq[axis]) * amp
+
+    base = AnalyticField(value, partial)
+    fields = [
+        base,
+        FiniteDifferenceField(value),
+        ConstantField(e(CL32, 0, 1)),
+        MappedField(base, lambda mv: idempotent_split(mv).plus),  # no array map
+        hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0),
+        *oscillating_source_pair(),
+    ]
+    for field in fields:
+        assert_batch_matches_points(field, points)
+
+
+def test_empty_point_arrays_give_empty_batches():
+    field = plane_wave_fields()[0]
+    empty = np.zeros((0, 5))
+    assert field.values(empty).shape == (0, CL32.n_blades)
+    assert field.partials(empty).shape == (5, 0, CL32.n_blades)
+    assert ConstantField(e(CL32, 1)).values(empty).shape == (0, CL32.n_blades)
+
+
+def test_point_arrays_must_have_five_columns():
+    with pytest.raises(ValueError, match=r"\(N, 5\)"):
+        as_points(np.zeros((3, 4)))
+    with pytest.raises(ValueError):
+        as_points(np.zeros(5))
+    with pytest.raises(ValueError):
+        plane_wave_fields()[0].values(np.zeros((2, 3)))
+
+
+def test_phase_field_rejects_a_bad_axis(rng):
+    field = plane_wave_fields()[0]
+    with pytest.raises(ValueError, match="axis"):
+        field.partial(5, rng.uniform(-1, 1, size=5))

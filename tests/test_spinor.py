@@ -12,7 +12,9 @@ from fermion5d.spinor import (
     cylinder_check,
     idempotent_e34,
     idempotent_split,
+    idempotent_split_coeffs,
     pm_split,
+    pm_split_coeffs,
     project_pm,
 )
 from fermion5d.wave import NO_E4_EVEN_MASKS, hestenes_plane_wave_field, plane_wave_field
@@ -122,6 +124,56 @@ def test_idempotent_split_halves_live_on_eight_blades_each(rng):
 def test_idempotent_split_rejects_odd_content():
     with pytest.raises(ValueError):
         idempotent_split(e(CL32, 0))
+
+
+def sandwich_oracle(x):
+    """The split as multivector products, ``(x ± e^4 x e4)/2``: the formula
+    that the diagonal sign and the e3e4 gather replace."""
+    e4 = e(CL32, 4)
+    sandwich = -e4 * x * e4
+    return (x + sandwich) / 2, (x - sandwich) / 2
+
+
+def oracle_inputs(rng, even):
+    rows = [random_multivector(rng, CL32, even=even) for _ in range(30)]
+    rows += [random_multivector(rng, CL32, even=even, integer=True) for _ in range(10)]
+    # -0.0 coefficients: the products turn each into +0.0
+    rows += [Multivector(np.where(x.coeffs == 0.0, -0.0, x.coeffs)) for x in rows[-10:]]
+    rows.append(Multivector.zero())
+    return rows
+
+
+@pytest.mark.parametrize("even", [True, False], ids=["even", "odd"])
+def test_pm_split_equals_the_sandwich_formula_bitwise(even, rng):
+    for x in oracle_inputs(rng, even):
+        plus, minus = sandwich_oracle(x)
+        got = pm_split(x)
+        assert got.plus.coeffs.tobytes() == plus.coeffs.tobytes()
+        assert got.minus.coeffs.tobytes() == minus.coeffs.tobytes()
+
+
+def test_idempotent_split_equals_the_sandwich_formula_bitwise(rng):
+    e34 = e(CL32, 3, 4)
+    rows = oracle_inputs(rng, even=True)
+    for x in rows:
+        plus, minus = sandwich_oracle(x)
+        got = idempotent_split(x)
+        assert got.plus.coeffs.tobytes() == (plus - minus * e34).coeffs.tobytes()
+        assert got.minus.coeffs.tobytes() == (minus - plus * e34).coeffs.tobytes()
+    # the array forms split every row of a stacked array the same way
+    stacked = np.stack([x.coeffs for x in rows])
+    for got, pairs in ((pm_split_coeffs(stacked), [pm_split(x) for x in rows]),
+                       (idempotent_split_coeffs(stacked), [idempotent_split(x) for x in rows])):
+        for half in (0, 1):
+            expected = np.stack([pair[half].coeffs for pair in pairs])
+            assert got[half].tobytes() == expected.tobytes()
+
+
+def test_idempotent_split_coeffs_rejects_odd_content(rng):
+    rows = np.stack([random_multivector(rng, CL32, even=True).coeffs for _ in range(3)])
+    rows[1, 1] = 0.5  # an e0 component in one row
+    with pytest.raises(ValueError, match="even"):
+        idempotent_split_coeffs(rows)
 
 
 def test_pair_types_are_named_tuples(rng):

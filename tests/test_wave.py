@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from fermion5d.algebra import CL32, Multivector, e, pseudoscalar, random_multivector
+from fermion5d.algebra import (
+    CL32,
+    Multivector,
+    e,
+    even_masks,
+    linear_map_matrix,
+    nullspace,
+    pseudoscalar,
+    random_multivector,
+)
 from fermion5d.fields import (
     METRIC_SIGNS,
     AnalyticField,
@@ -21,10 +30,14 @@ from fermion5d.wave import (
     PlaneWave,
     build_plane_wave,
     coupled_residual,
+    NULLSPACE_RCOND,
     dirac5_potential_residual,
     dirac5_residual,
+    dirac5_residuals,
     gamma_classify,
     hestenes_dirac_residual,
+    hestenes_dirac_residuals,
+    momentum_constraint_matrix,
     hestenes_plane_wave_field,
     minkowski4_dot,
     momentum_vector,
@@ -347,3 +360,130 @@ def test_minkowski4_dot_signature():
     assert minkowski4_dot([0, 2, 0, 0], [0, 3, 0, 0]) == 6.0
     with pytest.raises(ValueError):
         minkowski4_dot([1, 0, 0], [1, 0, 0])
+
+
+# ---------------------------------------------------------------------------
+# batch residuals and precomputed constraint blocks
+# ---------------------------------------------------------------------------
+
+
+def test_batch_residuals_equal_the_point_residuals_bitwise(rng):
+    points = rng.uniform(-2.0, 2.0, size=(12, 5))
+    for gamma in BOTH_GAMMAS:
+        for k4 in (0.0, 0.3):
+            wave = build_plane_wave((0.4, -0.2, 0.7), k4, 0.9, gamma)
+            field = wave.field()
+            batch = dirac5_residuals(field, 0.9, points)
+            for n, x in enumerate(points):
+                assert batch[n].tobytes() == dirac5_residual(field, 0.9, x).coeffs.tobytes()
+            if k4 != 0.0:
+                continue
+            for half in sector_fields(field):
+                batch = hestenes_dirac_residuals(half, 0.9, points)
+                for n, x in enumerate(points):
+                    expected = hestenes_dirac_residual(half, 0.9, x).coeffs
+                    assert batch[n].tobytes() == expected.tobytes()
+
+
+def test_point_residual_is_the_multivector_formula_bitwise(rng):
+    # the sums the batch path replaces, written out with multivector products
+    field = hestenes_plane_wave_field((0.2, -0.1, 0.4), 1.3)
+    gens = [e(CL32, a) for a in range(5)]
+    for x in sample_points(rng, count=4):
+        res = 1.3 * (pseudoscalar(CL32) * field.value(x))
+        for a in range(5):
+            res = res + float(METRIC_SIGNS[a]) * (gens[a] * field.partial(a, x))
+        assert dirac5_residual(field, 1.3, x).coeffs.tobytes() == res.coeffs.tobytes()
+        res = -1.3 * (field.value(x) * e(CL32, 0, 1, 2))
+        for mu in range(4):
+            res = res + float(METRIC_SIGNS[mu]) * (gens[mu] * field.partial(mu, x))
+        assert hestenes_dirac_residual(field, 1.3, x).coeffs.tobytes() == res.coeffs.tobytes()
+
+
+def test_batch_reduction_refuses_a_field_that_varies_at_any_point(rng):
+    flat = build_plane_wave((0.2, 0.5, -0.3), 0.0, 1.0, GammaChoice.e12()).field()
+    moving = build_plane_wave((0.2, 0.5, -0.3), 0.4, 1.0, GammaChoice.e12()).field()
+    points = sample_points(rng, count=3)
+    assert hestenes_dirac_residuals(flat, 1.0, points).shape == (3, CL32.n_blades)
+    with pytest.raises(ValueError, match="second time"):
+        hestenes_dirac_residuals(moving, 1.0, points)
+    with pytest.raises(ValueError, match="second time"):
+        hestenes_dirac_residual(moving, 1.0, points[0], cylinder_tolerance=1e-10)
+    loose = hestenes_dirac_residual(moving, 1.0, points[0], cylinder_tolerance=10.0)
+    assert isinstance(loose, Multivector)
+
+
+def test_sector_fields_of_an_odd_field_raise(rng):
+    odd = ConstantField(e(CL32, 0))
+    for half in sector_fields(odd):
+        with pytest.raises(ValueError, match="even"):
+            half.value(rng.uniform(-1, 1, size=5))
+        with pytest.raises(ValueError, match="even"):
+            hestenes_dirac_residuals(half, 1.0, sample_points(rng, count=2))
+
+
+def test_a_potential_without_charge_is_the_free_residual(rng):
+    field = hestenes_plane_wave_field((0.1, 0.0, 0.0), 1.0)
+    x = rng.uniform(-0.5, 0.5, size=5)
+    with_potential = hestenes_dirac_residual(
+        field, 1.0, x, charge=0.0, potential=ConstantField(e(CL32, 0, 1))
+    )
+    assert with_potential.coeffs.tobytes() == hestenes_dirac_residual(field, 1.0, x).coeffs.tobytes()
+
+
+def constraint_oracle(k, mass, gamma):
+    kvec = momentum_vector(k)
+    gmv = gamma.as_multivector()
+    return linear_map_matrix(
+        lambda mv: kvec * mv * gmv + mass * (pseudoscalar(CL32) * mv), CL32, even_masks(CL32)
+    )
+
+
+def test_constraint_matrix_equals_the_product_formula_bitwise(rng):
+    ks = [rng.uniform(-2, 2, size=5) for _ in range(10)]
+    ks += [np.array([1.0, 0.0, 0.0, 0.0, 0.0]), np.array([1.0, -0.0, 0.5, 0.0, -0.25])]
+    ks += [np.round(k) for k in ks[:4]]
+    # every term of a zero entry is -0.0 at negative mass: the sum must give +0.0
+    ks.append(-np.abs(ks[0]))
+    for k in ks:
+        summed = Multivector.zero()
+        for a in range(5):
+            summed = summed + float(k[a]) * e(CL32, a)
+        assert momentum_vector(k).coeffs.tobytes() == summed.coeffs.tobytes()
+        for mass in (1.0, 0.0, -0.7, float(k[0])):
+            for gamma in (*BOTH_GAMMAS, GammaChoice.superposition(0.0)):
+                got = momentum_constraint_matrix(k, mass, gamma)
+                assert got.tobytes() == constraint_oracle(k, mass, gamma).tobytes()
+    # a mixture with two blades takes the general product
+    mixed = GammaChoice.superposition(math.pi / 2)
+    assert np.count_nonzero(mixed.as_multivector().coeffs) == 2
+    got = momentum_constraint_matrix(ks[0], 1.0, mixed)
+    assert got.tobytes() == constraint_oracle(ks[0], 1.0, mixed).tobytes()
+
+
+def test_hestenes_amplitudes_equal_the_product_formula_bitwise(rng):
+    e12, e012 = e(CL32, 1, 2), e(CL32, 0, 1, 2)
+    for _ in range(8):
+        k_spatial = rng.uniform(-1, 1, size=3)
+        mass = float(rng.uniform(0.2, 1.5))
+        k4 = np.array([math.sqrt(float(k_spatial @ k_spatial) + mass * mass), *k_spatial])
+        kvec = momentum_vector(np.concatenate([k4, [0.0]]))
+        mat = linear_map_matrix(
+            lambda mv: kvec * mv * e12 - mass * (mv * e012), CL32, NO_E4_EVEN_MASKS
+        )
+        basis = nullspace(mat, NULLSPACE_RCOND)
+        got = solve_hestenes_amplitude(k4, mass)
+        assert len(got) == basis.shape[1] == 4
+        for i, amp in enumerate(got):
+            assert amp.coeffs[list(NO_E4_EVEN_MASKS)].tobytes() == basis[:, i].tobytes()
+
+
+def test_non_finite_momentum_is_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        momentum_constraint_matrix([math.inf, 0, 0, 0, 0], 1.0, GammaChoice.e12())
+    with pytest.raises(ValueError, match="finite"):
+        solve_hestenes_amplitude([1.0, math.nan, 0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        hestenes_plane_wave_field((0.1, 0.0, 0.0), 1e300)
+    with pytest.raises(ValueError, match="overflows"):
+        build_plane_wave((1e200, 0.0, 0.0), 0.0, 1.0, GammaChoice.e12())
