@@ -18,20 +18,15 @@ from .algebra import (
     blade_product,
     e,
     even_masks,
-    geometric_product,
-    grade_part,
     kernel_backend,
     pseudoscalar,
     random_multivector,
-    reverse,
-    wedge,
 )
 from .beyond import (
     GradeStructureError,
     ScalarPotentialDemo,
     SourceCurrent,
     demo_grid,
-    massless_consistency,
     minus_constancy_ratio,
     oscillating_source_pair,
     pair_residual,
@@ -58,7 +53,7 @@ from .fields import (
     minkowski_dot,
 )
 from .report import Check, ReportDocument, make_check
-from .spinor import cylinder_check, idempotent_split, pm_split, project_pm
+from .spinor import cylinder_check, idempotent_split, pm_split
 from .wave import (
     GammaChoice,
     GammaRejectionError,
@@ -70,7 +65,6 @@ from .wave import (
     hestenes_dirac_residual,
     hestenes_dirac_residuals,
     hestenes_plane_wave_field,
-    plane_wave_field,
     sector_fields,
 )
 
@@ -88,13 +82,9 @@ __all__ = [
     "blade_product",
     "e",
     "even_masks",
-    "geometric_product",
-    "grade_part",
     "kernel_backend",
     "pseudoscalar",
     "random_multivector",
-    "reverse",
-    "wedge",
     # fields
     "AnalyticField",
     "ConstantField",
@@ -107,7 +97,6 @@ __all__ = [
     "cylinder_check",
     "idempotent_split",
     "pm_split",
-    "project_pm",
     # wave equation
     "GammaChoice",
     "GammaRejectionError",
@@ -119,7 +108,6 @@ __all__ = [
     "hestenes_dirac_residual",
     "hestenes_dirac_residuals",
     "hestenes_plane_wave_field",
-    "plane_wave_field",
     "sector_fields",
     # Coulomb bound states
     "CoulombParams",
@@ -134,7 +122,6 @@ __all__ = [
     "ScalarPotentialDemo",
     "SourceCurrent",
     "demo_grid",
-    "massless_consistency",
     "minus_constancy_ratio",
     "oscillating_source_pair",
     "pair_residual",

@@ -313,22 +313,6 @@ def pseudoscalar(signature: Signature) -> Multivector:
     return Multivector.blade(signature.n_blades - 1, signature)
 
 
-def geometric_product(x: Multivector, y: Multivector) -> Multivector:
-    return x * y
-
-
-def wedge(x: Multivector, y: Multivector) -> Multivector:
-    return x ^ y
-
-
-def grade_part(x: Multivector, k: int) -> Multivector:
-    return x.grade(k)
-
-
-def reverse(x: Multivector) -> Multivector:
-    return x.reverse()
-
-
 # -- even subalgebra helpers -------------------------------------------------
 
 
@@ -426,12 +410,13 @@ def linear_map_matrix(
     return np.column_stack(cols)
 
 
-def nullspace(matrix: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal null-space basis (columns) via SVD with relative cutoff."""
+def nullspace(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis (columns) via SVD: the right singular
+    vectors whose singular values are at most 1e-10 times the largest."""
     u, s, vt = np.linalg.svd(matrix)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(matrix.shape[1])
-    keep = s <= rcond * s[0]
+    keep = s <= 1e-10 * s[0]
     # vt rows beyond len(s) correspond to exactly-null directions
     extra = vt.shape[0] - s.size
     null_rows = np.concatenate([np.nonzero(keep)[0], np.arange(s.size, s.size + extra)])

@@ -14,8 +14,10 @@ equation on the idempotent halves ``xi_plus`` / ``xi_minus``:
   profile times a plane-wave carrier of shifted mass ``m + s``.
 
 * **Massless consistency** — at zero mass the same constraint forces the plus
-  half to be flat along the second time axis; :func:`massless_consistency`
-  verifies the implication on concrete fields.
+  half to be flat along the second time axis; :func:`fermion5d.spinor.
+  cylinder_check` on the plus half verifies the implication on concrete
+  fields (``e4 d^4`` is a signed permutation, so ``|e4 d^4 xi_plus|`` and
+  ``|d4 xi_plus|`` have the same sup-norm).
 
 * **Source current** — at zero mass the remaining pair equation reads like the
   sourced Maxwell equation ``e_mu d^mu psi = -4 pi J`` with
@@ -37,10 +39,10 @@ import numpy as np
 
 from .algebra import CL32, Multivector, e
 from .fields import (
-    METRIC_SIGNS,
     AnalyticField,
     Field5,
     FiniteDifferenceField,
+    add_gradient,
     as_point,
     sample_grid,
 )
@@ -60,7 +62,6 @@ __all__ = [
     "demo_grid",
     "derived_minus_field",
     "grade_structure_violations",
-    "massless_consistency",
     "oscillating_source_pair",
     "pair_residual",
     "random_minus_field",
@@ -72,7 +73,6 @@ __all__ = [
 
 _E4 = e(CL32, 4)
 _E012 = e(CL32, 0, 1, 2)
-_E_BLADES = tuple(e(CL32, a) for a in range(5))
 FOUR_PI = 4.0 * math.pi
 
 #: Default sampling lattice for the numerical demos: 9 points per axis,
@@ -98,16 +98,16 @@ FORBIDDEN_CURRENT_MASKS.setflags(write=False)
 def spacetime_gradient(field: Field5, x: Sequence[float]) -> Multivector:
     """``sum_mu e_mu d^mu field`` over the four spacetime axes (0..3)."""
     pt = as_point(x)
-    total = Multivector.zero(CL32)
-    for mu in range(4):
-        total = total + float(METRIC_SIGNS[mu]) * (_E_BLADES[mu] * field.partial(mu, pt))
-    return total
+    partials = [field.partial(mu, pt).coeffs for mu in range(4)]
+    return Multivector(add_gradient(np.zeros(CL32.n_blades), partials, range(4)))
 
 
 def second_time_gradient(field: Field5, x: Sequence[float]) -> Multivector:
     """``e4 d^4 field`` at a point (raised index: ``d^4 = -d_4``)."""
     pt = as_point(x)
-    return float(METRIC_SIGNS[4]) * (_E4 * field.partial(4, pt))
+    # -0.0 + t == t for every t, signed zeros included: the sum is the term
+    start = np.full(CL32.n_blades, -0.0)
+    return Multivector(add_gradient(start, {4: field.partial(4, pt).coeffs}, (4,)))
 
 
 def pair_residual(
@@ -331,28 +331,6 @@ def minus_constancy_ratio(
 
 
 # ---------------------------------------------------------------------------
-# massless consistency
-# ---------------------------------------------------------------------------
-
-
-def massless_consistency(
-    xi_plus: Field5, points: Sequence[Sequence[float]], tolerance: float = 1e-10
-) -> bool:
-    """At zero mass, a frozen minus half forces ``e4 d^4 xi_plus = 0``.
-
-    Returns True iff the flatness actually holds on the sample set:
-    ``sup_x ||e4 d^4 xi_plus(x)|| < tolerance``.  A False result means the
-    supplied plus half genuinely varies along the second time axis, so the
-    constancy constraint and the zero-mass equation cannot both hold.
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("massless_consistency requires a non-empty sample set")
-    sup = max(second_time_gradient(xi_plus, pt).inf_norm() for pt in pts)
-    return sup < tolerance
-
-
-# ---------------------------------------------------------------------------
 # source current
 # ---------------------------------------------------------------------------
 
@@ -412,17 +390,11 @@ class SourceCurrent:
         ``O(step^2)``); near-constancy of the minus half over the region makes
         this vanish.
         """
-        if step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        sampled = FiniteDifferenceField(self.value, step)
         pt = as_point(x)
         total = 0.0
         for mu in range(4):
-            fwd, bwd = pt.copy(), pt.copy()
-            fwd[mu] += step
-            bwd[mu] -= step
-            total += (
-                self.value(fwd).coeffs[1 << mu] - self.value(bwd).coeffs[1 << mu]
-            ) / (2.0 * step)
+            total += sampled.partial(mu, pt).coeffs[1 << mu]
         return float(total)
 
 
@@ -504,13 +476,14 @@ def oscillating_source_pair() -> tuple[AnalyticField, AnalyticField]:
     return AnalyticField(plus_value, plus_partial), AnalyticField(minus_value, minus_partial)
 
 
-def random_minus_field(rng: np.random.Generator, frequency_scale: float = 1.0) -> AnalyticField:
+def random_minus_field(rng: np.random.Generator) -> AnalyticField:
     """Random smooth field supported on the minus half's blades.
 
-    The value is ``A cos(w . x) + B sin(w . x)`` with random even amplitudes
-    confined to blades containing the second time generator, so both the field
-    and all its partials stay in the minus half's support.  Used to exercise
-    the structural grade claims of the induced current.
+    The value is ``A cos(w . x) + B sin(w . x)`` with ``w`` uniform in
+    ``[-1, 1]^5`` and random even amplitudes confined to blades containing the
+    second time generator, so both the field and all its partials stay in the
+    minus half's support.  Used to exercise the structural grade claims of the
+    induced current.
     """
     masks = list(SECOND_TIME_EVEN_MASKS)
 
@@ -521,7 +494,7 @@ def random_minus_field(rng: np.random.Generator, frequency_scale: float = 1.0) -
 
     amp_a = random_amplitude()
     amp_b = random_amplitude()
-    freq = rng.uniform(-frequency_scale, frequency_scale, size=5)
+    freq = rng.uniform(-1.0, 1.0, size=5)
 
     def value(pt: np.ndarray) -> Multivector:
         phase = float(freq @ pt)

@@ -49,7 +49,6 @@ from .beyond import (
     ScalarPotentialDemo,
     SourceCurrent,
     demo_grid,
-    grade_structure_violations,
     oscillating_source_pair,
     pair_residual,
     random_minus_field,
@@ -312,21 +311,28 @@ def _coulomb_checks() -> list[Check]:
     return checks
 
 
-def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
-    n_fields = max(1, min(trials, 100))
-    worst_grade = 0.0
+def _current_grade_check(rng: np.random.Generator, n_fields: int) -> Check:
+    """The induced current of random minus halves stays on its blades.
+
+    Draws one random minus field and then two points, ``n_fields`` times.
+    """
+    worst = 0.0
     for _ in range(n_fields):
         fld = random_minus_field(rng)
         for x in random_points(rng, 2, scale=1.0):
             current = SourceCurrent(fld).value(x)
-            worst_grade = max(
-                worst_grade,
+            worst = max(
+                worst,
                 max(
                     (abs(float(v)) for v in current.coeffs[FORBIDDEN_CURRENT_MASKS]),
                     default=0.0,
                 ),
             )
-    checks = [make_check("current-grade-structure", "source-current", worst_grade, 0.0)]
+    return make_check("current-grade-structure", "source-current", worst, 0.0)
+
+
+def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
+    checks = [_current_grade_check(rng, max(1, min(trials, 100)))]
 
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
     pts = random_points(rng, 5, scale=0.5)
@@ -646,19 +652,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
             "seed": args.seed,
         }
     else:
-        n_fields = args.trials
-        worst_grade = 0.0
-        for _ in range(n_fields):
-            fld = random_minus_field(rng)
-            for x in random_points(rng, 2, scale=1.0):
-                current = SourceCurrent(fld).value(x)
-                worst_grade = max(
-                    worst_grade,
-                    max(
-                        (abs(float(v)) for v in current.coeffs[FORBIDDEN_CURRENT_MASKS]),
-                        default=0.0,
-                    ),
-                )
+        grade_check = _current_grade_check(rng, args.trials)
         xi_plus, xi_minus = oscillating_source_pair()
         grid = demo_grid()
         samples = grid[:: max(1, len(grid) // 16)]
@@ -675,7 +669,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
             for x in samples
         )
         checks = [
-            make_check("current-grade-structure", "source-current", worst_grade, 0.0),
+            grade_check,
             make_check("sourced-equation", "source-current", worst_src, 1e-9),
             make_check("vector-part-divergence", "source-current", worst_div, 1e-9),
             make_check("current-hand-value", "source-current", hand, 1e-12),
@@ -684,7 +678,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
             "demo": "sources",
             "mass": 0.0,
             "seed": args.seed,
-            "trials": n_fields,
+            "trials": args.trials,
         }
     return ReportDocument(command="beyond", inputs=inputs, checks=checks)
 

@@ -32,11 +32,12 @@ import numpy as np
 
 from .algebra import (
     CL32,
+    BladeOperator,
     Multivector,
     e,
-    even_coeffs,
     even_masks,
     from_even_coeffs,
+    linear_map_matrix,
     pseudoscalar,
 )
 from .fields import Field5, as_point
@@ -45,6 +46,14 @@ from .wave import GammaChoice
 _E0 = e(CL32, 0)
 _E3 = e(CL32, 3)
 _PSEUDO = pseudoscalar(CL32)
+_LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # x -> E x
+_EVEN_MASKS = list(even_masks(CL32))
+
+#: Points of the coarse scan that brackets the termination root.
+SCAN_POINTS = 10_000
+#: Relative bound on the termination residual of a series, also the relative
+#: singular-value gap that counts a direction as terminating.
+SVD_GAP_THRESHOLD = 1e-10
 
 #: Orbital letters for l = 0, 1, 2, ...: "spdf", then alphabetical from g,
 #: skipping j and the letters already used (p, s).
@@ -65,31 +74,21 @@ def even_operator_matrix(fn: Callable[[Multivector], Multivector]) -> np.ndarray
     the product of two paired matrices is the plain matrix of the composition.
     Mixed-parity output raises.
     """
-    masks = even_masks(CL32)
-    outputs = []
+    columns = linear_map_matrix(fn, CL32, _EVEN_MASKS)
     parity = None
-    for mask in masks:
-        coeffs = np.zeros(CL32.n_blades)
-        coeffs[mask] = 1.0
-        out = fn(Multivector(coeffs, CL32))
-        parities = {g % 2 for g in out.grades_present}
+    for column in columns.T:
+        grades = Multivector(column, CL32).grades_present
+        parities = {g % 2 for g in grades}
         if len(parities) > 1:
-            raise ValueError(
-                f"operator output mixes even and odd grades: {out.grades_present}"
-            )
+            raise ValueError(f"operator output mixes even and odd grades: {grades}")
         if parities:
-            this = "odd" if parities == {1} else "even"
             if parity is None:
-                parity = this
-            elif parity != this:
+                parity = parities
+            elif parity != parities:
                 raise ValueError("operator parity differs between basis blades")
-        outputs.append(out)
-    matrix = np.zeros((len(masks), len(masks)))
-    for j, out in enumerate(outputs):
-        if parity == "odd":
-            out = _PSEUDO * out
-        matrix[:, j] = even_coeffs(out)
-    return matrix
+    if parity == {1}:
+        columns = _LEFT_PSEUDO(columns.T).T
+    return np.ascontiguousarray(columns[_EVEN_MASKS])
 
 
 def e0_sandwich_matrix() -> np.ndarray:
@@ -325,8 +324,6 @@ def _quantization_gap(
 def solve_radial(
     params: CoulombParams,
     radial_unit: Multivector | None = None,
-    scan_points: int = 10_000,
-    svd_gap_threshold: float = 1e-10,
 ) -> RadialSolution:
     """Root-find the termination energy and build the terminating series.
 
@@ -343,7 +340,7 @@ def solve_radial(
 
     # bracket the unique root of the termination condition in the decay
     # constant with a coarse scan, then bisect to the floating-point limit
-    grid = np.linspace(0.0, m, scan_points)
+    grid = np.linspace(0.0, m, SCAN_POINTS)
     vals = _quantization_gap(grid, params)
     above = np.nonzero(vals >= 0.0)[0]
     if len(above) == 0:
@@ -394,7 +391,7 @@ def solve_radial(
 
     restricted = chain @ kernel_basis
     _, sing_w, vt_w = np.linalg.svd(restricted)
-    threshold = svd_gap_threshold * generic_scale
+    threshold = SVD_GAP_THRESHOLD * generic_scale
     admissible = int(np.count_nonzero(sing_w <= threshold))
     if admissible == 0:
         raise RuntimeError(
@@ -454,10 +451,10 @@ def solve_radial(
         np.linalg.norm((beta_ext * last_ext + t_ext @ last_ext).astype(np.float64))
         / (termination_norm * last_norm)
     )
-    if termination_relative > svd_gap_threshold:
+    if termination_relative > SVD_GAP_THRESHOLD:
         raise RuntimeError(
             f"series does not terminate: relative termination residual "
-            f"{termination_relative:.3e} exceeds {svd_gap_threshold:.1e}"
+            f"{termination_relative:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
         )
     closed_form_delta = abs(energy - sommerfeld_energy(params))
 

@@ -1,9 +1,10 @@
 """Multivector-valued fields over the five coordinates (t, x, y, z, w).
 
 A field exposes ``value(x)`` and ``partial(axis, x)`` where ``partial`` is the
-plain coordinate derivative (lower index); metric raising is applied by the
-consumers.  Analytic fields carry exact derivatives; sampled fields fall back
-to second-order central differences with a configurable step.
+plain coordinate derivative (lower index); :func:`add_gradient` raises the
+index and sums the gradient ``e_A d^A`` for every consumer.  Analytic fields
+carry exact derivatives; sampled fields fall back to second-order central
+differences with a configurable step.
 
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
@@ -19,11 +20,27 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .algebra import CL32, Multivector
+from .algebra import CL32, BladeOperator, Multivector, e
 
 #: Diagonal metric signs g_AA for coordinates (t, x, y, z, w).
 METRIC_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, -1.0])
 METRIC_SIGNS.setflags(write=False)
+
+_LEFT_E = tuple(BladeOperator.left(e(CL32, a)) for a in range(5))  # x -> e_a x
+
+
+def add_gradient(res: np.ndarray, partials, axes) -> np.ndarray:
+    """``res + sum_a e_a d^a field`` over ``axes``, added in place in that order.
+
+    ``partials[a]`` holds the lower-index derivative ``d_a field`` as
+    coefficient rows ``(..., 32)``; raising the index is the metric sign
+    ``g_aa``, and ``e_a x`` a signed gather, bit for bit equal to the
+    multivector product.
+    """
+    for a in axes:
+        res += METRIC_SIGNS[a] * _LEFT_E[a](partials[a])
+    return res
+
 
 DEFAULT_FD_STEP = 1e-4
 

@@ -1,6 +1,6 @@
 """Splitting multivectors by second-time content and the idempotent transform.
 
-``project_pm`` decomposes a multivector with the sandwich ``(x ± e^4 x e4)/2``
+``pm_split`` decomposes a multivector with the sandwich ``(x ± e^4 x e4)/2``
 (raised index: ``e^4 = -e4``).  On even multivectors the plus part collects
 exactly the blades free of ``e4`` and the minus part the blades containing it;
 left-multiplying by one of ``e0..e3`` swaps the two parts.
@@ -26,12 +26,10 @@ import numpy as np
 from .algebra import CL32, BladeOperator, Multivector, e, odd_masks
 
 
-class ProjectionPair(NamedTuple):
-    plus: Multivector
-    minus: Multivector
+class SplitPair(NamedTuple):
+    """The plus and minus parts returned by :func:`pm_split` and
+    :func:`idempotent_split`."""
 
-
-class IdempotentPair(NamedTuple):
     plus: Multivector
     minus: Multivector
 
@@ -55,7 +53,7 @@ def pm_split_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (coeffs + sandwich) / 2, (coeffs - sandwich) / 2
 
 
-def pm_split(x: Multivector) -> ProjectionPair:
+def pm_split(x: Multivector) -> SplitPair:
     """Sandwich split of any multivector: ``(x ± e^4 x e4)/2``.
 
     The halving and recombination are exact in binary floating point, so the
@@ -64,17 +62,7 @@ def pm_split(x: Multivector) -> ProjectionPair:
     if x.signature != CL32:
         raise ValueError("pm_split is defined on the Cl(3,2) algebra")
     plus, minus = pm_split_coeffs(x.coeffs)
-    return ProjectionPair(plus=Multivector(plus), minus=Multivector(minus))
-
-
-def project_pm(phi: Multivector) -> ProjectionPair:
-    """Split an even multivector by second-time content.
-
-    Raises on odd-grade input; use :func:`pm_split` for general multivectors.
-    """
-    if not phi.is_even:
-        raise ValueError("project_pm expects an even multivector")
-    return pm_split(phi)
+    return SplitPair(plus=Multivector(plus), minus=Multivector(minus))
 
 
 def idempotent_e34() -> Multivector:
@@ -82,7 +70,7 @@ def idempotent_e34() -> Multivector:
     return (Multivector.scalar(1.0, CL32) - _E34) / 2
 
 
-def idempotent_split(phi: Multivector) -> IdempotentPair:
+def idempotent_split(phi: Multivector) -> SplitPair:
     """Right-multiply by ``(1 - e3e4)`` and split by second-time content.
 
     Both halves are computed directly from the projection parts:
@@ -91,12 +79,10 @@ def idempotent_split(phi: Multivector) -> IdempotentPair:
     the pair derived from a single wave function carries eight independent
     real components, not sixteen.
     """
-    if not phi.is_even:
-        raise ValueError("idempotent_split expects an even multivector")
     if phi.signature != CL32:
         raise ValueError("idempotent_split is defined on the Cl(3,2) algebra")
     plus, minus = idempotent_split_coeffs(phi.coeffs)
-    return IdempotentPair(plus=Multivector(plus), minus=Multivector(minus))
+    return SplitPair(plus=Multivector(plus), minus=Multivector(minus))
 
 
 def idempotent_split_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .fields import (
     Field5,
     MappedField,
     PhaseField,
+    add_gradient,
     as_point,
     as_points,
     minkowski_dot,
@@ -48,17 +49,18 @@ _E012 = e(CL32, 0, 1, 2)
 _E0E = e(CL32, 0) * _PSEUDO  # equals -e1e2e3e4
 
 # the constant products of the free equations, as signed gathers
-_LEFT_E = tuple(BladeOperator.left(b) for b in _E_BLADES)  # e_a x
 _LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # E x
 _RIGHT_E012 = BladeOperator.right(_E012)  # x e012
 
 #: Even blades free of the second time generator (the 4D Dirac sector).
 NO_E4_EVEN_MASKS = tuple(m for m in even_masks(CL32) if not m & 0b10000)
 
-NULLSPACE_RCOND = 1e-10
-
 #: Largest ``|d4 phi|`` at which a field counts as flat along the second time axis.
 CYLINDER_TOLERANCE = 1e-10
+
+#: Largest ``|gamma^2 + 1|`` and distance to a pure variant that a phase
+#: bivector may have.
+GAMMA_TOLERANCE = 1e-12
 
 
 class GammaRejectionError(ValueError):
@@ -117,12 +119,12 @@ class GammaChoice:
             return _E12 * c2 - (_E12 * _E34) * s2
         raise ValueError(f"unknown variant {self.variant!r}")
 
-    def is_admissible(self, tolerance: float = 1e-12) -> bool:
+    def is_admissible(self) -> bool:
         g = self.as_multivector()
-        return (g * g + 1).inf_norm() <= tolerance
+        return (g * g + 1).inf_norm() <= GAMMA_TOLERANCE
 
-    def require_admissible(self, tolerance: float = 1e-12) -> None:
-        if not self.is_admissible(tolerance):
+    def require_admissible(self) -> None:
+        if not self.is_admissible():
             raise GammaRejectionError(
                 "phase bivector is not admissible",
                 [
@@ -132,7 +134,7 @@ class GammaChoice:
             )
 
 
-def gamma_classify(candidate: Multivector, tolerance: float = 1e-12) -> GammaChoice:
+def gamma_classify(candidate: Multivector) -> GammaChoice:
     """Classify a multivector as one of the admissible phase bivectors.
 
     Checks (1) even grade content, (2) square equal to -1, and (3) the
@@ -145,17 +147,17 @@ def gamma_classify(candidate: Multivector, tolerance: float = 1e-12) -> GammaCho
     if not candidate.is_even:
         diagnostics.append("has odd-grade content")
     square_err = (candidate * candidate + 1).inf_norm()
-    if square_err > tolerance:
+    if square_err > GAMMA_TOLERANCE:
         diagnostics.append(f"square differs from -1 by {square_err:.3e}")
     plus, minus = pm_split(candidate)
     ident_err = (plus - minus * _E34 - _E12).inf_norm()
-    if ident_err > tolerance:
+    if ident_err > GAMMA_TOLERANCE:
         diagnostics.append(f"projection identity off by {ident_err:.3e}")
     if diagnostics:
         raise GammaRejectionError("phase bivector rejected", diagnostics)
-    if (candidate - _E12).inf_norm() <= tolerance:
+    if (candidate - _E12).inf_norm() <= GAMMA_TOLERANCE:
         return GammaChoice.e12()
-    if (candidate - _E0E).inf_norm() <= tolerance:
+    if (candidate - _E0E).inf_norm() <= GAMMA_TOLERANCE:
         return GammaChoice.e0E()
     raise GammaRejectionError(
         "phase bivector rejected",
@@ -234,7 +236,7 @@ def solve_momentum_constraint(
 
 def _constraint_nullspace(k: Sequence[float], mass: float, gamma: GammaChoice) -> np.ndarray:
     gamma.require_admissible()
-    return nullspace(momentum_constraint_matrix(k, mass, gamma), NULLSPACE_RCOND)
+    return nullspace(momentum_constraint_matrix(k, mass, gamma))
 
 
 def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> float:
@@ -307,16 +309,6 @@ def build_plane_wave(
     return PlaneWave(amplitude=amplitude, k=k, gamma=gamma, mass=mass)
 
 
-def plane_wave_field(
-    k_spatial: Sequence[float],
-    k4: float,
-    mass: float,
-    gamma: GammaChoice,
-    amplitude: Multivector | None = None,
-) -> PhaseField:
-    return build_plane_wave(k_spatial, k4, mass, gamma, amplitude).field()
-
-
 def specialized_constraint_residual(wave: PlaneWave) -> float:
     """Residual of the reduced amplitude condition for the pure variants.
 
@@ -337,18 +329,10 @@ def specialized_constraint_residual(wave: PlaneWave) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _add_gradient(res: np.ndarray, partials: np.ndarray, axes: range) -> np.ndarray:
-    """``res + sum_a e_a d^a field`` over ``axes``, added in ascending order."""
-    for a in axes:
-        res += METRIC_SIGNS[a] * _LEFT_E[a](partials[a])
-    return res
-
-
 def dirac5_residuals(field: Field5, mass: float, points) -> np.ndarray:
     """:func:`dirac5_residual` at every row of an ``(N, 5)`` point array."""
     pts = as_points(points)
-    res = _LEFT_PSEUDO(field.values(pts)) * float(mass)
-    return _add_gradient(res, field.partials(pts), range(5))
+    return _dirac5_sum(field.values(pts), field.partials(pts), mass)
 
 
 def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivector:
@@ -356,10 +340,21 @@ def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivect
     return Multivector(dirac5_residuals(field, mass, [as_point(x)])[0])
 
 
-def _potential_value(potential, x) -> Multivector:
+def _dirac5_sum(values, partials, mass, coupling=None) -> np.ndarray:
+    """``m E phi [- coupling] + sum_A e_A d^A phi``, in that order."""
+    res = _LEFT_PSEUDO(values) * float(mass)
+    if coupling is not None:
+        res -= coupling
+    return add_gradient(res, partials, range(5))
+
+
+def _grade1_potential(potential, x: np.ndarray) -> Multivector:
+    """The potential's value at ``x``, which must be a grade-1 multivector."""
     value = potential.value(x) if hasattr(potential, "value") else potential(x)
     if not isinstance(value, Multivector):
         raise TypeError("potential must produce a Multivector")
+    if value.grades_present not in ((), (1,)):
+        raise ValueError(f"potential must be grade-1, found grades {value.grades_present}")
     return value
 
 
@@ -377,34 +372,10 @@ def dirac5_potential_residual(
     modeling error and raises.
     """
     pt = as_point(x)
-    a_val = _potential_value(potential, pt)
-    if a_val.grades_present not in ((), (1,)):
-        raise ValueError(
-            f"potential must be grade-1, found grades {a_val.grades_present}"
-        )
-    val = field.value(pt)
-    res = mass * (val * _PSEUDO) - charge * (a_val * val * gamma.as_multivector())
-    for a in range(5):
-        res = res + float(METRIC_SIGNS[a]) * (_E_BLADES[a] * field.partial(a, pt))
-    return res
-
-
-def coupled_residual(field: Field5, mass: float, x: Sequence[float], part: str) -> Multivector:
-    """Residual of one sign of the projected pair of equations.
-
-    ``part='plus'`` evaluates ``e4 d^4 phi_+ + e_mu d^mu phi_- + m E phi_+``
-    and ``part='minus'`` the same with the roles swapped.
-    """
-    if part not in ("plus", "minus"):
-        raise ValueError("part must be 'plus' or 'minus'")
-    pick = (lambda p: p.plus) if part == "plus" else (lambda p: p.minus)
-    other = (lambda p: p.minus) if part == "plus" else (lambda p: p.plus)
-    pt = as_point(x)
-    res = mass * (_PSEUDO * pick(pm_split(field.value(pt))))
-    res = res + float(METRIC_SIGNS[4]) * (_E_BLADES[4] * pick(pm_split(field.partial(4, pt))))
-    for mu in range(4):
-        res = res + float(METRIC_SIGNS[mu]) * (_E_BLADES[mu] * other(pm_split(field.partial(mu, pt))))
-    return res
+    a_val = _grade1_potential(potential, pt)
+    values, partials = field.values([pt]), field.partials([pt])
+    coupling = (charge * (a_val * Multivector(values[0]) * gamma.as_multivector())).coeffs
+    return Multivector(_dirac5_sum(values, partials, mass, coupling)[0])
 
 
 def hestenes_dirac_residual(
@@ -413,25 +384,20 @@ def hestenes_dirac_residual(
     x: Sequence[float],
     charge: float = 0.0,
     potential=None,
-    cylinder_tolerance: float = CYLINDER_TOLERANCE,
 ) -> Multivector:
     """Residual of the 4D Dirac equation in Hestenes form at a point.
 
     The field must be flat along the second time axis at the point (checked
-    against ``cylinder_tolerance``); the optional potential must be grade-1
-    with no second-time component.
+    against :data:`CYLINDER_TOLERANCE`); the optional potential must be
+    grade-1 with no second-time component.
     """
     pt = as_point(x)
-    values, partials = _flat_samples(field, [pt], cylinder_tolerance)
+    values, partials = _flat_samples(field, [pt])
     coupling = None
     if charge != 0.0:
         if potential is None:
             raise ValueError("charge given without a potential")
-        a_val = _potential_value(potential, pt)
-        if a_val.grades_present not in ((), (1,)):
-            raise ValueError(
-                f"potential must be grade-1, found grades {a_val.grades_present}"
-            )
+        a_val = _grade1_potential(potential, pt)
         if np.any(a_val.coeffs[[1 << 4]]):
             raise ValueError("potential must have no second-time component")
         coupling = (charge * (a_val * Multivector(values[0]) * _E12)).coeffs
@@ -444,16 +410,16 @@ def hestenes_dirac_residuals(field: Field5, mass: float, points) -> np.ndarray:
     Raises when the field is not flat along the second time axis (to
     :data:`CYLINDER_TOLERANCE`) at any of the points.
     """
-    values, partials = _flat_samples(field, points, CYLINDER_TOLERANCE)
+    values, partials = _flat_samples(field, points)
     return _hestenes_sum(values, partials, mass)
 
 
-def _flat_samples(field: Field5, points, cylinder_tolerance: float):
-    """Batch values and partials, after checking ``|d4| < cylinder_tolerance``."""
+def _flat_samples(field: Field5, points):
+    """Batch values and partials, after checking ``|d4| < CYLINDER_TOLERANCE``."""
     pts = as_points(points)
     partials = field.partials(pts)
     d4 = float(np.abs(partials[4]).max(initial=0.0))
-    if d4 >= cylinder_tolerance:
+    if d4 >= CYLINDER_TOLERANCE:
         raise ValueError(
             f"field varies along the second time axis (|d4| = {d4:.3e}); "
             "the 4D reduction does not apply"
@@ -466,7 +432,7 @@ def _hestenes_sum(values, partials, mass, coupling=None) -> np.ndarray:
     res = _RIGHT_E012(values) * float(-mass)
     if coupling is not None:
         res -= coupling
-    return _add_gradient(res, partials, range(4))
+    return add_gradient(res, partials, range(4))
 
 
 def sector_fields(field: Field5) -> tuple[Field5, Field5]:
@@ -528,7 +494,7 @@ def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivect
     mat = float(-mass) * right
     for mu in range(4):
         mat += float(k4[mu]) * vec[mu]
-    basis = nullspace(mat, NULLSPACE_RCOND)
+    basis = nullspace(mat)
     out = []
     for i in range(basis.shape[1]):
         coeffs = np.zeros(CL32.n_blades)

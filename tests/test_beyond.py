@@ -19,7 +19,6 @@ from fermion5d.beyond import (
     demo_grid,
     derived_minus_field,
     grade_structure_violations,
-    massless_consistency,
     minus_constancy_ratio,
     oscillating_source_pair,
     pair_residual,
@@ -30,8 +29,9 @@ from fermion5d.beyond import (
     sourced_massless_residual,
     spacetime_gradient,
 )
-from fermion5d.fields import AnalyticField, ConstantField
-from fermion5d.wave import hestenes_plane_wave_field
+from fermion5d.fields import METRIC_SIGNS, AnalyticField, ConstantField
+from fermion5d.spinor import cylinder_check
+from fermion5d.wave import GammaChoice, build_plane_wave, hestenes_plane_wave_field, sector_fields
 
 E012 = e(CL32, 0, 1, 2)
 
@@ -64,6 +64,56 @@ def test_gradients_on_linear_fields():
     assert spacetime_gradient(coordinate_field(4), x) == Multivector.zero()
     assert second_time_gradient(coordinate_field(4), x) == -(e(CL32, 4) * blade)
     assert second_time_gradient(coordinate_field(0), x) == Multivector.zero()
+
+
+GENERATORS = [e(CL32, a) for a in range(5)]
+
+
+def oracle_spacetime_gradient(field, x):
+    total = Multivector.zero(CL32)
+    for mu in range(4):
+        total = total + float(METRIC_SIGNS[mu]) * (GENERATORS[mu] * field.partial(mu, x))
+    return total
+
+
+def oracle_second_time_gradient(field, x):
+    return float(METRIC_SIGNS[4]) * (GENERATORS[4] * field.partial(4, x))
+
+
+def oracle_fields(rng):
+    wave = build_plane_wave((0.3, -0.2, 0.1), 0.4, 0.9, GammaChoice.e0E()).field()
+    demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
+    return [
+        random_minus_field(rng),
+        *oscillating_source_pair(),
+        demo.xi_plus,
+        demo.derived_minus(),
+        wave,
+        *sector_fields(wave),
+    ]
+
+
+def test_gradients_and_pair_residual_are_the_multivector_sums_bitwise(rng):
+    # the sums the shared gradient helper replaces, written out with products
+    fields = oracle_fields(rng)
+    for x in sample_points(rng, count=3):
+        for field in fields:
+            got = spacetime_gradient(field, x).coeffs
+            assert got.tobytes() == oracle_spacetime_gradient(field, x).coeffs.tobytes()
+            got = second_time_gradient(field, x).coeffs
+            assert got.tobytes() == oracle_second_time_gradient(field, x).coeffs.tobytes()
+        for lead in fields:
+            for trail in fields:
+                for mass in (0.0, 0.7):
+                    expected = (
+                        oracle_second_time_gradient(lead, x)
+                        + oracle_spacetime_gradient(trail, x)
+                        - mass * (trail.value(x) * E012)
+                    )
+                    got = pair_residual(lead, trail, mass, x, "upper").coeffs
+                    assert got.tobytes() == expected.coeffs.tobytes()
+                    got = pair_residual(trail, lead, mass, x, "lower").coeffs
+                    assert got.tobytes() == expected.coeffs.tobytes()
 
 
 def test_pair_residual_sign_validation(rng):
@@ -103,7 +153,7 @@ def test_scalar_demo_supports_an_oscillatory_regime(rng):
 def test_scalar_demo_at_zero_strength_is_flat(rng):
     demo = ScalarPotentialDemo(1.0, 0.0)
     pts = sample_points(rng, count=4)
-    assert massless_consistency(demo.xi_plus, pts, tolerance=1e-14)
+    assert cylinder_check(demo.xi_plus, pts, tolerance=1e-14)
     assert demo.profile(0.3, 0) == 1.0 and demo.profile(0.3, 1) == 0.0
 
 
@@ -183,12 +233,18 @@ def test_minus_constancy_ratio_cases(rng):
 
 
 def test_massless_consistency_detects_flatness(rng):
+    # at zero mass a frozen minus half forces e4 d^4 xi_plus = 0; e4 d^4 is a
+    # signed permutation of d4, so the flatness check on xi_plus decides it
     pts = sample_points(rng, count=4)
-    assert massless_consistency(hestenes_plane_wave_field((0.2, 0.1, 0.0), 1.0), pts)
+    flat = hestenes_plane_wave_field((0.2, 0.1, 0.0), 1.0)
+    assert cylinder_check(flat, pts, 1e-10)
     xi_plus, _ = oscillating_source_pair()
-    assert not massless_consistency(xi_plus, pts)
+    assert not cylinder_check(xi_plus, pts, 1e-10)
+    for field in (flat, xi_plus):
+        for x in pts:
+            assert second_time_gradient(field, x).inf_norm() == field.partial(4, x).inf_norm()
     with pytest.raises(ValueError):
-        massless_consistency(xi_plus, [])
+        cylinder_check(xi_plus, [], 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +357,31 @@ def test_divergence_converges_at_second_order():
     errors = [abs(current.divergence(x, step=h) - exact) for h in (0.1, 0.05)]
     assert errors[1] < errors[0] / 3.0  # better than half of the h^2 factor 4
     assert errors[1] < 1e-4
+
+
+def test_divergence_is_the_central_difference_loop_bitwise(rng):
+    # the per-slot loop that the finite-difference field replaces
+    def oracle(current, x, step):
+        total = 0.0
+        for mu in range(4):
+            fwd, bwd = x.copy(), x.copy()
+            fwd[mu] += step
+            bwd[mu] -= step
+            total += (
+                current.value(fwd).coeffs[1 << mu] - current.value(bwd).coeffs[1 << mu]
+            ) / (2.0 * step)
+        return float(total)
+
+    minus_halves = [random_minus_field(rng), oscillating_source_pair()[1]]
+    for x in sample_points(rng, count=3, scale=1.0):
+        for xi_minus in minus_halves:
+            current = SourceCurrent(xi_minus)
+            for step in (DEMO_GRID_SPACING, 1e-3, 0.3):
+                got = np.float64(current.divergence(x, step)).tobytes()
+                assert got == np.float64(oracle(current, x, step)).tobytes()
+    for step in (0.0, -0.1):
+        with pytest.raises(ValueError, match="finite-difference step must be positive"):
+            SourceCurrent(minus_halves[0]).divergence(np.zeros(5), step=step)
 
 
 def test_source_current_factory_verifies_pairs(rng):

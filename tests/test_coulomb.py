@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from fermion5d import coulomb
-from fermion5d.algebra import CL32, Multivector, e
+from fermion5d.algebra import (
+    CL32,
+    Multivector,
+    e,
+    even_coeffs,
+    even_masks,
+    pseudoscalar,
+    random_multivector,
+)
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from fermion5d.coulomb import (
     CoulombParams,
@@ -161,6 +169,41 @@ def test_invalid_radial_unit_raises_on_every_call():
             radial_left_matrix(bad)
         with pytest.raises(ValueError, match="square"):
             angular_coupling_matrix(-1, 0.3, GammaChoice.e12(), bad)
+
+
+def column_loop_operator_matrix(fn):
+    """The column loop that ``even_operator_matrix`` replaced: one product per
+    even basis blade, odd output paired with the pseudoscalar."""
+    masks = even_masks(CL32)
+    outputs = [fn(Multivector.blade(mask, CL32)) for mask in masks]
+    odd = any(out.grades_present and out.grades_present[0] % 2 for out in outputs)
+    matrix = np.zeros((len(masks), len(masks)))
+    for j, out in enumerate(outputs):
+        if odd:
+            out = pseudoscalar(CL32) * out
+        matrix[:, j] = even_coeffs(out)
+    return matrix
+
+
+def test_even_operator_matrix_equals_the_column_loop_bitwise(rng):
+    even = random_multivector(rng, CL32, even=True)
+    vec = random_multivector(rng, CL32).grade(1)
+    operators = [
+        lambda mv: even * mv - mv * even,
+        lambda mv: vec * mv,
+        lambda mv: -(mv * e(CL32, 0, 1, 2)),
+        lambda mv: 0.0 * mv,
+    ]
+    for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
+        ge0 = gamma.as_multivector() * e(CL32, 0)
+        operators.append(lambda mv, ge0=ge0: mv * ge0)
+    for unit in (e(CL32, 1), e(CL32, 2), e(CL32, 3)):
+        operators.append(lambda mv, unit=unit: unit * mv)
+    operators.append(lambda mv: e(CL32, 0) * mv * e(CL32, 0))
+    for fn in operators:
+        got = even_operator_matrix(fn)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.tobytes() == column_loop_operator_matrix(fn).tobytes()
 
 
 def test_even_operator_matrix_rejects_parity_violations():
@@ -372,6 +415,17 @@ def test_selection_rule_for_the_single_sector_phase_choice():
     solve_radial(
         CoulombParams(mass=1.0, coupling=0.3, kappa=1, n_r=1, gamma=GammaChoice.e0E())
     )
+
+
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_weak_coupling_needs_the_extended_precision_chain(kappa):
+    # the recurrence matrix is far from normal, so a float64 chain picks up
+    # roundoff along the shrinking terminating direction: at this coupling a
+    # float64-only re-propagation leaves a 4.9e-10 termination residual and
+    # raises, while the np.longdouble residuals bring it to about 1.4e-11
+    params = CoulombParams(mass=1.0, coupling=1e-7, kappa=kappa, n_r=2)
+    solution = solve_radial(params)
+    assert solution.diagnostics["termination_relative"] < 1e-10
 
 
 def test_solver_with_a_different_radial_direction():

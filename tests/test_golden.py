@@ -1,0 +1,51 @@
+"""Golden outputs of the command line: exit code and stdout, byte for byte.
+
+The files under ``tests/golden/`` were written by the CLI before the
+gradient, pair-equation and operator-matrix code was merged into shared
+helpers; a refactor that changes any output bit fails here.  To add a case,
+run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
+build and add a row below.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from fermion5d.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "verify_seed42_json": (["verify", "--seed", "42", "--format", "json"], 0),
+    "verify_seed42_corrupt_json": (
+        ["verify", "--seed", "42", "--format", "json", "--debug-corrupt-metric"],
+        1,
+    ),
+    "spectrum_json": (["spectrum", "--format", "json"], 0),
+    "spectrum_max_n4_csv": (["spectrum", "--max-n", "4", "--format", "csv"], 0),
+    "planewave_default": (["planewave"], 0),
+    "planewave_default_json": (["planewave", "--format", "json"], 0),
+    "planewave_k4_e0e": (["planewave", "--k4", "0.3", "--gamma", "e0e"], 0),
+    "planewave_k4_e0e_json": (
+        ["planewave", "--k4", "0.3", "--gamma", "e0e", "--format", "json"],
+        0,
+    ),
+    "beyond_scalar": (["beyond", "--demo", "scalar"], 0),
+    "beyond_scalar_json": (["beyond", "--demo", "scalar", "--format", "json"], 0),
+    "beyond_sources": (["beyond", "--demo", "sources"], 0),
+    "beyond_sources_json": (["beyond", "--demo", "sources", "--format", "json"], 0),
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_the_golden_file(name, capsys):
+    argv, expected_code = CASES[name]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

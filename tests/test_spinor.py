@@ -5,19 +5,17 @@ import numpy as np
 import pytest
 
 from fermion5d.algebra import CL32, Multivector, e, random_multivector
-from fermion5d.fields import AnalyticField, ConstantField
+from fermion5d.fields import ConstantField
 from fermion5d.spinor import (
-    IdempotentPair,
-    ProjectionPair,
+    SplitPair,
     cylinder_check,
     idempotent_e34,
     idempotent_split,
     idempotent_split_coeffs,
     pm_split,
     pm_split_coeffs,
-    project_pm,
 )
-from fermion5d.wave import NO_E4_EVEN_MASKS, hestenes_plane_wave_field, plane_wave_field
+from fermion5d.wave import NO_E4_EVEN_MASKS, build_plane_wave, hestenes_plane_wave_field
 from fermion5d.wave import GammaChoice
 
 E4_BIT = 1 << 4
@@ -63,13 +61,6 @@ def test_pm_split_requires_cl32():
 
     with pytest.raises(ValueError):
         pm_split(Multivector.scalar(1.0, CL31))
-
-
-def test_project_pm_rejects_odd_content(rng):
-    with pytest.raises(ValueError):
-        project_pm(e(CL32, 3))
-    x = random_multivector(rng, CL32, even=True)
-    assert project_pm(x) == pm_split(x)
 
 
 def test_spacetime_generators_swap_the_parts_second_time_keeps_them(rng):
@@ -122,7 +113,7 @@ def test_idempotent_split_halves_live_on_eight_blades_each(rng):
 
 
 def test_idempotent_split_rejects_odd_content():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="idempotent_split expects an even multivector"):
         idempotent_split(e(CL32, 0))
 
 
@@ -178,8 +169,8 @@ def test_idempotent_split_coeffs_rejects_odd_content(rng):
 
 def test_pair_types_are_named_tuples(rng):
     x = random_multivector(rng, CL32, even=True)
-    assert isinstance(pm_split(x), ProjectionPair)
-    assert isinstance(idempotent_split(x), IdempotentPair)
+    assert isinstance(pm_split(x), SplitPair)
+    assert isinstance(idempotent_split(x), SplitPair)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +186,7 @@ def test_cylinder_check_accepts_flat_fields(rng):
 
 
 def test_cylinder_check_rejects_second_time_variation(rng):
-    field = plane_wave_field((0.2, -0.1, 0.3), 0.5, 1.0, GammaChoice.e12())
+    field = build_plane_wave((0.2, -0.1, 0.3), 0.5, 1.0, GammaChoice.e12()).field()
     pts = rng.uniform(-1, 1, size=(5, 5))
     assert not cylinder_check(field, pts, tolerance=1e-3)
 

@@ -16,21 +16,19 @@ from fermion5d.algebra import (
     pseudoscalar,
     random_multivector,
 )
+from fermion5d.beyond import pair_residual
 from fermion5d.fields import (
     METRIC_SIGNS,
     AnalyticField,
     ConstantField,
     minkowski_dot,
 )
-from fermion5d.spinor import idempotent_split
 from fermion5d.wave import (
     GammaChoice,
     GammaRejectionError,
     NO_E4_EVEN_MASKS,
     PlaneWave,
     build_plane_wave,
-    coupled_residual,
-    NULLSPACE_RCOND,
     dirac5_potential_residual,
     dirac5_residual,
     dirac5_residuals,
@@ -41,7 +39,6 @@ from fermion5d.wave import (
     hestenes_plane_wave_field,
     minkowski4_dot,
     momentum_vector,
-    plane_wave_field,
     sector_fields,
     solve_hestenes_amplitude,
     solve_momentum_constraint,
@@ -208,33 +205,26 @@ def test_build_plane_wave_rejects_imaginary_frequency():
         build_plane_wave((0.0, 0.0, 0.0), 2.0, 1.0, GammaChoice.e12())
 
 
-def test_plane_wave_field_shortcut_matches_the_class(rng):
-    wave = build_plane_wave((0.1, 0.2, 0.3), 0.0, 1.0, GammaChoice.e12())
-    field = plane_wave_field((0.1, 0.2, 0.3), 0.0, 1.0, GammaChoice.e12())
-    x = rng.uniform(-1, 1, size=5)
-    assert field.value(x) == wave.field().value(x)
-    for axis in range(5):
-        assert field.partial(axis, x) == wave.field().partial(axis, x)
-
-
 # ---------------------------------------------------------------------------
-# the coupled pair form
+# the pair form on the idempotent halves
 # ---------------------------------------------------------------------------
 
 
 def test_pair_form_is_equivalent_to_the_full_equation(rng):
     pts = sample_points(rng, count=3)
     wave = build_plane_wave((0.3, -0.4, 0.2), 0.25, 1.0, GammaChoice.e12())
-    field = wave.field()
+    halves = sector_fields(wave.field())
     for x in pts:
-        for part in ("plus", "minus"):
-            assert coupled_residual(field, 1.0, x, part).inf_norm() < 1e-10
+        for sign in ("upper", "lower"):
+            assert pair_residual(*halves, 1.0, x, sign).inf_norm() < 1e-10
     with pytest.raises(ValueError):
-        coupled_residual(field, 1.0, pts[0], "sideways")
+        pair_residual(*halves, 1.0, pts[0], "sideways")
 
 
 def test_pair_residuals_sum_to_the_full_residual(rng):
-    # for any even field, the two projected residuals add up to the full one
+    # for any even field, the two signs of the pair equation add up to the
+    # full residual times (1 - e3e4)
+    one_minus_e34 = Multivector.scalar(1.0) - e(CL32, 3, 4)
     amp = random_multivector(rng, CL32, even=True)
     freq = rng.uniform(-1, 1, size=5)
 
@@ -245,12 +235,14 @@ def test_pair_residuals_sum_to_the_full_residual(rng):
         return float(-np.sin(freq @ pt) * freq[axis]) * amp
 
     field = AnalyticField(value, partial)
-    for x in sample_points(rng, count=3):
-        total = dirac5_residual(field, 0.7, x)
-        split = coupled_residual(field, 0.7, x, "plus") + coupled_residual(
-            field, 0.7, x, "minus"
-        )
-        assert (total - split).inf_norm() < 1e-14
+    halves = sector_fields(field)
+    for mass in (0.0, 0.7):
+        for x in sample_points(rng, count=3):
+            total = dirac5_residual(field, mass, x) * one_minus_e34
+            split = pair_residual(*halves, mass, x, "upper") + pair_residual(
+                *halves, mass, x, "lower"
+            )
+            assert (total - split).inf_norm() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +392,30 @@ def test_point_residual_is_the_multivector_formula_bitwise(rng):
         assert hestenes_dirac_residual(field, 1.3, x).coeffs.tobytes() == res.coeffs.tobytes()
 
 
+def test_potential_residual_is_the_multivector_formula_bitwise(rng):
+    # the coupled sum as written with multivector products, at nonzero charge
+    gens = [e(CL32, a) for a in range(5)]
+    field = build_plane_wave((0.3, -0.1, 0.2), 0.2, 1.0, GammaChoice.e12()).field()
+    potentials = (
+        ConstantField(0.6 * e(CL32, 0) - 0.2 * e(CL32, 4)),
+        lambda pt: float(pt[1]) * e(CL32, 2) + 0.1 * e(CL32, 0),
+    )
+    for x in sample_points(rng, count=3):
+        val = field.value(x)
+        for potential, gamma, mass, charge in (
+            (potentials[0], GammaChoice.e12(), 1.0, 0.25),
+            (potentials[1], GammaChoice.e0E(), -0.7, -1.5),
+        ):
+            a_val = potential.value(x) if hasattr(potential, "value") else potential(x)
+            res = mass * (val * pseudoscalar(CL32)) - charge * (
+                a_val * val * gamma.as_multivector()
+            )
+            for a in range(5):
+                res = res + float(METRIC_SIGNS[a]) * (gens[a] * field.partial(a, x))
+            got = dirac5_potential_residual(field, mass, charge, potential, gamma, x)
+            assert got.coeffs.tobytes() == res.coeffs.tobytes()
+
+
 def test_batch_reduction_refuses_a_field_that_varies_at_any_point(rng):
     flat = build_plane_wave((0.2, 0.5, -0.3), 0.0, 1.0, GammaChoice.e12()).field()
     moving = build_plane_wave((0.2, 0.5, -0.3), 0.4, 1.0, GammaChoice.e12()).field()
@@ -408,9 +424,7 @@ def test_batch_reduction_refuses_a_field_that_varies_at_any_point(rng):
     with pytest.raises(ValueError, match="second time"):
         hestenes_dirac_residuals(moving, 1.0, points)
     with pytest.raises(ValueError, match="second time"):
-        hestenes_dirac_residual(moving, 1.0, points[0], cylinder_tolerance=1e-10)
-    loose = hestenes_dirac_residual(moving, 1.0, points[0], cylinder_tolerance=10.0)
-    assert isinstance(loose, Multivector)
+        hestenes_dirac_residual(moving, 1.0, points[0])
 
 
 def test_sector_fields_of_an_odd_field_raise(rng):
@@ -471,7 +485,7 @@ def test_hestenes_amplitudes_equal_the_product_formula_bitwise(rng):
         mat = linear_map_matrix(
             lambda mv: kvec * mv * e12 - mass * (mv * e012), CL32, NO_E4_EVEN_MASKS
         )
-        basis = nullspace(mat, NULLSPACE_RCOND)
+        basis = nullspace(mat)
         got = solve_hestenes_amplitude(k4, mass)
         assert len(got) == basis.shape[1] == 4
         for i, amp in enumerate(got):
