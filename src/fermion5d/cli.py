@@ -46,8 +46,8 @@ from .algebra import (
 )
 from .beyond import (
     FORBIDDEN_CURRENT_MASKS,
+    FOUR_PI,
     ScalarPotentialDemo,
-    SourceCurrent,
     demo_grid,
     oscillating_source_pair,
     pair_residual,
@@ -89,10 +89,17 @@ _E012 = e(CL32, 0, 1, 2)
 MAX_N = len(ANGULAR_LETTERS)
 
 
-def _usage_error(message: str) -> SystemExit:
+def _usage_error(command: str, message: str) -> SystemExit:
     """Usage errors exit with status 2, like argparse's own."""
-    print(f"error: {message}", file=sys.stderr)
+    print(f"fermion5d {command}: error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes a usage error as one stderr line, ``<prog>: error: <message>``."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 # argparse types: a bad value becomes argparse's one-line usage error (exit 2)
@@ -315,20 +322,17 @@ def _current_grade_check(rng: np.random.Generator, n_fields: int) -> Check:
     """The induced current of random minus halves stays on its blades.
 
     Draws one random minus field and then two points, ``n_fields`` times.
+    The current is the unguarded ``e4 d^4 xi_minus / 4 pi``, because
+    ``SourceCurrent.value`` raises on the very blades measured here.
+    ``np.max`` keeps a NaN, which then fails the check.
     """
-    worst = 0.0
+    forbidden = []
     for _ in range(n_fields):
         fld = random_minus_field(rng)
         for x in random_points(rng, 2, scale=1.0):
-            current = SourceCurrent(fld).value(x)
-            worst = max(
-                worst,
-                max(
-                    (abs(float(v)) for v in current.coeffs[FORBIDDEN_CURRENT_MASKS]),
-                    default=0.0,
-                ),
-            )
-    return make_check("current-grade-structure", "source-current", worst, 0.0)
+            current = second_time_gradient(fld, x) / FOUR_PI
+            forbidden.append(np.abs(current.coeffs[FORBIDDEN_CURRENT_MASKS]).max())
+    return make_check("current-grade-structure", "source-current", float(np.max(forbidden)), 0.0)
 
 
 def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
@@ -400,12 +404,12 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
     coupling = args.z * args.alpha
     if coupling >= 1.0:
         raise _usage_error(
+            args.command,
             f"coupling Z*alpha = {coupling:.6f} is outside the bound-state "
             "domain; the series exponent needs coupling^2 < kappa^2 with |kappa| = 1"
         )
     rows = []
-    worst_rel = 0.0
-    solver_failed = False
+    rel_errors = []
     default_constants = (
         args.alpha == FINE_STRUCTURE and args.electron_mass_ev == ELECTRON_MASS_EV
     )
@@ -419,9 +423,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
         except RuntimeError:
             # no terminating series within the solver's bound: a failed check
             solver_energy = math.nan
-            solver_failed = True
-        else:
-            worst_rel = max(worst_rel, abs(solver_energy - closed) / closed)
+        rel_errors.append(abs(solver_energy - closed) / closed)
         n, j = quantum_numbers(kappa, n_r)
         rows.append(
             {
@@ -435,11 +437,12 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
             }
         )
 
-    if solver_failed:
-        solver_check = Check("closed-form-vs-series-solver", "spectrum", "fail", None, 1e-9)
-    else:
-        solver_check = make_check("closed-form-vs-series-solver", "spectrum", worst_rel, 1e-9)
-    checks = [solver_check]
+    # np.max keeps a NaN from a failed solve, which makes the check fail
+    checks = [
+        make_check(
+            "closed-form-vs-series-solver", "spectrum", float(np.max(rel_errors)), 1e-9
+        )
+    ]
 
     worst_degeneracy = 0.0
     for (kappa, n_r), closed in energies.items():
@@ -634,6 +637,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
     if args.demo == "scalar":
         if args.mass <= 0:
             raise _usage_error(
+                args.command,
                 "the scalar-potential demo requires non-zero (positive) mass; "
                 "at zero mass the constraint forces flatness along the second "
                 "time axis instead"
@@ -642,6 +646,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
             checks = _scalar_demo_checks(args.mass, args.s, rng)
         except (ValueError, OverflowError) as ex:  # LinAlgError is a ValueError
             raise _usage_error(
+                args.command,
                 f"the scalar-potential demo cannot be evaluated at s={args.s!r}, "
                 f"mass={args.mass!r}: {ex}"
             ) from None
@@ -689,14 +694,14 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fermion5d",
         description=(
             "Verification suites and demos for the two-time geometric-algebra "
             "wave equation"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")  # subparsers are _Parser too
 
     p_verify = sub.add_parser("verify", help="run the cross-module invariant suites")
     p_verify.add_argument("--seed", type=nonnegative_int, default=42)
@@ -764,11 +769,13 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_spectrum(args: argparse.Namespace) -> int:
     if not 1 <= args.z <= 137:
         raise _usage_error(
+            args.command,
             "--z must be in 1..137 so that the coupling z*alpha stays inside "
             "the bound-state domain (coupling^2 < kappa^2)"
         )
     if args.max_n > MAX_N:
         raise _usage_error(
+            args.command,
             f"--max-n must be at most {MAX_N}: the orbital letters end at "
             f"l = {MAX_N - 1} ({ANGULAR_LETTERS[-1]})"
         )
@@ -794,6 +801,9 @@ def _run_beyond(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command is None:
+        # argparse wraps the usage to the terminal width: join it into one line
+        parser.error("a command is required; " + " ".join(parser.format_usage().split()))
     return args.func(args)
 
 

@@ -366,6 +366,26 @@ def solve_radial(
     s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - params.coupling**2) * eye).max())
     t_square_err = float(np.abs(t_mat @ t_mat - (m**2 - energy**2) * eye).max())
 
+    # (beta I + T) in split form: T = m (R - RHZ) + b RHZ with the binding
+    # b = m - eps = d^2 / (m + eps).  Its eigenvalues are +-d up to the
+    # rounding of b alone, whereas T = m R - eps RHZ built from the rounded
+    # eps moves them by ~ulp(eps) m / d, which at weak coupling is a relative
+    # termination residual above the bound.  R - RHZ holds at most two +-1 or
+    # +-2 entries per row, so its product with c rounds once per component.
+    _, rhz, r = _radial_blocks(params.gamma, radial_unit)
+    r_minus_rhz = r - rhz
+    binding = decay * decay / (m + energy)
+
+    def terminate(c: np.ndarray) -> np.ndarray:
+        return m * (r_minus_rhz @ c) + binding * (rhz @ c) + beta * c
+
+    def propagate(block: np.ndarray) -> list[np.ndarray]:
+        """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})``."""
+        chain = [block]
+        for p in range(1, n_r + 1):
+            chain.append(np.linalg.solve((p + q) * eye - s_mat, -terminate(chain[-1])))
+        return chain
+
     # C_0 must satisfy (S - q I) C_0 = 0 and, after propagating through the
     # recurrence, the termination identity (beta I + T) C_{n_r} = 0.  At the
     # root energy the termination map restricted to the indicial kernel is
@@ -374,14 +394,11 @@ def solve_radial(
     # quantization kills the whole chain).  Both cases are handled uniformly
     # by thresholding the restricted map against the generic magnitude a
     # non-quantized chain would have.
-    termination = beta * eye + t_mat
+    termination = terminate(eye)
     termination_norm = float(np.linalg.norm(termination, 2))
-    chain = termination
     generic_scale = termination_norm
     for p in range(n_r, 0, -1):
-        step = np.linalg.solve((p + q) * eye - s_mat, -termination)
-        chain = chain @ step
-        generic_scale *= np.linalg.norm(step, 2)
+        generic_scale *= np.linalg.norm(np.linalg.solve((p + q) * eye - s_mat, -termination), 2)
 
     _, sing_k, vt_k = np.linalg.svd(s_mat - q * eye)
     kernel_mask = sing_k <= 1e-10 * sing_k[0]
@@ -389,7 +406,7 @@ def solve_radial(
     if kernel_basis.shape[1] == 0:
         raise RuntimeError("indicial equation has no solution (S has no +q eigenvector)")
 
-    restricted = chain @ kernel_basis
+    restricted = terminate(propagate(kernel_basis)[-1])
     _, sing_w, vt_w = np.linalg.svd(restricted)
     threshold = SVD_GAP_THRESHOLD * generic_scale
     admissible = int(np.count_nonzero(sing_w <= threshold))
@@ -405,51 +422,16 @@ def solve_radial(
     # final coefficient is largest; this avoids near-degenerate directions
     # (close couplings make neighboring levels almost align) that would make
     # the last coefficient vanish by cancellation
-    blocks = [admissible_basis]
-    for p in range(1, n_r + 1):
-        prev = blocks[-1]
-        blocks.append(
-            np.linalg.solve((p + q) * eye - s_mat, -(beta * prev + t_mat @ prev))
-        )
-    _, _, vt_b = np.linalg.svd(blocks[-1], full_matrices=False)
-    direction = vt_b[0]
-    c0 = admissible_basis @ direction
-
-    # re-propagate the chosen chain with extended-precision residuals: the
-    # constant matrix is far from normal (singular values ~ 2 mass against
-    # eigenvalues +-|beta|), so plain double arithmetic contaminates the
-    # shrinking terminating direction by ~eps * mass/|beta| per step
-    ext = np.longdouble
-    s_ext = s_mat.astype(ext)
-    t_ext = t_mat.astype(ext)
-    beta_ext = ext(beta)
-    q_ext = ext(q)
-    kernel_pinv = np.linalg.pinv(s_mat - q * eye)
-    c = c0.astype(ext)
-    for _ in range(3):
-        resid = s_ext @ c - q_ext * c
-        c = c - (kernel_pinv @ resid.astype(np.float64)).astype(ext)
-    c = c / ext(np.linalg.norm(c.astype(np.float64)))
-    chain_ext = [c]
-    for p in range(1, n_r + 1):
-        rhs = -(beta_ext * chain_ext[-1] + t_ext @ chain_ext[-1])
-        step_mat = (p + q) * eye - s_mat
-        x = np.linalg.solve(step_mat, rhs.astype(np.float64)).astype(ext)
-        for _ in range(2):
-            resid = rhs - ((ext(p) + q_ext) * x - s_ext @ x)
-            x = x + np.linalg.solve(step_mat, resid.astype(np.float64)).astype(ext)
-        chain_ext.append(x)
-    coefficients = np.array([v.astype(np.float64) for v in chain_ext])
+    _, _, vt_b = np.linalg.svd(propagate(admissible_basis)[-1], full_matrices=False)
+    coefficients = np.array(propagate(admissible_basis @ vt_b[0]))
     c0 = coefficients[0]
 
     # honest post-check: the last coefficient must be annihilated relative to
     # the operator norm of the termination map (a genuinely non-terminating
     # direction scores O(1) in this measure)
-    last_ext = chain_ext[-1]
-    last_norm = float(np.linalg.norm(last_ext.astype(np.float64)))
+    last = coefficients[-1]
     termination_relative = float(
-        np.linalg.norm((beta_ext * last_ext + t_ext @ last_ext).astype(np.float64))
-        / (termination_norm * last_norm)
+        np.linalg.norm(terminate(last)) / (termination_norm * np.linalg.norm(last))
     )
     if termination_relative > SVD_GAP_THRESHOLD:
         raise RuntimeError(

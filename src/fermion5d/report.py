@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -65,7 +66,11 @@ def make_check(name: str, paper_ref: str, measured: float, tolerance: float) -> 
     """Build a pass/fail check: passes iff ``measured <= tolerance``.
 
     Exact structural claims use ``tolerance=0.0`` (a measured 0.0 passes).
+    A non-finite measured value (NaN, +-inf) fails and is reported as null,
+    so the JSON rendering stays valid.
     """
+    if not math.isfinite(measured):
+        return Check(name, paper_ref, "fail", None, tolerance)
     status = "pass" if measured <= tolerance else "fail"
     return Check(name=name, paper_ref=paper_ref, status=status,
                  measured=measured, tolerance=tolerance)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -16,8 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermion5d import cli
+from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
+from fermion5d.coulomb import solve_radial
+from fermion5d.fields import AnalyticField
+from fermion5d.report import ReportDocument, make_check
 
 CHECK_KEYS = ["name", "paper_ref", "status", "measured", "tolerance"]
 DOCUMENT_KEYS = ["command", "inputs", "checks", "summary"]
@@ -182,9 +188,15 @@ def test_spectrum_usage_errors(capsys):
         assert "error" in err
 
 
-def test_spectrum_reports_a_series_solver_failure_as_a_failed_check(capsys):
-    # at this weak coupling the n_r = 2 series misses the termination bound
-    argv = ["spectrum", "--alpha", "1e-6"]
+def test_spectrum_reports_a_series_solver_failure_as_a_failed_check(capsys, monkeypatch):
+    # a solver that finds no terminating series for the n_r = 2 states
+    def failing_solver(params):
+        if params.n_r == 2:
+            raise RuntimeError("series does not terminate")
+        return solve_radial(params)
+
+    monkeypatch.setattr(cli, "solve_radial", failing_solver)
+    argv = ["spectrum"]
     code, out, err = run_cli(argv + ["--format", "json"], capsys)
     assert code == 1
     assert "Traceback" not in err
@@ -343,6 +355,56 @@ def test_beyond_requires_a_demo_choice(capsys):
     assert "--demo" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["beyond", "--demo", "sources", "--trials", "1", "--format", "json"],
+        ["verify", "--trials", "1", "--format", "json"],
+    ],
+)
+@pytest.mark.parametrize("coeff, measured", [(1.0, 1.0 / (4.0 * math.pi)), (math.nan, None)])
+def test_current_grade_check_fails_on_a_forbidden_blade(
+    argv, coeff, measured, capsys, monkeypatch
+):
+    # negative control: d4 of this "minus" field is e12, so e4 d^4 lands on e124
+    e12 = coeff * e(CL32, 1, 2)
+    bad = AnalyticField(
+        lambda pt: pt[4] * e12,
+        lambda axis, pt: e12 if axis == 4 else Multivector.zero(),
+    )
+    monkeypatch.setattr(cli, "random_minus_field", lambda rng: bad)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    doc = load_document(out)
+    assert_schema(doc)
+    check = {c["name"]: c for c in doc["checks"]}["current-grade-structure"]
+    assert check["status"] == "fail"
+    if measured is None:
+        assert check["measured"] is None
+    else:
+        assert check["measured"] == pytest.approx(measured, rel=1e-15)
+    assert doc["summary"]["failed"] == 1
+
+
+# ---------------------------------------------------------------------------
+# report documents
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_measured_value_fails_and_renders_as_null(measured):
+    check = make_check("probe", "plumbing", measured, 1e-10)
+    assert check.status == "fail"
+    assert check.measured is None
+    doc = ReportDocument(command="probe", inputs={}, checks=[check])
+    rendered = json.loads(doc.to_json())
+    assert rendered["checks"][0]["measured"] is None
+    assert rendered["checks"][0]["tolerance"] == 1e-10
+    assert rendered["summary"] == {"passed": 0, "failed": 1}
+    assert doc.exit_code() == 1
+
+
 # ---------------------------------------------------------------------------
 # parser-level behaviour
 # ---------------------------------------------------------------------------
@@ -385,6 +447,7 @@ def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
     assert out == ""
     assert err.rstrip("\n").split("\n")[-1].endswith(message)
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("option", ["--s", "--mass"])
@@ -456,6 +519,16 @@ def test_cli_contract_holds_for_any_numeric_input(command, data):
     assert "Traceback" not in err
     if code in (0, 1):
         json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [[], ["verify", "--no-such-flag"], ["beyond"]])
+def test_usage_errors_are_one_line_even_in_a_narrow_terminal(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "30")
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("fermion5d")
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):

@@ -8,6 +8,7 @@ the (n, j) parametrization, which shares no code with the implementation.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -418,14 +419,34 @@ def test_selection_rule_for_the_single_sector_phase_choice():
 
 
 @pytest.mark.parametrize("kappa", [1, -1])
-def test_weak_coupling_needs_the_extended_precision_chain(kappa):
-    # the recurrence matrix is far from normal, so a float64 chain picks up
-    # roundoff along the shrinking terminating direction: at this coupling a
-    # float64-only re-propagation leaves a 4.9e-10 termination residual and
-    # raises, while the np.longdouble residuals bring it to about 1.4e-11
-    params = CoulombParams(mass=1.0, coupling=1e-7, kappa=kappa, n_r=2)
+@pytest.mark.parametrize("coupling", [1e-6, 1e-7, 1e-8])
+def test_weak_coupling_terminates_in_float64(coupling, kappa):
+    # T built from the rounded energy moves its eigenvalues off the decay
+    # constant by ~ulp(eps) m / d: at 1e-6 and 1e-8 that left relative
+    # termination residuals of 2.0e-10 and 1.7e-9 at n_r = 2; in split form
+    # float64 alone ends near roundoff
+    params = CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=2)
     solution = solve_radial(params)
     assert solution.diagnostics["termination_relative"] < 1e-10
+
+
+def test_every_state_of_the_coupling_sweep_terminates():
+    solved = 0
+    for gamma, coupling, kappa, n_r in itertools.product(
+        BOTH_GAMMAS, (1e-10, 1e-8, 1e-6, 1e-4, 0.3, 0.99), (1, -1, 2, -2, 3, -3), range(4)
+    ):
+        params = CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r, gamma=gamma)
+        if gamma.variant == GammaChoice.E0E_VARIANT and n_r == 0 and kappa > 0:
+            # the selection rule holds at every coupling
+            with pytest.raises(RuntimeError, match="no terminating series"):
+                solve_radial(params)
+            continue
+        solution = solve_radial(params)
+        closed = sommerfeld_energy(params)
+        assert solution.diagnostics["termination_relative"] <= 1e-10, params
+        assert abs(solution.energy - closed) / closed < 1e-9, params
+        solved += 1
+    assert solved == 270
 
 
 def test_solver_with_a_different_radial_direction():
