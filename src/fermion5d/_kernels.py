@@ -11,6 +11,11 @@ scatter into a gather over two tables derived once per sign table,
 so that ``out[k] = sum_i a[i] * S[i, k] * b[X[i, k]]``.  Everything downstream
 (residual sweeps, operator matrices, demo grids) funnels through ``gp``.
 
+``gp`` also takes leading batch axes: operands of shape ``(..., n)`` give the
+products row by row, each row bit-for-bit equal to the product of that row
+alone, so a batch of random samples costs one gather instead of one call per
+sample.
+
 ``gp`` is bit-for-bit equal to the plain accumulation loop ``gp_reference``
 on finite inputs: both start from +0.0 and add the terms of each output slot
 in ascending ``i``.  The gather also adds the zero rows of ``a``, which only
@@ -44,21 +49,30 @@ def _gather_tables(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of coefficient vectors ``a`` and ``b`` under the sign table."""
+    """Product of coefficient vectors ``a`` and ``b`` under the sign table.
+
+    ``a`` and ``b`` are ``(n,)`` vectors or ``(..., n)`` arrays of the same
+    shape; the batch form multiplies them row by row.  Each output slot adds
+    its terms in ascending ``i`` from +0.0 in both forms, so a row of a batch
+    equals the product of that row alone, bit for bit.
+    """
     xor, signs = _gather_tables(sign)
-    nonzero = a.nonzero()[0]
-    if nonzero.size == 1:
-        # a single blade on the left: one gathered row, no reduction
-        i = nonzero[0]
-        row = b[xor[i]]
-        row *= signs[i]
-        row *= a[i]
-        row += 0.0
-        return row
-    terms = b[xor]
+    if a.ndim == 1:
+        nonzero = a.nonzero()[0]
+        if nonzero.size == 1:
+            # a single blade on the left: one gathered row, no reduction
+            i = nonzero[0]
+            row = b[xor[i]]
+            row *= signs[i]
+            row *= a[i]
+            row += 0.0
+            return row
+        terms = b[xor]  # the plain gather: indexing with ``...`` costs more
+    else:
+        terms = b[..., xor]
     terms *= signs
-    terms *= a[:, None]
-    return terms.sum(0, initial=0.0)
+    terms *= a[..., None]
+    return terms.sum(-2, initial=0.0)
 
 
 def blade_gather(sign: np.ndarray, mask: int, left: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,7 @@ from .fields import (
     AnalyticField,
     Field5,
     FiniteDifferenceField,
+    PhaseField,
     add_gradient,
     as_point,
     sample_grid,
@@ -476,14 +477,15 @@ def oscillating_source_pair() -> tuple[AnalyticField, AnalyticField]:
     return AnalyticField(plus_value, plus_partial), AnalyticField(minus_value, minus_partial)
 
 
-def random_minus_field(rng: np.random.Generator) -> AnalyticField:
+def random_minus_field(rng: np.random.Generator) -> PhaseField:
     """Random smooth field supported on the minus half's blades.
 
-    The value is ``A cos(w . x) + B sin(w . x)`` with ``w`` uniform in
-    ``[-1, 1]^5`` and random even amplitudes confined to blades containing the
-    second time generator, so both the field and all its partials stay in the
-    minus half's support.  Used to exercise the structural grade claims of the
-    induced current.
+    A :class:`PhaseField` ``A cos(w . x) + B sin(w . x)``: random even
+    amplitudes ``A`` then ``B``, confined to blades containing the second time
+    generator, then ``w`` uniform in ``[-1, 1]^5``.  Both the field and all
+    its partials stay in the minus half's support, so it exercises the
+    structural grade claims of the induced current, per point or on a whole
+    point array.
     """
     masks = list(SECOND_TIME_EVEN_MASKS)
 
@@ -495,18 +497,7 @@ def random_minus_field(rng: np.random.Generator) -> AnalyticField:
     amp_a = random_amplitude()
     amp_b = random_amplitude()
     freq = rng.uniform(-1.0, 1.0, size=5)
-
-    def value(pt: np.ndarray) -> Multivector:
-        phase = float(freq @ pt)
-        return math.cos(phase) * amp_a + math.sin(phase) * amp_b
-
-    def partial(axis: int, pt: np.ndarray) -> Multivector:
-        phase = float(freq @ pt)
-        return float(freq[axis]) * (
-            -math.sin(phase) * amp_a + math.cos(phase) * amp_b
-        )
-
-    return AnalyticField(value, partial)
+    return PhaseField(amp_a, amp_b, freq)
 
 
 def demo_grid(center: Sequence[float] = (0.0, 0.0, 0.0, 0.0, 0.0)) -> np.ndarray:

@@ -23,6 +23,8 @@ Subcommands
 All subcommands support ``--format json`` for a deterministic,
 newline-terminated report document; ``spectrum`` additionally supports CSV.
 Exit status is 0 iff no check failed, 1 on check failures, 2 on usage errors.
+An unexpected error is one stderr line, ``fermion5d <cmd>: error: <Type>:
+<message>``, with exit status 1: no check could pass.
 """
 from __future__ import annotations
 
@@ -37,11 +39,11 @@ from . import _kernels
 from .algebra import (
     CL32,
     CL41,
+    BladeOperator,
     Multivector,
     e,
     kernel_backend,
     pseudoscalar,
-    random_multivector,
     tables,
 )
 from .beyond import (
@@ -71,9 +73,9 @@ from .coulomb import (
     spectroscopic_label,
     quantum_numbers,
 )
-from .fields import random_points
+from .fields import add_gradient, random_points
 from .report import Check, ReportDocument, make_check, rows_to_csv
-from .spinor import idempotent_split, pm_split
+from .spinor import idempotent_split_coeffs, pm_split_coeffs
 from .wave import (
     GammaChoice,
     GammaRejectionError,
@@ -85,6 +87,11 @@ from .wave import (
 )
 
 _E012 = e(CL32, 0, 1, 2)
+_E34 = e(CL32, 3, 4)
+#: Associativity trials per batch.  A (64, 32, 32) float64 gather is 512 KB,
+#: so the peak memory of ``verify`` does not grow with ``--trials``; larger
+#: batches were no faster and one of 1000 trials adds about 8 MB.
+_TRIAL_CHUNK = 64
 #: Largest ``spectrum --max-n``: one orbital letter per l = 0 .. n - 1.
 MAX_N = len(ANGULAR_LETTERS)
 
@@ -154,6 +161,15 @@ def nonnegative_int(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _worst(values) -> float:
+    """The largest of the measured values.
+
+    ``np.max`` keeps a NaN, which then fails the check; Python's ``max``
+    would drop it whenever it is not the first value.
+    """
+    return float(np.max(values))
+
+
 def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool) -> list[Check]:
     sig = CL41 if corrupt_metric else CL32
     unit = pseudoscalar(sig)
@@ -163,102 +179,106 @@ def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool)
     ]
 
     center = pseudoscalar(CL32)
-    worst = 0.0
+    gaps = []
     for mask in range(CL32.n_blades):
         blade = Multivector.blade(mask, CL32)
-        worst = max(worst, (center * blade - blade * center).inf_norm())
-    checks.append(make_check("pseudoscalar-centrality", "algebra", worst, 0.0))
+        gaps.append((center * blade - blade * center).inf_norm())
+    checks.append(make_check("pseudoscalar-centrality", "algebra", _worst(gaps), 0.0))
 
-    worst = 0.0
+    gaps = []
     for i in range(5):
         ei = e(CL32, i)
         sq = ei * ei - Multivector.scalar(float(CL32.signs[i]), CL32)
-        worst = max(worst, sq.inf_norm())
+        gaps.append(sq.inf_norm())
         for j in range(i + 1, 5):
             ej = e(CL32, j)
-            worst = max(worst, (ei * ej + ej * ei).inf_norm())
-    checks.append(make_check("generator-relations", "algebra", worst, 0.0))
+            gaps.append((ei * ej + ej * ei).inf_norm())
+    checks.append(make_check("generator-relations", "algebra", _worst(gaps), 0.0))
 
-    worst = 0.0
-    for _ in range(trials):
-        x = random_multivector(rng, CL32)
-        y = random_multivector(rng, CL32)
-        z = random_multivector(rng, CL32)
-        worst = max(worst, ((x * y) * z - x * (y * z)).inf_norm())
-    checks.append(make_check("product-associativity", "algebra", worst, 1e-12))
+    # (x, y, z) per trial, drawn in the order of three separate samples
+    sign = tables(CL32).sign
+    gaps = []
+    for start in range(0, trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, trials - start)
+        x, y, z = np.moveaxis(rng.uniform(-1.0, 1.0, (size, 3, CL32.n_blades)), 1, 0)
+        left = _kernels.gp(sign, _kernels.gp(sign, x, y), z)
+        right = _kernels.gp(sign, x, _kernels.gp(sign, y, z))
+        gaps.append(np.abs(left - right).max())
+    checks.append(make_check("product-associativity", "algebra", _worst(gaps), 1e-12))
     return checks
 
 
 def _kernel_check(seed: int) -> Check:
     """The product kernel against its reference loop, exactly.
 
-    Dense and single-blade left operands, under both sign tables.  The
-    operands come from a generator of their own, so the shared stream that
-    every other check draws from is left as it was.
+    Dense and single-blade left operands, under both sign tables, one
+    product at a time and then as one batch against the reference row by
+    row.  The operands come from a generator of their own, so the shared
+    stream that every other check draws from is left as it was.
     """
     rng = np.random.default_rng([seed, 1])
     t = tables(CL32)
-    worst = 0.0
-    for sign in (t.sign, t.wedge_sign):
+    signs = (t.sign, t.wedge_sign)
+    gaps = []
+    for sign in signs:
         for _ in range(5):
             a = rng.uniform(-1, 1, size=CL32.n_blades)
             b = rng.uniform(-1, 1, size=CL32.n_blades)
             blade = Multivector.blade(int(rng.integers(CL32.n_blades)), CL32, a[0]).coeffs
             for left in (a, blade):
                 diff = _kernels.gp(sign, left, b) - _kernels.gp_reference(sign, left, b)
-                worst = max(worst, float(np.abs(diff).max()))
-    return make_check("kernel-backend-agreement", "plumbing", worst, 0.0)
+                gaps.append(np.abs(diff).max())
+    lefts = rng.uniform(-1, 1, size=(4, CL32.n_blades))
+    rights = rng.uniform(-1, 1, size=(4, CL32.n_blades))
+    lefts[-1, np.arange(CL32.n_blades) != rng.integers(CL32.n_blades)] = 0.0  # one blade
+    for sign in signs:
+        rows = [_kernels.gp_reference(sign, a, b) for a, b in zip(lefts, rights)]
+        gaps.append(np.abs(_kernels.gp(sign, lefts, rights) - rows).max())
+    return make_check("kernel-backend-agreement", "plumbing", _worst(gaps), 0.0)
 
 
 def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
-    e34 = e(CL32, 3, 4)
-    one_minus_e34 = Multivector.scalar(1.0, CL32) - e34
-    generators = [e(CL32, a) for a in range(5)]
-    worst_swap = worst_lock = worst_partition = 0.0
+    """The pair-split rules on random even samples, one row per sample."""
     n = max(1, min(trials, 50))
-    for _ in range(n):
-        x = random_multivector(rng, CL32, even=True)
-        plus, minus = pm_split(x)
-        for mu in range(4):
-            shifted = pm_split(generators[mu] * x)
-            worst_swap = max(
-                worst_swap,
-                (shifted.plus - generators[mu] * minus).inf_norm(),
-                (shifted.minus - generators[mu] * plus).inf_norm(),
-            )
-        kept = pm_split(generators[4] * x)
-        worst_swap = max(
-            worst_swap,
-            (kept.plus - generators[4] * plus).inf_norm(),
-            (kept.minus - generators[4] * minus).inf_norm(),
-        )
-        pair = idempotent_split(x)
-        worst_lock = max(worst_lock, (pair.minus + pair.plus * e34).inf_norm())
-        recon = pair.plus + pair.minus - x * one_minus_e34
-        worst_partition = max(worst_partition, recon.inf_norm())
+    even = tables(CL32).grades % 2 == 0
+    x = np.where(even, rng.uniform(-1.0, 1.0, (n, CL32.n_blades)), 0.0)
+    plus, minus = pm_split_coeffs(x)
+    swaps = []
+    for mu in range(5):
+        gen = BladeOperator.left(e(CL32, mu))
+        shifted_plus, shifted_minus = pm_split_coeffs(gen(x))
+        # e0..e3 swap the halves, e4 keeps them
+        to_plus, to_minus = (minus, plus) if mu < 4 else (plus, minus)
+        swaps += [shifted_plus - gen(to_plus), shifted_minus - gen(to_minus)]
+    pair_plus, pair_minus = idempotent_split_coeffs(x)
+    lock = pair_minus + BladeOperator.right(_E34)(pair_plus)
+    one_minus_e34 = (Multivector.scalar(1.0, CL32) - _E34).coeffs
+    recon = pair_plus + pair_minus - _kernels.gp(
+        tables(CL32).sign, x, np.broadcast_to(one_minus_e34, x.shape)
+    )
     return [
-        make_check("class-swap-rule", "pair-split", worst_swap, 0.0),
-        make_check("idempotent-pair-lock", "pair-split", worst_lock, 0.0),
-        make_check("idempotent-pair-partition", "pair-split", worst_partition, 0.0),
+        make_check("class-swap-rule", "pair-split", _worst(np.abs(swaps)), 0.0),
+        make_check("idempotent-pair-lock", "pair-split", _worst(np.abs(lock)), 0.0),
+        make_check("idempotent-pair-partition", "pair-split", _worst(np.abs(recon)), 0.0),
     ]
 
 
 def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     n_waves = max(1, min(trials, 25))
-    worst_red = worst_disp = 0.0
+    reductions, dispersions = [], []
     pts = random_points(rng, 3, scale=0.5)
     for _ in range(n_waves):
         k_spatial = rng.uniform(-1.0, 1.0, size=3)
         mass = float(rng.uniform(0.5, 1.5))
         for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
             wave = build_plane_wave(k_spatial, 0.0, mass, gamma)
-            worst_disp = max(worst_disp, wave.dispersion_residual())
+            dispersions.append(wave.dispersion_residual())
             for half in sector_fields(wave.field()):
                 res = hestenes_dirac_residuals(half, mass, pts)
-                worst_red = max(worst_red, float(np.abs(res).max()))
+                reductions.append(np.abs(res).max())
     checks = [
-        make_check("plane-wave-reduction", "reduction", worst_red, 1e-10),
-        make_check("plane-wave-dispersion", "dispersion", worst_disp, 1e-10),
+        make_check("plane-wave-reduction", "reduction", _worst(reductions), 1e-10),
+        make_check("plane-wave-dispersion", "dispersion", _worst(dispersions), 1e-10),
     ]
 
     ok = True
@@ -287,29 +307,26 @@ def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
 
 def _coulomb_checks() -> list[Check]:
     eye = np.eye(16)
-    worst_ops = 0.0
+    gaps = []
     for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
         z_mat = e0_sandwich_matrix()
         h_mat = gamma_e0_right_matrix(gamma)
         r_mat = radial_left_matrix()
         for mat in (z_mat, h_mat, r_mat):
-            worst_ops = max(worst_ops, float(np.abs(mat @ mat - eye).max()))
-        worst_ops = max(worst_ops, float(np.abs(z_mat @ h_mat - h_mat @ z_mat).max()))
-        worst_ops = max(worst_ops, float(np.abs(z_mat @ r_mat + r_mat @ z_mat).max()))
-        worst_ops = max(worst_ops, float(np.abs(h_mat @ r_mat - r_mat @ h_mat).max()))
-    checks = [make_check("radial-operator-algebra", "radial-system", worst_ops, 0.0)]
+            gaps.append(np.abs(mat @ mat - eye).max())
+        gaps.append(np.abs(z_mat @ h_mat - h_mat @ z_mat).max())
+        gaps.append(np.abs(z_mat @ r_mat + r_mat @ z_mat).max())
+        gaps.append(np.abs(h_mat @ r_mat - r_mat @ h_mat).max())
+    checks = [make_check("radial-operator-algebra", "radial-system", _worst(gaps), 0.0)]
 
-    worst_sq = 0.0
+    gaps = []
     kappa, coupling, mass, energy = -2, 0.3, 1.0, 0.9
     for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
         s_mat = angular_coupling_matrix(kappa, coupling, gamma)
         t_mat = mass_energy_matrix(mass, energy, gamma)
-        worst_sq = max(
-            worst_sq,
-            float(np.abs(s_mat @ s_mat - (kappa**2 - coupling**2) * eye).max()),
-            float(np.abs(t_mat @ t_mat - (mass**2 - energy**2) * eye).max()),
-        )
-    checks.append(make_check("radial-square-identities", "radial-system", worst_sq, 1e-12))
+        gaps.append(np.abs(s_mat @ s_mat - (kappa**2 - coupling**2) * eye).max())
+        gaps.append(np.abs(t_mat @ t_mat - (mass**2 - energy**2) * eye).max())
+    checks.append(make_check("radial-square-identities", "radial-system", _worst(gaps), 1e-12))
 
     params = CoulombParams(mass=1.0, coupling=FINE_STRUCTURE, kappa=-1, n_r=1)
     solution = solve_radial(params)
@@ -322,17 +339,18 @@ def _current_grade_check(rng: np.random.Generator, n_fields: int) -> Check:
     """The induced current of random minus halves stays on its blades.
 
     Draws one random minus field and then two points, ``n_fields`` times.
-    The current is the unguarded ``e4 d^4 xi_minus / 4 pi``, because
+    The current is the unguarded ``e4 d^4 xi_minus / 4 pi`` at both points,
+    summed from -0.0 as ``second_time_gradient`` does, because
     ``SourceCurrent.value`` raises on the very blades measured here.
-    ``np.max`` keeps a NaN, which then fails the check.
     """
     forbidden = []
     for _ in range(n_fields):
         fld = random_minus_field(rng)
-        for x in random_points(rng, 2, scale=1.0):
-            current = second_time_gradient(fld, x) / FOUR_PI
-            forbidden.append(np.abs(current.coeffs[FORBIDDEN_CURRENT_MASKS]).max())
-    return make_check("current-grade-structure", "source-current", float(np.max(forbidden)), 0.0)
+        pts = random_points(rng, 2, scale=1.0)
+        start = np.full((len(pts), CL32.n_blades), -0.0)
+        current = add_gradient(start, {4: fld.partials(pts)[4]}, (4,)) / FOUR_PI
+        forbidden.append(np.abs(current[:, FORBIDDEN_CURRENT_MASKS]).max())
+    return make_check("current-grade-structure", "source-current", _worst(forbidden), 0.0)
 
 
 def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
@@ -340,16 +358,16 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
 
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
     pts = random_points(rng, 5, scale=0.5)
-    worst_forms = 0.0
+    gaps = []
     for x in pts:
         second, potential = scalar_potential_residual(demo, x)
-        worst_forms = max(worst_forms, (second - potential).inf_norm())
-    checks.append(make_check("scalar-demo-equivalence", "scalar-demo", worst_forms, 1e-9))
+        gaps.append((second - potential).inf_norm())
+    checks.append(make_check("scalar-demo-equivalence", "scalar-demo", _worst(gaps), 1e-9))
 
     xi_plus, xi_minus = oscillating_source_pair()
     current = source_current(xi_minus)
-    worst_src = max(
-        sourced_massless_residual(xi_plus, current, x).inf_norm() for x in pts
+    worst_src = _worst(
+        [sourced_massless_residual(xi_plus, current, x).inf_norm() for x in pts]
     )
     checks.append(make_check("sourced-equation", "source-current", worst_src, 1e-12))
     return checks
@@ -600,35 +618,35 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
 def _scalar_demo_checks(mass: float, s: float, rng: np.random.Generator) -> list[Check]:
     demo = ScalarPotentialDemo(mass, s, k_spatial=(0.2, -0.15, 0.1))
     pts = random_points(rng, 8, scale=0.5)
-    worst_second = worst_potential = worst_diff = worst_eigen = 0.0
+    seconds, potentials, diffs, eigens = [], [], [], []
     for x in pts:
         second, potential = scalar_potential_residual(demo, x)
-        worst_second = max(worst_second, second.inf_norm())
-        worst_potential = max(worst_potential, potential.inf_norm())
-        worst_diff = max(worst_diff, (second - potential).inf_norm())
-        worst_eigen = max(worst_eigen, demo.eigen_residual(x))
+        seconds.append(second.inf_norm())
+        potentials.append(potential.inf_norm())
+        diffs.append((second - potential).inf_norm())
+        eigens.append(demo.eigen_residual(x))
     ximinus = demo.derived_minus()
-    worst_recon = max(
+    recons = [
         (
             second_time_gradient(demo.xi_plus, x)
             - mass * (ximinus.value(x) * _E012)
         ).inf_norm()
         for x in pts
-    )
-    worst_round = max(
+    ]
+    round_trips = [
         (
             pair_residual(demo.xi_plus, ximinus, mass, x, "lower")
             - scalar_potential_residual(demo, x)[0]
         ).inf_norm()
         for x in pts
-    )
+    ]
     return [
-        make_check("second-derivative-form", "scalar-demo", worst_second, 1e-9),
-        make_check("potential-form", "scalar-demo", worst_potential, 1e-9),
-        make_check("forms-equivalence", "scalar-demo", worst_diff, 1e-9),
-        make_check("profile-eigen-relation", "scalar-demo", worst_eigen, 1e-9),
-        make_check("minus-half-reconstruction", "scalar-demo", worst_recon, 1e-9),
-        make_check("pair-equation-round-trip", "scalar-demo", worst_round, 1e-9),
+        make_check("second-derivative-form", "scalar-demo", _worst(seconds), 1e-9),
+        make_check("potential-form", "scalar-demo", _worst(potentials), 1e-9),
+        make_check("forms-equivalence", "scalar-demo", _worst(diffs), 1e-9),
+        make_check("profile-eigen-relation", "scalar-demo", _worst(eigens), 1e-9),
+        make_check("minus-half-reconstruction", "scalar-demo", _worst(recons), 1e-9),
+        make_check("pair-equation-round-trip", "scalar-demo", _worst(round_trips), 1e-9),
     ]
 
 
@@ -662,16 +680,18 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
         grid = demo_grid()
         samples = grid[:: max(1, len(grid) // 16)]
         current = source_current(xi_minus, xi_plus, samples, tolerance=1e-9)
-        worst_src = max(
-            sourced_massless_residual(xi_plus, current, x).inf_norm() for x in samples
+        worst_src = _worst(
+            [sourced_massless_residual(xi_plus, current, x).inf_norm() for x in samples]
         )
-        worst_div = max(abs(current.divergence(x)) for x in samples)
-        hand = max(
-            (
-                current.value(x)
-                - (-math.cos(x[4]) / (4.0 * math.pi)) * e(CL32, 0)
-            ).inf_norm()
-            for x in samples
+        worst_div = _worst([abs(current.divergence(x)) for x in samples])
+        hand = _worst(
+            [
+                (
+                    current.value(x)
+                    - (-math.cos(x[4]) / (4.0 * math.pi)) * e(CL32, 0)
+                ).inf_norm()
+                for x in samples
+            ]
         )
         checks = [
             grade_check,
@@ -804,7 +824,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command is None:
         # argparse wraps the usage to the terminal width: join it into one line
         parser.error("a command is required; " + " ".join(parser.format_usage().split()))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as ex:  # usage errors are SystemExit and keep exit 2
+        message = " ".join(f"{type(ex).__name__}: {ex}".split())
+        print(f"fermion5d {args.command}: error: {message}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

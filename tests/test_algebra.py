@@ -438,6 +438,25 @@ def test_kernel_non_finite_results_stay_non_finite(rng):
             assert got[finite].tobytes() == expected[finite].tobytes()
 
 
+@pytest.mark.parametrize("table", ["sign", "wedge_sign"])
+@pytest.mark.parametrize("signature", ALL_SIGNATURES, ids=str)
+@pytest.mark.parametrize("shape", [(12,), (3, 4)], ids=["N", "NxM"])
+def test_batched_kernel_equals_the_reference_row_by_row(shape, signature, table, rng):
+    # leading batch axes: every row, single-blade and zero left operands
+    # included, is the product of that row alone
+    sign = getattr(tables(signature), table)
+    n = signature.n_blades
+    kinds = ("dense", "single-blade", "sparse", "integer", "zero", "single-blade")
+    rows = int(np.prod(shape))
+    a = np.stack([_left_operand(kinds[r % len(kinds)], rng, n) for r in range(rows)])
+    b = rng.uniform(-1, 1, size=(rows, n))
+    b[rng.random(b.shape) < 0.25] = -0.0
+    got = _kernels.gp(sign, a.reshape(shape + (n,)), b.reshape(shape + (n,)))
+    assert got.shape == shape + (n,)
+    for row, x, y in zip(got.reshape(rows, n), a, b):
+        assert row.tobytes() == _kernels.gp_reference(sign, x, y).tobytes()
+
+
 def test_gather_index_rows_are_permutations():
     xor, _ = _kernels._gather_tables(tables(CL32).sign)
     for i in range(32):

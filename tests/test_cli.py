@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermion5d import cli
+from fermion5d import _kernels, cli
 from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -98,6 +98,30 @@ def test_verify_negative_control_fails(capsys):
     assert by_name["pseudoscalar-square-unit"]["status"] == "fail"
     assert by_name["pseudoscalar-square-unit"]["measured"] == 2.0
     assert doc["summary"]["failed"] == 1
+
+
+def test_verify_builds_few_multivectors_and_kernel_calls(capsys, monkeypatch):
+    # The checks run on coefficient arrays.  Before that, one warm request
+    # built 13,105 multivectors and made 5,402 kernel calls; a check that
+    # goes back to one object per random sample fails here.
+    argv = ["verify", "--seed", "4", "--format", "json"]
+    assert run_cli(argv, capsys)[0] == 0  # fill the per-process caches first
+    counts = {"multivectors": 0, "kernel_calls": 0}
+    init, gp = Multivector.__init__, _kernels.gp
+
+    def counting_init(self, *args, **kwargs):
+        counts["multivectors"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_gp(*args):
+        counts["kernel_calls"] += 1
+        return gp(*args)
+
+    monkeypatch.setattr(Multivector, "__init__", counting_init)
+    monkeypatch.setattr(_kernels, "gp", counting_gp)
+    assert run_cli(argv, capsys)[0] == 0
+    assert 5 * counts["multivectors"] <= 13_105, counts
+    assert 5 * counts["kernel_calls"] <= 5_402, counts
 
 
 def test_verify_rejects_nonpositive_trials(capsys):
@@ -385,6 +409,86 @@ def test_current_grade_check_fails_on_a_forbidden_blade(
     else:
         assert check["measured"] == pytest.approx(measured, rel=1e-15)
     assert doc["summary"]["failed"] == 1
+
+
+def _nan_after_the_first_call(fn):
+    """``fn`` whose results are NaN from the second call on.
+
+    A finite value comes first, so a reduction that drops NaN (Python's
+    ``max(0.0, nan)`` is 0.0) would pass the check with it.
+    """
+    calls = []
+
+    def poisoned(*args):
+        out = fn(*args)
+        calls.append(None)
+        if len(calls) == 1:
+            return out
+        if isinstance(out, tuple):
+            return tuple(mv * math.nan for mv in out)
+        return out * math.nan
+
+    return poisoned
+
+
+@pytest.mark.parametrize(
+    "argv, target, failing",
+    [
+        (
+            ["verify", "--trials", "3", "--format", "json"],
+            "sourced_massless_residual",
+            ["sourced-equation"],
+        ),
+        (
+            ["beyond", "--demo", "sources", "--trials", "3", "--format", "json"],
+            "sourced_massless_residual",
+            ["sourced-equation"],
+        ),
+        (
+            ["beyond", "--demo", "scalar", "--format", "json"],
+            "scalar_potential_residual",
+            [
+                "second-derivative-form",
+                "potential-form",
+                "forms-equivalence",
+                "pair-equation-round-trip",
+            ],
+        ),
+    ],
+    ids=["verify", "beyond-sources", "beyond-scalar"],
+)
+def test_a_nan_measurement_fails_its_check(argv, target, failing, capsys, monkeypatch):
+    monkeypatch.setattr(cli, target, _nan_after_the_first_call(getattr(cli, target)))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    doc = load_document(out)
+    assert_schema(doc)
+    failed = [c for c in doc["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == failing
+    assert all(c["measured"] is None for c in failed)
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", "--trials", "2"], "_coulomb_checks"),
+        (["spectrum", "--format", "json"], "solve_radial"),
+        (["planewave"], "build_plane_wave"),
+        (["beyond", "--demo", "sources"], "source_current"),
+    ],
+)
+def test_an_unexpected_error_is_one_stderr_line_and_exit_1(argv, target, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("injected\nacross two lines")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"fermion5d {argv[0]}: error: ZeroDivisionError: injected across two lines\n"
+    )
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

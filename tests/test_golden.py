@@ -2,7 +2,9 @@
 
 The files under ``tests/golden/`` were written by the CLI before the
 gradient, pair-equation and operator-matrix code was merged into shared
-helpers; a refactor that changes any output bit fails here.  To add a case,
+helpers, and the two ``verify`` cases with ``--trials`` before the verify
+checks ran on batched coefficient arrays; a refactor that changes any output
+bit fails here.  To add a case,
 run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
 build and add a row below.
 """
@@ -21,6 +23,16 @@ CASES = {
     "verify_seed42_corrupt_json": (
         ["verify", "--seed", "42", "--format", "json", "--debug-corrupt-metric"],
         1,
+    ),
+    # 300 associativity trials are not a whole number of batches, 1 is the
+    # smallest batch
+    "verify_seed7_trials300_json": (
+        ["verify", "--seed", "7", "--trials", "300", "--format", "json"],
+        0,
+    ),
+    "verify_seed5_trials1_json": (
+        ["verify", "--seed", "5", "--trials", "1", "--format", "json"],
+        0,
     ),
     "spectrum_json": (["spectrum", "--format", "json"], 0),
     "spectrum_max_n4_csv": (["spectrum", "--max-n", "4", "--format", "csv"], 0),
