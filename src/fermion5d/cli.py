@@ -94,6 +94,12 @@ _E34 = e(CL32, 3, 4)
 _TRIAL_CHUNK = 64
 #: Largest ``spectrum --max-n``: one orbital letter per l = 0 .. n - 1.
 MAX_N = len(ANGULAR_LETTERS)
+#: Largest ``planewave`` momentum scale ``|(k1, k2, k3, k4, mass)|``.  The
+#: residuals are absolute and their roundoff grows like the scale squared:
+#: over 200,000 random inputs the dispersion residual reached 2.35 ulp(1)
+#: times the scale squared, which meets the 1e-10 default up to a scale of
+#: about 438, and the other checks stayed below 7.5e-12 at 400.
+PLANEWAVE_MAX_SCALE = 300.0
 
 
 def _usage_error(command: str, message: str) -> SystemExit:
@@ -208,13 +214,24 @@ def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool)
     return checks
 
 
+def _bit_mismatches(got: np.ndarray, ref) -> int:
+    """Number of slots whose bit pattern differs from the reference's.
+
+    Subtraction would read a ``-0.0`` against a ``+0.0`` as equal.
+    """
+    ref = np.asarray(ref, dtype=np.float64)
+    return int(np.count_nonzero(got.view(np.uint64) != ref.view(np.uint64)))
+
+
 def _kernel_check(seed: int) -> Check:
-    """The product kernel against its reference loop, exactly.
+    """The product kernel against its reference loop, bit for bit.
 
     Dense and single-blade left operands, under both sign tables, one
     product at a time and then as one batch against the reference row by
-    row.  The operands come from a generator of their own, so the shared
-    stream that every other check draws from is left as it was.
+    row.  The measured value is the largest number of output slots of one
+    comparison whose bits differ.  The operands come from a generator of
+    their own, so the shared stream that every other check draws from is
+    left as it was.
     """
     rng = np.random.default_rng([seed, 1])
     t = tables(CL32)
@@ -226,14 +243,15 @@ def _kernel_check(seed: int) -> Check:
             b = rng.uniform(-1, 1, size=CL32.n_blades)
             blade = Multivector.blade(int(rng.integers(CL32.n_blades)), CL32, a[0]).coeffs
             for left in (a, blade):
-                diff = _kernels.gp(sign, left, b) - _kernels.gp_reference(sign, left, b)
-                gaps.append(np.abs(diff).max())
+                gaps.append(
+                    _bit_mismatches(_kernels.gp(sign, left, b), _kernels.gp_reference(sign, left, b))
+                )
     lefts = rng.uniform(-1, 1, size=(4, CL32.n_blades))
     rights = rng.uniform(-1, 1, size=(4, CL32.n_blades))
     lefts[-1, np.arange(CL32.n_blades) != rng.integers(CL32.n_blades)] = 0.0  # one blade
     for sign in signs:
         rows = [_kernels.gp_reference(sign, a, b) for a, b in zip(lefts, rights)]
-        gaps.append(np.abs(_kernels.gp(sign, lefts, rights) - rows).max())
+        gaps.append(_bit_mismatches(_kernels.gp(sign, lefts, rights), rows))
     return make_check("kernel-backend-agreement", "plumbing", _worst(gaps), 0.0)
 
 
@@ -811,6 +829,14 @@ def _run_spectrum(args: argparse.Namespace) -> int:
 
 
 def _run_planewave(args: argparse.Namespace) -> int:
+    scale = math.hypot(args.k1, args.k2, args.k3, args.k4, args.mass)
+    if scale > PLANEWAVE_MAX_SCALE:
+        raise _usage_error(
+            args.command,
+            f"the momentum scale |(k1, k2, k3, k4, mass)| = {scale:g} exceeds "
+            f"{PLANEWAVE_MAX_SCALE:g}; beyond it float64 roundoff in the residuals "
+            "can exceed the absolute 1e-10 default tolerance"
+        )
     return _emit(cmd_planewave(args), args.format)
 
 

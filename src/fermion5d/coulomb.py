@@ -15,7 +15,11 @@ solution terminate exactly when the energy sits on the Sommerfeld ladder
     eps = m / sqrt(1 + lambda^2 / (n_r + sqrt(kappa^2 - lambda^2))^2)
 
 The solver here root-finds the termination condition independently of that
-closed form and cross-checks the two routes.
+closed form and cross-checks the two routes.  The recurrence step matrices
+``((p + q) I - S)^-1`` are inverted numerically (not from the closed form
+that ``S^2`` would allow, so the solver does not assume the identity it
+cross-checks), once per solve in one batched call, and shared by the scan of
+the admissible subspace, the threshold scale and the final coefficients.
 
 Operators that flip even and odd grades are represented on the even basis by
 pairing with the unit pseudoscalar (which is central and squares to +1), so
@@ -307,18 +311,22 @@ class RadialSolution:
 
 
 def _quantization_gap(
-    decay: float | np.ndarray, params: CoulombParams
+    decay: float | np.ndarray,
+    mass: float,
+    coupling: float,
+    shift: float,
+    sqrt: Callable = np.sqrt,
 ) -> float | np.ndarray:
     """Termination condition as a function of the decay constant ``|beta|``.
 
-    Strictly increasing on (0, m); its unique root fixes the bound state.
-    Rooting in the decay constant rather than the energy keeps the
-    termination identity sharp even when the energy is within ulps of the
-    rest mass (weak coupling), where d(decay)/d(energy) blows up.
+    ``shift`` is ``n_r + q``.  Strictly increasing on (0, m); its unique root
+    fixes the bound state.  Rooting in the decay constant rather than the
+    energy keeps the termination identity sharp even when the energy is
+    within ulps of the rest mass (weak coupling), where d(decay)/d(energy)
+    blows up.  A scalar caller may pass ``math.sqrt``, which rounds like
+    ``np.sqrt`` (both are the correctly rounded square root).
     """
-    m = params.mass
-    q = params.series_exponent
-    return decay * (params.n_r + q) - params.coupling * np.sqrt((m - decay) * (m + decay))
+    return decay * shift - coupling * sqrt((mass - decay) * (mass + decay))
 
 
 def solve_radial(
@@ -333,15 +341,23 @@ def solve_radial(
     series coefficient.  Raises when no series direction terminates (for
     example n_r = 0 with kappa > 0 when the phase bivector is e0 times the
     pseudoscalar, mirroring the standard Dirac-Coulomb selection rule).
+
+    The ``n_r`` step matrices ``((p+q) I - S)^-1`` are built once, by one
+    batched inverse, and shared by the scan of the admissible subspace, the
+    threshold scale and the final coefficients; the 2-norms that set the
+    threshold scale come from one batched SVD.  A solve makes five LAPACK
+    calls whatever ``n_r`` is.
     """
     m = params.mass
+    coupling = params.coupling
     q = params.series_exponent
     n_r = params.n_r
+    shift = n_r + q
 
     # bracket the unique root of the termination condition in the decay
     # constant with a coarse scan, then bisect to the floating-point limit
     grid = np.linspace(0.0, m, SCAN_POINTS)
-    vals = _quantization_gap(grid, params)
+    vals = _quantization_gap(grid, m, coupling, shift)
     above = np.nonzero(vals >= 0.0)[0]
     if len(above) == 0:
         raise RuntimeError("termination condition has no sign change on (0, m)")
@@ -351,7 +367,7 @@ def solve_radial(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _quantization_gap(mid, params) < 0.0:
+        if _quantization_gap(mid, m, coupling, shift, math.sqrt) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -359,11 +375,11 @@ def solve_radial(
     energy = math.sqrt((m - decay) * (m + decay))
     beta = -decay
 
-    s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma, radial_unit)
+    s_mat = angular_coupling_matrix(params.kappa, coupling, params.gamma, radial_unit)
     t_mat = mass_energy_matrix(m, energy, params.gamma, radial_unit)
     eye = np.eye(16)
 
-    s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - params.coupling**2) * eye).max())
+    s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - coupling**2) * eye).max())
     t_square_err = float(np.abs(t_mat @ t_mat - (m**2 - energy**2) * eye).max())
 
     # (beta I + T) in split form: T = m (R - RHZ) + b RHZ with the binding
@@ -379,11 +395,15 @@ def solve_radial(
     def terminate(c: np.ndarray) -> np.ndarray:
         return m * (r_minus_rhz @ c) + binding * (rhz @ c) + beta * c
 
+    # the recurrence steps ((p+q) I - S)^-1 for p = 1..n_r, inverted in one
+    # batched call and shared by every propagation and the threshold scale
+    steps = np.linalg.inv((np.arange(1, n_r + 1) + q)[:, None, None] * eye - s_mat)
+
     def propagate(block: np.ndarray) -> list[np.ndarray]:
         """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})``."""
         chain = [block]
-        for p in range(1, n_r + 1):
-            chain.append(np.linalg.solve((p + q) * eye - s_mat, -terminate(chain[-1])))
+        for step in steps:
+            chain.append(step @ -terminate(chain[-1]))
         return chain
 
     # C_0 must satisfy (S - q I) C_0 = 0 and, after propagating through the
@@ -393,12 +413,14 @@ def solve_radial(
     # kernel (n_r = 0) or vanishes identically on it (n_r >= 1, where the
     # quantization kills the whole chain).  Both cases are handled uniformly
     # by thresholding the restricted map against the generic magnitude a
-    # non-quantized chain would have.
+    # non-quantized chain would have.  The 2-norms of the termination map
+    # and of each step applied to it come from one batched SVD.
     termination = terminate(eye)
-    termination_norm = float(np.linalg.norm(termination, 2))
-    generic_scale = termination_norm
-    for p in range(n_r, 0, -1):
-        generic_scale *= np.linalg.norm(np.linalg.solve((p + q) * eye - s_mat, -termination), 2)
+    norms = np.linalg.svd(
+        np.concatenate([termination[None], steps @ -termination]), compute_uv=False
+    )[:, 0]
+    termination_norm = float(norms[0])
+    generic_scale = math.prod(norms[:0:-1], start=termination_norm)
 
     _, sing_k, vt_k = np.linalg.svd(s_mat - q * eye)
     kernel_mask = sing_k <= 1e-10 * sing_k[0]
@@ -444,7 +466,7 @@ def solve_radial(
     diagnostics = {
         "termination_relative": termination_relative,
         "termination_kernel_dim": admissible,
-        "termination_vacuity": float(np.linalg.norm(restricted, 2) / generic_scale),
+        "termination_vacuity": float(sing_w[0] / generic_scale),
         "closed_form_delta": closed_form_delta,
         "indicial_residual": float(np.abs(s_mat @ c0 - q * c0).max()),
         "s_square_error": s_square_err,
@@ -458,15 +480,20 @@ def radial_ode_residual(
     radii: Sequence[float] | None = None,
     radial_unit: Multivector | None = None,
 ) -> float:
-    """Componentwise backward-error residual of ``du/dr = S u / r - T u``.
+    """Mixed backward-error residual of ``du/dr = S u / r - T u``.
 
     The common factor ``r^q exp(beta r)`` is divided out analytically, and at
     each sample radius the residual of the polynomial part is compared,
     component by component, against the sum of absolute values of every
-    elementary term that enters it.  A genuine solution scores at roundoff
-    level at every radius; a non-solution scores a finite fraction of one.
-    The maximum ratio over the radii is returned; default radii span the
-    natural decay length of the solution.
+    elementary term that enters it: ``|kappa Z| + |coupling R H Z|`` for
+    ``S`` and ``|m R| + |eps R H Z|`` for ``T`` (the entries of ``S`` and
+    ``T`` themselves may already have cancelled), and each coefficient
+    ``C_p[k]`` counted at ``|C_p[k]| + max_k |C_p[k]|``, because the series
+    solver fixes a term only to within roundoff of its largest entry.  A
+    genuine solution scores at roundoff level at every radius; a
+    non-solution scores a finite fraction of one.  The maximum ratio over
+    the radii is returned; default radii span the natural decay length of
+    the solution.
     """
     params = solution.params
     series = solution.series
@@ -475,10 +502,12 @@ def radial_ode_residual(
         radii = np.geomspace(0.05 * scale, 3.0 * scale, 12)
     s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma, radial_unit)
     t_mat = mass_energy_matrix(params.mass, solution.energy, params.gamma, radial_unit)
-    abs_s = np.abs(s_mat)
-    abs_t = np.abs(t_mat)
+    z, rhz, r_block = _radial_blocks(params.gamma, radial_unit)
+    abs_s = abs(params.kappa) * np.abs(z) + params.coupling * np.abs(rhz)
+    abs_t = params.mass * np.abs(r_block) + abs(solution.energy) * np.abs(rhz)
     coeffs = series.coefficients
     abs_coeffs = np.abs(coeffs)
+    abs_coeffs += abs_coeffs.max(axis=1, keepdims=True)
     powers = np.arange(coeffs.shape[0])
     worst = 0.0
     for r in radii:
@@ -501,12 +530,9 @@ def radial_ode_residual(
             + abs_s @ poly_env / r
             + abs_t @ poly_env
         )
-        # rows far below the global envelope carry only roundoff residue of
-        # the coefficients themselves and say nothing about the equation
-        mask = envelope > 1e-15 * envelope.max()
-        if not mask.any():
-            continue
-        worst = max(worst, float((np.abs(residual)[mask] / envelope[mask]).max()))
+        # every row holds (q/r + |beta|) times the bound of its slot, which
+        # is positive unless the whole series is zero
+        worst = max(worst, float((np.abs(residual) / envelope).max()))
     return worst
 
 

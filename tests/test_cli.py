@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +123,24 @@ def test_verify_builds_few_multivectors_and_kernel_calls(capsys, monkeypatch):
     assert run_cli(argv, capsys)[0] == 0
     assert 5 * counts["multivectors"] <= 13_105, counts
     assert 5 * counts["kernel_calls"] <= 5_402, counts
+
+
+def test_kernel_check_fails_on_a_signed_zero(capsys, monkeypatch):
+    # Negative control: a kernel that writes -0.0 where the reference writes
+    # +0.0 (the zero slots of a single blade under the wedge table) equals
+    # the reference by value but not bit for bit, and must fail the check.
+    gp = _kernels.gp
+
+    def signed_zero_gp(sign, a, b):
+        out = gp(sign, a, b)
+        return np.where(out == 0.0, -0.0, out)
+
+    monkeypatch.setattr(_kernels, "gp", signed_zero_gp)
+    code, out, _ = run_cli(["verify", "--seed", "42", "--format", "json"], capsys)
+    assert code == 1
+    by_name = {c["name"]: c for c in load_document(out)["checks"]}
+    check = by_name["kernel-backend-agreement"]
+    assert check["status"] == "fail" and check["measured"] > 0
 
 
 def test_verify_rejects_nonpositive_trials(capsys):
@@ -543,6 +562,15 @@ def test_a_non_finite_measured_value_fails_and_renders_as_null(measured):
          "math range error"),
         (["planewave", "--mass", "-1", "--format", "json"],
          "expected a non-negative number, got '-1'"),
+        # outside the measured planewave domain; these used to fail one to
+        # four checks, or find no amplitude at all
+        (["planewave", "--k1", "1000", "--format", "json"],
+         "can exceed the absolute 1e-10 default tolerance"),
+        (["planewave", "--k1", "1e6"], "can exceed the absolute 1e-10 default tolerance"),
+        (["planewave", "--k2=-1e10", "--mass", "0"],
+         "can exceed the absolute 1e-10 default tolerance"),
+        (["planewave", "--k1", "200", "--mass", "250"],
+         "can exceed the absolute 1e-10 default tolerance"),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
@@ -570,13 +598,24 @@ def test_overflowing_scalar_demo_writes_one_stderr_line(option):
     assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
-#: Text for a numeric option: non-finite, negative, zero, extreme, ordinary
-#: and non-numeric.  Integers stay within -3..3, so that ``--trials`` and
+def log_magnitudes(lo: float, hi: float):
+    """Signed magnitudes spread evenly in the exponent from 10^lo to 10^hi."""
+    return st.builds(
+        lambda exponent, sign: sign * 10.0**exponent,
+        st.floats(min_value=lo, max_value=hi),
+        st.sampled_from([1.0, -1.0]),
+    )
+
+
+#: Text for a numeric option: non-finite, negative, zero, extreme, ordinary,
+#: large (1e2..1e12, across the edge of the ``planewave`` domain) and
+#: non-numeric.  Integers stay within -3..3, so that ``--trials`` and
 #: ``--max-n`` keep each run cheap.
 NUMERIC_TEXT = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "1e-300", "1e300", "-1e300", "abc", ""]),
     st.integers(min_value=-3, max_value=3).map(str),
     st.floats(min_value=-10.0, max_value=10.0).map(repr),
+    log_magnitudes(2.0, 12.0).map(repr),
 )
 
 #: Each subcommand with the arguments that keep it cheap, and its numeric options.
@@ -623,6 +662,56 @@ def test_cli_contract_holds_for_any_numeric_input(command, data):
     assert "Traceback" not in err
     if code in (0, 1):
         json.loads(out)
+
+
+def planewave_domain_outcome(direction, scale, gamma):
+    """Run ``planewave`` at ``scale`` times the unit ``direction`` of
+    ``(k1, k2, k3, k4, mass)`` and check the domain contract: outside the
+    domain a one-line usage error; inside it every check meets the 1e-10
+    default, except on an imaginary frequency (k4 too large), where no
+    amplitude exists.  Returns the exit code."""
+    norm = math.hypot(*direction)
+    *k, mass = (float(scale * d / norm) for d in direction)
+    mass = abs(mass)
+    argv = ["planewave", "--gamma", gamma, f"--mass={mass!r}", "--format", "json"]
+    argv += [f"--k{axis}={value!r}" for axis, value in enumerate(k, 1)]
+    code, out, err = run_in_process(argv)
+    if math.hypot(*k, mass) > cli.PLANEWAVE_MAX_SCALE:
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1, err
+        return code
+    failed = [c["name"] for c in load_document(out)["checks"] if c["status"] == "fail"]
+    if failed == ["amplitude-construction"]:
+        assert k[3] ** 2 >= (k[0] ** 2 + k[1] ** 2 + k[2] ** 2 + mass**2) * (1 - 1e-12), argv
+    else:
+        assert (code, failed) == (0, []), argv
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    direction=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5).filter(
+        lambda d: math.hypot(*d) > 1e-3
+    ),
+    exponent=st.floats(min_value=-3.0, max_value=12.0),
+    gamma=st.sampled_from(["e12", "e0e"]),
+)
+def test_planewave_domain_holds_at_any_scale(direction, exponent, gamma):
+    planewave_domain_outcome(direction, 10.0**exponent, gamma)
+
+
+def test_planewave_passes_every_check_at_the_edge_of_its_domain():
+    # the bound itself, in directions that keep the frequency real
+    rng = np.random.default_rng(0)
+    for trial in range(40):
+        direction = rng.normal(size=5)
+        if trial % 4 == 0:
+            direction[3] = 0.0  # a flat wave: the reductions run too
+        rest = direction[[0, 1, 2, 4]]
+        if direction[3] ** 2 > rest @ rest:
+            direction[3], direction[4] = direction[4], direction[3]
+        scale = cli.PLANEWAVE_MAX_SCALE * (1 - 1e-12)
+        assert planewave_domain_outcome(direction, scale, ("e12", "e0e")[trial % 2]) == 0
 
 
 @pytest.mark.parametrize("argv", [[], ["verify", "--no-such-flag"], ["beyond"]])

@@ -449,6 +449,135 @@ def test_every_state_of_the_coupling_sweep_terminates():
     assert solved == 270
 
 
+def solve_step_by_step(params):
+    """The solver's energy, kernel dimension and vacuity, recomputed the way
+    they were before the recurrence steps were inverted in one batched call:
+    the gap evaluated through ``np.sqrt`` with ``series_exponent`` read on
+    every bisection step, one ``np.linalg.solve`` per recurrence step and one
+    ``np.linalg.norm(., 2)`` per 2-norm."""
+    m, coupling, n_r = params.mass, params.coupling, params.n_r
+    q = params.series_exponent
+
+    def gap(decay):
+        shift = n_r + params.series_exponent
+        return decay * shift - coupling * np.sqrt((m - decay) * (m + decay))
+
+    grid = np.linspace(0.0, m, coulomb.SCAN_POINTS)
+    first = np.nonzero(gap(grid) >= 0.0)[0][0]
+    hi = float(grid[first])
+    lo = float(grid[first - 1]) if first > 0 else 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    decay = 0.5 * (lo + hi)
+    energy = math.sqrt((m - decay) * (m + decay))
+
+    s_mat = angular_coupling_matrix(params.kappa, coupling, params.gamma)
+    _, rhz, r = coulomb._radial_blocks(params.gamma, None)
+    binding = decay * decay / (m + energy)
+
+    def terminate(c):
+        return m * ((r - rhz) @ c) + binding * (rhz @ c) - decay * c
+
+    def step(p, c):
+        return np.linalg.solve((p + q) * EYE - s_mat, -c)
+
+    termination = terminate(EYE)
+    generic_scale = np.linalg.norm(termination, 2)
+    for p in range(n_r, 0, -1):
+        generic_scale *= np.linalg.norm(step(p, termination), 2)
+    _, sing_k, vt_k = np.linalg.svd(s_mat - q * EYE)
+    chain = vt_k[sing_k <= 1e-10 * sing_k[0]].T
+    for p in range(1, n_r + 1):
+        chain = step(p, terminate(chain))
+    restricted = terminate(chain)
+    sing_w = np.linalg.svd(restricted)[1]
+    kernel_dim = int(np.count_nonzero(sing_w <= coulomb.SVD_GAP_THRESHOLD * generic_scale))
+    return energy, kernel_dim, np.linalg.norm(restricted, 2) / generic_scale
+
+
+def diagnostic_grid():
+    """Both phase bivectors, weak to strong coupling, kappa = +-1..+-4 and
+    n_r = 0..5, including the 20 selection-rule cells that raise."""
+    for gamma, coupling, kappa, n_r in itertools.product(
+        BOTH_GAMMAS, (1e-8, 1e-4, 0.1, 0.6, 0.99), (1, -1, 2, -2, 3, -3, 4, -4), range(6)
+    ):
+        yield CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r, gamma=gamma)
+
+
+def test_solver_diagnostics_match_a_step_by_step_recomputation():
+    raised = 0
+    for params in diagnostic_grid():
+        gamma, kappa, n_r = params.gamma, params.kappa, params.n_r
+        energy, kernel_dim, vacuity = solve_step_by_step(params)
+        if kernel_dim == 0:
+            assert gamma.variant == GammaChoice.E0E_VARIANT and n_r == 0 and kappa > 0
+            with pytest.raises(RuntimeError, match="no terminating series"):
+                solve_radial(params)
+            raised += 1
+            continue
+        solution = solve_radial(params)
+        diag = solution.diagnostics
+        assert solution.energy == energy, params
+        assert diag["termination_kernel_dim"] == kernel_dim, params
+        assert abs(diag["termination_vacuity"] - vacuity) <= 1e-13, params
+        assert diag["termination_relative"] <= 1e-10, params
+    assert raised == 20  # e0 E, n_r = 0, kappa = 1..4, at each coupling
+
+
+def test_ode_residual_separates_genuine_and_perturbed_series_on_a_grid():
+    # The degenerate top singular value of the final-coefficient map lets
+    # roundoff choose the series direction, so some slots that should be
+    # zero hold residue at the scale of their term, and |T| of the
+    # cancelled entries m R - eps R H Z understates the terms at weak
+    # coupling.  A measure that divided by either read up to 0.89 on
+    # genuine series of this kind of grid.
+    for params in diagnostic_grid():
+        try:
+            genuine = solve_radial(params)
+        except RuntimeError:
+            continue
+        tampered = RadialSolution(
+            params=params, energy=genuine.energy * 1.001, series=genuine.series, diagnostics={}
+        )
+        assert radial_ode_residual(genuine) < 1e-13, params
+        assert radial_ode_residual(tampered) > 1e-6, params
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypatch):
+    # One batched inverse builds every recurrence step and one batched SVD
+    # takes the 2-norms of the threshold scale; before that a solve made
+    # 4 n_r linear solves and 5 + n_r SVDs.
+    names = ("solve", "svd", "inv", "norm")
+
+    def calls_in_one_solve(n_r):
+        params = CoulombParams(mass=1.0, coupling=0.3, kappa=-2, n_r=n_r, gamma=gamma)
+        solve_radial(params)  # fill the block cache first
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(np.linalg, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        solve_radial(params)
+        monkeypatch.undo()
+        return counts
+
+    short, long = calls_in_one_solve(0), calls_in_one_solve(6)
+    assert short["solve"] == long["solve"] == 0, (short, long)
+    assert sum(long.values()) <= sum(short.values()), (short, long)
+    assert long["svd"] + long["inv"] <= 5, long
+
+
 def test_solver_with_a_different_radial_direction():
     params = CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=1)
     solution = solve_radial(params, radial_unit=e(CL32, 1))

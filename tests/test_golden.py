@@ -2,9 +2,10 @@
 
 The files under ``tests/golden/`` were written by the CLI before the
 gradient, pair-equation and operator-matrix code was merged into shared
-helpers, and the two ``verify`` cases with ``--trials`` before the verify
-checks ran on batched coefficient arrays; a refactor that changes any output
-bit fails here.  To add a case,
+helpers, the two ``verify`` cases with ``--trials`` before the verify
+checks ran on batched coefficient arrays, and the three spectrum cases at
+Z = 92, Z = 37 and alpha = 1e-6 before the radial recurrence was inverted in
+one batched call; a refactor that changes any output bit fails here.  To add a case,
 run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
 build and add a row below.
 """
@@ -36,6 +37,16 @@ CASES = {
     ),
     "spectrum_json": (["spectrum", "--format", "json"], 0),
     "spectrum_max_n4_csv": (["spectrum", "--max-n", "4", "--format", "csv"], 0),
+    # strong and weak coupling pin the bisection away from Z = 1
+    "spectrum_z92_max_n8_json": (
+        ["spectrum", "--z", "92", "--max-n", "8", "--format", "json"],
+        0,
+    ),
+    "spectrum_z37_max_n8_csv": (
+        ["spectrum", "--z", "37", "--max-n", "8", "--format", "csv"],
+        0,
+    ),
+    "spectrum_alpha1e-6_json": (["spectrum", "--alpha", "1e-6", "--format", "json"], 0),
     "planewave_default": (["planewave"], 0),
     "planewave_default_json": (["planewave", "--format", "json"], 0),
     "planewave_k4_e0e": (["planewave", "--k4", "0.3", "--gamma", "e0e"], 0),
