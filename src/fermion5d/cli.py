@@ -94,12 +94,18 @@ _E34 = e(CL32, 3, 4)
 _TRIAL_CHUNK = 64
 #: Largest ``spectrum --max-n``: one orbital letter per l = 0 .. n - 1.
 MAX_N = len(ANGULAR_LETTERS)
-#: Largest ``planewave`` momentum scale ``|(k1, k2, k3, k4, mass)|``.  The
-#: residuals are absolute and their roundoff grows like the scale squared:
-#: over 200,000 random inputs the dispersion residual reached 2.35 ulp(1)
-#: times the scale squared, which meets the 1e-10 default up to a scale of
-#: about 438, and the other checks stayed below 7.5e-12 at 400.
-PLANEWAVE_MAX_SCALE = 300.0
+#: Default absolute tolerance of the ``planewave`` residuals.
+PLANEWAVE_TOLERANCE = 1e-10
+#: Worst ``planewave`` residual per squared momentum scale
+#: ``s = |(k1, k2, k3, k4, mass)|``.  The residuals are absolute and their
+#: float64 roundoff grows like s^2: over 200,000 random inputs the dispersion
+#: residual reached 2.35 ulp(1) s^2, and the other checks stayed below
+#: 7.5e-12 at s = 400.
+PLANEWAVE_ROUNDOFF = 2.35 * np.finfo(np.float64).eps
+#: Largest ``planewave`` momentum scale at which an amplitude is found: over
+#: 4000 random directions at each of 3e5 .. 7e5 every one had one; from
+#: 8.5e5 some did not, and from 1e8 none.
+PLANEWAVE_AMPLITUDE_SCALE = 5e5
 
 
 def _usage_error(command: str, message: str) -> SystemExit:
@@ -775,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument("--gamma", choices=("e12", "e0e"), default="e12",
                         help="phase bivector choice")
     p_wave.add_argument("--seed", type=nonnegative_int, default=42)
-    p_wave.add_argument("--tolerance", type=finite_float, default=1e-10)
+    p_wave.add_argument("--tolerance", type=finite_float, default=PLANEWAVE_TOLERANCE)
     p_wave.add_argument("--format", choices=("table", "json"), default="table")
     p_wave.set_defaults(func=_run_planewave)
 
@@ -828,14 +834,31 @@ def _run_spectrum(args: argparse.Namespace) -> int:
     return _emit(doc, "table")
 
 
+def planewave_max_scale(tolerance: float) -> float:
+    """Largest momentum scale ``|(k1, k2, k3, k4, mass)|`` of ``planewave``.
+
+    Up to it the worst measured roundoff stays within half of the tolerance,
+    and an amplitude is found.  A tolerance tighter than the default keeps
+    the default's domain (a scale of about 309.6): roundoff may exceed such a
+    tolerance anywhere, and the checks report it.
+    """
+    reach = math.sqrt(max(tolerance, PLANEWAVE_TOLERANCE) / (2.0 * PLANEWAVE_ROUNDOFF))
+    return min(reach, PLANEWAVE_AMPLITUDE_SCALE)
+
+
 def _run_planewave(args: argparse.Namespace) -> int:
     scale = math.hypot(args.k1, args.k2, args.k3, args.k4, args.mass)
-    if scale > PLANEWAVE_MAX_SCALE:
+    limit = planewave_max_scale(args.tolerance)
+    if scale > limit:
+        if limit == PLANEWAVE_AMPLITUDE_SCALE:
+            beyond = "no amplitude may be found"
+        else:
+            tolerance = max(args.tolerance, PLANEWAVE_TOLERANCE)
+            beyond = f"float64 roundoff in the residuals can exceed the tolerance {tolerance:g}"
         raise _usage_error(
             args.command,
             f"the momentum scale |(k1, k2, k3, k4, mass)| = {scale:g} exceeds "
-            f"{PLANEWAVE_MAX_SCALE:g}; beyond it float64 roundoff in the residuals "
-            "can exceed the absolute 1e-10 default tolerance"
+            f"{limit:g}; beyond it {beyond}",
         )
     return _emit(cmd_planewave(args), args.format)
 

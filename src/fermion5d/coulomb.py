@@ -58,6 +58,10 @@ SCAN_POINTS = 10_000
 #: Relative bound on the termination residual of a series, also the relative
 #: singular-value gap that counts a direction as terminating.
 SVD_GAP_THRESHOLD = 1e-10
+#: Fixed generic vector whose projection onto the terminating subspace picks
+#: the series direction: the square roots of the first sixteen primes, of
+#: which no rational combination vanishes.
+_DIRECTION_PROBE = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
 
 #: Orbital letters for l = 0, 1, 2, ...: "spdf", then alphabetical from g,
 #: skipping j and the letters already used (p, s).
@@ -311,22 +315,18 @@ class RadialSolution:
 
 
 def _quantization_gap(
-    decay: float | np.ndarray,
-    mass: float,
-    coupling: float,
-    shift: float,
-    sqrt: Callable = np.sqrt,
+    decay: float | np.ndarray, params: CoulombParams, shift: float
 ) -> float | np.ndarray:
     """Termination condition as a function of the decay constant ``|beta|``.
 
-    ``shift`` is ``n_r + q``.  Strictly increasing on (0, m); its unique root
-    fixes the bound state.  Rooting in the decay constant rather than the
-    energy keeps the termination identity sharp even when the energy is
-    within ulps of the rest mass (weak coupling), where d(decay)/d(energy)
-    blows up.  A scalar caller may pass ``math.sqrt``, which rounds like
-    ``np.sqrt`` (both are the correctly rounded square root).
+    ``shift`` is ``n_r + series_exponent``, computed once by the caller.
+    Strictly increasing on (0, m); its unique root fixes the bound state.
+    Rooting in the decay constant rather than the energy keeps the
+    termination identity sharp even when the energy is within ulps of the
+    rest mass (weak coupling), where d(decay)/d(energy) blows up.
     """
-    return decay * shift - coupling * sqrt((mass - decay) * (mass + decay))
+    m = params.mass
+    return decay * shift - params.coupling * np.sqrt((m - decay) * (m + decay))
 
 
 def solve_radial(
@@ -349,7 +349,6 @@ def solve_radial(
     calls whatever ``n_r`` is.
     """
     m = params.mass
-    coupling = params.coupling
     q = params.series_exponent
     n_r = params.n_r
     shift = n_r + q
@@ -357,7 +356,7 @@ def solve_radial(
     # bracket the unique root of the termination condition in the decay
     # constant with a coarse scan, then bisect to the floating-point limit
     grid = np.linspace(0.0, m, SCAN_POINTS)
-    vals = _quantization_gap(grid, m, coupling, shift)
+    vals = _quantization_gap(grid, params, shift)
     above = np.nonzero(vals >= 0.0)[0]
     if len(above) == 0:
         raise RuntimeError("termination condition has no sign change on (0, m)")
@@ -367,7 +366,7 @@ def solve_radial(
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _quantization_gap(mid, m, coupling, shift, math.sqrt) < 0.0:
+        if _quantization_gap(mid, params, shift) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -375,11 +374,11 @@ def solve_radial(
     energy = math.sqrt((m - decay) * (m + decay))
     beta = -decay
 
-    s_mat = angular_coupling_matrix(params.kappa, coupling, params.gamma, radial_unit)
+    s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma, radial_unit)
     t_mat = mass_energy_matrix(m, energy, params.gamma, radial_unit)
     eye = np.eye(16)
 
-    s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - coupling**2) * eye).max())
+    s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - params.coupling**2) * eye).max())
     t_square_err = float(np.abs(t_mat @ t_mat - (m**2 - energy**2) * eye).max())
 
     # (beta I + T) in split form: T = m (R - RHZ) + b RHZ with the binding
@@ -440,12 +439,17 @@ def solve_radial(
         )
     admissible_basis = kernel_basis @ vt_w[sing_w <= threshold].T
 
-    # propagate the whole admissible subspace and take the direction whose
+    # propagate the whole admissible subspace and keep the directions whose
     # final coefficient is largest; this avoids near-degenerate directions
     # (close couplings make neighboring levels almost align) that would make
-    # the last coefficient vanish by cancellation
-    _, _, vt_b = np.linalg.svd(propagate(admissible_basis)[-1], full_matrices=False)
-    coefficients = np.array(propagate(admissible_basis @ vt_b[0]))
+    # the last coefficient vanish by cancellation.  That singular value is
+    # often degenerate, and which vector of its subspace an SVD returns is
+    # up to roundoff, so the series starts from the projection of a fixed
+    # generic vector onto the whole subspace, which roundoff only nudges
+    _, sing_b, vt_b = np.linalg.svd(propagate(admissible_basis)[-1], full_matrices=False)
+    top = admissible_basis @ vt_b[sing_b >= (1.0 - 1e-8) * sing_b[0]].T
+    start = top @ (top.T @ _DIRECTION_PROBE)
+    coefficients = np.array(propagate(start / np.linalg.norm(start)))
     c0 = coefficients[0]
 
     # honest post-check: the last coefficient must be annihilated relative to
@@ -480,20 +484,15 @@ def radial_ode_residual(
     radii: Sequence[float] | None = None,
     radial_unit: Multivector | None = None,
 ) -> float:
-    """Mixed backward-error residual of ``du/dr = S u / r - T u``.
+    """Componentwise backward-error residual of ``du/dr = S u / r - T u``.
 
     The common factor ``r^q exp(beta r)`` is divided out analytically, and at
     each sample radius the residual of the polynomial part is compared,
     component by component, against the sum of absolute values of every
-    elementary term that enters it: ``|kappa Z| + |coupling R H Z|`` for
-    ``S`` and ``|m R| + |eps R H Z|`` for ``T`` (the entries of ``S`` and
-    ``T`` themselves may already have cancelled), and each coefficient
-    ``C_p[k]`` counted at ``|C_p[k]| + max_k |C_p[k]|``, because the series
-    solver fixes a term only to within roundoff of its largest entry.  A
-    genuine solution scores at roundoff level at every radius; a
-    non-solution scores a finite fraction of one.  The maximum ratio over
-    the radii is returned; default radii span the natural decay length of
-    the solution.
+    elementary term that enters it.  A genuine solution scores at roundoff
+    level at every radius; a non-solution scores a finite fraction of one.
+    The maximum ratio over the radii is returned; default radii span the
+    natural decay length of the solution.
     """
     params = solution.params
     series = solution.series
@@ -502,12 +501,10 @@ def radial_ode_residual(
         radii = np.geomspace(0.05 * scale, 3.0 * scale, 12)
     s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma, radial_unit)
     t_mat = mass_energy_matrix(params.mass, solution.energy, params.gamma, radial_unit)
-    z, rhz, r_block = _radial_blocks(params.gamma, radial_unit)
-    abs_s = abs(params.kappa) * np.abs(z) + params.coupling * np.abs(rhz)
-    abs_t = params.mass * np.abs(r_block) + abs(solution.energy) * np.abs(rhz)
+    abs_s = np.abs(s_mat)
+    abs_t = np.abs(t_mat)
     coeffs = series.coefficients
     abs_coeffs = np.abs(coeffs)
-    abs_coeffs += abs_coeffs.max(axis=1, keepdims=True)
     powers = np.arange(coeffs.shape[0])
     worst = 0.0
     for r in radii:
@@ -530,9 +527,12 @@ def radial_ode_residual(
             + abs_s @ poly_env / r
             + abs_t @ poly_env
         )
-        # every row holds (q/r + |beta|) times the bound of its slot, which
-        # is positive unless the whole series is zero
-        worst = max(worst, float((np.abs(residual) / envelope).max()))
+        # rows far below the global envelope carry only roundoff residue of
+        # the coefficients themselves and say nothing about the equation
+        mask = envelope > 1e-15 * envelope.max()
+        if not mask.any():
+            continue
+        worst = max(worst, float((np.abs(residual)[mask] / envelope[mask]).max()))
     return worst
 
 

@@ -329,6 +329,20 @@ def test_planewave_massless_wave_passes(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["planewave", "--k1", "300"],
+        ["planewave", "--k1", "1000", "--tolerance", "1e-8"],
+        ["planewave", "--k3=-4e5", "--tolerance", "1"],
+    ],
+)
+def test_planewave_passes_inside_the_domain_of_its_tolerance(argv, capsys):
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in load_document(out)["checks"])
+
+
 def test_planewave_tolerance_is_wired_through(capsys):
     code, out, _ = run_cli(
         ["planewave", "--k1", "0.3", "--tolerance", "1e-30", "--format", "json"],
@@ -565,12 +579,20 @@ def test_a_non_finite_measured_value_fails_and_renders_as_null(measured):
         # outside the measured planewave domain; these used to fail one to
         # four checks, or find no amplitude at all
         (["planewave", "--k1", "1000", "--format", "json"],
-         "can exceed the absolute 1e-10 default tolerance"),
-        (["planewave", "--k1", "1e6"], "can exceed the absolute 1e-10 default tolerance"),
-        (["planewave", "--k2=-1e10", "--mass", "0"],
-         "can exceed the absolute 1e-10 default tolerance"),
-        (["planewave", "--k1", "200", "--mass", "250"],
-         "can exceed the absolute 1e-10 default tolerance"),
+         "exceeds 309.55; beyond it float64 roundoff in the residuals can exceed "
+         "the tolerance 1e-10"),
+        (["planewave", "--k2=-1e10", "--mass", "0"], "can exceed the tolerance 1e-10"),
+        (["planewave", "--k1", "200", "--mass", "250"], "can exceed the tolerance 1e-10"),
+        # the domain follows the tolerance in use; a tighter one keeps the
+        # default's domain, and a looser one stops where amplitudes do
+        (["planewave", "--k1", "4000", "--tolerance", "1e-8"],
+         "exceeds 3095.5; beyond it float64 roundoff in the residuals can exceed "
+         "the tolerance 1e-08"),
+        (["planewave", "--k1", "400", "--tolerance", "1e-12"],
+         "exceeds 309.55; beyond it float64 roundoff in the residuals can exceed "
+         "the tolerance 1e-10"),
+        (["planewave", "--k1", "1e6", "--tolerance", "1"],
+         "exceeds 500000; beyond it no amplitude may be found"),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
@@ -664,19 +686,20 @@ def test_cli_contract_holds_for_any_numeric_input(command, data):
         json.loads(out)
 
 
-def planewave_domain_outcome(direction, scale, gamma):
+def planewave_domain_outcome(direction, scale, gamma, tolerance=cli.PLANEWAVE_TOLERANCE):
     """Run ``planewave`` at ``scale`` times the unit ``direction`` of
     ``(k1, k2, k3, k4, mass)`` and check the domain contract: outside the
-    domain a one-line usage error; inside it every check meets the 1e-10
-    default, except on an imaginary frequency (k4 too large), where no
-    amplitude exists.  Returns the exit code."""
+    domain of ``tolerance`` a one-line usage error; inside it every check
+    meets ``tolerance``, except on an imaginary frequency (k4 too large),
+    where no amplitude exists.  Returns the exit code."""
     norm = math.hypot(*direction)
     *k, mass = (float(scale * d / norm) for d in direction)
     mass = abs(mass)
     argv = ["planewave", "--gamma", gamma, f"--mass={mass!r}", "--format", "json"]
     argv += [f"--k{axis}={value!r}" for axis, value in enumerate(k, 1)]
+    argv += [f"--tolerance={tolerance!r}"]
     code, out, err = run_in_process(argv)
-    if math.hypot(*k, mass) > cli.PLANEWAVE_MAX_SCALE:
+    if math.hypot(*k, mass) > cli.planewave_max_scale(tolerance):
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1, err
         return code
@@ -695,14 +718,18 @@ def planewave_domain_outcome(direction, scale, gamma):
     ),
     exponent=st.floats(min_value=-3.0, max_value=12.0),
     gamma=st.sampled_from(["e12", "e0e"]),
+    tolerance=st.sampled_from([cli.PLANEWAVE_TOLERANCE, 1e-8, 1e-4, 1.0]),
 )
-def test_planewave_domain_holds_at_any_scale(direction, exponent, gamma):
-    planewave_domain_outcome(direction, 10.0**exponent, gamma)
+def test_planewave_domain_holds_at_any_scale(direction, exponent, gamma, tolerance):
+    planewave_domain_outcome(direction, 10.0**exponent, gamma, tolerance)
 
 
-def test_planewave_passes_every_check_at_the_edge_of_its_domain():
-    # the bound itself, in directions that keep the frequency real
+@pytest.mark.parametrize("tolerance", [cli.PLANEWAVE_TOLERANCE, 1e-8, 1.0])
+def test_planewave_passes_every_check_at_the_edge_of_its_domain(tolerance):
+    # the bound itself, in directions that keep the frequency real; at 1.0
+    # the bound is where amplitudes stop, not where roundoff does
     rng = np.random.default_rng(0)
+    scale = cli.planewave_max_scale(tolerance) * (1 - 1e-12)
     for trial in range(40):
         direction = rng.normal(size=5)
         if trial % 4 == 0:
@@ -710,8 +737,18 @@ def test_planewave_passes_every_check_at_the_edge_of_its_domain():
         rest = direction[[0, 1, 2, 4]]
         if direction[3] ** 2 > rest @ rest:
             direction[3], direction[4] = direction[4], direction[3]
-        scale = cli.PLANEWAVE_MAX_SCALE * (1 - 1e-12)
-        assert planewave_domain_outcome(direction, scale, ("e12", "e0e")[trial % 2]) == 0
+        gamma = ("e12", "e0e")[trial % 2]
+        assert planewave_domain_outcome(direction, scale, gamma, tolerance) == 0
+
+
+def test_planewave_domain_follows_the_measured_roundoff():
+    # half the tolerance, at the worst measured 2.35 ulp(1) per squared scale
+    for tolerance in (1e-10, 1e-8, 1e-6):
+        reach = cli.planewave_max_scale(tolerance)
+        assert cli.PLANEWAVE_ROUNDOFF * reach**2 == pytest.approx(tolerance / 2)
+    assert cli.planewave_max_scale(1e-30) == cli.planewave_max_scale(1e-10)
+    assert cli.planewave_max_scale(-1.0) == cli.planewave_max_scale(1e-10)
+    assert cli.planewave_max_scale(1.0) == cli.PLANEWAVE_AMPLITUDE_SCALE
 
 
 @pytest.mark.parametrize("argv", [[], ["verify", "--no-such-flag"], ["beyond"]])
