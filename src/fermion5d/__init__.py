@@ -30,7 +30,9 @@ from .beyond import (
     minus_constancy_ratio,
     oscillating_source_pair,
     pair_residual,
+    pair_residuals,
     scalar_potential_residual,
+    scalar_potential_residuals,
     source_current,
 )
 from .constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -45,6 +47,7 @@ from .coulomb import (
 )
 from .fields import (
     AnalyticField,
+    ArrayField,
     ConstantField,
     Field5,
     FiniteDifferenceField,
@@ -87,6 +90,7 @@ __all__ = [
     "random_multivector",
     # fields
     "AnalyticField",
+    "ArrayField",
     "ConstantField",
     "Field5",
     "FiniteDifferenceField",
@@ -125,7 +129,9 @@ __all__ = [
     "minus_constancy_ratio",
     "oscillating_source_pair",
     "pair_residual",
+    "pair_residuals",
     "scalar_potential_residual",
+    "scalar_potential_residuals",
     "source_current",
     # constants and reports
     "ELECTRON_MASS_EV",

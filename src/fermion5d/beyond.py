@@ -27,26 +27,23 @@ equation on the idempotent halves ``xi_plus`` / ``xi_minus``:
   in four dimensions.  :func:`source_current` builds ``J``, enforces the grade
   structure exactly, and checks the sourced equation on paired fields.
 
+Every field built here evaluates whole ``(N, 5)`` point arrays with array
+operations, and every residual has a batch form (``pair_residuals``,
+``scalar_potential_residuals``, ...) with one row per point; the per-point
+form is the batch on one point, as in :mod:`fermion5d.wave`.
+
 Index convention: raising the second-time index flips the sign of the
 derivative (``d^4 = -d_4``), exactly as in :mod:`fermion5d.wave`.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import CL32, Multivector, e
-from .fields import (
-    AnalyticField,
-    Field5,
-    FiniteDifferenceField,
-    PhaseField,
-    add_gradient,
-    as_point,
-    sample_grid,
-)
+from .algebra import CL32, BladeOperator, Multivector, e
+from .fields import ArrayField, Field5, PhaseField, add_gradient, as_point, as_points, sample_grid
 from .wave import hestenes_plane_wave_field
 
 __all__ = [
@@ -65,15 +62,23 @@ __all__ = [
     "grade_structure_violations",
     "oscillating_source_pair",
     "pair_residual",
+    "pair_residuals",
     "random_minus_field",
     "scalar_potential_residual",
+    "scalar_potential_residuals",
+    "second_time_gradient",
+    "second_time_gradients",
     "source_current",
     "sourced_massless_residual",
+    "sourced_massless_residuals",
     "spacetime_gradient",
+    "spacetime_gradients",
 ]
 
-_E4 = e(CL32, 4)
-_E012 = e(CL32, 0, 1, 2)
+_E01 = e(CL32, 0, 1)
+_E04 = e(CL32, 0, 4)
+_LEFT_E4 = BladeOperator.left(e(CL32, 4))  # x -> e4 x
+_RIGHT_E012 = BladeOperator.right(e(CL32, 0, 1, 2))  # x -> x e012
 FOUR_PI = 4.0 * math.pi
 
 #: Default sampling lattice for the numerical demos: 9 points per axis,
@@ -96,27 +101,52 @@ FORBIDDEN_CURRENT_MASKS = np.array([m for m in range(32) if m not in CURRENT_MAS
 FORBIDDEN_CURRENT_MASKS.setflags(write=False)
 
 
+def _column(values) -> np.ndarray:
+    """Per-point scalars as an ``(N, 1)`` column that scales coefficient rows."""
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+
+def spacetime_gradients(field: Field5, points) -> np.ndarray:
+    """``sum_mu e_mu d^mu field`` over the four spacetime axes (0..3), one row
+    per point of an ``(N, 5)`` array."""
+    partials = field.partials(as_points(points))
+    return add_gradient(np.zeros(partials.shape[1:]), partials, range(4))
+
+
 def spacetime_gradient(field: Field5, x: Sequence[float]) -> Multivector:
-    """``sum_mu e_mu d^mu field`` over the four spacetime axes (0..3)."""
-    pt = as_point(x)
-    partials = [field.partial(mu, pt).coeffs for mu in range(4)]
-    return Multivector(add_gradient(np.zeros(CL32.n_blades), partials, range(4)))
+    """:func:`spacetime_gradients` at one point."""
+    return Multivector(spacetime_gradients(field, [as_point(x)])[0])
+
+
+def second_time_gradients(field: Field5, points) -> np.ndarray:
+    """``e4 d^4 field`` at every row of ``points`` (raised index: ``d^4 = -d_4``)."""
+    partials = field.partials(as_points(points))
+    # -0.0 + t == t for every t, signed zeros included: the sum is the term
+    return add_gradient(np.full(partials.shape[1:], -0.0), partials, (4,))
 
 
 def second_time_gradient(field: Field5, x: Sequence[float]) -> Multivector:
-    """``e4 d^4 field`` at a point (raised index: ``d^4 = -d_4``)."""
-    pt = as_point(x)
-    # -0.0 + t == t for every t, signed zeros included: the sum is the term
-    start = np.full(CL32.n_blades, -0.0)
-    return Multivector(add_gradient(start, {4: field.partial(4, pt).coeffs}, (4,)))
+    """:func:`second_time_gradients` at one point."""
+    return Multivector(second_time_gradients(field, [as_point(x)])[0])
+
+
+def pair_residuals(
+    xi_plus: Field5, xi_minus: Field5, mass: float, points, sign: str
+) -> np.ndarray:
+    """:func:`pair_residual` at every row of an ``(N, 5)`` point array."""
+    if sign == "upper":
+        lead, trail = xi_plus, xi_minus
+    elif sign == "lower":
+        lead, trail = xi_minus, xi_plus
+    else:
+        raise ValueError("sign must be 'upper' or 'lower'")
+    pts = as_points(points)
+    gradients = second_time_gradients(lead, pts) + spacetime_gradients(trail, pts)
+    return gradients - mass * _RIGHT_E012(trail.values(pts))
 
 
 def pair_residual(
-    xi_plus: Field5,
-    xi_minus: Field5,
-    mass: float,
-    x: Sequence[float],
-    sign: str,
+    xi_plus: Field5, xi_minus: Field5, mass: float, x: Sequence[float], sign: str
 ) -> Multivector:
     """Residual of one sign of the pair equation on the idempotent halves.
 
@@ -124,22 +154,44 @@ def pair_residual(
     - m xi_minus e0e1e2`` and ``sign='lower'`` the same with the halves
     swapped.  A zero residual means the corresponding equation holds.
     """
-    if sign == "upper":
-        lead, trail = xi_plus, xi_minus
-    elif sign == "lower":
-        lead, trail = xi_minus, xi_plus
-    else:
-        raise ValueError("sign must be 'upper' or 'lower'")
-    return (
-        second_time_gradient(lead, x)
-        + spacetime_gradient(trail, x)
-        - mass * (trail.value(as_point(x)) * _E012)
-    )
+    return Multivector(pair_residuals(xi_plus, xi_minus, mass, [as_point(x)], sign)[0])
 
 
 # ---------------------------------------------------------------------------
 # induced scalar potential
 # ---------------------------------------------------------------------------
+
+
+class _ProfileField(ArrayField):
+    """``f^(n)(x4) psi(x)``, or with a mass ``m`` its image ``e4 (-f^(n) psi)
+    e012 / m``: a derivative of a second-time profile ``f`` times a carrier
+    field ``psi``.
+
+    ``f`` is evaluated point by point (``math.exp``, ``math.cos``), so a
+    point's value does not depend on its batch.  ``d/dx4`` raises the order;
+    the spacetime partials are the carrier's.
+    """
+
+    def __init__(
+        self, profile: Callable[[float, int], float], carrier: Field5, order: int, mass=None
+    ):
+        self._profile, self._carrier, self._order, self._mass = profile, carrier, order, mass
+
+    def _scaled(self, order: int, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        prof = _column([self._profile(w, order) for w in pts[:, 4]])
+        if self._mass is None:
+            return prof * rows
+        return _RIGHT_E012(_LEFT_E4(-prof * rows)) / self._mass
+
+    def values(self, points) -> np.ndarray:
+        pts = as_points(points)
+        return self._scaled(self._order, pts, self._carrier.values(pts))
+
+    def partials(self, points) -> np.ndarray:
+        pts = as_points(points)
+        out = self._scaled(self._order, pts, self._carrier.partials(pts))
+        out[4] = self._scaled(self._order + 1, pts, self._carrier.values(pts))
+        return out
 
 
 class ScalarPotentialDemo:
@@ -176,79 +228,54 @@ class ScalarPotentialDemo:
             )
         self.mass = float(mass)
         self.potential = float(potential)
-        rate = math.sqrt(abs(self.mass * self.potential))
-        if not math.isfinite(rate):
+        self._rate = math.sqrt(abs(self.mass * self.potential))
+        if not math.isfinite(self._rate):
             raise ValueError("the profile rate sqrt(|mass * potential|) overflows")
-        self.carrier = hestenes_plane_wave_field(
-            k_spatial, self.mass + self.potential, amplitude
-        )
-        if self.potential >= 0:
-
-            def profile(w: float, order: int) -> float:
-                return rate**order * math.exp(rate * w)
-
-        else:
-
-            def profile(w: float, order: int) -> float:
-                phase = math.cos if order % 2 == 0 else math.sin
-                sign = -1.0 if order % 4 in (1, 2) else 1.0
-                return sign * rate**order * phase(rate * w)
-
-        self._profile = profile
-
-        def value(pt: np.ndarray) -> Multivector:
-            return profile(pt[4], 0) * self.carrier.value(pt)
-
-        def partial(axis: int, pt: np.ndarray) -> Multivector:
-            if axis == 4:
-                return profile(pt[4], 1) * self.carrier.value(pt)
-            return profile(pt[4], 0) * self.carrier.partial(axis, pt)
-
+        self.carrier = hestenes_plane_wave_field(k_spatial, self.mass + self.potential, amplitude)
         #: The plus half ``f(x4) psi``, with exact analytic partials.
-        self.xi_plus = AnalyticField(value, partial)
+        self.xi_plus = _ProfileField(self.profile, self.carrier, 0)
+        #: ``d4 d4 xi_plus = f''(x4) psi`` from the profile (not via the
+        #: eigenvalue), as a field.
+        self.curvature = _ProfileField(self.profile, self.carrier, 2)
 
     def profile(self, w: float, order: int = 0) -> float:
         """The second-time profile ``f`` or one of its derivatives at ``w``."""
         if order < 0:
             raise ValueError("derivative order must be non-negative")
-        return self._profile(w, order)
+        if self.potential >= 0:
+            return self._rate**order * math.exp(self._rate * w)
+        phase = math.cos if order % 2 == 0 else math.sin
+        sign = -1.0 if order % 4 in (1, 2) else 1.0
+        return sign * self._rate**order * phase(self._rate * w)
 
-    def second_time_second_partial(self, x: Sequence[float]) -> Multivector:
-        """``d4 d4 xi_plus`` from the analytic profile (not via the eigenvalue)."""
-        pt = as_point(x)
-        return self._profile(pt[4], 2) * self.carrier.value(pt)
+    def eigen_residuals(self, points) -> np.ndarray:
+        """:meth:`eigen_residual` at every row of an ``(N, 5)`` point array."""
+        pts = as_points(points)
+        delta = self.curvature.values(pts) - self.mass * self.potential * self.xi_plus.values(pts)
+        return np.abs(delta).max(axis=1)
 
     def eigen_residual(self, x: Sequence[float]) -> float:
         """Sup-norm of ``d4 d4 xi_plus - m s xi_plus`` (should vanish)."""
-        pt = as_point(x)
-        delta = self.second_time_second_partial(pt) - (
-            self.mass * self.potential
-        ) * self.xi_plus.value(pt)
-        return delta.inf_norm()
+        return float(self.eigen_residuals([as_point(x)])[0])
 
-    def derived_minus(self) -> AnalyticField:
+    def derived_minus(self) -> ArrayField:
         """Minus half reconstructed from the plus half at non-zero mass.
 
         Implements ``xi_minus = (1/m) e4 d^4 xi_plus e0 e1 e2`` with exact
         analytic partials (the second-time derivative uses the profile's
         second derivative).
         """
-        mass = self.mass
-        profile = self._profile
-        carrier = self.carrier
+        return _ProfileField(self.profile, self.carrier, 1, self.mass)
 
-        def value(pt: np.ndarray) -> Multivector:
-            d4_raised = -profile(pt[4], 1) * carrier.value(pt)
-            return (_E4 * d4_raised * _E012) / mass
 
-        def partial(axis: int, pt: np.ndarray) -> Multivector:
-            if axis == 4:
-                core = -profile(pt[4], 2) * carrier.value(pt)
-            else:
-                core = -profile(pt[4], 1) * carrier.partial(axis, pt)
-            return (_E4 * core * _E012) / mass
-
-        return AnalyticField(value, partial)
+def scalar_potential_residuals(demo: ScalarPotentialDemo, points) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`scalar_potential_residual` at every row of an ``(N, 5)`` point array."""
+    pts = as_points(points)
+    right = _RIGHT_E012(demo.xi_plus.values(pts))
+    common = spacetime_gradients(demo.xi_plus, pts) - demo.mass * right
+    second_form = common - _RIGHT_E012(demo.curvature.values(pts)) / demo.mass
+    potential_form = common - demo.potential * right
+    return second_form, potential_form
 
 
 def scalar_potential_residual(
@@ -268,19 +295,37 @@ def scalar_potential_residual(
     Both vanish on the demo field; their difference vanishing is exactly the
     eigenvalue relation between the second-time curvature and ``m s``.
     """
-    pt = as_point(x)
-    xi = demo.xi_plus
-    grad = spacetime_gradient(xi, pt)
-    val = xi.value(pt)
-    common = grad - demo.mass * (val * _E012)
-    second_form = common - (demo.second_time_second_partial(pt) * _E012) / demo.mass
-    potential_form = common - demo.potential * (val * _E012)
-    return second_form, potential_form
+    second_form, potential_form = scalar_potential_residuals(demo, [as_point(x)])
+    return Multivector(second_form[0]), Multivector(potential_form[0])
+
+
+class _CentralDifferenceField(ArrayField):
+    """Values from an array function; partials by central differences
+    (error ``O(step^2)``)."""
+
+    def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], step: float):
+        if step <= 0:
+            raise ValueError("finite-difference step must be positive")
+        self._values_fn, self.step = values_fn, step
+
+    def values(self, points) -> np.ndarray:
+        return self._values_fn(as_points(points))
+
+    def difference(self, points, axis: int) -> np.ndarray:
+        """``(f(x + step e_axis) - f(x - step e_axis)) / (2 step)`` per row."""
+        pts = as_points(points)
+        fwd, bwd = pts.copy(), pts.copy()
+        fwd[:, axis] += self.step
+        bwd[:, axis] -= self.step
+        return (self._values_fn(fwd) - self._values_fn(bwd)) / (2 * self.step)
+
+    def partials(self, points) -> np.ndarray:
+        return np.stack([self.difference(points, axis) for axis in range(5)])
 
 
 def derived_minus_field(
     xi_plus: Field5, mass: float, step: float = DEMO_GRID_SPACING
-) -> FiniteDifferenceField:
+) -> ArrayField:
     """Minus half ``(1/m) e4 d^4 xi_plus e0 e1 e2`` for a generic plus half.
 
     Only first derivatives of ``xi_plus`` are available through the field
@@ -294,11 +339,9 @@ def derived_minus_field(
             "zero mass the constraint forces the plus half flat along the "
             "second time axis instead"
         )
-
-    def value(pt: np.ndarray) -> Multivector:
-        return (second_time_gradient(xi_plus, pt) * _E012) / mass
-
-    return FiniteDifferenceField(value, step)
+    return _CentralDifferenceField(
+        lambda pts: _RIGHT_E012(second_time_gradients(xi_plus, pts)) / mass, step
+    )
 
 
 #: Operational reading of "the minus half is nearly constant": its spacetime
@@ -309,26 +352,23 @@ def derived_minus_field(
 MINUS_CONSTANCY_BOUND = 1e-6
 
 
-def minus_constancy_ratio(
-    xi_minus: Field5, points: Sequence[Sequence[float]]
-) -> float:
+def minus_constancy_ratio(xi_minus: Field5, points) -> float:
     """``sup ||d^mu xi_minus|| / sup ||d^4 xi_minus||`` over the samples.
 
     Gauges how well the near-constancy constraint holds for a user-supplied
     minus half; compare against :data:`MINUS_CONSTANCY_BOUND`.  Returns
     ``inf`` when the field does not vary along the second time axis at all
-    but does vary in spacetime, and ``0.0`` for a fully constant field.
+    but does vary in spacetime, and ``0.0`` for a fully constant field.  A
+    NaN partial also gives ``inf``, so that no bound passes it.
     """
-    pts = [as_point(p) for p in points]
-    if not pts:
+    if len(points) == 0:
         raise ValueError("minus_constancy_ratio requires a non-empty sample set")
-    spacetime = max(
-        xi_minus.partial(mu, pt).inf_norm() for pt in pts for mu in range(4)
-    )
-    second_time = max(xi_minus.partial(4, pt).inf_norm() for pt in pts)
-    if second_time == 0.0:
-        return 0.0 if spacetime == 0.0 else math.inf
-    return spacetime / second_time
+    partials = np.abs(xi_minus.partials(as_points(points)))
+    spacetime, second_time = float(np.max(partials[:4])), float(np.max(partials[4]))
+    if spacetime == 0.0 and second_time == 0.0:
+        return 0.0
+    ratio = spacetime / second_time if second_time != 0.0 else math.inf
+    return math.inf if math.isnan(ratio) else ratio
 
 
 # ---------------------------------------------------------------------------
@@ -349,15 +389,17 @@ class GradeStructureError(ValueError):
         )
 
 
+def _forbidden_blades(rows: np.ndarray) -> list[str]:
+    """Names of the forbidden blades that are non-zero in some row, ascending."""
+    hit = np.any(rows[:, FORBIDDEN_CURRENT_MASKS] != 0.0, axis=0)
+    return [CL32.blade_name(int(mask)) for mask in FORBIDDEN_CURRENT_MASKS[hit]]
+
+
 def grade_structure_violations(mv: Multivector) -> list[str]:
     """Names of blades with non-zero coefficients outside the current's support."""
     if mv.signature != CL32:
         raise ValueError("grade structure is defined on the Cl(3,2) algebra")
-    return [
-        CL32.blade_name(int(mask))
-        for mask in FORBIDDEN_CURRENT_MASKS
-        if mv.coeffs[mask] != 0.0
-    ]
+    return _forbidden_blades(mv.coeffs[None])
 
 
 class SourceCurrent:
@@ -372,17 +414,27 @@ class SourceCurrent:
     def __init__(self, xi_minus: Field5):
         self._xi_minus = xi_minus
 
-    def value(self, x: Sequence[float]) -> Multivector:
-        current = second_time_gradient(self._xi_minus, x) / FOUR_PI
-        offending = grade_structure_violations(current)
+    def values(self, points) -> np.ndarray:
+        """The current at every row of ``points``; the error names every
+        forbidden blade that is non-zero at some row."""
+        current = second_time_gradients(self._xi_minus, points) / FOUR_PI
+        offending = _forbidden_blades(current)
         if offending:
             raise GradeStructureError(offending)
         return current
 
+    def value(self, x: Sequence[float]) -> Multivector:
+        return Multivector(self.values([as_point(x)])[0])
+
     def vector_part(self, x: Sequence[float]) -> np.ndarray:
         """Components of the grade-1 part on ``e0..e3``."""
-        val = self.value(x)
-        return np.array([val.coeffs[1 << a] for a in range(4)])
+        return self.value(x).coeffs[[1 << a for a in range(4)]]
+
+    def divergences(self, points, step: float = DEMO_GRID_SPACING) -> np.ndarray:
+        """:meth:`divergence` at every row of an ``(N, 5)`` point array."""
+        sampled = _CentralDifferenceField(self.values, step)
+        pts = as_points(points)
+        return sum(sampled.difference(pts, mu)[:, 1 << mu] for mu in range(4))
 
     def divergence(self, x: Sequence[float], step: float = DEMO_GRID_SPACING) -> float:
         """Four-dimensional divergence of the grade-1 part, ``sum_mu d_mu J^mu``.
@@ -391,12 +443,13 @@ class SourceCurrent:
         ``O(step^2)``); near-constancy of the minus half over the region makes
         this vanish.
         """
-        sampled = FiniteDifferenceField(self.value, step)
-        pt = as_point(x)
-        total = 0.0
-        for mu in range(4):
-            total += sampled.partial(mu, pt).coeffs[1 << mu]
-        return float(total)
+        return float(self.divergences([as_point(x)], step)[0])
+
+
+def sourced_massless_residuals(xi_plus: Field5, current: SourceCurrent, points) -> np.ndarray:
+    """:func:`sourced_massless_residual` at every row of an ``(N, 5)`` point array."""
+    pts = as_points(points)
+    return spacetime_gradients(xi_plus, pts) + FOUR_PI * current.values(pts)
 
 
 def sourced_massless_residual(
@@ -408,43 +461,52 @@ def sourced_massless_residual(
     lower-sign pair equation at zero mass rearranged around the induced
     current.
     """
-    return spacetime_gradient(xi_plus, x) + FOUR_PI * current.value(x)
+    return Multivector(sourced_massless_residuals(xi_plus, current, [as_point(x)])[0])
 
 
 def source_current(
-    xi_minus: Field5,
-    xi_plus: Field5 | None = None,
-    points: Sequence[Sequence[float]] | None = None,
-    tolerance: float = 1e-9,
+    xi_minus: Field5, xi_plus: Field5 | None = None, points=None, tolerance: float = 1e-9
 ) -> SourceCurrent:
     """Build the induced current and optionally verify the sourced equation.
 
     When both ``xi_plus`` and sample ``points`` are given, the pair is checked
     against the sourced zero-mass equation (sup-norm residual below
-    ``tolerance``) and the current's grade structure is enforced at every
-    sample point.  Returns the :class:`SourceCurrent`.
+    ``tolerance``; a NaN residual fails) and the current's grade structure is
+    enforced at every sample point.  Returns the :class:`SourceCurrent`.
     """
     current = SourceCurrent(xi_minus)
-    if points is not None:
-        pts = [as_point(p) for p in points]
-        for pt in pts:
-            current.value(pt)  # enforces the grade structure
+    if points is None:
         if xi_plus is not None:
-            worst = max(
-                sourced_massless_residual(xi_plus, current, pt).inf_norm()
-                for pt in pts
-            )
-            if worst >= tolerance:
-                raise ValueError(
-                    f"paired fields do not satisfy the sourced zero-mass "
-                    f"equation: residual {worst:.3e} >= {tolerance:.1e}"
-                )
-    elif xi_plus is not None:
-        raise ValueError("verifying the sourced equation requires sample points")
+            raise ValueError("verifying the sourced equation requires sample points")
+        return current
+    if xi_plus is None:
+        current.values(points)  # enforces the grade structure
+        return current
+    worst = float(np.max(np.abs(sourced_massless_residuals(xi_plus, current, points))))
+    if not worst < tolerance:
+        raise ValueError(
+            f"paired fields do not satisfy the sourced zero-mass "
+            f"equation: residual {worst:.3e} >= {tolerance:.1e}"
+        )
     return current
 
 
-def oscillating_source_pair() -> tuple[AnalyticField, AnalyticField]:
+class _SourcePlusHalf(ArrayField):
+    """``-x1 cos(x4) e0e1``, the plus half of :func:`oscillating_source_pair`."""
+
+    def values(self, points) -> np.ndarray:
+        pts = as_points(points)
+        return _column([-x1 * math.cos(w) for x1, w in pts[:, [1, 4]]]) * _E01.coeffs
+
+    def partials(self, points) -> np.ndarray:
+        pts = as_points(points)
+        out = np.zeros((5, len(pts), CL32.n_blades))
+        out[1] = _column([-math.cos(w) for w in pts[:, 4]]) * _E01.coeffs
+        out[4] = _column([x1 * math.sin(w) for x1, w in pts[:, [1, 4]]]) * _E01.coeffs
+        return out
+
+
+def oscillating_source_pair() -> tuple[ArrayField, PhaseField]:
     """An exact zero-mass solution pair with a non-trivial induced current.
 
     ``xi_plus = -x1 cos(x4) e0e1`` and ``xi_minus = sin(x4) e0e4`` satisfy the
@@ -452,29 +514,8 @@ def oscillating_source_pair() -> tuple[AnalyticField, AnalyticField]:
     spatially constant, and the induced current is the pure spacetime vector
     ``J = -(cos(x4) / 4pi) e0``.
     """
-    e01 = e(CL32, 0, 1)
-    e04 = e(CL32, 0, 4)
-    zero = Multivector.zero(CL32)
-
-    def plus_value(pt: np.ndarray) -> Multivector:
-        return (-pt[1] * math.cos(pt[4])) * e01
-
-    def plus_partial(axis: int, pt: np.ndarray) -> Multivector:
-        if axis == 1:
-            return (-math.cos(pt[4])) * e01
-        if axis == 4:
-            return (pt[1] * math.sin(pt[4])) * e01
-        return zero
-
-    def minus_value(pt: np.ndarray) -> Multivector:
-        return math.sin(pt[4]) * e04
-
-    def minus_partial(axis: int, pt: np.ndarray) -> Multivector:
-        if axis == 4:
-            return math.cos(pt[4]) * e04
-        return zero
-
-    return AnalyticField(plus_value, plus_partial), AnalyticField(minus_value, minus_partial)
+    xi_minus = PhaseField(Multivector.zero(CL32), _E04, (0.0, 0.0, 0.0, 0.0, 1.0))
+    return _SourcePlusHalf(), xi_minus
 
 
 def random_minus_field(rng: np.random.Generator) -> PhaseField:
@@ -488,16 +529,10 @@ def random_minus_field(rng: np.random.Generator) -> PhaseField:
     point array.
     """
     masks = list(SECOND_TIME_EVEN_MASKS)
-
-    def random_amplitude() -> Multivector:
-        coeffs = np.zeros(CL32.n_blades)
-        coeffs[masks] = rng.standard_normal(len(masks))
-        return Multivector(coeffs, CL32)
-
-    amp_a = random_amplitude()
-    amp_b = random_amplitude()
-    freq = rng.uniform(-1.0, 1.0, size=5)
-    return PhaseField(amp_a, amp_b, freq)
+    amps = np.zeros((2, CL32.n_blades))
+    for amp in amps:
+        amp[masks] = rng.standard_normal(len(masks))
+    return PhaseField(amps[0], amps[1], rng.uniform(-1.0, 1.0, size=5))
 
 
 def demo_grid(center: Sequence[float] = (0.0, 0.0, 0.0, 0.0, 0.0)) -> np.ndarray:

@@ -52,12 +52,12 @@ from .beyond import (
     ScalarPotentialDemo,
     demo_grid,
     oscillating_source_pair,
-    pair_residual,
+    pair_residuals,
     random_minus_field,
-    scalar_potential_residual,
-    second_time_gradient,
+    scalar_potential_residuals,
+    second_time_gradients,
     source_current,
-    sourced_massless_residual,
+    sourced_massless_residuals,
 )
 from .constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from .coulomb import (
@@ -73,7 +73,7 @@ from .coulomb import (
     spectroscopic_label,
     quantum_numbers,
 )
-from .fields import add_gradient, random_points
+from .fields import PhaseField, random_points
 from .report import Check, ReportDocument, make_check, rows_to_csv
 from .spinor import idempotent_split_coeffs, pm_split_coeffs
 from .wave import (
@@ -86,8 +86,8 @@ from .wave import (
     sector_fields,
 )
 
-_E012 = e(CL32, 0, 1, 2)
 _E34 = e(CL32, 3, 4)
+_RIGHT_E012 = BladeOperator.right(e(CL32, 0, 1, 2))
 #: Associativity trials per batch.  A (64, 32, 32) float64 gather is 512 KB,
 #: so the peak memory of ``verify`` does not grow with ``--trials``; larger
 #: batches were no faster and one of 1000 trials adds about 8 MB.
@@ -364,15 +364,12 @@ def _current_grade_check(rng: np.random.Generator, n_fields: int) -> Check:
 
     Draws one random minus field and then two points, ``n_fields`` times.
     The current is the unguarded ``e4 d^4 xi_minus / 4 pi`` at both points,
-    summed from -0.0 as ``second_time_gradient`` does, because
-    ``SourceCurrent.value`` raises on the very blades measured here.
+    because ``SourceCurrent.values`` raises on the very blades measured here.
     """
     forbidden = []
     for _ in range(n_fields):
         fld = random_minus_field(rng)
-        pts = random_points(rng, 2, scale=1.0)
-        start = np.full((len(pts), CL32.n_blades), -0.0)
-        current = add_gradient(start, {4: fld.partials(pts)[4]}, (4,)) / FOUR_PI
+        current = second_time_gradients(fld, random_points(rng, 2, scale=1.0)) / FOUR_PI
         forbidden.append(np.abs(current[:, FORBIDDEN_CURRENT_MASKS]).max())
     return make_check("current-grade-structure", "source-current", _worst(forbidden), 0.0)
 
@@ -382,17 +379,13 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
 
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
     pts = random_points(rng, 5, scale=0.5)
-    gaps = []
-    for x in pts:
-        second, potential = scalar_potential_residual(demo, x)
-        gaps.append((second - potential).inf_norm())
-    checks.append(make_check("scalar-demo-equivalence", "scalar-demo", _worst(gaps), 1e-9))
+    second, potential = scalar_potential_residuals(demo, pts)
+    gap = _worst(np.abs(second - potential))
+    checks.append(make_check("scalar-demo-equivalence", "scalar-demo", gap, 1e-9))
 
     xi_plus, xi_minus = oscillating_source_pair()
     current = source_current(xi_minus)
-    worst_src = _worst(
-        [sourced_massless_residual(xi_plus, current, x).inf_norm() for x in pts]
-    )
+    worst_src = _worst(np.abs(sourced_massless_residuals(xi_plus, current, pts)))
     checks.append(make_check("sourced-equation", "source-current", worst_src, 1e-12))
     return checks
 
@@ -642,36 +635,19 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
 def _scalar_demo_checks(mass: float, s: float, rng: np.random.Generator) -> list[Check]:
     demo = ScalarPotentialDemo(mass, s, k_spatial=(0.2, -0.15, 0.1))
     pts = random_points(rng, 8, scale=0.5)
-    seconds, potentials, diffs, eigens = [], [], [], []
-    for x in pts:
-        second, potential = scalar_potential_residual(demo, x)
-        seconds.append(second.inf_norm())
-        potentials.append(potential.inf_norm())
-        diffs.append((second - potential).inf_norm())
-        eigens.append(demo.eigen_residual(x))
+    second, potential = scalar_potential_residuals(demo, pts)
     ximinus = demo.derived_minus()
-    recons = [
-        (
-            second_time_gradient(demo.xi_plus, x)
-            - mass * (ximinus.value(x) * _E012)
-        ).inf_norm()
-        for x in pts
+    recon = second_time_gradients(demo.xi_plus, pts) - mass * _RIGHT_E012(ximinus.values(pts))
+    round_trip = pair_residuals(demo.xi_plus, ximinus, mass, pts, "lower") - second
+    measured = [
+        ("second-derivative-form", second),
+        ("potential-form", potential),
+        ("forms-equivalence", second - potential),
+        ("profile-eigen-relation", demo.eigen_residuals(pts)),
+        ("minus-half-reconstruction", recon),
+        ("pair-equation-round-trip", round_trip),
     ]
-    round_trips = [
-        (
-            pair_residual(demo.xi_plus, ximinus, mass, x, "lower")
-            - scalar_potential_residual(demo, x)[0]
-        ).inf_norm()
-        for x in pts
-    ]
-    return [
-        make_check("second-derivative-form", "scalar-demo", _worst(seconds), 1e-9),
-        make_check("potential-form", "scalar-demo", _worst(potentials), 1e-9),
-        make_check("forms-equivalence", "scalar-demo", _worst(diffs), 1e-9),
-        make_check("profile-eigen-relation", "scalar-demo", _worst(eigens), 1e-9),
-        make_check("minus-half-reconstruction", "scalar-demo", _worst(recons), 1e-9),
-        make_check("pair-equation-round-trip", "scalar-demo", _worst(round_trips), 1e-9),
-    ]
+    return [make_check(name, "scalar-demo", _worst(np.abs(v)), 1e-9) for name, v in measured]
 
 
 def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
@@ -704,24 +680,16 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
         grid = demo_grid()
         samples = grid[:: max(1, len(grid) // 16)]
         current = source_current(xi_minus, xi_plus, samples, tolerance=1e-9)
-        worst_src = _worst(
-            [sourced_massless_residual(xi_plus, current, x).inf_norm() for x in samples]
-        )
-        worst_div = _worst([abs(current.divergence(x)) for x in samples])
-        hand = _worst(
-            [
-                (
-                    current.value(x)
-                    - (-math.cos(x[4]) / (4.0 * math.pi)) * e(CL32, 0)
-                ).inf_norm()
-                for x in samples
-            ]
-        )
+        worst_src = _worst(np.abs(sourced_massless_residuals(xi_plus, current, samples)))
+        worst_div = _worst(np.abs(current.divergences(samples)))
+        # the hand value -(cos(x4) / 4pi) e0, as a wave along x4
+        hand = PhaseField(-e(CL32, 0), Multivector.zero(CL32), (0, 0, 0, 0, 1)).values(samples)
+        worst_hand = _worst(np.abs(current.values(samples) - hand / (4.0 * math.pi)))
         checks = [
             grade_check,
             make_check("sourced-equation", "source-current", worst_src, 1e-9),
             make_check("vector-part-divergence", "source-current", worst_div, 1e-9),
-            make_check("current-hand-value", "source-current", hand, 1e-12),
+            make_check("current-hand-value", "source-current", worst_hand, 1e-12),
         ]
         inputs = {
             "demo": "sources",

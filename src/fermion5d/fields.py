@@ -8,10 +8,11 @@ differences with a configurable step.
 
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
-for bit to the per-point call at ``points[n]``.  :class:`PhaseField` (plane
-waves) and :class:`MappedField` with an array map compute them with array
-operations; fields built from per-point callables loop over the points
-(:class:`PointwiseField`).
+for bit to the per-point call at ``points[n]``.  Every field the package
+builds is an :class:`ArrayField` (or a :class:`MappedField` with an array
+map): its batch methods are array operations and its per-point methods are
+the batch on one point.  Only fields built from user-supplied per-point
+callables loop over the points (:class:`PointwiseField`).
 """
 from __future__ import annotations
 
@@ -185,18 +186,31 @@ class MappedField(PointwiseField):
         return self._array_fn(self._base.partials(points))
 
 
-class PhaseField:
+class ArrayField:
+    """Per-point evaluation as the batch ``values``/``partials`` on one point."""
+
+    def value(self, x):
+        return Multivector(self.values([as_point(x)])[0])
+
+    def partial(self, axis, x):
+        if not 0 <= axis <= 4:
+            raise ValueError(f"axis must be 0..4, got {axis}")
+        return Multivector(self.partials([as_point(x)])[axis, 0])
+
+
+class PhaseField(ArrayField):
     """``A cos(k.x) + B sin(k.x)`` with constant ``A``, ``B`` and lower-index ``k``.
 
-    The per-point methods are the batch ones on a single point.  Each phase
-    is ``np.dot`` of ``k`` with one point and goes through ``math.cos`` and
-    ``math.sin``, so every point's value is independent of the batch it is
-    evaluated in (a matrix-vector product can round the phases differently).
+    Each phase is ``np.dot`` of ``k`` with one point and goes through
+    ``math.cos`` and ``math.sin``, so every point's value is independent of
+    the batch it is evaluated in (a matrix-vector product can round the
+    phases differently).
     """
 
-    def __init__(self, cos_amp: Multivector, sin_amp: Multivector, k_low: Sequence[float]):
-        self._cos_amp = cos_amp.coeffs
-        self._sin_amp = sin_amp.coeffs
+    def __init__(self, cos_amp, sin_amp, k_low: Sequence[float]):
+        # the amplitudes are multivectors or their coefficient rows
+        self._cos_amp = np.asarray(getattr(cos_amp, "coeffs", cos_amp), dtype=np.float64)
+        self._sin_amp = np.asarray(getattr(sin_amp, "coeffs", sin_amp), dtype=np.float64)
         self._k_low = as_point(k_low).copy()
         self._k_low.setflags(write=False)
 
@@ -206,25 +220,13 @@ class PhaseField:
         sin = np.array([math.sin(th) for th in phases]).reshape(-1, 1)
         return cos, sin
 
-    def _slopes(self, points) -> np.ndarray:
-        """``-A sin + B cos``: the value's derivative along the phase."""
-        cos, sin = self._cos_sin(points)
-        return self._cos_amp * (-sin) + self._sin_amp * cos
-
     def values(self, points) -> np.ndarray:
         cos, sin = self._cos_sin(points)
         return self._cos_amp * cos + self._sin_amp * sin
 
     def partials(self, points) -> np.ndarray:
-        return self._k_low[:, None, None] * self._slopes(points)
-
-    def value(self, x):
-        return Multivector(self.values([as_point(x)])[0])
-
-    def partial(self, axis, x):
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
-        return Multivector(self._slopes([as_point(x)])[0] * self._k_low[axis])
+        cos, sin = self._cos_sin(points)
+        return self._k_low[:, None, None] * (self._cos_amp * (-sin) + self._sin_amp * cos)
 
 
 def sample_grid(center: Sequence[float], half_extent: float, points_per_axis: int) -> np.ndarray:

@@ -30,7 +30,6 @@ from .algebra import (
 )
 from .fields import (
     METRIC_SIGNS,
-    AnalyticField,
     Field5,
     MappedField,
     PhaseField,
@@ -243,20 +242,27 @@ def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> 
     """Positive-frequency k^0 from the mass shell ``k.k = -m^2``.
 
     With two minus signs in the metric, ``(k^0)^2 = |k|^2 + m^2 - (k^4)^2``;
-    raises when the right side is negative.
+    raises when the right side is negative.  When even the largest input's
+    square would underflow, the inputs are scaled by a power of two (exact)
+    first and ``k^0`` is scaled back; every other input takes the plain sum.
     """
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
     if k_spatial.shape != (3,):
         raise ValueError("k_spatial must have three components")
+    largest = max(float(np.abs(k_spatial).max()), abs(mass), abs(k4))
+    # below sqrt(tiny) a square is subnormal or zero: it has lost bits
+    shift = -math.frexp(largest)[1] if 0.0 < largest < math.sqrt(np.finfo(float).tiny) else 0
+    k_spatial, k4, mass = np.ldexp(k_spatial, shift), math.ldexp(k4, shift), math.ldexp(mass, shift)
     with np.errstate(over="ignore"):  # an overflow is reported below
         disc = float(k_spatial @ k_spatial) + mass * mass - k4 * k4
     if disc < 0:
         raise ValueError(
-            f"no real frequency: |k|^2 + m^2 - (k^4)^2 = {disc:.6g} is negative"
+            "no real frequency: |k|^2 + m^2 - (k^4)^2 = "
+            f"{math.ldexp(disc, -2 * shift):.6g} is negative"
         )
     if not math.isfinite(disc):
         raise ValueError("the frequency overflows: |k|^2 + m^2 - (k^4)^2 is not finite")
-    return math.sqrt(disc)
+    return math.ldexp(math.sqrt(disc), -shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,14 +461,6 @@ def sector_fields(field: Field5) -> tuple[Field5, Field5]:
 # ---------------------------------------------------------------------------
 
 
-def minkowski4_dot(a: Sequence[float], b: Sequence[float]) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (4,) or b.shape != (4,):
-        raise ValueError("four-vectors expected")
-    return float(-a[0] * b[0] + a[1:] @ b[1:])
-
-
 @lru_cache(maxsize=None)
 def _hestenes_blocks() -> tuple[np.ndarray, np.ndarray]:
     """``(V, R)`` with ``V[mu]`` the matrix of ``psi -> e_mu psi e12`` and ``R``
@@ -505,7 +503,7 @@ def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivect
 
 def hestenes_plane_wave_field(
     k_spatial: Sequence[float], mass: float, amplitude: Multivector | None = None
-) -> AnalyticField:
+) -> PhaseField:
     """4D Dirac plane wave as a five-coordinate field flat along the last axis."""
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -518,15 +516,4 @@ def hestenes_plane_wave_field(
         if not basis:
             raise ValueError("no nontrivial 4D amplitude")
         amplitude = basis[0]
-    amp_g = amplitude * _E12
-    k_low4 = np.array([-k4[0], k4[1], k4[2], k4[3], 0.0])
-
-    def value(x: np.ndarray) -> Multivector:
-        th = minkowski4_dot(k4, x[:4])
-        return amplitude * math.cos(th) + amp_g * math.sin(th)
-
-    def partial(axis: int, x: np.ndarray) -> Multivector:
-        th = minkowski4_dot(k4, x[:4])
-        return (amplitude * (-math.sin(th)) + amp_g * math.cos(th)) * float(k_low4[axis])
-
-    return AnalyticField(value, partial)
+    return PhaseField(amplitude, amplitude * _E12, (-k0, *k_spatial, 0.0))

@@ -22,12 +22,17 @@ from fermion5d.beyond import (
     minus_constancy_ratio,
     oscillating_source_pair,
     pair_residual,
+    pair_residuals,
     random_minus_field,
     scalar_potential_residual,
+    scalar_potential_residuals,
     second_time_gradient,
+    second_time_gradients,
     source_current,
     sourced_massless_residual,
+    sourced_massless_residuals,
     spacetime_gradient,
+    spacetime_gradients,
 )
 from fermion5d.fields import METRIC_SIGNS, AnalyticField, ConstantField
 from fermion5d.spinor import cylinder_check
@@ -38,6 +43,22 @@ E012 = e(CL32, 0, 1, 2)
 
 def sample_points(rng, count=5, scale=0.5):
     return rng.uniform(-scale, scale, size=(count, 5))
+
+
+def nan_except_at(field, point):
+    """``field`` with NaN values and partials everywhere but at ``point``.
+
+    The first sample stays finite, so a reduction that drops NaN (Python's
+    ``max(0.0, nan)`` is 0.0) would read the field as finite.
+    """
+
+    def poison(mv, pt):
+        return mv if np.array_equal(pt, point) else mv * math.nan
+
+    return AnalyticField(
+        lambda pt: poison(field.value(pt), pt),
+        lambda axis, pt: poison(field.partial(axis, pt), pt),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +135,67 @@ def test_gradients_and_pair_residual_are_the_multivector_sums_bitwise(rng):
                     assert got.tobytes() == expected.coeffs.tobytes()
                     got = pair_residual(trail, lead, mass, x, "lower").coeffs
                     assert got.tobytes() == expected.coeffs.tobytes()
+
+
+def assert_rows_are_the_point_calls(batch, point_fn, points):
+    for n, x in enumerate(points):
+        got = point_fn(x)
+        expected = got.coeffs if isinstance(got, Multivector) else np.float64(got)
+        assert batch[n].tobytes() == expected.tobytes()
+
+
+def test_each_residual_is_its_batch_form_on_one_point(rng):
+    pts = sample_points(rng, count=4)
+    demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
+    ximinus = demo.derived_minus()
+    xi_plus, xi_minus = oscillating_source_pair()
+    current = SourceCurrent(xi_minus)
+    for field in oracle_fields(rng):
+        assert_rows_are_the_point_calls(
+            spacetime_gradients(field, pts), lambda x: spacetime_gradient(field, x), pts
+        )
+        assert_rows_are_the_point_calls(
+            second_time_gradients(field, pts), lambda x: second_time_gradient(field, x), pts
+        )
+    for sign in ("upper", "lower"):
+        assert_rows_are_the_point_calls(
+            pair_residuals(demo.xi_plus, ximinus, 1.0, pts, sign),
+            lambda x: pair_residual(demo.xi_plus, ximinus, 1.0, x, sign),
+            pts,
+        )
+    for form in (0, 1):
+        assert_rows_are_the_point_calls(
+            scalar_potential_residuals(demo, pts)[form],
+            lambda x: scalar_potential_residual(demo, x)[form],
+            pts,
+        )
+    assert_rows_are_the_point_calls(demo.eigen_residuals(pts), demo.eigen_residual, pts)
+    assert_rows_are_the_point_calls(
+        sourced_massless_residuals(xi_plus, current, pts),
+        lambda x: sourced_massless_residual(xi_plus, current, x),
+        pts,
+    )
+    assert_rows_are_the_point_calls(current.values(pts), current.value, pts)
+    assert_rows_are_the_point_calls(current.divergences(pts), current.divergence, pts)
+
+
+def test_grade_structure_error_is_the_batch_error_on_one_point(rng):
+    # d4 of this "minus" field lands on e12 for x0 < 0 and on e13 elsewhere
+    def partial(axis, pt):
+        if axis != 4:
+            return Multivector.zero()
+        return e(CL32, 1, 2) if pt[0] < 0 else e(CL32, 1, 3)
+
+    bogus = SourceCurrent(AnalyticField(lambda pt: pt[4] * partial(4, pt), partial))
+    pts = np.array([[-0.5, 0, 0, 0, 0], [0.5, 0, 0, 0, 0]], dtype=float)
+    for x, blades in zip(pts, (("e124",), ("e134",))):
+        for evaluate in (bogus.value, lambda x: bogus.values([x])):
+            with pytest.raises(GradeStructureError) as err:
+                evaluate(x)
+            assert err.value.blades == blades
+    with pytest.raises(GradeStructureError) as err:
+        bogus.values(pts)
+    assert err.value.blades == ("e124", "e134")  # every row's, ascending
 
 
 def test_pair_residual_sign_validation(rng):
@@ -223,6 +305,8 @@ def test_minus_constancy_ratio_cases(rng):
     _, xi_minus = oscillating_source_pair()
     assert minus_constancy_ratio(xi_minus, pts) == 0.0
     assert minus_constancy_ratio(random_minus_field(rng), pts) > MINUS_CONSTANCY_BOUND
+    # NaN partials past the first sample do not read as a constant minus half
+    assert minus_constancy_ratio(nan_except_at(xi_minus, pts[0]), pts) == math.inf
     with pytest.raises(ValueError):
         minus_constancy_ratio(ConstantField(e(CL32, 0, 4)), [])
 
@@ -240,6 +324,8 @@ def test_massless_consistency_detects_flatness(rng):
     assert cylinder_check(flat, pts, 1e-10)
     xi_plus, _ = oscillating_source_pair()
     assert not cylinder_check(xi_plus, pts, 1e-10)
+    # a NaN d4 past the first sample is not flat
+    assert not cylinder_check(nan_except_at(flat, pts[0]), pts, 1e-10)
     for field in (flat, xi_plus):
         for x in pts:
             assert second_time_gradient(field, x).inf_norm() == field.partial(4, x).inf_norm()
@@ -392,6 +478,9 @@ def test_source_current_factory_verifies_pairs(rng):
     # a mismatched plus half is rejected
     with pytest.raises(ValueError, match="sourced zero-mass"):
         source_current(xi_minus, ConstantField(Multivector.zero()), pts)
+    # so is one whose residual is NaN past the first sample
+    with pytest.raises(ValueError, match="sourced zero-mass"):
+        source_current(xi_minus, nan_except_at(xi_plus, pts[0]), pts)
     with pytest.raises(ValueError, match="sample points"):
         source_current(xi_minus, xi_plus)
     # without a plus half the factory only enforces the grade structure

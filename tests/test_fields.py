@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from fermion5d.algebra import CL32, e, random_multivector
-from fermion5d.beyond import oscillating_source_pair
+from fermion5d.beyond import (
+    ScalarPotentialDemo,
+    derived_minus_field,
+    oscillating_source_pair,
+    random_minus_field,
+)
 from fermion5d.fields import (
     AnalyticField,
     ConstantField,
@@ -57,6 +62,42 @@ def test_plane_wave_batch_matches_the_point_calls(rng):
         assert_batch_matches_points(field, points)
 
 
+def package_fields(rng):
+    """Every kind of field the package builds."""
+    fields = [hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0), random_minus_field(rng)]
+    for wave in plane_wave_fields():
+        fields += [wave, *sector_fields(wave)]
+    fields += oscillating_source_pair()
+    for s in (0.1, -0.25, 0.0):
+        demo = ScalarPotentialDemo(1.0, s, k_spatial=(0.2, -0.15, 0.1))
+        fields += [demo.xi_plus, demo.derived_minus(), demo.curvature]
+    fields.append(derived_minus_field(fields[-3], 1.0, step=0.01))
+    return fields
+
+
+def test_package_fields_batch_matches_the_point_calls(rng):
+    points = rng.uniform(-1.0, 1.0, size=(7, 5))
+    for field in package_fields(rng):
+        assert_batch_matches_points(field, points)
+
+
+def test_package_fields_never_loop_over_the_points(rng, monkeypatch):
+    # with the per-point methods refusing, a batch call that falls back to
+    # the PointwiseField loop raises
+    fields = package_fields(rng)
+
+    def refuse(*args):
+        raise AssertionError("a batch call evaluated point by point")
+
+    for cls in {type(field) for field in fields}:
+        monkeypatch.setattr(cls, "value", refuse)
+        monkeypatch.setattr(cls, "partial", refuse)
+    points = rng.uniform(-1.0, 1.0, size=(3, 5))
+    for field in fields:
+        assert field.values(points).shape == (3, CL32.n_blades)
+        assert field.partials(points).shape == (5, 3, CL32.n_blades)
+
+
 def test_sector_field_batch_matches_the_point_calls(rng):
     points = rng.uniform(-3.0, 3.0, size=(25, 5))
     for field in plane_wave_fields():
@@ -81,8 +122,6 @@ def test_fallback_fields_batch_matches_the_point_calls(rng):
         FiniteDifferenceField(value),
         ConstantField(e(CL32, 0, 1)),
         MappedField(base, lambda mv: idempotent_split(mv).plus),  # no array map
-        hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0),
-        *oscillating_source_pair(),
     ]
     for field in fields:
         assert_batch_matches_points(field, points)

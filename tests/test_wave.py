@@ -37,7 +37,6 @@ from fermion5d.wave import (
     hestenes_dirac_residuals,
     momentum_constraint_matrix,
     hestenes_plane_wave_field,
-    minkowski4_dot,
     momentum_vector,
     sector_fields,
     solve_hestenes_amplitude,
@@ -135,6 +134,22 @@ def test_solve_time_component_uses_the_two_time_metric():
         solve_time_component((0.0, 0.0, 0.0), 2.0, 1.0)
     with pytest.raises(ValueError):
         solve_time_component((1.0, 2.0), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300, 5e-324])
+def test_solve_time_component_survives_squares_that_underflow(scale):
+    # the plain sum of squares is 0 here; an exact power-of-two rescale is not
+    assert solve_time_component((3 * scale, 0.0, 0.0), 0.0, 4 * scale) == pytest.approx(
+        5 * scale, rel=1e-15, abs=0.0
+    )
+    with pytest.raises(ValueError, match="no real frequency"):
+        solve_time_component((scale, 0.0, 0.0), 2 * scale, 0.0)
+
+
+def test_solve_time_component_keeps_the_plain_sum_where_squares_are_normal():
+    # hypot would differ by an ulp here; only underflowing inputs are rescaled
+    for x in (1e-150, 1.5e-154):
+        assert solve_time_component((x, 0.0, 0.0), 0.0, x) == math.sqrt(x * x + x * x)
 
 
 def test_amplitude_space_dimension_on_and_off_shell():
@@ -272,18 +287,16 @@ def test_reduction_with_a_constant_electric_potential(rng):
     mass, charge, a0 = 1.0, 0.25, 0.6
     k_free = np.array([math.sqrt(1.0 + 0.09), 0.3, 0.0, 0.0])
     amp = solve_hestenes_amplitude(k_free, mass)[0]
-    k_shifted = k_free + np.array([charge * a0, 0.0, 0.0, 0.0])
+    k_shifted = np.array([*(k_free + [charge * a0, 0.0, 0.0, 0.0]), 0.0])
     amp_g = amp * e(CL32, 1, 2)
 
     def value(pt):
-        th = minkowski4_dot(k_shifted, pt[:4])
+        th = minkowski_dot(k_shifted, pt)
         return amp * math.cos(th) + amp_g * math.sin(th)
 
     def partial(axis, pt):
-        if axis == 4:
-            return Multivector.zero()
-        k_low = [-k_shifted[0], *k_shifted[1:]]
-        th = minkowski4_dot(k_shifted, pt[:4])
+        k_low = METRIC_SIGNS * k_shifted
+        th = minkowski_dot(k_shifted, pt)
         return (amp * -math.sin(th) + amp_g * math.cos(th)) * float(k_low[axis])
 
     field = AnalyticField(value, partial)
@@ -345,13 +358,6 @@ def test_hestenes_plane_wave_is_flat_and_solves_the_reduced_equation(rng):
     for x in sample_points(rng, count=4):
         assert field.partial(4, x) == Multivector.zero()
         assert hestenes_dirac_residual(field, 1.3, x).inf_norm() < 1e-12
-
-
-def test_minkowski4_dot_signature():
-    assert minkowski4_dot([1, 0, 0, 0], [1, 0, 0, 0]) == -1.0
-    assert minkowski4_dot([0, 2, 0, 0], [0, 3, 0, 0]) == 6.0
-    with pytest.raises(ValueError):
-        minkowski4_dot([1, 0, 0], [1, 0, 0])
 
 
 # ---------------------------------------------------------------------------
