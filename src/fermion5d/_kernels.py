@@ -14,7 +14,12 @@ so that ``out[k] = sum_i a[i] * S[i, k] * b[X[i, k]]``.  Everything downstream
 ``gp`` also takes leading batch axes: operands of shape ``(..., n)`` give the
 products row by row, each row bit-for-bit equal to the product of that row
 alone, so a batch of random samples costs one gather instead of one call per
-sample.
+sample.  The batch gathers with ``b.take(X, axis=-1)``, which returns the
+``(..., n, n)`` terms in C order.  Fancy indexing ``b[..., X]`` gives the same
+values with the batch axis innermost (strides ``(8, 16384, 512)`` for a
+``(64, 32)`` batch), and multiplying that layout by ``a[..., None]`` took
+about 360 of the 450 microseconds of a ``(64, 32)`` product; with ``take``
+the whole product takes about 265.
 
 ``gp`` is bit-for-bit equal to the plain accumulation loop ``gp_reference``
 on finite inputs: both start from +0.0 and add the terms of each output slot
@@ -67,9 +72,9 @@ def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             row *= a[i]
             row += 0.0
             return row
-        terms = b[xor]  # the plain gather: indexing with ``...`` costs more
+        terms = b[xor]  # one C-ordered (n, n) gather
     else:
-        terms = b[..., xor]
+        terms = b.take(xor, axis=-1)  # C order: ``b[..., xor]`` puts the batch axis innermost
     terms *= signs
     terms *= a[..., None]
     return terms.sum(-2, initial=0.0)

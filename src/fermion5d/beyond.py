@@ -322,6 +322,12 @@ class _CentralDifferenceField(ArrayField):
     def partials(self, points) -> np.ndarray:
         return np.stack([self.difference(points, axis) for axis in range(5)])
 
+    def partial(self, axis, x):
+        # one difference, not all five: two calls of ``values_fn``
+        if not 0 <= axis <= 4:
+            raise ValueError(f"axis must be 0..4, got {axis}")
+        return Multivector(self.difference([as_point(x)], axis)[0])
+
 
 def derived_minus_field(
     xi_plus: Field5, mass: float, step: float = DEMO_GRID_SPACING

@@ -73,24 +73,28 @@ from .coulomb import (
     spectroscopic_label,
     quantum_numbers,
 )
-from .fields import PhaseField, random_points
+from .fields import PhaseField, minkowski_dot, random_points
 from .report import Check, ReportDocument, make_check, rows_to_csv
 from .spinor import idempotent_split_coeffs, pm_split_coeffs
 from .wave import (
     GammaChoice,
     GammaRejectionError,
     build_plane_wave,
+    build_plane_waves,
     dirac5_residuals,
     gamma_classify,
     hestenes_dirac_residuals,
+    plane_wave_field,
     sector_fields,
 )
 
 _E34 = e(CL32, 3, 4)
 _RIGHT_E012 = BladeOperator.right(e(CL32, 0, 1, 2))
 #: Associativity trials per batch.  A (64, 32, 32) float64 gather is 512 KB,
-#: so the peak memory of ``verify`` does not grow with ``--trials``; larger
-#: batches were no faster and one of 1000 trials adds about 8 MB.
+#: so the peak memory of ``verify`` does not grow with ``--trials``.  With
+#: the C-ordered gather, 1000 trials took 20-21 ms at 64 and at 128 per
+#: batch, 21-24 ms at 16 and 32, and 21 ms at 256, whose gathers peak at
+#: 2.5 MB against 0.7 MB at 64.
 _TRIAL_CHUNK = 64
 #: Largest ``spectrum --max-n``: one orbital letter per l = 0 .. n - 1.
 MAX_N = len(ANGULAR_LETTERS)
@@ -288,18 +292,27 @@ def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
 
 
 def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
+    """The 4D reduction of random flat plane waves, checked as one batch.
+
+    Each phase bivector's waves are built together (one SVD for all their
+    amplitudes) and checked at the same three points as one
+    :class:`PhaseField` of ``waves x points`` rows.
+    """
     n_waves = max(1, min(trials, 25))
     reductions, dispersions = [], []
     pts = random_points(rng, 3, scale=0.5)
-    for _ in range(n_waves):
-        k_spatial = rng.uniform(-1.0, 1.0, size=3)
-        mass = float(rng.uniform(0.5, 1.5))
-        for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
-            wave = build_plane_wave(k_spatial, 0.0, mass, gamma)
-            dispersions.append(wave.dispersion_residual())
-            for half in sector_fields(wave.field()):
-                res = hestenes_dirac_residuals(half, mass, pts)
-                reductions.append(np.abs(res).max())
+    draws = [(rng.uniform(-1.0, 1.0, size=3), float(rng.uniform(0.5, 1.5))) for _ in range(n_waves)]
+    k_spatial = np.array([k for k, _ in draws])
+    masses = np.array([m for _, m in draws])
+    # row w * len(pts) + p pairs wave w with point p
+    waves = np.repeat(np.arange(n_waves), len(pts))
+    points = np.tile(pts, (n_waves, 1))
+    for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
+        k, amps = build_plane_waves(k_spatial, 0.0, masses, gamma)
+        dispersions += [abs(minkowski_dot(kk, kk) + m**2) for kk, (_, m) in zip(k, draws)]
+        for half in sector_fields(plane_wave_field(k[waves], amps[waves], gamma)):
+            res = hestenes_dirac_residuals(half, masses[waves], points)
+            reductions.append(np.abs(res).max())
     checks = [
         make_check("plane-wave-reduction", "reduction", _worst(reductions), 1e-10),
         make_check("plane-wave-dispersion", "dispersion", _worst(dispersions), 1e-10),

@@ -201,21 +201,31 @@ class ArrayField:
 class PhaseField(ArrayField):
     """``A cos(k.x) + B sin(k.x)`` with constant ``A``, ``B`` and lower-index ``k``.
 
-    Each phase is ``np.dot`` of ``k`` with one point and goes through
-    ``math.cos`` and ``math.sin``, so every point's value is independent of
-    the batch it is evaluated in (a matrix-vector product can round the
-    phases differently).
+    ``A``, ``B`` and ``k`` are one row each, or ``N`` rows ``(N, 32)`` and
+    ``(N, 5)`` paired with the rows of an ``(N, 5)`` point array, so that
+    ``N`` waves at one point each are one field.  Each phase is ``np.dot``
+    of a ``k`` with one point and goes through ``math.cos`` and
+    ``math.sin``, so every point's value is independent of the batch it is
+    evaluated in (a matrix-vector product can round the phases differently).
     """
 
-    def __init__(self, cos_amp, sin_amp, k_low: Sequence[float]):
+    def __init__(self, cos_amp, sin_amp, k_low):
         # the amplitudes are multivectors or their coefficient rows
         self._cos_amp = np.asarray(getattr(cos_amp, "coeffs", cos_amp), dtype=np.float64)
         self._sin_amp = np.asarray(getattr(sin_amp, "coeffs", sin_amp), dtype=np.float64)
-        self._k_low = as_point(k_low).copy()
+        self._k_low = np.array(k_low, dtype=np.float64)
+        if self._k_low.shape[-1:] != (5,) or self._k_low.ndim > 2:
+            raise ValueError(f"k must have shape (5,) or (N, 5), got {self._k_low.shape}")
         self._k_low.setflags(write=False)
 
     def _cos_sin(self, points) -> tuple[np.ndarray, np.ndarray]:
-        phases = [float(np.dot(self._k_low, x)) for x in as_points(points)]
+        pts = as_points(points)
+        ks = self._k_low
+        if ks.ndim == 1:
+            ks = [ks] * len(pts)
+        elif len(ks) != len(pts):
+            raise ValueError(f"{len(ks)} rows of k cannot pair with {len(pts)} points")
+        phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
         cos = np.array([math.cos(th) for th in phases]).reshape(-1, 1)
         sin = np.array([math.sin(th) for th in phases]).reshape(-1, 1)
         return cos, sin
@@ -226,7 +236,9 @@ class PhaseField(ArrayField):
 
     def partials(self, points) -> np.ndarray:
         cos, sin = self._cos_sin(points)
-        return self._k_low[:, None, None] * (self._cos_amp * (-sin) + self._sin_amp * cos)
+        # (5, 1, 1) for one k, (5, N, 1) for one k per point
+        k = self._k_low.T.reshape(5, -1, 1)
+        return k * (self._cos_amp * (-sin) + self._sin_amp * cos)
 
 
 def sample_grid(center: Sequence[float], half_extent: float, points_per_axis: int) -> np.ndarray:

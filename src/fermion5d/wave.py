@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .algebra import (
     CL32,
     BladeOperator,
@@ -27,6 +28,7 @@ from .algebra import (
     linear_map_matrix,
     nullspace,
     pseudoscalar,
+    tables,
 )
 from .fields import (
     METRIC_SIGNS,
@@ -171,14 +173,30 @@ def gamma_classify(candidate: Multivector) -> GammaChoice:
 
 def momentum_vector(k: Sequence[float]) -> Multivector:
     """The grade-1 multivector ``k^A e_A`` from contravariant components."""
-    coeffs = np.zeros(CL32.n_blades)
-    coeffs[[1 << a for a in range(5)]] = as_point(k) + 0.0  # -0.0 becomes 0.0
-    return Multivector(coeffs, CL32)
+    return Multivector(_momentum_rows(as_point(k)), CL32)
 
 
-def _require_finite(k: np.ndarray, mass: float) -> None:
-    if not (np.all(np.isfinite(k)) and math.isfinite(mass)):
+def _momentum_rows(k: np.ndarray) -> np.ndarray:
+    """``k^A e_A`` as coefficient rows ``(..., 32)`` of momenta ``(..., 5)``."""
+    coeffs = np.zeros((*k.shape[:-1], CL32.n_blades))
+    coeffs[..., [1 << a for a in range(5)]] = k + 0.0  # -0.0 becomes 0.0
+    return coeffs
+
+
+def _require_finite(k: np.ndarray, mass) -> None:
+    if not (np.isfinite(k).all() and np.isfinite(mass).all()):
         raise ValueError("momentum and mass must be finite")
+
+
+@lru_cache(maxsize=8)  # keyed by phase bivector; mixtures could grow it without bound
+def _times_gamma(gamma: GammaChoice):
+    """``x -> x gamma`` on coefficient rows ``(..., 32)``, bit for bit the
+    multivector product: a signed gather when ``gamma`` is one blade."""
+    gmv = gamma.as_multivector()
+    if np.count_nonzero(gmv.coeffs) == 1:
+        return BladeOperator.right(gmv)
+    sign = tables(CL32).sign
+    return lambda x: _kernels.gp(sign, x, np.broadcast_to(gmv.coeffs, x.shape))
 
 
 @lru_cache(maxsize=8)  # keyed by phase bivector; mixtures could grow it without bound
@@ -199,27 +217,82 @@ def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray] | No
     return vec, pseudo
 
 
-def momentum_constraint_matrix(k: Sequence[float], mass: float, gamma: GammaChoice) -> np.ndarray:
+def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
     """Matrix (32 x 16) of ``amp -> K amp gamma + m E amp`` on the even basis.
 
-    Each entry of ``K amp gamma`` is a single signed ``k^A``, so the sum of the
-    precomputed blocks is exactly the product that it replaces.
+    ``k`` is one momentum ``(5,)`` or ``N`` of them ``(N, 5)``, with one
+    mass or ``N``; ``N`` momenta give an ``(N, 32, 16)`` stack, each matrix
+    bit for bit the one of its momentum alone.  Each entry of
+    ``K amp gamma`` is a single signed ``k^A``, so the sum of the
+    precomputed blocks is exactly the product that it replaces (and the
+    order of the at most two terms of an entry does not matter).
     """
-    k = as_point(k)
+    k, mass = np.asarray(k, dtype=np.float64), np.asarray(mass, dtype=np.float64)
+    if k.ndim not in (1, 2) or k.shape[-1] != 5:
+        raise ValueError(f"momenta must have shape (5,) or (N, 5), got {k.shape}")
     _require_finite(k, mass)
     blocks = _constraint_blocks(gamma)
     if blocks is None:
-        kvec = momentum_vector(k)
         gmv = gamma.as_multivector()
-        return linear_map_matrix(
-            lambda mv: kvec * mv * gmv + mass * (_PSEUDO * mv), CL32, even_masks(CL32)
-        )
+        masses = np.broadcast_to(mass, k.shape[:-1]).reshape(-1)
+        mats = [
+            linear_map_matrix(
+                lambda mv: kvec * mv * gmv + float(m) * (_PSEUDO * mv), CL32, even_masks(CL32)
+            )
+            for kvec, m in zip(map(momentum_vector, k.reshape(-1, 5)), masses)
+        ]
+        return np.reshape(mats, (*k.shape[:-1], CL32.n_blades, len(even_masks(CL32))))
     vec, pseudo = blocks
-    mat = float(mass) * pseudo
-    for a in range(5):
-        mat += float(k[a]) * vec[a]
+    mat = k[..., 0, None, None] * vec[0]
+    for a in range(1, 5):
+        mat += k[..., a, None, None] * vec[a]
+    mat += mass[..., None, None] * pseudo
     mat += 0.0
     return mat
+
+
+def plane_wave_amplitudes(k, mass, gamma: GammaChoice) -> np.ndarray:
+    """The first null direction of each momentum's constraint, as ``(N, 32)`` rows.
+
+    ``k`` holds ``N`` momenta ``(N, 5)`` with one mass or ``N``.  One SVD
+    of the stack of constraint matrices gives every amplitude: the right
+    singular vector of the first singular value at most 1e-10 times the
+    largest, as in :func:`~fermion5d.algebra.nullspace`, whose first column
+    each row equals bit for bit.  Raises when a momentum has none.
+    """
+    gamma.require_admissible()
+    mats = momentum_constraint_matrix(k, mass, gamma)
+    if mats.ndim != 3:
+        raise ValueError("momenta must have shape (N, 5)")
+    _, s, vt = np.linalg.svd(mats)
+    null = s <= 1e-10 * s[:, :1]
+    if not null[:, -1].all():  # s descends: the last value is the smallest
+        raise ValueError("momentum constraint has no nontrivial amplitude")
+    rows = vt[np.arange(len(vt)), null.argmax(axis=1)]
+    if not s[:, 0].all():  # a zero matrix: every direction is null, take the first
+        rows[s[:, 0] == 0.0] = np.eye(vt.shape[-1])[0]
+    amps = np.zeros((len(rows), CL32.n_blades))
+    amps[:, list(even_masks(CL32))] = rows
+    return amps
+
+
+def constraint_residuals(k, amplitudes, mass, gamma: GammaChoice) -> np.ndarray:
+    """``|K amp gamma + m E amp|`` (largest coefficient) per row.
+
+    ``k`` ``(N, 5)``, ``amplitudes`` ``(N, 32)`` and one mass or ``N`` (or
+    one row of each); each value equals the multivector products of its row
+    alone.
+    """
+    k = np.asarray(k, dtype=np.float64)
+    lhs = _times_gamma(gamma)(_kernels.gp(tables(CL32).sign, _momentum_rows(k), amplitudes))
+    lhs += np.asarray(mass, dtype=np.float64)[..., None] * _LEFT_PSEUDO(amplitudes)
+    return np.abs(lhs).max(axis=-1)
+
+
+def _require_constraint(k, amplitudes, mass, gamma: GammaChoice) -> None:
+    err = float(np.max(constraint_residuals(k, amplitudes, mass, gamma)))
+    if err > 1e-8:
+        raise ValueError(f"amplitude violates the momentum constraint by {err:.3e}")
 
 
 def solve_momentum_constraint(
@@ -229,13 +302,9 @@ def solve_momentum_constraint(
 
     Dimension 8 on the mass shell ``k.k = -m^2``, zero off it.
     """
-    basis = _constraint_nullspace(k, mass, gamma)
-    return [from_even_coeffs(basis[:, i]) for i in range(basis.shape[1])]
-
-
-def _constraint_nullspace(k: Sequence[float], mass: float, gamma: GammaChoice) -> np.ndarray:
     gamma.require_admissible()
-    return nullspace(momentum_constraint_matrix(k, mass, gamma))
+    basis = nullspace(momentum_constraint_matrix(k, mass, gamma))
+    return [from_even_coeffs(basis[:, i]) for i in range(basis.shape[1])]
 
 
 def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> float:
@@ -261,7 +330,8 @@ def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> 
             f"{math.ldexp(disc, -2 * shift):.6g} is negative"
         )
     if not math.isfinite(disc):
-        raise ValueError("the frequency overflows: |k|^2 + m^2 - (k^4)^2 is not finite")
+        terms = "|k|^2 + m^2" + (" - (k^4)^2" if k4 else "")
+        raise ValueError(f"the frequency overflows: {terms} is not finite")
     return math.ldexp(math.sqrt(disc), -shift)
 
 
@@ -279,22 +349,52 @@ class PlaneWave:
         self.k.setflags(write=False)
         if not self.amplitude.is_even:
             raise ValueError("plane-wave amplitude must be even")
-        err = self.constraint_residual()
-        if err > 1e-8:
-            raise ValueError(f"amplitude violates the momentum constraint by {err:.3e}")
+        _require_constraint(self.k, self.amplitude.coeffs, self.mass, self.gamma)
 
     def constraint_residual(self) -> float:
-        kvec = momentum_vector(self.k)
-        gmv = self.gamma.as_multivector()
-        return (kvec * self.amplitude * gmv + self.mass * (_PSEUDO * self.amplitude)).inf_norm()
+        return float(constraint_residuals(self.k, self.amplitude.coeffs, self.mass, self.gamma))
 
     def dispersion_residual(self) -> float:
         """|k.k + m^2| — zero on the mass shell."""
         return abs(minkowski_dot(self.k, self.k) + self.mass**2)
 
     def field(self) -> PhaseField:
-        amp = self.amplitude
-        return PhaseField(amp, amp * self.gamma.as_multivector(), METRIC_SIGNS * self.k)
+        return plane_wave_field(self.k, self.amplitude.coeffs, self.gamma)
+
+
+def plane_wave_field(k, amplitudes, gamma: GammaChoice) -> PhaseField:
+    """``amp (cos(k.x) + gamma sin(k.x))`` as a field.
+
+    One momentum ``(5,)`` and amplitude ``(32,)``, or ``N`` of each paired
+    with the rows of an ``(N, 5)`` point array (see :class:`PhaseField`).
+    """
+    return PhaseField(amplitudes, _times_gamma(gamma)(amplitudes), METRIC_SIGNS * k)
+
+
+def _on_shell(k_spatial, k4, mass) -> np.ndarray:
+    """Momenta ``(N, 5)`` of spatial momenta ``(N, 3)`` (or ``(5,)`` of
+    ``(3,)``) and one or ``N`` each of k4 and mass, k^0 solved row by row."""
+    k_spatial = np.asarray(k_spatial, dtype=np.float64)
+    rows = k_spatial.reshape(-1, k_spatial.shape[-1])
+    k4, mass = ([v] * len(rows) if np.ndim(v) == 0 else v for v in (k4, mass))
+    k0 = [solve_time_component(ks, q, m) for ks, q, m in zip(rows, k4, mass)]
+    k = np.empty((len(rows), 5))
+    k[:, 0], k[:, 1:4], k[:, 4] = k0, rows, k4
+    return k.reshape(*k_spatial.shape[:-1], 5)
+
+
+def build_plane_waves(k_spatial, k4, mass, gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta ``(N, 5)`` and amplitudes ``(N, 32)`` of ``N`` plane waves.
+
+    ``k_spatial`` is ``(N, 3)`` with ``N`` (or one) ``k4`` and masses.
+    Solves each k^0, takes every first null-space amplitude from one SVD
+    (:func:`plane_wave_amplitudes`) and checks the momentum constraint on
+    every row, as :class:`PlaneWave` does for one wave.
+    """
+    k = _on_shell(k_spatial, k4, mass)
+    amps = plane_wave_amplitudes(k, mass, gamma)
+    _require_constraint(k, amps, mass, gamma)
+    return k, amps
 
 
 def build_plane_wave(
@@ -304,14 +404,14 @@ def build_plane_wave(
     gamma: GammaChoice,
     amplitude: Multivector | None = None,
 ) -> PlaneWave:
-    """Solve k^0 and, if not supplied, pick the first null-space amplitude."""
-    k0 = solve_time_component(k_spatial, k4, mass)
-    k = np.array([k0, *np.asarray(k_spatial, dtype=np.float64), k4])
+    """Solve k^0 and, if not supplied, pick the first null-space amplitude.
+
+    The batch of :func:`build_plane_waves` on one wave; :class:`PlaneWave`
+    checks the constraint.
+    """
+    k = _on_shell(k_spatial, k4, mass)
     if amplitude is None:
-        basis = _constraint_nullspace(k, mass, gamma)
-        if not basis.shape[1]:
-            raise ValueError("momentum constraint has no nontrivial amplitude")
-        amplitude = from_even_coeffs(basis[:, 0])
+        amplitude = Multivector(plane_wave_amplitudes(k[None], mass, gamma)[0], CL32)
     return PlaneWave(amplitude=amplitude, k=k, gamma=gamma, mass=mass)
 
 
@@ -410,11 +510,12 @@ def hestenes_dirac_residual(
     return Multivector(_hestenes_sum(values, partials, mass, coupling)[0])
 
 
-def hestenes_dirac_residuals(field: Field5, mass: float, points) -> np.ndarray:
+def hestenes_dirac_residuals(field: Field5, mass, points) -> np.ndarray:
     """Free-case :func:`hestenes_dirac_residual` at every row of ``points``.
 
-    Raises when the field is not flat along the second time axis (to
-    :data:`CYLINDER_TOLERANCE`) at any of the points.
+    ``mass`` is one mass or one per point.  Raises when the field is not
+    flat along the second time axis (to :data:`CYLINDER_TOLERANCE`) at any
+    of the points.
     """
     values, partials = _flat_samples(field, points)
     return _hestenes_sum(values, partials, mass)
@@ -435,7 +536,7 @@ def _flat_samples(field: Field5, points):
 
 def _hestenes_sum(values, partials, mass, coupling=None) -> np.ndarray:
     """``-m phi e012 [- coupling] + sum_mu e_mu d^mu phi``, in that order."""
-    res = _RIGHT_E012(values) * float(-mass)
+    res = _RIGHT_E012(values) * -np.asarray(mass, dtype=np.float64)[..., None]
     if coupling is not None:
         res -= coupling
     return add_gradient(res, partials, range(4))
@@ -506,10 +607,7 @@ def hestenes_plane_wave_field(
 ) -> PhaseField:
     """4D Dirac plane wave as a five-coordinate field flat along the last axis."""
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        k0 = math.sqrt(float(k_spatial @ k_spatial) + mass * mass)
-    if not math.isfinite(k0):
-        raise ValueError("the frequency overflows: |k|^2 + m^2 is not finite")
+    k0 = solve_time_component(k_spatial, 0.0, mass)
     k4 = np.array([k0, *k_spatial])
     if amplitude is None:
         basis = solve_hestenes_amplitude(k4, mass)

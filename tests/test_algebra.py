@@ -457,6 +457,20 @@ def test_batched_kernel_equals_the_reference_row_by_row(shape, signature, table,
         assert row.tobytes() == _kernels.gp_reference(sign, x, y).tobytes()
 
 
+@pytest.mark.parametrize("table", ["sign", "wedge_sign"])
+def test_batched_kernel_on_strided_views_equals_the_reference(table, rng):
+    # the associativity check passes ``np.moveaxis`` views of one
+    # (n, 3, 32) draw: neither operand is contiguous
+    sign = getattr(tables(CL32), table)
+    x, y, z = np.moveaxis(rng.uniform(-1, 1, (40, 3, CL32.n_blades)), 1, 0)
+    assert not (x.flags.c_contiguous or y.flags.c_contiguous)
+    for left, right in ((x, y), (_kernels.gp(sign, x, y), z), (x, _kernels.gp(sign, y, z))):
+        got = _kernels.gp(sign, left, right)
+        assert got.flags.c_contiguous
+        for row, a, b in zip(got, left, right):
+            assert row.tobytes() == _kernels.gp_reference(sign, a, b).tobytes()
+
+
 def test_gather_index_rows_are_permutations():
     xor, _ = _kernels._gather_tables(tables(CL32).sign)
     for i in range(32):

@@ -292,6 +292,35 @@ def test_finite_difference_minus_matches_the_analytic_one(rng):
             assert delta.inf_norm() < 1e-4  # central differences, O(step^2)
 
 
+def test_finite_difference_partial_differences_only_its_axis(rng, monkeypatch):
+    # one axis is two evaluations of the plus half's gradient, not ten
+    from fermion5d import beyond
+
+    demo = ScalarPotentialDemo(1.0, 0.1)
+    numeric = derived_minus_field(demo.xi_plus, 1.0, step=0.01)
+    x = sample_points(rng, count=1)[0]
+    every_axis = numeric.partials([x])
+    gradients, calls = beyond.second_time_gradients, []
+
+    def counting(field, points):
+        calls.append(len(points))
+        return gradients(field, points)
+
+    monkeypatch.setattr(beyond, "second_time_gradients", counting)
+    for axis in range(5):
+        calls.clear()
+        assert numeric.partial(axis, x).coeffs.tobytes() == every_axis[axis, 0].tobytes()
+        assert calls == [1, 1]
+    with pytest.raises(ValueError, match="axis"):
+        numeric.partial(5, x)
+
+
+def test_scalar_demo_builds_when_the_squares_underflow():
+    # k0 = sqrt(|k|^2 + m^2) computed directly is 0 here and has no amplitude
+    demo = ScalarPotentialDemo(1e-300, 0.0, k_spatial=(1e-300, 0.0, 0.0))
+    assert np.any(demo.carrier.values([np.zeros(5)]))
+
+
 def test_finite_difference_minus_requires_mass():
     with pytest.raises(ValueError, match="non-zero mass"):
         derived_minus_field(ConstantField(e(CL32, 0, 1)), 0.0)

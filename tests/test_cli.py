@@ -129,8 +129,35 @@ def test_verify_builds_few_multivectors_and_kernel_calls(capsys, monkeypatch):
     counts = warm_construction_counts(argv, capsys, monkeypatch)
     assert 5 * counts["multivectors"] <= 13_105, counts
     assert 5 * counts["kernel_calls"] <= 5_402, counts
-    # the second-time demos run on arrays too; they built 446 of the 1,650
-    assert counts["multivectors"] <= 1_300, counts
+    # the second-time demos run on arrays too; they built 446 of the 1,650.
+    # The plane waves are one batch per phase bivector: 1,210 multivectors
+    # and 598 kernel calls per request before, 666 and 352 after.
+    assert counts["multivectors"] <= 700, counts
+    assert counts["kernel_calls"] <= 370, counts
+
+
+@pytest.mark.parametrize("trials", [1, 25, 1000])
+def test_plane_wave_checks_make_one_svd_per_phase_bivector(trials, capsys, monkeypatch):
+    # every amplitude of one phase bivector's waves comes from one SVD of
+    # the stack; one per wave made 50 calls from 25 trials on
+    svd, wave_checks, calls, inside = np.linalg.svd, cli._wave_checks, [], []
+
+    def counting_svd(*args, **kwargs):
+        calls.extend(inside)
+        return svd(*args, **kwargs)
+
+    def counted_wave_checks(rng, trials):
+        inside.append(1)
+        try:
+            return wave_checks(rng, trials)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(cli, "_wave_checks", counted_wave_checks)
+    argv = ["verify", "--seed", "4", "--trials", str(trials), "--format", "json"]
+    assert run_cli(argv, capsys)[0] == 0
+    assert 1 <= len(calls) <= 2, calls
 
 
 @pytest.mark.parametrize("demo, before", [("scalar", 1_125), ("sources", 1_180)])

@@ -3,9 +3,10 @@
 The files under ``tests/golden/`` were written by the CLI before the
 gradient, pair-equation and operator-matrix code was merged into shared
 helpers, the two ``verify`` cases with ``--trials`` before the verify
-checks ran on batched coefficient arrays, and the three spectrum cases at
+checks ran on batched coefficient arrays, the three spectrum cases at
 Z = 92, Z = 37 and alpha = 1e-6 before the radial recurrence was inverted in
-one batched call; a refactor that changes any output bit fails here.  To add a case,
+one batched call, and the two at the plane-wave cap (``--trials`` 25 and 26)
+before the plane waves were built and checked as one batch; a refactor that changes any output bit fails here.  To add a case,
 run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
 build and add a row below.
 """
@@ -33,6 +34,15 @@ CASES = {
     ),
     "verify_seed5_trials1_json": (
         ["verify", "--seed", "5", "--trials", "1", "--format", "json"],
+        0,
+    ),
+    # 25 plane waves per phase bivector is the cap: 26 trials build no more
+    "verify_seed3_trials25_json": (
+        ["verify", "--seed", "3", "--trials", "25", "--format", "json"],
+        0,
+    ),
+    "verify_seed3_trials26_json": (
+        ["verify", "--seed", "3", "--trials", "26", "--format", "json"],
         0,
     ),
     "spectrum_json": (["spectrum", "--format", "json"], 0),

@@ -29,6 +29,8 @@ from fermion5d.wave import (
     NO_E4_EVEN_MASKS,
     PlaneWave,
     build_plane_wave,
+    build_plane_waves,
+    constraint_residuals,
     dirac5_potential_residual,
     dirac5_residual,
     dirac5_residuals,
@@ -38,6 +40,8 @@ from fermion5d.wave import (
     momentum_constraint_matrix,
     hestenes_plane_wave_field,
     momentum_vector,
+    plane_wave_amplitudes,
+    plane_wave_field,
     sector_fields,
     solve_hestenes_amplitude,
     solve_momentum_constraint,
@@ -507,3 +511,114 @@ def test_non_finite_momentum_is_rejected():
         hestenes_plane_wave_field((0.1, 0.0, 0.0), 1e300)
     with pytest.raises(ValueError, match="overflows"):
         build_plane_wave((1e200, 0.0, 0.0), 0.0, 1.0, GammaChoice.e12())
+
+
+# ---------------------------------------------------------------------------
+# plane waves as one batch
+# ---------------------------------------------------------------------------
+
+
+def momentum_grid():
+    """Spatial momenta, k4 and masses over a grid, the rest frame included."""
+    axis = (-1.0, -0.3, 0.0, 0.45, 1.0)
+    k_spatial = np.array([(a, b, c) for a in axis for b in axis for c in axis])
+    rows = [(ks, k4, m) for ks in k_spatial for k4, m in ((0.0, 0.5), (0.0, 1.5), (0.3, 1.0))]
+    rows += [(np.zeros(3), 0.0, 0.0), (np.array([0.6, 0.0, -0.8]), 0.0, 0.0)]  # massless
+    k_spatial, k4, masses = (np.array(col) for col in zip(*rows))
+    return k_spatial, k4, masses
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_batch_amplitudes_equal_the_per_wave_ones_bitwise(gamma):
+    k_spatial, k4, masses = momentum_grid()
+    k, amps = build_plane_waves(k_spatial, k4, masses, gamma)
+    assert amps.shape == (len(masses), CL32.n_blades)
+    for i, m in enumerate(masses):
+        wave = build_plane_wave(k_spatial[i], k4[i], m, gamma)
+        assert k[i].tobytes() == wave.k.tobytes()
+        assert amps[i].tobytes() == wave.amplitude.coeffs.tobytes()
+        first = solve_momentum_constraint(k[i], m, gamma)[0]
+        assert amps[i].tobytes() == first.coeffs.tobytes()
+    # the zero matrix of the massless rest frame: every direction is null
+    assert amps[-2].tobytes() == Multivector.scalar(1.0).coeffs.tobytes()
+
+
+def test_constraint_matrix_stack_equals_the_matrix_of_each_row(rng):
+    k = rng.uniform(-2, 2, size=(6, 5))
+    masses = rng.uniform(0, 2, size=6)
+    for gamma in (*BOTH_GAMMAS, GammaChoice.superposition(math.pi / 2)):
+        stack = momentum_constraint_matrix(k, masses, gamma)
+        assert stack.shape == (6, 32, 16)
+        for row, m, mat in zip(k, masses, stack):
+            assert mat.tobytes() == momentum_constraint_matrix(row, float(m), gamma).tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        momentum_constraint_matrix(np.zeros((2, 4)), 1.0, GammaChoice.e12())
+
+
+def test_batch_constraint_residuals_equal_the_product_formula(rng):
+    # every row of the batch post-check is the multivector products of that
+    # row alone, also for amplitudes that miss the constraint
+    pseudo = pseudoscalar(CL32)
+    k_spatial, k4, masses = momentum_grid()
+    for gamma in BOTH_GAMMAS:
+        k, amps = build_plane_waves(k_spatial, k4, masses, gamma)
+        amps[::3] += np.where(amps[::3] != 0.0, rng.uniform(-1e-3, 1e-3, amps[::3].shape), 0.0)
+        got = constraint_residuals(k, amps, masses, gamma)
+        for kk, amp, m, value in zip(k, amps, masses, got):
+            amp = Multivector(amp)
+            lhs = momentum_vector(kk) * amp * gamma.as_multivector() + float(m) * (pseudo * amp)
+            assert value == lhs.inf_norm()
+        assert np.max(got[::3]) > 1e-8 and np.max(got[1::3]) < 1e-10
+
+
+def test_batch_build_runs_the_constraint_check_on_every_row(monkeypatch):
+    # a row that misses the constraint fails the whole batch
+    from fermion5d import wave
+
+    amplitudes = wave.plane_wave_amplitudes
+
+    def one_bad_row(k, mass, gamma):
+        amps = amplitudes(k, mass, gamma)
+        amps[-1] *= 1.0 + 1e-6
+        amps[-1, 0] += 1e-3
+        return amps
+
+    monkeypatch.setattr(wave, "plane_wave_amplitudes", one_bad_row)
+    k_spatial = np.array([[0.1, 0.2, 0.3], [0.4, -0.2, 0.0], [-0.5, 0.0, 0.7]])
+    with pytest.raises(ValueError, match="violates the momentum constraint"):
+        build_plane_waves(k_spatial, 0.0, [1.0, 1.1, 1.2], GammaChoice.e12())
+
+
+def test_batch_build_rejects_inadmissible_phase_bivectors():
+    with pytest.raises(GammaRejectionError):
+        plane_wave_amplitudes(np.zeros((1, 5)), 1.0, GammaChoice.superposition(math.pi / 4))
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_paired_plane_wave_field_equals_each_wave_at_its_point(rng, gamma):
+    # N waves paired with N points: row n is wave n at point n, bit for bit,
+    # and so are the halves' Hestenes residuals at each wave's own mass
+    k_spatial = rng.uniform(-1, 1, size=(7, 3))
+    masses = rng.uniform(0.5, 1.5, size=7)
+    pts = sample_points(rng, count=7)
+    k, amps = build_plane_waves(k_spatial, 0.0, masses, gamma)
+    paired = plane_wave_field(k, amps, gamma)
+    values, partials = paired.values(pts), paired.partials(pts)
+    halves = [hestenes_dirac_residuals(h, masses, pts) for h in sector_fields(paired)]
+    for n, m in enumerate(masses):
+        single = build_plane_wave(k_spatial[n], 0.0, float(m), gamma).field()
+        assert values[n].tobytes() == single.values(pts[n : n + 1])[0].tobytes()
+        assert partials[:, n].tobytes() == single.partials(pts[n : n + 1])[:, 0].tobytes()
+        for half, res in zip(sector_fields(single), halves):
+            one = hestenes_dirac_residuals(half, float(m), pts[n : n + 1])
+            assert res[n].tobytes() == one[0].tobytes()
+    with pytest.raises(ValueError):
+        paired.values(pts[:3])
+
+
+def test_hestenes_wave_builds_when_the_squares_underflow():
+    # |k|^2 + m^2 underflows to 0; k0 comes from the scaled mass-shell solve
+    field = hestenes_plane_wave_field((1e-300, 0.0, 0.0), 1e-300)
+    k0 = solve_time_component((1e-300, 0.0, 0.0), 0.0, 1e-300)
+    assert k0 == pytest.approx(math.sqrt(2) * 1e-300, rel=1e-15)
+    assert np.any(field.values([np.zeros(5)]))
