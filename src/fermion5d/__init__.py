@@ -51,7 +51,6 @@ from .fields import (
     ConstantField,
     Field5,
     FiniteDifferenceField,
-    MappedField,
     PhaseField,
     minkowski_dot,
 )
@@ -68,6 +67,7 @@ from .wave import (
     hestenes_dirac_residual,
     hestenes_dirac_residuals,
     hestenes_plane_wave_field,
+    hestenes_sample_residuals,
     sector_fields,
 )
 
@@ -94,7 +94,6 @@ __all__ = [
     "ConstantField",
     "Field5",
     "FiniteDifferenceField",
-    "MappedField",
     "PhaseField",
     "minkowski_dot",
     # pair split
@@ -112,6 +111,7 @@ __all__ = [
     "hestenes_dirac_residual",
     "hestenes_dirac_residuals",
     "hestenes_plane_wave_field",
+    "hestenes_sample_residuals",
     "sector_fields",
     # Coulomb bound states
     "CoulombParams",

@@ -64,6 +64,7 @@ __all__ = [
     "pair_residual",
     "pair_residuals",
     "random_minus_field",
+    "random_minus_wave",
     "scalar_potential_residual",
     "scalar_potential_residuals",
     "second_time_gradient",
@@ -527,18 +528,25 @@ def oscillating_source_pair() -> tuple[ArrayField, PhaseField]:
 def random_minus_field(rng: np.random.Generator) -> PhaseField:
     """Random smooth field supported on the minus half's blades.
 
-    A :class:`PhaseField` ``A cos(w . x) + B sin(w . x)``: random even
-    amplitudes ``A`` then ``B``, confined to blades containing the second time
-    generator, then ``w`` uniform in ``[-1, 1]^5``.  Both the field and all
-    its partials stay in the minus half's support, so it exercises the
-    structural grade claims of the induced current, per point or on a whole
-    point array.
+    A :class:`PhaseField` ``A cos(w . x) + B sin(w . x)`` of the draws of
+    :func:`random_minus_wave`.  Both the field and all its partials stay in
+    the minus half's support, so it exercises the structural grade claims of
+    the induced current, per point or on a whole point array.
+    """
+    return PhaseField(*random_minus_wave(rng))
+
+
+def random_minus_wave(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(A, B, w)`` of a random minus field, drawn in that order.
+
+    ``A`` and ``B`` are even amplitudes confined to blades containing the
+    second time generator, ``w`` is uniform in ``[-1, 1]^5``.
     """
     masks = list(SECOND_TIME_EVEN_MASKS)
     amps = np.zeros((2, CL32.n_blades))
     for amp in amps:
         amp[masks] = rng.standard_normal(len(masks))
-    return PhaseField(amps[0], amps[1], rng.uniform(-1.0, 1.0, size=5))
+    return amps[0], amps[1], rng.uniform(-1.0, 1.0, size=5)
 
 
 def demo_grid(center: Sequence[float] = (0.0, 0.0, 0.0, 0.0, 0.0)) -> np.ndarray:

@@ -53,7 +53,7 @@ from .beyond import (
     demo_grid,
     oscillating_source_pair,
     pair_residuals,
-    random_minus_field,
+    random_minus_wave,
     scalar_potential_residuals,
     second_time_gradients,
     source_current,
@@ -83,9 +83,8 @@ from .wave import (
     build_plane_waves,
     dirac5_residuals,
     gamma_classify,
-    hestenes_dirac_residuals,
+    hestenes_sample_residuals,
     plane_wave_field,
-    sector_fields,
 )
 
 _E34 = e(CL32, 3, 4)
@@ -96,6 +95,10 @@ _RIGHT_E012 = BladeOperator.right(e(CL32, 0, 1, 2))
 #: batch, 21-24 ms at 16 and 32, and 21 ms at 256, whose gathers peak at
 #: 2.5 MB against 0.7 MB at 64.
 _TRIAL_CHUNK = 64
+#: Minus fields per batch of the current-grade check.  A batch's partials
+#: take 2.5 KB per field, so ``beyond --trials`` does not grow the peak
+#: memory past about 2.5 MB, and ``verify``'s 100 fields are one batch.
+_FIELD_CHUNK = 1000
 #: Largest ``spectrum --max-n``: one orbital letter per l = 0 .. n - 1.
 MAX_N = len(ANGULAR_LETTERS)
 #: Default absolute tolerance of the ``planewave`` residuals.
@@ -291,6 +294,14 @@ def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     ]
 
 
+def _half_residuals(field, points, mass) -> list[np.ndarray]:
+    """Hestenes residuals of the plus and minus idempotent halves of a flat
+    field, from one evaluation of its values and partials."""
+    values = idempotent_split_coeffs(field.values(points))
+    partials = idempotent_split_coeffs(field.partials(points))
+    return [hestenes_sample_residuals(v, p, mass) for v, p in zip(values, partials)]
+
+
 def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     """The 4D reduction of random flat plane waves, checked as one batch.
 
@@ -310,9 +321,8 @@ def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
         k, amps = build_plane_waves(k_spatial, 0.0, masses, gamma)
         dispersions += [abs(minkowski_dot(kk, kk) + m**2) for kk, (_, m) in zip(k, draws)]
-        for half in sector_fields(plane_wave_field(k[waves], amps[waves], gamma)):
-            res = hestenes_dirac_residuals(half, masses[waves], points)
-            reductions.append(np.abs(res).max())
+        field = plane_wave_field(k[waves], amps[waves], gamma)
+        reductions += [np.abs(res).max() for res in _half_residuals(field, points, masses[waves])]
     checks = [
         make_check("plane-wave-reduction", "reduction", _worst(reductions), 1e-10),
         make_check("plane-wave-dispersion", "dispersion", _worst(dispersions), 1e-10),
@@ -372,17 +382,30 @@ def _coulomb_checks() -> list[Check]:
     return checks
 
 
+def _minus_samples(rng: np.random.Generator, n_fields: int) -> tuple[PhaseField, np.ndarray]:
+    """``n_fields`` random minus halves at two points each, as one field
+    paired with its ``(2 n_fields, 5)`` point array.
+
+    Draws one field's ``A``, ``B`` and ``w`` (:func:`random_minus_wave`) and
+    then its two points, ``n_fields`` times.
+    """
+    draws = [(random_minus_wave(rng), random_points(rng, 2, scale=1.0)) for _ in range(n_fields)]
+    rows = (np.repeat([wave[i] for wave, _ in draws], 2, axis=0) for i in range(3))
+    return PhaseField(*rows), np.concatenate([pts for _, pts in draws])
+
+
 def _current_grade_check(rng: np.random.Generator, n_fields: int) -> Check:
     """The induced current of random minus halves stays on its blades.
 
-    Draws one random minus field and then two points, ``n_fields`` times.
-    The current is the unguarded ``e4 d^4 xi_minus / 4 pi`` at both points,
-    because ``SourceCurrent.values`` raises on the very blades measured here.
+    The current is the unguarded ``e4 d^4 xi_minus / 4 pi`` at the samples
+    of :func:`_minus_samples`, because ``SourceCurrent.values`` raises on
+    the very blades measured here.  The fields are checked in batches of
+    :data:`_FIELD_CHUNK`, drawn in order.
     """
     forbidden = []
-    for _ in range(n_fields):
-        fld = random_minus_field(rng)
-        current = second_time_gradients(fld, random_points(rng, 2, scale=1.0)) / FOUR_PI
+    for start in range(0, n_fields, _FIELD_CHUNK):
+        field, points = _minus_samples(rng, min(_FIELD_CHUNK, n_fields - start))
+        current = second_time_gradients(field, points) / FOUR_PI
         forbidden.append(np.abs(current[:, FORBIDDEN_CURRENT_MASKS]).max())
     return make_check("current-grade-structure", "source-current", _worst(forbidden), 0.0)
 
@@ -623,8 +646,8 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
     ]
 
     if args.k4 == 0.0:
-        for half, xi in zip(("plus", "minus"), sector_fields(field)):
-            worst = float(np.abs(hestenes_dirac_residuals(xi, args.mass, pts)).max())
+        for half, res in zip(("plus", "minus"), _half_residuals(field, pts, args.mass)):
+            worst = float(np.abs(res).max())
             checks.append(
                 make_check(f"reduction-{half}-half", "reduction", worst, args.tolerance)
             )

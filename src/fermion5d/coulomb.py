@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .algebra import (
     CL32,
     BladeOperator,
@@ -43,14 +44,16 @@ from .algebra import (
     from_even_coeffs,
     linear_map_matrix,
     pseudoscalar,
+    tables,
 )
-from .fields import Field5, as_point
+from .fields import Field5, add_gradient, as_points
 from .wave import GammaChoice
 
 _E0 = e(CL32, 0)
 _E3 = e(CL32, 3)
 _PSEUDO = pseudoscalar(CL32)
 _LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # x -> E x
+_LEFT_E0, _RIGHT_E0 = BladeOperator.left(_E0), BladeOperator.right(_E0)
 _EVEN_MASKS = list(even_masks(CL32))
 
 #: Points of the coarse scan that brackets the termination root.
@@ -549,24 +552,21 @@ def angular_reduction_check(
     ``r`` is the spatial position vector, ``grad`` the spatial vector
     derivative ``e_i d_i`` and ``zeta x = e0 x e0``.  Vanishes on the angular
     eigenfields labeled by ``kappa``; a spherically symmetric field
-    ``f(|r|) c`` passes for kappa = +-1 when ``e0 c e0 = c / kappa``.
+    ``f(|r|) c`` passes for kappa = +-1 when ``e0 c e0 = c / kappa``.  The
+    field is evaluated once on the whole point array; a NaN anywhere gives
+    NaN.
     """
-    pts = [as_point(p) for p in points]
-    if not pts:
+    if not len(points):
         raise ValueError("at least one sample point is required")
-    worst = 0.0
-    for x in pts:
-        rvec = Multivector.zero(CL32)
-        for i in (1, 2, 3):
-            rvec = rvec + float(x[i]) * e(CL32, i)
-        grad = Multivector.zero(CL32)
-        rdot = Multivector.zero(CL32)
-        for i in (1, 2, 3):
-            d = field.partial(i, x)
-            grad = grad + e(CL32, i) * d
-            rdot = rdot + float(x[i]) * d
-        val = field.value(x)
-        lhs = rvec * grad
-        rhs = rdot + val - kappa * (_E0 * val * _E0)
-        worst = max(worst, (lhs - rhs).inf_norm())
-    return worst
+    pts = as_points(points)
+    values, partials = field.values(pts), field.partials(pts)
+    spatial = (1, 2, 3)
+    rvec = np.zeros_like(values)
+    rvec[:, [1 << i for i in spatial]] = pts[:, spatial]
+    grad = add_gradient(np.zeros_like(values), partials, spatial)
+    lhs = _kernels.gp(tables(CL32).sign, rvec, grad)
+    rdot = np.zeros_like(values)
+    for i in spatial:
+        rdot += pts[:, i, None] * partials[i]
+    rhs = rdot + values - kappa * _RIGHT_E0(_LEFT_E0(values))
+    return float(np.max(np.abs(lhs - rhs)))

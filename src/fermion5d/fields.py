@@ -9,10 +9,10 @@ differences with a configurable step.
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
 for bit to the per-point call at ``points[n]``.  Every field the package
-builds is an :class:`ArrayField` (or a :class:`MappedField` with an array
-map): its batch methods are array operations and its per-point methods are
-the batch on one point.  Only fields built from user-supplied per-point
-callables loop over the points (:class:`PointwiseField`).
+builds is an :class:`ArrayField`: its batch methods are array operations
+and its per-point methods are the batch on one point.  Only fields built
+from user-supplied per-point callables loop over the points
+(:class:`PointwiseField`).
 """
 from __future__ import annotations
 
@@ -148,42 +148,6 @@ class ConstantField(PointwiseField):
             raise ValueError(f"axis must be 0..4, got {axis}")
         as_point(x)
         return self._zero
-
-
-class MappedField(PointwiseField):
-    """Pointwise application of a linear, x-independent map to a base field.
-
-    Linearity lets the map commute with differentiation, so partials are the
-    map applied to the base partials.  ``array_fn``, if given, is the same map
-    on coefficient arrays along their last axis; the batch methods then map
-    the base field's batch values and partials in one call each.
-    """
-
-    def __init__(
-        self,
-        base: Field5,
-        linear_fn: Callable[[Multivector], Multivector],
-        array_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        self._base = base
-        self._fn = linear_fn
-        self._array_fn = array_fn
-
-    def value(self, x):
-        return self._fn(self._base.value(x))
-
-    def partial(self, axis, x):
-        return self._fn(self._base.partial(axis, x))
-
-    def values(self, points):
-        if self._array_fn is None:
-            return super().values(points)
-        return self._array_fn(self._base.values(points))
-
-    def partials(self, points):
-        if self._array_fn is None:
-            return super().partials(points)
-        return self._array_fn(self._base.partials(points))
 
 
 class ArrayField:

@@ -32,15 +32,15 @@ from .algebra import (
 )
 from .fields import (
     METRIC_SIGNS,
+    ArrayField,
     Field5,
-    MappedField,
     PhaseField,
     add_gradient,
     as_point,
     as_points,
     minkowski_dot,
 )
-from .spinor import idempotent_split, idempotent_split_coeffs, pm_split
+from .spinor import idempotent_split_coeffs, pm_split
 
 _E_BLADES = [e(CL32, a) for a in range(5)]
 _PSEUDO = pseudoscalar(CL32)
@@ -264,7 +264,7 @@ def plane_wave_amplitudes(k, mass, gamma: GammaChoice) -> np.ndarray:
     mats = momentum_constraint_matrix(k, mass, gamma)
     if mats.ndim != 3:
         raise ValueError("momenta must have shape (N, 5)")
-    _, s, vt = np.linalg.svd(mats)
+    _, s, vt = np.linalg.svd(mats, full_matrices=False)
     null = s <= 1e-10 * s[:, :1]
     if not null[:, -1].all():  # s descends: the last value is the smallest
         raise ValueError("momentum constraint has no nontrivial amplitude")
@@ -498,7 +498,7 @@ def hestenes_dirac_residual(
     grade-1 with no second-time component.
     """
     pt = as_point(x)
-    values, partials = _flat_samples(field, [pt])
+    values, partials = field.values([pt]), field.partials([pt])
     coupling = None
     if charge != 0.0:
         if potential is None:
@@ -507,7 +507,7 @@ def hestenes_dirac_residual(
         if np.any(a_val.coeffs[[1 << 4]]):
             raise ValueError("potential must have no second-time component")
         coupling = (charge * (a_val * Multivector(values[0]) * _E12)).coeffs
-    return Multivector(_hestenes_sum(values, partials, mass, coupling)[0])
+    return Multivector(hestenes_sample_residuals(values, partials, mass, coupling)[0])
 
 
 def hestenes_dirac_residuals(field: Field5, mass, points) -> np.ndarray:
@@ -517,44 +517,48 @@ def hestenes_dirac_residuals(field: Field5, mass, points) -> np.ndarray:
     flat along the second time axis (to :data:`CYLINDER_TOLERANCE`) at any
     of the points.
     """
-    values, partials = _flat_samples(field, points)
-    return _hestenes_sum(values, partials, mass)
-
-
-def _flat_samples(field: Field5, points):
-    """Batch values and partials, after checking ``|d4| < CYLINDER_TOLERANCE``."""
     pts = as_points(points)
-    partials = field.partials(pts)
+    return hestenes_sample_residuals(field.values(pts), field.partials(pts), mass)
+
+
+def hestenes_sample_residuals(values, partials, mass, coupling=None) -> np.ndarray:
+    """``-m phi e012 [- coupling] + sum_mu e_mu d^mu phi``, in that order.
+
+    ``values`` ``(N, 32)`` and ``partials`` ``(5, N, 32)`` are a field's
+    samples, such as one idempotent half of a field evaluated once
+    (:func:`~fermion5d.spinor.idempotent_split_coeffs` on both arrays);
+    ``mass`` is one mass or one per row.  Raises unless ``|d4 phi| <``
+    :data:`CYLINDER_TOLERANCE` on every row; a NaN fails that test.
+    """
     d4 = float(np.abs(partials[4]).max(initial=0.0))
-    if d4 >= CYLINDER_TOLERANCE:
+    if not d4 < CYLINDER_TOLERANCE:
         raise ValueError(
             f"field varies along the second time axis (|d4| = {d4:.3e}); "
             "the 4D reduction does not apply"
         )
-    return field.values(pts), partials
-
-
-def _hestenes_sum(values, partials, mass, coupling=None) -> np.ndarray:
-    """``-m phi e012 [- coupling] + sum_mu e_mu d^mu phi``, in that order."""
     res = _RIGHT_E012(values) * -np.asarray(mass, dtype=np.float64)[..., None]
     if coupling is not None:
         res -= coupling
     return add_gradient(res, partials, range(4))
 
 
+class _SectorHalf(ArrayField):
+    """One idempotent-transform half of a base field, on its batch arrays."""
+
+    def __init__(self, base: Field5, half: int):
+        self._base = base
+        self._half = half
+
+    def values(self, points) -> np.ndarray:
+        return idempotent_split_coeffs(self._base.values(points))[self._half]
+
+    def partials(self, points) -> np.ndarray:
+        return idempotent_split_coeffs(self._base.partials(points))[self._half]
+
+
 def sector_fields(field: Field5) -> tuple[Field5, Field5]:
     """Plus/minus idempotent-transform halves of a field, as fields."""
-    plus = MappedField(
-        field,
-        lambda mv: idempotent_split(mv).plus,
-        lambda coeffs: idempotent_split_coeffs(coeffs)[0],
-    )
-    minus = MappedField(
-        field,
-        lambda mv: idempotent_split(mv).minus,
-        lambda coeffs: idempotent_split_coeffs(coeffs)[1],
-    )
-    return plus, minus
+    return _SectorHalf(field, 0), _SectorHalf(field, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from fermion5d.coulomb import solve_radial
-from fermion5d.fields import AnalyticField
+from fermion5d.fields import AnalyticField, PhaseField
 from fermion5d.report import ReportDocument, make_check
 
 CHECK_KEYS = ["name", "paper_ref", "status", "measured", "tolerance"]
@@ -158,6 +158,61 @@ def test_plane_wave_checks_make_one_svd_per_phase_bivector(trials, capsys, monke
     argv = ["verify", "--seed", "4", "--trials", str(trials), "--format", "json"]
     assert run_cli(argv, capsys)[0] == 0
     assert 1 <= len(calls) <= 2, calls
+
+
+def cos_sin_calls(argv, capsys, monkeypatch, inside=None) -> int:
+    """``PhaseField._cos_sin`` calls (one per evaluation of a plane-wave
+    field's values or partials) in a run, or inside ``cli.<inside>`` only."""
+    cos_sin, calls, counting = PhaseField._cos_sin, [], [inside is None]
+
+    def counted_cos_sin(self, points):
+        if counting[-1]:
+            calls.append(len(points))
+        return cos_sin(self, points)
+
+    monkeypatch.setattr(PhaseField, "_cos_sin", counted_cos_sin)
+    if inside is not None:
+        stage = getattr(cli, inside)
+
+        def counted_stage(*args):
+            counting.append(True)
+            try:
+                return stage(*args)
+            finally:
+                counting.pop()
+
+        monkeypatch.setattr(cli, inside, counted_stage)
+    assert run_cli(argv, capsys)[0] == 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("trials", [1, 25, 1000])
+def test_plane_wave_checks_evaluate_each_field_once(trials, capsys, monkeypatch):
+    # values and partials of one field per phase bivector, split in halves
+    # as arrays; half fields that each evaluated the base again made 8 calls
+    argv = ["verify", "--seed", "4", "--trials", str(trials), "--format", "json"]
+    assert cos_sin_calls(argv, capsys, monkeypatch, "_wave_checks") <= 4
+
+
+def test_current_grade_check_evaluates_one_field(capsys, monkeypatch):
+    # the 100 minus fields paired with their points are one field; one
+    # field per draw made 100 calls
+    argv = ["verify", "--seed", "4", "--format", "json"]
+    assert cos_sin_calls(argv, capsys, monkeypatch, "_current_grade_check") == 1
+
+
+def test_current_grade_batches_keep_the_draw_order(capsys, monkeypatch):
+    # batches of 3 fields (the last one short) print the bytes of one batch
+    argv = ["beyond", "--demo", "sources", "--trials", "10", "--format", "json"]
+    one_batch = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "_FIELD_CHUNK", 3)
+    assert run_cli(argv, capsys) == one_batch
+
+
+def test_planewave_evaluates_its_field_at_most_twice(capsys, monkeypatch):
+    # the free residual and the reduction of both halves; 6 calls before
+    argv = ["planewave", "--k1", "0.3", "--k2", "-0.2", "--k4", "0", "--format", "json"]
+    assert cos_sin_calls(argv, capsys, monkeypatch) <= 4
 
 
 @pytest.mark.parametrize("demo, before", [("scalar", 1_125), ("sources", 1_180)])
@@ -476,7 +531,10 @@ def test_current_grade_check_fails_on_a_forbidden_blade(
         lambda pt: pt[4] * e12,
         lambda axis, pt: e12 if axis == 4 else Multivector.zero(),
     )
-    monkeypatch.setattr(cli, "random_minus_field", lambda rng: bad)
+    # in place of the random minus fields, at random points
+    monkeypatch.setattr(
+        cli, "_minus_samples", lambda rng, n: (bad, rng.uniform(-1.0, 1.0, (2 * n, 5)))
+    )
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert "Traceback" not in err

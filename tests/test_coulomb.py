@@ -652,3 +652,11 @@ def test_angular_identity_for_spherical_fields(rng):
     assert angular_reduction_check(-1, bivector_field, pts) > 0.1
     with pytest.raises(ValueError):
         angular_reduction_check(1, scalar_field, [])
+
+
+def test_angular_identity_keeps_a_nan(rng):
+    # an all-NaN field must not score 0.0 and pass
+    nan = Multivector(np.full(CL32.n_blades, math.nan))
+    field = AnalyticField(lambda pt: nan, lambda axis, pt: nan)
+    pts = rng.uniform(0.2, 1.0, size=(3, 5))
+    assert math.isnan(angular_reduction_check(-1, field, pts))

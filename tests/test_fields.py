@@ -22,11 +22,9 @@ from fermion5d.fields import (
     AnalyticField,
     ConstantField,
     FiniteDifferenceField,
-    MappedField,
     PhaseField,
     as_points,
 )
-from fermion5d.spinor import idempotent_split
 from fermion5d.wave import (
     GammaChoice,
     build_plane_wave,
@@ -121,7 +119,6 @@ def test_fallback_fields_batch_matches_the_point_calls(rng):
         base,
         FiniteDifferenceField(value),
         ConstantField(e(CL32, 0, 1)),
-        MappedField(base, lambda mv: idempotent_split(mv).plus),  # no array map
     ]
     for field in fields:
         assert_batch_matches_points(field, points)
