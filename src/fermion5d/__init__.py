@@ -3,8 +3,9 @@
 A dense real Clifford-algebra engine for the signature (-,+,+,+,-), a
 five-dimensional first-order wave equation for even multivector fields, its
 reduction to the four-dimensional Dirac equation (Hestenes form) for fields
-flat along the second time axis, the Coulomb bound-state ladder with an
-independent series solver, and demos of what survives once the flatness
+flat along the second time axis, the Coulomb bound-state ladder (a series
+solver bisects the ladder's condition for the energy and checks that the
+series terminates there), and demos of what survives once the flatness
 assumption is dropped: an induced scalar potential and a fermionic source
 current.  The ``fermion5d`` command line fronts the verification suites.
 """

@@ -44,6 +44,7 @@ import numpy as np
 
 from .algebra import CL32, BladeOperator, Multivector, e
 from .fields import ArrayField, Field5, PhaseField, add_gradient, as_point, as_points, sample_grid
+from .fields import _CentralDifferenceField
 from .wave import hestenes_plane_wave_field
 
 __all__ = [
@@ -300,36 +301,6 @@ def scalar_potential_residual(
     return Multivector(second_form[0]), Multivector(potential_form[0])
 
 
-class _CentralDifferenceField(ArrayField):
-    """Values from an array function; partials by central differences
-    (error ``O(step^2)``)."""
-
-    def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], step: float):
-        if step <= 0:
-            raise ValueError("finite-difference step must be positive")
-        self._values_fn, self.step = values_fn, step
-
-    def values(self, points) -> np.ndarray:
-        return self._values_fn(as_points(points))
-
-    def difference(self, points, axis: int) -> np.ndarray:
-        """``(f(x + step e_axis) - f(x - step e_axis)) / (2 step)`` per row."""
-        pts = as_points(points)
-        fwd, bwd = pts.copy(), pts.copy()
-        fwd[:, axis] += self.step
-        bwd[:, axis] -= self.step
-        return (self._values_fn(fwd) - self._values_fn(bwd)) / (2 * self.step)
-
-    def partials(self, points) -> np.ndarray:
-        return np.stack([self.difference(points, axis) for axis in range(5)])
-
-    def partial(self, axis, x):
-        # one difference, not all five: two calls of ``values_fn``
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
-        return Multivector(self.difference([as_point(x)], axis)[0])
-
-
 def derived_minus_field(
     xi_plus: Field5, mass: float, step: float = DEMO_GRID_SPACING
 ) -> ArrayField:
@@ -441,7 +412,7 @@ class SourceCurrent:
         """:meth:`divergence` at every row of an ``(N, 5)`` point array."""
         sampled = _CentralDifferenceField(self.values, step)
         pts = as_points(points)
-        return sum(sampled.difference(pts, mu)[:, 1 << mu] for mu in range(4))
+        return sum(sampled._axis_partials(mu, pts)[:, 1 << mu] for mu in range(4))
 
     def divergence(self, x: Sequence[float], step: float = DEMO_GRID_SPACING) -> float:
         """Four-dimensional divergence of the grade-1 part, ``sum_mu d_mu J^mu``.

@@ -9,8 +9,8 @@ Subcommands
     reports one pass/fail line per check.
 ``spectrum``
     Enumerates hydrogen-like bound states up to a principal quantum number,
-    printing the closed-form binding energies in eV next to the independent
-    series-solver cross-check.
+    printing the closed-form binding energies in eV next to the series
+    solver's: the same condition bisected, its series checked to terminate.
 ``planewave``
     Builds one five-dimensional plane wave from spatial momentum, second-time
     momentum and mass, then reports dispersion, amplitude-constraint and
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -122,7 +123,12 @@ def _usage_error(command: str, message: str) -> SystemExit:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Writes a usage error as one stderr line, ``<prog>: error: <message>``."""
+    """Writes a usage error as one stderr line, ``<prog>: error: <message>``,
+    and reads ``-1e-3`` and ``-.5e0`` as negative numbers, not option names."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -355,10 +361,9 @@ def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
 def _coulomb_checks() -> list[Check]:
     eye = np.eye(16)
     gaps = []
+    z_mat, r_mat = e0_sandwich_matrix(), radial_left_matrix()
     for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
-        z_mat = e0_sandwich_matrix()
         h_mat = gamma_e0_right_matrix(gamma)
-        r_mat = radial_left_matrix()
         for mat in (z_mat, h_mat, r_mat):
             gaps.append(np.abs(mat @ mat - eye).max())
         gaps.append(np.abs(z_mat @ h_mat - h_mat @ z_mat).max())

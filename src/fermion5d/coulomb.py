@@ -14,10 +14,12 @@ solution terminate exactly when the energy sits on the Sommerfeld ladder
 
     eps = m / sqrt(1 + lambda^2 / (n_r + sqrt(kappa^2 - lambda^2))^2)
 
-The solver here root-finds the termination condition independently of that
-closed form and cross-checks the two routes.  The recurrence step matrices
-``((p + q) I - S)^-1`` are inverted numerically (not from the closed form
-that ``S^2`` would allow, so the solver does not assume the identity it
+The solver's energy is the bisection root of the termination condition in
+the decay constant, ``d (n_r + q) = lambda sqrt(m^2 - d^2)``, which is that
+closed form solved for ``d``; the series adds the post-check that its last
+coefficient meets the 1e-10 termination bound.  The step matrices ``((p +
+q) I - S)^-1`` are inverted numerically (not from the closed form that
+``S^2`` would allow, so the solver does not assume the identity it
 cross-checks), once per solve in one batched call, and shared by the scan of
 the admissible subspace, the threshold scale and the final coefficients.
 
@@ -43,6 +45,7 @@ from .algebra import (
     even_masks,
     from_even_coeffs,
     linear_map_matrix,
+    nullspace,
     pseudoscalar,
     tables,
 )
@@ -338,12 +341,13 @@ def solve_radial(
 ) -> RadialSolution:
     """Root-find the termination energy and build the terminating series.
 
-    The energy comes from bisecting the termination condition, not from the
-    closed form; the closed form is cross-checked into ``diagnostics`` along
-    with the relative residual of the termination identity on the last
-    series coefficient.  Raises when no series direction terminates (for
-    example n_r = 0 with kappa > 0 when the phase bivector is e0 times the
-    pseudoscalar, mirroring the standard Dirac-Coulomb selection rule).
+    The energy is the bisection root of the termination condition in the
+    decay constant, which is the closed form solved for it; ``diagnostics``
+    holds the closed-form gap and what the series adds, the relative residual
+    of the termination identity on the last coefficient.  Raises when no
+    series direction terminates (for example n_r = 0 with kappa > 0 when the
+    phase bivector is e0 times the pseudoscalar, mirroring the standard
+    Dirac-Coulomb selection rule).
 
     The ``n_r`` step matrices ``((p+q) I - S)^-1`` are built once, by one
     batched inverse, and shared by the scan of the admissible subspace, the
@@ -424,9 +428,7 @@ def solve_radial(
     termination_norm = float(norms[0])
     generic_scale = math.prod(norms[:0:-1], start=termination_norm)
 
-    _, sing_k, vt_k = np.linalg.svd(s_mat - q * eye)
-    kernel_mask = sing_k <= 1e-10 * sing_k[0]
-    kernel_basis = vt_k[kernel_mask].T
+    kernel_basis = nullspace(s_mat - q * eye)
     if kernel_basis.shape[1] == 0:
         raise RuntimeError("indicial equation has no solution (S has no +q eigenvector)")
 

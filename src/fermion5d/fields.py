@@ -8,11 +8,12 @@ differences with a configurable step.
 
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
-for bit to the per-point call at ``points[n]``.  Every field the package
-builds is an :class:`ArrayField`: its batch methods are array operations
-and its per-point methods are the batch on one point.  Only fields built
-from user-supplied per-point callables loop over the points
-(:class:`PointwiseField`).
+for bit to the per-point call at ``points[n]``.  Every field is an
+:class:`ArrayField`: its per-point methods are the batch on one point, and
+no batch method goes through a per-point method.  User-supplied per-point
+callables are wrapped by :class:`AnalyticField` (value and derivative) or
+:class:`FiniteDifferenceField` (value only), whose batch methods loop over
+the callables, not over the field's own per-point methods.
 """
 from __future__ import annotations
 
@@ -81,19 +82,32 @@ def _rows(mvs: list[Multivector]) -> np.ndarray:
     return np.array([mv.coeffs for mv in mvs])
 
 
-class PointwiseField:
-    """Batch evaluation as a loop over the per-point ``value``/``partial``."""
+class ArrayField:
+    """Per-point evaluation as the batch on one point.
 
-    def values(self, points) -> np.ndarray:
-        return _rows([self.value(x) for x in as_points(points)])
+    A subclass defines ``values`` and one of ``partials`` or
+    ``_axis_partials(axis, points)``, the ``(N, 32)`` rows of ``d_axis``;
+    each of the two defaults to the other.
+    """
 
     def partials(self, points) -> np.ndarray:
         pts = as_points(points)
-        return np.stack([_rows([self.partial(a, x) for x in pts]) for a in range(5)])
+        return np.stack([self._axis_partials(axis, pts) for axis in range(5)])
+
+    def _axis_partials(self, axis: int, points) -> np.ndarray:
+        return self.partials(points)[axis]
+
+    def value(self, x):
+        return Multivector(self.values([as_point(x)])[0])
+
+    def partial(self, axis, x):
+        if not 0 <= axis <= 4:
+            raise ValueError(f"axis must be 0..4, got {axis}")
+        return Multivector(self._axis_partials(axis, [as_point(x)])[0])
 
 
-class AnalyticField(PointwiseField):
-    """Field defined by explicit value and derivative callables."""
+class AnalyticField(ArrayField):
+    """Field defined by explicit per-point value and derivative callables."""
 
     def __init__(
         self,
@@ -103,63 +117,52 @@ class AnalyticField(PointwiseField):
         self._value = value_fn
         self._partial = partial_fn
 
-    def value(self, x):
-        return self._value(as_point(x))
+    def values(self, points) -> np.ndarray:
+        return _rows([self._value(x) for x in as_points(points)])
 
-    def partial(self, axis, x):
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
-        return self._partial(axis, as_point(x))
+    def _axis_partials(self, axis, points) -> np.ndarray:
+        return _rows([self._partial(axis, x) for x in as_points(points)])
 
 
-class FiniteDifferenceField(PointwiseField):
-    """Central-difference derivatives (O(step^2)) around a value callable."""
+class _CentralDifferenceField(ArrayField):
+    """Values from an array function ``(N, 5) -> (N, 32)``; partials by
+    central differences (error ``O(step^2)``), two calls of the function per
+    axis."""
 
-    def __init__(self, value_fn: Callable[[np.ndarray], Multivector], step: float = DEFAULT_FD_STEP):
+    def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], step: float):
         if step <= 0:
             raise ValueError("finite-difference step must be positive")
-        self._value = value_fn
-        self.step = step
+        self._values_fn, self.step = values_fn, step
 
-    def value(self, x):
-        return self._value(as_point(x))
+    def values(self, points) -> np.ndarray:
+        return self._values_fn(as_points(points))
 
-    def partial(self, axis, x):
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
-        pt = as_point(x)
-        fwd, bwd = pt.copy(), pt.copy()
-        fwd[axis] += self.step
-        bwd[axis] -= self.step
-        return (self._value(fwd) - self._value(bwd)) / (2 * self.step)
+    def _axis_partials(self, axis, points) -> np.ndarray:
+        """``(f(x + step e_axis) - f(x - step e_axis)) / (2 step)`` per row."""
+        pts = as_points(points)
+        fwd, bwd = pts.copy(), pts.copy()
+        fwd[:, axis] += self.step
+        bwd[:, axis] -= self.step
+        return (self._values_fn(fwd) - self._values_fn(bwd)) / (2 * self.step)
 
 
-class ConstantField(PointwiseField):
+class FiniteDifferenceField(_CentralDifferenceField):
+    """Central-difference derivatives (O(step^2)) around a per-point value
+    callable."""
+
+    def __init__(self, value_fn: Callable[[np.ndarray], Multivector], step: float = DEFAULT_FD_STEP):
+        super().__init__(lambda pts: _rows([value_fn(x) for x in pts]), step)
+
+
+class ConstantField(ArrayField):
     def __init__(self, mv: Multivector):
-        self._mv = mv
-        self._zero = Multivector.zero(mv.signature)
+        self._coeffs = mv.coeffs
 
-    def value(self, x):
-        as_point(x)
-        return self._mv
+    def values(self, points) -> np.ndarray:
+        return np.tile(self._coeffs, (len(as_points(points)), 1))
 
-    def partial(self, axis, x):
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
-        as_point(x)
-        return self._zero
-
-
-class ArrayField:
-    """Per-point evaluation as the batch ``values``/``partials`` on one point."""
-
-    def value(self, x):
-        return Multivector(self.values([as_point(x)])[0])
-
-    def partial(self, axis, x):
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
-        return Multivector(self.partials([as_point(x)])[axis, 0])
+    def partials(self, points) -> np.ndarray:
+        return np.zeros((5, len(as_points(points)), self._coeffs.size))
 
 
 class PhaseField(ArrayField):

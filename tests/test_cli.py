@@ -10,15 +10,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermion5d import _kernels, cli
+import fermion5d
+from fermion5d import _kernels, cli, coulomb
 from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -213,6 +216,21 @@ def test_planewave_evaluates_its_field_at_most_twice(capsys, monkeypatch):
     # the free residual and the reduction of both halves; 6 calls before
     argv = ["planewave", "--k1", "0.3", "--k2", "-0.2", "--k4", "0", "--format", "json"]
     assert cos_sin_calls(argv, capsys, monkeypatch) <= 4
+
+
+def test_coulomb_checks_build_each_operator_matrix_once(monkeypatch):
+    # Z and R do not depend on the phase bivector; built inside its loop
+    # they made 6 builds per request
+    cli._coulomb_checks()  # fill the cached radial blocks first
+    build, calls = coulomb.even_operator_matrix, []
+
+    def counting_build(fn):
+        calls.append(fn)
+        return build(fn)
+
+    monkeypatch.setattr(coulomb, "even_operator_matrix", counting_build)
+    cli._coulomb_checks()
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("demo, before", [("scalar", 1_125), ("sources", 1_180)])
@@ -694,6 +712,8 @@ def test_a_non_finite_measured_value_fails_and_renders_as_null(measured):
          "the tolerance 1e-10"),
         (["planewave", "--k1", "1e6", "--tolerance", "1"],
          "exceeds 500000; beyond it no amplitude may be found"),
+        # "-inf" is not a number to argparse, so it reads as an option name
+        (["planewave", "--k1", "-inf"], "argument --k1: expected one argument"),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
@@ -703,6 +723,32 @@ def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
     assert err.rstrip("\n").split("\n")[-1].endswith(message)
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize(
+    "base, option, exponent, decimal",
+    [
+        (["planewave"], "--k1", "-1e-3", "-0.001"),
+        (["planewave"], "--k4", "-.5e0", "-0.5"),
+        (["beyond", "--demo", "scalar"], "--s", "-1e-2", "-0.01"),
+    ],
+)
+def test_negative_numbers_in_exponent_notation_are_values(
+    base, option, exponent, decimal, capsys
+):
+    # argparse's own pattern reads "-1e-3" as an option name: exit 2
+    spelled = run_cli(base + [option, exponent, "--format", "json"], capsys)
+    assert spelled[0] == 0, spelled[2]
+    assert spelled == run_cli(base + [option, decimal, "--format", "json"], capsys)
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter, with the directory that
+    ``fermion5d`` was imported from first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(fermion5d.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.mark.parametrize("option", ["--s", "--mass"])
@@ -715,6 +761,7 @@ def test_overflowing_scalar_demo_writes_one_stderr_line(option):
         capture_output=True,
         text=True,
         timeout=300,
+        env=child_env(),
     )
     assert result.returncode == 2
     assert result.stdout == ""
@@ -778,8 +825,11 @@ def run_in_process(argv):
 def test_cli_contract_holds_for_any_numeric_input(command, data):
     base, options = FUZZ_COMMANDS[command]
     chosen = data.draw(st.lists(st.sampled_from(options), unique=True))
-    # ``--opt=value`` keeps argparse from reading "-1e300" as an option name
-    argv = base + [f"{opt}={data.draw(NUMERIC_TEXT, label=opt)}" for opt in chosen]
+    argv = list(base)
+    for opt in chosen:
+        text = data.draw(NUMERIC_TEXT, label=opt)
+        joined = data.draw(st.booleans(), label=f"{opt}=value")
+        argv += [f"{opt}={text}"] if joined else [opt, text]
     code, out, err = run_in_process(argv + ["--format", "json"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
@@ -883,6 +933,7 @@ def test_module_entry_point_runs():
         capture_output=True,
         text=True,
         timeout=300,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)

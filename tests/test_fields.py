@@ -79,10 +79,28 @@ def test_package_fields_batch_matches_the_point_calls(rng):
         assert_batch_matches_points(field, points)
 
 
+def callable_fields(rng):
+    """The fields that wrap user-supplied per-point callables."""
+    amp = random_multivector(rng, CL32, even=True)
+    freq = rng.uniform(-1, 1, size=5)
+
+    def value(pt):
+        return math.cos(float(freq @ pt)) * amp
+
+    def partial(axis, pt):
+        return float(-math.sin(float(freq @ pt)) * freq[axis]) * amp
+
+    return [
+        AnalyticField(value, partial),
+        FiniteDifferenceField(value),
+        ConstantField(e(CL32, 0, 1)),
+    ]
+
+
 def test_package_fields_never_loop_over_the_points(rng, monkeypatch):
-    # with the per-point methods refusing, a batch call that falls back to
-    # the PointwiseField loop raises
-    fields = package_fields(rng)
+    # with the per-point methods refusing, a batch call that goes through
+    # them raises; the callable wrappers loop over their callables only
+    fields = package_fields(rng) + callable_fields(rng)
 
     def refuse(*args):
         raise AssertionError("a batch call evaluated point by point")
@@ -105,23 +123,49 @@ def test_sector_field_batch_matches_the_point_calls(rng):
 
 def test_fallback_fields_batch_matches_the_point_calls(rng):
     points = rng.uniform(-1.0, 1.0, size=(6, 5))
+    for field in callable_fields(rng):
+        assert_batch_matches_points(field, points)
+
+
+def counted(fn, calls):
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return counting
+
+
+def test_point_calls_evaluate_the_callables_as_often_as_before(rng):
     amp = random_multivector(rng, CL32, even=True)
-    freq = rng.uniform(-1, 1, size=5)
+    x = rng.uniform(-1.0, 1.0, size=5)
+    points = rng.uniform(-1.0, 1.0, size=(4, 5))
 
     def value(pt):
-        return math.cos(float(freq @ pt)) * amp
+        return float(pt[0]) * amp
 
     def partial(axis, pt):
-        return float(-math.sin(float(freq @ pt)) * freq[axis]) * amp
+        return float(axis == 0) * amp
 
-    base = AnalyticField(value, partial)
-    fields = [
-        base,
-        FiniteDifferenceField(value),
-        ConstantField(e(CL32, 0, 1)),
-    ]
-    for field in fields:
-        assert_batch_matches_points(field, points)
+    values, partials = [], []
+    analytic = AnalyticField(counted(value, values), counted(partial, partials))
+    analytic.partial(3, x)
+    assert (len(values), len(partials)) == (0, 1)
+    analytic.values(points)
+    assert (len(values), len(partials)) == (len(points), 1)
+
+    values = []
+    differenced = FiniteDifferenceField(counted(value, values))
+    differenced.partial(2, x)
+    assert len(values) == 2
+    differenced.values(points)
+    assert len(values) == 2 + len(points)
+
+    # the minus half's values function evaluates the plus half's partials once
+    partials = []
+    plus = hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0)
+    plus.partials = counted(plus.partials, partials)
+    derived_minus_field(plus, 1.0, step=0.01).partial(1, x)
+    assert len(partials) == 2
 
 
 def test_empty_point_arrays_give_empty_batches():
