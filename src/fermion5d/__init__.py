@@ -41,7 +41,6 @@ from .coulomb import (
     CoulombParams,
     RadialSeries,
     RadialSolution,
-    radial_ode_residual,
     solve_radial,
     sommerfeld_energy,
     spectroscopic_label,
@@ -118,7 +117,6 @@ __all__ = [
     "CoulombParams",
     "RadialSeries",
     "RadialSolution",
-    "radial_ode_residual",
     "solve_radial",
     "sommerfeld_energy",
     "spectroscopic_label",

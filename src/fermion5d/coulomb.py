@@ -3,7 +3,8 @@
 Separating the minimally-coupled wave equation with potential ``A = -(lambda/
 q r) e0`` leads, for an angular sector labeled by a nonzero integer ``kappa``,
 to a first-order system for the rescaled radial profile ``u(r) = r * phi(r)``
-with values in the sixteen-dimensional even subalgebra::
+with values in the sixteen-dimensional even subalgebra, taking ``e3`` as the
+radial unit (any unit spatial vector gives the same operator algebra)::
 
     du/dr = (1/r) S u  -  T u
 
@@ -17,9 +18,13 @@ solution terminate exactly when the energy sits on the Sommerfeld ladder
 The solver's energy is the bisection root of the termination condition in
 the decay constant, ``d (n_r + q) = lambda sqrt(m^2 - d^2)``, which is that
 closed form solved for ``d``; the series adds the post-check that its last
-coefficient meets the 1e-10 termination bound.  The step matrices ``((p +
-q) I - S)^-1`` are inverted numerically (not from the closed form that
-``S^2`` would allow, so the solver does not assume the identity it
+coefficient meets the 1e-10 termination bound.  That post-check is the
+series' check of the system: ``u = r^q e^(beta r) sum_p C_p r^p`` solves it
+exactly when ``((p + q) I - S) C_p = -(beta I + T) C_(p-1)`` at every power,
+which the recurrence imposes by construction, and ``(beta I + T) C_(n_r) =
+0`` at the top power, which is the termination identity.  The step matrices
+``((p + q) I - S)^-1`` are inverted numerically (not from the closed form
+that ``S^2`` would allow, so the solver does not assume the identity it
 cross-checks), once per solve in one batched call, and shared by the scan of
 the admissible subspace, the threshold scale and the final coefficients.
 
@@ -116,50 +121,28 @@ def gamma_e0_right_matrix(gamma: GammaChoice) -> np.ndarray:
     return even_operator_matrix(lambda mv: mv * ge0)
 
 
-def radial_left_matrix(radial_unit: Multivector | None = None) -> np.ndarray:
-    """Paired matrix of left multiplication by a unit spatial vector."""
-    er = _radial_unit(radial_unit)
-    return even_operator_matrix(lambda mv: er * mv)
-
-
-def _radial_unit(radial_unit: Multivector | None) -> Multivector:
-    if radial_unit is None:
-        return _E3
-    if radial_unit.grades_present != (1,):
-        raise ValueError("radial unit must be a grade-1 vector")
-    if radial_unit.coeffs[1 << 0] != 0.0 or radial_unit.coeffs[1 << 4] != 0.0:
-        raise ValueError("radial unit must be purely spatial")
-    sq = radial_unit * radial_unit
-    if (sq - 1).inf_norm() > 1e-12:
-        raise ValueError("radial unit must square to +1")
-    return radial_unit
+def radial_left_matrix() -> np.ndarray:
+    """Paired matrix of left multiplication by the radial unit ``e3``."""
+    return even_operator_matrix(lambda mv: _E3 * mv)
 
 
 @functools.lru_cache(maxsize=8)
-def _radial_blocks(
-    gamma: GammaChoice, radial_unit: Multivector | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _radial_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constant blocks ``(Z, R H Z, R)`` of the radial system, read-only.
 
-    They depend only on the phase bivector and the radial unit, so they are
-    built once per pair and shared by every ``S`` and ``T``.  An invalid
-    radial unit raises on every call (exceptions are not cached).
+    They depend only on the phase bivector, so they are built once per phase
+    bivector and shared by every ``S`` and ``T``.
     """
     z = e0_sandwich_matrix()
     h = gamma_e0_right_matrix(gamma)
-    r = radial_left_matrix(radial_unit)
+    r = radial_left_matrix()
     rhz = r @ h @ z
     for mat in (z, rhz, r):
         mat.setflags(write=False)
     return z, rhz, r
 
 
-def angular_coupling_matrix(
-    kappa: int,
-    coupling: float,
-    gamma: GammaChoice,
-    radial_unit: Multivector | None = None,
-) -> np.ndarray:
+def angular_coupling_matrix(kappa: int, coupling: float, gamma: GammaChoice) -> np.ndarray:
     """The matrix ``S`` of the 1/r term in the radial system.
 
     ``S = kappa Z + coupling R H Z`` with ``Z`` the e0 sandwich, ``H`` the
@@ -167,22 +150,17 @@ def angular_coupling_matrix(
     (the last two in the pseudoscalar-paired encoding, so ``R H`` is the true
     matrix of their composition).  Satisfies ``S^2 = (kappa^2-coupling^2) I``.
     """
-    z, rhz, _ = _radial_blocks(gamma, radial_unit)
+    z, rhz, _ = _radial_blocks(gamma)
     return kappa * z + coupling * rhz
 
 
-def mass_energy_matrix(
-    mass: float,
-    energy: float,
-    gamma: GammaChoice,
-    radial_unit: Multivector | None = None,
-) -> np.ndarray:
+def mass_energy_matrix(mass: float, energy: float, gamma: GammaChoice) -> np.ndarray:
     """The matrix ``T`` of the constant term in the radial system.
 
     ``T = mass R - energy R H Z`` in the notation of
     :func:`angular_coupling_matrix`; satisfies ``T^2 = (mass^2-energy^2) I``.
     """
-    _, rhz, r = _radial_blocks(gamma, radial_unit)
+    _, rhz, r = _radial_blocks(gamma)
     return mass * r - energy * rhz
 
 
@@ -207,8 +185,8 @@ class CoulombParams:
     gamma: GammaChoice = field(default_factory=GammaChoice.e12)
 
     def __post_init__(self):
-        if not (self.mass > 0):
-            raise ValueError("mass must be positive")
+        if not 0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
         if not isinstance(self.kappa, (int, np.integer)) or self.kappa == 0:
             raise ValueError("kappa must be a nonzero integer")
         if not isinstance(self.n_r, (int, np.integer)) or self.n_r < 0:
@@ -239,6 +217,8 @@ def quantum_numbers(kappa: int, n_r: int) -> tuple[int, float]:
 
 def orbital_letter(kappa: int) -> str:
     """Spectroscopic letter for the orbital label ``l``."""
+    if kappa == 0:
+        raise ValueError("kappa must be nonzero")
     l = kappa if kappa > 0 else -kappa - 1
     if l >= len(ANGULAR_LETTERS):
         raise ValueError(f"no spectroscopic letter for l={l}")
@@ -287,13 +267,13 @@ class RadialSeries:
 
     def evaluate(self, r: float) -> np.ndarray:
         """Even-subalgebra coordinates of ``u(r)`` (r must be positive)."""
-        if r <= 0:
+        if not r > 0:
             raise ValueError("radius must be positive")
         return r**self.exponent * math.exp(self.decay * r) * self._polynomial(r)
 
     def derivative(self, r: float) -> np.ndarray:
         """Coordinates of ``du/dr`` from the analytic series."""
-        if r <= 0:
+        if not r > 0:
             raise ValueError("radius must be positive")
         p = np.arange(self.coefficients.shape[0])
         poly = (r**p) @ self.coefficients
@@ -335,16 +315,16 @@ def _quantization_gap(
     return decay * shift - params.coupling * np.sqrt((m - decay) * (m + decay))
 
 
-def solve_radial(
-    params: CoulombParams,
-    radial_unit: Multivector | None = None,
-) -> RadialSolution:
+def solve_radial(params: CoulombParams) -> RadialSolution:
     """Root-find the termination energy and build the terminating series.
 
     The energy is the bisection root of the termination condition in the
     decay constant, which is the closed form solved for it; ``diagnostics``
     holds the closed-form gap and what the series adds, the relative residual
-    of the termination identity on the last coefficient.  Raises when no
+    of the termination identity on the last coefficient.  The recurrence
+    satisfies every other power of the radial system by construction, so
+    that residual is the series' whole check of the system, whose radial
+    unit is ``e3``.  Raises when no
     series direction terminates (for example n_r = 0 with kappa > 0 when the
     phase bivector is e0 times the pseudoscalar, mirroring the standard
     Dirac-Coulomb selection rule).
@@ -381,8 +361,8 @@ def solve_radial(
     energy = math.sqrt((m - decay) * (m + decay))
     beta = -decay
 
-    s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma, radial_unit)
-    t_mat = mass_energy_matrix(m, energy, params.gamma, radial_unit)
+    s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma)
+    t_mat = mass_energy_matrix(m, energy, params.gamma)
     eye = np.eye(16)
 
     s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - params.coupling**2) * eye).max())
@@ -394,7 +374,7 @@ def solve_radial(
     # eps moves them by ~ulp(eps) m / d, which at weak coupling is a relative
     # termination residual above the bound.  R - RHZ holds at most two +-1 or
     # +-2 entries per row, so its product with c rounds once per component.
-    _, rhz, r = _radial_blocks(params.gamma, radial_unit)
+    _, rhz, r = _radial_blocks(params.gamma)
     r_minus_rhz = r - rhz
     binding = decay * decay / (m + energy)
 
@@ -482,63 +462,6 @@ def solve_radial(
         "t_square_error": t_square_err,
     }
     return RadialSolution(params=params, energy=energy, series=series, diagnostics=diagnostics)
-
-
-def radial_ode_residual(
-    solution: RadialSolution,
-    radii: Sequence[float] | None = None,
-    radial_unit: Multivector | None = None,
-) -> float:
-    """Componentwise backward-error residual of ``du/dr = S u / r - T u``.
-
-    The common factor ``r^q exp(beta r)`` is divided out analytically, and at
-    each sample radius the residual of the polynomial part is compared,
-    component by component, against the sum of absolute values of every
-    elementary term that enters it.  A genuine solution scores at roundoff
-    level at every radius; a non-solution scores a finite fraction of one.
-    The maximum ratio over the radii is returned; default radii span the
-    natural decay length of the solution.
-    """
-    params = solution.params
-    series = solution.series
-    if radii is None:
-        scale = 1.0 / abs(series.decay)
-        radii = np.geomspace(0.05 * scale, 3.0 * scale, 12)
-    s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma, radial_unit)
-    t_mat = mass_energy_matrix(params.mass, solution.energy, params.gamma, radial_unit)
-    abs_s = np.abs(s_mat)
-    abs_t = np.abs(t_mat)
-    coeffs = series.coefficients
-    abs_coeffs = np.abs(coeffs)
-    powers = np.arange(coeffs.shape[0])
-    worst = 0.0
-    for r in radii:
-        r = float(r)
-        r_pow = r**powers
-        poly = r_pow @ coeffs
-        poly_env = r_pow @ abs_coeffs
-        if coeffs.shape[0] > 1:
-            d_pow = powers[1:] * r ** (powers[1:] - 1)
-            dpoly = d_pow @ coeffs[1:]
-            dpoly_env = d_pow @ abs_coeffs[1:]
-        else:
-            dpoly = np.zeros(coeffs.shape[1])
-            dpoly_env = np.zeros(coeffs.shape[1])
-        log_slope = series.exponent / r + series.decay
-        residual = log_slope * poly + dpoly - s_mat @ poly / r + t_mat @ poly
-        envelope = (
-            (abs(series.exponent) / r + abs(series.decay)) * poly_env
-            + dpoly_env
-            + abs_s @ poly_env / r
-            + abs_t @ poly_env
-        )
-        # rows far below the global envelope carry only roundoff residue of
-        # the coefficients themselves and say nothing about the equation
-        mask = envelope > 1e-15 * envelope.max()
-        if not mask.any():
-            continue
-        worst = max(worst, float((np.abs(residual)[mask] / envelope[mask]).max()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermion5d
-from fermion5d import _kernels, cli, coulomb
+from fermion5d import _kernels, beyond, cli, coulomb, report
 from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -944,3 +944,13 @@ def test_constants_are_the_published_values():
     # CODATA 2018: these exact literals feed the eV conversion
     assert FINE_STRUCTURE == 7.2973525693e-3
     assert ELECTRON_MASS_EV == 510998.95
+
+
+def test_every_exported_name_resolves():
+    # a stale entry in __all__ makes `from fermion5d import *` raise
+    for module in (fermion5d, beyond, report):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    namespace = {}
+    exec("from fermion5d import *", namespace)
+    assert set(fermion5d.__all__) <= namespace.keys()

@@ -29,7 +29,6 @@ from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from fermion5d.coulomb import (
     CoulombParams,
     RadialSeries,
-    RadialSolution,
     angular_coupling_matrix,
     angular_reduction_check,
     e0_sandwich_matrix,
@@ -39,7 +38,6 @@ from fermion5d.coulomb import (
     orbital_letter,
     quantum_numbers,
     radial_left_matrix,
-    radial_ode_residual,
     solve_radial,
     sommerfeld_energy,
     spectroscopic_label,
@@ -89,23 +87,16 @@ def test_building_block_operators_are_exact_involutions(gamma):
     assert np.array_equal(z @ h, h @ z)
     assert np.array_equal(z @ r, -(r @ z))
     assert np.array_equal(h @ r, r @ h)
-
-
-def test_operators_accept_any_spatial_radial_unit():
-    for unit in (e(CL32, 1), e(CL32, 2)):
-        mat = radial_left_matrix(unit)
+    # the reduction does not depend on the radial direction: left
+    # multiplication by any spatial unit has the algebra of R, and the last
+    # of them, e3, is R
+    for axis in (1, 2, 3):
+        unit = e(CL32, axis)
+        mat = even_operator_matrix(lambda mv: unit * mv)
         assert np.array_equal(mat @ mat, EYE)
-
-
-def test_radial_unit_validation():
-    with pytest.raises(ValueError, match="grade-1"):
-        radial_left_matrix(e(CL32, 1, 2))
-    with pytest.raises(ValueError, match="spatial"):
-        radial_left_matrix(e(CL32, 0))
-    with pytest.raises(ValueError, match="spatial"):
-        radial_left_matrix(e(CL32, 4))
-    with pytest.raises(ValueError, match="square"):
-        radial_left_matrix(2.0 * e(CL32, 3))
+        assert np.array_equal(z @ mat, -(mat @ z))
+        assert np.array_equal(h @ mat, mat @ h)
+    assert np.array_equal(mat, r)
 
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
@@ -117,59 +108,32 @@ def test_radial_system_square_identities(gamma):
     assert np.abs(t_mat @ t_mat - (mass**2 - energy**2) * EYE).max() < 1e-12
 
 
-RADIAL_UNITS = (None, e(CL32, 1), e(CL32, 2))
-
-
-@pytest.mark.parametrize("radial_unit", RADIAL_UNITS, ids=("default", "e1", "e2"))
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
-def test_cached_blocks_compose_to_the_freshly_built_matrices(gamma, radial_unit):
+def test_cached_blocks_compose_to_the_freshly_built_matrices(gamma):
     z = e0_sandwich_matrix()
     h = gamma_e0_right_matrix(gamma)
-    r = radial_left_matrix(radial_unit)
+    r = radial_left_matrix()
     kappa, coupling, mass, energy = -2, 0.3, 1.0, 0.95
     for _ in range(2):  # the first call may fill the cache, the second reads it
-        s_mat = angular_coupling_matrix(kappa, coupling, gamma, radial_unit)
-        t_mat = mass_energy_matrix(mass, energy, gamma, radial_unit)
+        s_mat = angular_coupling_matrix(kappa, coupling, gamma)
+        t_mat = mass_energy_matrix(mass, energy, gamma)
         assert s_mat.tobytes() == (kappa * z + coupling * (r @ h @ z)).tobytes()
         assert t_mat.tobytes() == (mass * r - energy * (r @ h @ z)).tobytes()
-    blocks = coulomb._radial_blocks(gamma, radial_unit)
+    blocks = coulomb._radial_blocks(gamma)
     assert all(not block.flags.writeable for block in blocks)
     # the public builders still hand out fresh, writable arrays
     assert z.flags.writeable and h.flags.writeable and r.flags.writeable
     assert not any(np.shares_memory(z, block) for block in blocks)
 
 
-def test_cached_blocks_are_keyed_by_phase_bivector_and_radial_unit():
-    z12, rhz12, r12 = coulomb._radial_blocks(GammaChoice.e12(), None)
-    z0e, rhz0e, r0e = coulomb._radial_blocks(GammaChoice.e0E(), None)
+def test_cached_blocks_are_keyed_by_phase_bivector():
+    z12, rhz12, r12 = coulomb._radial_blocks(GammaChoice.e12())
+    z0e, rhz0e, r0e = coulomb._radial_blocks(GammaChoice.e0E())
     assert np.array_equal(z12, z0e) and np.array_equal(r12, r0e)
     assert not np.array_equal(rhz12, rhz0e)
-    _, rhz1, r1 = coulomb._radial_blocks(GammaChoice.e12(), e(CL32, 1))
-    _, rhz3, r3 = coulomb._radial_blocks(GammaChoice.e12(), e(CL32, 3))
-    assert not np.array_equal(r1, r3) and not np.array_equal(rhz1, rhz3)
-    # None and an explicit e3 name the same radial unit
-    assert np.array_equal(r3, r12) and np.array_equal(rhz3, rhz12)
-
-
-def test_cached_blocks_hit_on_a_radial_unit_with_a_negative_zero_slot():
-    unit = e(CL32, 1)
-    signed = Multivector(np.where(unit.coeffs == 0.0, -0.0, unit.coeffs))
-    assert signed == unit
-    coulomb._radial_blocks.cache_clear()
-    first = coulomb._radial_blocks(GammaChoice.e12(), unit)
-    again = coulomb._radial_blocks(GammaChoice.e12(), signed)
-    info = coulomb._radial_blocks.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    assert all(a is b for a, b in zip(first, again))
-
-
-def test_invalid_radial_unit_raises_on_every_call():
-    bad = 2.0 * e(CL32, 3)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="square"):
-            radial_left_matrix(bad)
-        with pytest.raises(ValueError, match="square"):
-            angular_coupling_matrix(-1, 0.3, GammaChoice.e12(), bad)
+    # an equal phase bivector built anew hits the cache
+    again = coulomb._radial_blocks(GammaChoice.e12())
+    assert all(a is b for a, b in zip(again, (z12, rhz12, r12)))
 
 
 def column_loop_operator_matrix(fn):
@@ -227,8 +191,9 @@ def test_even_operator_matrix_rejects_parity_violations():
 def test_params_validation():
     good = dict(mass=1.0, coupling=0.3, kappa=-1, n_r=0)
     CoulombParams(**good)
-    with pytest.raises(ValueError, match="mass"):
-        CoulombParams(**{**good, "mass": 0.0})
+    for mass in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="mass"):
+            CoulombParams(**{**good, "mass": mass})
     with pytest.raises(ValueError, match="kappa"):
         CoulombParams(**{**good, "kappa": 0})
     with pytest.raises(ValueError, match="kappa"):
@@ -262,6 +227,8 @@ def test_quantum_numbers_and_labels():
     assert orbital_letter(-1) == "s" and orbital_letter(1) == "p"
     with pytest.raises(ValueError):
         quantum_numbers(0, 0)
+    with pytest.raises(ValueError, match="nonzero"):
+        orbital_letter(0)
     with pytest.raises(ValueError):
         quantum_numbers(1, -1)
     assert [orbital_letter(-l - 1) for l in range(7, 13)] == list("klmnoq")
@@ -368,23 +335,21 @@ def test_solver_agrees_with_the_closed_form(kappa, n_r, coupling):
 
 @pytest.mark.parametrize("kappa,n_r,coupling", REPRESENTATIVE_CELLS)
 def test_series_satisfies_the_radial_ode(kappa, n_r, coupling):
+    # substituting u = r^q e^(beta r) sum_p C_p r^p into du/dr = S u / r - T u
+    # leaves one identity per power p = 0 .. n_r + 1:
+    # ((p + q) I - S) C_p + (beta I + T) C_(p-1) = 0, with C_(-1) = C_(n_r+1) = 0
     params = CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r)
     solution = solve_radial(params)
-    assert radial_ode_residual(solution) < 1e-8
-
-
-def test_ode_residual_rejects_a_perturbed_energy():
-    # negative control: nudging the energy off the ladder must be detected
-    params = CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=1)
-    genuine = solve_radial(params)
-    assert radial_ode_residual(genuine) < 1e-10
-    tampered = RadialSolution(
-        params=params,
-        energy=genuine.energy * 1.001,
-        series=genuine.series,
-        diagnostics={},
-    )
-    assert radial_ode_residual(tampered) > 1e-5
+    series = solution.series
+    s_mat = angular_coupling_matrix(kappa, coupling, params.gamma)
+    shifted_t = series.decay * EYE + mass_energy_matrix(1.0, solution.energy, params.gamma)
+    padded = np.vstack([np.zeros(16), series.coefficients, np.zeros(16)])
+    for p, (lower, upper) in enumerate(zip(padded, padded[1:])):
+        indicial = (p + series.exponent) * EYE - s_mat
+        residual = np.linalg.norm(indicial @ upper + shifted_t @ lower)
+        scale = np.linalg.norm(indicial, 2) * np.linalg.norm(upper)
+        scale += np.linalg.norm(shifted_t, 2) * np.linalg.norm(lower)
+        assert residual <= 1e-10 * scale, p
 
 
 def test_solver_energy_is_degenerate_in_the_angular_sign():
@@ -431,6 +396,17 @@ def test_weak_coupling_terminates_in_float64(coupling, kappa):
 
 
 def test_every_state_of_the_coupling_sweep_terminates():
+    # negative control: the termination identity with T rebuilt from the
+    # public builder holds at the solver's energy and fails, relative to the
+    # same scale, once the energy moves by 1e-3 relative
+    def termination_relative(solution, energy):
+        gamma = solution.params.gamma
+        shifted_t = solution.series.decay * EYE + mass_energy_matrix(1.0, energy, gamma)
+        last = solution.series.coefficients[-1]
+        return np.linalg.norm(shifted_t @ last) / (
+            np.linalg.norm(shifted_t, 2) * np.linalg.norm(last)
+        )
+
     solved = 0
     for gamma, coupling, kappa, n_r in itertools.product(
         BOTH_GAMMAS, (1e-10, 1e-8, 1e-6, 1e-4, 0.3, 0.99), (1, -1, 2, -2, 3, -3), range(4)
@@ -445,6 +421,8 @@ def test_every_state_of_the_coupling_sweep_terminates():
         closed = sommerfeld_energy(params)
         assert solution.diagnostics["termination_relative"] <= 1e-10, params
         assert abs(solution.energy - closed) / closed < 1e-9, params
+        assert termination_relative(solution, solution.energy) <= 1e-10, params
+        assert termination_relative(solution, solution.energy * (1 - 1e-3)) > 1e-5, params
         solved += 1
     assert solved == 270
 
@@ -480,7 +458,7 @@ def solve_step_by_step(params):
     energy = math.sqrt((m - decay) * (m + decay))
 
     s_mat = angular_coupling_matrix(params.kappa, coupling, params.gamma)
-    _, rhz, r = coulomb._radial_blocks(params.gamma, None)
+    _, rhz, r = coulomb._radial_blocks(params.gamma)
     binding = decay * decay / (m + energy)
 
     def terminate(c):
@@ -577,13 +555,6 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
     assert long["svd"] + long["inv"] <= 5, long
 
 
-def test_solver_with_a_different_radial_direction():
-    params = CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=1)
-    solution = solve_radial(params, radial_unit=e(CL32, 1))
-    assert abs(solution.energy - sommerfeld_energy(params)) < 1e-12
-    assert radial_ode_residual(solution, radial_unit=e(CL32, 1)) < 1e-8
-
-
 # ---------------------------------------------------------------------------
 # radial series container
 # ---------------------------------------------------------------------------
@@ -615,6 +586,9 @@ def test_series_guards():
         series.evaluate(0.0)
     with pytest.raises(ValueError):
         series.derivative(-1.0)
+    for method in (series.evaluate, series.derivative):
+        with pytest.raises(ValueError, match="positive"):
+            method(math.nan)
     with pytest.raises(ValueError):
         RadialSeries(exponent=1.0, decay=-1.0, coefficients=np.zeros((3, 8)))
 
