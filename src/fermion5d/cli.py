@@ -70,6 +70,7 @@ from .coulomb import (
     mass_energy_matrix,
     radial_left_matrix,
     solve_radial,
+    solve_radials,
     sommerfeld_energy,
     spectroscopic_label,
     quantum_numbers,
@@ -458,22 +459,14 @@ def cmd_verify(args: argparse.Namespace) -> ReportDocument:
 
 
 def _spectrum_states(max_n: int) -> list[tuple[int, int]]:
-    """Standard (kappa, n_r) enumeration ordered by (n, l, j)."""
-    states = []
-    for n in range(1, max_n + 1):
-        for kappa in range(-n, n):
-            if kappa == 0:
-                continue
-            n_r = n - abs(kappa)
-            if n_r == 0 and kappa > 0:
-                continue  # no zero-term series for this branch in standard order
-            states.append((kappa, n_r))
-    def sort_key(state):
-        kappa, n_r = state
-        n, j = quantum_numbers(kappa, n_r)
-        l = kappa if kappa > 0 else -kappa - 1
-        return (n, l, j)
-    return sorted(states, key=sort_key)
+    """Standard (kappa, n_r) enumeration ordered by (n, l, j): kappa = l has
+    j = l - 1/2 and kappa = -(l + 1) has j = l + 1/2."""
+    return [
+        (kappa, n - abs(kappa))
+        for n in range(1, max_n + 1)
+        for l in range(n)
+        for kappa in ((l, -l - 1) if l else (-1,))
+    ]
 
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
@@ -484,21 +477,16 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
             f"coupling Z*alpha = {coupling:.6f} is outside the bound-state "
             "domain; the series exponent needs coupling^2 < kappa^2 with |kappa| = 1"
         )
-    rows = []
-    rel_errors = []
-    default_constants = (
-        args.alpha == FINE_STRUCTURE and args.electron_mass_ev == ELECTRON_MASS_EV
-    )
+    rows, rel_errors = [], []
+    default_constants = args.alpha == FINE_STRUCTURE and args.electron_mass_ev == ELECTRON_MASS_EV
+    states = _spectrum_states(args.max_n)
+    params_seq = [CoulombParams(mass=1.0, coupling=coupling, kappa=k, n_r=n) for k, n in states]
     energies: dict[tuple[int, int], float] = {}
-    for kappa, n_r in _spectrum_states(args.max_n):
-        params = CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r)
+    for (kappa, n_r), params, solved in zip(states, params_seq, solve_radials(params_seq)):
         closed = sommerfeld_energy(params)
         energies[(kappa, n_r)] = closed
-        try:
-            solver_energy = solve_radial(params).energy
-        except RuntimeError:
-            # no terminating series within the solver's bound: a failed check
-            solver_energy = math.nan
+        # no terminating series within the solver's bound: a failed check
+        solver_energy = math.nan if isinstance(solved, RuntimeError) else solved.energy
         rel_errors.append(abs(solver_energy - closed) / closed)
         n, j = quantum_numbers(kappa, n_r)
         rows.append(

@@ -25,8 +25,10 @@ which the recurrence imposes by construction, and ``(beta I + T) C_(n_r) =
 0`` at the top power, which is the termination identity.  The step matrices
 ``((p + q) I - S)^-1`` are inverted numerically (not from the closed form
 that ``S^2`` would allow, so the solver does not assume the identity it
-cross-checks), once per solve in one batched call, and shared by the scan of
-the admissible subspace, the threshold scale and the final coefficients.
+cross-checks) and shared by the scan of the admissible subspace, the
+threshold scale and the final coefficients.  :func:`solve_radials` solves
+many states at once: each of its five LAPACK calls is one stacked call per
+group of states that share the phase bivector and n_r, whatever n_r is.
 
 Operators that flip even and odd grades are represented on the even basis by
 pairing with the unit pseudoscalar (which is central and squares to +1), so
@@ -50,7 +52,6 @@ from .algebra import (
     even_masks,
     from_even_coeffs,
     linear_map_matrix,
-    nullspace,
     pseudoscalar,
     tables,
 )
@@ -66,6 +67,9 @@ _EVEN_MASKS = list(even_masks(CL32))
 
 #: Points of the coarse scan that brackets the termination root.
 SCAN_POINTS = 10_000
+#: Roots per scan block (320 KB of float64).  Blocks of 4 scanned 36 roots
+#: faster than blocks of 1, 2 or 8; one block of 64 raised the peak RSS 11 MB.
+_SCAN_ROWS = 4
 #: Relative bound on the termination residual of a series, also the relative
 #: singular-value gap that counts a direction as terminating.
 SVD_GAP_THRESHOLD = 1e-10
@@ -77,6 +81,9 @@ _DIRECTION_PROBE = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43
 #: Orbital letters for l = 0, 1, 2, ...: "spdf", then alphabetical from g,
 #: skipping j and the letters already used (p, s).
 ANGULAR_LETTERS = "spdfghiklmnoqrtuvwxyz"
+
+#: ``gamma.require_admissible()``, run once per admissible phase bivector
+_require_admissible = functools.lru_cache(maxsize=8)(GammaChoice.require_admissible)
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +194,10 @@ class CoulombParams:
     def __post_init__(self):
         if not 0 < self.mass < math.inf:
             raise ValueError("mass must be positive and finite")
-        if not isinstance(self.kappa, (int, np.integer)) or self.kappa == 0:
+        integers = (int, np.integer)  # and not bool, which is an int
+        if type(self.kappa) is bool or not isinstance(self.kappa, integers) or self.kappa == 0:
             raise ValueError("kappa must be a nonzero integer")
-        if not isinstance(self.n_r, (int, np.integer)) or self.n_r < 0:
+        if type(self.n_r) is bool or not isinstance(self.n_r, integers) or self.n_r < 0:
             raise ValueError("n_r must be a nonnegative integer")
         if not (self.coupling > 0):
             raise ValueError("coupling must be positive for bound states")
@@ -198,7 +206,7 @@ class CoulombParams:
                 f"coupling {self.coupling} too strong for kappa={self.kappa}: "
                 "need coupling^2 < kappa^2"
             )
-        self.gamma.require_admissible()
+        _require_admissible(self.gamma)
 
     @property
     def series_exponent(self) -> float:
@@ -266,15 +274,15 @@ class RadialSeries:
         return powers @ self.coefficients
 
     def evaluate(self, r: float) -> np.ndarray:
-        """Even-subalgebra coordinates of ``u(r)`` (r must be positive)."""
-        if not r > 0:
-            raise ValueError("radius must be positive")
+        """Even-subalgebra coordinates of ``u(r)`` (r must be positive and finite)."""
+        if not 0 < r < math.inf:
+            raise ValueError("radius must be positive and finite")
         return r**self.exponent * math.exp(self.decay * r) * self._polynomial(r)
 
     def derivative(self, r: float) -> np.ndarray:
         """Coordinates of ``du/dr`` from the analytic series."""
-        if not r > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError("radius must be positive and finite")
         p = np.arange(self.coefficients.shape[0])
         poly = (r**p) @ self.coefficients
         dpoly = (p[1:] * r ** (p[1:] - 1)) @ self.coefficients[1:] if len(p) > 1 else 0.0
@@ -300,73 +308,73 @@ class RadialSolution:
         return self.energy - self.params.mass
 
 
-def _quantization_gap(
-    decay: float | np.ndarray, params: CoulombParams, shift: float
-) -> float | np.ndarray:
-    """Termination condition as a function of the decay constant ``|beta|``.
+def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
+    """Decay constants ``d = |beta|`` at the roots of the termination gap
+    ``d (n_r + q) - lambda sqrt(m^2 - d^2)``, strictly increasing on (0, m).
 
-    ``shift`` is ``n_r + series_exponent``, computed once by the caller.
-    Strictly increasing on (0, m); its unique root fixes the bound state.
     Rooting in the decay constant rather than the energy keeps the
     termination identity sharp even when the energy is within ulps of the
-    rest mass (weak coupling), where d(decay)/d(energy) blows up.
+    rest mass (weak coupling), where d(decay)/d(energy) blows up.  The gap
+    is ``m (n_r + q) > 0`` at the scan's last point, so every root is
+    bracketed; each sees the float operations of its own scan and bisection.
     """
-    m = params.mass
-    return decay * shift - params.coupling * np.sqrt((m - decay) * (m + decay))
-
-
-def solve_radial(params: CoulombParams) -> RadialSolution:
-    """Root-find the termination energy and build the terminating series.
-
-    The energy is the bisection root of the termination condition in the
-    decay constant, which is the closed form solved for it; ``diagnostics``
-    holds the closed-form gap and what the series adds, the relative residual
-    of the termination identity on the last coefficient.  The recurrence
-    satisfies every other power of the radial system by construction, so
-    that residual is the series' whole check of the system, whose radial
-    unit is ``e3``.  Raises when no
-    series direction terminates (for example n_r = 0 with kappa > 0 when the
-    phase bivector is e0 times the pseudoscalar, mirroring the standard
-    Dirac-Coulomb selection rule).
-
-    The ``n_r`` step matrices ``((p+q) I - S)^-1`` are built once, by one
-    batched inverse, and shared by the scan of the admissible subspace, the
-    threshold scale and the final coefficients; the 2-norms that set the
-    threshold scale come from one batched SVD.  A solve makes five LAPACK
-    calls whatever ``n_r`` is.
-    """
-    m = params.mass
-    q = params.series_exponent
-    n_r = params.n_r
-    shift = n_r + q
-
-    # bracket the unique root of the termination condition in the decay
-    # constant with a coarse scan, then bisect to the floating-point limit
-    grid = np.linspace(0.0, m, SCAN_POINTS)
-    vals = _quantization_gap(grid, params, shift)
-    above = np.nonzero(vals >= 0.0)[0]
-    if len(above) == 0:
-        raise RuntimeError("termination condition has no sign change on (0, m)")
-    hi = float(grid[above[0]])
-    lo = float(grid[above[0] - 1]) if above[0] > 0 else 0.0
+    keys = [(p.mass, p.coupling, p.n_r + p.series_exponent) for p in params_seq]
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    mass, coupling, shift = np.array(list(index), dtype=np.float64).reshape(-1, 3).T
+    lo, hi = np.zeros(len(index)), np.zeros(len(index))
+    for m, lam in dict.fromkeys(zip(mass.tolist(), coupling.tolist())):
+        grid = np.linspace(0.0, m, SCAN_POINTS)
+        root_term = lam * np.sqrt((m - grid) * (m + grid))
+        line = np.flatnonzero((mass == m) & (coupling == lam))
+        for rows in np.split(line, range(_SCAN_ROWS, len(line), _SCAN_ROWS)):
+            gap = grid * shift[rows, None]
+            above = np.subtract(gap, root_term, out=gap) >= 0.0
+            first = above.argmax(axis=1)
+            hi[rows], lo[rows] = grid[first], np.where(first > 0, grid[first - 1], 0.0)
+    active = np.ones(len(index), dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        active &= (mid != lo) & (mid != hi)
+        if not active.any():
             break
-        if _quantization_gap(mid, params, shift) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    decay = 0.5 * (lo + hi)
-    energy = math.sqrt((m - decay) * (m + decay))
-    beta = -decay
+        below = mid * shift - coupling * np.sqrt((mass - mid) * (mass + mid)) < 0.0
+        lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
+    return (0.5 * (lo + hi))[[index[key] for key in keys]].tolist()
 
-    s_mat = angular_coupling_matrix(params.kappa, params.coupling, params.gamma)
-    t_mat = mass_energy_matrix(m, energy, params.gamma)
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """2-norms of the rows, each one dot product as for a single vector."""
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def _split_selected(mask: np.ndarray, vt: np.ndarray):
+    """Split a batch by how many rows of each ``vt`` its ``mask`` row keeps:
+    ``(count, batch indices, (n, count, k) kept rows)`` per count."""
+    counts = mask.sum(axis=1)
+    for count in set(counts.tolist()):  # np.unique would import numpy.ma, 0.6 MB
+        batch = np.flatnonzero(counts == count)
+        yield count, batch, vt[batch][mask[batch]].reshape(len(batch), count, vt.shape[-1])
+
+
+def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
+    """Solutions, or errors, of states that share the phase bivector and n_r."""
+    n_r = group[0].n_r
+    z, rhz, r = _radial_blocks(group[0].gamma)
     eye = np.eye(16)
+    mass = [p.mass for p in group]
+    energies = [math.sqrt((a - d) * (a + d)) for a, d in zip(mass, decays)]
 
-    s_square_err = float(np.abs(s_mat @ s_mat - (params.kappa**2 - params.coupling**2) * eye).max())
-    t_square_err = float(np.abs(t_mat @ t_mat - (m**2 - energy**2) * eye).max())
+    def col(values) -> np.ndarray:
+        return np.array(values, dtype=np.float64)[:, None, None]
+
+    def square_error(mat: np.ndarray, square: list) -> np.ndarray:
+        return np.abs(mat @ mat - col(square) * eye).max(axis=(1, 2))
+
+    m, q = col(mass), col([p.series_exponent for p in group])
+    s_mat = col([p.kappa for p in group]) * z + col([p.coupling for p in group]) * rhz
+    s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
+    t_mat = m * r - col(energies) * rhz
+    t_square_err = square_error(t_mat, [a**2 - b**2 for a, b in zip(mass, energies)])
 
     # (beta I + T) in split form: T = m (R - RHZ) + b RHZ with the binding
     # b = m - eps = d^2 / (m + eps).  Its eigenvalues are +-d up to the
@@ -374,22 +382,23 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     # eps moves them by ~ulp(eps) m / d, which at weak coupling is a relative
     # termination residual above the bound.  R - RHZ holds at most two +-1 or
     # +-2 entries per row, so its product with c rounds once per component.
-    _, rhz, r = _radial_blocks(params.gamma)
     r_minus_rhz = r - rhz
-    binding = decay * decay / (m + energy)
+    binding = col([d * d / (a + b) for d, a, b in zip(decays, mass, energies)])
+    beta = col([-d for d in decays])
 
-    def terminate(c: np.ndarray) -> np.ndarray:
-        return m * (r_minus_rhz @ c) + binding * (rhz @ c) + beta * c
+    def terminate(c: np.ndarray, batch=slice(None)) -> np.ndarray:
+        return m[batch] * (r_minus_rhz @ c) + binding[batch] * (rhz @ c) + beta[batch] * c
 
     # the recurrence steps ((p+q) I - S)^-1 for p = 1..n_r, inverted in one
     # batched call and shared by every propagation and the threshold scale
-    steps = np.linalg.inv((np.arange(1, n_r + 1) + q)[:, None, None] * eye - s_mat)
+    shifts = (np.arange(1, n_r + 1) + q[:, :, 0])[..., None, None]
+    steps = np.linalg.inv(shifts * eye - s_mat[:, None])
 
-    def propagate(block: np.ndarray) -> list[np.ndarray]:
+    def propagate(block: np.ndarray, batch: np.ndarray) -> list[np.ndarray]:
         """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})``."""
         chain = [block]
-        for step in steps:
-            chain.append(step @ -terminate(chain[-1]))
+        for p in range(n_r):
+            chain.append(steps[batch, p] @ -terminate(chain[-1], batch))
         return chain
 
     # C_0 must satisfy (S - q I) C_0 = 0 and, after propagating through the
@@ -402,66 +411,108 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     # non-quantized chain would have.  The 2-norms of the termination map
     # and of each step applied to it come from one batched SVD.
     termination = terminate(eye)
-    norms = np.linalg.svd(
-        np.concatenate([termination[None], steps @ -termination]), compute_uv=False
-    )[:, 0]
-    termination_norm = float(norms[0])
-    generic_scale = math.prod(norms[:0:-1], start=termination_norm)
-
-    kernel_basis = nullspace(s_mat - q * eye)
-    if kernel_basis.shape[1] == 0:
-        raise RuntimeError("indicial equation has no solution (S has no +q eigenvector)")
-
-    restricted = terminate(propagate(kernel_basis)[-1])
-    _, sing_w, vt_w = np.linalg.svd(restricted)
+    blocks = np.concatenate([termination[:, None], steps @ -termination[:, None]], axis=1)
+    norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    termination_norm = generic_scale = norms[:, 0]
+    for p in range(n_r, 0, -1):
+        generic_scale = generic_scale * norms[:, p]
     threshold = SVD_GAP_THRESHOLD * generic_scale
-    admissible = int(np.count_nonzero(sing_w <= threshold))
-    if admissible == 0:
-        raise RuntimeError(
-            "no terminating series at the root energy: smallest termination "
-            f"residual {sing_w[-1]:.3e} exceeds {threshold:.3e} "
-            f"(kappa={params.kappa}, n_r={n_r})"
-        )
-    admissible_basis = kernel_basis @ vt_w[sing_w <= threshold].T
 
-    # propagate the whole admissible subspace and keep the directions whose
-    # final coefficient is largest; this avoids near-degenerate directions
-    # (close couplings make neighboring levels almost align) that would make
-    # the last coefficient vanish by cancellation.  That singular value is
-    # often degenerate, and which vector of its subspace an SVD returns is
-    # up to roundoff, so the series starts from the projection of a fixed
-    # generic vector onto the whole subspace, which roundoff only nudges
-    _, sing_b, vt_b = np.linalg.svd(propagate(admissible_basis)[-1], full_matrices=False)
-    top = admissible_basis @ vt_b[sing_b >= (1.0 - 1e-8) * sing_b[0]].T
-    start = top @ (top.T @ _DIRECTION_PROBE)
-    coefficients = np.array(propagate(start / np.linalg.norm(start)))
-    c0 = coefficients[0]
+    # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace) 8-dimensional
+    results: list = [None] * len(group)
+    _, sing_k, vt_k = np.linalg.svd(s_mat - q * eye)
+    for _, rows, kernel in _split_selected(sing_k <= 1e-10 * sing_k[:, :1], vt_k):
+        kernel = np.ascontiguousarray(np.swapaxes(kernel, 1, 2))
+        _, sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel, rows)[-1], rows))
+        for admissible, sub, kept in _split_selected(sing_w <= threshold[rows, None], vt_w):
+            batch = rows[sub]
+            if admissible == 0:
+                for i, smallest in zip(batch, sing_w[sub, -1]):
+                    results[i] = RuntimeError(
+                        "no terminating series at the root energy: smallest termination "
+                        f"residual {smallest:.3e} exceeds {threshold[i]:.3e} "
+                        f"(kappa={group[i].kappa}, n_r={n_r})"
+                    )
+                continue
+            # propagate the whole admissible subspace and keep the directions
+            # whose final coefficient is largest; this avoids near-degenerate
+            # directions (close couplings make neighboring levels almost
+            # align) that would make the last coefficient vanish by
+            # cancellation.  That singular value is often degenerate, and
+            # which vector of its subspace an SVD returns is up to roundoff,
+            # so the series starts from the projection of a fixed generic
+            # vector onto the whole subspace, which roundoff only nudges
+            basis = kernel[sub] @ np.swapaxes(kept, 1, 2)
+            _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[-1], full_matrices=False)
+            start = np.empty((len(batch), 16))
+            for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
+                top = basis[same] @ np.swapaxes(top, 1, 2)
+                start[same] = (top @ (np.swapaxes(top, 1, 2) @ _DIRECTION_PROBE[:, None]))[..., 0]
+            start /= _norms(start)[:, None]
+            coefficients = np.stack(propagate(start[..., None], batch), axis=1)[..., 0]
 
-    # honest post-check: the last coefficient must be annihilated relative to
-    # the operator norm of the termination map (a genuinely non-terminating
-    # direction scores O(1) in this measure)
-    last = coefficients[-1]
-    termination_relative = float(
-        np.linalg.norm(terminate(last)) / (termination_norm * np.linalg.norm(last))
-    )
-    if termination_relative > SVD_GAP_THRESHOLD:
-        raise RuntimeError(
-            f"series does not terminate: relative termination residual "
-            f"{termination_relative:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
-        )
-    closed_form_delta = abs(energy - sommerfeld_energy(params))
+            # honest post-check: the last coefficient must be annihilated
+            # relative to the operator norm of the termination map (a
+            # genuinely non-terminating direction scores O(1) in this measure)
+            last, c0 = coefficients[:, -1], coefficients[:, 0, :, None]
+            scale = termination_norm[batch] * _norms(last)
+            termination_relative = _norms(terminate(last[..., None], batch)[..., 0]) / scale
+            indicial = np.abs(s_mat[batch] @ c0 - q[batch] * c0).max(axis=(1, 2))
+            for j, i in enumerate(batch.tolist()):
+                if termination_relative[j] > SVD_GAP_THRESHOLD:
+                    results[i] = RuntimeError(
+                        f"series does not terminate: relative termination residual "
+                        f"{termination_relative[j]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
+                    )
+                    continue
+                params = group[i]
+                series = RadialSeries(params.series_exponent, -decays[i], coefficients[j])
+                diagnostics = {
+                    "termination_relative": float(termination_relative[j]),
+                    "termination_kernel_dim": admissible,
+                    "termination_vacuity": float(sing_w[sub[j], 0] / generic_scale[i]),
+                    "closed_form_delta": abs(energies[i] - sommerfeld_energy(params)),
+                    "indicial_residual": float(indicial[j]),
+                    "s_square_error": float(s_square_err[i]),
+                    "t_square_error": float(t_square_err[i]),
+                }
+                results[i] = RadialSolution(params, energies[i], series, diagnostics)
+    return results
 
-    series = RadialSeries(exponent=q, decay=beta, coefficients=coefficients)
-    diagnostics = {
-        "termination_relative": termination_relative,
-        "termination_kernel_dim": admissible,
-        "termination_vacuity": float(sing_w[0] / generic_scale),
-        "closed_form_delta": closed_form_delta,
-        "indicial_residual": float(np.abs(s_mat @ c0 - q * c0).max()),
-        "s_square_error": s_square_err,
-        "t_square_error": t_square_err,
-    }
-    return RadialSolution(params=params, energy=energy, series=series, diagnostics=diagnostics)
+
+def solve_radials(params_seq: Sequence[CoulombParams]) -> list[RadialSolution | RuntimeError]:
+    """:func:`solve_radial` for many states: per state its solution, or the
+    ``RuntimeError`` it raises, whatever else the batch holds.  One scan and
+    bisection roots every state, and each of the five LAPACK calls (step
+    inverse, norm, indicial-kernel, admissible and final SVD) is one stacked
+    call per group, split where the kernel or admissible dimension differs.
+    """
+    decays = _termination_decays(params_seq)
+    groups: dict[tuple[GammaChoice, int], list[int]] = {}
+    for i, params in enumerate(params_seq):
+        groups.setdefault((params.gamma, params.n_r), []).append(i)
+    results = {}
+    for members in groups.values():
+        group = [params_seq[i] for i in members]
+        results.update(zip(members, _solve_group(group, [decays[i] for i in members])))
+    return [results[i] for i in range(len(params_seq))]
+
+
+def solve_radial(params: CoulombParams) -> RadialSolution:
+    """Root-find the termination energy and build the terminating series.
+
+    ``diagnostics`` holds the closed-form gap and the relative residual of
+    the termination identity on the last coefficient, the series' whole
+    check of the system (see the module docstring).  Raises when no series
+    direction terminates (for example n_r = 0 with kappa > 0 when the phase
+    bivector is e0 times the pseudoscalar, mirroring the standard
+    Dirac-Coulomb selection rule).  This is :func:`solve_radials` on a batch
+    of one: five LAPACK calls whatever ``n_r`` is.
+    """
+    (result,) = solve_radials([params])
+    if isinstance(result, RuntimeError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fermion5d import _kernels, beyond, cli, coulomb, report
 from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
-from fermion5d.coulomb import solve_radial
+from fermion5d.coulomb import solve_radials
 from fermion5d.fields import AnalyticField, PhaseField
 from fermion5d.report import ReportDocument, make_check
 
@@ -349,16 +349,21 @@ def test_spectrum_usage_errors(capsys):
 
 
 def test_spectrum_reports_a_series_solver_failure_as_a_failed_check(capsys, monkeypatch):
-    # a solver that finds no terminating series for the n_r = 2 states
-    def failing_solver(params):
-        if params.n_r == 2:
-            raise RuntimeError("series does not terminate")
-        return solve_radial(params)
+    # a batch solver that finds no terminating series for the n_r = 2 states
+    batches = []
 
-    monkeypatch.setattr(cli, "solve_radial", failing_solver)
+    def failing_solver(params_seq):
+        batches.append(len(params_seq))
+        return [
+            RuntimeError("series does not terminate") if params.n_r == 2 else solved
+            for params, solved in zip(params_seq, solve_radials(params_seq))
+        ]
+
+    monkeypatch.setattr(cli, "solve_radials", failing_solver)
     argv = ["spectrum"]
     code, out, err = run_cli(argv + ["--format", "json"], capsys)
     assert code == 1
+    assert batches == [9]  # one batch per request: the nine states up to n = 3
     assert "Traceback" not in err
     by_name = {c["name"]: c for c in load_document(out)["checks"]}
     assert by_name["closed-form-vs-series-solver"]["status"] == "fail"
@@ -624,7 +629,7 @@ def test_a_nan_measurement_fails_its_check(argv, target, failing, capsys, monkey
     "argv, target",
     [
         (["verify", "--trials", "2"], "_coulomb_checks"),
-        (["spectrum", "--format", "json"], "solve_radial"),
+        (["spectrum", "--format", "json"], "solve_radials"),
         (["planewave"], "build_plane_wave"),
         (["beyond", "--demo", "sources"], "source_current"),
     ],

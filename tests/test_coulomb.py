@@ -39,11 +39,12 @@ from fermion5d.coulomb import (
     quantum_numbers,
     radial_left_matrix,
     solve_radial,
+    solve_radials,
     sommerfeld_energy,
     spectroscopic_label,
 )
 from fermion5d.fields import AnalyticField
-from fermion5d.wave import GammaChoice
+from fermion5d.wave import GammaChoice, GammaRejectionError
 
 BOTH_GAMMAS = (GammaChoice.e12(), GammaChoice.e0E())
 EYE = np.eye(16)
@@ -200,6 +201,16 @@ def test_params_validation():
         CoulombParams(**{**good, "kappa": 1.5})
     with pytest.raises(ValueError, match="n_r"):
         CoulombParams(**{**good, "n_r": -1})
+    # bool is an int subclass, but True is not an angular label or a term count
+    for name, flag in (("kappa", True), ("kappa", False), ("n_r", True), ("n_r", False)):
+        with pytest.raises(ValueError, match=name):
+            CoulombParams(**{**good, name: flag})
+    CoulombParams(**{**good, "kappa": np.int64(-1), "n_r": np.int32(0)})
+    # the admissibility check runs once per phase bivector, but a rejected
+    # one is rejected every time
+    for _ in range(2):
+        with pytest.raises(GammaRejectionError):
+            CoulombParams(**{**good, "gamma": GammaChoice.superposition(0.3)})
     with pytest.raises(ValueError, match="coupling"):
         CoulombParams(**{**good, "coupling": -0.1})
     with pytest.raises(ValueError, match="too strong"):
@@ -502,40 +513,74 @@ def diagnostic_grid():
         yield CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r, gamma=gamma)
 
 
+SELECTION_RULE_MESSAGE = "no terminating series at the root energy"
+
+
+def assert_matches_step_by_step(params, solution):
+    """``solution`` (a solution or an error) against :func:`solve_step_by_step`:
+    True for a selection-rule cell, which must be an error."""
+    gamma, kappa, n_r = params.gamma, params.kappa, params.n_r
+    energy, kernel_dim, vacuity, coefficients = solve_step_by_step(params)
+    if kernel_dim == 0:
+        assert gamma.variant == GammaChoice.E0E_VARIANT and n_r == 0 and kappa > 0
+        assert isinstance(solution, RuntimeError), params
+        assert str(solution).startswith(SELECTION_RULE_MESSAGE), params
+        return True
+    diag = solution.diagnostics
+    assert solution.energy == energy, params
+    assert diag["termination_kernel_dim"] == kernel_dim, params
+    assert abs(diag["termination_vacuity"] - vacuity) <= 1e-13, params
+    assert diag["termination_relative"] <= 1e-10, params
+    # the series direction is fixed by a rule, not by roundoff, so the
+    # two arithmetics give the same series to within roundoff
+    scale = np.abs(coefficients).max()
+    assert np.abs(solution.series.coefficients - coefficients).max() <= 1e-10 * scale, params
+    return False
+
+
 def test_solver_diagnostics_match_a_step_by_step_recomputation():
     raised = 0
     for params in diagnostic_grid():
-        gamma, kappa, n_r = params.gamma, params.kappa, params.n_r
-        energy, kernel_dim, vacuity, coefficients = solve_step_by_step(params)
-        if kernel_dim == 0:
-            assert gamma.variant == GammaChoice.E0E_VARIANT and n_r == 0 and kappa > 0
-            with pytest.raises(RuntimeError, match="no terminating series"):
-                solve_radial(params)
-            raised += 1
-            continue
-        solution = solve_radial(params)
-        diag = solution.diagnostics
-        assert solution.energy == energy, params
-        assert diag["termination_kernel_dim"] == kernel_dim, params
-        assert abs(diag["termination_vacuity"] - vacuity) <= 1e-13, params
-        assert diag["termination_relative"] <= 1e-10, params
-        # the series direction is fixed by a rule, not by roundoff, so the
-        # two arithmetics give the same series to within roundoff
-        scale = np.abs(coefficients).max()
-        assert np.abs(solution.series.coefficients - coefficients).max() <= 1e-10 * scale, params
+        try:
+            solution = solve_radial(params)
+        except RuntimeError as error:
+            solution = error
+        raised += assert_matches_step_by_step(params, solution)
     assert raised == 20  # e0 E, n_r = 0, kappa = 1..4, at each coupling
+
+
+def test_one_batch_of_the_whole_grid_isolates_each_state():
+    # both phase bivectors and every coupling in one call: each selection-rule
+    # cell gets its own error, with the message of a batch of one, and every
+    # other cell the bits of a batch of one
+    grid = list(diagnostic_grid())
+    batch = solve_radials(grid)
+    assert len(batch) == len(grid)
+    errors = [result for result in batch if isinstance(result, RuntimeError)]
+    assert len(errors) == 20 and len({id(error) for error in errors}) == 20
+    for params, result in zip(grid, batch):
+        if assert_matches_step_by_step(params, result):
+            with pytest.raises(RuntimeError) as alone:
+                solve_radial(params)
+            assert str(result) == str(alone.value)
+            continue
+        alone = solve_radial(params)
+        assert result.params is params
+        assert result.energy == alone.energy
+        assert result.series.coefficients.tobytes() == alone.series.coefficients.tobytes()
+        assert result.diagnostics == alone.diagnostics
 
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypatch):
     # One batched inverse builds every recurrence step and one batched SVD
     # takes the 2-norms of the threshold scale; before that a solve made
-    # 4 n_r linear solves and 5 + n_r SVDs.
+    # 4 n_r linear solves and 5 + n_r SVDs.  A batch makes each LAPACK call
+    # once per group of states that share the phase bivector and n_r.
     names = ("solve", "svd", "inv", "norm")
 
-    def calls_in_one_solve(n_r):
-        params = CoulombParams(mass=1.0, coupling=0.3, kappa=-2, n_r=n_r, gamma=gamma)
-        solve_radial(params)  # fill the block cache first
+    def lapack_calls(solve):
+        solve()  # fill the block cache first
         counts = dict.fromkeys(names, 0)
         for name in names:
             original = getattr(np.linalg, name)
@@ -545,14 +590,27 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        solve_radial(params)
+        solve()
         monkeypatch.undo()
         return counts
 
-    short, long = calls_in_one_solve(0), calls_in_one_solve(6)
+    def state(kappa=-2, n_r=0, coupling=0.3):
+        return CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r, gamma=gamma)
+
+    short = lapack_calls(lambda: solve_radial(state(n_r=0)))
+    long = lapack_calls(lambda: solve_radial(state(n_r=6)))
     assert short["solve"] == long["solve"] == 0, (short, long)
     assert sum(long.values()) <= sum(short.values()), (short, long)
     assert long["svd"] + long["inv"] <= 5, long
+
+    # 14 states that share n_r make the calls of one
+    kappas = [k for k in range(-7, 8) if k]
+    many = lapack_calls(lambda: solve_radials([state(kappa=k, n_r=3) for k in kappas]))
+    assert many == lapack_calls(lambda: solve_radials([state(n_r=3)])), many
+    # a batch over four n_r and two couplings makes at most five per n_r
+    mixed = [state(k, n_r, c) for k in kappas for n_r in range(4) for c in (1e-4, 0.6)]
+    counts = lapack_calls(lambda: solve_radials(mixed))
+    assert counts["svd"] + counts["inv"] <= 5 * 4, counts
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +645,9 @@ def test_series_guards():
     with pytest.raises(ValueError):
         series.derivative(-1.0)
     for method in (series.evaluate, series.derivative):
-        with pytest.raises(ValueError, match="positive"):
-            method(math.nan)
+        for radius in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive"):
+                method(radius)
     with pytest.raises(ValueError):
         RadialSeries(exponent=1.0, decay=-1.0, coefficients=np.zeros((3, 8)))
 

@@ -5,8 +5,10 @@ gradient, pair-equation and operator-matrix code was merged into shared
 helpers, the two ``verify`` cases with ``--trials`` before the verify
 checks ran on batched coefficient arrays, the three spectrum cases at
 Z = 92, Z = 37 and alpha = 1e-6 before the radial recurrence was inverted in
-one batched call, and the two at the plane-wave cap (``--trials`` 25 and 26)
-before the plane waves were built and checked as one batch; a refactor that changes any output bit fails here.  To add a case,
+one batched call, the two at the plane-wave cap (``--trials`` 25 and 26)
+before the plane waves were built and checked as one batch, and the one at
+Z = 80 with ``--max-n 12`` before the radial states of a request were solved
+as one batch; a refactor that changes any output bit fails here.  To add a case,
 run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
 build and add a row below.
 """
@@ -57,6 +59,11 @@ CASES = {
         0,
     ),
     "spectrum_alpha1e-6_json": (["spectrum", "--alpha", "1e-6", "--format", "json"], 0),
+    # n_r up to 11, and up to 22 states that share one n_r
+    "spectrum_z80_max_n12_csv": (
+        ["spectrum", "--z", "80", "--max-n", "12", "--format", "csv"],
+        0,
+    ),
     "planewave_default": (["planewave"], 0),
     "planewave_default_json": (["planewave", "--format", "json"], 0),
     "planewave_k4_e0e": (["planewave", "--k4", "0.3", "--gamma", "e0e"], 0),
