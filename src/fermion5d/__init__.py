@@ -68,6 +68,7 @@ from .wave import (
     hestenes_dirac_residuals,
     hestenes_plane_wave_field,
     hestenes_sample_residuals,
+    phase_mixture,
     sector_fields,
 )
 
@@ -112,6 +113,7 @@ __all__ = [
     "hestenes_dirac_residuals",
     "hestenes_plane_wave_field",
     "hestenes_sample_residuals",
+    "phase_mixture",
     "sector_fields",
     # Coulomb bound states
     "CoulombParams",

@@ -217,11 +217,7 @@ class ScalarPotentialDemo:
     """
 
     def __init__(
-        self,
-        mass: float,
-        potential: float,
-        k_spatial: Sequence[float] = (0.0, 0.0, 0.0),
-        amplitude: Multivector | None = None,
+        self, mass: float, potential: float, k_spatial: Sequence[float] = (0.0, 0.0, 0.0)
     ):
         if mass <= 0:
             raise ValueError(
@@ -233,7 +229,7 @@ class ScalarPotentialDemo:
         self._rate = math.sqrt(abs(self.mass * self.potential))
         if not math.isfinite(self._rate):
             raise ValueError("the profile rate sqrt(|mass * potential|) overflows")
-        self.carrier = hestenes_plane_wave_field(k_spatial, self.mass + self.potential, amplitude)
+        self.carrier = hestenes_plane_wave_field(k_spatial, self.mass + self.potential)
         #: The plus half ``f(x4) psi``, with exact analytic partials.
         self.xi_plus = _ProfileField(self.profile, self.carrier, 0)
         #: ``d4 d4 xi_plus = f''(x4) psi`` from the profile (not via the

@@ -29,6 +29,7 @@ An unexpected error is one stderr line, ``fermion5d <cmd>: error: <Type>:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -86,6 +87,7 @@ from .wave import (
     dirac5_residuals,
     gamma_classify,
     hestenes_sample_residuals,
+    phase_mixture,
     plane_wave_field,
 )
 
@@ -335,19 +337,10 @@ def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
         make_check("plane-wave-dispersion", "dispersion", _worst(dispersions), 1e-10),
     ]
 
-    ok = True
-    for theta, variant in (
-        (0.0, GammaChoice.E12_VARIANT),
-        (math.pi / 2, GammaChoice.E0E_VARIANT),
-        (math.pi, GammaChoice.E12_VARIANT),
-        (3 * math.pi / 2, GammaChoice.E0E_VARIANT),
-    ):
-        mixed = GammaChoice.superposition(theta).as_multivector()
-        ok = ok and gamma_classify(mixed).variant == variant
-    for bad in (
-        GammaChoice.superposition(math.pi / 4).as_multivector(),
-        e(CL32, 1, 3),
-    ):
+    # on the quarter-turn lattice a mixture is e12 (even k) or e0E (odd k)
+    pure = (GammaChoice.E12_VARIANT, GammaChoice.E0E_VARIANT)
+    ok = all(gamma_classify(phase_mixture(k * math.pi / 2)).variant == pure[k % 2] for k in range(4))
+    for bad in (phase_mixture(math.pi / 4), e(CL32, 1, 3)):
         try:
             gamma_classify(bad)
             ok = False
@@ -734,6 +727,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)  # one parser per process; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fermion5d",
@@ -778,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wave.add_argument("--gamma", choices=("e12", "e0e"), default="e12",
                         help="phase bivector choice")
     p_wave.add_argument("--seed", type=nonnegative_int, default=42)
-    p_wave.add_argument("--tolerance", type=finite_float, default=PLANEWAVE_TOLERANCE)
+    p_wave.add_argument("--tolerance", type=nonnegative_float, default=PLANEWAVE_TOLERANCE)
     p_wave.add_argument("--format", choices=("table", "json"), default="table")
     p_wave.set_defaults(func=_run_planewave)
 

@@ -82,9 +82,6 @@ _DIRECTION_PROBE = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43
 #: skipping j and the letters already used (p, s).
 ANGULAR_LETTERS = "spdfghiklmnoqrtuvwxyz"
 
-#: ``gamma.require_admissible()``, run once per admissible phase bivector
-_require_admissible = functools.lru_cache(maxsize=8)(GammaChoice.require_admissible)
-
 
 # ---------------------------------------------------------------------------
 # operator matrices on the even subalgebra
@@ -192,6 +189,8 @@ class CoulombParams:
     gamma: GammaChoice = field(default_factory=GammaChoice.e12)
 
     def __post_init__(self):
+        if not isinstance(self.gamma, GammaChoice):
+            raise TypeError(f"gamma must be a GammaChoice, got {type(self.gamma).__name__}")
         if not 0 < self.mass < math.inf:
             raise ValueError("mass must be positive and finite")
         integers = (int, np.integer)  # and not bool, which is an int
@@ -206,7 +205,6 @@ class CoulombParams:
                 f"coupling {self.coupling} too strong for kappa={self.kappa}: "
                 "need coupling^2 < kappa^2"
             )
-        _require_admissible(self.gamma)
 
     @property
     def series_exponent(self) -> float:

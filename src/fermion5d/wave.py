@@ -5,8 +5,10 @@ The free equation is ``e_A d^A phi = -E m phi`` for an even multivector field
 Oscillating solutions use a bivector ``gamma`` with ``gamma^2 = -1`` in place
 of the complex unit:  ``phi(x) = amp * (cos(k.x) + gamma sin(k.x))``, where the
 amplitude must satisfy the momentum constraint ``K amp gamma = -m E amp`` with
-``K = k^A e_A``.  Admissible phase bivectors are ``e1e2`` and ``e0*E``; their
-trigonometric mixtures square to -1 only at integer multiples of pi/2.
+``K = k^A e_A``.  The admissible phase bivectors are ``e1e2`` and ``e0*E``
+(:class:`GammaChoice`).  Their trigonometric mixtures (:func:`phase_mixture`)
+square to -1 only at integer multiples of pi/2, where they are one of the two;
+:func:`gamma_classify` tells which, or rejects the candidate.
 """
 from __future__ import annotations
 
@@ -48,6 +50,7 @@ _E12 = e(CL32, 1, 2)
 _E34 = e(CL32, 3, 4)
 _E012 = e(CL32, 0, 1, 2)
 _E0E = e(CL32, 0) * _PSEUDO  # equals -e1e2e3e4
+_PHASE_BIVECTORS = {"e12": _E12, "e0E": _E0E}
 
 # the constant products of the free equations, as signed gathers
 _LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # E x
@@ -76,17 +79,20 @@ class GammaRejectionError(ValueError):
 class GammaChoice:
     """Phase bivector playing the role of the complex unit.
 
-    Variants: ``e12`` (spatial rotation plane), ``e0E`` (time axis times the
-    pseudoscalar) and ``superposition`` with a mixing angle, which is only
-    admissible when the mixing collapses to one of the two pure choices.
+    Two variants: ``e12`` (spatial rotation plane) and ``e0E`` (time axis
+    times the pseudoscalar).  Any other candidate, such as a mixture from
+    :func:`phase_mixture`, is a multivector that :func:`gamma_classify`
+    turns into one of the two or rejects.
     """
 
     variant: str
-    theta: float | None = None
 
     E12_VARIANT = "e12"
     E0E_VARIANT = "e0E"
-    SUPERPOSITION_VARIANT = "superposition"
+
+    def __post_init__(self):
+        if self.variant not in _PHASE_BIVECTORS:
+            raise ValueError(f"unknown variant {self.variant!r}; expected 'e12' or 'e0E'")
 
     @classmethod
     def e12(cls) -> "GammaChoice":
@@ -97,42 +103,28 @@ class GammaChoice:
         return cls(cls.E0E_VARIANT)
 
     @classmethod
-    def superposition(cls, theta: float) -> "GammaChoice":
-        return cls(cls.SUPERPOSITION_VARIANT, float(theta))
-
-    @classmethod
     def from_name(cls, name: str) -> "GammaChoice":
         key = name.strip().lower()
-        if key in {"e12", "e1e2"}:
+        if key == "e12":
             return cls.e12()
-        if key in {"e0e", "e0_e", "e0pseudo"}:
+        if key == "e0e":
             return cls.e0E()
         raise ValueError(f"unknown phase bivector {name!r}; expected 'e12' or 'e0e'")
 
     def as_multivector(self) -> Multivector:
-        if self.variant == self.E12_VARIANT:
-            return _E12
-        if self.variant == self.E0E_VARIANT:
-            return _E0E
-        if self.variant == self.SUPERPOSITION_VARIANT:
-            c2 = math.cos(self.theta) ** 2
-            s2 = math.sin(self.theta) ** 2
-            return _E12 * c2 - (_E12 * _E34) * s2
-        raise ValueError(f"unknown variant {self.variant!r}")
+        return _PHASE_BIVECTORS[self.variant]
 
-    def is_admissible(self) -> bool:
-        g = self.as_multivector()
-        return (g * g + 1).inf_norm() <= GAMMA_TOLERANCE
 
-    def require_admissible(self) -> None:
-        if not self.is_admissible():
-            raise GammaRejectionError(
-                "phase bivector is not admissible",
-                [
-                    f"square differs from -1 by {(self.as_multivector()*self.as_multivector() + 1).inf_norm():.3e}",
-                    "mixtures are admissible only at integer multiples of pi/2",
-                ],
-            )
+def phase_mixture(theta: float) -> Multivector:
+    """The candidate ``cos^2(theta) e1e2 - sin^2(theta) e1e2e3e4``.
+
+    It squares to -1 only at integer multiples of pi/2, where it is ``e1e2``
+    (even multiples) or ``e0*E`` (odd ones); :func:`gamma_classify` returns
+    that choice, or rejects the candidate off the lattice.
+    """
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    return _E12 * c2 - (_E12 * _E34) * s2
 
 
 def gamma_classify(candidate: Multivector) -> GammaChoice:
@@ -188,25 +180,18 @@ def _require_finite(k: np.ndarray, mass) -> None:
         raise ValueError("momentum and mass must be finite")
 
 
-@lru_cache(maxsize=8)  # keyed by phase bivector; mixtures could grow it without bound
-def _times_gamma(gamma: GammaChoice):
-    """``x -> x gamma`` on coefficient rows ``(..., 32)``, bit for bit the
-    multivector product: a signed gather when ``gamma`` is one blade."""
-    gmv = gamma.as_multivector()
-    if np.count_nonzero(gmv.coeffs) == 1:
-        return BladeOperator.right(gmv)
-    sign = tables(CL32).sign
-    return lambda x: _kernels.gp(sign, x, np.broadcast_to(gmv.coeffs, x.shape))
+@lru_cache(maxsize=None)
+def _times_gamma(gamma: GammaChoice) -> BladeOperator:
+    """``x -> x gamma`` on coefficient rows ``(..., 32)``: a signed gather,
+    bit for bit the multivector product."""
+    return BladeOperator.right(gamma.as_multivector())
 
 
-@lru_cache(maxsize=8)  # keyed by phase bivector; mixtures could grow it without bound
-def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray] | None:
+@lru_cache(maxsize=None)
+def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
     """``(V, P)`` with ``V[a]`` the matrix of ``amp -> e_a amp gamma`` and ``P``
-    that of ``amp -> E amp``, on the even basis; None unless ``gamma`` is a
-    single blade (only inadmissible or rounded mixtures are not)."""
+    that of ``amp -> E amp``, on the even basis, read-only."""
     gmv = gamma.as_multivector()
-    if np.count_nonzero(gmv.coeffs) != 1:
-        return None
     masks = even_masks(CL32)
     vec = np.stack(
         [linear_map_matrix(lambda mv, b=b: b * mv * gmv, CL32, masks) for b in _E_BLADES]
@@ -222,27 +207,16 @@ def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
 
     ``k`` is one momentum ``(5,)`` or ``N`` of them ``(N, 5)``, with one
     mass or ``N``; ``N`` momenta give an ``(N, 32, 16)`` stack, each matrix
-    bit for bit the one of its momentum alone.  Each entry of
-    ``K amp gamma`` is a single signed ``k^A``, so the sum of the
-    precomputed blocks is exactly the product that it replaces (and the
+    bit for bit the one of its momentum alone.  ``gamma`` is one blade, so
+    each entry of ``K amp gamma`` is a single signed ``k^A`` and the sum of
+    the precomputed blocks is exactly the product that it replaces (and the
     order of the at most two terms of an entry does not matter).
     """
     k, mass = np.asarray(k, dtype=np.float64), np.asarray(mass, dtype=np.float64)
     if k.ndim not in (1, 2) or k.shape[-1] != 5:
         raise ValueError(f"momenta must have shape (5,) or (N, 5), got {k.shape}")
     _require_finite(k, mass)
-    blocks = _constraint_blocks(gamma)
-    if blocks is None:
-        gmv = gamma.as_multivector()
-        masses = np.broadcast_to(mass, k.shape[:-1]).reshape(-1)
-        mats = [
-            linear_map_matrix(
-                lambda mv: kvec * mv * gmv + float(m) * (_PSEUDO * mv), CL32, even_masks(CL32)
-            )
-            for kvec, m in zip(map(momentum_vector, k.reshape(-1, 5)), masses)
-        ]
-        return np.reshape(mats, (*k.shape[:-1], CL32.n_blades, len(even_masks(CL32))))
-    vec, pseudo = blocks
+    vec, pseudo = _constraint_blocks(gamma)
     mat = k[..., 0, None, None] * vec[0]
     for a in range(1, 5):
         mat += k[..., a, None, None] * vec[a]
@@ -260,7 +234,6 @@ def plane_wave_amplitudes(k, mass, gamma: GammaChoice) -> np.ndarray:
     largest, as in :func:`~fermion5d.algebra.nullspace`, whose first column
     each row equals bit for bit.  Raises when a momentum has none.
     """
-    gamma.require_admissible()
     mats = momentum_constraint_matrix(k, mass, gamma)
     if mats.ndim != 3:
         raise ValueError("momenta must have shape (N, 5)")
@@ -302,7 +275,6 @@ def solve_momentum_constraint(
 
     Dimension 8 on the mass shell ``k.k = -m^2``, zero off it.
     """
-    gamma.require_admissible()
     basis = nullspace(momentum_constraint_matrix(k, mass, gamma))
     return [from_even_coeffs(basis[:, i]) for i in range(basis.shape[1])]
 
@@ -398,20 +370,15 @@ def build_plane_waves(k_spatial, k4, mass, gamma: GammaChoice) -> tuple[np.ndarr
 
 
 def build_plane_wave(
-    k_spatial: Sequence[float],
-    k4: float,
-    mass: float,
-    gamma: GammaChoice,
-    amplitude: Multivector | None = None,
+    k_spatial: Sequence[float], k4: float, mass: float, gamma: GammaChoice
 ) -> PlaneWave:
-    """Solve k^0 and, if not supplied, pick the first null-space amplitude.
+    """Solve k^0 and pick the first null-space amplitude.
 
     The batch of :func:`build_plane_waves` on one wave; :class:`PlaneWave`
     checks the constraint.
     """
     k = _on_shell(k_spatial, k4, mass)
-    if amplitude is None:
-        amplitude = Multivector(plane_wave_amplitudes(k[None], mass, gamma)[0], CL32)
+    amplitude = Multivector(plane_wave_amplitudes(k[None], mass, gamma)[0], CL32)
     return PlaneWave(amplitude=amplitude, k=k, gamma=gamma, mass=mass)
 
 
@@ -425,9 +392,7 @@ def specialized_constraint_residual(wave: PlaneWave) -> float:
     amp = wave.amplitude
     if wave.gamma.variant == GammaChoice.E0E_VARIANT:
         return (kvec * amp - wave.mass * (amp * e(CL32, 0))).inf_norm()
-    if wave.gamma.variant == GammaChoice.E12_VARIANT:
-        return (kvec * amp + wave.mass * (amp * e(CL32, 0, 3, 4))).inf_norm()
-    raise ValueError("specialized form exists only for the pure phase bivectors")
+    return (kvec * amp + wave.mass * (amp * e(CL32, 0, 3, 4))).inf_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -606,16 +571,14 @@ def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivect
     return out
 
 
-def hestenes_plane_wave_field(
-    k_spatial: Sequence[float], mass: float, amplitude: Multivector | None = None
-) -> PhaseField:
-    """4D Dirac plane wave as a five-coordinate field flat along the last axis."""
+def hestenes_plane_wave_field(k_spatial: Sequence[float], mass: float) -> PhaseField:
+    """4D Dirac plane wave as a five-coordinate field flat along the last axis,
+    with the first null-space amplitude."""
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
     k0 = solve_time_component(k_spatial, 0.0, mass)
     k4 = np.array([k0, *k_spatial])
-    if amplitude is None:
-        basis = solve_hestenes_amplitude(k4, mass)
-        if not basis:
-            raise ValueError("no nontrivial 4D amplitude")
-        amplitude = basis[0]
+    basis = solve_hestenes_amplitude(k4, mass)
+    if not basis:
+        raise ValueError("no nontrivial 4D amplitude")
+    amplitude = basis[0]
     return PhaseField(amplitude, amplitude * _E12, (-k0, *k_spatial, 0.0))

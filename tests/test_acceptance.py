@@ -47,6 +47,7 @@ from fermion5d.wave import (
     build_plane_wave,
     gamma_classify,
     hestenes_dirac_residual,
+    phase_mixture,
     sector_fields,
 )
 
@@ -153,14 +154,18 @@ def test_c4_phase_bivector_classification():
         ok = ok and square_exact and classified
         notes.append(f"{gamma.variant} square&identity {'ok' if square_exact and classified else 'BAD'}")
     for k in range(8):
-        choice = GammaChoice.superposition(k * math.pi / 2)
-        if not choice.is_admissible():
+        expected = GammaChoice.E12_VARIANT if k % 2 == 0 else GammaChoice.E0E_VARIANT
+        try:
+            classified = gamma_classify(phase_mixture(k * math.pi / 2)).variant
+        except GammaRejectionError:
+            classified = "rejected"
+        if classified != expected:
             ok = False
-            notes.append(f"theta={k}pi/2 wrongly rejected")
+            notes.append(f"theta={k}pi/2 {classified}, expected {expected}")
     rejected = 0
     for theta in (math.pi / 4, 3 * math.pi / 4, 1.0):
         try:
-            gamma_classify(GammaChoice.superposition(theta).as_multivector())
+            gamma_classify(phase_mixture(theta))
         except GammaRejectionError:
             rejected += 1
     ok = ok and rejected == 3

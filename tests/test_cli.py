@@ -476,6 +476,9 @@ def test_planewave_tolerance_is_wired_through(capsys):
     assert code == 1  # roundoff exceeds an impossible tolerance
     doc = load_document(out)
     assert any(c["status"] == "fail" for c in doc["checks"])
+    # zero is a legal tolerance
+    code, out, _ = run_cli(["planewave", "--tolerance", "0", "--format", "json"], capsys)
+    assert code in (0, 1) and load_document(out)["inputs"]["tolerance"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +722,8 @@ def test_a_non_finite_measured_value_fails_and_renders_as_null(measured):
          "exceeds 500000; beyond it no amplitude may be found"),
         # "-inf" is not a number to argparse, so it reads as an option name
         (["planewave", "--k1", "-inf"], "argument --k1: expected one argument"),
+        # a negative tolerance can never pass; zero stays legal
+        (["planewave", "--tolerance", "-1"], "expected a non-negative number, got '-1'"),
     ],
 )
 def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
@@ -728,6 +733,28 @@ def test_bad_numeric_input_is_a_one_line_usage_error(argv, message, capsys):
     assert err.rstrip("\n").split("\n")[-1].endswith(message)
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1, err
+
+
+def test_two_main_calls_build_the_parser_once(capsys, monkeypatch):
+    # the parser is built once per process and reused by every request
+    built = []
+
+    class CountedParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountedParser)
+    cli.build_parser.cache_clear()
+    argv = ["spectrum", "--max-n", "1", "--format", "json"]
+    try:
+        assert run_cli(argv, capsys)[0] == 0
+        after_first = len(built)
+        assert run_cli(argv, capsys)[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("fermion5d") == 1
+    assert len(built) == after_first
 
 
 @pytest.mark.parametrize(

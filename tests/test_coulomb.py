@@ -44,7 +44,7 @@ from fermion5d.coulomb import (
     spectroscopic_label,
 )
 from fermion5d.fields import AnalyticField
-from fermion5d.wave import GammaChoice, GammaRejectionError
+from fermion5d.wave import GammaChoice
 
 BOTH_GAMMAS = (GammaChoice.e12(), GammaChoice.e0E())
 EYE = np.eye(16)
@@ -206,11 +206,9 @@ def test_params_validation():
         with pytest.raises(ValueError, match=name):
             CoulombParams(**{**good, name: flag})
     CoulombParams(**{**good, "kappa": np.int64(-1), "n_r": np.int32(0)})
-    # the admissibility check runs once per phase bivector, but a rejected
-    # one is rejected every time
-    for _ in range(2):
-        with pytest.raises(GammaRejectionError):
-            CoulombParams(**{**good, "gamma": GammaChoice.superposition(0.3)})
+    # a phase bivector is a GammaChoice, not its name
+    with pytest.raises(TypeError, match="GammaChoice"):
+        CoulombParams(**{**good, "gamma": "e12"})
     with pytest.raises(ValueError, match="coupling"):
         CoulombParams(**{**good, "coupling": -0.1})
     with pytest.raises(ValueError, match="too strong"):

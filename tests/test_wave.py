@@ -42,7 +42,7 @@ from fermion5d.wave import (
     hestenes_plane_wave_field,
     hestenes_sample_residuals,
     momentum_vector,
-    plane_wave_amplitudes,
+    phase_mixture,
     plane_wave_field,
     sector_fields,
     solve_hestenes_amplitude,
@@ -67,7 +67,6 @@ def test_pure_phase_bivectors_square_to_minus_one():
     for gamma in BOTH_GAMMAS:
         g = gamma.as_multivector()
         assert g * g == Multivector.scalar(-1.0)
-        assert gamma.is_admissible()
 
 
 def test_e0e_variant_is_e0_times_the_pseudoscalar():
@@ -76,22 +75,16 @@ def test_e0e_variant_is_e0_times_the_pseudoscalar():
 
 def test_superposition_admissible_exactly_on_the_quarter_turn_lattice():
     for k in range(8):
-        theta = k * math.pi / 2
-        choice = GammaChoice.superposition(theta)
-        assert choice.is_admissible(), f"theta = {k}*pi/2 must be admissible"
         expected = GammaChoice.E12_VARIANT if k % 2 == 0 else GammaChoice.E0E_VARIANT
-        assert gamma_classify(choice.as_multivector()).variant == expected
+        got = gamma_classify(phase_mixture(k * math.pi / 2)).variant
+        assert got == expected, f"theta = {k}*pi/2 must classify as {expected}"
 
 
 def test_superposition_rejected_off_the_lattice():
     for theta in (math.pi / 4, 0.3, 1.0, 3 * math.pi / 4):
-        choice = GammaChoice.superposition(theta)
-        assert not choice.is_admissible()
         with pytest.raises(GammaRejectionError) as err:
-            gamma_classify(choice.as_multivector())
+            gamma_classify(phase_mixture(theta))
         assert err.value.diagnostics
-        with pytest.raises(GammaRejectionError):
-            choice.require_admissible()
 
 
 def test_classification_rejects_squares_and_projection_mismatches():
@@ -113,8 +106,9 @@ def test_classification_rejects_squares_and_projection_mismatches():
 def test_gamma_from_name():
     assert GammaChoice.from_name("e12").variant == GammaChoice.E12_VARIANT
     assert GammaChoice.from_name("E0E").variant == GammaChoice.E0E_VARIANT
-    with pytest.raises(ValueError):
-        GammaChoice.from_name("e13")
+    for name in ("e13", "e1e2"):
+        with pytest.raises(ValueError):
+            GammaChoice.from_name(name)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +198,6 @@ def test_specialized_constraint_forms(rng):
     for gamma in BOTH_GAMMAS:
         wave = build_plane_wave((0.3, 0.1, -0.2), 0.2, 1.2, gamma)
         assert specialized_constraint_residual(wave) < 1e-10
-    # an admissible mixture still has no specialized form of its own
-    sup_wave = build_plane_wave(
-        (0.3, 0.1, -0.2), 0.2, 1.2, GammaChoice.superposition(0.0)
-    )
-    with pytest.raises(ValueError):
-        specialized_constraint_residual(sup_wave)
 
 
 def test_plane_wave_constructor_guards(rng):
@@ -514,14 +502,9 @@ def test_constraint_matrix_equals_the_product_formula_bitwise(rng):
             summed = summed + float(k[a]) * e(CL32, a)
         assert momentum_vector(k).coeffs.tobytes() == summed.coeffs.tobytes()
         for mass in (1.0, 0.0, -0.7, float(k[0])):
-            for gamma in (*BOTH_GAMMAS, GammaChoice.superposition(0.0)):
+            for gamma in BOTH_GAMMAS:
                 got = momentum_constraint_matrix(k, mass, gamma)
                 assert got.tobytes() == constraint_oracle(k, mass, gamma).tobytes()
-    # a mixture with two blades takes the general product
-    mixed = GammaChoice.superposition(math.pi / 2)
-    assert np.count_nonzero(mixed.as_multivector().coeffs) == 2
-    got = momentum_constraint_matrix(ks[0], 1.0, mixed)
-    assert got.tobytes() == constraint_oracle(ks[0], 1.0, mixed).tobytes()
 
 
 def test_hestenes_amplitudes_equal_the_product_formula_bitwise(rng):
@@ -585,7 +568,7 @@ def test_batch_amplitudes_equal_the_per_wave_ones_bitwise(gamma):
 def test_constraint_matrix_stack_equals_the_matrix_of_each_row(rng):
     k = rng.uniform(-2, 2, size=(6, 5))
     masses = rng.uniform(0, 2, size=6)
-    for gamma in (*BOTH_GAMMAS, GammaChoice.superposition(math.pi / 2)):
+    for gamma in BOTH_GAMMAS:
         stack = momentum_constraint_matrix(k, masses, gamma)
         assert stack.shape == (6, 32, 16)
         for row, m, mat in zip(k, masses, stack):
@@ -646,9 +629,10 @@ def test_svd_without_u_matches_the_full_svd_bitwise(gamma):
         assert vt.tobytes() == vt_full.tobytes()
 
 
-def test_batch_build_rejects_inadmissible_phase_bivectors():
-    with pytest.raises(GammaRejectionError):
-        plane_wave_amplitudes(np.zeros((1, 5)), 1.0, GammaChoice.superposition(math.pi / 4))
+def test_gamma_choice_has_only_the_two_pure_variants():
+    for variant in ("superposition", "e13"):
+        with pytest.raises(ValueError, match="unknown variant"):
+            GammaChoice(variant)
 
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
