@@ -27,8 +27,9 @@ which the recurrence imposes by construction, and ``(beta I + T) C_(n_r) =
 that ``S^2`` would allow, so the solver does not assume the identity it
 cross-checks) and shared by the scan of the admissible subspace, the
 threshold scale and the final coefficients.  :func:`solve_radials` solves
-many states at once: each of its five LAPACK calls is one stacked call per
-group of states that share the phase bivector and n_r, whatever n_r is.
+many states at once: each of its four LAPACK calls (the step inverse and
+three SVDs) is one stacked call per group of states that share the phase
+bivector and n_r, whatever n_r is.
 
 Operators that flip even and odd grades are represented on the even basis by
 pairing with the unit pseudoscalar (which is central and squares to +1), so
@@ -345,6 +346,19 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
+def _column_scale(blocks: np.ndarray) -> np.ndarray:
+    """Largest column 2-norm of each matrix of a ``(..., 16, 16)`` stack.
+
+    ``max_j |B e_j|`` is a lower bound on the 2-norm ``|B|_2``, so a
+    threshold built from it is never looser than one built from singular
+    values.  The columns are summed as ``B / max|B|`` and scaled back, so
+    squares of entries far from 1 neither underflow nor overflow.
+    """
+    peak = np.abs(blocks).max(axis=(-2, -1))
+    unit = blocks / peak[..., None, None]
+    return np.sqrt((unit * unit).sum(axis=-2)).max(axis=-1) * peak
+
+
 def _split_selected(mask: np.ndarray, vt: np.ndarray):
     """Split a batch by how many rows of each ``vt`` its ``mask`` row keeps:
     ``(count, batch indices, (n, count, k) kept rows)`` per count."""
@@ -406,11 +420,13 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     # kernel (n_r = 0) or vanishes identically on it (n_r >= 1, where the
     # quantization kills the whole chain).  Both cases are handled uniformly
     # by thresholding the restricted map against the generic magnitude a
-    # non-quantized chain would have.  The 2-norms of the termination map
-    # and of each step applied to it come from one batched SVD.
+    # non-quantized chain would have: the product of the scales of the
+    # termination map and of each step applied to it.  Each scale is a
+    # largest column norm, a lower bound on the 2-norm, so the threshold is
+    # at most the one that singular values would give.
     termination = terminate(eye)
     blocks = np.concatenate([termination[:, None], steps @ -termination[:, None]], axis=1)
-    norms = np.linalg.svd(blocks, compute_uv=False)[..., 0]
+    norms = _column_scale(blocks)
     termination_norm = generic_scale = norms[:, 0]
     for p in range(n_r, 0, -1):
         generic_scale = generic_scale * norms[:, p]
@@ -450,14 +466,25 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
             coefficients = np.stack(propagate(start[..., None], batch), axis=1)[..., 0]
 
             # honest post-check: the last coefficient must be annihilated
-            # relative to the operator norm of the termination map (a
-            # genuinely non-terminating direction scores O(1) in this measure)
+            # relative to the scale of the termination map (a genuinely
+            # non-terminating direction scores O(1) in this measure).  Both
+            # norms are taken of last / max|last|, which leaves the ratio as
+            # it is, but keeps the squares of a last coefficient that decayed
+            # far below 1 from underflowing to 0 / 0
             last, c0 = coefficients[:, -1], coefficients[:, 0, :, None]
-            scale = termination_norm[batch] * _norms(last)
-            termination_relative = _norms(terminate(last[..., None], batch)[..., 0]) / scale
+            peak = np.abs(last).max(axis=1)
+            unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
+            scale = termination_norm[batch] * np.where(peak > 0.0, _norms(unit), 1.0)
+            termination_relative = _norms(terminate(unit[..., None], batch)[..., 0]) / scale
             indicial = np.abs(s_mat[batch] @ c0 - q[batch] * c0).max(axis=(1, 2))
             for j, i in enumerate(batch.tolist()):
-                if termination_relative[j] > SVD_GAP_THRESHOLD:
+                if peak[j] == 0.0:
+                    results[i] = RuntimeError(
+                        "series underflows: every component of its last coefficient is 0 "
+                        f"(kappa={group[i].kappa}, n_r={n_r}, coupling={group[i].coupling:.3e})"
+                    )
+                    continue
+                if not termination_relative[j] <= SVD_GAP_THRESHOLD:
                     results[i] = RuntimeError(
                         f"series does not terminate: relative termination residual "
                         f"{termination_relative[j]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
@@ -481,9 +508,9 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
 def solve_radials(params_seq: Sequence[CoulombParams]) -> list[RadialSolution | RuntimeError]:
     """:func:`solve_radial` for many states: per state its solution, or the
     ``RuntimeError`` it raises, whatever else the batch holds.  One scan and
-    bisection roots every state, and each of the five LAPACK calls (step
-    inverse, norm, indicial-kernel, admissible and final SVD) is one stacked
-    call per group, split where the kernel or admissible dimension differs.
+    bisection roots every state, and each of the four LAPACK calls (step
+    inverse, indicial-kernel, admissible and final SVD) is one stacked call
+    per group, split where the kernel or admissible dimension differs.
     """
     decays = _termination_decays(params_seq)
     groups: dict[tuple[GammaChoice, int], list[int]] = {}
@@ -501,11 +528,16 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
 
     ``diagnostics`` holds the closed-form gap and the relative residual of
     the termination identity on the last coefficient, the series' whole
-    check of the system (see the module docstring).  Raises when no series
-    direction terminates (for example n_r = 0 with kappa > 0 when the phase
-    bivector is e0 times the pseudoscalar, mirroring the standard
-    Dirac-Coulomb selection rule).  This is :func:`solve_radials` on a batch
-    of one: five LAPACK calls whatever ``n_r`` is.
+    check of the system (see the module docstring).  Its
+    ``termination_vacuity`` is the 2-norm of the termination map restricted
+    to the indicial kernel over the threshold scale, a product of largest
+    column norms that is a lower bound on the product of 2-norms, so it can
+    exceed 1.  Raises when no series direction terminates (for example
+    n_r = 0 with kappa > 0 when the phase bivector is e0 times the
+    pseudoscalar, mirroring the standard Dirac-Coulomb selection rule) or
+    when its last coefficient underflows to zero.  This is
+    :func:`solve_radials` on a batch of one: four LAPACK calls whatever
+    ``n_r`` is.
     """
     (result,) = solve_radials([params])
     if isinstance(result, RuntimeError):

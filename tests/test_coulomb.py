@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -404,6 +405,27 @@ def test_weak_coupling_terminates_in_float64(coupling, kappa):
     assert solution.diagnostics["termination_relative"] < 1e-10
 
 
+@pytest.mark.parametrize("kappa", [1, -1])
+def test_post_check_of_a_tiny_last_coefficient_is_finite(kappa):
+    # at coupling 1e-10 the last coefficient of n_r = 15 is so small that
+    # the squares of its raw components underflowed: the post-check read
+    # 0 / 0 = NaN, with a RuntimeWarning, and NaN passed the bound
+    params = CoulombParams(mass=1.0, coupling=1e-10, kappa=kappa, n_r=15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve_radial(params)
+    assert 0.0 <= solution.diagnostics["termination_relative"] <= 1e-10
+
+
+def test_a_last_coefficient_that_underflows_to_zero_raises():
+    # at coupling 1e-16 the last of twenty terms underflows to all zeros,
+    # which no relative residual can check
+    params = CoulombParams(mass=1.0, coupling=1e-16, kappa=-1, n_r=19)
+    with pytest.raises(RuntimeError, match="series underflows") as raised:
+        solve_radial(params)
+    assert "nan" not in str(raised.value)
+
+
 def test_every_state_of_the_coupling_sweep_terminates():
     # negative control: the termination identity with T rebuilt from the
     # public builder holds at the solver's energy and fails, relative to the
@@ -436,14 +458,25 @@ def test_every_state_of_the_coupling_sweep_terminates():
     assert solved == 270
 
 
-def solve_step_by_step(params):
+def column_scale(block):
+    """Largest column 2-norm of ``block``, taken of ``block / max|block|``
+    and scaled back: the solver's lower bound on ``|block|_2``."""
+    peak = np.abs(block).max()
+    return np.linalg.norm(block / peak, axis=0).max() * peak
+
+
+def spectral_norm(block):
+    return np.linalg.norm(block, 2)
+
+
+def solve_step_by_step(params, scale_of=column_scale):
     """The solver's energy, kernel dimension, vacuity and series, recomputed
     the way they were before the recurrence steps were inverted in one
     batched call: ``series_exponent`` read on every bisection step, one
-    ``np.linalg.solve`` per recurrence step and one ``np.linalg.norm(., 2)``
-    per 2-norm.  The series direction follows the solver's rule, the fixed
-    probe projected onto the top singular subspace of the final
-    coefficients."""
+    ``np.linalg.solve`` per recurrence step and one ``scale_of`` per block
+    of the threshold scale.  The series direction follows the solver's
+    rule, the fixed probe projected onto the top singular subspace of the
+    final coefficients."""
     m, coupling, n_r = params.mass, params.coupling, params.n_r
     q = params.series_exponent
 
@@ -477,9 +510,10 @@ def solve_step_by_step(params):
         return np.linalg.solve((p + q) * EYE - s_mat, -c)
 
     termination = terminate(EYE)
-    generic_scale = np.linalg.norm(termination, 2)
+    generic_scale = scale_of(termination)
     for p in range(n_r, 0, -1):
-        generic_scale *= np.linalg.norm(step(p, termination), 2)
+        generic_scale *= scale_of(step(p, termination))
+
     def propagate(chain):
         chains = [chain]
         for p in range(1, n_r + 1):
@@ -547,6 +581,34 @@ def test_solver_diagnostics_match_a_step_by_step_recomputation():
     assert raised == 20  # e0 E, n_r = 0, kappa = 1..4, at each coupling
 
 
+def test_column_scale_bounds_the_2_norm_and_keeps_every_kernel_dimension():
+    # each factor of the threshold scale is a largest column norm, at most
+    # the 2-norm that set it before, so no threshold is looser; and on the
+    # grid a threshold from 2-norms admits the same kernel dimensions
+    bound = 1.0 + 4.0 * np.finfo(np.float64).eps
+    grid = list(diagnostic_grid())
+    for params, result in zip(grid, solve_radials(grid)):
+        blocks = []
+
+        def recorded(block):
+            blocks.append(block)
+            return spectral_norm(block)
+
+        kernel_dim = solve_step_by_step(params, recorded)[1]
+        solved = not isinstance(result, RuntimeError)
+        assert kernel_dim == (result.diagnostics["termination_kernel_dim"] if solved else 0), params
+        scales = coulomb._column_scale(np.array(blocks))
+        assert np.all(scales <= [spectral_norm(block) * bound for block in blocks]), params
+
+
+@pytest.mark.parametrize("factor", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
+def test_column_scale_does_not_square_raw_entries(factor):
+    # squares of entries near 1e-180 underflow to 0 and of 1e180 overflow
+    # to inf; a power of two scales the columns exactly, so the scale must too
+    blocks = np.stack([angular_coupling_matrix(-2, 0.3, gamma) for gamma in BOTH_GAMMAS])
+    assert np.all(coulomb._column_scale(blocks * factor) == coulomb._column_scale(blocks) * factor)
+
+
 def test_one_batch_of_the_whole_grid_isolates_each_state():
     # both phase bivectors and every coupling in one call: each selection-rule
     # cell gets its own error, with the message of a batch of one, and every
@@ -571,10 +633,11 @@ def test_one_batch_of_the_whole_grid_isolates_each_state():
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypatch):
-    # One batched inverse builds every recurrence step and one batched SVD
-    # takes the 2-norms of the threshold scale; before that a solve made
-    # 4 n_r linear solves and 5 + n_r SVDs.  A batch makes each LAPACK call
-    # once per group of states that share the phase bivector and n_r.
+    # One batched inverse builds every recurrence step, and the threshold
+    # scale takes largest column norms, not singular values, so a solve
+    # makes four LAPACK calls (the inverse and three SVDs) whatever n_r is.
+    # A batch makes each call once per group of states that share the
+    # phase bivector and n_r.
     names = ("solve", "svd", "inv", "norm")
 
     def lapack_calls(solve):
@@ -585,6 +648,7 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
+                assert kwargs.get("compute_uv", True), "an SVD for singular values alone"
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
@@ -599,16 +663,16 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
     long = lapack_calls(lambda: solve_radial(state(n_r=6)))
     assert short["solve"] == long["solve"] == 0, (short, long)
     assert sum(long.values()) <= sum(short.values()), (short, long)
-    assert long["svd"] + long["inv"] <= 5, long
+    assert long["svd"] + long["inv"] <= 4, long
 
     # 14 states that share n_r make the calls of one
     kappas = [k for k in range(-7, 8) if k]
     many = lapack_calls(lambda: solve_radials([state(kappa=k, n_r=3) for k in kappas]))
     assert many == lapack_calls(lambda: solve_radials([state(n_r=3)])), many
-    # a batch over four n_r and two couplings makes at most five per n_r
+    # a batch over four n_r and two couplings makes at most four per n_r
     mixed = [state(k, n_r, c) for k in kappas for n_r in range(4) for c in (1e-4, 0.6)]
     counts = lapack_calls(lambda: solve_radials(mixed))
-    assert counts["svd"] + counts["inv"] <= 5 * 4, counts
+    assert counts["svd"] + counts["inv"] <= 4 * 4, counts
 
 
 # ---------------------------------------------------------------------------
