@@ -189,15 +189,6 @@ def nonnegative_int(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _worst(values) -> float:
-    """The largest of the measured values.
-
-    ``np.max`` keeps a NaN, which then fails the check; Python's ``max``
-    would drop it whenever it is not the first value.
-    """
-    return float(np.max(values))
-
-
 def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool) -> list[Check]:
     sig = CL41 if corrupt_metric else CL32
     unit = pseudoscalar(sig)
@@ -206,12 +197,12 @@ def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool)
         make_check("pseudoscalar-square-unit", "algebra", square.inf_norm(), 0.0)
     ]
 
-    center = pseudoscalar(CL32)
-    gaps = []
-    for mask in range(CL32.n_blades):
-        blade = Multivector.blade(mask, CL32)
-        gaps.append((center * blade - blade * center).inf_norm())
-    checks.append(make_check("pseudoscalar-centrality", "algebra", _worst(gaps), 0.0))
+    # one row per blade: I b - b I
+    center, blades = pseudoscalar(CL32), np.eye(CL32.n_blades)
+    commutators = BladeOperator.left(center)(blades) - BladeOperator.right(center)(blades)
+    checks.append(
+        make_check("pseudoscalar-centrality", "algebra", np.abs(commutators).max(axis=1), 0.0)
+    )
 
     gaps = []
     for i in range(5):
@@ -221,7 +212,7 @@ def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool)
         for j in range(i + 1, 5):
             ej = e(CL32, j)
             gaps.append((ei * ej + ej * ei).inf_norm())
-    checks.append(make_check("generator-relations", "algebra", _worst(gaps), 0.0))
+    checks.append(make_check("generator-relations", "algebra", gaps, 0.0))
 
     # (x, y, z) per trial, drawn in the order of three separate samples
     sign = tables(CL32).sign
@@ -231,8 +222,8 @@ def _algebra_checks(rng: np.random.Generator, trials: int, corrupt_metric: bool)
         x, y, z = np.moveaxis(rng.uniform(-1.0, 1.0, (size, 3, CL32.n_blades)), 1, 0)
         left = _kernels.gp(sign, _kernels.gp(sign, x, y), z)
         right = _kernels.gp(sign, x, _kernels.gp(sign, y, z))
-        gaps.append(np.abs(left - right).max())
-    checks.append(make_check("product-associativity", "algebra", _worst(gaps), 1e-12))
+        gaps.append(np.abs(left - right).max(axis=1))
+    checks.append(make_check("product-associativity", "algebra", gaps, 1e-12))
     return checks
 
 
@@ -274,11 +265,11 @@ def _kernel_check(seed: int) -> Check:
     for sign in signs:
         rows = [_kernels.gp_reference(sign, a, b) for a, b in zip(lefts, rights)]
         gaps.append(_bit_mismatches(_kernels.gp(sign, lefts, rights), rows))
-    return make_check("kernel-backend-agreement", "plumbing", _worst(gaps), 0.0)
+    return make_check("kernel-backend-agreement", "plumbing", gaps, 0.0)
 
 
 def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
-    """The pair-split rules on random even samples, one row per sample."""
+    """The pair-split rules on random even samples, one gap per sample."""
     n = max(1, min(trials, 50))
     even = tables(CL32).grades % 2 == 0
     x = np.where(even, rng.uniform(-1.0, 1.0, (n, CL32.n_blades)), 0.0)
@@ -297,9 +288,9 @@ def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
         tables(CL32).sign, x, np.broadcast_to(one_minus_e34, x.shape)
     )
     return [
-        make_check("class-swap-rule", "pair-split", _worst(np.abs(swaps)), 0.0),
-        make_check("idempotent-pair-lock", "pair-split", _worst(np.abs(lock)), 0.0),
-        make_check("idempotent-pair-partition", "pair-split", _worst(np.abs(recon)), 0.0),
+        make_check("class-swap-rule", "pair-split", np.abs(swaps).max(axis=(0, 2)), 0.0),
+        make_check("idempotent-pair-lock", "pair-split", np.abs(lock).max(axis=1), 0.0),
+        make_check("idempotent-pair-partition", "pair-split", np.abs(recon).max(axis=1), 0.0),
     ]
 
 
@@ -331,24 +322,25 @@ def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
         k, amps = build_plane_waves(k_spatial, 0.0, masses, gamma)
         dispersions += [abs(minkowski_dot(kk, kk) + m**2) for kk, (_, m) in zip(k, draws)]
         field = plane_wave_field(k[waves], amps[waves], gamma)
-        reductions += [np.abs(res).max() for res in _half_residuals(field, points, masses[waves])]
+        halves = _half_residuals(field, points, masses[waves])
+        reductions += [np.abs(res).max(axis=1) for res in halves]
     checks = [
-        make_check("plane-wave-reduction", "reduction", _worst(reductions), 1e-10),
-        make_check("plane-wave-dispersion", "dispersion", _worst(dispersions), 1e-10),
+        make_check("plane-wave-reduction", "reduction", reductions, 1e-10),
+        make_check("plane-wave-dispersion", "dispersion", dispersions, 1e-10),
     ]
 
-    # on the quarter-turn lattice a mixture is e12 (even k) or e0E (odd k)
+    # one 0/1 per candidate: on the quarter-turn lattice a mixture is e12
+    # (even k) or e0E (odd k); the last two must be rejected
     pure = (GammaChoice.E12_VARIANT, GammaChoice.E0E_VARIANT)
-    ok = all(gamma_classify(phase_mixture(k * math.pi / 2)).variant == pure[k % 2] for k in range(4))
+    wrong = [float(gamma_classify(phase_mixture(k * math.pi / 2)).variant != pure[k % 2])
+             for k in range(4)]
     for bad in (phase_mixture(math.pi / 4), e(CL32, 1, 3)):
         try:
             gamma_classify(bad)
-            ok = False
+            wrong.append(1.0)
         except GammaRejectionError:
-            pass
-    checks.append(
-        make_check("phase-bivector-classification", "phase-choice", 0.0 if ok else 1.0, 0.0)
-    )
+            wrong.append(0.0)
+    checks.append(make_check("phase-bivector-classification", "phase-choice", wrong, 0.0))
     return checks
 
 
@@ -363,7 +355,7 @@ def _coulomb_checks() -> list[Check]:
         gaps.append(np.abs(z_mat @ h_mat - h_mat @ z_mat).max())
         gaps.append(np.abs(z_mat @ r_mat + r_mat @ z_mat).max())
         gaps.append(np.abs(h_mat @ r_mat - r_mat @ h_mat).max())
-    checks = [make_check("radial-operator-algebra", "radial-system", _worst(gaps), 0.0)]
+    checks = [make_check("radial-operator-algebra", "radial-system", gaps, 0.0)]
 
     gaps = []
     kappa, coupling, mass, energy = -2, 0.3, 1.0, 0.9
@@ -372,7 +364,7 @@ def _coulomb_checks() -> list[Check]:
         t_mat = mass_energy_matrix(mass, energy, gamma)
         gaps.append(np.abs(s_mat @ s_mat - (kappa**2 - coupling**2) * eye).max())
         gaps.append(np.abs(t_mat @ t_mat - (mass**2 - energy**2) * eye).max())
-    checks.append(make_check("radial-square-identities", "radial-system", _worst(gaps), 1e-12))
+    checks.append(make_check("radial-square-identities", "radial-system", gaps, 1e-12))
 
     params = CoulombParams(mass=1.0, coupling=FINE_STRUCTURE, kappa=-1, n_r=1)
     solution = solve_radial(params)
@@ -405,8 +397,8 @@ def _current_grade_check(rng: np.random.Generator, n_fields: int) -> Check:
     for start in range(0, n_fields, _FIELD_CHUNK):
         field, points = _minus_samples(rng, min(_FIELD_CHUNK, n_fields - start))
         current = second_time_gradients(field, points) / FOUR_PI
-        forbidden.append(np.abs(current[:, FORBIDDEN_CURRENT_MASKS]).max())
-    return make_check("current-grade-structure", "source-current", _worst(forbidden), 0.0)
+        forbidden.append(np.abs(current[:, FORBIDDEN_CURRENT_MASKS]).max(axis=1))
+    return make_check("current-grade-structure", "source-current", forbidden, 0.0)
 
 
 def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
@@ -415,13 +407,13 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
     pts = random_points(rng, 5, scale=0.5)
     second, potential = scalar_potential_residuals(demo, pts)
-    gap = _worst(np.abs(second - potential))
-    checks.append(make_check("scalar-demo-equivalence", "scalar-demo", gap, 1e-9))
+    gaps = np.abs(second - potential).max(axis=1)
+    checks.append(make_check("scalar-demo-equivalence", "scalar-demo", gaps, 1e-9))
 
     xi_plus, xi_minus = oscillating_source_pair()
     current = source_current(xi_minus)
-    worst_src = _worst(np.abs(sourced_massless_residuals(xi_plus, current, pts)))
-    checks.append(make_check("sourced-equation", "source-current", worst_src, 1e-12))
+    gaps = np.abs(sourced_massless_residuals(xi_plus, current, pts)).max(axis=1)
+    checks.append(make_check("sourced-equation", "source-current", gaps, 1e-12))
     return checks
 
 
@@ -494,50 +486,23 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
             }
         )
 
-    # np.max keeps a NaN from a failed solve, which makes the check fail
-    checks = [
-        make_check(
-            "closed-form-vs-series-solver", "spectrum", float(np.max(rel_errors)), 1e-9
-        )
-    ]
-
-    worst_degeneracy = 0.0
-    for (kappa, n_r), closed in energies.items():
-        mirror = energies.get((-kappa, n_r))
-        if mirror is not None and not (mirror == closed):
-            worst_degeneracy = 1.0
-    checks.append(
-        make_check("angular-sign-degeneracy-bitwise", "spectrum", worst_degeneracy, 0.0)
-    )
+    # one gap per table row; the NaN of a failed solve fails the check
+    checks = [make_check("closed-form-vs-series-solver", "spectrum", rel_errors, 1e-9)]
+    split = [float((-kappa, n_r) in energies and energies[(-kappa, n_r)] != closed)
+             for (kappa, n_r), closed in energies.items()]
+    checks.append(make_check("angular-sign-degeneracy-bitwise", "spectrum", split, 0.0))
 
     if args.z == 1 and default_constants:
         by_label = {row["label"]: row["binding_ev"] for row in rows}
-        targets = [
-            ("1s1/2", -13.6059),
-            ("2s1/2", -3.402),
-            ("2p1/2", -3.402),
-            ("2p3/2", -3.401),
+        targets = [("1s1/2", -13.6059), ("2s1/2", -3.402), ("2p1/2", -3.402), ("2p3/2", -3.401)]
+        checks += [
+            make_check(f"hydrogen-{label}-binding", "hydrogen-table",
+                       abs(by_label[label] - target), 1e-3)
+            for label, target in targets if label in by_label
         ]
-        for label, target in targets:
-            if label in by_label:
-                checks.append(
-                    make_check(
-                        f"hydrogen-{label}-binding",
-                        "hydrogen-table",
-                        abs(by_label[label] - target),
-                        1e-3,
-                    )
-                )
         if "1s1/2" in by_label:
-            checks.append(
-                Check(
-                    name="ground-state-printed-table-gap",
-                    paper_ref="hydrogen-table",
-                    status="skipped",
-                    measured=abs(by_label["1s1/2"] - (-13.06)),
-                    tolerance=None,
-                )
-            )
+            gap = abs(by_label["1s1/2"] - (-13.06))
+            checks.append(Check("ground-state-printed-table-gap", "hydrogen-table", "skipped", gap))
 
     doc = ReportDocument(
         command="spectrum",
@@ -590,19 +555,8 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
             (args.k1, args.k2, args.k3), args.k4, args.mass, gamma
         )
     except ValueError:
-        return ReportDocument(
-            command="planewave",
-            inputs=inputs,
-            checks=[
-                Check(
-                    name="amplitude-construction",
-                    paper_ref="plane-wave",
-                    status="fail",
-                    measured=None,
-                    tolerance=None,
-                )
-            ],
-        )
+        failed = Check("amplitude-construction", "plane-wave", "fail")
+        return ReportDocument(command="planewave", inputs=inputs, checks=[failed])
 
     inputs["k0"] = float(wave.k[0])
     rng = np.random.default_rng(args.seed)
@@ -611,41 +565,22 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
 
     checks = [
         Check("amplitude-construction", "plane-wave", "pass"),
-        make_check(
-            "dispersion-relation",
-            "dispersion",
-            wave.dispersion_residual(),
-            args.tolerance,
-        ),
-        make_check(
-            "momentum-constraint",
-            "plane-wave",
-            wave.constraint_residual(),
-            args.tolerance,
-        ),
+        make_check("dispersion-relation", "dispersion", wave.dispersion_residual(), args.tolerance),
+        make_check("momentum-constraint", "plane-wave", wave.constraint_residual(), args.tolerance),
         make_check(
             "field-residual",
             "wave-equation",
-            float(np.abs(dirac5_residuals(field, args.mass, pts)).max()),
+            np.abs(dirac5_residuals(field, args.mass, pts)).max(axis=1),
             args.tolerance,
         ),
     ]
 
     if args.k4 == 0.0:
         for half, res in zip(("plus", "minus"), _half_residuals(field, pts, args.mass)):
-            worst = float(np.abs(res).max())
-            checks.append(
-                make_check(f"reduction-{half}-half", "reduction", worst, args.tolerance)
-            )
+            gaps = np.abs(res).max(axis=1)
+            checks.append(make_check(f"reduction-{half}-half", "reduction", gaps, args.tolerance))
     else:
-        for half in ("plus", "minus"):
-            checks.append(
-                Check(
-                    name=f"reduction-{half}-half",
-                    paper_ref="reduction",
-                    status="skipped",
-                )
-            )
+        checks += [Check(f"reduction-{h}-half", "reduction", "skipped") for h in ("plus", "minus")]
     return ReportDocument(command="planewave", inputs=inputs, checks=checks)
 
 
@@ -665,11 +600,11 @@ def _scalar_demo_checks(mass: float, s: float, rng: np.random.Generator) -> list
         ("second-derivative-form", second),
         ("potential-form", potential),
         ("forms-equivalence", second - potential),
-        ("profile-eigen-relation", demo.eigen_residuals(pts)),
+        ("profile-eigen-relation", demo.eigen_residuals(pts)[:, None]),  # a sup-norm per point
         ("minus-half-reconstruction", recon),
         ("pair-equation-round-trip", round_trip),
     ]
-    return [make_check(name, "scalar-demo", _worst(np.abs(v)), 1e-9) for name, v in measured]
+    return [make_check(name, "scalar-demo", np.abs(v).max(axis=1), 1e-9) for name, v in measured]
 
 
 def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
@@ -701,17 +636,17 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
         xi_plus, xi_minus = oscillating_source_pair()
         grid = demo_grid()
         samples = grid[:: max(1, len(grid) // 16)]
-        current = source_current(xi_minus, xi_plus, samples, tolerance=1e-9)
-        worst_src = _worst(np.abs(sourced_massless_residuals(xi_plus, current, samples)))
-        worst_div = _worst(np.abs(current.divergences(samples)))
+        current = source_current(xi_minus)  # judged by the checks below, once
+        sourced = np.abs(sourced_massless_residuals(xi_plus, current, samples)).max(axis=1)
         # the hand value -(cos(x4) / 4pi) e0, as a wave along x4
         hand = PhaseField(-e(CL32, 0), Multivector.zero(CL32), (0, 0, 0, 0, 1)).values(samples)
-        worst_hand = _worst(np.abs(current.values(samples) - hand / (4.0 * math.pi)))
+        hand_gaps = np.abs(current.values(samples) - hand / (4.0 * math.pi)).max(axis=1)
         checks = [
             grade_check,
-            make_check("sourced-equation", "source-current", worst_src, 1e-9),
-            make_check("vector-part-divergence", "source-current", worst_div, 1e-9),
-            make_check("current-hand-value", "source-current", worst_hand, 1e-12),
+            make_check("sourced-equation", "source-current", sourced, 1e-9),
+            make_check("vector-part-divergence", "source-current",
+                       np.abs(current.divergences(samples)), 1e-9),
+            make_check("current-hand-value", "source-current", hand_gaps, 1e-12),
         ]
         inputs = {
             "demo": "sources",

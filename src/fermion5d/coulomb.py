@@ -428,8 +428,9 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     blocks = np.concatenate([termination[:, None], steps @ -termination[:, None]], axis=1)
     norms = _column_scale(blocks)
     termination_norm = generic_scale = norms[:, 0]
-    for p in range(n_r, 0, -1):
-        generic_scale = generic_scale * norms[:, p]
+    with np.errstate(over="ignore"):  # judged per state below
+        for p in range(n_r, 0, -1):
+            generic_scale = generic_scale * norms[:, p]
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
     # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace) 8-dimensional
@@ -437,7 +438,21 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     _, sing_k, vt_k = np.linalg.svd(s_mat - q * eye)
     for _, rows, kernel in _split_selected(sing_k <= 1e-10 * sing_k[:, :1], vt_k):
         kernel = np.ascontiguousarray(np.swapaxes(kernel, 1, 2))
-        _, sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel, rows)[-1], rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            restricted = terminate(propagate(kernel, rows)[-1], rows)
+        # far from mass 1 the chain grows or decays like mass^p: a state whose
+        # threshold or restricted map leaves float64 cannot be judged, and
+        # leaves the batch before the SVDs
+        judged = (threshold[rows] > 0.0) & np.isfinite(threshold[rows])
+        judged &= np.isfinite(restricted).all(axis=(1, 2))
+        for i in rows[~judged].tolist():
+            results[i] = RuntimeError(
+                "termination map outside the float64 range: threshold "
+                f"{threshold[i]:.3e} at mass={group[i].mass:.3e} (kappa={group[i].kappa}, "
+                f"n_r={n_r})"
+            )
+        rows, kernel = rows[judged], kernel[judged]
+        _, sing_w, vt_w = np.linalg.svd(restricted[judged])
         for admissible, sub, kept in _split_selected(sing_w <= threshold[rows, None], vt_w):
             batch = rows[sub]
             if admissible == 0:

@@ -4,6 +4,15 @@ A :class:`ReportDocument` is a flat record of named checks with measured
 values and tolerances.  Rendering is deterministic: identical inputs produce
 byte-identical JSON (fixed key order, no timestamps, negative zeros
 normalized), so documents can be diffed and archived by CI.
+
+A measured check is built from its per-sample gaps (:func:`make_check`): one
+entry per trial, point, state, matrix or candidate, in the order the command
+draws or builds them.  The check reports the largest gap as ``measured`` and
+its flat index as ``worst_at``, so a failing sample can be rebuilt from the
+document's ``inputs`` and the index alone.  For ``verify`` the index counts
+the check's trials, sample rows, matrices or candidates; for ``spectrum`` the
+table rows; for ``planewave`` and ``beyond`` the sample points.  Skipped and
+purely structural checks have ``worst_at`` null.
 """
 from __future__ import annotations
 
@@ -13,6 +22,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Check",
@@ -38,8 +49,9 @@ class Check:
     """One named verification with its outcome.
 
     ``paper_ref`` is a stable tag identifying which claim family the check
-    exercises (used by downstream tooling to group results); ``measured`` and
-    ``tolerance`` may be None for purely structural or skipped checks.
+    exercises (used by downstream tooling to group results); ``measured``,
+    ``tolerance`` and ``worst_at`` may be None for purely structural or
+    skipped checks.  ``worst_at`` is the flat index of the worst sample.
     """
 
     name: str
@@ -47,6 +59,7 @@ class Check:
     status: str
     measured: float | None = None
     tolerance: float | None = None
+    worst_at: int | None = None
 
     def __post_init__(self):
         if self.status not in _STATUSES:
@@ -59,21 +72,29 @@ class Check:
             "status": self.status,
             "measured": _clean_number(self.measured),
             "tolerance": _clean_number(self.tolerance),
+            "worst_at": self.worst_at,
         }
 
 
-def make_check(name: str, paper_ref: str, measured: float, tolerance: float) -> Check:
-    """Build a pass/fail check: passes iff ``measured <= tolerance``.
+def make_check(name: str, paper_ref: str, gaps, tolerance: float) -> Check:
+    """Build a pass/fail check from per-sample gaps: passes iff the largest
+    gap is ``<= tolerance``.
 
-    Exact structural claims use ``tolerance=0.0`` (a measured 0.0 passes).
-    A non-finite measured value (NaN, +-inf) fails and is reported as null,
-    so the JSON rendering stays valid.
+    ``gaps`` is a scalar, an array or a list of those, concatenated in order
+    (C order within an array).  The check measures their ``np.max`` and
+    records its flat index as ``worst_at``; a NaN is both the maximum and,
+    the first one, the argmax, so it fails.  Exact structural claims use
+    ``tolerance=0.0`` (a measured 0.0 passes).  A non-finite measured value
+    (NaN, +-inf) fails and is reported as null, so the JSON rendering stays
+    valid.
     """
+    parts = gaps if isinstance(gaps, list) else [gaps]
+    flat = np.concatenate([np.ravel(part) for part in parts])
+    measured, worst_at = float(np.max(flat)), int(np.argmax(flat))
     if not math.isfinite(measured):
-        return Check(name, paper_ref, "fail", None, tolerance)
+        return Check(name, paper_ref, "fail", None, tolerance, worst_at)
     status = "pass" if measured <= tolerance else "fail"
-    return Check(name=name, paper_ref=paper_ref, status=status,
-                 measured=measured, tolerance=tolerance)
+    return Check(name, paper_ref, status, measured, tolerance, worst_at)
 
 
 @dataclass

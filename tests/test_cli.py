@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 import fermion5d
 from fermion5d import _kernels, beyond, cli, coulomb, report
-from fermion5d.algebra import CL32, Multivector, e
+from fermion5d.algebra import CL32, CL41, Multivector, e, pseudoscalar
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from fermion5d.coulomb import solve_radials
 from fermion5d.fields import AnalyticField, PhaseField
 from fermion5d.report import ReportDocument, make_check
 
-CHECK_KEYS = ["name", "paper_ref", "status", "measured", "tolerance"]
+CHECK_KEYS = ["name", "paper_ref", "status", "measured", "tolerance", "worst_at"]
 DOCUMENT_KEYS = ["command", "inputs", "checks", "summary"]
 
 
@@ -53,6 +53,8 @@ def assert_schema(doc: dict):
     statuses = {"pass": 0, "fail": 0, "skipped": 0}
     for check in doc["checks"]:
         assert list(check.keys()) == CHECK_KEYS
+        worst_at = check["worst_at"]
+        assert worst_at is None or (type(worst_at) is int and worst_at >= 0)
         assert check["status"] in statuses
         statuses[check["status"]] += 1
     assert doc["summary"] == {
@@ -99,9 +101,32 @@ def test_verify_negative_control_fails(capsys):
     assert code == 1
     doc = load_document(out)
     by_name = {c["name"]: c for c in doc["checks"]}
-    assert by_name["pseudoscalar-square-unit"]["status"] == "fail"
-    assert by_name["pseudoscalar-square-unit"]["measured"] == 2.0
+    failed = by_name["pseudoscalar-square-unit"]
+    assert failed["status"] == "fail"
+    assert failed["measured"] == 2.0
     assert doc["summary"]["failed"] == 1
+    # its one sample, rebuilt from worst_at: I^2 - 1 under the corrupted metric
+    assert failed["worst_at"] == 0
+    unit = pseudoscalar(CL41)
+    assert (unit * unit - Multivector.scalar(1.0, CL41)).inf_norm() == failed["measured"]
+
+
+def test_a_failing_sample_replays_from_the_seed_and_worst_at_alone(capsys):
+    # the worst associativity trial at seed 42, redrawn from the generator:
+    # trials are drawn in batches of cli._TRIAL_CHUNK, each (size, 3, 32)
+    code, out, _ = run_cli(["verify", "--seed", "42", "--format", "json"], capsys)
+    assert code == 0
+    doc = load_document(out)
+    check = {c["name"]: c for c in doc["checks"]}["product-associativity"]
+    assert check["worst_at"] == 19
+    assert check["measured"] == 1.4210854715202004e-14
+    rng = np.random.default_rng(doc["inputs"]["seed"])
+    chunk, row = divmod(check["worst_at"], cli._TRIAL_CHUNK)
+    trials = doc["inputs"]["trials"]
+    for start in range(0, (chunk + 1) * cli._TRIAL_CHUNK, cli._TRIAL_CHUNK):
+        draw = rng.uniform(-1.0, 1.0, (min(cli._TRIAL_CHUNK, trials - start), 3, CL32.n_blades))
+    x, y, z = (Multivector(coeffs) for coeffs in draw[row])
+    assert ((x * y) * z - x * (y * z)).inf_norm() == check["measured"]
 
 
 def warm_construction_counts(argv, capsys, monkeypatch) -> dict:
@@ -439,6 +464,7 @@ def test_planewave_imaginary_frequency_fails_cleanly(capsys):
             "status": "fail",
             "measured": None,
             "tolerance": None,
+            "worst_at": None,
         }
     ]
 
@@ -525,6 +551,29 @@ def test_beyond_sources_demo_passes(capsys):
     assert by_name["sourced-equation"]["status"] == "pass"
     assert by_name["vector-part-divergence"]["status"] == "pass"
     assert by_name["current-hand-value"]["status"] == "pass"
+
+
+def test_a_perturbed_source_pair_fails_sourced_equation_with_its_worst_point(
+    capsys, monkeypatch
+):
+    # the minus half scaled by 1 + 1e-6: the pair no longer solves the
+    # sourced equation, which is a failed check, not an error line
+    xi_plus, _ = beyond.oscillating_source_pair()
+    xi_minus = PhaseField(Multivector.zero(CL32), (1.0 + 1e-6) * e(CL32, 0, 4), (0, 0, 0, 0, 1.0))
+    monkeypatch.setattr(cli, "oscillating_source_pair", lambda: (xi_plus, xi_minus))
+    code, out, err = run_cli(["beyond", "--demo", "sources", "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    doc = load_document(out)
+    assert_schema(doc)
+    check = {c["name"]: c for c in doc["checks"]}["sourced-equation"]
+    assert check["status"] == "fail"
+    # the sample points are the demo grid's every len // 16-th point
+    grid = beyond.demo_grid()
+    point = grid[:: max(1, len(grid) // 16)][check["worst_at"]]
+    current = beyond.source_current(xi_minus)
+    residual = beyond.sourced_massless_residual(xi_plus, current, point)
+    assert residual.inf_norm() == check["measured"]
+    assert check["measured"] > check["tolerance"]
 
 
 def test_beyond_json_is_byte_identical_across_runs(capsys):
@@ -626,6 +675,7 @@ def test_a_nan_measurement_fails_its_check(argv, target, failing, capsys, monkey
     failed = [c for c in doc["checks"] if c["status"] == "fail"]
     assert [c["name"] for c in failed] == failing
     assert all(c["measured"] is None for c in failed)
+    assert all(c["worst_at"] == 1 for c in failed)  # the first NaN row
 
 
 @pytest.mark.parametrize(
@@ -654,6 +704,21 @@ def test_an_unexpected_error_is_one_stderr_line_and_exit_1(argv, target, capsys,
 # ---------------------------------------------------------------------------
 # report documents
 # ---------------------------------------------------------------------------
+
+
+def test_make_check_measures_the_largest_gap_and_names_its_flat_index():
+    check = make_check("probe", "plumbing", 1e-13, 1e-10)  # one sample
+    assert (check.status, check.measured, check.worst_at) == ("pass", 1e-13, 0)
+    gaps = [0.5, np.array([0.25, 2.0]), np.array([[2.0, 1.0]]), 1]
+    check = make_check("probe", "plumbing", gaps, 1.0)
+    assert (check.status, check.measured, check.worst_at) == ("fail", 2.0, 2)
+    rendered = json.loads(ReportDocument("probe", {}, [check]).to_json())["checks"][0]
+    assert list(rendered)[-2:] == ["tolerance", "worst_at"] and rendered["worst_at"] == 2
+    # a NaN is the maximum, and the first NaN its index, even after an inf
+    check = make_check("probe", "plumbing", [0.0, np.array([math.inf, math.nan]), math.nan], 1.0)
+    assert (check.status, check.measured, check.worst_at) == ("fail", None, 2)
+    skipped = ReportDocument("probe", {}, [report.Check("probe", "plumbing", "skipped")])
+    assert json.loads(skipped.to_json())["checks"][0]["worst_at"] is None
 
 
 @pytest.mark.parametrize("measured", [math.nan, math.inf, -math.inf])

@@ -426,6 +426,26 @@ def test_a_last_coefficient_that_underflows_to_zero_raises():
     assert "nan" not in str(raised.value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mass", [1e100, 1e-100])
+def test_masses_far_from_1_give_each_state_a_solution_or_its_error(mass):
+    # the chain grows or decays like mass^p: at 1e100 the n_r = 3 states
+    # overflowed into an SVD that raised LinAlgError for the whole batch,
+    # and at 1e-100 their threshold underflowed to 0, giving a NaN
+    # termination_vacuity and RuntimeWarnings
+    grid = [CoulombParams(mass=mass, coupling=0.3, kappa=k, n_r=n)
+            for k in (1, -1, 2, -2) for n in range(4)]
+    solved = set()
+    for params, result in zip(grid, solve_radials(grid)):
+        if isinstance(result, RuntimeError):
+            assert "float64 range" in str(result)
+            continue
+        assert all(math.isfinite(v) for v in result.diagnostics.values()), params
+        assert math.isfinite(result.energy)
+        solved.add(params.n_r)
+    assert solved >= {0, 1, 2}  # the rest of the batch still solves
+
+
 def test_every_state_of_the_coupling_sweep_terminates():
     # negative control: the termination identity with T rebuilt from the
     # public builder holds at the solver's energy and fails, relative to the

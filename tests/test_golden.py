@@ -8,7 +8,13 @@ Z = 92, Z = 37 and alpha = 1e-6 before the radial recurrence was inverted in
 one batched call, the two at the plane-wave cap (``--trials`` 25 and 26)
 before the plane waves were built and checked as one batch, and the one at
 Z = 80 with ``--max-n 12`` before the radial states of a request were solved
-as one batch; a refactor that changes any output bit fails here.  To add a case,
+as one batch; a refactor that changes any output bit fails here.  The 13
+JSON files were regenerated once when every check gained ``worst_at``, the
+flat index of its worst per-sample gap: with ``worst_at`` removed from each
+check and the document re-rendered with ``json.dumps(indent=2,
+ensure_ascii=False) + "\n"``, each equals its previous bytes, so no check's
+name, status, measured bits or tolerance moved; the 7 table and CSV files
+did not change.  To add a case,
 run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
 build and add a row below.
 """
