@@ -14,12 +14,13 @@ so that ``out[k] = sum_i a[i] * S[i, k] * b[X[i, k]]``.  Everything downstream
 ``gp`` also takes leading batch axes: operands of shape ``(..., n)`` give the
 products row by row, each row bit-for-bit equal to the product of that row
 alone, so a batch of random samples costs one gather instead of one call per
-sample.  The batch gathers with ``b.take(X, axis=-1)``, which returns the
-``(..., n, n)`` terms in C order.  Fancy indexing ``b[..., X]`` gives the same
-values with the batch axis innermost (strides ``(8, 16384, 512)`` for a
-``(64, 32)`` batch), and multiplying that layout by ``a[..., None]`` took
-about 360 of the 450 microseconds of a ``(64, 32)`` product; with ``take``
-the whole product takes about 265.
+sample.  The gather is blade-major: ``gp`` transposes the operands so the
+blade axis leads and the batch axes trail, contiguous, and gathers
+``b.take(X, axis=0)`` into ``(n, n, ...)`` terms.  Each of the ``n`` steps of
+the reduction then adds one contiguous ``(n, ...)`` slab, and a 1-D operand
+takes the same path (its transposes are no-ops).  A ``(64, 32)`` product
+takes 0.53-0.71 of the time of the batch-last gather ``b.take(X,
+axis=-1)`` it replaced.
 
 ``gp`` is bit-for-bit equal to the plain accumulation loop ``gp_reference``
 on finite inputs: both start from +0.0 and add the terms of each output slot
@@ -57,10 +58,13 @@ def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of coefficient vectors ``a`` and ``b`` under the sign table.
 
     ``a`` and ``b`` are ``(n,)`` vectors or ``(..., n)`` arrays of the same
-    shape; the batch form multiplies them row by row.  Each output slot adds
-    its terms in ascending ``i`` from +0.0 in both forms, so a row of a batch
+    shape (``ValueError`` otherwise); the batch form multiplies them row by
+    row.  Both forms gather blade-major, batch axes last, and each output
+    slot adds its terms in ascending ``i`` from +0.0, so a row of a batch
     equals the product of that row alone, bit for bit.
     """
+    if a.shape != b.shape:
+        raise ValueError(f"operand shapes differ: {a.shape} and {b.shape}")
     xor, signs = _gather_tables(sign)
     if a.ndim == 1:
         nonzero = a.nonzero()[0]
@@ -72,12 +76,11 @@ def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             row *= a[i]
             row += 0.0
             return row
-        terms = b[xor]  # one C-ordered (n, n) gather
-    else:
-        terms = b.take(xor, axis=-1)  # C order: ``b[..., xor]`` puts the batch axis innermost
-    terms *= signs
-    terms *= a[..., None]
-    return terms.sum(-2, initial=0.0)
+    a, b = a.T, np.ascontiguousarray(b.T)  # blade-major: the batch axes trail
+    terms = b.take(xor, axis=0)
+    terms *= signs[(...,) + (None,) * (b.ndim - 1)]
+    terms *= a[:, None]
+    return np.ascontiguousarray(terms.sum(0, initial=0.0).T)
 
 
 def blade_gather(sign: np.ndarray, mask: int, left: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -93,11 +93,11 @@ from .wave import (
 
 _E34 = e(CL32, 3, 4)
 _RIGHT_E012 = BladeOperator.right(e(CL32, 0, 1, 2))
-#: Associativity trials per batch.  A (64, 32, 32) float64 gather is 512 KB,
+#: Associativity trials per batch.  A (32, 32, 64) float64 gather is 512 KB,
 #: so the peak memory of ``verify`` does not grow with ``--trials``.  With
-#: the C-ordered gather, 1000 trials took 20-21 ms at 64 and at 128 per
-#: batch, 21-24 ms at 16 and 32, and 21 ms at 256, whose gathers peak at
-#: 2.5 MB against 0.7 MB at 64.
+#: the blade-major gather, 1000 trials took 10.9-12.7 ms at 64 per batch,
+#: 10.5-11.6 ms at 128, 11.3-13.5 ms at 32 and 15.8-17.5 ms at 256, whose
+#: 2 MB gather falls out of cache; 64 ties with 128 at half the memory.
 _TRIAL_CHUNK = 64
 #: Minus fields per batch of the current-grade check.  A batch's partials
 #: take 2.5 KB per field, so ``beyond --trials`` does not grow the peak

@@ -423,29 +423,38 @@ def test_kernel_non_finite_results_stay_non_finite(rng):
     # The gather also multiplies the zero rows of the left operand, so an
     # infinity on the right can turn a slot the reference leaves finite into
     # NaN (0 * inf).  What may never happen is the reverse: a finite number
-    # where the reference has inf or NaN.
+    # where the reference has inf or NaN.  In a batch, the other rows keep
+    # the bits of their own reference products.
     sign = tables(CL32).sign
-    for kind in ("sparse", "single-blade"):
-        left = _left_operand(kind, rng, 32)
+    others = np.arange(32) != 5
+    for kind in ("dense", "sparse", "single-blade"):
+        left = np.stack([_left_operand(kind, rng, 32) for _ in range(32)])
         for special in (np.inf, -np.inf, np.nan):
-            b = rng.uniform(-1, 1, size=32)
-            b[[3, 17]] = special
+            b = rng.uniform(-1, 1, size=(32, 32))
+            b[5, [3, 17]] = special
             with np.errstate(invalid="ignore"):
-                expected = _kernels.gp_reference(sign, left, b)
-                got = _kernels.gp(sign, left, b)
-            assert np.all(~np.isfinite(got[~np.isfinite(expected)]))
-            finite = np.isfinite(got)
-            assert got[finite].tobytes() == expected[finite].tobytes()
+                expected = np.stack([_kernels.gp_reference(sign, x, y) for x, y in zip(left, b)])
+                vector = _kernels.gp(sign, left[5], b[5])
+                batch = _kernels.gp(sign, left, b)
+            assert batch[others].tobytes() == expected[others].tobytes()
+            for got in (vector, batch[5]):
+                assert np.all(~np.isfinite(got[~np.isfinite(expected[5])]))
+                finite = np.isfinite(got)
+                assert got[finite].tobytes() == expected[5][finite].tobytes()
 
 
 @pytest.mark.parametrize("table", ["sign", "wedge_sign"])
 @pytest.mark.parametrize("signature", ALL_SIGNATURES, ids=str)
-@pytest.mark.parametrize("shape", [(12,), (3, 4)], ids=["N", "NxM"])
+@pytest.mark.parametrize(
+    "shape", [(12,), (3, 4), ("n",), (2, "n")], ids=["N", "NxM", "nxn", "2xnxn"]
+)
 def test_batched_kernel_equals_the_reference_row_by_row(shape, signature, table, rng):
     # leading batch axes: every row, single-blade and zero left operands
-    # included, is the product of that row alone
+    # included, is the product of that row alone.  A batch axis of length
+    # n_blades ("n") is where a transpose on the wrong axis still broadcasts.
     sign = getattr(tables(signature), table)
     n = signature.n_blades
+    shape = tuple(n if size == "n" else size for size in shape)
     kinds = ("dense", "single-blade", "sparse", "integer", "zero", "single-blade")
     rows = int(np.prod(shape))
     a = np.stack([_left_operand(kinds[r % len(kinds)], rng, n) for r in range(rows)])
@@ -469,6 +478,21 @@ def test_batched_kernel_on_strided_views_equals_the_reference(table, rng):
         assert got.flags.c_contiguous
         for row, a, b in zip(got, left, right):
             assert row.tobytes() == _kernels.gp_reference(sign, a, b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "left_shape, right_shape",
+    [((32,), (40, 32)), ((3, 32), (40, 32)), ((40, 32), (32,))],
+    ids=["vector-x-40", "3-x-40", "40-x-vector"],
+)
+@pytest.mark.parametrize("kind", ["dense", "single-blade"])
+def test_kernel_refuses_operands_of_different_shapes(kind, left_shape, right_shape, rng):
+    # a vector against a batch used to return rows picked out of the batch
+    sign = tables(CL32).sign
+    a = np.stack([_left_operand(kind, rng, 32) for _ in range(int(np.prod(left_shape[:-1])))])
+    b = rng.uniform(-1, 1, size=right_shape)
+    with pytest.raises(ValueError, match="shapes differ"):
+        _kernels.gp(sign, a.reshape(left_shape), b)
 
 
 def test_gather_index_rows_are_permutations():

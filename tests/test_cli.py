@@ -129,6 +129,12 @@ def test_a_failing_sample_replays_from_the_seed_and_worst_at_alone(capsys):
     assert ((x * y) * z - x * (y * z)).inf_norm() == check["measured"]
 
 
+def test_an_associativity_chunk_gathers_at_most_one_megabyte():
+    # one chunk's gather is (n_blades, n_blades, _TRIAL_CHUNK) float64 terms;
+    # the _TRIAL_CHUNK comment's memory claim rests on this bound
+    assert cli._TRIAL_CHUNK * CL32.n_blades**2 * np.dtype(np.float64).itemsize <= 2**20
+
+
 def warm_construction_counts(argv, capsys, monkeypatch) -> dict:
     """Multivectors built and kernel calls made by a second, warm request."""
     assert run_cli(argv, capsys)[0] == 0  # fill the per-process caches first
