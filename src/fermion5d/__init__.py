@@ -30,7 +30,6 @@ from .beyond import (
     demo_grid,
     minus_constancy_ratio,
     oscillating_source_pair,
-    pair_residual,
     pair_residuals,
     scalar_potential_residual,
     scalar_potential_residuals,
@@ -65,7 +64,6 @@ from .wave import (
     dirac5_residuals,
     gamma_classify,
     hestenes_dirac_residual,
-    hestenes_dirac_residuals,
     hestenes_plane_wave_field,
     hestenes_sample_residuals,
     phase_mixture,
@@ -110,7 +108,6 @@ __all__ = [
     "dirac5_residuals",
     "gamma_classify",
     "hestenes_dirac_residual",
-    "hestenes_dirac_residuals",
     "hestenes_plane_wave_field",
     "hestenes_sample_residuals",
     "phase_mixture",
@@ -129,7 +126,6 @@ __all__ = [
     "demo_grid",
     "minus_constancy_ratio",
     "oscillating_source_pair",
-    "pair_residual",
     "pair_residuals",
     "scalar_potential_residual",
     "scalar_potential_residuals",

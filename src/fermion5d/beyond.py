@@ -28,9 +28,9 @@ equation on the idempotent halves ``xi_plus`` / ``xi_minus``:
   structure exactly, and checks the sourced equation on paired fields.
 
 Every field built here evaluates whole ``(N, 5)`` point arrays with array
-operations, and every residual has a batch form (``pair_residuals``,
-``scalar_potential_residuals``, ...) with one row per point; the per-point
-form is the batch on one point, as in :mod:`fermion5d.wave`.
+operations, and each computation has one batch function (``pair_residuals``,
+``scalar_potential_residuals``, ...) with one row per point.  A per-point
+form is that batch on one point and exists only where ``perfbench`` calls it.
 
 Index convention: raising the second-time index flips the sign of the
 derivative (``d^4 = -d_4``), exactly as in :mod:`fermion5d.wave`.
@@ -60,20 +60,15 @@ __all__ = [
     "SourceCurrent",
     "demo_grid",
     "derived_minus_field",
-    "grade_structure_violations",
     "oscillating_source_pair",
-    "pair_residual",
     "pair_residuals",
-    "random_minus_field",
     "random_minus_wave",
     "scalar_potential_residual",
     "scalar_potential_residuals",
-    "second_time_gradient",
     "second_time_gradients",
     "source_current",
     "sourced_massless_residual",
     "sourced_massless_residuals",
-    "spacetime_gradient",
     "spacetime_gradients",
 ]
 
@@ -115,11 +110,6 @@ def spacetime_gradients(field: Field5, points) -> np.ndarray:
     return add_gradient(np.zeros(partials.shape[1:]), partials, range(4))
 
 
-def spacetime_gradient(field: Field5, x: Sequence[float]) -> Multivector:
-    """:func:`spacetime_gradients` at one point."""
-    return Multivector(spacetime_gradients(field, [as_point(x)])[0])
-
-
 def second_time_gradients(field: Field5, points) -> np.ndarray:
     """``e4 d^4 field`` at every row of ``points`` (raised index: ``d^4 = -d_4``)."""
     partials = field.partials(as_points(points))
@@ -127,15 +117,16 @@ def second_time_gradients(field: Field5, points) -> np.ndarray:
     return add_gradient(np.full(partials.shape[1:], -0.0), partials, (4,))
 
 
-def second_time_gradient(field: Field5, x: Sequence[float]) -> Multivector:
-    """:func:`second_time_gradients` at one point."""
-    return Multivector(second_time_gradients(field, [as_point(x)])[0])
-
-
 def pair_residuals(
     xi_plus: Field5, xi_minus: Field5, mass: float, points, sign: str
 ) -> np.ndarray:
-    """:func:`pair_residual` at every row of an ``(N, 5)`` point array."""
+    """Residual of one sign of the pair equation on the idempotent halves,
+    one row per point of an ``(N, 5)`` array.
+
+    ``sign='upper'`` evaluates ``e4 d^4 xi_plus + e_mu d^mu xi_minus
+    - m xi_minus e0e1e2`` and ``sign='lower'`` the same with the halves
+    swapped.  A zero row means the corresponding equation holds there.
+    """
     if sign == "upper":
         lead, trail = xi_plus, xi_minus
     elif sign == "lower":
@@ -145,18 +136,6 @@ def pair_residuals(
     pts = as_points(points)
     gradients = second_time_gradients(lead, pts) + spacetime_gradients(trail, pts)
     return gradients - mass * _RIGHT_E012(trail.values(pts))
-
-
-def pair_residual(
-    xi_plus: Field5, xi_minus: Field5, mass: float, x: Sequence[float], sign: str
-) -> Multivector:
-    """Residual of one sign of the pair equation on the idempotent halves.
-
-    ``sign='upper'`` evaluates ``e4 d^4 xi_plus + e_mu d^mu xi_minus
-    - m xi_minus e0e1e2`` and ``sign='lower'`` the same with the halves
-    swapped.  A zero residual means the corresponding equation holds.
-    """
-    return Multivector(pair_residuals(xi_plus, xi_minus, mass, [as_point(x)], sign)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +198,13 @@ class ScalarPotentialDemo:
     def __init__(
         self, mass: float, potential: float, k_spatial: Sequence[float] = (0.0, 0.0, 0.0)
     ):
-        if mass <= 0:
+        if not mass > 0:
             raise ValueError(
                 "the induced scalar potential requires a positive mass; the "
                 "massless case forces the field flat along the second time axis"
             )
+        if not math.isfinite(potential):
+            raise ValueError("the scalar potential strength must be finite")
         self.mass = float(mass)
         self.potential = float(potential)
         self._rate = math.sqrt(abs(self.mass * self.potential))
@@ -247,14 +228,11 @@ class ScalarPotentialDemo:
         return sign * self._rate**order * phase(self._rate * w)
 
     def eigen_residuals(self, points) -> np.ndarray:
-        """:meth:`eigen_residual` at every row of an ``(N, 5)`` point array."""
+        """Sup-norm of ``d4 d4 xi_plus - m s xi_plus`` at every row of an
+        ``(N, 5)`` point array (should vanish)."""
         pts = as_points(points)
         delta = self.curvature.values(pts) - self.mass * self.potential * self.xi_plus.values(pts)
         return np.abs(delta).max(axis=1)
-
-    def eigen_residual(self, x: Sequence[float]) -> float:
-        """Sup-norm of ``d4 d4 xi_plus - m s xi_plus`` (should vanish)."""
-        return float(self.eigen_residuals([as_point(x)])[0])
 
     def derived_minus(self) -> ArrayField:
         """Minus half reconstructed from the plus half at non-zero mass.
@@ -369,13 +347,6 @@ def _forbidden_blades(rows: np.ndarray) -> list[str]:
     return [CL32.blade_name(int(mask)) for mask in FORBIDDEN_CURRENT_MASKS[hit]]
 
 
-def grade_structure_violations(mv: Multivector) -> list[str]:
-    """Names of blades with non-zero coefficients outside the current's support."""
-    if mv.signature != CL32:
-        raise ValueError("grade structure is defined on the Cl(3,2) algebra")
-    return _forbidden_blades(mv.coeffs[None])
-
-
 class SourceCurrent:
     """The current ``J = (1/4pi) e4 d^4 xi_minus`` induced by the minus half.
 
@@ -400,24 +371,17 @@ class SourceCurrent:
     def value(self, x: Sequence[float]) -> Multivector:
         return Multivector(self.values([as_point(x)])[0])
 
-    def vector_part(self, x: Sequence[float]) -> np.ndarray:
-        """Components of the grade-1 part on ``e0..e3``."""
-        return self.value(x).coeffs[[1 << a for a in range(4)]]
-
     def divergences(self, points, step: float = DEMO_GRID_SPACING) -> np.ndarray:
-        """:meth:`divergence` at every row of an ``(N, 5)`` point array."""
-        sampled = _CentralDifferenceField(self.values, step)
-        pts = as_points(points)
-        return sum(sampled._axis_partials(mu, pts)[:, 1 << mu] for mu in range(4))
-
-    def divergence(self, x: Sequence[float], step: float = DEMO_GRID_SPACING) -> float:
-        """Four-dimensional divergence of the grade-1 part, ``sum_mu d_mu J^mu``.
+        """Four-dimensional divergence of the grade-1 part, ``sum_mu d_mu J^mu``,
+        at every row of an ``(N, 5)`` point array.
 
         Central differences along the four spacetime axes (error
         ``O(step^2)``); near-constancy of the minus half over the region makes
         this vanish.
         """
-        return float(self.divergences([as_point(x)], step)[0])
+        sampled = _CentralDifferenceField(self.values, step)
+        pts = as_points(points)
+        return sum(sampled._axis_partials(mu, pts)[:, 1 << mu] for mu in range(4))
 
 
 def sourced_massless_residuals(xi_plus: Field5, current: SourceCurrent, points) -> np.ndarray:
@@ -439,23 +403,16 @@ def sourced_massless_residual(
 
 
 def source_current(
-    xi_minus: Field5, xi_plus: Field5 | None = None, points=None, tolerance: float = 1e-9
+    xi_minus: Field5, xi_plus: Field5, points, tolerance: float = 1e-9
 ) -> SourceCurrent:
-    """Build the induced current and optionally verify the sourced equation.
+    """Build the induced current and verify the sourced equation on a pair.
 
-    When both ``xi_plus`` and sample ``points`` are given, the pair is checked
-    against the sourced zero-mass equation (sup-norm residual below
-    ``tolerance``; a NaN residual fails) and the current's grade structure is
-    enforced at every sample point.  Returns the :class:`SourceCurrent`.
+    The pair is checked against the sourced zero-mass equation at every row
+    of ``points`` (sup-norm residual below ``tolerance``; a NaN residual
+    fails), and the current's grade structure is enforced there.  Returns
+    the :class:`SourceCurrent`.
     """
     current = SourceCurrent(xi_minus)
-    if points is None:
-        if xi_plus is not None:
-            raise ValueError("verifying the sourced equation requires sample points")
-        return current
-    if xi_plus is None:
-        current.values(points)  # enforces the grade structure
-        return current
     worst = float(np.max(np.abs(sourced_massless_residuals(xi_plus, current, points))))
     if not worst < tolerance:
         raise ValueError(
@@ -492,22 +449,13 @@ def oscillating_source_pair() -> tuple[ArrayField, PhaseField]:
     return _SourcePlusHalf(), xi_minus
 
 
-def random_minus_field(rng: np.random.Generator) -> PhaseField:
-    """Random smooth field supported on the minus half's blades.
-
-    A :class:`PhaseField` ``A cos(w . x) + B sin(w . x)`` of the draws of
-    :func:`random_minus_wave`.  Both the field and all its partials stay in
-    the minus half's support, so it exercises the structural grade claims of
-    the induced current, per point or on a whole point array.
-    """
-    return PhaseField(*random_minus_wave(rng))
-
-
 def random_minus_wave(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(A, B, w)`` of a random minus field, drawn in that order.
 
     ``A`` and ``B`` are even amplitudes confined to blades containing the
     second time generator, ``w`` is uniform in ``[-1, 1]^5``.
+    ``PhaseField(*random_minus_wave(rng))`` is the field ``A cos(w . x)
+    + B sin(w . x)``; it and all its partials stay on those blades.
     """
     masks = list(SECOND_TIME_EVEN_MASKS)
     amps = np.zeros((2, CL32.n_blades))

@@ -52,13 +52,13 @@ from .beyond import (
     FORBIDDEN_CURRENT_MASKS,
     FOUR_PI,
     ScalarPotentialDemo,
+    SourceCurrent,
     demo_grid,
     oscillating_source_pair,
     pair_residuals,
     random_minus_wave,
     scalar_potential_residuals,
     second_time_gradients,
-    source_current,
     sourced_massless_residuals,
 )
 from .constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -140,48 +140,29 @@ class _Parser(argparse.ArgumentParser):
 # argparse types: a bad value becomes argparse's one-line usage error (exit 2)
 
 
-def finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _argument_type(parse, *requirements):
+    """``parse`` the text, then test each ``(ok, expected)`` in order; the
+    first that fails raises ``expected <expected>, got <text>``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan  # fails every requirement
+        for ok, expected in requirements:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return convert
 
 
-def positive_float(text: str) -> float:
-    value = finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def nonnegative_float(text: str) -> float:
-    value = finite_float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+_FINITE = (math.isfinite, "a finite number")
+finite_float = _argument_type(float, _FINITE)
+positive_float = _argument_type(float, _FINITE, (lambda v: v > 0.0, "a positive number"))
+nonnegative_float = _argument_type(float, _FINITE, (lambda v: v >= 0.0, "a non-negative number"))
+positive_int = _argument_type(int, (lambda v: v >= 1, "a positive integer"))
+nonnegative_int = _argument_type(int, (lambda v: v >= 0, "a non-negative integer"))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +392,7 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     checks.append(make_check("scalar-demo-equivalence", "scalar-demo", gaps, 1e-9))
 
     xi_plus, xi_minus = oscillating_source_pair()
-    current = source_current(xi_minus)
+    current = SourceCurrent(xi_minus)
     gaps = np.abs(sourced_massless_residuals(xi_plus, current, pts)).max(axis=1)
     checks.append(make_check("sourced-equation", "source-current", gaps, 1e-12))
     return checks
@@ -636,7 +617,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
         xi_plus, xi_minus = oscillating_source_pair()
         grid = demo_grid()
         samples = grid[:: max(1, len(grid) // 16)]
-        current = source_current(xi_minus)  # judged by the checks below, once
+        current = SourceCurrent(xi_minus)  # judged by the checks below, once
         sourced = np.abs(sourced_massless_residuals(xi_plus, current, samples)).max(axis=1)
         # the hand value -(cos(x4) / 4pi) e0, as a wave along x4
         hand = PhaseField(-e(CL32, 0), Multivector.zero(CL32), (0, 0, 0, 0, 1)).values(samples)

@@ -51,7 +51,6 @@ from .algebra import (
     Multivector,
     e,
     even_masks,
-    from_even_coeffs,
     linear_map_matrix,
     pseudoscalar,
     tables,
@@ -287,9 +286,6 @@ class RadialSeries:
         dpoly = (p[1:] * r ** (p[1:] - 1)) @ self.coefficients[1:] if len(p) > 1 else 0.0
         pref = r**self.exponent * math.exp(self.decay * r)
         return pref * ((self.exponent / r + self.decay) * poly + dpoly)
-
-    def multivector(self, r: float) -> Multivector:
-        return from_even_coeffs(self.evaluate(r))
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,8 +130,8 @@ class _CentralDifferenceField(ArrayField):
     axis."""
 
     def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], step: float):
-        if step <= 0:
-            raise ValueError("finite-difference step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError(f"finite-difference step must be positive and finite, got {step!r}")
         self._values_fn, self.step = values_fn, step
 
     def values(self, points) -> np.ndarray:

@@ -475,17 +475,6 @@ def hestenes_dirac_residual(
     return Multivector(hestenes_sample_residuals(values, partials, mass, coupling)[0])
 
 
-def hestenes_dirac_residuals(field: Field5, mass, points) -> np.ndarray:
-    """Free-case :func:`hestenes_dirac_residual` at every row of ``points``.
-
-    ``mass`` is one mass or one per point.  Raises when the field is not
-    flat along the second time axis (to :data:`CYLINDER_TOLERANCE`) at any
-    of the points.
-    """
-    pts = as_points(points)
-    return hestenes_sample_residuals(field.values(pts), field.partials(pts), mass)
-
-
 def hestenes_sample_residuals(values, partials, mass, coupling=None) -> np.ndarray:
     """``-m phi e012 [- coupling] + sum_mu e_mu d^mu phi``, in that order.
 

@@ -18,23 +18,25 @@ from fermion5d.beyond import (
     SourceCurrent,
     demo_grid,
     derived_minus_field,
-    grade_structure_violations,
     minus_constancy_ratio,
     oscillating_source_pair,
-    pair_residual,
     pair_residuals,
-    random_minus_field,
+    random_minus_wave,
     scalar_potential_residual,
     scalar_potential_residuals,
-    second_time_gradient,
     second_time_gradients,
     source_current,
     sourced_massless_residual,
     sourced_massless_residuals,
-    spacetime_gradient,
     spacetime_gradients,
 )
-from fermion5d.fields import METRIC_SIGNS, AnalyticField, ConstantField
+from fermion5d.fields import (
+    METRIC_SIGNS,
+    AnalyticField,
+    ConstantField,
+    FiniteDifferenceField,
+    PhaseField,
+)
 from fermion5d.spinor import cylinder_check
 from fermion5d.wave import GammaChoice, build_plane_wave, hestenes_plane_wave_field, sector_fields
 
@@ -78,13 +80,16 @@ def test_gradients_on_linear_fields():
 
         return AnalyticField(value, partial)
 
-    x = np.zeros(5)
+    x = np.zeros((1, 5))
     # raised index flips the sign on the two time axes
-    assert spacetime_gradient(coordinate_field(0), x) == -(e(CL32, 0) * blade)
-    assert spacetime_gradient(coordinate_field(2), x) == e(CL32, 2) * blade
-    assert spacetime_gradient(coordinate_field(4), x) == Multivector.zero()
-    assert second_time_gradient(coordinate_field(4), x) == -(e(CL32, 4) * blade)
-    assert second_time_gradient(coordinate_field(0), x) == Multivector.zero()
+    for gradients, axis, expected in (
+        (spacetime_gradients, 0, -(e(CL32, 0) * blade)),
+        (spacetime_gradients, 2, e(CL32, 2) * blade),
+        (spacetime_gradients, 4, Multivector.zero()),
+        (second_time_gradients, 4, -(e(CL32, 4) * blade)),
+        (second_time_gradients, 0, Multivector.zero()),
+    ):
+        assert np.array_equal(gradients(coordinate_field(axis), x), [expected.coeffs])
 
 
 GENERATORS = [e(CL32, a) for a in range(5)]
@@ -105,7 +110,7 @@ def oracle_fields(rng):
     wave = build_plane_wave((0.3, -0.2, 0.1), 0.4, 0.9, GammaChoice.e0E()).field()
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
     return [
-        random_minus_field(rng),
+        PhaseField(*random_minus_wave(rng)),
         *oscillating_source_pair(),
         demo.xi_plus,
         demo.derived_minus(),
@@ -117,66 +122,50 @@ def oracle_fields(rng):
 def test_gradients_and_pair_residual_are_the_multivector_sums_bitwise(rng):
     # the sums the shared gradient helper replaces, written out with products
     fields = oracle_fields(rng)
-    for x in sample_points(rng, count=3):
-        for field in fields:
-            got = spacetime_gradient(field, x).coeffs
-            assert got.tobytes() == oracle_spacetime_gradient(field, x).coeffs.tobytes()
-            got = second_time_gradient(field, x).coeffs
-            assert got.tobytes() == oracle_second_time_gradient(field, x).coeffs.tobytes()
-        for lead in fields:
-            for trail in fields:
-                for mass in (0.0, 0.7):
+    pts = sample_points(rng, count=3)
+    for field in fields:
+        spacetime, second_time = spacetime_gradients(field, pts), second_time_gradients(field, pts)
+        for n, x in enumerate(pts):
+            assert spacetime[n].tobytes() == oracle_spacetime_gradient(field, x).coeffs.tobytes()
+            expected = oracle_second_time_gradient(field, x).coeffs
+            assert second_time[n].tobytes() == expected.tobytes()
+    for lead in fields:
+        for trail in fields:
+            for mass in (0.0, 0.7):
+                upper = pair_residuals(lead, trail, mass, pts, "upper")
+                lower = pair_residuals(trail, lead, mass, pts, "lower")
+                for n, x in enumerate(pts):
                     expected = (
                         oracle_second_time_gradient(lead, x)
                         + oracle_spacetime_gradient(trail, x)
                         - mass * (trail.value(x) * E012)
                     )
-                    got = pair_residual(lead, trail, mass, x, "upper").coeffs
-                    assert got.tobytes() == expected.coeffs.tobytes()
-                    got = pair_residual(trail, lead, mass, x, "lower").coeffs
-                    assert got.tobytes() == expected.coeffs.tobytes()
+                    assert upper[n].tobytes() == expected.coeffs.tobytes()
+                    assert lower[n].tobytes() == expected.coeffs.tobytes()
 
 
 def assert_rows_are_the_point_calls(batch, point_fn, points):
     for n, x in enumerate(points):
-        got = point_fn(x)
-        expected = got.coeffs if isinstance(got, Multivector) else np.float64(got)
-        assert batch[n].tobytes() == expected.tobytes()
+        assert batch[n].tobytes() == point_fn(x).coeffs.tobytes()
 
 
 def test_each_residual_is_its_batch_form_on_one_point(rng):
     pts = sample_points(rng, count=4)
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
-    ximinus = demo.derived_minus()
     xi_plus, xi_minus = oscillating_source_pair()
     current = SourceCurrent(xi_minus)
-    for field in oracle_fields(rng):
-        assert_rows_are_the_point_calls(
-            spacetime_gradients(field, pts), lambda x: spacetime_gradient(field, x), pts
-        )
-        assert_rows_are_the_point_calls(
-            second_time_gradients(field, pts), lambda x: second_time_gradient(field, x), pts
-        )
-    for sign in ("upper", "lower"):
-        assert_rows_are_the_point_calls(
-            pair_residuals(demo.xi_plus, ximinus, 1.0, pts, sign),
-            lambda x: pair_residual(demo.xi_plus, ximinus, 1.0, x, sign),
-            pts,
-        )
     for form in (0, 1):
         assert_rows_are_the_point_calls(
             scalar_potential_residuals(demo, pts)[form],
             lambda x: scalar_potential_residual(demo, x)[form],
             pts,
         )
-    assert_rows_are_the_point_calls(demo.eigen_residuals(pts), demo.eigen_residual, pts)
     assert_rows_are_the_point_calls(
         sourced_massless_residuals(xi_plus, current, pts),
         lambda x: sourced_massless_residual(xi_plus, current, x),
         pts,
     )
     assert_rows_are_the_point_calls(current.values(pts), current.value, pts)
-    assert_rows_are_the_point_calls(current.divergences(pts), current.divergence, pts)
 
 
 def test_grade_structure_error_is_the_batch_error_on_one_point(rng):
@@ -201,7 +190,7 @@ def test_grade_structure_error_is_the_batch_error_on_one_point(rng):
 def test_pair_residual_sign_validation(rng):
     field = ConstantField(e(CL32, 0, 1))
     with pytest.raises(ValueError):
-        pair_residual(field, field, 1.0, np.zeros(5), "diagonal")
+        pair_residuals(field, field, 1.0, np.zeros((1, 5)), "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +201,13 @@ def test_pair_residual_sign_validation(rng):
 @pytest.mark.parametrize("s", [0.01, 0.1, 1.0])
 def test_scalar_demo_solves_both_reduced_forms(rng, s):
     demo = ScalarPotentialDemo(1.0, s, k_spatial=(0.2, -0.15, 0.1))
-    for x in sample_points(rng):
+    pts = sample_points(rng)
+    for x in pts:
         second_form, potential_form = scalar_potential_residual(demo, x)
         assert second_form.inf_norm() < 1e-9
         assert potential_form.inf_norm() < 1e-9
         assert (second_form - potential_form).inf_norm() < 1e-9
-        assert demo.eigen_residual(x) < 1e-9
+    assert np.all(demo.eigen_residuals(pts) < 1e-9)
 
 
 def test_scalar_demo_supports_an_oscillatory_regime(rng):
@@ -225,8 +215,9 @@ def test_scalar_demo_supports_an_oscillatory_regime(rng):
     demo = ScalarPotentialDemo(1.0, -0.25)
     for w in (-0.7, 0.0, 1.3):
         assert demo.profile(w, 2) == pytest.approx(-0.25 * demo.profile(w, 0), abs=1e-15)
-    for x in sample_points(rng, count=3):
-        assert demo.eigen_residual(x) < 1e-12
+    pts = sample_points(rng, count=3)
+    assert np.all(demo.eigen_residuals(pts) < 1e-12)
+    for x in pts:
         second_form, potential_form = scalar_potential_residual(demo, x)
         assert second_form.inf_norm() < 1e-12
         assert potential_form.inf_norm() < 1e-12
@@ -240,10 +231,16 @@ def test_scalar_demo_at_zero_strength_is_flat(rng):
 
 
 def test_scalar_demo_requires_positive_mass():
-    with pytest.raises(ValueError, match="mass"):
-        ScalarPotentialDemo(0.0, 0.1)
-    with pytest.raises(ValueError, match="mass"):
-        ScalarPotentialDemo(-1.0, 0.1)
+    for mass in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="requires a positive mass"):
+            ScalarPotentialDemo(mass, 0.1)
+
+
+def test_scalar_demo_requires_a_finite_potential():
+    # a NaN strength used to pass as a rate that "overflows"
+    for potential in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="potential strength must be finite"):
+            ScalarPotentialDemo(1.0, potential)
 
 
 def test_profile_derivative_order_validation():
@@ -263,22 +260,20 @@ def test_derived_minus_lives_on_the_second_time_blades(rng):
 def test_derived_minus_reconstructs_the_second_time_gradient(rng):
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.1, 0.2, -0.3))
     ximinus = demo.derived_minus()
-    for x in sample_points(rng, count=4):
-        recon = second_time_gradient(demo.xi_plus, x) - 1.0 * (
-            ximinus.value(x) * E012
-        )
-        assert recon.inf_norm() < 1e-12
+    pts = sample_points(rng, count=4)
+    right = [(ximinus.value(x) * E012).coeffs for x in pts]
+    assert np.abs(second_time_gradients(demo.xi_plus, pts) - right).max() < 1e-12
 
 
 def test_pair_equation_round_trip(rng):
     # substituting the derived minus half back gives exactly the reduced form
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.1, 0.2, -0.3))
     ximinus = demo.derived_minus()
-    for x in sample_points(rng, count=4):
-        lower = pair_residual(demo.xi_plus, ximinus, 1.0, x, "lower")
-        second_form, _ = scalar_potential_residual(demo, x)
-        assert (lower - second_form).inf_norm() < 1e-12
-        assert lower.inf_norm() < 1e-9
+    pts = sample_points(rng, count=4)
+    lower = pair_residuals(demo.xi_plus, ximinus, 1.0, pts, "lower")
+    second_form, _ = scalar_potential_residuals(demo, pts)
+    assert np.abs(lower - second_form).max() < 1e-12
+    assert np.abs(lower).max() < 1e-9
 
 
 def test_finite_difference_minus_matches_the_analytic_one(rng):
@@ -333,7 +328,8 @@ def test_minus_constancy_ratio_cases(rng):
     assert minus_constancy_ratio(flat_but_varying, pts) == math.inf
     _, xi_minus = oscillating_source_pair()
     assert minus_constancy_ratio(xi_minus, pts) == 0.0
-    assert minus_constancy_ratio(random_minus_field(rng), pts) > MINUS_CONSTANCY_BOUND
+    random_minus = PhaseField(*random_minus_wave(rng))
+    assert minus_constancy_ratio(random_minus, pts) > MINUS_CONSTANCY_BOUND
     # NaN partials past the first sample do not read as a constant minus half
     assert minus_constancy_ratio(nan_except_at(xi_minus, pts[0]), pts) == math.inf
     with pytest.raises(ValueError):
@@ -356,8 +352,9 @@ def test_massless_consistency_detects_flatness(rng):
     # a NaN d4 past the first sample is not flat
     assert not cylinder_check(nan_except_at(flat, pts[0]), pts, 1e-10)
     for field in (flat, xi_plus):
-        for x in pts:
-            assert second_time_gradient(field, x).inf_norm() == field.partial(4, x).inf_norm()
+        rows = second_time_gradients(field, pts)
+        for x, row in zip(pts, rows):
+            assert np.abs(row).max() == field.partial(4, x).inf_norm()
     with pytest.raises(ValueError):
         cylinder_check(xi_plus, [], 1e-10)
 
@@ -379,7 +376,7 @@ def test_random_minus_fields_induce_structurally_clean_currents(rng):
     worst = 0.0
     forbidden = [m for m in range(32) if m not in CURRENT_MASKS]
     for _ in range(20):
-        field = random_minus_field(rng)
+        field = PhaseField(*random_minus_wave(rng))
         current = SourceCurrent(field)
         for x in sample_points(rng, count=2, scale=1.0):
             value = current.value(x)
@@ -388,7 +385,7 @@ def test_random_minus_fields_induce_structurally_clean_currents(rng):
 
 
 def test_random_minus_field_stays_on_its_masks(rng):
-    field = random_minus_field(rng)
+    field = PhaseField(*random_minus_wave(rng))
     for x in sample_points(rng, count=3):
         present = {int(m) for m in np.nonzero(field.value(x).coeffs)[0]}
         assert present <= set(SECOND_TIME_EVEN_MASKS)
@@ -415,40 +412,31 @@ def test_grade_structure_error_names_the_offenders():
     assert "e124" in str(err.value)
 
 
-def test_grade_structure_violations_lists_blades():
-    assert grade_structure_violations(e(CL32, 0)) == []
-    assert grade_structure_violations(e(CL32, 0, 1, 2)) == []
-    assert grade_structure_violations(e(CL32, 4)) == ["e4"]
-    assert set(grade_structure_violations(e(CL32, 0, 1) + e(CL32, 2))) == {"e01"}
-    from fermion5d.algebra import CL31
-
-    with pytest.raises(ValueError):
-        grade_structure_violations(Multivector.scalar(1.0, CL31))
-
-
 def test_oscillating_pair_satisfies_the_sourced_equation(rng):
     xi_plus, xi_minus = oscillating_source_pair()
     current = SourceCurrent(xi_minus)
-    for x in sample_points(rng, count=6, scale=1.0):
+    pts = sample_points(rng, count=6, scale=1.0)
+    for x in pts:
         # the induced current is the hand value -(cos(x4)/4pi) e0, exactly
         expected = Multivector.blade(1, CL32, -math.cos(x[4]) / (4.0 * math.pi))
         assert current.value(x) == expected
         assert sourced_massless_residual(xi_plus, current, x).inf_norm() < 1e-14
-        # and the pair solves the lower-sign equation at zero mass
-        assert pair_residual(xi_plus, xi_minus, 0.0, x, "lower").inf_norm() < 1e-14
+    # and the pair solves the lower-sign equation at zero mass
+    assert np.abs(pair_residuals(xi_plus, xi_minus, 0.0, pts, "lower")).max() < 1e-14
 
 
 def test_vector_part_and_divergence_of_the_oscillating_pair(rng):
     _, xi_minus = oscillating_source_pair()
     current = SourceCurrent(xi_minus)
-    for x in sample_points(rng, count=4, scale=1.0):
-        vec = current.vector_part(x)
+    pts = sample_points(rng, count=4, scale=1.0)
+    vectors = current.values(pts)[:, [1 << a for a in range(4)]]
+    for x, vec in zip(pts, vectors):
         assert vec[0] == -math.cos(x[4]) / (4.0 * math.pi)
         assert np.all(vec[1:] == 0.0)
-        # spatially constant minus half: the divergence vanishes identically
-        assert current.divergence(x) == 0.0
+    # spatially constant minus half: the divergence vanishes identically
+    assert np.all(current.divergences(pts) == 0.0)
     with pytest.raises(ValueError):
-        current.divergence(np.zeros(5), step=0.0)
+        current.divergences(np.zeros((1, 5)), step=0.0)
 
 
 def test_divergence_converges_at_second_order():
@@ -469,7 +457,7 @@ def test_divergence_converges_at_second_order():
     current = SourceCurrent(AnalyticField(value, partial))
     x = np.array([0.1, 0.4, -0.2, 0.3, 0.7])
     exact = -math.cos(x[1]) / (4.0 * math.pi)
-    errors = [abs(current.divergence(x, step=h) - exact) for h in (0.1, 0.05)]
+    errors = [abs(current.divergences([x], step=h)[0] - exact) for h in (0.1, 0.05)]
     assert errors[1] < errors[0] / 3.0  # better than half of the h^2 factor 4
     assert errors[1] < 1e-4
 
@@ -487,16 +475,29 @@ def test_divergence_is_the_central_difference_loop_bitwise(rng):
             ) / (2.0 * step)
         return float(total)
 
-    minus_halves = [random_minus_field(rng), oscillating_source_pair()[1]]
-    for x in sample_points(rng, count=3, scale=1.0):
-        for xi_minus in minus_halves:
-            current = SourceCurrent(xi_minus)
-            for step in (DEMO_GRID_SPACING, 1e-3, 0.3):
-                got = np.float64(current.divergence(x, step)).tobytes()
-                assert got == np.float64(oracle(current, x, step)).tobytes()
+    minus_halves = [PhaseField(*random_minus_wave(rng)), oscillating_source_pair()[1]]
+    pts = sample_points(rng, count=3, scale=1.0)
+    for xi_minus in minus_halves:
+        current = SourceCurrent(xi_minus)
+        for step in (DEMO_GRID_SPACING, 1e-3, 0.3):
+            divergences = current.divergences(pts, step)
+            for x, got in zip(pts, divergences):
+                assert got.tobytes() == np.float64(oracle(current, x, step)).tobytes()
     for step in (0.0, -0.1):
         with pytest.raises(ValueError, match="finite-difference step must be positive"):
-            SourceCurrent(minus_halves[0]).divergence(np.zeros(5), step=step)
+            SourceCurrent(minus_halves[0]).divergences(np.zeros((1, 5)), step=step)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1.0])
+def test_finite_difference_steps_must_be_positive_and_finite(step):
+    # a NaN or infinite step would difference NaN rows, not raise
+    xi_plus, xi_minus = oscillating_source_pair()
+    with pytest.raises(ValueError, match="finite-difference step must be positive and finite"):
+        SourceCurrent(xi_minus).divergences(np.zeros((2, 5)), step=step)
+    with pytest.raises(ValueError, match="finite-difference step must be positive and finite"):
+        FiniteDifferenceField(xi_plus.value, step=step)
+    with pytest.raises(ValueError, match="finite-difference step must be positive and finite"):
+        derived_minus_field(xi_plus, 1.0, step=step)
 
 
 def test_source_current_factory_verifies_pairs(rng):
@@ -510,10 +511,6 @@ def test_source_current_factory_verifies_pairs(rng):
     # so is one whose residual is NaN past the first sample
     with pytest.raises(ValueError, match="sourced zero-mass"):
         source_current(xi_minus, nan_except_at(xi_plus, pts[0]), pts)
-    with pytest.raises(ValueError, match="sample points"):
-        source_current(xi_minus, xi_plus)
-    # without a plus half the factory only enforces the grade structure
-    assert isinstance(source_current(xi_minus, points=pts), SourceCurrent)
 
 
 def test_flat_minus_half_induces_no_current(rng):

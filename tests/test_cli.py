@@ -576,7 +576,7 @@ def test_a_perturbed_source_pair_fails_sourced_equation_with_its_worst_point(
     # the sample points are the demo grid's every len // 16-th point
     grid = beyond.demo_grid()
     point = grid[:: max(1, len(grid) // 16)][check["worst_at"]]
-    current = beyond.source_current(xi_minus)
+    current = beyond.SourceCurrent(xi_minus)
     residual = beyond.sourced_massless_residual(xi_plus, current, point)
     assert residual.inf_norm() == check["measured"]
     assert check["measured"] > check["tolerance"]
@@ -690,7 +690,7 @@ def test_a_nan_measurement_fails_its_check(argv, target, failing, capsys, monkey
         (["verify", "--trials", "2"], "_coulomb_checks"),
         (["spectrum", "--format", "json"], "solve_radials"),
         (["planewave"], "build_plane_wave"),
-        (["beyond", "--demo", "sources"], "source_current"),
+        (["beyond", "--demo", "sources"], "SourceCurrent"),
     ],
 )
 def test_an_unexpected_error_is_one_stderr_line_and_exit_1(argv, target, capsys, monkeypatch):

@@ -23,6 +23,7 @@ from fermion5d.algebra import (
     e,
     even_coeffs,
     even_masks,
+    from_even_coeffs,
     pseudoscalar,
     random_multivector,
 )
@@ -714,7 +715,7 @@ def test_series_evaluate_matches_its_derivative():
 def test_series_multivector_is_even():
     params = CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=1)
     series = solve_radial(params).series
-    mv = series.multivector(1.0)
+    mv = from_even_coeffs(series.evaluate(1.0))
     assert isinstance(mv, Multivector)
     assert mv.is_even
 

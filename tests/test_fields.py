@@ -16,7 +16,7 @@ from fermion5d.beyond import (
     ScalarPotentialDemo,
     derived_minus_field,
     oscillating_source_pair,
-    random_minus_field,
+    random_minus_wave,
 )
 from fermion5d.fields import (
     AnalyticField,
@@ -62,7 +62,10 @@ def test_plane_wave_batch_matches_the_point_calls(rng):
 
 def package_fields(rng):
     """Every kind of field the package builds."""
-    fields = [hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0), random_minus_field(rng)]
+    fields = [
+        hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0),
+        PhaseField(*random_minus_wave(rng)),
+    ]
     for wave in plane_wave_fields():
         fields += [wave, *sector_fields(wave)]
     fields += oscillating_source_pair()

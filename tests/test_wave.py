@@ -16,7 +16,7 @@ from fermion5d.algebra import (
     pseudoscalar,
     random_multivector,
 )
-from fermion5d.beyond import pair_residual
+from fermion5d.beyond import pair_residuals
 from fermion5d.spinor import idempotent_split_coeffs
 from fermion5d.fields import (
     METRIC_SIGNS,
@@ -37,7 +37,6 @@ from fermion5d.wave import (
     dirac5_residuals,
     gamma_classify,
     hestenes_dirac_residual,
-    hestenes_dirac_residuals,
     momentum_constraint_matrix,
     hestenes_plane_wave_field,
     hestenes_sample_residuals,
@@ -223,11 +222,10 @@ def test_pair_form_is_equivalent_to_the_full_equation(rng):
     pts = sample_points(rng, count=3)
     wave = build_plane_wave((0.3, -0.4, 0.2), 0.25, 1.0, GammaChoice.e12())
     halves = sector_fields(wave.field())
-    for x in pts:
-        for sign in ("upper", "lower"):
-            assert pair_residual(*halves, 1.0, x, sign).inf_norm() < 1e-10
+    for sign in ("upper", "lower"):
+        assert np.abs(pair_residuals(*halves, 1.0, pts, sign)).max() < 1e-10
     with pytest.raises(ValueError):
-        pair_residual(*halves, 1.0, pts[0], "sideways")
+        pair_residuals(*halves, 1.0, pts, "sideways")
 
 
 def test_pair_residuals_sum_to_the_full_residual(rng):
@@ -246,12 +244,13 @@ def test_pair_residuals_sum_to_the_full_residual(rng):
     field = AnalyticField(value, partial)
     halves = sector_fields(field)
     for mass in (0.0, 0.7):
-        for x in sample_points(rng, count=3):
+        pts = sample_points(rng, count=3)
+        split = pair_residuals(*halves, mass, pts, "upper") + pair_residuals(
+            *halves, mass, pts, "lower"
+        )
+        for x, row in zip(pts, split):
             total = dirac5_residual(field, mass, x) * one_minus_e34
-            split = pair_residual(*halves, mass, x, "upper") + pair_residual(
-                *halves, mass, x, "lower"
-            )
-            assert (total - split).inf_norm() < 1e-14
+            assert np.abs(total.coeffs - row).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,7 @@ def test_batch_residuals_equal_the_point_residuals_bitwise(rng):
             if k4 != 0.0:
                 continue
             for half in sector_fields(field):
-                batch = hestenes_dirac_residuals(half, 0.9, points)
+                batch = hestenes_sample_residuals(half.values(points), half.partials(points), 0.9)
                 for n, x in enumerate(points):
                     expected = hestenes_dirac_residual(half, 0.9, x).coeffs
                     assert batch[n].tobytes() == expected.tobytes()
@@ -420,9 +419,10 @@ def test_batch_reduction_refuses_a_field_that_varies_at_any_point(rng):
     flat = build_plane_wave((0.2, 0.5, -0.3), 0.0, 1.0, GammaChoice.e12()).field()
     moving = build_plane_wave((0.2, 0.5, -0.3), 0.4, 1.0, GammaChoice.e12()).field()
     points = sample_points(rng, count=3)
-    assert hestenes_dirac_residuals(flat, 1.0, points).shape == (3, CL32.n_blades)
+    residuals = hestenes_sample_residuals(flat.values(points), flat.partials(points), 1.0)
+    assert residuals.shape == (3, CL32.n_blades)
     with pytest.raises(ValueError, match="second time"):
-        hestenes_dirac_residuals(moving, 1.0, points)
+        hestenes_sample_residuals(moving.values(points), moving.partials(points), 1.0)
     with pytest.raises(ValueError, match="second time"):
         hestenes_dirac_residual(moving, 1.0, points[0])
 
@@ -438,9 +438,11 @@ def test_sample_residuals_of_the_split_arrays_equal_the_sector_fields_bitwise(rn
             idempotent_split_coeffs(field.partials(points)),
         )
         for (values, partials), half in zip(split, sector_fields(field)):
+            half_values, half_partials = half.values(points), half.partials(points)
             for mass in (0.9, masses):
                 got = hestenes_sample_residuals(values, partials, mass)
-                assert got.tobytes() == hestenes_dirac_residuals(half, mass, points).tobytes()
+                expected = hestenes_sample_residuals(half_values, half_partials, mass)
+                assert got.tobytes() == expected.tobytes()
 
 
 def test_the_flatness_gate_refuses_a_moving_wave_and_a_nan_in_d4(rng):
@@ -459,8 +461,6 @@ def test_the_flatness_gate_refuses_a_moving_wave_and_a_nan_in_d4(rng):
         with pytest.raises(ValueError, match="second time"):
             hestenes_sample_residuals(field.values(points), field.partials(points), 1.0)
         with pytest.raises(ValueError, match="second time"):
-            hestenes_dirac_residuals(field, 1.0, points)
-        with pytest.raises(ValueError, match="second time"):
             hestenes_dirac_residual(field, 1.0, points[0])
 
 
@@ -469,8 +469,9 @@ def test_sector_fields_of_an_odd_field_raise(rng):
     for half in sector_fields(odd):
         with pytest.raises(ValueError, match="even"):
             half.value(rng.uniform(-1, 1, size=5))
+        pts = sample_points(rng, count=2)
         with pytest.raises(ValueError, match="even"):
-            hestenes_dirac_residuals(half, 1.0, sample_points(rng, count=2))
+            hestenes_sample_residuals(half.values(pts), half.partials(pts), 1.0)
 
 
 def test_a_potential_without_charge_is_the_free_residual(rng):
@@ -645,13 +646,17 @@ def test_paired_plane_wave_field_equals_each_wave_at_its_point(rng, gamma):
     k, amps = build_plane_waves(k_spatial, 0.0, masses, gamma)
     paired = plane_wave_field(k, amps, gamma)
     values, partials = paired.values(pts), paired.partials(pts)
-    halves = [hestenes_dirac_residuals(h, masses, pts) for h in sector_fields(paired)]
+    halves = [
+        hestenes_sample_residuals(h.values(pts), h.partials(pts), masses)
+        for h in sector_fields(paired)
+    ]
     for n, m in enumerate(masses):
         single = build_plane_wave(k_spatial[n], 0.0, float(m), gamma).field()
         assert values[n].tobytes() == single.values(pts[n : n + 1])[0].tobytes()
         assert partials[:, n].tobytes() == single.partials(pts[n : n + 1])[:, 0].tobytes()
         for half, res in zip(sector_fields(single), halves):
-            one = hestenes_dirac_residuals(half, float(m), pts[n : n + 1])
+            one_pt = pts[n : n + 1]
+            one = hestenes_sample_residuals(half.values(one_pt), half.partials(one_pt), float(m))
             assert res[n].tobytes() == one[0].tobytes()
     with pytest.raises(ValueError):
         paired.values(pts[:3])
