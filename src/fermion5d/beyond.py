@@ -203,6 +203,8 @@ class ScalarPotentialDemo:
                 "the induced scalar potential requires a positive mass; the "
                 "massless case forces the field flat along the second time axis"
             )
+        if mass == math.inf:
+            raise ValueError("the mass must be finite")
         if not math.isfinite(potential):
             raise ValueError("the scalar potential strength must be finite")
         self.mass = float(mass)

@@ -52,6 +52,7 @@ from .algebra import (
     e,
     even_masks,
     linear_map_matrix,
+    odd_masks,
     pseudoscalar,
     tables,
 )
@@ -63,13 +64,8 @@ _E3 = e(CL32, 3)
 _PSEUDO = pseudoscalar(CL32)
 _LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # x -> E x
 _LEFT_E0, _RIGHT_E0 = BladeOperator.left(_E0), BladeOperator.right(_E0)
-_EVEN_MASKS = list(even_masks(CL32))
+_EVEN_MASKS, _ODD_MASKS = list(even_masks(CL32)), list(odd_masks(CL32))
 
-#: Points of the coarse scan that brackets the termination root.
-SCAN_POINTS = 10_000
-#: Roots per scan block (320 KB of float64).  Blocks of 4 scanned 36 roots
-#: faster than blocks of 1, 2 or 8; one block of 64 raised the peak RSS 11 MB.
-_SCAN_ROWS = 4
 #: Relative bound on the termination residual of a series, also the relative
 #: singular-value gap that counts a direction as terminating.
 SVD_GAP_THRESHOLD = 1e-10
@@ -95,21 +91,16 @@ def even_operator_matrix(fn: Callable[[Multivector], Multivector]) -> np.ndarray
     input to odd output are paired with the unit pseudoscalar (matrix of
     ``x -> E fn(x)``); because the pseudoscalar is central and squares to +1,
     the product of two paired matrices is the plain matrix of the composition.
-    Mixed-parity output raises.
+    Output that mixes parities, within a column or between columns, raises.
     """
     columns = linear_map_matrix(fn, CL32, _EVEN_MASKS)
-    parity = None
-    for column in columns.T:
-        grades = Multivector(column, CL32).grades_present
-        parities = {g % 2 for g in grades}
-        if len(parities) > 1:
-            raise ValueError(f"operator output mixes even and odd grades: {grades}")
-        if parities:
-            if parity is None:
-                parity = parities
-            elif parity != parities:
-                raise ValueError("operator parity differs between basis blades")
-    if parity == {1}:
+    odd, even = (np.any(columns[masks] != 0.0, axis=0) for masks in (_ODD_MASKS, _EVEN_MASKS))
+    if (odd & even).any():
+        grades = Multivector(columns[:, np.argmax(odd & even)], CL32).grades_present
+        raise ValueError(f"operator output mixes even and odd grades: {grades}")
+    if odd.any() and even.any():
+        raise ValueError("operator parity differs between basis blades")
+    if odd.any():
         columns = _LEFT_PSEUDO(columns.T).T
     return np.ascontiguousarray(columns[_EVEN_MASKS])
 
@@ -310,31 +301,23 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
     Rooting in the decay constant rather than the energy keeps the
     termination identity sharp even when the energy is within ulps of the
     rest mass (weak coupling), where d(decay)/d(energy) blows up.  The gap
-    is ``m (n_r + q) > 0`` at the scan's last point, so every root is
-    bracketed; each sees the float operations of its own scan and bisection.
+    is ``-lambda m < 0`` at 0 and ``m (n_r + q) > 0`` at m, so (0, m)
+    brackets every root; each state is bisected on its own row until its
+    bracket is two adjacent floats, which ends because every step shrinks
+    an active bracket (at most about 2100 steps across the float64 range).
     """
-    keys = [(p.mass, p.coupling, p.n_r + p.series_exponent) for p in params_seq]
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    mass, coupling, shift = np.array(list(index), dtype=np.float64).reshape(-1, 3).T
-    lo, hi = np.zeros(len(index)), np.zeros(len(index))
-    for m, lam in dict.fromkeys(zip(mass.tolist(), coupling.tolist())):
-        grid = np.linspace(0.0, m, SCAN_POINTS)
-        root_term = lam * np.sqrt((m - grid) * (m + grid))
-        line = np.flatnonzero((mass == m) & (coupling == lam))
-        for rows in np.split(line, range(_SCAN_ROWS, len(line), _SCAN_ROWS)):
-            gap = grid * shift[rows, None]
-            above = np.subtract(gap, root_term, out=gap) >= 0.0
-            first = above.argmax(axis=1)
-            hi[rows], lo[rows] = grid[first], np.where(first > 0, grid[first - 1], 0.0)
-    active = np.ones(len(index), dtype=bool)
-    for _ in range(200):
+    mass, coupling, shift = np.array(
+        [(p.mass, p.coupling, p.n_r + p.series_exponent) for p in params_seq], dtype=np.float64
+    ).reshape(-1, 3).T
+    lo, hi = np.zeros(len(mass)), mass.copy()
+    active = np.ones(len(mass), dtype=bool)
+    while True:
         mid = 0.5 * (lo + hi)
         active &= (mid != lo) & (mid != hi)
         if not active.any():
-            break
+            return (0.5 * (lo + hi)).tolist()
         below = mid * shift - coupling * np.sqrt((mass - mid) * (mass + mid)) < 0.0
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
-    return (0.5 * (lo + hi))[[index[key] for key in keys]].tolist()
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -429,99 +412,98 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
             generic_scale = generic_scale * norms[:, p]
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
-    # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace) 8-dimensional
+    # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace)
+    # 8-dimensional: the right singular vectors of the 8 smallest singular values
     results: list = [None] * len(group)
-    _, sing_k, vt_k = np.linalg.svd(s_mat - q * eye)
-    for _, rows, kernel in _split_selected(sing_k <= 1e-10 * sing_k[:, :1], vt_k):
-        kernel = np.ascontiguousarray(np.swapaxes(kernel, 1, 2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            restricted = terminate(propagate(kernel, rows)[-1], rows)
-        # far from mass 1 the chain grows or decays like mass^p: a state whose
-        # threshold or restricted map leaves float64 cannot be judged, and
-        # leaves the batch before the SVDs
-        judged = (threshold[rows] > 0.0) & np.isfinite(threshold[rows])
-        judged &= np.isfinite(restricted).all(axis=(1, 2))
-        for i in rows[~judged].tolist():
-            results[i] = RuntimeError(
-                "termination map outside the float64 range: threshold "
-                f"{threshold[i]:.3e} at mass={group[i].mass:.3e} (kappa={group[i].kappa}, "
-                f"n_r={n_r})"
-            )
-        rows, kernel = rows[judged], kernel[judged]
-        _, sing_w, vt_w = np.linalg.svd(restricted[judged])
-        for admissible, sub, kept in _split_selected(sing_w <= threshold[rows, None], vt_w):
-            batch = rows[sub]
-            if admissible == 0:
-                for i, smallest in zip(batch, sing_w[sub, -1]):
-                    results[i] = RuntimeError(
-                        "no terminating series at the root energy: smallest termination "
-                        f"residual {smallest:.3e} exceeds {threshold[i]:.3e} "
-                        f"(kappa={group[i].kappa}, n_r={n_r})"
-                    )
-                continue
-            # propagate the whole admissible subspace and keep the directions
-            # whose final coefficient is largest; this avoids near-degenerate
-            # directions (close couplings make neighboring levels almost
-            # align) that would make the last coefficient vanish by
-            # cancellation.  That singular value is often degenerate, and
-            # which vector of its subspace an SVD returns is up to roundoff,
-            # so the series starts from the projection of a fixed generic
-            # vector onto the whole subspace, which roundoff only nudges
-            basis = kernel[sub] @ np.swapaxes(kept, 1, 2)
-            _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[-1], full_matrices=False)
-            start = np.empty((len(batch), 16))
-            for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
-                top = basis[same] @ np.swapaxes(top, 1, 2)
-                start[same] = (top @ (np.swapaxes(top, 1, 2) @ _DIRECTION_PROBE[:, None]))[..., 0]
-            start /= _norms(start)[:, None]
-            coefficients = np.stack(propagate(start[..., None], batch), axis=1)[..., 0]
+    _, _, vt_k = np.linalg.svd(s_mat - q * eye)
+    rows, kernel = np.arange(len(group)), np.ascontiguousarray(np.swapaxes(vt_k[:, 8:], 1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        restricted = terminate(propagate(kernel, rows)[-1], rows)
+    # far from mass 1 the chain grows or decays like mass^p: a state whose
+    # threshold or restricted map leaves float64 cannot be judged, and
+    # leaves the batch before the SVDs
+    judged = (threshold > 0.0) & np.isfinite(threshold) & np.isfinite(restricted).all(axis=(1, 2))
+    for i in rows[~judged].tolist():
+        results[i] = RuntimeError(
+            "termination map outside the float64 range: threshold "
+            f"{threshold[i]:.3e} at mass={group[i].mass:.3e} (kappa={group[i].kappa}, "
+            f"n_r={n_r})"
+        )
+    rows, kernel = rows[judged], kernel[judged]
+    _, sing_w, vt_w = np.linalg.svd(restricted[judged])
+    for admissible, sub, kept in _split_selected(sing_w <= threshold[rows, None], vt_w):
+        batch = rows[sub]
+        if admissible == 0:
+            for i, smallest in zip(batch, sing_w[sub, -1]):
+                results[i] = RuntimeError(
+                    "no terminating series at the root energy: smallest termination "
+                    f"residual {smallest:.3e} exceeds {threshold[i]:.3e} "
+                    f"(kappa={group[i].kappa}, n_r={n_r})"
+                )
+            continue
+        # propagate the whole admissible subspace and keep the directions
+        # whose final coefficient is largest; this avoids near-degenerate
+        # directions (close couplings make neighboring levels almost
+        # align) that would make the last coefficient vanish by
+        # cancellation.  That singular value is often degenerate, and
+        # which vector of its subspace an SVD returns is up to roundoff,
+        # so the series starts from the projection of a fixed generic
+        # vector onto the whole subspace, which roundoff only nudges
+        basis = kernel[sub] @ np.swapaxes(kept, 1, 2)
+        _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[-1], full_matrices=False)
+        start = np.empty((len(batch), 16))
+        for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
+            top = basis[same] @ np.swapaxes(top, 1, 2)
+            start[same] = (top @ (np.swapaxes(top, 1, 2) @ _DIRECTION_PROBE[:, None]))[..., 0]
+        start /= _norms(start)[:, None]
+        coefficients = np.stack(propagate(start[..., None], batch), axis=1)[..., 0]
 
-            # honest post-check: the last coefficient must be annihilated
-            # relative to the scale of the termination map (a genuinely
-            # non-terminating direction scores O(1) in this measure).  Both
-            # norms are taken of last / max|last|, which leaves the ratio as
-            # it is, but keeps the squares of a last coefficient that decayed
-            # far below 1 from underflowing to 0 / 0
-            last, c0 = coefficients[:, -1], coefficients[:, 0, :, None]
-            peak = np.abs(last).max(axis=1)
-            unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
-            scale = termination_norm[batch] * np.where(peak > 0.0, _norms(unit), 1.0)
-            termination_relative = _norms(terminate(unit[..., None], batch)[..., 0]) / scale
-            indicial = np.abs(s_mat[batch] @ c0 - q[batch] * c0).max(axis=(1, 2))
-            for j, i in enumerate(batch.tolist()):
-                if peak[j] == 0.0:
-                    results[i] = RuntimeError(
-                        "series underflows: every component of its last coefficient is 0 "
-                        f"(kappa={group[i].kappa}, n_r={n_r}, coupling={group[i].coupling:.3e})"
-                    )
-                    continue
-                if not termination_relative[j] <= SVD_GAP_THRESHOLD:
-                    results[i] = RuntimeError(
-                        f"series does not terminate: relative termination residual "
-                        f"{termination_relative[j]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
-                    )
-                    continue
-                params = group[i]
-                series = RadialSeries(params.series_exponent, -decays[i], coefficients[j])
-                diagnostics = {
-                    "termination_relative": float(termination_relative[j]),
-                    "termination_kernel_dim": admissible,
-                    "termination_vacuity": float(sing_w[sub[j], 0] / generic_scale[i]),
-                    "closed_form_delta": abs(energies[i] - sommerfeld_energy(params)),
-                    "indicial_residual": float(indicial[j]),
-                    "s_square_error": float(s_square_err[i]),
-                    "t_square_error": float(t_square_err[i]),
-                }
-                results[i] = RadialSolution(params, energies[i], series, diagnostics)
+        # honest post-check: the last coefficient must be annihilated
+        # relative to the scale of the termination map (a genuinely
+        # non-terminating direction scores O(1) in this measure).  Both
+        # norms are taken of last / max|last|, which leaves the ratio as
+        # it is, but keeps the squares of a last coefficient that decayed
+        # far below 1 from underflowing to 0 / 0
+        last, c0 = coefficients[:, -1], coefficients[:, 0, :, None]
+        peak = np.abs(last).max(axis=1)
+        unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
+        scale = termination_norm[batch] * np.where(peak > 0.0, _norms(unit), 1.0)
+        termination_relative = _norms(terminate(unit[..., None], batch)[..., 0]) / scale
+        indicial = np.abs(s_mat[batch] @ c0 - q[batch] * c0).max(axis=(1, 2))
+        for j, i in enumerate(batch.tolist()):
+            if peak[j] == 0.0:
+                results[i] = RuntimeError(
+                    "series underflows: every component of its last coefficient is 0 "
+                    f"(kappa={group[i].kappa}, n_r={n_r}, coupling={group[i].coupling:.3e})"
+                )
+                continue
+            if not termination_relative[j] <= SVD_GAP_THRESHOLD:
+                results[i] = RuntimeError(
+                    f"series does not terminate: relative termination residual "
+                    f"{termination_relative[j]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
+                )
+                continue
+            params = group[i]
+            series = RadialSeries(params.series_exponent, -decays[i], coefficients[j])
+            diagnostics = {
+                "termination_relative": float(termination_relative[j]),
+                "termination_kernel_dim": admissible,
+                "termination_vacuity": float(sing_w[sub[j], 0] / generic_scale[i]),
+                "closed_form_delta": abs(energies[i] - sommerfeld_energy(params)),
+                "indicial_residual": float(indicial[j]),
+                "s_square_error": float(s_square_err[i]),
+                "t_square_error": float(t_square_err[i]),
+            }
+            results[i] = RadialSolution(params, energies[i], series, diagnostics)
     return results
 
 
 def solve_radials(params_seq: Sequence[CoulombParams]) -> list[RadialSolution | RuntimeError]:
     """:func:`solve_radial` for many states: per state its solution, or the
-    ``RuntimeError`` it raises, whatever else the batch holds.  One scan and
-    bisection roots every state, and each of the four LAPACK calls (step
+    ``RuntimeError`` it raises, whatever else the batch holds.  One bisection
+    on (0, m) roots every state, and each of the four LAPACK calls (step
     inverse, indicial-kernel, admissible and final SVD) is one stacked call
-    per group, split where the kernel or admissible dimension differs.
+    per group, the last split where the admissible dimension differs.
     """
     decays = _termination_decays(params_seq)
     groups: dict[tuple[GammaChoice, int], list[int]] = {}

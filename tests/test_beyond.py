@@ -234,6 +234,11 @@ def test_scalar_demo_requires_positive_mass():
     for mass in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="requires a positive mass"):
             ScalarPotentialDemo(mass, 0.1)
+    # an infinite mass used to pass as a rate that "overflows", even at
+    # potential 0 where the rate is sqrt(inf * 0) = NaN
+    for potential in (0.0, 0.1):
+        with pytest.raises(ValueError, match="the mass must be finite"):
+            ScalarPotentialDemo(math.inf, potential)
 
 
 def test_scalar_demo_requires_a_finite_potential():

@@ -427,6 +427,25 @@ def test_a_last_coefficient_that_underflows_to_zero_raises():
     assert "nan" not in str(raised.value)
 
 
+@pytest.mark.parametrize("n_r", [0, 3])
+@pytest.mark.parametrize("coupling", [1e-70, 1e-100, 1e-300])
+def test_tiny_couplings_root_at_the_closed_form_decay(coupling, n_r):
+    # a bisection capped at 200 steps from a 10,000-point scan of (0, m)
+    # stopped at d = 3.11e-65 for all six cells, and the post-check
+    # accepted that root
+    params = CoulombParams(mass=1.0, coupling=coupling, kappa=-1, n_r=n_r)
+    shift = n_r + params.series_exponent
+    exact = params.mass * coupling / math.sqrt(shift**2 + coupling**2)
+    (decay,) = coulomb._termination_decays([params])
+    assert abs(decay - exact) <= 1e-15 * exact
+    if coupling == 1e-300 and n_r == 3:
+        # the last coefficient scales like d^3 and underflows to zero
+        with pytest.raises(RuntimeError, match="series underflows"):
+            solve_radial(params)
+    else:
+        assert solve_radial(params).series.decay == -decay
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mass", [1e100, 1e-100])
 def test_masses_far_from_1_give_each_state_a_solution_or_its_error(mass):
@@ -505,11 +524,10 @@ def solve_step_by_step(params, scale_of=column_scale):
         shift = n_r + params.series_exponent
         return decay * shift - coupling * np.sqrt((m - decay) * (m + decay))
 
-    grid = np.linspace(0.0, m, coulomb.SCAN_POINTS)
-    first = np.nonzero(gap(grid) >= 0.0)[0][0]
-    hi = float(grid[first])
-    lo = float(grid[first - 1]) if first > 0 else 0.0
-    for _ in range(200):
+    # the solver's root search: (0, m) brackets the root, bisected to two
+    # adjacent floats
+    lo, hi = 0.0, m
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
