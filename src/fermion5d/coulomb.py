@@ -15,21 +15,23 @@ solution terminate exactly when the energy sits on the Sommerfeld ladder
 
     eps = m / sqrt(1 + lambda^2 / (n_r + sqrt(kappa^2 - lambda^2))^2)
 
-The solver's energy is the bisection root of the termination condition in
-the decay constant, ``d (n_r + q) = lambda sqrt(m^2 - d^2)``, which is that
+In ``rho = m r`` the problem depends only on lambda, kappa and n_r, so the
+solver works in units of m (at mass 1) and scales its energy and decay by
+m.  Its energy is the bisection root of the termination condition in the
+decay constant, ``d (n_r + q) = lambda sqrt(1 - d^2)``, which is that
 closed form solved for ``d``; the series adds the post-check that its last
 coefficient meets the 1e-10 termination bound.  That post-check is the
-series' check of the system: ``u = r^q e^(beta r) sum_p C_p r^p`` solves it
-exactly when ``((p + q) I - S) C_p = -(beta I + T) C_(p-1)`` at every power,
-which the recurrence imposes by construction, and ``(beta I + T) C_(n_r) =
-0`` at the top power, which is the termination identity.  The step matrices
-``((p + q) I - S)^-1`` are inverted numerically (not from the closed form
-that ``S^2`` would allow, so the solver does not assume the identity it
-cross-checks) and shared by the scan of the admissible subspace, the
-threshold scale and the final coefficients.  :func:`solve_radials` solves
-many states at once: each of its four LAPACK calls (the step inverse and
-three SVDs) is one stacked call per group of states that share the phase
-bivector and n_r, whatever n_r is.
+series' check of the system: ``u = rho^q e^(beta rho) sum_p C_p rho^p``
+solves it exactly when ``((p + q) I - S) C_p = -(beta I + T) C_(p-1)`` at
+every power, which the recurrence imposes by construction, and ``(beta I +
+T) C_(n_r) = 0`` at the top power, which is the termination identity.  The
+step matrices ``((p + q) I - S)^-1`` are inverted numerically (not from the
+closed form that ``S^2`` would allow, so the solver does not assume the
+identity it cross-checks) and shared by the scan of the admissible
+subspace, the threshold scale and the final coefficients.
+:func:`solve_radials` solves many states at once: each of its four LAPACK
+calls (the step inverse and three SVDs) is one stacked call per group of
+states that share the phase bivector and n_r, whatever n_r is.
 
 Operators that flip even and odd grades are represented on the even basis by
 pairing with the unit pseudoscalar (which is central and squares to +1), so
@@ -241,15 +243,17 @@ def sommerfeld_energy(params: CoulombParams) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RadialSeries:
-    """Terminating series ``u(r) = r^q exp(beta r) sum_p C_p r^p``.
+    """Terminating series ``u(r) = rho^q exp(beta r) sum_p C_p rho^p``, ``rho = unit r``.
 
     ``coefficients`` has shape (n_r + 1, 16); each row holds even-subalgebra
-    coordinates of one series term.
+    coordinates of one series term.  The solver's ``unit`` is the mass, so
+    its coefficients are the mass-1 ones at every mass.
     """
 
     exponent: float
     decay: float
     coefficients: np.ndarray
+    unit: float = 1.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
@@ -258,25 +262,27 @@ class RadialSeries:
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.setflags(write=False)
 
-    def _polynomial(self, r: float) -> np.ndarray:
-        powers = r ** np.arange(self.coefficients.shape[0])
-        return powers @ self.coefficients
-
-    def evaluate(self, r: float) -> np.ndarray:
-        """Even-subalgebra coordinates of ``u(r)`` (r must be positive and finite)."""
+    def _prefactor(self, r: float) -> tuple[float, float]:
+        """``rho`` and ``rho^q exp(beta r)`` (r must be positive and finite)."""
         if not 0 < r < math.inf:
             raise ValueError("radius must be positive and finite")
-        return r**self.exponent * math.exp(self.decay * r) * self._polynomial(r)
+        rho = self.unit * r
+        return rho, rho**self.exponent * math.exp(self.decay * r)
+
+    def _polynomial(self, rho: float) -> np.ndarray:
+        return rho ** np.arange(self.coefficients.shape[0]) @ self.coefficients
+
+    def evaluate(self, r: float) -> np.ndarray:
+        """Even-subalgebra coordinates of ``u(r)``."""
+        rho, pref = self._prefactor(r)
+        return pref * self._polynomial(rho)
 
     def derivative(self, r: float) -> np.ndarray:
         """Coordinates of ``du/dr`` from the analytic series."""
-        if not 0 < r < math.inf:
-            raise ValueError("radius must be positive and finite")
-        p = np.arange(self.coefficients.shape[0])
-        poly = (r**p) @ self.coefficients
-        dpoly = (p[1:] * r ** (p[1:] - 1)) @ self.coefficients[1:] if len(p) > 1 else 0.0
-        pref = r**self.exponent * math.exp(self.decay * r)
-        return pref * ((self.exponent / r + self.decay) * poly + dpoly)
+        rho, pref = self._prefactor(r)
+        p = np.arange(1, self.coefficients.shape[0])
+        dpoly = self.unit * ((p * rho ** (p - 1)) @ self.coefficients[1:])
+        return pref * ((self.exponent / r + self.decay) * self._polynomial(rho) + dpoly)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,33 +296,35 @@ class RadialSolution:
 
     @property
     def binding_energy(self) -> float:
-        """Energy minus rest mass (negative for a bound state)."""
-        return self.energy - self.params.mass
+        """Energy minus rest mass, ``-m d^2 / (1 + eps)`` in units of the mass
+        (the solver's own binding), which does not cancel at weak coupling."""
+        d, eps = -self.series.decay / self.params.mass, self.energy / self.params.mass
+        return -self.params.mass * (d * d / (1.0 + eps))
 
 
 def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
-    """Decay constants ``d = |beta|`` at the roots of the termination gap
-    ``d (n_r + q) - lambda sqrt(m^2 - d^2)``, strictly increasing on (0, m).
+    """Decay constants ``d = |beta| / m`` at the roots of the termination
+    gap ``d (n_r + q) - lambda sqrt(1 - d^2)``, strictly increasing on (0, 1).
 
     Rooting in the decay constant rather than the energy keeps the
     termination identity sharp even when the energy is within ulps of the
     rest mass (weak coupling), where d(decay)/d(energy) blows up.  The gap
-    is ``-lambda m < 0`` at 0 and ``m (n_r + q) > 0`` at m, so (0, m)
-    brackets every root; each state is bisected on its own row until its
-    bracket is two adjacent floats, which ends because every step shrinks
-    an active bracket (at most about 2100 steps across the float64 range).
+    is ``-lambda < 0`` at 0 and ``n_r + q > 0`` at 1, so (0, 1) brackets
+    every root; each state is bisected on its own row until its bracket is
+    two adjacent floats, which ends because every step shrinks an active
+    bracket (at most about 1100 steps, down to the smallest subnormal).
     """
-    mass, coupling, shift = np.array(
-        [(p.mass, p.coupling, p.n_r + p.series_exponent) for p in params_seq], dtype=np.float64
-    ).reshape(-1, 3).T
-    lo, hi = np.zeros(len(mass)), mass.copy()
-    active = np.ones(len(mass), dtype=bool)
+    coupling, shift = np.array(
+        [(p.coupling, p.n_r + p.series_exponent) for p in params_seq], dtype=np.float64
+    ).reshape(-1, 2).T
+    lo, hi = np.zeros(len(coupling)), np.ones(len(coupling))
+    active = np.ones(len(coupling), dtype=bool)
     while True:
         mid = 0.5 * (lo + hi)
         active &= (mid != lo) & (mid != hi)
         if not active.any():
             return (0.5 * (lo + hi)).tolist()
-        below = mid * shift - coupling * np.sqrt((mass - mid) * (mass + mid)) < 0.0
+        below = mid * shift - coupling * np.sqrt((1.0 - mid) * (1.0 + mid)) < 0.0
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
 
 
@@ -330,12 +338,10 @@ def _column_scale(blocks: np.ndarray) -> np.ndarray:
 
     ``max_j |B e_j|`` is a lower bound on the 2-norm ``|B|_2``, so a
     threshold built from it is never looser than one built from singular
-    values.  The columns are summed as ``B / max|B|`` and scaled back, so
-    squares of entries far from 1 neither underflow nor overflow.
+    values.  The blocks are those of the mass-1 problem, whose entries are
+    of order 1, so their squares are summed as they are.
     """
-    peak = np.abs(blocks).max(axis=(-2, -1))
-    unit = blocks / peak[..., None, None]
-    return np.sqrt((unit * unit).sum(axis=-2)).max(axis=-1) * peak
+    return np.sqrt((blocks * blocks).sum(axis=-2)).max(axis=-1)
 
 
 def _split_selected(mask: np.ndarray, vt: np.ndarray):
@@ -348,12 +354,12 @@ def _split_selected(mask: np.ndarray, vt: np.ndarray):
 
 
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
-    """Solutions, or errors, of states that share the phase bivector and n_r."""
+    """Solutions, or errors, of states that share the phase bivector and n_r,
+    solved at mass 1 from their decays in units of the mass, then scaled."""
     n_r = group[0].n_r
     z, rhz, r = _radial_blocks(group[0].gamma)
     eye = np.eye(16)
-    mass = [p.mass for p in group]
-    energies = [math.sqrt((a - d) * (a + d)) for a, d in zip(mass, decays)]
+    energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
 
     def col(values) -> np.ndarray:
         return np.array(values, dtype=np.float64)[:, None, None]
@@ -361,31 +367,31 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     def square_error(mat: np.ndarray, square: list) -> np.ndarray:
         return np.abs(mat @ mat - col(square) * eye).max(axis=(1, 2))
 
-    m, q = col(mass), col([p.series_exponent for p in group])
+    q = col([p.series_exponent for p in group])
     s_mat = col([p.kappa for p in group]) * z + col([p.coupling for p in group]) * rhz
     s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
-    t_mat = m * r - col(energies) * rhz
-    t_square_err = square_error(t_mat, [a**2 - b**2 for a, b in zip(mass, energies)])
+    t_mat = r - col(energies) * rhz
+    t_square_err = square_error(t_mat, [1.0 - b**2 for b in energies])
 
-    # (beta I + T) in split form: T = m (R - RHZ) + b RHZ with the binding
-    # b = m - eps = d^2 / (m + eps).  Its eigenvalues are +-d up to the
-    # rounding of b alone, whereas T = m R - eps RHZ built from the rounded
-    # eps moves them by ~ulp(eps) m / d, which at weak coupling is a relative
+    # (beta I + T) in split form: T = (R - RHZ) + b RHZ with the binding
+    # b = 1 - eps = d^2 / (1 + eps).  Its eigenvalues are +-d up to the
+    # rounding of b alone, whereas T = R - eps RHZ built from the rounded
+    # eps moves them by ~ulp(eps) / d, which at weak coupling is a relative
     # termination residual above the bound.  R - RHZ holds at most two +-1 or
     # +-2 entries per row, so its product with c rounds once per component.
     r_minus_rhz = r - rhz
-    binding = col([d * d / (a + b) for d, a, b in zip(decays, mass, energies)])
+    binding = col([d * d / (1.0 + b) for d, b in zip(decays, energies)])
     beta = col([-d for d in decays])
 
     def terminate(c: np.ndarray, batch=slice(None)) -> np.ndarray:
-        return m[batch] * (r_minus_rhz @ c) + binding[batch] * (rhz @ c) + beta[batch] * c
+        return r_minus_rhz @ c + binding[batch] * (rhz @ c) + beta[batch] * c
 
     # the recurrence steps ((p+q) I - S)^-1 for p = 1..n_r, inverted in one
     # batched call and shared by every propagation and the threshold scale
     shifts = (np.arange(1, n_r + 1) + q[:, :, 0])[..., None, None]
     steps = np.linalg.inv(shifts * eye - s_mat[:, None])
 
-    def propagate(block: np.ndarray, batch: np.ndarray) -> list[np.ndarray]:
+    def propagate(block: np.ndarray, batch=slice(None)) -> list[np.ndarray]:
         """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})``."""
         chain = [block]
         for p in range(n_r):
@@ -407,34 +413,19 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     blocks = np.concatenate([termination[:, None], steps @ -termination[:, None]], axis=1)
     norms = _column_scale(blocks)
     termination_norm = generic_scale = norms[:, 0]
-    with np.errstate(over="ignore"):  # judged per state below
-        for p in range(n_r, 0, -1):
-            generic_scale = generic_scale * norms[:, p]
+    for p in range(n_r, 0, -1):
+        generic_scale = generic_scale * norms[:, p]
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
     # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace)
     # 8-dimensional: the right singular vectors of the 8 smallest singular values
     results: list = [None] * len(group)
     _, _, vt_k = np.linalg.svd(s_mat - q * eye)
-    rows, kernel = np.arange(len(group)), np.ascontiguousarray(np.swapaxes(vt_k[:, 8:], 1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        restricted = terminate(propagate(kernel, rows)[-1], rows)
-    # far from mass 1 the chain grows or decays like mass^p: a state whose
-    # threshold or restricted map leaves float64 cannot be judged, and
-    # leaves the batch before the SVDs
-    judged = (threshold > 0.0) & np.isfinite(threshold) & np.isfinite(restricted).all(axis=(1, 2))
-    for i in rows[~judged].tolist():
-        results[i] = RuntimeError(
-            "termination map outside the float64 range: threshold "
-            f"{threshold[i]:.3e} at mass={group[i].mass:.3e} (kappa={group[i].kappa}, "
-            f"n_r={n_r})"
-        )
-    rows, kernel = rows[judged], kernel[judged]
-    _, sing_w, vt_w = np.linalg.svd(restricted[judged])
-    for admissible, sub, kept in _split_selected(sing_w <= threshold[rows, None], vt_w):
-        batch = rows[sub]
+    kernel = np.ascontiguousarray(np.swapaxes(vt_k[:, 8:], 1, 2))
+    _, sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel)[-1]))
+    for admissible, batch, kept in _split_selected(sing_w <= threshold[:, None], vt_w):
         if admissible == 0:
-            for i, smallest in zip(batch, sing_w[sub, -1]):
+            for i, smallest in zip(batch, sing_w[batch, -1]):
                 results[i] = RuntimeError(
                     "no terminating series at the root energy: smallest termination "
                     f"residual {smallest:.3e} exceeds {threshold[i]:.3e} "
@@ -449,7 +440,7 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         # which vector of its subspace an SVD returns is up to roundoff,
         # so the series starts from the projection of a fixed generic
         # vector onto the whole subspace, which roundoff only nudges
-        basis = kernel[sub] @ np.swapaxes(kept, 1, 2)
+        basis = kernel[batch] @ np.swapaxes(kept, 1, 2)
         _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[-1], full_matrices=False)
         start = np.empty((len(batch), 16))
         for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
@@ -484,32 +475,38 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
                 )
                 continue
             params = group[i]
-            series = RadialSeries(params.series_exponent, -decays[i], coefficients[j])
+            mass, energy = params.mass, params.mass * energies[i]
+            series = RadialSeries(params.series_exponent, -mass * decays[i], coefficients[j], mass)
             diagnostics = {
                 "termination_relative": float(termination_relative[j]),
                 "termination_kernel_dim": admissible,
-                "termination_vacuity": float(sing_w[sub[j], 0] / generic_scale[i]),
-                "closed_form_delta": abs(energies[i] - sommerfeld_energy(params)),
+                "termination_vacuity": float(sing_w[i, 0] / generic_scale[i]),
+                "closed_form_delta": abs(energy - sommerfeld_energy(params)),
                 "indicial_residual": float(indicial[j]),
                 "s_square_error": float(s_square_err[i]),
                 "t_square_error": float(t_square_err[i]),
             }
-            results[i] = RadialSolution(params, energies[i], series, diagnostics)
+            results[i] = RadialSolution(params, energy, series, diagnostics)
     return results
 
 
 def solve_radials(params_seq: Sequence[CoulombParams]) -> list[RadialSolution | RuntimeError]:
     """:func:`solve_radial` for many states: per state its solution, or the
-    ``RuntimeError`` it raises, whatever else the batch holds.  One bisection
-    on (0, m) roots every state, and each of the four LAPACK calls (step
-    inverse, indicial-kernel, admissible and final SVD) is one stacked call
-    per group, the last split where the admissible dimension differs.
+    ``RuntimeError`` it raises, whatever else the batch holds.  A state of
+    mass m is that of mass 1 scaled: m times the energy and the decay, and
+    the same series coefficients in ``rho = m r``.  One bisection on (0, 1)
+    roots every state, and each of the four LAPACK calls (step inverse,
+    indicial-kernel, admissible and final SVD) is one stacked call per
+    group, the last split where the admissible dimension differs.
     """
     decays = _termination_decays(params_seq)
-    groups: dict[tuple[GammaChoice, int], list[int]] = {}
-    for i, params in enumerate(params_seq):
-        groups.setdefault((params.gamma, params.n_r), []).append(i)
-    results = {}
+    results, groups = {}, {}
+    for i, (params, decay) in enumerate(zip(params_seq, decays)):
+        if decay == 0.0:  # the root lies below the smallest subnormal
+            results[i] = RuntimeError(f"decay constant rounds to 0 (kappa={params.kappa}, "
+                                      f"n_r={params.n_r}, coupling={params.coupling:.3e})")
+        else:
+            groups.setdefault((params.gamma, params.n_r), []).append(i)
     for members in groups.values():
         group = [params_seq[i] for i in members]
         results.update(zip(members, _solve_group(group, [decays[i] for i in members])))
@@ -519,7 +516,8 @@ def solve_radials(params_seq: Sequence[CoulombParams]) -> list[RadialSolution | 
 def solve_radial(params: CoulombParams) -> RadialSolution:
     """Root-find the termination energy and build the terminating series.
 
-    ``diagnostics`` holds the closed-form gap and the relative residual of
+    ``diagnostics`` are those of the mass-1 solve (:func:`solve_radials`),
+    save the energy's ``closed_form_delta``, and hold the relative residual of
     the termination identity on the last coefficient, the series' whole
     check of the system (see the module docstring).  Its
     ``termination_vacuity`` is the 2-norm of the termination map restricted
@@ -527,10 +525,10 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     column norms that is a lower bound on the product of 2-norms, so it can
     exceed 1.  Raises when no series direction terminates (for example
     n_r = 0 with kappa > 0 when the phase bivector is e0 times the
-    pseudoscalar, mirroring the standard Dirac-Coulomb selection rule) or
-    when its last coefficient underflows to zero.  This is
-    :func:`solve_radials` on a batch of one: four LAPACK calls whatever
-    ``n_r`` is.
+    pseudoscalar, mirroring the standard Dirac-Coulomb selection rule),
+    when its last coefficient underflows to zero, or when the decay
+    constant rounds to 0 (coupling 5e-324).  This is :func:`solve_radials`
+    on a batch of one: four LAPACK calls whatever ``n_r`` is.
     """
     (result,) = solve_radials([params])
     if isinstance(result, RuntimeError):

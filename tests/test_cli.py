@@ -405,6 +405,18 @@ def test_spectrum_reports_a_series_solver_failure_as_a_failed_check(capsys, monk
     assert solver["3s1/2"] == "nan" and solver["1s1/2"] != "nan"
 
 
+def test_spectrum_at_a_coupling_whose_decay_rounds_to_0_fails(capsys):
+    # the bisection ends on [0, 5e-324] and its midpoint rounds to 0: the
+    # run printed binding 0.0 and exited 0
+    code, out, err = run_cli(["spectrum", "--alpha", "5e-324", "--max-n", "1",
+                              "--format", "json"], capsys)
+    assert code == 1 and "Traceback" not in err
+    doc = load_document(out)
+    assert_schema(doc)
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["closed-form-vs-series-solver"]["status"] == "fail"
+
+
 @pytest.mark.parametrize("max_n, last_letter", [(9, "l"), (12, "o")])
 def test_spectrum_runs_past_the_first_eight_orbital_letters(max_n, last_letter, capsys):
     code, out, _ = run_cli(["spectrum", "--max-n", str(max_n), "--format", "csv"], capsys)

@@ -334,7 +334,8 @@ def test_solver_agrees_with_the_closed_form(kappa, n_r, coupling):
     solution = solve_radial(params)
     closed = sommerfeld_energy(params)
     assert abs(solution.energy - closed) / closed < 1e-9
-    assert solution.binding_energy == solution.energy - 1.0
+    decay = -solution.series.decay
+    assert solution.binding_energy == -(decay * decay / (1.0 + solution.energy))
     assert solution.series.coefficients.shape == (n_r + 1, 16)
     diag = solution.diagnostics
     assert diag["termination_relative"] <= 1e-10
@@ -363,6 +364,21 @@ def test_series_satisfies_the_radial_ode(kappa, n_r, coupling):
         assert residual <= 1e-10 * scale, p
 
 
+@pytest.mark.parametrize("kappa,n_r", [(-1, 0), (1, 1), (-2, 0), (3, 2)])
+@pytest.mark.parametrize("coupling", [1e-4, 1e-8, 1e-12])
+def test_weak_coupling_binding_does_not_cancel(coupling, kappa, n_r):
+    # energy - mass read -1.1e-16 at coupling 1e-8, where the closed form is
+    # -5e-17, and 0.0 at 1e-12; -d^2 / (m + eps) keeps every digit
+    params = CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r)
+    binding = solve_radial(params).binding_energy
+    with mp.workdps(50):
+        lam = mp.mpf(coupling)
+        shift = n_r + mp.sqrt(kappa**2 - lam**2)
+        closed = float(1 / mp.sqrt(1 + (lam / shift) ** 2) - 1)
+    assert binding < 0.0
+    assert abs(binding - closed) <= 1e-9 * abs(closed)
+
+
 def test_solver_energy_is_degenerate_in_the_angular_sign():
     for n_r in (1, 2):
         plus = solve_radial(CoulombParams(mass=1.0, coupling=0.3, kappa=2, n_r=n_r))
@@ -372,8 +388,10 @@ def test_solver_energy_is_degenerate_in_the_angular_sign():
 
 def test_mass_scaling():
     light = solve_radial(CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=1))
-    heavy = solve_radial(CoulombParams(mass=2.0, coupling=0.3, kappa=-1, n_r=1))
-    assert heavy.energy == pytest.approx(2.0 * light.energy, rel=1e-12)
+    for mass in (2.0, 3.0, 1e-3):
+        heavy = solve_radial(CoulombParams(mass=mass, coupling=0.3, kappa=-1, n_r=1))
+        assert heavy.energy == mass * light.energy
+        assert heavy.series.decay == mass * light.series.decay
 
 
 def test_selection_rule_for_the_single_sector_phase_choice():
@@ -447,23 +465,33 @@ def test_tiny_couplings_root_at_the_closed_form_decay(coupling, n_r):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("mass", [1e100, 1e-100])
-def test_masses_far_from_1_give_each_state_a_solution_or_its_error(mass):
-    # the chain grows or decays like mass^p: at 1e100 the n_r = 3 states
-    # overflowed into an SVD that raised LinAlgError for the whole batch,
-    # and at 1e-100 their threshold underflowed to 0, giving a NaN
-    # termination_vacuity and RuntimeWarnings
+@pytest.mark.parametrize("mass", [1e300, 1e-300, 1e100, 1e-100, 1.5e154])
+def test_masses_far_from_1_scale_the_mass_1_solutions(mass):
+    # solved with the mass in every matrix, the chain grew or decayed like
+    # mass^p: the n_r = 3 states were errors at 1e+-100, every state at
+    # 1e-300, and from 1.4e154 the batch raised OverflowError; in units of
+    # the mass every state is the mass-1 state scaled
     grid = [CoulombParams(mass=mass, coupling=0.3, kappa=k, n_r=n)
             for k in (1, -1, 2, -2) for n in range(4)]
-    solved = set()
-    for params, result in zip(grid, solve_radials(grid)):
-        if isinstance(result, RuntimeError):
-            assert "float64 range" in str(result)
-            continue
+    unit = solve_radials([CoulombParams(1.0, p.coupling, p.kappa, p.n_r) for p in grid])
+    for params, result, one in zip(grid, solve_radials(grid), unit):
+        assert not isinstance(result, RuntimeError), (params, result)
+        assert result.energy == mass * one.energy, params
+        assert result.series.decay == mass * one.series.decay, params
+        assert result.series.unit == mass, params
+        assert result.series.coefficients.tobytes() == one.series.coefficients.tobytes(), params
         assert all(math.isfinite(v) for v in result.diagnostics.values()), params
-        assert math.isfinite(result.energy)
-        solved.add(params.n_r)
-    assert solved >= {0, 1, 2}  # the rest of the batch still solves
+        assert result.binding_energy == pytest.approx(mass * one.binding_energy, rel=1e-15)
+        # u(r) at mass m is the mass-1 series at rho = m r
+        value, reference = result.series.evaluate(2.0 / mass), one.series.evaluate(2.0)
+        assert np.abs(value - reference).max() <= 1e-13 * np.abs(reference).max(), params
+
+
+def test_a_decay_that_rounds_to_0_raises():
+    # at coupling 5e-324 the bisection ends on [0, 5e-324] and its midpoint
+    # rounds to 0: a "bound state" at the rest mass that passed the post-check
+    with pytest.raises(RuntimeError, match="decay constant rounds to 0"):
+        solve_radial(CoulombParams(1.0, 5e-324, -1, 0))
 
 
 def test_every_state_of_the_coupling_sweep_terminates():
@@ -499,10 +527,8 @@ def test_every_state_of_the_coupling_sweep_terminates():
 
 
 def column_scale(block):
-    """Largest column 2-norm of ``block``, taken of ``block / max|block|``
-    and scaled back: the solver's lower bound on ``|block|_2``."""
-    peak = np.abs(block).max()
-    return np.linalg.norm(block / peak, axis=0).max() * peak
+    """Largest column 2-norm of ``block``: the solver's lower bound on ``|block|_2``."""
+    return np.linalg.norm(block, axis=0).max()
 
 
 def spectral_norm(block):
@@ -640,14 +666,6 @@ def test_column_scale_bounds_the_2_norm_and_keeps_every_kernel_dimension():
         assert np.all(scales <= [spectral_norm(block) * bound for block in blocks]), params
 
 
-@pytest.mark.parametrize("factor", [2.0**-600, 2.0**600], ids=["tiny", "huge"])
-def test_column_scale_does_not_square_raw_entries(factor):
-    # squares of entries near 1e-180 underflow to 0 and of 1e180 overflow
-    # to inf; a power of two scales the columns exactly, so the scale must too
-    blocks = np.stack([angular_coupling_matrix(-2, 0.3, gamma) for gamma in BOTH_GAMMAS])
-    assert np.all(coulomb._column_scale(blocks * factor) == coulomb._column_scale(blocks) * factor)
-
-
 def test_one_batch_of_the_whole_grid_isolates_each_state():
     # both phase bivectors and every coupling in one call: each selection-rule
     # cell gets its own error, with the message of a batch of one, and every
@@ -720,14 +738,16 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
 
 
 def test_series_evaluate_matches_its_derivative():
-    params = CoulombParams(mass=1.0, coupling=0.3, kappa=-2, n_r=2)
-    series = solve_radial(params).series
-    h = 1e-6
-    for r in (0.5, 1.0, 3.0):
-        numeric = (series.evaluate(r + h) - series.evaluate(r - h)) / (2 * h)
-        analytic = series.derivative(r)
-        scale = np.abs(analytic).max() + 1.0
-        assert np.abs(numeric - analytic).max() / scale < 1e-8
+    # the series is in rho = mass r, so radii and the step scale by 1 / mass
+    for mass in (1.0, 2.5, 1e3):
+        params = CoulombParams(mass=mass, coupling=0.3, kappa=-2, n_r=2)
+        series = solve_radial(params).series
+        h = 1e-6 / mass
+        for r in (0.5 / mass, 1.0 / mass, 3.0 / mass):
+            numeric = (series.evaluate(r + h) - series.evaluate(r - h)) / (2 * h)
+            analytic = series.derivative(r)
+            scale = np.abs(analytic).max() + 1.0
+            assert np.abs(numeric - analytic).max() / scale < 1e-8, (mass, r)
 
 
 def test_series_multivector_is_even():
