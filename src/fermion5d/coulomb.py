@@ -29,9 +29,9 @@ step matrices ``((p + q) I - S)^-1`` are inverted numerically (not from the
 closed form that ``S^2`` would allow, so the solver does not assume the
 identity it cross-checks) and shared by the scan of the admissible
 subspace, the threshold scale and the final coefficients.
-:func:`solve_radials` solves many states at once: each of its four LAPACK
-calls (the step inverse and three SVDs) is one stacked call per group of
-states that share the phase bivector and n_r, whatever n_r is.
+:func:`solve_radials` solves many states at once: one stacked call per phase
+bivector for the step inverse and two SVDs, the states sorted so that those
+still stepping form a prefix, plus one final SVD per admissible dimension.
 
 Operators that flip even and odd grades are represented on the even basis by
 pairing with the unit pseudoscalar (which is central and squares to +1), so
@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -346,20 +346,21 @@ def _column_scale(blocks: np.ndarray) -> np.ndarray:
 
 def _split_selected(mask: np.ndarray, vt: np.ndarray):
     """Split a batch by how many rows of each ``vt`` its ``mask`` row keeps:
-    ``(count, batch indices, (n, count, k) kept rows)`` per count."""
+    ``(count, batch indices, (n, count, k) kept rows)`` per nonzero count."""
     counts = mask.sum(axis=1)
-    for count in set(counts.tolist()):  # np.unique would import numpy.ma, 0.6 MB
+    for count in set(counts.tolist()) - {0}:  # np.unique would import numpy.ma, 0.6 MB
         batch = np.flatnonzero(counts == count)
         yield count, batch, vt[batch][mask[batch]].reshape(len(batch), count, vt.shape[-1])
 
 
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
-    """Solutions, or errors, of states that share the phase bivector and n_r,
-    solved at mass 1 from their decays in units of the mass, then scaled."""
-    n_r = group[0].n_r
+    """Solutions, or errors, of states that share the phase bivector, sorted by n_r
+    from the largest down, solved at mass 1 from their decays, then scaled."""
+    n_r = np.array([p.n_r for p in group])
     z, rhz, r = _radial_blocks(group[0].gamma)
     eye = np.eye(16)
     energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
+    everyone = np.arange(len(group))
 
     def col(values) -> np.ndarray:
         return np.array(values, dtype=np.float64)[:, None, None]
@@ -370,8 +371,7 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     q = col([p.series_exponent for p in group])
     s_mat = col([p.kappa for p in group]) * z + col([p.coupling for p in group]) * rhz
     s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
-    t_mat = r - col(energies) * rhz
-    t_square_err = square_error(t_mat, [1.0 - b**2 for b in energies])
+    t_square_err = square_error(r - col(energies) * rhz, [1.0 - b**2 for b in energies])
 
     # (beta I + T) in split form: T = (R - RHZ) + b RHZ with the binding
     # b = 1 - eps = d^2 / (1 + eps).  Its eigenvalues are +-d up to the
@@ -386,17 +386,24 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     def terminate(c: np.ndarray, batch=slice(None)) -> np.ndarray:
         return r_minus_rhz @ c + binding[batch] * (rhz @ c) + beta[batch] * c
 
-    # the recurrence steps ((p+q) I - S)^-1 for p = 1..n_r, inverted in one
-    # batched call and shared by every propagation and the threshold scale
-    shifts = (np.arange(1, n_r + 1) + q[:, :, 0])[..., None, None]
-    steps = np.linalg.inv(shifts * eye - s_mat[:, None])
+    # the recurrence steps ((p+q) I - S)^-1 of every state for p = 1..n_r, power-major,
+    # inverted in one batched call and shared by every propagation and the threshold scale
+    counts = [int((n_r >= p).sum()) for p in range(1, n_r[0] + 1)]
+    offsets = np.cumsum([0] + counts)
+    steps = np.empty((offsets[-1], 16, 16))
+    for p, count in enumerate(counts):
+        np.subtract((p + 1 + q[:count]) * eye, s_mat[:count], out=steps[offsets[p]:offsets[p + 1]])
+    steps = np.linalg.inv(steps)
 
-    def propagate(block: np.ndarray, batch=slice(None)) -> list[np.ndarray]:
-        """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})``."""
-        chain = [block]
-        for p in range(n_r):
-            chain.append(steps[batch, p] @ -terminate(chain[-1], batch))
-        return chain
+    def propagate(block: np.ndarray, batch=everyone) -> tuple[list, np.ndarray]:
+        """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})`` for
+        an ascending ``batch`` (``C_p`` for its prefix stepping at power p) and each ``C_{n_r}``."""
+        chain, top = [block], block.copy()
+        for p, count in enumerate(counts[:n_r[batch[0]]]):
+            k = np.searchsorted(batch, count)
+            chain.append(steps[offsets[p] + batch[:k]] @ -terminate(chain[-1][:k], batch[:k]))
+            top[:k] = chain[-1]
+        return chain, top
 
     # C_0 must satisfy (S - q I) C_0 = 0 and, after propagating through the
     # recurrence, the termination identity (beta I + T) C_{n_r} = 0.  At the
@@ -405,33 +412,23 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     # kernel (n_r = 0) or vanishes identically on it (n_r >= 1, where the
     # quantization kills the whole chain).  Both cases are handled uniformly
     # by thresholding the restricted map against the generic magnitude a
-    # non-quantized chain would have: the product of the scales of the
-    # termination map and of each step applied to it.  Each scale is a
-    # largest column norm, a lower bound on the 2-norm, so the threshold is
-    # at most the one that singular values would give.
+    # non-quantized chain would have: the product of the scales
+    # (:func:`_column_scale`) of the termination map and of each step applied to it.
     termination = terminate(eye)
-    blocks = np.concatenate([termination[:, None], steps @ -termination[:, None]], axis=1)
-    norms = _column_scale(blocks)
-    termination_norm = generic_scale = norms[:, 0]
-    for p in range(n_r, 0, -1):
-        generic_scale = generic_scale * norms[:, p]
+    termination_norm = _column_scale(termination)
+    generic_scale = termination_norm.copy()
+    for p, k in reversed(list(enumerate(counts))):  # powers n_r .. 1, as each state's product
+        generic_scale[:k] *= _column_scale(steps[offsets[p]:offsets[p + 1]] @ -termination[:k])
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
     # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace)
     # 8-dimensional: the right singular vectors of the 8 smallest singular values
-    results: list = [None] * len(group)
-    _, _, vt_k = np.linalg.svd(s_mat - q * eye)
-    kernel = np.ascontiguousarray(np.swapaxes(vt_k[:, 8:], 1, 2))
-    _, sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel)[-1]))
-    for admissible, batch, kept in _split_selected(sing_w <= threshold[:, None], vt_w):
-        if admissible == 0:
-            for i, smallest in zip(batch, sing_w[batch, -1]):
-                results[i] = RuntimeError(
-                    "no terminating series at the root energy: smallest termination "
-                    f"residual {smallest:.3e} exceeds {threshold[i]:.3e} "
-                    f"(kappa={group[i].kappa}, n_r={n_r})"
-                )
-            continue
+    kernel = np.ascontiguousarray(np.swapaxes(np.linalg.svd(s_mat - q * eye)[2][:, 8:], 1, 2))
+    sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel)[1]))[1:]
+    admissible = sing_w <= threshold[:, None]
+    kernel_dims = admissible.sum(axis=1).tolist()
+    leading = np.zeros((len(group), 16))
+    for _, batch, kept in _split_selected(admissible, vt_w):
         # propagate the whole admissible subspace and keep the directions
         # whose final coefficient is largest; this avoids near-degenerate
         # directions (close couplings make neighboring levels almost
@@ -441,73 +438,76 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         # so the series starts from the projection of a fixed generic
         # vector onto the whole subspace, which roundoff only nudges
         basis = kernel[batch] @ np.swapaxes(kept, 1, 2)
-        _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[-1], full_matrices=False)
-        start = np.empty((len(batch), 16))
+        _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[1], full_matrices=False)
         for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
             top = basis[same] @ np.swapaxes(top, 1, 2)
-            start[same] = (top @ (np.swapaxes(top, 1, 2) @ _DIRECTION_PROBE[:, None]))[..., 0]
-        start /= _norms(start)[:, None]
-        coefficients = np.stack(propagate(start[..., None], batch), axis=1)[..., 0]
+            leading[batch[same]] = (top @ (top.swapaxes(1, 2) @ _DIRECTION_PROBE[:, None]))[..., 0]
+    leading /= np.where(kernel_dims, _norms(leading), 1.0)[:, None]
+    chain, last = propagate(leading[..., None])
+    coefficients = np.zeros((len(group), len(chain), 16))
+    for p, c in enumerate(chain):
+        coefficients[:len(c), p] = c[..., 0]
 
-        # honest post-check: the last coefficient must be annihilated
-        # relative to the scale of the termination map (a genuinely
-        # non-terminating direction scores O(1) in this measure).  Both
-        # norms are taken of last / max|last|, which leaves the ratio as
-        # it is, but keeps the squares of a last coefficient that decayed
-        # far below 1 from underflowing to 0 / 0
-        last, c0 = coefficients[:, -1], coefficients[:, 0, :, None]
-        peak = np.abs(last).max(axis=1)
-        unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
-        scale = termination_norm[batch] * np.where(peak > 0.0, _norms(unit), 1.0)
-        termination_relative = _norms(terminate(unit[..., None], batch)[..., 0]) / scale
-        indicial = np.abs(s_mat[batch] @ c0 - q[batch] * c0).max(axis=(1, 2))
-        for j, i in enumerate(batch.tolist()):
-            if peak[j] == 0.0:
-                results[i] = RuntimeError(
-                    "series underflows: every component of its last coefficient is 0 "
-                    f"(kappa={group[i].kappa}, n_r={n_r}, coupling={group[i].coupling:.3e})"
-                )
-                continue
-            if not termination_relative[j] <= SVD_GAP_THRESHOLD:
-                results[i] = RuntimeError(
-                    f"series does not terminate: relative termination residual "
-                    f"{termination_relative[j]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"
-                )
-                continue
-            params = group[i]
+    # honest post-check: the last coefficient must be annihilated relative
+    # to the scale of the termination map (a genuinely non-terminating
+    # direction scores O(1) in this measure).  Both norms are taken of last
+    # / max|last|, which leaves the ratio as it is, but keeps the squares of
+    # a last coefficient that decayed far below 1 from underflowing to 0 / 0
+    last, c0 = last[..., 0], leading[..., None]
+    peak = np.abs(last).max(axis=1)
+    unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
+    scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
+    termination_relative = _norms(terminate(unit[..., None])[..., 0]) / scale
+    indicial = np.abs(s_mat @ c0 - q * c0).max(axis=(1, 2))
+    results: list = []
+    for i, params in enumerate(group):
+        state = f"kappa={params.kappa}, n_r={params.n_r}"
+        if decays[i] == 0.0:  # the root lies below the smallest subnormal
+            error = f"decay constant rounds to 0 ({state}, coupling={params.coupling:.3e})"
+        elif kernel_dims[i] == 0:
+            error = ("no terminating series at the root energy: smallest termination "
+                     f"residual {sing_w[i, -1]:.3e} exceeds {threshold[i]:.3e} ({state})")
+        elif peak[i] == 0.0:
+            error = ("series underflows: every component of its last coefficient is 0 "
+                     f"({state}, coupling={params.coupling:.3e})")
+        elif not termination_relative[i] <= SVD_GAP_THRESHOLD:
+            error = ("series does not terminate: relative termination residual "
+                     f"{termination_relative[i]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}")
+        else:
             mass, energy = params.mass, params.mass * energies[i]
-            series = RadialSeries(params.series_exponent, -mass * decays[i], coefficients[j], mass)
+            series = RadialSeries(params.series_exponent, -mass * decays[i],
+                                  coefficients[i, :params.n_r + 1], mass)
             diagnostics = {
-                "termination_relative": float(termination_relative[j]),
-                "termination_kernel_dim": admissible,
+                "termination_relative": float(termination_relative[i]),
+                "termination_kernel_dim": kernel_dims[i],
                 "termination_vacuity": float(sing_w[i, 0] / generic_scale[i]),
                 "closed_form_delta": abs(energy - sommerfeld_energy(params)),
-                "indicial_residual": float(indicial[j]),
+                "indicial_residual": float(indicial[i]),
                 "s_square_error": float(s_square_err[i]),
                 "t_square_error": float(t_square_err[i]),
             }
-            results[i] = RadialSolution(params, energy, series, diagnostics)
+            results.append(RadialSolution(params, energy, series, diagnostics))
+            continue
+        results.append(RuntimeError(error))
     return results
 
 
-def solve_radials(params_seq: Sequence[CoulombParams]) -> list[RadialSolution | RuntimeError]:
-    """:func:`solve_radial` for many states: per state its solution, or the
-    ``RuntimeError`` it raises, whatever else the batch holds.  A state of
-    mass m is that of mass 1 scaled: m times the energy and the decay, and
-    the same series coefficients in ``rho = m r``.  One bisection on (0, 1)
-    roots every state, and each of the four LAPACK calls (step inverse,
-    indicial-kernel, admissible and final SVD) is one stacked call per
-    group, the last split where the admissible dimension differs.
+def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | RuntimeError]:
+    """:func:`solve_radial` for any iterable of states: per state its solution,
+    or the ``RuntimeError`` it raises, whatever else the batch holds; an
+    element that is not a :class:`CoulombParams` raises ``TypeError``.  A
+    state of mass m is that of mass 1 scaled: m times the energy and the
+    decay, and the same coefficients in ``rho = m r``.  One bisection roots
+    every state, and the LAPACK calls are stacked per phase bivector.
     """
+    params_seq, groups, results = list(params_seq), {}, {}
+    for i, params in enumerate(params_seq):
+        if not isinstance(params, CoulombParams):
+            raise TypeError(f"state {i} is a {type(params).__name__}, not a CoulombParams")
+        groups.setdefault(params.gamma, []).append(i)
     decays = _termination_decays(params_seq)
-    results, groups = {}, {}
-    for i, (params, decay) in enumerate(zip(params_seq, decays)):
-        if decay == 0.0:  # the root lies below the smallest subnormal
-            results[i] = RuntimeError(f"decay constant rounds to 0 (kappa={params.kappa}, "
-                                      f"n_r={params.n_r}, coupling={params.coupling:.3e})")
-        else:
-            groups.setdefault((params.gamma, params.n_r), []).append(i)
     for members in groups.values():
+        members.sort(key=lambda i: -params_seq[i].n_r)  # stable: ties keep input order
         group = [params_seq[i] for i in members]
         results.update(zip(members, _solve_group(group, [decays[i] for i in members])))
     return [results[i] for i in range(len(params_seq))]

@@ -417,6 +417,27 @@ def test_spectrum_at_a_coupling_whose_decay_rounds_to_0_fails(capsys):
     assert by_name["closed-form-vs-series-solver"]["status"] == "fail"
 
 
+def test_spectrum_longest_ragged_chain_matches_states_solved_alone(capsys, monkeypatch):
+    # --max-n 21 at Z = 137: 441 states, n_r up to 20, in one batch
+    batches = []
+
+    def recording(params_seq):
+        batches.append((params_seq, solve_radials(params_seq)))
+        return batches[-1][1]
+
+    monkeypatch.setattr(cli, "solve_radials", recording)
+    code, out, _ = run_cli(["spectrum", "--z", "137", "--max-n", "21", "--format", "json"], capsys)
+    assert code == 0
+    assert all(c["status"] == "pass" for c in load_document(out)["checks"])
+    ((params_seq, solved),) = batches
+    assert len(params_seq) == 21**2 and max(p.n_r for p in params_seq) == 20
+    for params, result in list(zip(params_seq, solved))[::7]:
+        alone = coulomb.solve_radial(params)
+        assert result.energy == alone.energy, params
+        assert result.series.coefficients.tobytes() == alone.series.coefficients.tobytes(), params
+        assert result.diagnostics == alone.diagnostics, params
+
+
 @pytest.mark.parametrize("max_n, last_letter", [(9, "l"), (12, "o")])
 def test_spectrum_runs_past_the_first_eight_orbital_letters(max_n, last_letter, capsys):
     code, out, _ = run_cli(["spectrum", "--max-n", str(max_n), "--format", "csv"], capsys)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from fermion5d import coulomb
+from fermion5d import cli, coulomb
 from fermion5d.algebra import (
     CL32,
     Multivector,
@@ -688,13 +689,52 @@ def test_one_batch_of_the_whole_grid_isolates_each_state():
         assert result.diagnostics == alone.diagnostics
 
 
+def test_solving_the_grid_in_any_order_gives_each_state_the_same_bits():
+    # the solver sorts each phase bivector's states by n_r and scatters the
+    # results back: reversed or shuffled, every state keeps its bits
+    grid = list(diagnostic_grid())
+    in_order = solve_radials(grid)
+    shuffled = np.random.default_rng(2005).permutation(len(grid)).tolist()
+    for order in (list(range(len(grid)))[::-1], shuffled):
+        for i, result in zip(order, solve_radials([grid[i] for i in order])):
+            expected = in_order[i]
+            if isinstance(expected, RuntimeError):
+                assert type(result) is RuntimeError and str(result) == str(expected), grid[i]
+                continue
+            assert result.params is grid[i]
+            assert result.energy == expected.energy, grid[i]
+            assert result.series.decay == expected.series.decay, grid[i]
+            assert result.series.coefficients.tobytes() == expected.series.coefficients.tobytes()
+            assert result.diagnostics == expected.diagnostics, grid[i]
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((s for s in ()), None),  # any iterable, even a generator
+        ([CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=0), "1s"],
+         "state 1 is a str, not a CoulombParams"),
+    ],
+    ids=["generator", "not-params"],
+)
+def test_solve_radials_takes_any_iterable_and_names_a_bad_element(bad, error):
+    if error is None:
+        assert solve_radials(bad) == []
+        states = [CoulombParams(mass=1.0, coupling=0.3, kappa=k, n_r=1) for k in (-1, 1)]
+        solved = solve_radials(iter(states))
+        assert [s.energy for s in solved] == [s.energy for s in solve_radials(states)]
+        return
+    with pytest.raises(TypeError, match=error):
+        solve_radials(bad)
+
+
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypatch):
-    # One batched inverse builds every recurrence step, and the threshold
-    # scale takes largest column norms, not singular values, so a solve
-    # makes four LAPACK calls (the inverse and three SVDs) whatever n_r is.
-    # A batch makes each call once per group of states that share the
-    # phase bivector and n_r.
+    # One batched inverse builds every recurrence step of every state that
+    # shares the phase bivector, whatever its n_r, and the threshold scale
+    # takes largest column norms, not singular values.  A solve makes one
+    # inverse and two SVDs per phase bivector, plus one final SVD per
+    # distinct admissible dimension.
     names = ("solve", "svd", "inv", "norm")
 
     def lapack_calls(solve):
@@ -709,27 +749,44 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        solve()
+        solved = solve()
         monkeypatch.undo()
-        return counts
+        return counts, solved
 
     def state(kappa=-2, n_r=0, coupling=0.3):
         return CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r, gamma=gamma)
 
-    short = lapack_calls(lambda: solve_radial(state(n_r=0)))
-    long = lapack_calls(lambda: solve_radial(state(n_r=6)))
+    short, _ = lapack_calls(lambda: solve_radial(state(n_r=0)))
+    long, _ = lapack_calls(lambda: solve_radial(state(n_r=6)))
     assert short["solve"] == long["solve"] == 0, (short, long)
     assert sum(long.values()) <= sum(short.values()), (short, long)
     assert long["svd"] + long["inv"] <= 4, long
 
     # 14 states that share n_r make the calls of one
     kappas = [k for k in range(-7, 8) if k]
-    many = lapack_calls(lambda: solve_radials([state(kappa=k, n_r=3) for k in kappas]))
-    assert many == lapack_calls(lambda: solve_radials([state(n_r=3)])), many
-    # a batch over four n_r and two couplings makes at most four per n_r
+    many, _ = lapack_calls(lambda: solve_radials([state(kappa=k, n_r=3) for k in kappas]))
+    assert many == lapack_calls(lambda: solve_radials([state(n_r=3)]))[0], many
+
+    def assert_one_stacked_solve(batch):
+        # one inverse, and two SVDs plus one per distinct admissible dimension
+        counts, solved = lapack_calls(lambda: solve_radials(batch))
+        dims = {s.diagnostics["termination_kernel_dim"]
+                for s in solved if not isinstance(s, RuntimeError)}
+        assert counts["inv"] == 1 and counts["svd"] <= 2 + len(dims), (counts, dims)
+        return counts
+
+    # a batch over four n_r and two couplings
     mixed = [state(k, n_r, c) for k in kappas for n_r in range(4) for c in (1e-4, 0.6)]
-    counts = lapack_calls(lambda: solve_radials(mixed))
-    assert counts["svd"] + counts["inv"] <= 4 * 4, counts
+    assert_one_stacked_solve(mixed)
+    # both phase bivectors in one batch: one inverse each
+    other = BOTH_GAMMAS[1] if gamma == BOTH_GAMMAS[0] else BOTH_GAMMAS[0]
+    both, _ = lapack_calls(lambda: solve_radials(mixed + [replace(p, gamma=other) for p in mixed]))
+    assert both["inv"] == 2, both
+    # the 64 states of `spectrum --max-n 8` at Z = 37 (a group per n_r made 32 calls)
+    spectrum = [state(k, n_r, 37 * FINE_STRUCTURE) for k, n_r in cli._spectrum_states(8)]
+    counts = assert_one_stacked_solve(spectrum)
+    if gamma == GammaChoice.e12():  # the phase bivector `spectrum` uses
+        assert counts == {"solve": 0, "svd": 4, "inv": 1, "norm": 0}, counts
 
 
 # ---------------------------------------------------------------------------
