@@ -134,8 +134,9 @@ def pair_residuals(
     else:
         raise ValueError("sign must be 'upper' or 'lower'")
     pts = as_points(points)
-    gradients = second_time_gradients(lead, pts) + spacetime_gradients(trail, pts)
-    return gradients - mass * _RIGHT_E012(trail.values(pts))
+    values, partials = trail.samples(pts)
+    spacetime = add_gradient(np.zeros_like(values), partials, range(4))
+    return second_time_gradients(lead, pts) + spacetime - mass * _RIGHT_E012(values)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +169,15 @@ class _ProfileField(ArrayField):
         pts = as_points(points)
         return self._scaled(self._order, pts, self._carrier.values(pts))
 
-    def partials(self, points) -> np.ndarray:
+    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
         pts = as_points(points)
-        out = self._scaled(self._order, pts, self._carrier.partials(pts))
-        out[4] = self._scaled(self._order + 1, pts, self._carrier.values(pts))
-        return out
+        values, partials = self._carrier.samples(pts)
+        out = self._scaled(self._order, pts, partials)
+        out[4] = self._scaled(self._order + 1, pts, values)
+        return self._scaled(self._order, pts, values), out
+
+    def partials(self, points) -> np.ndarray:
+        return self.samples(points)[1]
 
 
 class ScalarPotentialDemo:
@@ -249,8 +254,9 @@ class ScalarPotentialDemo:
 def scalar_potential_residuals(demo: ScalarPotentialDemo, points) -> tuple[np.ndarray, np.ndarray]:
     """:func:`scalar_potential_residual` at every row of an ``(N, 5)`` point array."""
     pts = as_points(points)
-    right = _RIGHT_E012(demo.xi_plus.values(pts))
-    common = spacetime_gradients(demo.xi_plus, pts) - demo.mass * right
+    values, partials = demo.xi_plus.samples(pts)
+    right = _RIGHT_E012(values)
+    common = add_gradient(np.zeros_like(values), partials, range(4)) - demo.mass * right
     second_form = common - _RIGHT_E012(demo.curvature.values(pts)) / demo.mass
     potential_form = common - demo.potential * right
     return second_form, potential_form

@@ -278,8 +278,7 @@ def _spinor_checks(rng: np.random.Generator, trials: int) -> list[Check]:
 def _half_residuals(field, points, mass) -> list[np.ndarray]:
     """Hestenes residuals of the plus and minus idempotent halves of a flat
     field, from one evaluation of its values and partials."""
-    values = idempotent_split_coeffs(field.values(points))
-    partials = idempotent_split_coeffs(field.partials(points))
+    values, partials = (idempotent_split_coeffs(rows) for rows in field.samples(points))
     return [hestenes_sample_residuals(v, p, mass) for v, p in zip(values, partials)]
 
 

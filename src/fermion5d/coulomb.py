@@ -556,7 +556,7 @@ def angular_reduction_check(
     if not len(points):
         raise ValueError("at least one sample point is required")
     pts = as_points(points)
-    values, partials = field.values(pts), field.partials(pts)
+    values, partials = field.samples(pts)
     spatial = (1, 2, 3)
     rvec = np.zeros_like(values)
     rvec[:, [1 << i for i in spatial]] = pts[:, spatial]

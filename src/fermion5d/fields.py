@@ -8,10 +8,11 @@ differences with a configurable step.
 
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
-for bit to the per-point call at ``points[n]``.  Every field is an
-:class:`ArrayField`: its per-point methods are the batch on one point, and
-no batch method goes through a per-point method.  User-supplied per-point
-callables are wrapped by :class:`AnalyticField` (value and derivative) or
+for bit to the per-point call at ``points[n]``, and ``samples(points)`` gives
+both from one evaluation.  Every field is an :class:`ArrayField`: its
+per-point methods are the batch on one point, and no batch method goes
+through a per-point method.  User-supplied per-point callables are wrapped by
+:class:`AnalyticField` (value and derivative) or
 :class:`FiniteDifferenceField` (value only), whose batch methods loop over
 the callables, not over the field's own per-point methods.
 """
@@ -29,18 +30,19 @@ METRIC_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, -1.0])
 METRIC_SIGNS.setflags(write=False)
 
 _LEFT_E = tuple(BladeOperator.left(e(CL32, a)) for a in range(5))  # x -> e_a x
+_ACCUMULATE = tuple(np.subtract if g < 0 else np.add for g in METRIC_SIGNS)
 
 
 def add_gradient(res: np.ndarray, partials, axes) -> np.ndarray:
     """``res + sum_a e_a d^a field`` over ``axes``, added in place in that order.
 
-    ``partials[a]`` holds the lower-index derivative ``d_a field`` as
-    coefficient rows ``(..., 32)``; raising the index is the metric sign
-    ``g_aa``, and ``e_a x`` a signed gather, bit for bit equal to the
-    multivector product.
+    ``partials[a]`` holds the lower-index ``d_a field`` as rows ``(..., 32)``;
+    ``e_a x`` is a signed gather with +0.0 zeros, bit for bit the product.
+    Raising the index subtracts the term on the lowered axes (t and w):
+    ``res - t`` is bit for bit ``res + (-1) t``, signed zeros included.
     """
     for a in axes:
-        res += METRIC_SIGNS[a] * _LEFT_E[a](partials[a])
+        _ACCUMULATE[a](res, _LEFT_E[a](partials[a]), out=res)
     return res
 
 
@@ -67,6 +69,8 @@ def minkowski_dot(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 class Field5(Protocol):
+    """Implemented by :class:`ArrayField` subclasses, which define ``values`` and ``partials``."""
+
     def value(self, x: Sequence[float]) -> Multivector: ...
 
     def partial(self, axis: int, x: Sequence[float]) -> Multivector: ...
@@ -74,6 +78,8 @@ class Field5(Protocol):
     def values(self, points) -> np.ndarray: ...
 
     def partials(self, points) -> np.ndarray: ...
+
+    def samples(self, points) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 def _rows(mvs: list[Multivector]) -> np.ndarray:
@@ -87,8 +93,12 @@ class ArrayField:
 
     A subclass defines ``values`` and one of ``partials`` or
     ``_axis_partials(axis, points)``, the ``(N, 32)`` rows of ``d_axis``;
-    each of the two defaults to the other.
+    each of the two defaults to the other.  ``samples`` returns both; a
+    subclass whose two share one evaluation overrides it.
     """
+
+    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
+        return self.values(points), self.partials(points)
 
     def partials(self, points) -> np.ndarray:
         pts = as_points(points)
@@ -101,8 +111,8 @@ class ArrayField:
         return Multivector(self.values([as_point(x)])[0])
 
     def partial(self, axis, x):
-        if not 0 <= axis <= 4:
-            raise ValueError(f"axis must be 0..4, got {axis}")
+        if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not 0 <= axis <= 4:
+            raise ValueError(f"axis must be 0..4, got {axis!r}")
         return Multivector(self._axis_partials(axis, [as_point(x)])[0])
 
 
@@ -197,15 +207,22 @@ class PhaseField(ArrayField):
         sin = np.array([math.sin(th) for th in phases]).reshape(-1, 1)
         return cos, sin
 
-    def values(self, points) -> np.ndarray:
-        cos, sin = self._cos_sin(points)
+    def _mix(self, cos, sin) -> np.ndarray:
         return self._cos_amp * cos + self._sin_amp * sin
 
+    def _slopes(self, cos, sin) -> np.ndarray:
+        # k is (5, 1, 1) for one k, (5, N, 1) for one k per point
+        return self._k_low.T.reshape(5, -1, 1) * self._mix(-sin, cos)
+
+    def values(self, points) -> np.ndarray:
+        return self._mix(*self._cos_sin(points))
+
     def partials(self, points) -> np.ndarray:
+        return self._slopes(*self._cos_sin(points))
+
+    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
         cos, sin = self._cos_sin(points)
-        # (5, 1, 1) for one k, (5, N, 1) for one k per point
-        k = self._k_low.T.reshape(5, -1, 1)
-        return k * (self._cos_amp * (-sin) + self._sin_amp * cos)
+        return self._mix(cos, sin), self._slopes(cos, sin)
 
 
 def sample_grid(center: Sequence[float], half_extent: float, points_per_axis: int) -> np.ndarray:

@@ -402,8 +402,7 @@ def specialized_constraint_residual(wave: PlaneWave) -> float:
 
 def dirac5_residuals(field: Field5, mass: float, points) -> np.ndarray:
     """:func:`dirac5_residual` at every row of an ``(N, 5)`` point array."""
-    pts = as_points(points)
-    return _dirac5_sum(field.values(pts), field.partials(pts), mass)
+    return _dirac5_sum(*field.samples(as_points(points)), mass)
 
 
 def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivector:
@@ -444,7 +443,7 @@ def dirac5_potential_residual(
     """
     pt = as_point(x)
     a_val = _grade1_potential(potential, pt)
-    values, partials = field.values([pt]), field.partials([pt])
+    values, partials = field.samples([pt])
     coupling = (charge * (a_val * Multivector(values[0]) * gamma.as_multivector())).coeffs
     return Multivector(_dirac5_sum(values, partials, mass, coupling)[0])
 
@@ -463,7 +462,7 @@ def hestenes_dirac_residual(
     grade-1 with no second-time component.
     """
     pt = as_point(x)
-    values, partials = field.values([pt]), field.partials([pt])
+    values, partials = field.samples([pt])
     coupling = None
     if charge != 0.0:
         if potential is None:
@@ -506,8 +505,12 @@ class _SectorHalf(ArrayField):
     def values(self, points) -> np.ndarray:
         return idempotent_split_coeffs(self._base.values(points))[self._half]
 
+    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
+        both = self._base.samples(points)
+        return tuple(idempotent_split_coeffs(rows)[self._half] for rows in both)
+
     def partials(self, points) -> np.ndarray:
-        return idempotent_split_coeffs(self._base.partials(points))[self._half]
+        return self.samples(points)[1]
 
 
 def sector_fields(field: Field5) -> tuple[Field5, Field5]:

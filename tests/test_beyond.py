@@ -36,6 +36,7 @@ from fermion5d.fields import (
     ConstantField,
     FiniteDifferenceField,
     PhaseField,
+    add_gradient,
 )
 from fermion5d.spinor import cylinder_check
 from fermion5d.wave import GammaChoice, build_plane_wave, hestenes_plane_wave_field, sector_fields
@@ -95,11 +96,16 @@ def test_gradients_on_linear_fields():
 GENERATORS = [e(CL32, a) for a in range(5)]
 
 
-def oracle_spacetime_gradient(field, x):
-    total = Multivector.zero(CL32)
-    for mu in range(4):
-        total = total + float(METRIC_SIGNS[mu]) * (GENERATORS[mu] * field.partial(mu, x))
+def oracle_gradient(start, partial, axes):
+    """``start + sum_a g_aa (e_a * partial(a))``, added in the order of ``axes``."""
+    total = start
+    for a in axes:
+        total = total + float(METRIC_SIGNS[a]) * (GENERATORS[a] * partial(a))
     return total
+
+
+def oracle_spacetime_gradient(field, x):
+    return oracle_gradient(Multivector.zero(CL32), lambda mu: field.partial(mu, x), range(4))
 
 
 def oracle_second_time_gradient(field, x):
@@ -142,6 +148,19 @@ def test_gradients_and_pair_residual_are_the_multivector_sums_bitwise(rng):
                     )
                     assert upper[n].tobytes() == expected.coeffs.tobytes()
                     assert lower[n].tobytes() == expected.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("axes", [range(5), range(4), (4,), (1, 2, 3)])
+@pytest.mark.parametrize("start", [0.0, -0.0])
+def test_add_gradient_is_the_multivector_sum_on_signed_zeros(rng, axes, start):
+    # every term and the running sum hit zeros of both signs; subtracting a
+    # lowered axis's term must keep the bits of adding it times g_aa = -1
+    partials = rng.choice([0.0, -0.0, 1.5, -0.75], size=(5, 16, CL32.n_blades))
+    got = add_gradient(np.full((16, CL32.n_blades), start), partials, axes)
+    for n, row in enumerate(got):
+        begin = Multivector(np.full(CL32.n_blades, start))
+        expected = oracle_gradient(begin, lambda a: Multivector(partials[a, n]), axes)
+        assert row.tobytes() == expected.coeffs.tobytes()
 
 
 def assert_rows_are_the_point_calls(batch, point_fn, points):

@@ -1,4 +1,5 @@
-"""Tests for the batch field protocol: ``values``/``partials`` on point arrays.
+"""Tests for the batch field protocol: ``values``/``partials``/``samples`` on
+point arrays.
 
 Every field class that has the batch methods must give, at row ``n``, the
 same bytes as its per-point call at ``points[n]`` (``tobytes()``, so the sign
@@ -17,6 +18,7 @@ from fermion5d.beyond import (
     derived_minus_field,
     oscillating_source_pair,
     random_minus_wave,
+    scalar_potential_residual,
 )
 from fermion5d.fields import (
     AnalyticField,
@@ -28,6 +30,8 @@ from fermion5d.fields import (
 from fermion5d.wave import (
     GammaChoice,
     build_plane_wave,
+    dirac5_residual,
+    hestenes_dirac_residual,
     hestenes_plane_wave_field,
     sector_fields,
 )
@@ -38,6 +42,9 @@ def assert_batch_matches_points(field, points):
     partials = field.partials(points)
     assert values.shape == (len(points), CL32.n_blades)
     assert partials.shape == (5, len(points), CL32.n_blades)
+    sampled_values, sampled_partials = field.samples(points)
+    assert sampled_values.tobytes() == values.tobytes()
+    assert sampled_partials.tobytes() == partials.tobytes()
     for n, x in enumerate(points):
         assert values[n].tobytes() == field.value(x).coeffs.tobytes()
         for axis in range(5):
@@ -115,6 +122,8 @@ def test_package_fields_never_loop_over_the_points(rng, monkeypatch):
     for field in fields:
         assert field.values(points).shape == (3, CL32.n_blades)
         assert field.partials(points).shape == (5, 3, CL32.n_blades)
+        values, partials = field.samples(points)
+        assert (values.shape, partials.shape) == ((3, CL32.n_blades), (5, 3, CL32.n_blades))
 
 
 def test_sector_field_batch_matches_the_point_calls(rng):
@@ -189,6 +198,35 @@ def test_point_arrays_must_have_five_columns():
 
 
 def test_phase_field_rejects_a_bad_axis(rng):
-    field = plane_wave_fields()[0]
-    with pytest.raises(ValueError, match="axis"):
-        field.partial(5, rng.uniform(-1, 1, size=5))
+    wave = plane_wave_fields()[0]
+    analytic, differenced, _ = callable_fields(rng)
+    x = rng.uniform(-1, 1, size=5)
+    for field in (wave, sector_fields(wave)[0], analytic, differenced):
+        for axis in (5, -1, 2.0, True, False, np.bool_(True), np.float64(1.0), "1", None):
+            with pytest.raises(ValueError, match=r"axis must be 0\.\.4"):
+                field.partial(axis, x)
+        # numpy integers are axes too, and give the bytes of the plain int
+        for axis in (np.int64(2), np.int32(4), np.uint8(0)):
+            expected = field.partial(int(axis), x).coeffs
+            assert field.partial(axis, x).coeffs.tobytes() == expected.tobytes()
+
+
+def test_point_residuals_evaluate_each_phase_once(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(PhaseField, "_cos_sin", counted(PhaseField._cos_sin, calls))
+
+    def phase_evaluations(call) -> int:
+        """How often ``call()`` evaluates the cos/sin of a :class:`PhaseField`."""
+        calls.clear()
+        call()
+        return len(calls)
+
+    x = rng.uniform(-1.0, 1.0, size=5)
+    moving = plane_wave_fields()[1]
+    flat = hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0)
+    demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
+    assert phase_evaluations(lambda: dirac5_residual(moving, 0.8, x)) == 1
+    for half in sector_fields(flat):
+        assert phase_evaluations(lambda: hestenes_dirac_residual(half, 1.0, x)) == 1
+    # the plus half's carrier once for its values and partials, once for the curvature
+    assert phase_evaluations(lambda: scalar_potential_residual(demo, x)) <= 2
