@@ -95,9 +95,10 @@ _E34 = e(CL32, 3, 4)
 _RIGHT_E012 = BladeOperator.right(e(CL32, 0, 1, 2))
 #: Associativity trials per batch.  A (32, 32, 64) float64 gather is 512 KB,
 #: so the peak memory of ``verify`` does not grow with ``--trials``.  With
-#: the blade-major gather, 1000 trials took 10.9-12.7 ms at 64 per batch,
-#: 10.5-11.6 ms at 128, 11.3-13.5 ms at 32 and 15.8-17.5 ms at 256, whose
-#: 2 MB gather falls out of cache; 64 ties with 128 at half the memory.
+#: the signed gather, 1000 trials took 6.8-8.1 ms at 64 per batch, 7.1-8.8 ms
+#: at 128, 8.1-10.5 ms at 32 and 8.6-10.6 ms at 256, whose 2 MB gather falls
+#: out of cache (quartiles of 15 interleaved runs, four sessions, 2-core x86
+#: box); 64 beats or ties 128 at half the memory.
 _TRIAL_CHUNK = 64
 #: Minus fields per batch of the current-grade check.  A batch's partials
 #: take 2.5 KB per field, so ``beyond --trials`` does not grow the peak
@@ -218,7 +219,7 @@ def _bit_mismatches(got: np.ndarray, ref) -> int:
 
 
 def _kernel_check(seed: int) -> Check:
-    """The product kernel against its reference loop, bit for bit.
+    """The product kernel against its reference scatter, bit for bit.
 
     Dense and single-blade left operands, under both sign tables, one
     product at a time and then as one batch against the reference row by

@@ -9,6 +9,8 @@ where exactness is claimed.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,28 +421,67 @@ def test_kernel_zero_slots_are_positive_zero(signature):
         assert _kernels.gp(sign, a, b).tobytes() == b.tobytes()
 
 
+def _loop_reference(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one row of ``a`` at a time: the order of addition ``gp_reference`` keeps
+    out = np.zeros_like(b)
+    idx = np.arange(sign.shape[0])
+    for i in np.nonzero(a)[0]:
+        out[idx ^ i] += a[i] * (sign[i] * b)
+    return out
+
+
+@pytest.mark.parametrize("table", ["sign", "wedge_sign"])
+@pytest.mark.parametrize("signature", ALL_SIGNATURES, ids=str)
+def test_reference_scatter_equals_the_loop_bitwise(signature, table, rng):
+    # ``np.add.at`` must add each slot's terms in the loop's order (ascending
+    # i from +0.0): a different order changes rounding, the sign of zeros
+    # and which NaN survives
+    sign = getattr(tables(signature), table)
+    n = signature.n_blades
+    with np.errstate(invalid="ignore"):
+        for kind in ("dense", "sparse", "integer", "single-blade", "zero"):
+            for special in (None, np.inf, -np.inf, np.nan):
+                for _ in range(10):
+                    a = _left_operand(kind, rng, n)
+                    a[(a == 0.0) & (rng.random(n) < 0.5)] = -0.0
+                    b = rng.uniform(-1, 1, size=n)
+                    b[rng.random(n) < 0.25] = -0.0
+                    if special is not None:
+                        b[rng.integers(n, size=2)] = special
+                    expected = _loop_reference(sign, a, b)
+                    assert _kernels.gp_reference(sign, a, b).tobytes() == expected.tobytes()
+
+
 def test_kernel_non_finite_results_stay_non_finite(rng):
     # The gather also multiplies the zero rows of the left operand, so an
     # infinity on the right can turn a slot the reference leaves finite into
     # NaN (0 * inf).  What may never happen is the reverse: a finite number
     # where the reference has inf or NaN.  In a batch, the other rows keep
-    # the bits of their own reference products.
-    sign = tables(CL32).sign
+    # the bits of their own reference products.  Under the wedge table the
+    # zero signs meet the infinities too, and the batch must keep the bits
+    # of the gather with a separate sign pass, ``(b[X] * S) * a``.
     others = np.arange(32) != 5
-    for kind in ("dense", "sparse", "single-blade"):
-        left = np.stack([_left_operand(kind, rng, 32) for _ in range(32)])
-        for special in (np.inf, -np.inf, np.nan):
-            b = rng.uniform(-1, 1, size=(32, 32))
-            b[5, [3, 17]] = special
-            with np.errstate(invalid="ignore"):
-                expected = np.stack([_kernels.gp_reference(sign, x, y) for x, y in zip(left, b)])
-                vector = _kernels.gp(sign, left[5], b[5])
-                batch = _kernels.gp(sign, left, b)
-            assert batch[others].tobytes() == expected[others].tobytes()
-            for got in (vector, batch[5]):
-                assert np.all(~np.isfinite(got[~np.isfinite(expected[5])]))
-                finite = np.isfinite(got)
-                assert got[finite].tobytes() == expected[5][finite].tobytes()
+    for sign in (tables(CL32).sign, tables(CL32).wedge_sign):
+        xor, signs, _ = _kernels._gather_tables(sign)
+        for kind in ("dense", "sparse", "single-blade"):
+            left = np.stack([_left_operand(kind, rng, 32) for _ in range(32)])
+            for special in (np.inf, -np.inf, np.nan):
+                b = rng.uniform(-1, 1, size=(32, 32))
+                b[5, [3, 17]] = special
+                with np.errstate(invalid="ignore"):
+                    expected = np.stack(
+                        [_kernels.gp_reference(sign, x, y) for x, y in zip(left, b)]
+                    )
+                    vector = _kernels.gp(sign, left[5], b[5])
+                    batch = _kernels.gp(sign, left, b)
+                    terms = b.T[xor] * signs[:, :, None] * left.T[:, None]
+                    sign_pass = terms.sum(0, initial=0.0).T
+                assert batch.tobytes() == sign_pass.tobytes()
+                assert batch[others].tobytes() == expected[others].tobytes()
+                for got in (vector, batch[5]):
+                    assert np.all(~np.isfinite(got[~np.isfinite(expected[5])]))
+                    finite = np.isfinite(got)
+                    assert got[finite].tobytes() == expected[5][finite].tobytes()
 
 
 @pytest.mark.parametrize("table", ["sign", "wedge_sign"])
@@ -495,8 +536,24 @@ def test_kernel_refuses_operands_of_different_shapes(kind, left_shape, right_sha
         _kernels.gp(sign, a.reshape(left_shape), b)
 
 
+@pytest.mark.parametrize(
+    "shape", [(16,), (64,), (40, 16), (3, 64)], ids=["16", "64", "40x16", "3x64"]
+)
+@pytest.mark.parametrize("kind", ["dense", "single-blade"])
+def test_kernel_refuses_operands_the_table_does_not_fit(kind, shape, rng):
+    # the signed gather indexes the stacked copies of b by the table's size,
+    # so a row of any other length must not reach it
+    sign = tables(CL32).sign
+    rows = int(np.prod(shape[:-1]))
+    a = np.stack([_left_operand(kind, rng, shape[-1]) for _ in range(rows)]).reshape(shape)
+    b = rng.uniform(-1, 1, size=shape)
+    message = re.escape(f"shape {shape} does not fit a table of 32 blades")
+    with pytest.raises(ValueError, match=message):
+        _kernels.gp(sign, a, b)
+
+
 def test_gather_index_rows_are_permutations():
-    xor, _ = _kernels._gather_tables(tables(CL32).sign)
+    xor = _kernels._gather_tables(tables(CL32).sign)[0]
     for i in range(32):
         assert sorted(xor[i]) == list(range(32))
 
