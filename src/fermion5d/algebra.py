@@ -200,7 +200,7 @@ class Multivector:
         return not np.any(self.coeffs[g % 2 == 1])
 
     def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+        return float(abs(self.coeffs).max()) if self.coeffs.size else 0.0
 
     # -- arithmetic --------------------------------------------------------
 

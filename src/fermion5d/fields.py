@@ -29,20 +29,31 @@ from .algebra import CL32, BladeOperator, Multivector, e
 METRIC_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, -1.0])
 METRIC_SIGNS.setflags(write=False)
 
-_LEFT_E = tuple(BladeOperator.left(e(CL32, a)) for a in range(5))  # x -> e_a x
+#: ``x -> e_a x`` for a = 0..4 as the rows of one signed gather ``(index,
+#: sign)``: ``(e_a x)[k] = sign[a, k, 0] * x[index[a, k]]``.
+_LEFT_E = [BladeOperator.left(e(CL32, a)) for a in range(5)]
+_LEFT_E = np.stack([op.index for op in _LEFT_E]), np.stack([op.sign for op in _LEFT_E])[..., None]
 _ACCUMULATE = tuple(np.subtract if g < 0 else np.add for g in METRIC_SIGNS)
 
 
 def add_gradient(res: np.ndarray, partials, axes) -> np.ndarray:
     """``res + sum_a e_a d^a field`` over ``axes``, added in place in that order.
 
-    ``partials[a]`` holds the lower-index ``d_a field`` as rows ``(..., 32)``;
-    ``e_a x`` is a signed gather with +0.0 zeros, bit for bit the product.
+    ``partials[a]`` holds the lower-index ``d_a field`` as rows ``(..., 32)``
+    (``res``'s shape).  One signed gather reads every term ``e_a d_a`` of
+    ``axes`` and no other axis, with +0.0 zeros, bit for bit the product.
     Raising the index subtracts the term on the lowered axes (t and w):
     ``res - t`` is bit for bit ``res + (-1) t``, signed zeros included.
     """
-    for a in axes:
-        _ACCUMULATE[a](res, _LEFT_E[a](partials[a]), out=res)
+    index, sign = _LEFT_E
+    ax = np.array(axes, dtype=np.intp)
+    # advanced indices around a slice put their axes first: (axes, 32, rows)
+    rows = partials.reshape(len(partials), -1, CL32.n_blades)
+    terms = rows[ax[:, None], :, index.take(ax, 0)]
+    terms *= sign.take(ax, 0)
+    terms += 0.0
+    for a, term in zip(ax, terms):
+        _ACCUMULATE[a](res, term.T.reshape(res.shape), out=res)
     return res
 
 

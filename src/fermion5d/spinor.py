@@ -12,10 +12,12 @@ independent of the second time coordinate, obeys the four-dimensional Dirac
 equation in Hestenes form.
 
 Both are products by single blades, so they run as array operations: the
-sandwich by ``e4`` is a diagonal sign and ``* e3e4`` a signed gather.
-:func:`pm_split_coeffs` and :func:`idempotent_split_coeffs` apply them along
-the last axis of coefficient arrays of any shape, bit for bit equal to the
-multivector products they replace.
+sandwich by ``e4`` is a diagonal sign, and each idempotent half is one signed
+gather ``Y`` of the input ``c``: ``(c + 0.0) - Y`` for the plus half and
+``c - Y`` for the minus half, so a caller that keeps one half computes only
+that one.  :func:`pm_split_coeffs` and :func:`idempotent_split_coeffs` apply
+them along the last axis of coefficient arrays of any shape, bit for bit equal
+to the multivector products they replace.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import CL32, BladeOperator, Multivector, e, odd_masks
+from .algebra import CL32, BladeOperator, Multivector, e, even_masks, odd_masks
 
 
 class SplitPair(NamedTuple):
@@ -38,7 +40,21 @@ _E4 = e(CL32, 4)
 _E4_RAISED = -_E4  # index raised with the metric: e^4 = g^44 e4 = -e4
 _E34 = e(CL32, 3, 4)
 _RIGHT_E34 = BladeOperator.right(_E34)
-_ODD_MASKS = list(odd_masks(CL32))
+_ODD_MASKS = np.array(odd_masks(CL32))
+
+#: ``Y`` of each idempotent half (see :func:`_idempotent_half`): ``x e3e4``
+#: on the even blades free of e4 (plus half) or with e4 (minus half), ``x``
+#: itself on every other blade.
+_HALF_GATHERS = tuple(
+    BladeOperator(
+        np.where(swap, _RIGHT_E34.index, np.arange(CL32.n_blades)),
+        np.where(swap, _RIGHT_E34.sign, 1.0),
+    )
+    for swap in (
+        [m in even_masks(CL32) and m < 0b10000 for m in range(CL32.n_blades)],
+        [m in even_masks(CL32) and m >= 0b10000 for m in range(CL32.n_blades)],
+    )
+)
 
 #: ``e^4 x e4 = x * _SANDWICH_SIGN``: each blade commutes or anticommutes with e4.
 _SANDWICH_SIGN = BladeOperator.right(_E4)(BladeOperator.left(_E4_RAISED)(np.eye(CL32.n_blades)))
@@ -87,10 +103,29 @@ def idempotent_split(phi: Multivector) -> SplitPair:
 
 def idempotent_split_coeffs(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`idempotent_split` on Cl(3,2) coefficient arrays ``(..., 32)``."""
-    if np.any(coeffs[..., _ODD_MASKS] != 0.0):
+    return _idempotent_half(coeffs, 0), _idempotent_half(coeffs, 1)
+
+
+def _idempotent_half(coeffs: np.ndarray, half: int) -> np.ndarray:
+    """The plus (``half`` 0) or minus (1) half of :func:`idempotent_split_coeffs`.
+
+    ``plus = phi_plus - phi_minus*e3e4`` reduces to ``(c + 0.0) - Y`` and
+    ``minus = phi_minus - phi_plus*e3e4`` to ``c - Y``, with ``Y`` the signed
+    gather ``_HALF_GATHERS[half]`` of ``c`` (adding -0.0 changes no value).
+    Each blade is the subtraction of the two-step form on the same two
+    values, so the halves are bit for bit the same on finite input, signed
+    zeros included, except that a coefficient above half the largest double
+    no longer overflows in ``phi_plus``/``phi_minus``.  The odd blades must
+    be zero, so their ``Y`` is +0.0 and the plus half's is too.
+    """
+    odd = coeffs.take(_ODD_MASKS, axis=-1)
+    if (odd != 0.0).any():
+        if not np.isfinite(odd).all():
+            raise ValueError("idempotent_split: the samples are not finite")
         raise ValueError("idempotent_split expects an even multivector")
-    plus, minus = pm_split_coeffs(coeffs)
-    return plus - _RIGHT_E34(minus), minus - _RIGHT_E34(plus)
+    out = coeffs + (-0.0 if half else 0.0)
+    out -= _HALF_GATHERS[half](coeffs)
+    return out
 
 
 def cylinder_check(field, points: Iterable, tolerance: float) -> bool:

@@ -42,7 +42,7 @@ from .fields import (
     as_points,
     minkowski_dot,
 )
-from .spinor import idempotent_split_coeffs, pm_split
+from .spinor import _idempotent_half, pm_split
 
 _E_BLADES = [e(CL32, a) for a in range(5)]
 _PSEUDO = pseudoscalar(CL32)
@@ -496,21 +496,21 @@ def hestenes_sample_residuals(values, partials, mass, coupling=None) -> np.ndarr
 
 
 class _SectorHalf(ArrayField):
-    """One idempotent-transform half of a base field, on its batch arrays."""
+    """One idempotent-transform half of a base field, on its batch arrays;
+    the other half is not computed."""
 
     def __init__(self, base: Field5, half: int):
         self._base = base
         self._half = half
 
     def values(self, points) -> np.ndarray:
-        return idempotent_split_coeffs(self._base.values(points))[self._half]
-
-    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
-        both = self._base.samples(points)
-        return tuple(idempotent_split_coeffs(rows)[self._half] for rows in both)
+        return _idempotent_half(self._base.values(points), self._half)
 
     def partials(self, points) -> np.ndarray:
-        return self.samples(points)[1]
+        return _idempotent_half(self._base.partials(points), self._half)
+
+    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_idempotent_half(rows, self._half) for rows in self._base.samples(points))
 
 
 def sector_fields(field: Field5) -> tuple[Field5, Field5]:

@@ -25,8 +25,10 @@ from fermion5d.fields import (
     ConstantField,
     FiniteDifferenceField,
     PhaseField,
+    add_gradient,
     as_points,
 )
+from fermion5d.spinor import _idempotent_half
 from fermion5d.wave import (
     GammaChoice,
     build_plane_wave,
@@ -221,6 +223,10 @@ def test_point_residuals_evaluate_each_phase_once(rng, monkeypatch):
         call()
         return len(calls)
 
+    profiles = []
+    monkeypatch.setattr(
+        ScalarPotentialDemo, "profile", counted(ScalarPotentialDemo.profile, profiles)
+    )
     x = rng.uniform(-1.0, 1.0, size=5)
     moving = plane_wave_fields()[1]
     flat = hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0)
@@ -228,5 +234,46 @@ def test_point_residuals_evaluate_each_phase_once(rng, monkeypatch):
     assert phase_evaluations(lambda: dirac5_residual(moving, 0.8, x)) == 1
     for half in sector_fields(flat):
         assert phase_evaluations(lambda: hestenes_dirac_residual(half, 1.0, x)) == 1
-    # the plus half's carrier once for its values and partials, once for the curvature
-    assert phase_evaluations(lambda: scalar_potential_residual(demo, x)) <= 2
+    # one carrier evaluation for the plus half, its partials and its curvature,
+    # and the profile once at each order the residuals read: f and f''
+    profiles.clear()
+    assert phase_evaluations(lambda: scalar_potential_residual(demo, x)) == 1
+    assert sorted(order for _, _, order in profiles) == [0, 2]
+
+
+def test_a_sector_half_computes_only_its_own_half(rng, monkeypatch):
+    halves = []
+    monkeypatch.setattr("fermion5d.wave._idempotent_half", counted(_idempotent_half, halves))
+    x = rng.uniform(-1.0, 1.0, size=5)
+    for h, half in enumerate(sector_fields(hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0))):
+        halves.clear()
+        hestenes_dirac_residual(half, 1.0, x)
+        # one call for the values and one for the partials, each of this half
+        assert [args[1] for args in halves] == [h, h]
+
+
+class GatherCountingArray(np.ndarray):
+    """An array that records every gather read from it or from its views:
+    a ``take`` or an index with an integer array in it."""
+
+    gathers: list = []
+
+    def take(self, *args, **kwargs):
+        self.gathers.append(args)
+        return super().take(*args, **kwargs)
+
+    def __getitem__(self, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        if any(isinstance(k, np.ndarray) for k in keys):
+            self.gathers.append(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("axes", [range(5), range(4), (4,)])
+def test_add_gradient_gathers_once_per_call(rng, axes):
+    partials = rng.uniform(-1.0, 1.0, size=(5, 3, CL32.n_blades)).view(GatherCountingArray)
+    GatherCountingArray.gathers = []
+    got = add_gradient(np.zeros((3, CL32.n_blades)), partials, axes)
+    assert len(GatherCountingArray.gathers) == 1
+    expected = add_gradient(np.zeros((3, CL32.n_blades)), np.asarray(partials), axes)
+    assert np.asarray(got).tobytes() == expected.tobytes()

@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fermion5d.algebra import CL32, Multivector, e, random_multivector
-from fermion5d.fields import ConstantField
+from fermion5d.algebra import CL32, Multivector, e, even_masks, random_multivector
+from fermion5d.fields import AnalyticField, ConstantField
 from fermion5d.spinor import (
     SplitPair,
     cylinder_check,
@@ -15,7 +15,12 @@ from fermion5d.spinor import (
     pm_split,
     pm_split_coeffs,
 )
-from fermion5d.wave import NO_E4_EVEN_MASKS, build_plane_wave, hestenes_plane_wave_field
+from fermion5d.wave import (
+    NO_E4_EVEN_MASKS,
+    build_plane_wave,
+    hestenes_plane_wave_field,
+    sector_fields,
+)
 from fermion5d.wave import GammaChoice
 
 E4_BIT = 1 << 4
@@ -165,6 +170,41 @@ def test_idempotent_split_coeffs_rejects_odd_content(rng):
     rows[1, 1] = 0.5  # an e0 component in one row
     with pytest.raises(ValueError, match="even"):
         idempotent_split_coeffs(rows)
+
+
+def test_sector_halves_are_the_split_of_the_base_arrays_bitwise(rng):
+    # rows with -0.0 coefficients, so that the sign of every zero counts
+    rows = [x.coeffs for x in oracle_inputs(rng, even=True)]
+
+    def value(pt):
+        return Multivector(rows[int(pt[0])])
+
+    def partial(axis, pt):
+        return Multivector(rows[(int(pt[0]) + axis + 1) % len(rows)])
+
+    base = AnalyticField(value, partial)
+    points = np.zeros((len(rows), 5))
+    points[:, 0] = np.arange(len(rows))
+    base_values, base_partials = base.samples(points)
+    assert np.signbit(base_values[base_values == 0.0]).any()
+    for h, half in enumerate(sector_fields(base)):
+        values, partials = half.samples(points)
+        assert values.tobytes() == idempotent_split_coeffs(base_values)[h].tobytes()
+        assert partials.tobytes() == idempotent_split_coeffs(base_partials)[h].tobytes()
+        assert half.values(points).tobytes() == values.tobytes()
+        assert half.partials(points).tobytes() == partials.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_coefficient_never_gives_an_all_finite_half(bad, rng):
+    base = random_multivector(rng, CL32, even=True).coeffs
+    for mask in even_masks(CL32):
+        x = base.copy()
+        x[mask] = bad
+        with np.errstate(invalid="ignore"):
+            halves = idempotent_split_coeffs(x)
+        for half in halves:
+            assert not np.isfinite(half).all()
 
 
 def test_pair_types_are_named_tuples(rng):

@@ -474,6 +474,20 @@ def test_sector_fields_of_an_odd_field_raise(rng):
             hestenes_sample_residuals(half.values(pts), half.partials(pts), 1.0)
 
 
+@pytest.mark.parametrize(
+    "field, point, message",
+    [
+        (hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0), [math.nan] * 5, "not finite"),
+        (ConstantField(e(CL32, 0)), [0.1] * 5, "expects an even multivector"),
+    ],
+    ids=["nan-point", "odd-field"],
+)
+def test_a_sector_half_names_non_finite_samples_apart_from_odd_content(field, point, message):
+    for half in sector_fields(field):
+        with pytest.raises(ValueError, match=message):
+            hestenes_dirac_residual(half, 1.0, point)
+
+
 def test_a_potential_without_charge_is_the_free_residual(rng):
     field = hestenes_plane_wave_field((0.1, 0.0, 0.0), 1.0)
     x = rng.uniform(-0.5, 0.5, size=5)
