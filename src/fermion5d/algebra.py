@@ -7,6 +7,9 @@ The product of two basis blades is the XOR of their masks times an exact
 integer sign obtained by counting transpositions and applying the metric signs
 of annihilated generator pairs, so all structural identities (anticommutation,
 grade bookkeeping, centrality of the top blade in odd dimension) hold exactly.
+The per-signature sign tables come from those counts done as bit arithmetic
+on whole arrays of masks; :func:`blade_product` does them one pair at a time
+and is the tables' reference.
 
 The physics modules use ``CL32`` — three generators squaring to +1 (``e1, e2,
 e3``) and two squaring to -1 (``e0`` the ordinary time axis and ``e4`` the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,8 +112,7 @@ def blade_product(mask_a: int, mask_b: int, signature: Signature) -> tuple[int, 
     return sign, mask
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(NamedTuple):
     """Precomputed per-signature structure tables."""
 
     sign: np.ndarray        # (D, D) int8: geometric-product signs
@@ -121,23 +123,25 @@ class _Tables:
 
 @lru_cache(maxsize=None)
 def _tables(signs: tuple[int, ...]) -> _Tables:
-    sig = Signature(signs)
-    n = sig.n_blades
-    sign = np.zeros((n, n), dtype=np.int8)
-    wedge_sign = np.zeros((n, n), dtype=np.int8)
-    grades = np.array([bin(m).count("1") for m in range(n)], dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            s, mask = blade_product(i, j, sig)
-            assert mask == i ^ j
-            sign[i, j] = s
-            if grades[mask] == grades[i] + grades[j]:
-                wedge_sign[i, j] = s
-    rev = np.array([(-1.0) ** (g * (g - 1) // 2) for g in grades])
-    sign.setflags(write=False)
-    wedge_sign.setflags(write=False)
-    grades.setflags(write=False)
-    rev.setflags(write=False)
+    """The tables of ``signs`` from bit counts, entry for entry those of
+    :func:`blade_product`.
+
+    Merging the factor ``b`` of blade ``j`` into blade ``i`` passes the
+    factors of ``i`` above ``b``, and a generator both share annihilates with
+    its square, so ``sign[i, j]`` is -1 to the power of the sum over the
+    factors ``b`` of ``j`` of ``#{factors of i above b}``, plus the number of
+    shared generators that square to -1.
+    """
+    idx = np.arange(1 << len(signs))
+    bits = idx[:, None] >> np.arange(len(signs)) & 1  # bits[i, b]: is b a factor of i
+    above = bits[:, ::-1].cumsum(1)[:, ::-1] - bits  # factors of i above b
+    flips = (above + bits * (np.array(signs) < 0)) @ bits.T
+    sign = (1 - 2 * (flips & 1)).astype(np.int8)
+    grades = bits.sum(1)
+    wedge_sign = np.where(grades[idx[:, None] ^ idx] == grades[:, None] + grades, sign, 0)
+    rev = np.where(grades * (grades - 1) // 2 % 2, -1.0, 1.0)
+    for table in (sign, wedge_sign, grades, rev):
+        table.setflags(write=False)
     return _Tables(sign=sign, wedge_sign=wedge_sign, grades=grades, reverse_sign=rev)
 
 

@@ -16,7 +16,6 @@ purely structural checks have ``worst_at`` null.
 """
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -158,6 +157,8 @@ class ReportDocument:
 
 def rows_to_csv(fieldnames: Sequence[str], rows: Sequence[Mapping[str, object]]) -> str:
     """Render mapping rows as CSV with a fixed header and LF line endings."""
+    import csv  # only ``--format csv`` renders CSV, so an import does not load it
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
     writer.writeheader()

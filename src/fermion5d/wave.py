@@ -27,7 +27,6 @@ from .algebra import (
     e,
     even_masks,
     from_even_coeffs,
-    linear_map_matrix,
     nullspace,
     pseudoscalar,
     tables,
@@ -44,7 +43,6 @@ from .fields import (
 )
 from .spinor import _idempotent_half, pm_split
 
-_E_BLADES = [e(CL32, a) for a in range(5)]
 _PSEUDO = pseudoscalar(CL32)
 _E12 = e(CL32, 1, 2)
 _E34 = e(CL32, 3, 4)
@@ -187,19 +185,29 @@ def _times_gamma(gamma: GammaChoice) -> BladeOperator:
     return BladeOperator.right(gamma.as_multivector())
 
 
+def _gather_block(masks: Sequence[int], *ops: BladeOperator) -> np.ndarray:
+    """Matrix (32 x ``len(masks)``) of the signed gathers ``ops``, applied in
+    order, on the blades ``masks``: the gathers of the identity rows of those
+    blades, transposed to columns, read-only."""
+    rows = np.eye(CL32.n_blades)[list(masks)]
+    for op in ops:
+        rows = op(rows)
+    block = np.ascontiguousarray(rows.T)
+    block.setflags(write=False)
+    return block
+
+
 @lru_cache(maxsize=None)
 def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
     """``(V, P)`` with ``V[a]`` the matrix of ``amp -> e_a amp gamma`` and ``P``
     that of ``amp -> E amp``, on the even basis, read-only."""
-    gmv = gamma.as_multivector()
     masks = even_masks(CL32)
+    times_gamma = _times_gamma(gamma)
     vec = np.stack(
-        [linear_map_matrix(lambda mv, b=b: b * mv * gmv, CL32, masks) for b in _E_BLADES]
+        [_gather_block(masks, BladeOperator.left(e(CL32, a)), times_gamma) for a in range(5)]
     )
-    pseudo = linear_map_matrix(lambda mv: _PSEUDO * mv, CL32, masks)
     vec.setflags(write=False)
-    pseudo.setflags(write=False)
-    return vec, pseudo
+    return vec, _gather_block(masks, _LEFT_PSEUDO)
 
 
 def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
@@ -526,17 +534,13 @@ def sector_fields(field: Field5) -> tuple[Field5, Field5]:
 @lru_cache(maxsize=None)
 def _hestenes_blocks() -> tuple[np.ndarray, np.ndarray]:
     """``(V, R)`` with ``V[mu]`` the matrix of ``psi -> e_mu psi e12`` and ``R``
-    that of ``psi -> psi e012``, on the even blades free of e4."""
+    that of ``psi -> psi e012``, on the even blades free of e4, read-only."""
+    masks, times_e12 = NO_E4_EVEN_MASKS, BladeOperator.right(_E12)
     vec = np.stack(
-        [
-            linear_map_matrix(lambda mv, b=b: b * mv * _E12, CL32, NO_E4_EVEN_MASKS)
-            for b in _E_BLADES[:4]
-        ]
+        [_gather_block(masks, BladeOperator.left(e(CL32, mu)), times_e12) for mu in range(4)]
     )
-    right = linear_map_matrix(lambda mv: mv * _E012, CL32, NO_E4_EVEN_MASKS)
     vec.setflags(write=False)
-    right.setflags(write=False)
-    return vec, right
+    return vec, _gather_block(masks, _RIGHT_E012)
 
 
 def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivector]:

@@ -1,9 +1,10 @@
 """Algebra engine tests.
 
-The blade-product table is checked exhaustively against an independent oracle
-that computes the reordering sign by a different algorithm (bit-counting
-rather than factor merging), so a sign convention bug in either implementation
-cannot hide.  Structural identities are exact integer arithmetic and are
+The blade product is checked exhaustively against an independent oracle that
+computes the reordering sign by a different algorithm (bit-counting rather
+than factor merging), and the sign tables, built from bit counts on whole
+arrays, against the blade product, so a sign convention bug in any of the
+three cannot hide.  Structural identities are exact integer arithmetic and are
 asserted with zero tolerance; float-valued properties use integer coefficients
 where exactness is claimed.
 """
@@ -16,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermion5d import _kernels
+from fermion5d import _kernels, algebra
 from fermion5d.algebra import (
     CL31,
     CL32,
     CL41,
+    MAX_GENERATORS,
     BladeOperator,
     Multivector,
     Signature,
@@ -94,6 +96,43 @@ def test_sign_table_is_plus_minus_one_everywhere():
     for signature in ALL_SIGNATURES:
         sign = tables(signature).sign
         assert set(np.unique(sign)) == {-1, 1}
+
+
+TABLE_SIGNATURES = ALL_SIGNATURES + (
+    Signature((1,)),
+    Signature((-1,)),
+    Signature((1, -1, -1, 1, -1, 1)),
+)
+
+
+@pytest.mark.parametrize("signature", TABLE_SIGNATURES, ids=lambda s: str(s.signs))
+def test_tables_equal_the_blade_product_entry_for_entry(signature):
+    n = signature.n_blades
+    t = tables(signature)
+    grades = [bin(m).count("1") for m in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sign, mask = blade_product(i, j, signature)
+            assert t.sign[i, j] == sign, (i, j)
+            wedge = sign if grades[mask] == grades[i] + grades[j] else 0
+            assert t.wedge_sign[i, j] == wedge, (i, j)
+    assert t.grades.tolist() == grades
+    assert t.reverse_sign.tolist() == [(-1.0) ** (g * (g - 1) // 2) for g in grades]
+    dtypes = (np.int8, np.int8, np.int64, np.float64)
+    assert tuple(table.dtype for table in t) == dtypes
+    assert not any(table.flags.writeable for table in t)
+
+
+def test_the_table_builder_calls_no_blade_product(monkeypatch):
+    # build uncached: ``_kernels._GATHER`` keys its tables by the live sign table
+    def refuse(*args):
+        raise AssertionError("the tables are built without blade_product")
+
+    monkeypatch.setattr(algebra, "blade_product", refuse)
+    assert TABLE_SIGNATURES[-1].dim == MAX_GENERATORS
+    for signature in TABLE_SIGNATURES:
+        built = algebra._tables.__wrapped__(signature.signs)
+        assert built.sign.tobytes() == tables(signature).sign.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1076,6 +1076,16 @@ def test_module_entry_point_runs():
     assert doc["command"] == "verify"
 
 
+def test_importing_the_package_loads_neither_csv_nor_the_cli():
+    # counted, not timed: csv serves ``--format csv`` alone, and the CLI a command
+    code = "import sys, fermion5d; print(sorted({'csv', 'fermion5d.cli'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_constants_are_the_published_values():
     # CODATA 2018: these exact literals feed the eV conversion
     assert FINE_STRUCTURE == 7.2973525693e-3

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fermion5d import wave
 from fermion5d.algebra import (
     CL32,
     Multivector,
@@ -356,6 +357,34 @@ def test_hestenes_plane_wave_is_flat_and_solves_the_reduced_equation(rng):
 # ---------------------------------------------------------------------------
 # batch residuals and precomputed constraint blocks
 # ---------------------------------------------------------------------------
+
+
+def assert_blocks_equal(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous and not got.flags.writeable
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_constraint_blocks_equal_the_product_construction_bitwise(gamma):
+    gmv, masks = gamma.as_multivector(), even_masks(CL32)
+    vec = np.stack(
+        [linear_map_matrix(lambda mv, a=a: e(CL32, a) * mv * gmv, CL32, masks) for a in range(5)]
+    )
+    pseudo = linear_map_matrix(lambda mv: pseudoscalar(CL32) * mv, CL32, masks)
+    got_vec, got_pseudo = wave._constraint_blocks(gamma)
+    assert_blocks_equal(got_vec, vec)
+    assert_blocks_equal(got_pseudo, pseudo)
+
+
+def test_hestenes_blocks_equal_the_product_construction_bitwise():
+    e12, e012, masks = e(CL32, 1, 2), e(CL32, 0, 1, 2), NO_E4_EVEN_MASKS
+    vec = np.stack(
+        [linear_map_matrix(lambda mv, a=a: e(CL32, a) * mv * e12, CL32, masks) for a in range(4)]
+    )
+    right = linear_map_matrix(lambda mv: mv * e012, CL32, masks)
+    got_vec, got_right = wave._hestenes_blocks()
+    assert_blocks_equal(got_vec, vec)
+    assert_blocks_equal(got_right, right)
 
 
 def test_batch_residuals_equal_the_point_residuals_bitwise(rng):
