@@ -395,12 +395,29 @@ class BladeOperator:
         return out
 
 
+def gather_matrix(masks: Sequence[int], *ops: BladeOperator) -> np.ndarray:
+    """Matrix (``n_blades`` x ``len(masks)``) of the chain of signed gathers
+    ``ops``, applied in order, on the blades ``masks``: the gathers of the
+    identity rows of those blades, transposed to columns, C-contiguous and
+    read-only.  Bit for bit the matrix of the chain's products."""
+    if not ops or not all(isinstance(op, BladeOperator) for op in ops):
+        raise TypeError("expected one or more BladeOperators")
+    rows = np.eye(ops[0].index.size)[list(masks)]
+    for op in ops:
+        rows = op(rows)
+    matrix = np.ascontiguousarray(rows.T)
+    matrix.setflags(write=False)
+    return matrix
+
+
 def linear_map_matrix(
     fn: Callable[[Multivector], Multivector],
     signature: Signature = CL32,
     input_masks: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Matrix of a linear map in full-blade coordinates.
+    """Matrix of a general linear map in full-blade coordinates, one product
+    per column.  No module of the package calls it: it is the tests'
+    reference for :func:`gather_matrix`, which builds the constant operators.
 
     Columns are ``fn`` applied to the basis blades listed in ``input_masks``
     (default: all blades); rows run over all blades of the signature.

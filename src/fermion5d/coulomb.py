@@ -33,16 +33,17 @@ subspace, the threshold scale and the final coefficients.
 bivector for the step inverse and two SVDs, the states sorted so that those
 still stepping form a prefix, plus one final SVD per admissible dimension.
 
-Operators that flip even and odd grades are represented on the even basis by
-pairing with the unit pseudoscalar (which is central and squares to +1), so
-compositions of two grade-flipping maps multiply as plain 16 x 16 matrices.
+Each constant operator is a chain of signed blade gathers on the even basis.
+A chain that flips even and odd grades ends with the gather of ``x -> E x``,
+pairing it with the unit pseudoscalar (central, squaring to +1), so two
+grade-flipping maps compose as plain 16 x 16 matrices.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -50,22 +51,19 @@ from . import _kernels
 from .algebra import (
     CL32,
     BladeOperator,
-    Multivector,
     e,
     even_masks,
-    linear_map_matrix,
+    gather_matrix,
     odd_masks,
     pseudoscalar,
     tables,
 )
 from .fields import Field5, add_gradient, as_points
-from .wave import GammaChoice
+from .wave import GammaChoice, _times_gamma
 
-_E0 = e(CL32, 0)
-_E3 = e(CL32, 3)
-_PSEUDO = pseudoscalar(CL32)
-_LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # x -> E x
-_LEFT_E0, _RIGHT_E0 = BladeOperator.left(_E0), BladeOperator.right(_E0)
+_LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # x -> E x
+_LEFT_E0, _RIGHT_E0 = BladeOperator.left(e(CL32, 0)), BladeOperator.right(e(CL32, 0))
+_LEFT_E3 = BladeOperator.left(e(CL32, 3))  # the radial unit
 _EVEN_MASKS, _ODD_MASKS = list(even_masks(CL32)), list(odd_masks(CL32))
 
 #: Relative bound on the termination residual of a series, also the relative
@@ -86,41 +84,30 @@ ANGULAR_LETTERS = "spdfghiklmnoqrtuvwxyz"
 # ---------------------------------------------------------------------------
 
 
-def even_operator_matrix(fn: Callable[[Multivector], Multivector]) -> np.ndarray:
-    """16 x 16 matrix of a linear operator on the even subalgebra.
-
-    Grade-preserving operators are encoded directly.  Operators sending even
-    input to odd output are paired with the unit pseudoscalar (matrix of
-    ``x -> E fn(x)``); because the pseudoscalar is central and squares to +1,
-    the product of two paired matrices is the plain matrix of the composition.
-    Output that mixes parities, within a column or between columns, raises.
-    """
-    columns = linear_map_matrix(fn, CL32, _EVEN_MASKS)
-    odd, even = (np.any(columns[masks] != 0.0, axis=0) for masks in (_ODD_MASKS, _EVEN_MASKS))
-    if (odd & even).any():
-        grades = Multivector(columns[:, np.argmax(odd & even)], CL32).grades_present
-        raise ValueError(f"operator output mixes even and odd grades: {grades}")
-    if odd.any() and even.any():
-        raise ValueError("operator parity differs between basis blades")
-    if odd.any():
-        columns = _LEFT_PSEUDO(columns.T).T
-    return np.ascontiguousarray(columns[_EVEN_MASKS])
+def even_operator_matrix(*ops: BladeOperator) -> np.ndarray:
+    """16 x 16 :func:`~fermion5d.algebra.gather_matrix` of the chain ``ops``
+    on the even subalgebra.  A grade-flipping chain ends with ``x -> E x``
+    (see the module docstring); output left on an odd blade raises, so a
+    missing pairing cannot drop it."""
+    columns = gather_matrix(_EVEN_MASKS, *ops)
+    if columns[_ODD_MASKS].any():
+        raise ValueError("operator output is odd: end the chain with the pseudoscalar pairing")
+    return columns[_EVEN_MASKS]
 
 
 def e0_sandwich_matrix() -> np.ndarray:
     """Matrix of ``x -> e0 x e0`` (involution with eigenvalues +-1)."""
-    return even_operator_matrix(lambda mv: _E0 * mv * _E0)
+    return even_operator_matrix(_LEFT_E0, _RIGHT_E0)
 
 
 def gamma_e0_right_matrix(gamma: GammaChoice) -> np.ndarray:
     """Paired matrix of right multiplication by ``gamma * e0`` (grade-flipping)."""
-    ge0 = gamma.as_multivector() * _E0
-    return even_operator_matrix(lambda mv: mv * ge0)
+    return even_operator_matrix(_times_gamma(gamma), _RIGHT_E0, _LEFT_PSEUDO)
 
 
 def radial_left_matrix() -> np.ndarray:
     """Paired matrix of left multiplication by the radial unit ``e3``."""
-    return even_operator_matrix(lambda mv: _E3 * mv)
+    return even_operator_matrix(_LEFT_E3, _LEFT_PSEUDO)
 
 
 @functools.lru_cache(maxsize=8)
@@ -146,6 +133,7 @@ def angular_coupling_matrix(kappa: int, coupling: float, gamma: GammaChoice) -> 
     gamma-e0 right multiplication and ``R`` the radial left multiplication
     (the last two in the pseudoscalar-paired encoding, so ``R H`` is the true
     matrix of their composition).  Satisfies ``S^2 = (kappa^2-coupling^2) I``.
+    ``(N, 1, 1)`` arrays of parameters give the stack of N matrices.
     """
     z, rhz, _ = _radial_blocks(gamma)
     return kappa * z + coupling * rhz
@@ -356,8 +344,8 @@ def _split_selected(mask: np.ndarray, vt: np.ndarray):
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     """Solutions, or errors, of states that share the phase bivector, sorted by n_r
     from the largest down, solved at mass 1 from their decays, then scaled."""
-    n_r = np.array([p.n_r for p in group])
-    z, rhz, r = _radial_blocks(group[0].gamma)
+    n_r, gamma = np.array([p.n_r for p in group]), group[0].gamma
+    _, rhz, r = _radial_blocks(gamma)
     eye = np.eye(16)
     energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
     everyone = np.arange(len(group))
@@ -369,9 +357,11 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         return np.abs(mat @ mat - col(square) * eye).max(axis=(1, 2))
 
     q = col([p.series_exponent for p in group])
-    s_mat = col([p.kappa for p in group]) * z + col([p.coupling for p in group]) * rhz
+    kappas, couplings = col([p.kappa for p in group]), col([p.coupling for p in group])
+    s_mat = angular_coupling_matrix(kappas, couplings, gamma)
     s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
-    t_square_err = square_error(r - col(energies) * rhz, [1.0 - b**2 for b in energies])
+    t_mat = mass_energy_matrix(1.0, col(energies), gamma)
+    t_square_err = square_error(t_mat, [1.0 - b**2 for b in energies])
 
     # (beta I + T) in split form: T = (R - RHZ) + b RHZ with the binding
     # b = 1 - eps = d^2 / (1 + eps).  Its eigenvalues are +-d up to the

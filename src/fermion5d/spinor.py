@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .algebra import CL32, BladeOperator, Multivector, e, even_masks, odd_masks
+from .algebra import CL32, BladeOperator, Multivector, e, even_masks, gather_matrix, odd_masks
 
 
 class SplitPair(NamedTuple):
@@ -57,8 +57,9 @@ _HALF_GATHERS = tuple(
 )
 
 #: ``e^4 x e4 = x * _SANDWICH_SIGN``: each blade commutes or anticommutes with e4.
-_SANDWICH_SIGN = BladeOperator.right(_E4)(BladeOperator.left(_E4_RAISED)(np.eye(CL32.n_blades)))
-_SANDWICH_SIGN = _SANDWICH_SIGN.diagonal().copy()
+_SANDWICH_SIGN = gather_matrix(
+    range(CL32.n_blades), BladeOperator.left(_E4_RAISED), BladeOperator.right(_E4)
+).diagonal().copy()
 _SANDWICH_SIGN.setflags(write=False)
 
 

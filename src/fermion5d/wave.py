@@ -27,6 +27,7 @@ from .algebra import (
     e,
     even_masks,
     from_even_coeffs,
+    gather_matrix,
     nullspace,
     pseudoscalar,
     tables,
@@ -185,18 +186,6 @@ def _times_gamma(gamma: GammaChoice) -> BladeOperator:
     return BladeOperator.right(gamma.as_multivector())
 
 
-def _gather_block(masks: Sequence[int], *ops: BladeOperator) -> np.ndarray:
-    """Matrix (32 x ``len(masks)``) of the signed gathers ``ops``, applied in
-    order, on the blades ``masks``: the gathers of the identity rows of those
-    blades, transposed to columns, read-only."""
-    rows = np.eye(CL32.n_blades)[list(masks)]
-    for op in ops:
-        rows = op(rows)
-    block = np.ascontiguousarray(rows.T)
-    block.setflags(write=False)
-    return block
-
-
 @lru_cache(maxsize=None)
 def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
     """``(V, P)`` with ``V[a]`` the matrix of ``amp -> e_a amp gamma`` and ``P``
@@ -204,10 +193,10 @@ def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
     masks = even_masks(CL32)
     times_gamma = _times_gamma(gamma)
     vec = np.stack(
-        [_gather_block(masks, BladeOperator.left(e(CL32, a)), times_gamma) for a in range(5)]
+        [gather_matrix(masks, BladeOperator.left(e(CL32, a)), times_gamma) for a in range(5)]
     )
     vec.setflags(write=False)
-    return vec, _gather_block(masks, _LEFT_PSEUDO)
+    return vec, gather_matrix(masks, _LEFT_PSEUDO)
 
 
 def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
@@ -537,10 +526,10 @@ def _hestenes_blocks() -> tuple[np.ndarray, np.ndarray]:
     that of ``psi -> psi e012``, on the even blades free of e4, read-only."""
     masks, times_e12 = NO_E4_EVEN_MASKS, BladeOperator.right(_E12)
     vec = np.stack(
-        [_gather_block(masks, BladeOperator.left(e(CL32, mu)), times_e12) for mu in range(4)]
+        [gather_matrix(masks, BladeOperator.left(e(CL32, mu)), times_e12) for mu in range(4)]
     )
     vec.setflags(write=False)
-    return vec, _gather_block(masks, _RIGHT_E012)
+    return vec, gather_matrix(masks, _RIGHT_E012)
 
 
 def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivector]:

@@ -32,6 +32,7 @@ from fermion5d.algebra import (
     even_coeffs,
     even_masks,
     from_even_coeffs,
+    gather_matrix,
     kernel_backend,
     linear_map_matrix,
     nullspace,
@@ -637,3 +638,34 @@ def test_blade_operator_needs_exactly_one_blade():
         BladeOperator.right(Multivector.zero())
     # -0.0 in the other slots does not count as a second blade
     assert np.array_equal(BladeOperator.left(-(-e(CL32, 0))).sign, BladeOperator.left(e(CL32, 0)).sign)
+
+
+@pytest.mark.parametrize("signature", ALL_SIGNATURES, ids=str)
+def test_gather_matrix_equals_the_linear_map_matrix_bitwise(signature, rng):
+    n = signature.n_blades
+    for masks in (range(n), even_masks(signature), odd_masks(signature)[::-1]):
+        for length in (1, 2, 3):
+            coeffs = rng.choice([1.0, -1.0, 0.37], size=length)
+            blades = [Multivector.blade(int(rng.integers(n)), signature, c) for c in coeffs]
+            sides = rng.integers(2, size=length)
+            ops = [
+                BladeOperator.left(b) if s else BladeOperator.right(b) for b, s in zip(blades, sides)
+            ]
+
+            def chain(mv):
+                for b, s in zip(blades, sides):
+                    mv = b * mv if s else mv * b
+                return mv
+
+            got = gather_matrix(masks, *ops)
+            want = linear_map_matrix(chain, signature, masks)
+            assert got.shape == want.shape == (n, len(masks))
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
+def test_gather_matrix_takes_only_blade_operators():
+    with pytest.raises(TypeError, match="BladeOperator"):
+        gather_matrix(even_masks(CL32))
+    with pytest.raises(TypeError, match="BladeOperator"):
+        gather_matrix(even_masks(CL32), lambda rows: rows)

@@ -255,9 +255,9 @@ def test_coulomb_checks_build_each_operator_matrix_once(monkeypatch):
     cli._coulomb_checks()  # fill the cached radial blocks first
     build, calls = coulomb.even_operator_matrix, []
 
-    def counting_build(fn):
-        calls.append(fn)
-        return build(fn)
+    def counting_build(*ops):
+        calls.append(ops)
+        return build(*ops)
 
     monkeypatch.setattr(coulomb, "even_operator_matrix", counting_build)
     cli._coulomb_checks()

@@ -20,13 +20,13 @@ import pytest
 from fermion5d import cli, coulomb
 from fermion5d.algebra import (
     CL32,
+    BladeOperator,
     Multivector,
     e,
     even_coeffs,
     even_masks,
     from_even_coeffs,
     pseudoscalar,
-    random_multivector,
 )
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
 from fermion5d.coulomb import (
@@ -50,6 +50,7 @@ from fermion5d.fields import AnalyticField
 from fermion5d.wave import GammaChoice
 
 BOTH_GAMMAS = (GammaChoice.e12(), GammaChoice.e0E())
+LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # the grade-flip pairing, x -> E x
 EYE = np.eye(16)
 
 #: Frozen binding energies in eV for hydrogen (Z = 1), computed as
@@ -95,8 +96,7 @@ def test_building_block_operators_are_exact_involutions(gamma):
     # multiplication by any spatial unit has the algebra of R, and the last
     # of them, e3, is R
     for axis in (1, 2, 3):
-        unit = e(CL32, axis)
-        mat = even_operator_matrix(lambda mv: unit * mv)
+        mat = even_operator_matrix(BladeOperator.left(e(CL32, axis)), LEFT_PSEUDO)
         assert np.array_equal(mat @ mat, EYE)
         assert np.array_equal(z @ mat, -(mat @ z))
         assert np.array_equal(h @ mat, mat @ h)
@@ -154,37 +154,52 @@ def column_loop_operator_matrix(fn):
     return matrix
 
 
-def test_even_operator_matrix_equals_the_column_loop_bitwise(rng):
-    even = random_multivector(rng, CL32, even=True)
-    vec = random_multivector(rng, CL32).grade(1)
-    operators = [
-        lambda mv: even * mv - mv * even,
-        lambda mv: vec * mv,
-        lambda mv: -(mv * e(CL32, 0, 1, 2)),
-        lambda mv: 0.0 * mv,
+def test_even_operator_matrix_equals_the_column_loop_bitwise():
+    e0, e012 = e(CL32, 0), e(CL32, 0, 1, 2)
+    cases = [
+        (e0_sandwich_matrix(), lambda mv: e0 * mv * e0),
+        (radial_left_matrix(), lambda mv: e(CL32, 3) * mv),
+        (
+            even_operator_matrix(BladeOperator.right(-e012), LEFT_PSEUDO),
+            lambda mv: -(mv * e012),
+        ),
     ]
-    for gamma in (GammaChoice.e12(), GammaChoice.e0E()):
-        ge0 = gamma.as_multivector() * e(CL32, 0)
-        operators.append(lambda mv, ge0=ge0: mv * ge0)
-    for unit in (e(CL32, 1), e(CL32, 2), e(CL32, 3)):
-        operators.append(lambda mv, unit=unit: unit * mv)
-    operators.append(lambda mv: e(CL32, 0) * mv * e(CL32, 0))
-    for fn in operators:
-        got = even_operator_matrix(fn)
+    for gamma in BOTH_GAMMAS:
+        ge0 = gamma.as_multivector() * e0
+        cases.append((gamma_e0_right_matrix(gamma), lambda mv, ge0=ge0: mv * ge0))
+    for axis in (1, 2, 3):
+        unit = e(CL32, axis)
+        cases.append(
+            (even_operator_matrix(BladeOperator.left(unit), LEFT_PSEUDO), lambda mv, u=unit: u * mv)
+        )
+    for got, fn in cases:
         assert got.flags.c_contiguous and got.flags.writeable
         assert got.tobytes() == column_loop_operator_matrix(fn).tobytes()
 
 
 def test_even_operator_matrix_rejects_parity_violations():
-    with pytest.raises(ValueError, match="mixes even and odd"):
-        even_operator_matrix(lambda mv: mv + e(CL32, 0) * mv)
+    # a grade-flipping chain without the final pseudoscalar pairing
+    for ops in (
+        (BladeOperator.left(e(CL32, 3)),),
+        (BladeOperator.right(GammaChoice.e12().as_multivector()), coulomb._RIGHT_E0),
+        (LEFT_PSEUDO,),
+    ):
+        with pytest.raises(ValueError, match="output is odd"):
+            even_operator_matrix(*ops)
+    with pytest.raises(TypeError, match="BladeOperator"):
+        even_operator_matrix(lambda mv: e(CL32, 3) * mv)
 
-    def inconsistent(mv):
-        # identity on the scalar blade, grade-flipping elsewhere
-        return mv if mv.coeffs[0] != 0.0 else e(CL32, 0) * mv
 
-    with pytest.raises(ValueError, match="parity differs"):
-        even_operator_matrix(inconsistent)
+def test_the_operator_builders_multiply_no_multivectors(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("Multivector product")
+
+    monkeypatch.setattr(Multivector, "__mul__", no_product)
+    e0_sandwich_matrix()
+    radial_left_matrix()
+    for gamma in BOTH_GAMMAS:
+        gamma_e0_right_matrix(gamma)
+        coulomb._radial_blocks.__wrapped__(gamma)
 
 
 # ---------------------------------------------------------------------------
