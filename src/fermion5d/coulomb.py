@@ -25,13 +25,12 @@ series' check of the system: ``u = rho^q e^(beta rho) sum_p C_p rho^p``
 solves it exactly when ``((p + q) I - S) C_p = -(beta I + T) C_(p-1)`` at
 every power, which the recurrence imposes by construction, and ``(beta I +
 T) C_(n_r) = 0`` at the top power, which is the termination identity.  The
-step matrices ``((p + q) I - S)^-1`` are inverted numerically (not from the
-closed form that ``S^2`` would allow, so the solver does not assume the
-identity it cross-checks) and shared by the scan of the admissible
-subspace, the threshold scale and the final coefficients.
-:func:`solve_radials` solves many states at once: one stacked call per phase
-bivector for the step inverse and two SVDs, the states sorted so that those
-still stepping form a prefix, plus one final SVD per admissible dimension.
+solver uses ``S^2 = q^2 I`` for the steps ``((p + q) I - S)^-1 = ((p + q) I
++ S) / (p (p + 2q))`` and the indicial kernel, 8 scaled columns of ``S + qI``,
+and checks it for every state: one whose ``S^2`` misses ``q^2 I`` by more
+than 1e-12 kappa^2 is an error, not a series.  :func:`solve_radials` solves
+many states at once: one stacked SVD per phase bivector, the states sorted
+so that those still stepping form a prefix, plus one per admissible dimension.
 
 Each constant operator is a chain of signed blade gathers on the even basis.
 A chain that flips even and odd grades ends with the gather of ``x -> E x``,
@@ -65,13 +64,16 @@ _LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # x -> E x
 _LEFT_E0, _RIGHT_E0 = BladeOperator.left(e(CL32, 0)), BladeOperator.right(e(CL32, 0))
 _LEFT_E3 = BladeOperator.left(e(CL32, 3))  # the radial unit
 _EVEN_MASKS, _ODD_MASKS = list(even_masks(CL32)), list(odd_masks(CL32))
+_EYE = np.eye(16)
+_EYE.setflags(write=False)
 
+#: Bound on ``|S^2 - q^2 I|``, relative to kappa^2, past which a state is an error.
+SQUARE_IDENTITY_BOUND = 1e-12
 #: Relative bound on the termination residual of a series, also the relative
 #: singular-value gap that counts a direction as terminating.
 SVD_GAP_THRESHOLD = 1e-10
-#: Fixed generic vector whose projection onto the terminating subspace picks
-#: the series direction: the square roots of the first sixteen primes, of
-#: which no rational combination vanishes.
+#: Fixed generic vector whose projection onto the terminating subspace picks the
+#: series direction: square roots of the first sixteen primes, rationally independent.
 _DIRECTION_PROBE = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
 
 #: Orbital letters for l = 0, 1, 2, ...: "spdf", then alphabetical from g,
@@ -115,12 +117,16 @@ def _radial_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The constant blocks ``(Z, R H Z, R)`` of the radial system, read-only.
 
     They depend only on the phase bivector, so they are built once per phase
-    bivector and shared by every ``S`` and ``T``.
+    bivector and shared by every ``S`` and ``T``.  Raises unless they have
+    the structure that :func:`_indicial_kernel` relies on.
     """
-    z = e0_sandwich_matrix()
-    h = gamma_e0_right_matrix(gamma)
-    r = radial_left_matrix()
-    rhz = r @ h @ z
+    z, r = e0_sandwich_matrix(), radial_left_matrix()
+    rhz = r @ gamma_e0_right_matrix(gamma) @ z
+    perm = np.abs(rhz)  # nonnegative with perm perm^T = I: a permutation
+    if not (np.array_equal(np.abs(z), _EYE) and np.array_equal(perm @ perm.T, _EYE)
+            and not (z @ rhz + rhz @ z).any()):
+        raise RuntimeError(f"radial blocks of {gamma.variant} are not Z = diag(+-1) and "
+                           "a signed permutation RHZ that anticommutes with it")
     for mat in (z, rhz, r):
         mat.setflags(write=False)
     return z, rhz, r
@@ -182,10 +188,8 @@ class CoulombParams:
         if not (self.coupling > 0):
             raise ValueError("coupling must be positive for bound states")
         if self.coupling**2 >= self.kappa**2:
-            raise ValueError(
-                f"coupling {self.coupling} too strong for kappa={self.kappa}: "
-                "need coupling^2 < kappa^2"
-            )
+            raise ValueError(f"coupling {self.coupling} too strong for kappa={self.kappa}: "
+                             "need coupling^2 < kappa^2")
 
     @property
     def series_exponent(self) -> float:
@@ -294,17 +298,14 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
     """Decay constants ``d = |beta| / m`` at the roots of the termination
     gap ``d (n_r + q) - lambda sqrt(1 - d^2)``, strictly increasing on (0, 1).
 
-    Rooting in the decay constant rather than the energy keeps the
-    termination identity sharp even when the energy is within ulps of the
-    rest mass (weak coupling), where d(decay)/d(energy) blows up.  The gap
-    is ``-lambda < 0`` at 0 and ``n_r + q > 0`` at 1, so (0, 1) brackets
-    every root; each state is bisected on its own row until its bracket is
-    two adjacent floats, which ends because every step shrinks an active
-    bracket (at most about 1100 steps, down to the smallest subnormal).
-    """
-    coupling, shift = np.array(
-        [(p.coupling, p.n_r + p.series_exponent) for p in params_seq], dtype=np.float64
-    ).reshape(-1, 2).T
+    Rooting in the decay rather than the energy keeps the termination
+    identity sharp when the energy is within ulps of the rest mass (weak
+    coupling), where d(decay)/d(energy) blows up.  The gap is ``-lambda`` at
+    0 and ``n_r + q`` at 1, so (0, 1) brackets every root; each state is
+    bisected until its bracket is two adjacent floats (at most about 1100
+    steps, down to the smallest subnormal, as every step shrinks it)."""
+    coupling, shift = np.array([(p.coupling, p.n_r + p.series_exponent)
+                                for p in params_seq], dtype=np.float64).reshape(-1, 2).T
     lo, hi = np.zeros(len(coupling)), np.ones(len(coupling))
     active = np.ones(len(coupling), dtype=bool)
     while True:
@@ -322,13 +323,9 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _column_scale(blocks: np.ndarray) -> np.ndarray:
-    """Largest column 2-norm of each matrix of a ``(..., 16, 16)`` stack.
-
-    ``max_j |B e_j|`` is a lower bound on the 2-norm ``|B|_2``, so a
-    threshold built from it is never looser than one built from singular
-    values.  The blocks are those of the mass-1 problem, whose entries are
-    of order 1, so their squares are summed as they are.
-    """
+    """Largest column 2-norm of each matrix of a ``(..., 16, 16)`` stack: ``max_j
+    |B e_j| <= |B|_2``, so a threshold from it is never looser than one from singular
+    values.  The mass-1 blocks' entries are of order 1, so squares are summed as they are."""
     return np.sqrt((blocks * blocks).sum(axis=-2)).max(axis=-1)
 
 
@@ -341,12 +338,30 @@ def _split_selected(mask: np.ndarray, vt: np.ndarray):
         yield count, batch, vt[batch][mask[batch]].reshape(len(batch), count, vt.shape[-1])
 
 
+def _step_inverses(s_plus_q: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
+    """``((p+q) I - S)^-1 = ((S + qI) + pI) / (p (p+2q))`` of a stack, as ``S^2 = q^2 I``."""
+    return (s_plus_q + p * _EYE) / (p * (p + 2 * q))
+
+
+def _indicial_kernel(z, s_plus_q, kappas, couplings, q) -> np.ndarray:
+    """Orthonormal bases ``(N, 16, 8)`` of the indicial kernels ``null(S - qI)``.
+
+    ``S^2 = q^2 I`` puts the columns of ``S + qI`` in the kernel.  ``Z`` is
+    diagonal +-1 and ``R H Z`` a signed permutation anticommuting with it, so
+    the column at each of the 8 blades where ``Z = sign kappa`` holds
+    ``|kappa| + q`` there and ``+-lambda`` at one blade where ``Z = -sign
+    kappa``: disjoint supports, orthonormal once scaled by their norm."""
+    diag = np.diag(z)
+    blades = np.where(kappas[:, 0] > 0, np.flatnonzero(diag > 0), np.flatnonzero(diag < 0))
+    kernel = np.take_along_axis(s_plus_q, blades[:, None, :], axis=2)
+    return kernel / np.hypot(np.abs(kappas) + q, couplings)
+
+
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     """Solutions, or errors, of states that share the phase bivector, sorted by n_r
     from the largest down, solved at mass 1 from their decays, then scaled."""
     n_r, gamma = np.array([p.n_r for p in group]), group[0].gamma
-    _, rhz, r = _radial_blocks(gamma)
-    eye = np.eye(16)
+    z, rhz, r = _radial_blocks(gamma)
     energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
     everyone = np.arange(len(group))
 
@@ -354,21 +369,21 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         return np.array(values, dtype=np.float64)[:, None, None]
 
     def square_error(mat: np.ndarray, square: list) -> np.ndarray:
-        return np.abs(mat @ mat - col(square) * eye).max(axis=(1, 2))
+        return np.abs(mat @ mat - col(square) * _EYE).max(axis=(1, 2))
 
     q = col([p.series_exponent for p in group])
     kappas, couplings = col([p.kappa for p in group]), col([p.coupling for p in group])
     s_mat = angular_coupling_matrix(kappas, couplings, gamma)
+    s_plus_q = s_mat + q * _EYE
     s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
     t_mat = mass_energy_matrix(1.0, col(energies), gamma)
     t_square_err = square_error(t_mat, [1.0 - b**2 for b in energies])
 
-    # (beta I + T) in split form: T = (R - RHZ) + b RHZ with the binding
-    # b = 1 - eps = d^2 / (1 + eps).  Its eigenvalues are +-d up to the
-    # rounding of b alone, whereas T = R - eps RHZ built from the rounded
-    # eps moves them by ~ulp(eps) / d, which at weak coupling is a relative
-    # termination residual above the bound.  R - RHZ holds at most two +-1 or
-    # +-2 entries per row, so its product with c rounds once per component.
+    # (beta I + T) in split form, T = (R - RHZ) + b RHZ with the binding b =
+    # 1 - eps = d^2 / (1 + eps): its eigenvalues are +-d up to the rounding of
+    # b alone, whereas the rounded eps in T = R - eps RHZ moves them by
+    # ~ulp(eps) / d, above the termination bound at weak coupling.  R - RHZ
+    # has at most two +-1 or +-2 entries per row: one rounding per component.
     r_minus_rhz = r - rhz
     binding = col([d * d / (1.0 + b) for d, b in zip(decays, energies)])
     beta = col([-d for d in decays])
@@ -376,14 +391,12 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     def terminate(c: np.ndarray, batch=slice(None)) -> np.ndarray:
         return r_minus_rhz @ c + binding[batch] * (rhz @ c) + beta[batch] * c
 
-    # the recurrence steps ((p+q) I - S)^-1 of every state for p = 1..n_r, power-major,
-    # inverted in one batched call and shared by every propagation and the threshold scale
+    # every state's steps for p = 1..n_r, power-major, shared by every propagation
     counts = [int((n_r >= p).sum()) for p in range(1, n_r[0] + 1)]
     offsets = np.cumsum([0] + counts)
     steps = np.empty((offsets[-1], 16, 16))
     for p, count in enumerate(counts):
-        np.subtract((p + 1 + q[:count]) * eye, s_mat[:count], out=steps[offsets[p]:offsets[p + 1]])
-    steps = np.linalg.inv(steps)
+        steps[offsets[p]:offsets[p + 1]] = _step_inverses(s_plus_q[:count], q[:count], p + 1)
 
     def propagate(block: np.ndarray, batch=everyone) -> tuple[list, np.ndarray]:
         """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})`` for
@@ -395,38 +408,27 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
             top[:k] = chain[-1]
         return chain, top
 
-    # C_0 must satisfy (S - q I) C_0 = 0 and, after propagating through the
-    # recurrence, the termination identity (beta I + T) C_{n_r} = 0.  At the
-    # root energy the termination map restricted to the indicial kernel is
-    # rank-deficient; depending on the cell it either selects part of the
-    # kernel (n_r = 0) or vanishes identically on it (n_r >= 1, where the
-    # quantization kills the whole chain).  Both cases are handled uniformly
-    # by thresholding the restricted map against the generic magnitude a
-    # non-quantized chain would have: the product of the scales
-    # (:func:`_column_scale`) of the termination map and of each step applied to it.
-    termination = terminate(eye)
+    # C_0 must satisfy (S - q I) C_0 = 0 and, propagated, (beta I + T) C_{n_r} = 0.
+    # At the root the termination map selects part of the indicial kernel (n_r = 0)
+    # or vanishes on all of it (n_r >= 1): both are thresholded against the product
+    # of the scales of the termination map and of each step on it, a generic chain's.
+    termination = terminate(_EYE)
     termination_norm = _column_scale(termination)
     generic_scale = termination_norm.copy()
     for p, k in reversed(list(enumerate(counts))):  # powers n_r .. 1, as each state's product
         generic_scale[:k] *= _column_scale(steps[offsets[p]:offsets[p + 1]] @ -termination[:k])
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
-    # S^2 = q^2 I and tr S = 0 make the indicial kernel (S's +q eigenspace)
-    # 8-dimensional: the right singular vectors of the 8 smallest singular values
-    kernel = np.ascontiguousarray(np.swapaxes(np.linalg.svd(s_mat - q * eye)[2][:, 8:], 1, 2))
+    kernel = _indicial_kernel(z, s_plus_q, kappas, couplings, q)
     sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel)[1]))[1:]
     admissible = sing_w <= threshold[:, None]
     kernel_dims = admissible.sum(axis=1).tolist()
     leading = np.zeros((len(group), 16))
     for _, batch, kept in _split_selected(admissible, vt_w):
-        # propagate the whole admissible subspace and keep the directions
-        # whose final coefficient is largest; this avoids near-degenerate
-        # directions (close couplings make neighboring levels almost
-        # align) that would make the last coefficient vanish by
-        # cancellation.  That singular value is often degenerate, and
-        # which vector of its subspace an SVD returns is up to roundoff,
-        # so the series starts from the projection of a fixed generic
-        # vector onto the whole subspace, which roundoff only nudges
+        # keep the admissible directions whose final coefficient is largest, not
+        # those it vanishes on by cancellation (close couplings make neighboring
+        # levels almost align).  That singular value is often degenerate, so the
+        # series starts from a fixed vector projected onto its whole subspace
         basis = kernel[batch] @ np.swapaxes(kept, 1, 2)
         _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[1], full_matrices=False)
         for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
@@ -438,11 +440,9 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     for p, c in enumerate(chain):
         coefficients[:len(c), p] = c[..., 0]
 
-    # honest post-check: the last coefficient must be annihilated relative
-    # to the scale of the termination map (a genuinely non-terminating
-    # direction scores O(1) in this measure).  Both norms are taken of last
-    # / max|last|, which leaves the ratio as it is, but keeps the squares of
-    # a last coefficient that decayed far below 1 from underflowing to 0 / 0
+    # post-check: the termination map annihilates the last coefficient
+    # relative to its scale (a non-terminating direction scores O(1)); both
+    # norms are of last / max|last|, so tiny squares do not underflow to 0 / 0
     last, c0 = last[..., 0], leading[..., None]
     peak = np.abs(last).max(axis=1)
     unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
@@ -452,7 +452,10 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     results: list = []
     for i, params in enumerate(group):
         state = f"kappa={params.kappa}, n_r={params.n_r}"
-        if decays[i] == 0.0:  # the root lies below the smallest subnormal
+        if not s_square_err[i] <= SQUARE_IDENTITY_BOUND * params.kappa**2:
+            error = (f"S^2 = q^2 I fails: error {s_square_err[i]:.3e} exceeds "
+                     f"{SQUARE_IDENTITY_BOUND:.0e} kappa^2 ({state})")
+        elif decays[i] == 0.0:  # the root lies below the smallest subnormal
             error = f"decay constant rounds to 0 ({state}, coupling={params.coupling:.3e})"
         elif kernel_dims[i] == 0:
             error = ("no terminating series at the root energy: smallest termination "
@@ -488,7 +491,8 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     element that is not a :class:`CoulombParams` raises ``TypeError``.  A
     state of mass m is that of mass 1 scaled: m times the energy and the
     decay, and the same coefficients in ``rho = m r``.  One bisection roots
-    every state, and the LAPACK calls are stacked per phase bivector.
+    every state; per phase bivector, one SVD finds the admissible subspaces
+    and one per distinct admissible dimension the series directions.
     """
     params_seq, groups, results = list(params_seq), {}, {}
     for i, params in enumerate(params_seq):
@@ -506,19 +510,17 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
 def solve_radial(params: CoulombParams) -> RadialSolution:
     """Root-find the termination energy and build the terminating series.
 
-    ``diagnostics`` are those of the mass-1 solve (:func:`solve_radials`),
-    save the energy's ``closed_form_delta``, and hold the relative residual of
-    the termination identity on the last coefficient, the series' whole
-    check of the system (see the module docstring).  Its
-    ``termination_vacuity`` is the 2-norm of the termination map restricted
-    to the indicial kernel over the threshold scale, a product of largest
-    column norms that is a lower bound on the product of 2-norms, so it can
-    exceed 1.  Raises when no series direction terminates (for example
-    n_r = 0 with kappa > 0 when the phase bivector is e0 times the
-    pseudoscalar, mirroring the standard Dirac-Coulomb selection rule),
-    when its last coefficient underflows to zero, or when the decay
-    constant rounds to 0 (coupling 5e-324).  This is :func:`solve_radials`
-    on a batch of one: four LAPACK calls whatever ``n_r`` is.
+    ``diagnostics`` are those of the mass-1 solve, save the energy's
+    ``closed_form_delta``, and hold the relative residual of the termination
+    identity on the last coefficient, the series' whole check of the system
+    (see the module docstring).  Its ``termination_vacuity`` is the 2-norm of
+    the termination map on the indicial kernel over the threshold scale, a
+    lower bound on the product of 2-norms, so it can exceed 1.  Raises when
+    ``S^2 = q^2 I`` fails, when no series direction terminates (n_r = 0 with
+    kappa > 0 when the phase bivector is e0 times the pseudoscalar, the
+    Dirac-Coulomb selection rule), when its last coefficient underflows to
+    zero, or when the decay constant rounds to 0 (coupling 5e-324).  This is
+    :func:`solve_radials` on a batch of one: two SVDs whatever ``n_r`` is.
     """
     (result,) = solve_radials([params])
     if isinstance(result, RuntimeError):
@@ -531,9 +533,7 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
 # ---------------------------------------------------------------------------
 
 
-def angular_reduction_check(
-    kappa: int, field: Field5, points: Sequence[Sequence[float]]
-) -> float:
+def angular_reduction_check(kappa: int, field: Field5, points: Sequence[Sequence[float]]) -> float:
     """Sup norm of ``r grad(phi) - (r.grad + 1 - kappa zeta) phi`` over points.
 
     ``r`` is the spatial position vector, ``grad`` the spatial vector

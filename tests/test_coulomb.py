@@ -52,6 +52,7 @@ from fermion5d.wave import GammaChoice
 BOTH_GAMMAS = (GammaChoice.e12(), GammaChoice.e0E())
 LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # the grade-flip pairing, x -> E x
 EYE = np.eye(16)
+EPS = np.finfo(np.float64).eps
 
 #: Frozen binding energies in eV for hydrogen (Z = 1), computed as
 #: (closed-form energy at unit mass - 1) * electron mass.  Regression pins.
@@ -138,6 +139,28 @@ def test_cached_blocks_are_keyed_by_phase_bivector():
     # an equal phase bivector built anew hits the cache
     again = coulomb._radial_blocks(GammaChoice.e12())
     assert all(a is b for a, b in zip(again, (z12, rhz12, r12)))
+
+
+@pytest.mark.parametrize("broken", ["z-scaled", "rhz-entry-2", "rhz-two-in-a-row", "rhz-commutes"])
+def test_radial_blocks_refuse_blocks_without_the_kernel_structure(broken, monkeypatch):
+    # Z diagonal +-1 and RHZ a signed permutation that anticommutes with it
+    # are what make the indicial kernel exact.  Each case breaks one of the
+    # three and keeps the other two; H = R X Z^-1 makes R H Z = X, as R^2 = I
+    z, rhz, r = (np.array(block) for block in coulomb._radial_blocks(GammaChoice.e12()))
+    if broken == "z-scaled":
+        z *= 2.0  # still anticommutes with RHZ
+    elif broken == "rhz-entry-2":
+        rhz *= 2.0
+    elif broken == "rhz-two-in-a-row":
+        # a second entry between opposite Z signs keeps the anticommutation
+        rhz[0, np.flatnonzero((np.diag(z) != z[0, 0]) & (rhz[0] == 0))[0]] = 1.0
+    else:
+        rhz = z.copy()  # a signed permutation that commutes with Z
+    monkeypatch.setattr(coulomb, "e0_sandwich_matrix", lambda: z)
+    monkeypatch.setattr(coulomb, "gamma_e0_right_matrix",
+                        lambda gamma: r @ rhz @ np.diag(1.0 / np.diag(z)))
+    with pytest.raises(RuntimeError, match="are not Z = diag"):
+        coulomb._radial_blocks.__wrapped__(GammaChoice.e12())
 
 
 def column_loop_operator_matrix(fn):
@@ -553,8 +576,8 @@ def spectral_norm(block):
 
 def solve_step_by_step(params, scale_of=column_scale):
     """The solver's energy, kernel dimension, vacuity and series, recomputed
-    the way they were before the recurrence steps were inverted in one
-    batched call: ``series_exponent`` read on every bisection step, one
+    the way they were before the recurrence steps were built in one batch:
+    ``series_exponent`` read on every bisection step, one
     ``np.linalg.solve`` per recurrence step and one ``scale_of`` per block
     of the threshold scale.  The series direction follows the solver's
     rule, the fixed probe projected onto the top singular subspace of the
@@ -745,11 +768,10 @@ def test_solve_radials_takes_any_iterable_and_names_a_bad_element(bad, error):
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypatch):
-    # One batched inverse builds every recurrence step of every state that
-    # shares the phase bivector, whatever its n_r, and the threshold scale
-    # takes largest column norms, not singular values.  A solve makes one
-    # inverse and two SVDs per phase bivector, plus one final SVD per
-    # distinct admissible dimension.
+    # The recurrence steps and the indicial kernel come from S^2 = q^2 I in
+    # closed form, and the threshold scale takes largest column norms, not
+    # singular values.  A solve makes no inverse and one SVD per phase
+    # bivector, plus one final SVD per distinct admissible dimension.
     names = ("solve", "svd", "inv", "norm")
 
     def lapack_calls(solve):
@@ -775,7 +797,7 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
     long, _ = lapack_calls(lambda: solve_radial(state(n_r=6)))
     assert short["solve"] == long["solve"] == 0, (short, long)
     assert sum(long.values()) <= sum(short.values()), (short, long)
-    assert long["svd"] + long["inv"] <= 4, long
+    assert long["inv"] == 0 and long["svd"] <= 2, long
 
     # 14 states that share n_r make the calls of one
     kappas = [k for k in range(-7, 8) if k]
@@ -783,25 +805,102 @@ def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypat
     assert many == lapack_calls(lambda: solve_radials([state(n_r=3)]))[0], many
 
     def assert_one_stacked_solve(batch):
-        # one inverse, and two SVDs plus one per distinct admissible dimension
+        # no inverse, and one SVD plus one per distinct admissible dimension
+        # of each phase bivector
         counts, solved = lapack_calls(lambda: solve_radials(batch))
-        dims = {s.diagnostics["termination_kernel_dim"]
+        dims = {(s.params.gamma, s.diagnostics["termination_kernel_dim"])
                 for s in solved if not isinstance(s, RuntimeError)}
-        assert counts["inv"] == 1 and counts["svd"] <= 2 + len(dims), (counts, dims)
+        bivectors = {s.gamma for s in batch}
+        assert counts["inv"] == 0 and counts["svd"] <= len(bivectors) + len(dims), (counts, dims)
         return counts
 
     # a batch over four n_r and two couplings
     mixed = [state(k, n_r, c) for k in kappas for n_r in range(4) for c in (1e-4, 0.6)]
     assert_one_stacked_solve(mixed)
-    # both phase bivectors in one batch: one inverse each
+    # both phase bivectors in one batch: the calls of each
     other = BOTH_GAMMAS[1] if gamma == BOTH_GAMMAS[0] else BOTH_GAMMAS[0]
-    both, _ = lapack_calls(lambda: solve_radials(mixed + [replace(p, gamma=other) for p in mixed]))
-    assert both["inv"] == 2, both
+    assert_one_stacked_solve(mixed + [replace(p, gamma=other) for p in mixed])
     # the 64 states of `spectrum --max-n 8` at Z = 37 (a group per n_r made 32 calls)
     spectrum = [state(k, n_r, 37 * FINE_STRUCTURE) for k, n_r in cli._spectrum_states(8)]
     counts = assert_one_stacked_solve(spectrum)
     if gamma == GammaChoice.e12():  # the phase bivector `spectrum` uses
-        assert counts == {"solve": 0, "svd": 4, "inv": 1, "norm": 0}, counts
+        assert counts == {"solve": 0, "svd": 3, "inv": 0, "norm": 0}, counts
+
+
+#: Couplings of the closed-form checks, 1e-300 to 0.9999999.
+IDENTITY_COUPLINGS = (1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-20, *np.logspace(-16, -1, 24),
+                      0.3, 0.5, 0.9, 0.99, 0.999999, 0.9999999)
+
+
+def identity_grid(gamma):
+    """``(kappa, coupling, q, S)`` as ``(N, 1, 1)`` columns and a stack, for
+    kappa = +-1..+-21 at every coupling of :data:`IDENTITY_COUPLINGS`."""
+    kappa, coupling = np.meshgrid([k for k in range(-21, 22) if k], IDENTITY_COUPLINGS)
+    kappa, coupling = kappa.reshape(-1, 1, 1).astype(float), coupling.reshape(-1, 1, 1)
+    q = np.sqrt((kappa - coupling) * (kappa + coupling))  # as series_exponent rounds it
+    return kappa, coupling, q, angular_coupling_matrix(kappa, coupling, gamma)
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_closed_form_steps_match_the_lapack_inverse(gamma):
+    # ((p+q) I - S)^-1 = ((S + qI) + pI) / (p (p+2q)) against np.linalg.inv, for
+    # the powers of `spectrum --max-n 8`.  The bound is the sum of both errors:
+    # where they differ most, against a 40-digit inverse, LAPACK's is 9 eps
+    # and the closed form's 5 eps, relative to the largest entry
+    kappa, coupling, q, s_mat = identity_grid(gamma)
+    worst = (0.0, None)
+    for p in range(1, 9):
+        closed = coulomb._step_inverses(s_mat + q * EYE, q, p)
+        reference = np.linalg.inv((p + q) * EYE - s_mat)
+        relative = np.abs(closed - reference).max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))
+        assert (relative <= 16 * EPS).all(), (p, relative.max() / EPS)
+        if relative.max() > worst[0]:
+            worst = (relative.max(), (p, relative.argmax(), closed[relative.argmax()]))
+    p, i, closed = worst[1]
+    with mp.workdps(40):
+        shifted = mp.matrix((-s_mat[i]).tolist()) + (p + mp.mpf(q[i, 0, 0])) * mp.eye(16)
+        exact = np.array((shifted**-1).tolist(), dtype=np.float64)
+    assert np.abs(closed - exact).max() <= 6 * EPS * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_structured_indicial_kernel_matches_the_svd_kernel(gamma):
+    kappa, coupling, q, s_mat = identity_grid(gamma)
+    z = coulomb._radial_blocks(gamma)[0]
+    kernel = coulomb._indicial_kernel(z, s_mat + q * EYE, kappa, coupling, q)
+    # two nonzeros per column, and no two columns share a row
+    nonzero = kernel != 0.0
+    assert (nonzero.sum(axis=1) == 2).all() and (nonzero.sum(axis=2) <= 1).all()
+    gram = kernel.swapaxes(1, 2) @ kernel
+    assert not (gram * (1.0 - np.eye(8))).any()  # exactly orthogonal
+    assert np.abs(gram - np.eye(8)).max() <= 2 * EPS
+    # the kernel the SVD finds: the same subspace, up to the SVD's own error,
+    # which reaches 1.01e-14 at |kappa| = 13
+    svd_kernel = np.swapaxes(np.linalg.svd(s_mat - q * EYE)[2][:, 8:], 1, 2)
+    projectors = kernel @ kernel.swapaxes(1, 2), svd_kernel @ svd_kernel.swapaxes(1, 2)
+    assert np.abs(projectors[0] - projectors[1]).max() <= 64 * EPS
+    # (S - qI) K is (kappa^2 - lambda^2 - q^2) / |column| at one entry per
+    # column: not 0, as q is a rounded square root, but within eps |kappa|,
+    # where the SVD kernel's residual reaches 76 eps |kappa|
+    residual = np.abs((s_mat - q * EYE) @ kernel).max(axis=(1, 2))
+    assert (residual <= EPS * np.abs(kappa[:, 0, 0])).all()
+
+
+def test_a_failed_square_identity_is_an_error_for_every_state(monkeypatch):
+    # the solver takes its steps and kernel from S^2 = q^2 I, so a block that
+    # breaks it (one sign of R H Z flipped) makes every state an error
+    z, rhz, r = coulomb._radial_blocks(GammaChoice.e12())
+    flipped = np.array(rhz)
+    flipped[0, np.flatnonzero(flipped[0])[0]] *= -1.0
+    monkeypatch.setattr(coulomb, "_radial_blocks", lambda gamma: (z, flipped, r))
+    batch = [CoulombParams(mass=1.0, coupling=c, kappa=k, n_r=n_r)
+             for c in (1e-4, 0.3, 0.9) for k in (-2, -1, 1, 2) for n_r in range(3)]
+    for params, result in zip(batch, solve_radials(batch)):
+        assert isinstance(result, RuntimeError), params
+        assert str(result).startswith("S^2 = q^2 I fails: error "), result
+        assert f"kappa={params.kappa}, n_r={params.n_r}" in str(result)
+    with pytest.raises(RuntimeError, match=r"S\^2 = q\^2 I fails"):
+        solve_radial(batch[0])
 
 
 # ---------------------------------------------------------------------------
