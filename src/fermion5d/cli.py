@@ -398,7 +398,7 @@ def _beyond_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     return checks
 
 
-def cmd_verify(args: argparse.Namespace) -> ReportDocument:
+def _run_verify(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     checks: list[Check] = []
     checks += _algebra_checks(rng, args.trials, args.debug_corrupt_metric)
@@ -407,16 +407,13 @@ def cmd_verify(args: argparse.Namespace) -> ReportDocument:
     checks += _wave_checks(rng, args.trials)
     checks += _coulomb_checks()
     checks += _beyond_checks(rng, args.trials)
-    return ReportDocument(
-        command="verify",
-        inputs={
-            "seed": args.seed,
-            "trials": args.trials,
-            "backend": kernel_backend(),
-            "debug_corrupt_metric": bool(args.debug_corrupt_metric),
-        },
-        checks=checks,
-    )
+    inputs = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "backend": kernel_backend(),
+        "debug_corrupt_metric": bool(args.debug_corrupt_metric),
+    }
+    return _emit(ReportDocument(command="verify", inputs=inputs, checks=checks), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +432,19 @@ def _spectrum_states(max_n: int) -> list[tuple[int, int]]:
     ]
 
 
-def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
+def _run_spectrum(args: argparse.Namespace) -> int:
+    if not 1 <= args.z <= 137:
+        raise _usage_error(
+            args.command,
+            "--z must be in 1..137 so that the coupling z*alpha stays inside "
+            "the bound-state domain (coupling^2 < kappa^2)"
+        )
+    if args.max_n > MAX_N:
+        raise _usage_error(
+            args.command,
+            f"--max-n must be at most {MAX_N}: the orbital letters end at "
+            f"l = {MAX_N - 1} ({ANGULAR_LETTERS[-1]})"
+        )
     coupling = args.z * args.alpha
     if coupling >= 1.0:
         raise _usage_error(
@@ -485,17 +494,19 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[ReportDocument, list[dict]]:
             gap = abs(by_label["1s1/2"] - (-13.06))
             checks.append(Check("ground-state-printed-table-gap", "hydrogen-table", "skipped", gap))
 
-    doc = ReportDocument(
-        command="spectrum",
-        inputs={
-            "z": args.z,
-            "max_n": args.max_n,
-            "alpha": args.alpha,
-            "electron_mass_ev": args.electron_mass_ev,
-        },
-        checks=checks,
-    )
-    return doc, rows
+    inputs = {
+        "z": args.z,
+        "max_n": args.max_n,
+        "alpha": args.alpha,
+        "electron_mass_ev": args.electron_mass_ev,
+    }
+    doc = ReportDocument(command="spectrum", inputs=inputs, checks=checks)
+    if args.format == "csv":
+        sys.stdout.write(rows_to_csv(_SPECTRUM_FIELDS, rows))
+        return doc.exit_code()
+    if args.format == "table":
+        sys.stdout.write(_spectrum_table(rows) + "\n")
+    return _emit(doc, args.format)
 
 
 _SPECTRUM_FIELDS = ("label", "kappa", "n_r", "n", "j", "binding_ev", "solver_binding_ev")
@@ -520,7 +531,32 @@ def _spectrum_table(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
+def planewave_max_scale(tolerance: float) -> float:
+    """Largest momentum scale ``|(k1, k2, k3, k4, mass)|`` of ``planewave``.
+
+    Up to it the worst measured roundoff stays within half of the tolerance,
+    and an amplitude is found.  A tolerance tighter than the default keeps
+    the default's domain (a scale of about 309.6): roundoff may exceed such a
+    tolerance anywhere, and the checks report it.
+    """
+    reach = math.sqrt(max(tolerance, PLANEWAVE_TOLERANCE) / (2.0 * PLANEWAVE_ROUNDOFF))
+    return min(reach, PLANEWAVE_AMPLITUDE_SCALE)
+
+
+def _run_planewave(args: argparse.Namespace) -> int:
+    scale = math.hypot(args.k1, args.k2, args.k3, args.k4, args.mass)
+    limit = planewave_max_scale(args.tolerance)
+    if scale > limit:
+        if limit == PLANEWAVE_AMPLITUDE_SCALE:
+            beyond = "no amplitude may be found"
+        else:
+            tolerance = max(args.tolerance, PLANEWAVE_TOLERANCE)
+            beyond = f"float64 roundoff in the residuals can exceed the tolerance {tolerance:g}"
+        raise _usage_error(
+            args.command,
+            f"the momentum scale |(k1, k2, k3, k4, mass)| = {scale:g} exceeds "
+            f"{limit:g}; beyond it {beyond}",
+        )
     gamma = GammaChoice.from_name(args.gamma)
     inputs = {
         "mass": args.mass,
@@ -537,7 +573,8 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
         )
     except ValueError:
         failed = Check("amplitude-construction", "plane-wave", "fail")
-        return ReportDocument(command="planewave", inputs=inputs, checks=[failed])
+        doc = ReportDocument(command="planewave", inputs=inputs, checks=[failed])
+        return _emit(doc, args.format)
 
     inputs["k0"] = float(wave.k[0])
     rng = np.random.default_rng(args.seed)
@@ -562,7 +599,7 @@ def cmd_planewave(args: argparse.Namespace) -> ReportDocument:
             checks.append(make_check(f"reduction-{half}-half", "reduction", gaps, args.tolerance))
     else:
         checks += [Check(f"reduction-{h}-half", "reduction", "skipped") for h in ("plus", "minus")]
-    return ReportDocument(command="planewave", inputs=inputs, checks=checks)
+    return _emit(ReportDocument(command="planewave", inputs=inputs, checks=checks), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +625,7 @@ def _scalar_demo_checks(mass: float, s: float, rng: np.random.Generator) -> list
     return [make_check(name, "scalar-demo", np.abs(v).max(axis=1), 1e-9) for name, v in measured]
 
 
-def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
+def _run_beyond(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     if args.demo == "scalar":
         if args.mass <= 0:
@@ -635,7 +672,7 @@ def cmd_beyond(args: argparse.Namespace) -> ReportDocument:
             "seed": args.seed,
             "trials": args.trials,
         }
-    return ReportDocument(command="beyond", inputs=inputs, checks=checks)
+    return _emit(ReportDocument(command="beyond", inputs=inputs, checks=checks), args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -711,67 +748,6 @@ def _emit(doc: ReportDocument, fmt: str) -> int:
     else:
         sys.stdout.write(doc.to_table())
     return doc.exit_code()
-
-
-def _run_verify(args: argparse.Namespace) -> int:
-    return _emit(cmd_verify(args), args.format)
-
-
-def _run_spectrum(args: argparse.Namespace) -> int:
-    if not 1 <= args.z <= 137:
-        raise _usage_error(
-            args.command,
-            "--z must be in 1..137 so that the coupling z*alpha stays inside "
-            "the bound-state domain (coupling^2 < kappa^2)"
-        )
-    if args.max_n > MAX_N:
-        raise _usage_error(
-            args.command,
-            f"--max-n must be at most {MAX_N}: the orbital letters end at "
-            f"l = {MAX_N - 1} ({ANGULAR_LETTERS[-1]})"
-        )
-    doc, rows = cmd_spectrum(args)
-    if args.format == "csv":
-        sys.stdout.write(rows_to_csv(_SPECTRUM_FIELDS, rows))
-        return doc.exit_code()
-    if args.format == "json":
-        return _emit(doc, "json")
-    sys.stdout.write(_spectrum_table(rows))
-    sys.stdout.write("\n")
-    return _emit(doc, "table")
-
-
-def planewave_max_scale(tolerance: float) -> float:
-    """Largest momentum scale ``|(k1, k2, k3, k4, mass)|`` of ``planewave``.
-
-    Up to it the worst measured roundoff stays within half of the tolerance,
-    and an amplitude is found.  A tolerance tighter than the default keeps
-    the default's domain (a scale of about 309.6): roundoff may exceed such a
-    tolerance anywhere, and the checks report it.
-    """
-    reach = math.sqrt(max(tolerance, PLANEWAVE_TOLERANCE) / (2.0 * PLANEWAVE_ROUNDOFF))
-    return min(reach, PLANEWAVE_AMPLITUDE_SCALE)
-
-
-def _run_planewave(args: argparse.Namespace) -> int:
-    scale = math.hypot(args.k1, args.k2, args.k3, args.k4, args.mass)
-    limit = planewave_max_scale(args.tolerance)
-    if scale > limit:
-        if limit == PLANEWAVE_AMPLITUDE_SCALE:
-            beyond = "no amplitude may be found"
-        else:
-            tolerance = max(args.tolerance, PLANEWAVE_TOLERANCE)
-            beyond = f"float64 roundoff in the residuals can exceed the tolerance {tolerance:g}"
-        raise _usage_error(
-            args.command,
-            f"the momentum scale |(k1, k2, k3, k4, mass)| = {scale:g} exceeds "
-            f"{limit:g}; beyond it {beyond}",
-        )
-    return _emit(cmd_planewave(args), args.format)
-
-
-def _run_beyond(args: argparse.Namespace) -> int:
-    return _emit(cmd_beyond(args), args.format)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

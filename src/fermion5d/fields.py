@@ -195,6 +195,7 @@ class PhaseField(ArrayField):
     of a ``k`` with one point and goes through ``math.cos`` and
     ``math.sin``, so every point's value is independent of the batch it is
     evaluated in (a matrix-vector product can round the phases differently).
+    A phase that is not finite (a NaN or infinite coordinate) raises.
     """
 
     def __init__(self, cos_amp, sin_amp, k_low):
@@ -214,6 +215,10 @@ class PhaseField(ArrayField):
         elif len(ks) != len(pts):
             raise ValueError(f"{len(ks)} rows of k cannot pair with {len(pts)} points")
         phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
+        for n, th in enumerate(phases):
+            if not math.isfinite(th):
+                row = pts[n].tolist()
+                raise ValueError(f"the phase k.x = {th} at point row {n} {row} is not finite")
         cos = np.array([math.cos(th) for th in phases]).reshape(-1, 1)
         sin = np.array([math.sin(th) for th in phases]).reshape(-1, 1)
         return cos, sin

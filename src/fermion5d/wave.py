@@ -9,6 +9,10 @@ amplitude must satisfy the momentum constraint ``K amp gamma = -m E amp`` with
 (:class:`GammaChoice`).  Their trigonometric mixtures (:func:`phase_mixture`)
 square to -1 only at integer multiples of pi/2, where they are one of the two;
 :func:`gamma_classify` tells which, or rejects the candidate.
+
+The equation is written once: one residual sum serves the free form, the
+form coupled to a grade-1 potential field ``A`` (``- charge A phi gamma``)
+and the 4D Dirac form, and one block sum their plane-wave amplitudes.
 """
 from __future__ import annotations
 
@@ -54,6 +58,7 @@ _PHASE_BIVECTORS = {"e12": _E12, "e0E": _E0E}
 # the constant products of the free equations, as signed gathers
 _LEFT_PSEUDO = BladeOperator.left(_PSEUDO)  # E x
 _RIGHT_E012 = BladeOperator.right(_E012)  # x e012
+_TIMES_E12 = BladeOperator.right(_E12)  # x e12
 
 #: Even blades free of the second time generator (the 4D Dirac sector).
 NO_E4_EVEN_MASKS = tuple(m for m in even_masks(CL32) if not m & 0b10000)
@@ -174,11 +179,6 @@ def _momentum_rows(k: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _require_finite(k: np.ndarray, mass) -> None:
-    if not (np.isfinite(k).all() and np.isfinite(mass).all()):
-        raise ValueError("momentum and mass must be finite")
-
-
 @lru_cache(maxsize=None)
 def _times_gamma(gamma: GammaChoice) -> BladeOperator:
     """``x -> x gamma`` on coefficient rows ``(..., 32)``: a signed gather,
@@ -186,17 +186,36 @@ def _times_gamma(gamma: GammaChoice) -> BladeOperator:
     return BladeOperator.right(gamma.as_multivector())
 
 
+def _operator_blocks(masks, axes, right: BladeOperator, mass_op: BladeOperator):
+    """``(V, M)``: ``V`` stacks the matrices of ``amp -> e_a amp right`` over
+    ``axes``, and ``M`` is that of ``mass_op``, on the blades ``masks``."""
+    vec = np.stack([gather_matrix(masks, BladeOperator.left(e(CL32, a)), right) for a in axes])
+    vec.setflags(write=False)
+    return vec, gather_matrix(masks, mass_op)
+
+
 @lru_cache(maxsize=None)
 def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
-    """``(V, P)`` with ``V[a]`` the matrix of ``amp -> e_a amp gamma`` and ``P``
-    that of ``amp -> E amp``, on the even basis, read-only."""
-    masks = even_masks(CL32)
-    times_gamma = _times_gamma(gamma)
-    vec = np.stack(
-        [gather_matrix(masks, BladeOperator.left(e(CL32, a)), times_gamma) for a in range(5)]
-    )
-    vec.setflags(write=False)
-    return vec, gather_matrix(masks, _LEFT_PSEUDO)
+    """``(V, P)``: ``V[a]`` is ``amp -> e_a amp gamma`` and ``P`` is ``amp -> E amp``."""
+    return _operator_blocks(even_masks(CL32), range(5), _times_gamma(gamma), _LEFT_PSEUDO)
+
+
+def _block_sum(k: np.ndarray, mass, blocks) -> np.ndarray:
+    """``sum_a k^a V[a] + mass M`` of the blocks ``(V, M)``, zeros as +0.0.
+
+    ``k`` is one finite momentum or ``N``, with one finite mass or ``N``.
+    Each ``V[a]`` is a signed permutation that shares no entry with another
+    block, so an entry of ``k @ V`` has at most one nonzero term, each term
+    is exact, and no order of the sum (nor the BLAS) changes a bit.
+    """
+    mass = np.asarray(mass, dtype=np.float64)
+    if not (np.isfinite(k).all() and np.isfinite(mass).all()):
+        raise ValueError("momentum and mass must be finite")
+    vec, mass_block = blocks
+    mat = (k @ vec.reshape(len(vec), -1)).reshape(k.shape[:-1] + mass_block.shape)
+    mat += mass[..., None, None] * mass_block
+    mat += 0.0
+    return mat
 
 
 def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
@@ -205,21 +224,13 @@ def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
     ``k`` is one momentum ``(5,)`` or ``N`` of them ``(N, 5)``, with one
     mass or ``N``; ``N`` momenta give an ``(N, 32, 16)`` stack, each matrix
     bit for bit the one of its momentum alone.  ``gamma`` is one blade, so
-    each entry of ``K amp gamma`` is a single signed ``k^A`` and the sum of
-    the precomputed blocks is exactly the product that it replaces (and the
-    order of the at most two terms of an entry does not matter).
+    the sum of the precomputed blocks (:func:`_block_sum`) is exactly the
+    product that it replaces.
     """
-    k, mass = np.asarray(k, dtype=np.float64), np.asarray(mass, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
     if k.ndim not in (1, 2) or k.shape[-1] != 5:
         raise ValueError(f"momenta must have shape (5,) or (N, 5), got {k.shape}")
-    _require_finite(k, mass)
-    vec, pseudo = _constraint_blocks(gamma)
-    mat = k[..., 0, None, None] * vec[0]
-    for a in range(1, 5):
-        mat += k[..., a, None, None] * vec[a]
-    mat += mass[..., None, None] * pseudo
-    mat += 0.0
-    return mat
+    return _block_sum(k, mass, _constraint_blocks(gamma))
 
 
 def plane_wave_amplitudes(k, mass, gamma: GammaChoice) -> np.ndarray:
@@ -397,9 +408,37 @@ def specialized_constraint_residual(wave: PlaneWave) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _equation_sum(mass_op, values, partials, mass, axes, coupling=None) -> np.ndarray:
+    """``mass_op(phi) mass [- coupling] + sum_a e_a d^a phi`` over ``axes``, in that
+    order: the first-order equation, with ``E phi``, the mass and five axes,
+    or (4D) with ``phi e012``, minus the mass and four axes."""
+    res = mass_op(values) * mass
+    if coupling is not None:
+        res -= coupling
+    return add_gradient(res, partials, axes)
+
+
+def _coupling(charge, potential, values, points, times_gamma: BladeOperator, no_e4: bool):
+    """``charge A phi gamma`` per row, ``A`` the potential field's rows at the
+    points: grade-1, and free of e4 if ``no_e4``.  One batched product, each
+    row bit for bit the multivector products.  ``None`` at charge 0, where
+    the potential is not read."""
+    if charge == 0.0:
+        return None
+    if not hasattr(potential, "values"):
+        raise ValueError(f"charge given without a potential field, got {potential!r}")
+    rows = potential.values(points)
+    grades = {int(g) for g in tables(CL32).grades[(rows != 0.0).any(axis=0)]}
+    if grades - {1}:
+        raise ValueError(f"potential must be grade-1, found grades {tuple(sorted(grades))}")
+    if no_e4 and rows[:, 1 << 4].any():
+        raise ValueError("potential must have no second-time component")
+    return times_gamma(_kernels.gp(tables(CL32).sign, rows, values)) * float(charge)
+
+
 def dirac5_residuals(field: Field5, mass: float, points) -> np.ndarray:
     """:func:`dirac5_residual` at every row of an ``(N, 5)`` point array."""
-    return _dirac5_sum(*field.samples(as_points(points)), mass)
+    return _equation_sum(_LEFT_PSEUDO, *field.samples(as_points(points)), float(mass), range(5))
 
 
 def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivector:
@@ -407,67 +446,34 @@ def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivect
     return Multivector(dirac5_residuals(field, mass, [as_point(x)])[0])
 
 
-def _dirac5_sum(values, partials, mass, coupling=None) -> np.ndarray:
-    """``m E phi [- coupling] + sum_A e_A d^A phi``, in that order."""
-    res = _LEFT_PSEUDO(values) * float(mass)
-    if coupling is not None:
-        res -= coupling
-    return add_gradient(res, partials, range(5))
+def dirac5_potential_residuals(
+    field: Field5, mass: float, charge: float, potential: Field5, gamma: GammaChoice, points
+) -> np.ndarray:
+    """Residual of the minimally-coupled equation at every row of an ``(N, 5)``
+    point array: ``m E phi - charge A phi gamma + e_A d^A phi``.
 
-
-def _grade1_potential(potential, x: np.ndarray) -> Multivector:
-    """The potential's value at ``x``, which must be a grade-1 multivector."""
-    value = potential.value(x) if hasattr(potential, "value") else potential(x)
-    if not isinstance(value, Multivector):
-        raise TypeError("potential must produce a Multivector")
-    if value.grades_present not in ((), (1,)):
-        raise ValueError(f"potential must be grade-1, found grades {value.grades_present}")
-    return value
-
-
-def dirac5_potential_residual(
-    field: Field5,
-    mass: float,
-    charge: float,
-    potential,
-    gamma: GammaChoice,
-    x: Sequence[float],
-) -> Multivector:
-    """Residual of the minimally-coupled equation at a point.
-
-    The potential must evaluate to a grade-1 multivector; anything else is a
-    modeling error and raises.
+    The potential is a field whose values must be grade-1; anything else is
+    a modeling error and raises.  At charge 0 this is :func:`dirac5_residuals`,
+    bit for bit, and the potential is not read.
     """
-    pt = as_point(x)
-    a_val = _grade1_potential(potential, pt)
-    values, partials = field.samples([pt])
-    coupling = (charge * (a_val * Multivector(values[0]) * gamma.as_multivector())).coeffs
-    return Multivector(_dirac5_sum(values, partials, mass, coupling)[0])
+    pts = as_points(points)
+    values, partials = field.samples(pts)
+    coupling = _coupling(charge, potential, values, pts, _times_gamma(gamma), no_e4=False)
+    return _equation_sum(_LEFT_PSEUDO, values, partials, float(mass), range(5), coupling)
 
 
 def hestenes_dirac_residual(
-    field: Field5,
-    mass: float,
-    x: Sequence[float],
-    charge: float = 0.0,
-    potential=None,
+    field: Field5, mass: float, x: Sequence[float], charge: float = 0.0, potential=None
 ) -> Multivector:
     """Residual of the 4D Dirac equation in Hestenes form at a point.
 
     The field must be flat along the second time axis at the point (checked
-    against :data:`CYLINDER_TOLERANCE`); the optional potential must be
-    grade-1 with no second-time component.
+    against :data:`CYLINDER_TOLERANCE`); at nonzero charge the potential is
+    a field whose values must be grade-1 with no second-time component.
     """
-    pt = as_point(x)
-    values, partials = field.samples([pt])
-    coupling = None
-    if charge != 0.0:
-        if potential is None:
-            raise ValueError("charge given without a potential")
-        a_val = _grade1_potential(potential, pt)
-        if np.any(a_val.coeffs[[1 << 4]]):
-            raise ValueError("potential must have no second-time component")
-        coupling = (charge * (a_val * Multivector(values[0]) * _E12)).coeffs
+    pts = [as_point(x)]
+    values, partials = field.samples(pts)
+    coupling = _coupling(charge, potential, values, pts, _TIMES_E12, no_e4=True)
     return Multivector(hestenes_sample_residuals(values, partials, mass, coupling)[0])
 
 
@@ -486,10 +492,8 @@ def hestenes_sample_residuals(values, partials, mass, coupling=None) -> np.ndarr
             f"field varies along the second time axis (|d4| = {d4:.3e}); "
             "the 4D reduction does not apply"
         )
-    res = _RIGHT_E012(values) * -np.asarray(mass, dtype=np.float64)[..., None]
-    if coupling is not None:
-        res -= coupling
-    return add_gradient(res, partials, range(4))
+    mass = -np.asarray(mass, dtype=np.float64)[..., None]
+    return _equation_sum(_RIGHT_E012, values, partials, mass, range(4), coupling)
 
 
 class _SectorHalf(ArrayField):
@@ -522,14 +526,8 @@ def sector_fields(field: Field5) -> tuple[Field5, Field5]:
 
 @lru_cache(maxsize=None)
 def _hestenes_blocks() -> tuple[np.ndarray, np.ndarray]:
-    """``(V, R)`` with ``V[mu]`` the matrix of ``psi -> e_mu psi e12`` and ``R``
-    that of ``psi -> psi e012``, on the even blades free of e4, read-only."""
-    masks, times_e12 = NO_E4_EVEN_MASKS, BladeOperator.right(_E12)
-    vec = np.stack(
-        [gather_matrix(masks, BladeOperator.left(e(CL32, mu)), times_e12) for mu in range(4)]
-    )
-    vec.setflags(write=False)
-    return vec, gather_matrix(masks, _RIGHT_E012)
+    """``(V, R)``: ``psi -> e_mu psi e12`` and ``psi -> psi e012`` on the e4-free even blades."""
+    return _operator_blocks(NO_E4_EVEN_MASKS, range(4), _TIMES_E12, _RIGHT_E012)
 
 
 def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivector]:
@@ -542,18 +540,10 @@ def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivect
     k4 = np.asarray(k4, dtype=np.float64)
     if k4.shape != (4,):
         raise ValueError("four-vectors expected")
-    _require_finite(k4, mass)
-    vec, right = _hestenes_blocks()
-    mat = float(-mass) * right
-    for mu in range(4):
-        mat += float(k4[mu]) * vec[mu]
-    basis = nullspace(mat)
-    out = []
-    for i in range(basis.shape[1]):
-        coeffs = np.zeros(CL32.n_blades)
-        coeffs[list(NO_E4_EVEN_MASKS)] = basis[:, i]
-        out.append(Multivector(coeffs, CL32))
-    return out
+    basis = nullspace(_block_sum(k4, -mass, _hestenes_blocks()))
+    coeffs = np.zeros((basis.shape[1], CL32.n_blades))
+    coeffs[:, list(NO_E4_EVEN_MASKS)] = basis.T
+    return [Multivector(row, CL32) for row in coeffs]
 
 
 def hestenes_plane_wave_field(k_spatial: Sequence[float], mass: float) -> PhaseField:

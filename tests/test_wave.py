@@ -23,6 +23,8 @@ from fermion5d.fields import (
     METRIC_SIGNS,
     AnalyticField,
     ConstantField,
+    FiniteDifferenceField,
+    PhaseField,
     minkowski_dot,
 )
 from fermion5d.wave import (
@@ -33,7 +35,7 @@ from fermion5d.wave import (
     build_plane_wave,
     build_plane_waves,
     constraint_residuals,
-    dirac5_potential_residual,
+    dirac5_potential_residuals,
     dirac5_residual,
     dirac5_residuals,
     gamma_classify,
@@ -318,19 +320,67 @@ def test_reduction_potential_guards(rng):
 
 
 def test_five_dimensional_potential_residual_matches_free_form_at_zero_charge(rng):
-    wave = build_plane_wave((0.3, -0.1, 0.2), 0.2, 1.0, GammaChoice.e12())
-    field = wave.field()
-    zero_potential = ConstantField(Multivector.zero())
-    for x in sample_points(rng, count=3):
-        free = dirac5_residual(field, 1.0, x)
-        gauged = dirac5_potential_residual(
-            field, 1.0, 0.0, zero_potential, GammaChoice.e12(), x
-        )
-        assert (free - gauged).inf_norm() < 1e-14
+    # charge 0 is the free residual bit for bit, and the potential is not
+    # read: not even a grade-2 one, nor none at all
+    field = build_plane_wave((0.3, -0.1, 0.2), 0.2, 1.0, GammaChoice.e12()).field()
+    points = sample_points(rng, count=5)
+    free = dirac5_residuals(field, 1.0, points)
+    for potential in (ConstantField(Multivector.zero()), ConstantField(e(CL32, 0, 1)), None):
+        for gamma in BOTH_GAMMAS:
+            gauged = dirac5_potential_residuals(field, 1.0, 0.0, potential, gamma, points)
+            assert gauged.tobytes() == free.tobytes()
     with pytest.raises(ValueError, match="grade-1"):
-        dirac5_potential_residual(
-            field, 1.0, 1.0, ConstantField(e(CL32, 0, 1)), GammaChoice.e12(), rng.uniform(-1, 1, 5)
+        dirac5_potential_residuals(
+            field, 1.0, 1.0, ConstantField(e(CL32, 0, 1)), GammaChoice.e12(), points
         )
+    # a potential is a field: a bare callable is refused, as a missing one is
+    for potential in (None, lambda pt: e(CL32, 0)):
+        with pytest.raises(ValueError, match="charge given without a potential field"):
+            dirac5_potential_residuals(field, 1.0, 1.0, potential, GammaChoice.e12(), points)
+
+
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_batch_potential_residuals_equal_the_point_calls_bitwise(rng, gamma):
+    # a potential that varies from point to point: A = cos(k.x) e1 + 0.5 sin(k.x) e0
+    field = build_plane_wave((0.4, -0.2, 0.7), 0.3, 0.9, gamma).field()
+    potential = PhaseField(e(CL32, 1), 0.5 * e(CL32, 0), (0.3, -0.2, 0.1, 0.4, 0.2))
+    points = rng.uniform(-2.0, 2.0, size=(9, 5))
+    batch = dirac5_potential_residuals(field, 0.9, -0.75, potential, gamma, points)
+    assert batch.shape == (9, CL32.n_blades)
+    for n, x in enumerate(points):
+        one = dirac5_potential_residuals(field, 0.9, -0.75, potential, gamma, [x])
+        assert batch[n].tobytes() == one[0].tobytes()
+
+
+def test_the_coupled_residuals_multiply_no_multivectors(rng, monkeypatch):
+    # the coupling term is one batched product and a signed gather
+    def no_product(self, other):
+        raise AssertionError("Multivector product")
+
+    field = build_plane_wave((0.3, -0.1, 0.2), 0.2, 1.0, GammaChoice.e0E()).field()
+    flat = hestenes_plane_wave_field((0.1, 0.2, 0.0), 1.0)
+    five = ConstantField(0.6 * e(CL32, 0) - 0.2 * e(CL32, 4))
+    four = ConstantField(0.3 * e(CL32, 0) + 0.1 * e(CL32, 2))
+    points = sample_points(rng, count=3)
+    monkeypatch.setattr(Multivector, "__mul__", no_product)
+    for gamma in BOTH_GAMMAS:
+        dirac5_potential_residuals(field, 1.0, 0.5, five, gamma, points)
+    hestenes_dirac_residual(flat, 1.0, points[0], charge=0.5, potential=four)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_a_non_finite_point_raises_one_line_naming_its_row(bad):
+    field = build_plane_wave((0.2, 0.1, 0.3), 0.0, 1.0, GammaChoice.e12()).field()
+    point = [0.0, bad, 0.0, 0.0, 0.0]
+    calls = [
+        lambda: dirac5_residuals(field, 1.0, [[0.1] * 5, point]),
+        lambda: dirac5_residual(field, 1.0, point),
+        lambda: hestenes_dirac_residual(sector_fields(field)[0], 1.0, point),
+    ]
+    for row, call in zip((1, 0, 0), calls):
+        with pytest.raises(ValueError, match=f"point row {row} .* is not finite") as info:
+            call()
+        assert "\n" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +459,20 @@ def test_point_residual_is_the_multivector_formula_bitwise(rng):
     # the sums the batch path replaces, written out with multivector products
     field = hestenes_plane_wave_field((0.2, -0.1, 0.4), 1.3)
     gens = [e(CL32, a) for a in range(5)]
+    a_val = 0.3 * e(CL32, 0) + 0.1 * e(CL32, 2)
     for x in sample_points(rng, count=4):
         res = 1.3 * (pseudoscalar(CL32) * field.value(x))
         for a in range(5):
             res = res + float(METRIC_SIGNS[a]) * (gens[a] * field.partial(a, x))
         assert dirac5_residual(field, 1.3, x).coeffs.tobytes() == res.coeffs.tobytes()
-        res = -1.3 * (field.value(x) * e(CL32, 0, 1, 2))
-        for mu in range(4):
-            res = res + float(METRIC_SIGNS[mu]) * (gens[mu] * field.partial(mu, x))
-        assert hestenes_dirac_residual(field, 1.3, x).coeffs.tobytes() == res.coeffs.tobytes()
+        for charge in (0.0, 0.5):
+            res = -1.3 * (field.value(x) * e(CL32, 0, 1, 2))
+            if charge:
+                res = res - charge * (a_val * field.value(x) * e(CL32, 1, 2))
+            for mu in range(4):
+                res = res + float(METRIC_SIGNS[mu]) * (gens[mu] * field.partial(mu, x))
+            got = hestenes_dirac_residual(field, 1.3, x, charge, ConstantField(a_val))
+            assert got.coeffs.tobytes() == res.coeffs.tobytes()
 
 
 def test_potential_residual_is_the_multivector_formula_bitwise(rng):
@@ -426,7 +481,7 @@ def test_potential_residual_is_the_multivector_formula_bitwise(rng):
     field = build_plane_wave((0.3, -0.1, 0.2), 0.2, 1.0, GammaChoice.e12()).field()
     potentials = (
         ConstantField(0.6 * e(CL32, 0) - 0.2 * e(CL32, 4)),
-        lambda pt: float(pt[1]) * e(CL32, 2) + 0.1 * e(CL32, 0),
+        FiniteDifferenceField(lambda pt: float(pt[1]) * e(CL32, 2) + 0.1 * e(CL32, 0)),
     )
     for x in sample_points(rng, count=3):
         val = field.value(x)
@@ -434,14 +489,14 @@ def test_potential_residual_is_the_multivector_formula_bitwise(rng):
             (potentials[0], GammaChoice.e12(), 1.0, 0.25),
             (potentials[1], GammaChoice.e0E(), -0.7, -1.5),
         ):
-            a_val = potential.value(x) if hasattr(potential, "value") else potential(x)
+            a_val = potential.value(x)
             res = mass * (val * pseudoscalar(CL32)) - charge * (
                 a_val * val * gamma.as_multivector()
             )
             for a in range(5):
                 res = res + float(METRIC_SIGNS[a]) * (gens[a] * field.partial(a, x))
-            got = dirac5_potential_residual(field, mass, charge, potential, gamma, x)
-            assert got.coeffs.tobytes() == res.coeffs.tobytes()
+            got = dirac5_potential_residuals(field, mass, charge, potential, gamma, [x])
+            assert got[0].tobytes() == res.coeffs.tobytes()
 
 
 def test_batch_reduction_refuses_a_field_that_varies_at_any_point(rng):
