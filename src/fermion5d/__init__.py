@@ -48,7 +48,6 @@ from .fields import (
     AnalyticField,
     ArrayField,
     ConstantField,
-    Field5,
     FiniteDifferenceField,
     PhaseField,
     minkowski_dot,
@@ -91,7 +90,6 @@ __all__ = [
     "AnalyticField",
     "ArrayField",
     "ConstantField",
-    "Field5",
     "FiniteDifferenceField",
     "PhaseField",
     "minkowski_dot",

@@ -84,7 +84,7 @@ def gp(sign: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             return row
     # blade-major, batch axes trailing: (3n, ...) rows of 0, +1 and -1 times b
     stack = np.multiply.outer(_SIGNS, b.T)
-    terms = stack.reshape((-1,) + stack.shape[2:]).take(signed, axis=0)
+    terms = stack.reshape((3 * len(sign),) + stack.shape[2:]).take(signed, axis=0)
     terms *= np.ascontiguousarray(a.T)[:, None]
     return np.ascontiguousarray(terms.sum(0, initial=0.0).T)
 

@@ -285,9 +285,6 @@ class Multivector:
     def __invert__(self):
         return self.reverse()
 
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
     def __repr__(self) -> str:
         terms = []
         for mask in np.nonzero(self.coeffs)[0]:
@@ -331,23 +328,6 @@ def even_masks(signature: Signature) -> tuple[int, ...]:
 def odd_masks(signature: Signature) -> tuple[int, ...]:
     g = tables(signature).grades
     return tuple(int(m) for m in np.nonzero(g % 2 == 1)[0])
-
-
-def even_coeffs(x: Multivector) -> np.ndarray:
-    """Coefficients restricted to the even basis; errors on odd content."""
-    if not x.is_even:
-        raise ValueError("multivector has odd-grade content")
-    return x.coeffs[list(even_masks(x.signature))].copy()
-
-
-def from_even_coeffs(vec: Sequence[float], signature: Signature = CL32) -> Multivector:
-    masks = even_masks(signature)
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (len(masks),):
-        raise ValueError(f"expected {len(masks)} even coefficients, got {vec.shape}")
-    coeffs = np.zeros(signature.n_blades)
-    coeffs[list(masks)] = vec
-    return Multivector(coeffs, signature)
 
 
 class BladeOperator:
@@ -445,17 +425,10 @@ def nullspace(matrix: np.ndarray) -> np.ndarray:
 
 
 def random_multivector(
-    rng: np.random.Generator,
-    signature: Signature = CL32,
-    even: bool = False,
-    integer: bool = False,
+    rng: np.random.Generator, signature: Signature = CL32, even: bool = False
 ) -> Multivector:
-    """Random multivector with coefficients in [-1, 1] (or small integers)."""
-    n = signature.n_blades
-    if integer:
-        coeffs = rng.integers(-3, 4, size=n).astype(np.float64)
-    else:
-        coeffs = rng.uniform(-1.0, 1.0, size=n)
+    """Random multivector with coefficients uniform in [-1, 1]."""
+    coeffs = rng.uniform(-1.0, 1.0, size=signature.n_blades)
     if even:
         g = tables(signature).grades
         coeffs = np.where(g % 2 == 0, coeffs, 0.0)

@@ -2,7 +2,10 @@
 field is allowed to vary along the second time axis.
 
 Three effects are implemented, all driven by the pair form of the wave
-equation on the idempotent halves ``xi_plus`` / ``xi_minus``:
+equation on the idempotent halves ``xi_plus`` / ``xi_minus``.  Its two signs
+differ only in which half leads: :func:`pair_residuals` ``(lead, trail, ...)``
+evaluates ``e4 d^4 lead + e_mu d^mu trail - m trail e0e1e2``, the upper sign
+on ``(xi_plus, xi_minus)`` and the lower sign on ``(xi_minus, xi_plus)``.
 
 * **Induced scalar potential** — when the minus half is (nearly) constant over
   a spacetime region and the mass is non-zero, the minus half can be expressed
@@ -43,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import CL32, BladeOperator, Multivector, e
-from .fields import ArrayField, Field5, PhaseField, add_gradient, as_point, as_points, sample_grid
+from .fields import ArrayField, PhaseField, add_gradient, as_point, as_points
 from .fields import _CentralDifferenceField
 from .wave import hestenes_plane_wave_field
 
@@ -103,36 +106,28 @@ def _column(values) -> np.ndarray:
     return np.array(values, dtype=np.float64).reshape(-1, 1)
 
 
-def spacetime_gradients(field: Field5, points) -> np.ndarray:
+def spacetime_gradients(field: ArrayField, points) -> np.ndarray:
     """``sum_mu e_mu d^mu field`` over the four spacetime axes (0..3), one row
     per point of an ``(N, 5)`` array."""
     partials = field.partials(as_points(points))
     return add_gradient(np.zeros(partials.shape[1:]), partials, range(4))
 
 
-def second_time_gradients(field: Field5, points) -> np.ndarray:
+def second_time_gradients(field: ArrayField, points) -> np.ndarray:
     """``e4 d^4 field`` at every row of ``points`` (raised index: ``d^4 = -d_4``)."""
     partials = field.partials(as_points(points))
     # -0.0 + t == t for every t, signed zeros included: the sum is the term
     return add_gradient(np.full(partials.shape[1:], -0.0), partials, (4,))
 
 
-def pair_residuals(
-    xi_plus: Field5, xi_minus: Field5, mass: float, points, sign: str
-) -> np.ndarray:
-    """Residual of one sign of the pair equation on the idempotent halves,
-    one row per point of an ``(N, 5)`` array.
+def pair_residuals(lead: ArrayField, trail: ArrayField, mass: float, points) -> np.ndarray:
+    """Residual ``e4 d^4 lead + e_mu d^mu trail - m trail e0e1e2`` of the pair
+    equation on the idempotent halves, one row per point of an ``(N, 5)``
+    array.
 
-    ``sign='upper'`` evaluates ``e4 d^4 xi_plus + e_mu d^mu xi_minus
-    - m xi_minus e0e1e2`` and ``sign='lower'`` the same with the halves
-    swapped.  A zero row means the corresponding equation holds there.
+    The upper sign is ``(lead, trail) = (xi_plus, xi_minus)`` and the lower
+    sign ``(xi_minus, xi_plus)``.  A zero row means that equation holds there.
     """
-    if sign == "upper":
-        lead, trail = xi_plus, xi_minus
-    elif sign == "lower":
-        lead, trail = xi_minus, xi_plus
-    else:
-        raise ValueError("sign must be 'upper' or 'lower'")
     pts = as_points(points)
     values, partials = trail.samples(pts)
     spacetime = add_gradient(np.zeros_like(values), partials, range(4))
@@ -157,7 +152,7 @@ class _ProfileField(ArrayField):
     """
 
     def __init__(
-        self, profile: Callable[[float, int], float], carrier: Field5, order: int, mass=None
+        self, profile: Callable[[float, int], float], carrier: ArrayField, order: int, mass=None
     ):
         self._profile, self._carrier, self._order, self._mass = profile, carrier, order, mass
 
@@ -292,7 +287,7 @@ def scalar_potential_residual(
 
 
 def derived_minus_field(
-    xi_plus: Field5, mass: float, step: float = DEMO_GRID_SPACING
+    xi_plus: ArrayField, mass: float, step: float = DEMO_GRID_SPACING
 ) -> ArrayField:
     """Minus half ``(1/m) e4 d^4 xi_plus e0 e1 e2`` for a generic plus half.
 
@@ -320,7 +315,7 @@ def derived_minus_field(
 MINUS_CONSTANCY_BOUND = 1e-6
 
 
-def minus_constancy_ratio(xi_minus: Field5, points) -> float:
+def minus_constancy_ratio(xi_minus: ArrayField, points) -> float:
     """``sup ||d^mu xi_minus|| / sup ||d^4 xi_minus||`` over the samples.
 
     Gauges how well the near-constancy constraint holds for a user-supplied
@@ -372,7 +367,7 @@ class SourceCurrent:
     algebra bug or a field that is not a genuine minus half).
     """
 
-    def __init__(self, xi_minus: Field5):
+    def __init__(self, xi_minus: ArrayField):
         self._xi_minus = xi_minus
 
     def values(self, points) -> np.ndarray:
@@ -400,14 +395,14 @@ class SourceCurrent:
         return sum(sampled._axis_partials(mu, pts)[:, 1 << mu] for mu in range(4))
 
 
-def sourced_massless_residuals(xi_plus: Field5, current: SourceCurrent, points) -> np.ndarray:
+def sourced_massless_residuals(xi_plus: ArrayField, current: SourceCurrent, points) -> np.ndarray:
     """:func:`sourced_massless_residual` at every row of an ``(N, 5)`` point array."""
     pts = as_points(points)
     return spacetime_gradients(xi_plus, pts) + FOUR_PI * current.values(pts)
 
 
 def sourced_massless_residual(
-    xi_plus: Field5, current: SourceCurrent, x: Sequence[float]
+    xi_plus: ArrayField, current: SourceCurrent, x: Sequence[float]
 ) -> Multivector:
     """Residual of the sourced zero-mass equation ``e_mu d^mu psi = -4 pi J``.
 
@@ -419,7 +414,7 @@ def sourced_massless_residual(
 
 
 def source_current(
-    xi_minus: Field5, xi_plus: Field5, points, tolerance: float = 1e-9
+    xi_minus: ArrayField, xi_plus: ArrayField, points, tolerance: float = 1e-9
 ) -> SourceCurrent:
     """Build the induced current and verify the sourced equation on a pair.
 
@@ -480,8 +475,9 @@ def random_minus_wave(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray,
     return amps[0], amps[1], rng.uniform(-1.0, 1.0, size=5)
 
 
-def demo_grid(center: Sequence[float] = (0.0, 0.0, 0.0, 0.0, 0.0)) -> np.ndarray:
-    """The default demo lattice: ``DEMO_GRID_POINTS`` per axis at
-    ``DEMO_GRID_SPACING`` spacing, centred on ``center``."""
+def demo_grid() -> np.ndarray:
+    """The default demo lattice, ``(DEMO_GRID_POINTS**5, 5)``: ``DEMO_GRID_POINTS``
+    per axis at ``DEMO_GRID_SPACING`` spacing, centred on the origin."""
     half = DEMO_GRID_SPACING * (DEMO_GRID_POINTS - 1) / 2.0
-    return sample_grid(center, half, DEMO_GRID_POINTS)
+    axis = np.linspace(-half, half, DEMO_GRID_POINTS)
+    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * 5), indexing="ij")], axis=1)

@@ -57,7 +57,7 @@ from .algebra import (
     pseudoscalar,
     tables,
 )
-from .fields import Field5, add_gradient, as_points
+from .fields import ArrayField, add_gradient, as_points
 from .wave import GammaChoice, _times_gamma
 
 _LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # x -> E x
@@ -533,7 +533,9 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
 # ---------------------------------------------------------------------------
 
 
-def angular_reduction_check(kappa: int, field: Field5, points: Sequence[Sequence[float]]) -> float:
+def angular_reduction_check(
+    kappa: int, field: ArrayField, points: Sequence[Sequence[float]]
+) -> float:
     """Sup norm of ``r grad(phi) - (r.grad + 1 - kappa zeta) phi`` over points.
 
     ``r`` is the spatial position vector, ``grad`` the spatial vector

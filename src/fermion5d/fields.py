@@ -9,7 +9,8 @@ differences with a configurable step.
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
 for bit to the per-point call at ``points[n]``, and ``samples(points)`` gives
-both from one evaluation.  Every field is an :class:`ArrayField`: its
+both from one evaluation.  Every field is an :class:`ArrayField`, the type
+every function of the package that takes a field is annotated with: its
 per-point methods are the batch on one point, and no batch method goes
 through a per-point method.  User-supplied per-point callables are wrapped by
 :class:`AnalyticField` (value and derivative) or
@@ -19,7 +20,7 @@ the callables, not over the field's own per-point methods.
 from __future__ import annotations
 
 import math
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,20 +78,6 @@ def as_points(points) -> np.ndarray:
 def minkowski_dot(a: Sequence[float], b: Sequence[float]) -> float:
     """Inner product with signature (-,+,+,+,-) on (t, x, y, z, w)."""
     return float(np.dot(METRIC_SIGNS * as_point(a), as_point(b)))
-
-
-class Field5(Protocol):
-    """Implemented by :class:`ArrayField` subclasses, which define ``values`` and ``partials``."""
-
-    def value(self, x: Sequence[float]) -> Multivector: ...
-
-    def partial(self, axis: int, x: Sequence[float]) -> Multivector: ...
-
-    def values(self, points) -> np.ndarray: ...
-
-    def partials(self, points) -> np.ndarray: ...
-
-    def samples(self, points) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 def _rows(mvs: list[Multivector]) -> np.ndarray:
@@ -214,7 +201,11 @@ class PhaseField(ArrayField):
             ks = [ks] * len(pts)
         elif len(ks) != len(pts):
             raise ValueError(f"{len(ks)} rows of k cannot pair with {len(pts)} points")
-        phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
+        try:
+            phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
+        except RuntimeWarning:  # inf - inf or an overflow, under a warnings filter that raises
+            with np.errstate(invalid="ignore", over="ignore"):
+                phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
         for n, th in enumerate(phases):
             if not math.isfinite(th):
                 row = pts[n].tolist()
@@ -239,15 +230,6 @@ class PhaseField(ArrayField):
     def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
         cos, sin = self._cos_sin(points)
         return self._mix(cos, sin), self._slopes(cos, sin)
-
-
-def sample_grid(center: Sequence[float], half_extent: float, points_per_axis: int) -> np.ndarray:
-    """Uniform 5D grid of shape (points_per_axis**5, 5) around ``center``."""
-    center = as_point(center)
-    axis = np.linspace(-half_extent, half_extent, points_per_axis)
-    grids = np.meshgrid(*([axis] * 5), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1) + center
-    return pts
 
 
 def random_points(rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:

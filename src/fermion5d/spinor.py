@@ -82,11 +82,6 @@ def pm_split(x: Multivector) -> SplitPair:
     return SplitPair(plus=Multivector(plus), minus=Multivector(minus))
 
 
-def idempotent_e34() -> Multivector:
-    """The idempotent ``(1 - e3e4)/2``."""
-    return (Multivector.scalar(1.0, CL32) - _E34) / 2
-
-
 def idempotent_split(phi: Multivector) -> SplitPair:
     """Right-multiply by ``(1 - e3e4)`` and split by second-time content.
 

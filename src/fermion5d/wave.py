@@ -30,7 +30,6 @@ from .algebra import (
     Multivector,
     e,
     even_masks,
-    from_even_coeffs,
     gather_matrix,
     nullspace,
     pseudoscalar,
@@ -39,7 +38,6 @@ from .algebra import (
 from .fields import (
     METRIC_SIGNS,
     ArrayField,
-    Field5,
     PhaseField,
     add_gradient,
     as_point,
@@ -167,11 +165,6 @@ def gamma_classify(candidate: Multivector) -> GammaChoice:
 # ---------------------------------------------------------------------------
 
 
-def momentum_vector(k: Sequence[float]) -> Multivector:
-    """The grade-1 multivector ``k^A e_A`` from contravariant components."""
-    return Multivector(_momentum_rows(as_point(k)), CL32)
-
-
 def _momentum_rows(k: np.ndarray) -> np.ndarray:
     """``k^A e_A`` as coefficient rows ``(..., 32)`` of momenta ``(..., 5)``."""
     coeffs = np.zeros((*k.shape[:-1], CL32.n_blades))
@@ -274,17 +267,6 @@ def _require_constraint(k, amplitudes, mass, gamma: GammaChoice) -> None:
     err = float(np.max(constraint_residuals(k, amplitudes, mass, gamma)))
     if err > 1e-8:
         raise ValueError(f"amplitude violates the momentum constraint by {err:.3e}")
-
-
-def solve_momentum_constraint(
-    k: Sequence[float], mass: float, gamma: GammaChoice
-) -> list[Multivector]:
-    """Orthonormal basis of even amplitudes satisfying the constraint.
-
-    Dimension 8 on the mass shell ``k.k = -m^2``, zero off it.
-    """
-    basis = nullspace(momentum_constraint_matrix(k, mass, gamma))
-    return [from_even_coeffs(basis[:, i]) for i in range(basis.shape[1])]
 
 
 def solve_time_component(k_spatial: Sequence[float], k4: float, mass: float) -> float:
@@ -390,19 +372,6 @@ def build_plane_wave(
     return PlaneWave(amplitude=amplitude, k=k, gamma=gamma, mass=mass)
 
 
-def specialized_constraint_residual(wave: PlaneWave) -> float:
-    """Residual of the reduced amplitude condition for the pure variants.
-
-    For ``gamma = e0E`` the constraint collapses to ``K amp = m amp e0``; for
-    ``gamma = e1e2`` to ``K amp = -m amp e0e3e4``.
-    """
-    kvec = momentum_vector(wave.k)
-    amp = wave.amplitude
-    if wave.gamma.variant == GammaChoice.E0E_VARIANT:
-        return (kvec * amp - wave.mass * (amp * e(CL32, 0))).inf_norm()
-    return (kvec * amp + wave.mass * (amp * e(CL32, 0, 3, 4))).inf_norm()
-
-
 # ---------------------------------------------------------------------------
 # residual evaluators
 # ---------------------------------------------------------------------------
@@ -425,7 +394,7 @@ def _coupling(charge, potential, values, points, times_gamma: BladeOperator, no_
     the potential is not read."""
     if charge == 0.0:
         return None
-    if not hasattr(potential, "values"):
+    if not isinstance(potential, ArrayField):
         raise ValueError(f"charge given without a potential field, got {potential!r}")
     rows = potential.values(points)
     grades = {int(g) for g in tables(CL32).grades[(rows != 0.0).any(axis=0)]}
@@ -436,18 +405,23 @@ def _coupling(charge, potential, values, points, times_gamma: BladeOperator, no_
     return times_gamma(_kernels.gp(tables(CL32).sign, rows, values)) * float(charge)
 
 
-def dirac5_residuals(field: Field5, mass: float, points) -> np.ndarray:
+def dirac5_residuals(field: ArrayField, mass: float, points) -> np.ndarray:
     """:func:`dirac5_residual` at every row of an ``(N, 5)`` point array."""
     return _equation_sum(_LEFT_PSEUDO, *field.samples(as_points(points)), float(mass), range(5))
 
 
-def dirac5_residual(field: Field5, mass: float, x: Sequence[float]) -> Multivector:
+def dirac5_residual(field: ArrayField, mass: float, x: Sequence[float]) -> Multivector:
     """Left side minus right side of the free equation at a point."""
     return Multivector(dirac5_residuals(field, mass, [as_point(x)])[0])
 
 
 def dirac5_potential_residuals(
-    field: Field5, mass: float, charge: float, potential: Field5, gamma: GammaChoice, points
+    field: ArrayField,
+    mass: float,
+    charge: float,
+    potential: ArrayField,
+    gamma: GammaChoice,
+    points,
 ) -> np.ndarray:
     """Residual of the minimally-coupled equation at every row of an ``(N, 5)``
     point array: ``m E phi - charge A phi gamma + e_A d^A phi``.
@@ -463,7 +437,7 @@ def dirac5_potential_residuals(
 
 
 def hestenes_dirac_residual(
-    field: Field5, mass: float, x: Sequence[float], charge: float = 0.0, potential=None
+    field: ArrayField, mass: float, x: Sequence[float], charge: float = 0.0, potential=None
 ) -> Multivector:
     """Residual of the 4D Dirac equation in Hestenes form at a point.
 
@@ -500,7 +474,7 @@ class _SectorHalf(ArrayField):
     """One idempotent-transform half of a base field, on its batch arrays;
     the other half is not computed."""
 
-    def __init__(self, base: Field5, half: int):
+    def __init__(self, base: ArrayField, half: int):
         self._base = base
         self._half = half
 
@@ -514,7 +488,7 @@ class _SectorHalf(ArrayField):
         return tuple(_idempotent_half(rows, self._half) for rows in self._base.samples(points))
 
 
-def sector_fields(field: Field5) -> tuple[Field5, Field5]:
+def sector_fields(field: ArrayField) -> tuple[ArrayField, ArrayField]:
     """Plus/minus idempotent-transform halves of a field, as fields."""
     return _SectorHalf(field, 0), _SectorHalf(field, 1)
 

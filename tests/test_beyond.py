@@ -138,16 +138,14 @@ def test_gradients_and_pair_residual_are_the_multivector_sums_bitwise(rng):
     for lead in fields:
         for trail in fields:
             for mass in (0.0, 0.7):
-                upper = pair_residuals(lead, trail, mass, pts, "upper")
-                lower = pair_residuals(trail, lead, mass, pts, "lower")
+                got = pair_residuals(lead, trail, mass, pts)
                 for n, x in enumerate(pts):
                     expected = (
                         oracle_second_time_gradient(lead, x)
                         + oracle_spacetime_gradient(trail, x)
                         - mass * (trail.value(x) * E012)
                     )
-                    assert upper[n].tobytes() == expected.coeffs.tobytes()
-                    assert lower[n].tobytes() == expected.coeffs.tobytes()
+                    assert got[n].tobytes() == expected.coeffs.tobytes()
 
 
 @pytest.mark.parametrize("axes", [range(5), range(4), (4,), (1, 2, 3)])
@@ -204,12 +202,6 @@ def test_grade_structure_error_is_the_batch_error_on_one_point(rng):
     with pytest.raises(GradeStructureError) as err:
         bogus.values(pts)
     assert err.value.blades == ("e124", "e134")  # every row's, ascending
-
-
-def test_pair_residual_sign_validation(rng):
-    field = ConstantField(e(CL32, 0, 1))
-    with pytest.raises(ValueError):
-        pair_residuals(field, field, 1.0, np.zeros((1, 5)), "diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +286,7 @@ def test_pair_equation_round_trip(rng):
     demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.1, 0.2, -0.3))
     ximinus = demo.derived_minus()
     pts = sample_points(rng, count=4)
-    lower = pair_residuals(demo.xi_plus, ximinus, 1.0, pts, "lower")
+    lower = pair_residuals(ximinus, demo.xi_plus, 1.0, pts)
     second_form, _ = scalar_potential_residuals(demo, pts)
     assert np.abs(lower - second_form).max() < 1e-12
     assert np.abs(lower).max() < 1e-9
@@ -446,7 +438,7 @@ def test_oscillating_pair_satisfies_the_sourced_equation(rng):
         assert current.value(x) == expected
         assert sourced_massless_residual(xi_plus, current, x).inf_norm() < 1e-14
     # and the pair solves the lower-sign equation at zero mass
-    assert np.abs(pair_residuals(xi_plus, xi_minus, 0.0, pts, "lower")).max() < 1e-14
+    assert np.abs(pair_residuals(xi_minus, xi_plus, 0.0, pts)).max() < 1e-14
 
 
 def test_vector_part_and_divergence_of_the_oscillating_pair(rng):
@@ -556,5 +548,3 @@ def test_demo_grid_shape_and_spacing():
     steps = np.diff(axis_values)
     assert np.allclose(steps, DEMO_GRID_SPACING, atol=1e-12, rtol=0.0)
     assert np.allclose(grid.mean(axis=0), 0.0, atol=1e-12)
-    shifted = demo_grid(center=(1.0, 0.0, 0.0, 0.0, 0.0))
-    assert shifted[:, 0].mean() == pytest.approx(1.0, abs=1e-12)

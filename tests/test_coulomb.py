@@ -23,9 +23,7 @@ from fermion5d.algebra import (
     BladeOperator,
     Multivector,
     e,
-    even_coeffs,
     even_masks,
-    from_even_coeffs,
     pseudoscalar,
 )
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
@@ -173,7 +171,8 @@ def column_loop_operator_matrix(fn):
     for j, out in enumerate(outputs):
         if odd:
             out = pseudoscalar(CL32) * out
-        matrix[:, j] = even_coeffs(out)
+        assert out.is_even
+        matrix[:, j] = out.coeffs[list(masks)]
     return matrix
 
 
@@ -924,9 +923,11 @@ def test_series_evaluate_matches_its_derivative():
 def test_series_multivector_is_even():
     params = CoulombParams(mass=1.0, coupling=0.3, kappa=-1, n_r=1)
     series = solve_radial(params).series
-    mv = from_even_coeffs(series.evaluate(1.0))
-    assert isinstance(mv, Multivector)
-    assert mv.is_even
+    values = series.evaluate(1.0)
+    assert values.shape == (len(even_masks(CL32)),)
+    coeffs = np.zeros(CL32.n_blades)
+    coeffs[list(even_masks(CL32))] = values
+    assert Multivector(coeffs).is_even
 
 
 def test_series_guards():

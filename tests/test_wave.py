@@ -43,17 +43,28 @@ from fermion5d.wave import (
     momentum_constraint_matrix,
     hestenes_plane_wave_field,
     hestenes_sample_residuals,
-    momentum_vector,
     phase_mixture,
     plane_wave_field,
     sector_fields,
     solve_hestenes_amplitude,
-    solve_momentum_constraint,
     solve_time_component,
-    specialized_constraint_residual,
 )
 
 BOTH_GAMMAS = (GammaChoice.e12(), GammaChoice.e0E())
+
+
+def momentum_vector(k):
+    """The grade-1 multivector ``k^A e_A``: the rows the constraint multiplies."""
+    return Multivector(wave._momentum_rows(np.asarray(k, dtype=np.float64)))
+
+
+def amplitude_basis(k, mass, gamma):
+    """Orthonormal basis of the even amplitudes that satisfy the momentum
+    constraint: the null space of its matrix, on the even blades."""
+    basis = nullspace(momentum_constraint_matrix(k, mass, gamma))
+    coeffs = np.zeros((basis.shape[1], CL32.n_blades))
+    coeffs[:, list(even_masks(CL32))] = basis.T
+    return [Multivector(row) for row in coeffs]
 
 
 def sample_points(rng, count=4, scale=0.7):
@@ -125,7 +136,7 @@ def test_momentum_vector_components():
     for a in range(5):
         assert kvec.coeffs[1 << a] == k[a]
     # square of a grade-1 vector is its metric norm
-    assert np.isclose((kvec * kvec).scalar_part(), minkowski_dot(k, k))
+    assert np.isclose((kvec * kvec).coeffs[0], minkowski_dot(k, k))
 
 
 def test_solve_time_component_uses_the_two_time_metric():
@@ -157,9 +168,9 @@ def test_solve_time_component_keeps_the_plain_sum_where_squares_are_normal():
 def test_amplitude_space_dimension_on_and_off_shell():
     k_on = np.array([math.sqrt(1.09), 0.3, 0.0, 0.0, 0.0])
     for gamma in BOTH_GAMMAS:
-        assert len(solve_momentum_constraint(k_on, 1.0, gamma)) == 8
+        assert len(amplitude_basis(k_on, 1.0, gamma)) == 8
     k_off = np.array([1.0, 0.3, 0.0, 0.0, 0.0])
-    assert len(solve_momentum_constraint(k_off, 1.0, GammaChoice.e12())) == 0
+    assert len(amplitude_basis(k_off, 1.0, GammaChoice.e12())) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +200,7 @@ def test_every_amplitude_basis_element_works(rng):
     k = np.array([k0, *k_spatial, 0.3])
     pts = sample_points(rng, count=2)
     for gamma in BOTH_GAMMAS:
-        for amp in solve_momentum_constraint(k, mass, gamma):
+        for amp in amplitude_basis(k, mass, gamma):
             wave = PlaneWave(amplitude=amp, k=k, gamma=gamma, mass=mass)
             field = wave.field()
             for x in pts:
@@ -197,9 +208,16 @@ def test_every_amplitude_basis_element_works(rng):
 
 
 def test_specialized_constraint_forms(rng):
+    # for the pure variants the constraint collapses to a reduced condition:
+    # K amp = m amp e0 for e0E, and K amp = -m amp e0e3e4 for e1e2
     for gamma in BOTH_GAMMAS:
         wave = build_plane_wave((0.3, 0.1, -0.2), 0.2, 1.2, gamma)
-        assert specialized_constraint_residual(wave) < 1e-10
+        kvec, amp = momentum_vector(wave.k), wave.amplitude
+        if gamma.variant == GammaChoice.E0E_VARIANT:
+            reduced = kvec * amp - wave.mass * (amp * e(CL32, 0))
+        else:
+            reduced = kvec * amp + wave.mass * (amp * e(CL32, 0, 3, 4))
+        assert reduced.inf_norm() < 1e-10
 
 
 def test_plane_wave_constructor_guards(rng):
@@ -224,11 +242,9 @@ def test_build_plane_wave_rejects_imaginary_frequency():
 def test_pair_form_is_equivalent_to_the_full_equation(rng):
     pts = sample_points(rng, count=3)
     wave = build_plane_wave((0.3, -0.4, 0.2), 0.25, 1.0, GammaChoice.e12())
-    halves = sector_fields(wave.field())
-    for sign in ("upper", "lower"):
-        assert np.abs(pair_residuals(*halves, 1.0, pts, sign)).max() < 1e-10
-    with pytest.raises(ValueError):
-        pair_residuals(*halves, 1.0, pts, "sideways")
+    plus, minus = sector_fields(wave.field())
+    for lead, trail in ((plus, minus), (minus, plus)):  # the upper and lower signs
+        assert np.abs(pair_residuals(lead, trail, 1.0, pts)).max() < 1e-10
 
 
 def test_pair_residuals_sum_to_the_full_residual(rng):
@@ -245,12 +261,10 @@ def test_pair_residuals_sum_to_the_full_residual(rng):
         return float(-np.sin(freq @ pt) * freq[axis]) * amp
 
     field = AnalyticField(value, partial)
-    halves = sector_fields(field)
+    plus, minus = sector_fields(field)
     for mass in (0.0, 0.7):
         pts = sample_points(rng, count=3)
-        split = pair_residuals(*halves, mass, pts, "upper") + pair_residuals(
-            *halves, mass, pts, "lower"
-        )
+        split = pair_residuals(plus, minus, mass, pts) + pair_residuals(minus, plus, mass, pts)
         for x, row in zip(pts, split):
             total = dirac5_residual(field, mass, x) * one_minus_e34
             assert np.abs(total.coeffs - row).max() < 1e-14
@@ -658,7 +672,7 @@ def test_batch_amplitudes_equal_the_per_wave_ones_bitwise(gamma):
         wave = build_plane_wave(k_spatial[i], k4[i], m, gamma)
         assert k[i].tobytes() == wave.k.tobytes()
         assert amps[i].tobytes() == wave.amplitude.coeffs.tobytes()
-        first = solve_momentum_constraint(k[i], m, gamma)[0]
+        first = amplitude_basis(k[i], m, gamma)[0]
         assert amps[i].tobytes() == first.coeffs.tobytes()
     # the zero matrix of the massless rest frame: every direction is null
     assert amps[-2].tobytes() == Multivector.scalar(1.0).coeffs.tobytes()
@@ -690,6 +704,14 @@ def test_batch_constraint_residuals_equal_the_product_formula(rng):
             lhs = momentum_vector(kk) * amp * gamma.as_multivector() + float(m) * (pseudo * amp)
             assert value == lhs.inf_norm()
         assert np.max(got[::3]) > 1e-8 and np.max(got[1::3]) < 1e-10
+
+
+def test_constraint_residuals_of_zero_momenta_are_empty():
+    # the post-check is a product of zero-row batches (the coupled residual's
+    # zero-row case is in tests/test_api.py)
+    for gamma in BOTH_GAMMAS:
+        got = constraint_residuals(np.zeros((0, 5)), np.zeros((0, 32)), 1.0, gamma)
+        assert got.shape == (0,)
 
 
 def test_batch_build_runs_the_constraint_check_on_every_row(monkeypatch):
