@@ -325,7 +325,7 @@ def minus_constancy_ratio(xi_minus: ArrayField, points) -> float:
     NaN partial also gives ``inf``, so that no bound passes it.
     """
     if len(points) == 0:
-        raise ValueError("minus_constancy_ratio requires a non-empty sample set")
+        raise ValueError("at least one sample point is required")
     partials = np.abs(xi_minus.partials(as_points(points)))
     spacetime, second_time = float(np.max(partials[:4])), float(np.max(partials[4]))
     if spacetime == 0.0 and second_time == 0.0:
@@ -421,8 +421,10 @@ def source_current(
     The pair is checked against the sourced zero-mass equation at every row
     of ``points`` (sup-norm residual below ``tolerance``; a NaN residual
     fails), and the current's grade structure is enforced there.  Returns
-    the :class:`SourceCurrent`.
+    the :class:`SourceCurrent`.  Raises ``ValueError`` on zero points.
     """
+    if not len(points):
+        raise ValueError("at least one sample point is required")
     current = SourceCurrent(xi_minus)
     worst = float(np.max(np.abs(sourced_massless_residuals(xi_plus, current, points))))
     if not worst < tolerance:

@@ -29,8 +29,25 @@ solver uses ``S^2 = q^2 I`` for the steps ``((p + q) I - S)^-1 = ((p + q) I
 + S) / (p (p + 2q))`` and the indicial kernel, 8 scaled columns of ``S + qI``,
 and checks it for every state: one whose ``S^2`` misses ``q^2 I`` by more
 than 1e-12 kappa^2 is an error, not a series.  :func:`solve_radials` solves
-many states at once: one stacked SVD per phase bivector, the states sorted
-so that those still stepping form a prefix, plus one per admissible dimension.
+many states at once with no LAPACK call: per phase bivector, the states are
+sorted so that those still stepping form a prefix, and each one's whole
+indicial kernel is propagated once.
+
+The kernel basis makes column norms do the work of singular values.  The
+right product ``P: x -> x e3 e4`` is a signed permutation with ``P^2 = I``
+that commutes bit for bit with ``Z``, ``R H Z`` and ``R``, so with ``S``,
+``T``, every step and the termination map, and it pairs the 8 kernel blades
+of each sign of kappa.  The basis columns are ``(S + qI) (e_b +- P e_b)``
+over one blade ``b`` of each pair, scaled to unit norm: ``P``-eigenvectors
+that span the kernel.  ``P`` is symmetric, so the images of columns of
+opposite eigenvalue are orthogonal; columns of one eigenvalue lie in
+different blocks of the block-diagonal radial operators, which the maps keep
+apart.  So the images of the basis under the termination map and under the
+map to the last coefficient have orthogonal columns: each column norm is a
+singular value, and the subspace that terminates is spanned by whole
+columns.  The kernel's raw columns would not do: under ``e12`` a ``4 x 4``
+block holds two of them, ``c`` and ``P c``, which the termination map sends
+to non-orthogonal images.
 
 Each constant operator is a chain of signed blade gathers on the even basis.
 A chain that flips even and odd grades ends with the gather of ``x -> E x``,
@@ -63,14 +80,17 @@ from .wave import GammaChoice, _times_gamma
 _LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # x -> E x
 _LEFT_E0, _RIGHT_E0 = BladeOperator.left(e(CL32, 0)), BladeOperator.right(e(CL32, 0))
 _LEFT_E3 = BladeOperator.left(e(CL32, 3))  # the radial unit
+_RIGHT_E34 = BladeOperator.right(e(CL32, 3, 4))  # the kernel pairing P
 _EVEN_MASKS, _ODD_MASKS = list(even_masks(CL32)), list(odd_masks(CL32))
 _EYE = np.eye(16)
 _EYE.setflags(write=False)
 
 #: Bound on ``|S^2 - q^2 I|``, relative to kappa^2, past which a state is an error.
 SQUARE_IDENTITY_BOUND = 1e-12
-#: Relative bound on the termination residual of a series, also the relative
-#: singular-value gap that counts a direction as terminating.
+#: Relative bound on the termination residual of a series, also the bound,
+#: relative to a generic chain's scale, on the termination column norm (a
+#: singular value, see the module docstring) that counts a kernel column as
+#: terminating.
 SVD_GAP_THRESHOLD = 1e-10
 #: Fixed generic vector whose projection onto the terminating subspace picks the
 #: series direction: square roots of the first sixteen primes, rationally independent.
@@ -112,13 +132,41 @@ def radial_left_matrix() -> np.ndarray:
     return even_operator_matrix(_LEFT_E3, _LEFT_PSEUDO)
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_pairing() -> tuple[np.ndarray, np.ndarray]:
+    """The pairing ``P: x -> x e3 e4`` (module docstring) and, for kappa < 0 and
+    > 0, the ``(16, 8)`` vectors ``(e_b +- P e_b) / sqrt 2`` over one blade ``b``
+    of each pair it makes of the blades where ``Z = sign kappa``; read-only.
+
+    It does not depend on the phase bivector, so it is built once, lazily;
+    :func:`_radial_blocks` checks that ``P`` commutes with each bivector's
+    blocks.  Raises unless ``P`` is a signed permutation with ``P^2 = I`` that
+    commutes with ``Z`` and moves every blade.
+    """
+    p, z = even_operator_matrix(_RIGHT_E34), e0_sandwich_matrix()
+    if not (np.array_equal(np.abs(p) @ np.abs(p).T, _EYE) and np.array_equal(p @ p, _EYE)
+            and np.array_equal(p @ z, z @ p) and not np.diag(p).any()):
+        raise RuntimeError("the kernel pairing P is not a signed permutation with P^2 = I "
+                           "that commutes with Z and moves every blade")
+    partner = np.abs(p).argmax(axis=0)  # P e_b = +-e_partner[b]
+    starts = np.empty((2, 16, 8))
+    for sign, vectors in zip((-1.0, 1.0), starts):
+        firsts = [b for b in np.flatnonzero(np.diag(z) == sign) if b < partner[b]]
+        vectors[:, 0::2] = (_EYE + p)[:, firsts] * math.sqrt(0.5)
+        vectors[:, 1::2] = (_EYE - p)[:, firsts] * math.sqrt(0.5)
+    for mat in (p, starts):
+        mat.setflags(write=False)
+    return p, starts
+
+
 @functools.lru_cache(maxsize=8)
 def _radial_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constant blocks ``(Z, R H Z, R)`` of the radial system, read-only.
 
     They depend only on the phase bivector, so they are built once per phase
     bivector and shared by every ``S`` and ``T``.  Raises unless they have
-    the structure that :func:`_indicial_kernel` relies on.
+    the structure that :func:`_indicial_kernel` relies on, and unless the
+    pairing ``P`` of :func:`_kernel_pairing` commutes with each of them.
     """
     z, r = e0_sandwich_matrix(), radial_left_matrix()
     rhz = r @ gamma_e0_right_matrix(gamma) @ z
@@ -127,6 +175,10 @@ def _radial_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray, np.ndarr
             and not (z @ rhz + rhz @ z).any()):
         raise RuntimeError(f"radial blocks of {gamma.variant} are not Z = diag(+-1) and "
                            "a signed permutation RHZ that anticommutes with it")
+    p = _kernel_pairing()[0]
+    if not all(np.array_equal(p @ mat, mat @ p) for mat in (rhz, r)):
+        raise RuntimeError(f"the kernel pairing P does not commute with the radial blocks "
+                           f"of {gamma.variant}")
     for mat in (z, rhz, r):
         mat.setflags(write=False)
     return z, rhz, r
@@ -318,8 +370,8 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """2-norms of the rows, each one dot product as for a single vector."""
-    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+    """2-norms along the last axis, each one dot product as for a single vector."""
+    return np.sqrt(rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
 
 
 def _column_scale(blocks: np.ndarray) -> np.ndarray:
@@ -329,41 +381,33 @@ def _column_scale(blocks: np.ndarray) -> np.ndarray:
     return np.sqrt((blocks * blocks).sum(axis=-2)).max(axis=-1)
 
 
-def _split_selected(mask: np.ndarray, vt: np.ndarray):
-    """Split a batch by how many rows of each ``vt`` its ``mask`` row keeps:
-    ``(count, batch indices, (n, count, k) kept rows)`` per nonzero count."""
-    counts = mask.sum(axis=1)
-    for count in set(counts.tolist()) - {0}:  # np.unique would import numpy.ma, 0.6 MB
-        batch = np.flatnonzero(counts == count)
-        yield count, batch, vt[batch][mask[batch]].reshape(len(batch), count, vt.shape[-1])
-
-
 def _step_inverses(s_plus_q: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
     """``((p+q) I - S)^-1 = ((S + qI) + pI) / (p (p+2q))`` of a stack, as ``S^2 = q^2 I``."""
     return (s_plus_q + p * _EYE) / (p * (p + 2 * q))
 
 
-def _indicial_kernel(z, s_plus_q, kappas, couplings, q) -> np.ndarray:
-    """Orthonormal bases ``(N, 16, 8)`` of the indicial kernels ``null(S - qI)``.
+def _indicial_kernel(s_plus_q, kappas, couplings, q) -> np.ndarray:
+    """Orthonormal bases ``(N, 16, 8)`` of the indicial kernels ``null(S - qI)``,
+    each column an eigenvector of the pairing ``P`` (:func:`_kernel_pairing`).
 
     ``S^2 = q^2 I`` puts the columns of ``S + qI`` in the kernel.  ``Z`` is
     diagonal +-1 and ``R H Z`` a signed permutation anticommuting with it, so
     the column at each of the 8 blades where ``Z = sign kappa`` holds
     ``|kappa| + q`` there and ``+-lambda`` at one blade where ``Z = -sign
-    kappa``: disjoint supports, orthonormal once scaled by their norm."""
-    diag = np.diag(z)
-    blades = np.where(kappas[:, 0] > 0, np.flatnonzero(diag > 0), np.flatnonzero(diag < 0))
-    kernel = np.take_along_axis(s_plus_q, blades[:, None, :], axis=2)
-    return kernel / np.hypot(np.abs(kappas) + q, couplings)
+    kappa``: disjoint supports, orthonormal once scaled by their norm.  The
+    columns taken are those at ``(e_b +- P e_b) / sqrt 2``, which ``P`` maps
+    onto ``+-`` themselves bit for bit: columns of opposite eigenvalue are
+    exactly orthogonal, and those of one eigenvalue share no row."""
+    starts = _kernel_pairing()[1][(kappas[:, 0, 0] > 0).astype(int)]
+    return (s_plus_q @ starts) / np.hypot(np.abs(kappas) + q, couplings)
 
 
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     """Solutions, or errors, of states that share the phase bivector, sorted by n_r
     from the largest down, solved at mass 1 from their decays, then scaled."""
     n_r, gamma = np.array([p.n_r for p in group]), group[0].gamma
-    z, rhz, r = _radial_blocks(gamma)
+    _, rhz, r = _radial_blocks(gamma)
     energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
-    everyone = np.arange(len(group))
 
     def col(values) -> np.ndarray:
         return np.array(values, dtype=np.float64)[:, None, None]
@@ -388,30 +432,23 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     binding = col([d * d / (1.0 + b) for d, b in zip(decays, energies)])
     beta = col([-d for d in decays])
 
-    def terminate(c: np.ndarray, batch=slice(None)) -> np.ndarray:
-        return r_minus_rhz @ c + binding[batch] * (rhz @ c) + beta[batch] * c
+    def terminate(c: np.ndarray, k=None) -> np.ndarray:
+        """``(beta I + T) c`` for the first ``k`` states (all by default)."""
+        return r_minus_rhz @ c + binding[:k] * (rhz @ c) + beta[:k] * c
 
-    # every state's steps for p = 1..n_r, power-major, shared by every propagation
+    # every state's steps for p = 1..n_r, power-major: the states stepping at
+    # power p are a prefix, as they are sorted by n_r
     counts = [int((n_r >= p).sum()) for p in range(1, n_r[0] + 1)]
     offsets = np.cumsum([0] + counts)
     steps = np.empty((offsets[-1], 16, 16))
     for p, count in enumerate(counts):
         steps[offsets[p]:offsets[p + 1]] = _step_inverses(s_plus_q[:count], q[:count], p + 1)
 
-    def propagate(block: np.ndarray, batch=everyone) -> tuple[list, np.ndarray]:
-        """``C_0 .. C_{n_r}`` from ``C_p = ((p+q) I - S)^-1 (-(beta I + T) C_{p-1})`` for
-        an ascending ``batch`` (``C_p`` for its prefix stepping at power p) and each ``C_{n_r}``."""
-        chain, top = [block], block.copy()
-        for p, count in enumerate(counts[:n_r[batch[0]]]):
-            k = np.searchsorted(batch, count)
-            chain.append(steps[offsets[p] + batch[:k]] @ -terminate(chain[-1][:k], batch[:k]))
-            top[:k] = chain[-1]
-        return chain, top
-
-    # C_0 must satisfy (S - q I) C_0 = 0 and, propagated, (beta I + T) C_{n_r} = 0.
-    # At the root the termination map selects part of the indicial kernel (n_r = 0)
-    # or vanishes on all of it (n_r >= 1): both are thresholded against the product
-    # of the scales of the termination map and of each step on it, a generic chain's.
+    # C_0 must satisfy (S - q I) C_0 = 0 and, propagated by C_p = ((p+q) I - S)^-1
+    # (-(beta I + T) C_{p-1}), (beta I + T) C_{n_r} = 0.  At the root the termination
+    # map selects part of the indicial kernel (n_r = 0) or vanishes on all of it
+    # (n_r >= 1): both are thresholded against the product of the scales of the
+    # termination map and of each step on it, a generic chain's.
     termination = terminate(_EYE)
     termination_norm = _column_scale(termination)
     generic_scale = termination_norm.copy()
@@ -419,31 +456,36 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         generic_scale[:k] *= _column_scale(steps[offsets[p]:offsets[p + 1]] @ -termination[:k])
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
-    kernel = _indicial_kernel(z, s_plus_q, kappas, couplings, q)
-    sing_w, vt_w = np.linalg.svd(terminate(propagate(kernel)[1]))[1:]
-    admissible = sing_w <= threshold[:, None]
+    # chain[p] holds C_p of every kernel column for the states stepping at power
+    # p, and final each state's C_{n_r}.  The columns' images under the
+    # termination map and under the map to C_{n_r} are orthogonal (module
+    # docstring), so their norms are singular values and the admissible
+    # subspace is spanned by the columns whose residual is below the threshold
+    kernel = _indicial_kernel(s_plus_q, kappas, couplings, q)
+    chain, final = [kernel], kernel.copy()
+    for p, count in enumerate(counts):
+        chain.append(steps[offsets[p]:offsets[p + 1]] @ -terminate(chain[-1][:count], count))
+        final[:count] = chain[-1]
+    residuals = _norms(terminate(final).swapaxes(1, 2))
+    admissible = residuals <= threshold[:, None]
     kernel_dims = admissible.sum(axis=1).tolist()
-    leading = np.zeros((len(group), 16))
-    for _, batch, kept in _split_selected(admissible, vt_w):
-        # keep the admissible directions whose final coefficient is largest, not
-        # those it vanishes on by cancellation (close couplings make neighboring
-        # levels almost align).  That singular value is often degenerate, so the
-        # series starts from a fixed vector projected onto its whole subspace
-        basis = kernel[batch] @ np.swapaxes(kept, 1, 2)
-        _, sing_b, vt_b = np.linalg.svd(propagate(basis, batch)[1], full_matrices=False)
-        for _, same, top in _split_selected(sing_b >= (1.0 - 1e-8) * sing_b[:, :1], vt_b):
-            top = basis[same] @ np.swapaxes(top, 1, 2)
-            leading[batch[same]] = (top @ (top.swapaxes(1, 2) @ _DIRECTION_PROBE[:, None]))[..., 0]
-    leading /= np.where(kernel_dims, _norms(leading), 1.0)[:, None]
-    chain, last = propagate(leading[..., None])
+    # keep the admissible columns whose final coefficient is largest, not those
+    # it vanishes on by cancellation (close couplings make neighboring levels
+    # almost align).  That norm is often degenerate, so the series starts from a
+    # fixed vector projected onto the span of every column within the band
+    reach = np.where(admissible, _norms(final.swapaxes(1, 2)), 0.0)
+    top = admissible & (reach >= (1.0 - 1e-8) * reach.max(axis=1, keepdims=True))
+    weights = np.where(top, _DIRECTION_PROBE @ kernel, 0.0)
+    # a unit C_0: the kernel is orthonormal, so |kernel w| = |w|
+    weights = (weights / np.where(kernel_dims, _norms(weights), 1.0)[:, None])[..., None]
     coefficients = np.zeros((len(group), len(chain), 16))
     for p, c in enumerate(chain):
-        coefficients[:len(c), p] = c[..., 0]
+        coefficients[:len(c), p] = (c @ weights[:len(c)])[..., 0]
 
     # post-check: the termination map annihilates the last coefficient
     # relative to its scale (a non-terminating direction scores O(1)); both
     # norms are of last / max|last|, so tiny squares do not underflow to 0 / 0
-    last, c0 = last[..., 0], leading[..., None]
+    last, c0 = (final @ weights)[..., 0], coefficients[:, :1].swapaxes(1, 2)
     peak = np.abs(last).max(axis=1)
     unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
     scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
@@ -459,7 +501,7 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
             error = f"decay constant rounds to 0 ({state}, coupling={params.coupling:.3e})"
         elif kernel_dims[i] == 0:
             error = ("no terminating series at the root energy: smallest termination "
-                     f"residual {sing_w[i, -1]:.3e} exceeds {threshold[i]:.3e} ({state})")
+                     f"residual {residuals[i].min():.3e} exceeds {threshold[i]:.3e} ({state})")
         elif peak[i] == 0.0:
             error = ("series underflows: every component of its last coefficient is 0 "
                      f"({state}, coupling={params.coupling:.3e})")
@@ -473,7 +515,7 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
             diagnostics = {
                 "termination_relative": float(termination_relative[i]),
                 "termination_kernel_dim": kernel_dims[i],
-                "termination_vacuity": float(sing_w[i, 0] / generic_scale[i]),
+                "termination_vacuity": float(residuals[i].max() / generic_scale[i]),
                 "closed_form_delta": abs(energy - sommerfeld_energy(params)),
                 "indicial_residual": float(indicial[i]),
                 "s_square_error": float(s_square_err[i]),
@@ -491,8 +533,9 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     element that is not a :class:`CoulombParams` raises ``TypeError``.  A
     state of mass m is that of mass 1 scaled: m times the energy and the
     decay, and the same coefficients in ``rho = m r``.  One bisection roots
-    every state; per phase bivector, one SVD finds the admissible subspaces
-    and one per distinct admissible dimension the series directions.
+    every state; per phase bivector, one propagation of every state's
+    indicial kernel gives, as column norms, the admissible columns and, among
+    them, those that set the series direction (see the module docstring).
     """
     params_seq, groups, results = list(params_seq), {}, {}
     for i, params in enumerate(params_seq):
@@ -520,7 +563,8 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     kappa > 0 when the phase bivector is e0 times the pseudoscalar, the
     Dirac-Coulomb selection rule), when its last coefficient underflows to
     zero, or when the decay constant rounds to 0 (coupling 5e-324).  This is
-    :func:`solve_radials` on a batch of one: two SVDs whatever ``n_r`` is.
+    :func:`solve_radials` on a batch of one, with no LAPACK call whatever
+    ``n_r`` is.
     """
     (result,) = solve_radials([params])
     if isinstance(result, RuntimeError):

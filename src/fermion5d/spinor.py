@@ -133,5 +133,5 @@ def cylinder_check(field, points: Iterable, tolerance: float) -> bool:
     """
     pts = list(points)
     if not pts:
-        raise ValueError("cylinder_check requires a non-empty sample set")
+        raise ValueError("at least one sample point is required")
     return float(np.max(np.abs(field.partials(np.asarray(pts))[4]))) < tolerance

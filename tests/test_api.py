@@ -199,7 +199,7 @@ PHASE_BACKED = sorted(
     )
 )
 
-#: Entries that need at least one point: zero rows raise.
+#: Entries that need at least one point: zero rows raise this one message.
 NEEDS_A_POINT = {
     "angular_reduction_check", "cylinder_check", "minus_constancy_ratio", "source_current"
 }
@@ -231,7 +231,8 @@ def test_a_batch_entry_returns_its_shape_or_raises_one_line(name):
         assert _shape(call(points)) == shape(2)
     bad_inputs = list(BAD_INPUTS.values())
     if name in NEEDS_A_POINT:
-        bad_inputs.append(np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="^at least one sample point is required$"):
+            call(np.zeros((0, 5)))
     else:
         assert _shape(call(np.zeros((0, 5)))) == shape(0)
     for points in bad_inputs:

@@ -704,6 +704,56 @@ def test_column_scale_bounds_the_2_norm_and_keeps_every_kernel_dimension():
         assert np.all(scales <= [spectral_norm(block) * bound for block in blocks]), params
 
 
+def test_kernel_columns_keep_orthogonal_images(monkeypatch):
+    # the solver reads singular values as column norms: of the termination
+    # map and of the map to the last coefficient, on its P-eigen kernel basis.
+    # That needs both images to have orthogonal columns, which the Gram
+    # matrices of the columns it measured show.  The columns it admits are
+    # rounding noise, all kept together, so a pair of two of them is not
+    # compared; the last coefficients are compared with the largest, as the
+    # band that picks the series direction compares them
+    measured = []
+
+    def recording(rows, _norms=coulomb._norms):
+        if rows.ndim == 3:  # (states, columns, 16): the column norms
+            measured.append(np.array(rows[0]))
+        return _norms(rows)
+
+    monkeypatch.setattr(coulomb, "_norms", recording)
+    off_diagonal = 1.0 - np.eye(8)
+    for params in diagnostic_grid():
+        measured.clear()
+        (result,) = solve_radials([params])
+        termination, final = (columns @ columns.T for columns in measured)
+        norms = np.sqrt(np.diag(termination))
+        dim = 0 if isinstance(result, RuntimeError) else result.diagnostics["termination_kernel_dim"]
+        admitted = np.zeros(8, dtype=bool)
+        admitted[np.argsort(norms, kind="stable")[:dim]] = True
+        compared = ~np.outer(admitted, admitted)
+        bound = 1e-14 * np.outer(norms, norms)
+        assert (np.abs(termination * off_diagonal) <= bound)[compared].all(), params
+        largest = np.sqrt(np.diag(final)).max()
+        assert (np.abs(final * off_diagonal) <= 1e-14 * largest**2).all(), params
+
+
+@pytest.mark.parametrize("product", ["right-e12", "left-e34"])
+def test_the_kernel_pairing_refuses_a_product_without_its_structure(product, monkeypatch):
+    # x -> x e1 e2 squares to -I, which the pairing's builder refuses; x -> e3 e4 x
+    # passes it (an involution that commutes with Z and moves every blade) but
+    # anticommutes with R, which the radial blocks refuse
+    if product == "right-e12":
+        monkeypatch.setattr(coulomb, "_RIGHT_E34", BladeOperator.right(e(CL32, 1, 2)))
+        with pytest.raises(RuntimeError, match="is not a signed permutation with P\\^2 = I"):
+            coulomb._kernel_pairing.__wrapped__()
+        return
+    monkeypatch.setattr(coulomb, "_RIGHT_E34", BladeOperator.left(e(CL32, 3, 4)))
+    pairing = coulomb._kernel_pairing.__wrapped__()
+    monkeypatch.setattr(coulomb, "_kernel_pairing", lambda: pairing)
+    for gamma in BOTH_GAMMAS:
+        with pytest.raises(RuntimeError, match="does not commute with the radial blocks"):
+            coulomb._radial_blocks.__wrapped__(gamma)
+
+
 def test_one_batch_of_the_whole_grid_isolates_each_state():
     # both phase bivectors and every coupling in one call: each selection-rule
     # cell gets its own error, with the message of a batch of one, and every
@@ -768,62 +818,43 @@ def test_solve_radials_takes_any_iterable_and_names_a_bad_element(bad, error):
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_solver_lapack_calls_do_not_grow_with_the_series_length(gamma, monkeypatch):
     # The recurrence steps and the indicial kernel come from S^2 = q^2 I in
-    # closed form, and the threshold scale takes largest column norms, not
-    # singular values.  A solve makes no inverse and one SVD per phase
-    # bivector, plus one final SVD per distinct admissible dimension.
+    # closed form, the threshold scale takes largest column norms, and the
+    # kernel basis makes column norms the singular values of the termination
+    # and final-coefficient maps.  So no solve makes a LAPACK call, whatever
+    # its series length, batch size, phase bivectors or admissible dimensions.
     names = ("solve", "svd", "inv", "norm")
 
-    def lapack_calls(solve):
-        solve()  # fill the block cache first
+    def assert_no_lapack_call(batch):
+        solve_radials(batch)  # fill the block and pairing caches first
         counts = dict.fromkeys(names, 0)
         for name in names:
             original = getattr(np.linalg, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
-                assert kwargs.get("compute_uv", True), "an SVD for singular values alone"
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        solved = solve()
+        solve_radials(batch)
         monkeypatch.undo()
-        return counts, solved
+        assert counts == dict.fromkeys(names, 0), counts
 
     def state(kappa=-2, n_r=0, coupling=0.3):
         return CoulombParams(mass=1.0, coupling=coupling, kappa=kappa, n_r=n_r, gamma=gamma)
 
-    short, _ = lapack_calls(lambda: solve_radial(state(n_r=0)))
-    long, _ = lapack_calls(lambda: solve_radial(state(n_r=6)))
-    assert short["solve"] == long["solve"] == 0, (short, long)
-    assert sum(long.values()) <= sum(short.values()), (short, long)
-    assert long["inv"] == 0 and long["svd"] <= 2, long
-
-    # 14 states that share n_r make the calls of one
+    assert_no_lapack_call([state(n_r=0)])
+    assert_no_lapack_call([state(n_r=6)])
+    # 14 states that share n_r
     kappas = [k for k in range(-7, 8) if k]
-    many, _ = lapack_calls(lambda: solve_radials([state(kappa=k, n_r=3) for k in kappas]))
-    assert many == lapack_calls(lambda: solve_radials([state(n_r=3)]))[0], many
-
-    def assert_one_stacked_solve(batch):
-        # no inverse, and one SVD plus one per distinct admissible dimension
-        # of each phase bivector
-        counts, solved = lapack_calls(lambda: solve_radials(batch))
-        dims = {(s.params.gamma, s.diagnostics["termination_kernel_dim"])
-                for s in solved if not isinstance(s, RuntimeError)}
-        bivectors = {s.gamma for s in batch}
-        assert counts["inv"] == 0 and counts["svd"] <= len(bivectors) + len(dims), (counts, dims)
-        return counts
-
+    assert_no_lapack_call([state(kappa=k, n_r=3) for k in kappas])
     # a batch over four n_r and two couplings
     mixed = [state(k, n_r, c) for k in kappas for n_r in range(4) for c in (1e-4, 0.6)]
-    assert_one_stacked_solve(mixed)
-    # both phase bivectors in one batch: the calls of each
+    assert_no_lapack_call(mixed)
+    # both phase bivectors in one batch
     other = BOTH_GAMMAS[1] if gamma == BOTH_GAMMAS[0] else BOTH_GAMMAS[0]
-    assert_one_stacked_solve(mixed + [replace(p, gamma=other) for p in mixed])
-    # the 64 states of `spectrum --max-n 8` at Z = 37 (a group per n_r made 32 calls)
-    spectrum = [state(k, n_r, 37 * FINE_STRUCTURE) for k, n_r in cli._spectrum_states(8)]
-    counts = assert_one_stacked_solve(spectrum)
-    if gamma == GammaChoice.e12():  # the phase bivector `spectrum` uses
-        assert counts == {"solve": 0, "svd": 3, "inv": 0, "norm": 0}, counts
+    assert_no_lapack_call(mixed + [replace(p, gamma=other) for p in mixed])
+    # the 64 states of `spectrum --max-n 8` at Z = 37
+    assert_no_lapack_call([state(k, n_r, 37 * FINE_STRUCTURE) for k, n_r in cli._spectrum_states(8)])
 
 
 #: Couplings of the closed-form checks, 1e-300 to 0.9999999.
@@ -865,13 +896,19 @@ def test_closed_form_steps_match_the_lapack_inverse(gamma):
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_structured_indicial_kernel_matches_the_svd_kernel(gamma):
     kappa, coupling, q, s_mat = identity_grid(gamma)
-    z = coulomb._radial_blocks(gamma)[0]
-    kernel = coulomb._indicial_kernel(z, s_mat + q * EYE, kappa, coupling, q)
-    # two nonzeros per column, and no two columns share a row
+    kernel = coulomb._indicial_kernel(s_mat + q * EYE, kappa, coupling, q)
+    # the columns are eigenvectors of the pairing P, with eigenvalues +1, -1, +1,
+    # ..., exactly; P is a symmetric involution, so columns of opposite
+    # eigenvalue are exactly orthogonal, and those of one eigenvalue share no row
+    pairing = coulomb._kernel_pairing()[0]
+    parity = np.tile([1.0, -1.0], 4)
+    assert np.array_equal(pairing @ kernel, kernel * parity)
+    assert np.array_equal(pairing, pairing.T)
     nonzero = kernel != 0.0
-    assert (nonzero.sum(axis=1) == 2).all() and (nonzero.sum(axis=2) <= 1).all()
+    assert (nonzero.sum(axis=1) == 4).all()
+    for sign in (1.0, -1.0):
+        assert (nonzero[:, :, parity == sign].sum(axis=2) <= 1).all()
     gram = kernel.swapaxes(1, 2) @ kernel
-    assert not (gram * (1.0 - np.eye(8))).any()  # exactly orthogonal
     assert np.abs(gram - np.eye(8)).max() <= 2 * EPS
     # the kernel the SVD finds: the same subspace, up to the SVD's own error,
     # which reaches 1.01e-14 at |kappa| = 13
