@@ -411,19 +411,6 @@ def linear_map_matrix(
     return np.column_stack(cols)
 
 
-def nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal null-space basis (columns) via SVD: the right singular
-    vectors whose singular values are at most 1e-10 times the largest."""
-    u, s, vt = np.linalg.svd(matrix)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(matrix.shape[1])
-    keep = s <= 1e-10 * s[0]
-    # vt rows beyond len(s) correspond to exactly-null directions
-    extra = vt.shape[0] - s.size
-    null_rows = np.concatenate([np.nonzero(keep)[0], np.arange(s.size, s.size + extra)])
-    return vt[null_rows].T.copy() if null_rows.size else np.zeros((matrix.shape[1], 0))
-
-
 def random_multivector(
     rng: np.random.Generator, signature: Signature = CL32, even: bool = False
 ) -> Multivector:

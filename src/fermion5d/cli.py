@@ -114,9 +114,12 @@ PLANEWAVE_TOLERANCE = 1e-10
 #: residual reached 2.35 ulp(1) s^2, and the other checks stayed below
 #: 7.5e-12 at s = 400.
 PLANEWAVE_ROUNDOFF = 2.35 * np.finfo(np.float64).eps
-#: Largest ``planewave`` momentum scale at which an amplitude is found: over
-#: 4000 random directions at each of 3e5 .. 7e5 every one had one; from
-#: 8.5e5 some did not, and from 1e8 none.
+#: Largest ``planewave`` momentum scale at any tolerance, kept at 5e5 so that
+#: the domain does not move.  The closed-form amplitude exists at every
+#: scale; what limits it is the 1e-8 momentum-constraint check of
+#: ``build_plane_wave``, whose worst residual grows like 1.7 ulp(1) s.  Over
+#: 4000 random directions per scale it was 1.75e-10 at 5e5 and 7.5e-9 at 2e7;
+#: at 3e7 one wave failed the check, at 1e8 a third did (worst 3.7e-8).
 PLANEWAVE_AMPLITUDE_SCALE = 5e5
 
 
@@ -286,9 +289,10 @@ def _half_residuals(field, points, mass) -> list[np.ndarray]:
 def _wave_checks(rng: np.random.Generator, trials: int) -> list[Check]:
     """The 4D reduction of random flat plane waves, checked as one batch.
 
-    Each phase bivector's waves are built together (one SVD for all their
-    amplitudes) and checked at the same three points as one
-    :class:`PhaseField` of ``waves x points`` rows.
+    Each phase bivector's waves are built together (their amplitudes in
+    closed form, from signed gathers of the momentum rows) and checked at
+    the same three points as one :class:`PhaseField` of ``waves x points``
+    rows.
     """
     n_waves = max(1, min(trials, 25))
     reductions, dispersions = [], []
@@ -534,9 +538,10 @@ def planewave_max_scale(tolerance: float) -> float:
     """Largest momentum scale ``|(k1, k2, k3, k4, mass)|`` of ``planewave``.
 
     Up to it the worst measured roundoff stays within half of the tolerance,
-    and an amplitude is found.  A tolerance tighter than the default keeps
-    the default's domain (a scale of about 309.6): roundoff may exceed such a
-    tolerance anywhere, and the checks report it.
+    and the amplitude meets its momentum-constraint check.  A tolerance
+    tighter than the default keeps the default's domain (a scale of about
+    309.6): roundoff may exceed such a tolerance anywhere, and the checks
+    report it.
     """
     reach = math.sqrt(max(tolerance, PLANEWAVE_TOLERANCE) / (2.0 * PLANEWAVE_ROUNDOFF))
     return min(reach, PLANEWAVE_AMPLITUDE_SCALE)
@@ -547,7 +552,7 @@ def _run_planewave(args: argparse.Namespace) -> int:
     limit = planewave_max_scale(args.tolerance)
     if scale > limit:
         if limit == PLANEWAVE_AMPLITUDE_SCALE:
-            beyond = "no amplitude may be found"
+            beyond = "the amplitude may miss its 1e-08 momentum-constraint check"
         else:
             tolerance = max(args.tolerance, PLANEWAVE_TOLERANCE)
             beyond = f"float64 roundoff in the residuals can exceed the tolerance {tolerance:g}"
@@ -636,7 +641,7 @@ def _run_beyond(args: argparse.Namespace) -> int:
             )
         try:
             checks = _scalar_demo_checks(args.mass, args.s, rng)
-        except (ValueError, OverflowError) as ex:  # LinAlgError is a ValueError
+        except (ValueError, OverflowError) as ex:
             raise _usage_error(
                 args.command,
                 f"the scalar-potential demo cannot be evaluated at s={args.s!r}, "

@@ -5,14 +5,17 @@ The free equation is ``e_A d^A phi = -E m phi`` for an even multivector field
 Oscillating solutions use a bivector ``gamma`` with ``gamma^2 = -1`` in place
 of the complex unit:  ``phi(x) = amp * (cos(k.x) + gamma sin(k.x))``, where the
 amplitude must satisfy the momentum constraint ``K amp gamma = -m E amp`` with
-``K = k^A e_A``.  The admissible phase bivectors are ``e1e2`` and ``e0*E``
-(:class:`GammaChoice`).  Their trigonometric mixtures (:func:`phase_mixture`)
-square to -1 only at integer multiples of pi/2, where they are one of the two;
-:func:`gamma_classify` tells which, or rejects the candidate.
+``K = k^A e_A``.  ``E`` is central, ``E^2 = 1`` and ``K^2 = -m^2`` on shell,
+so ``amp = m c - E K c gamma`` solves it in closed form for every even ``c``
+(:func:`plane_wave_amplitudes`).  The admissible phase bivectors are ``e1e2``
+and ``e0*E`` (:class:`GammaChoice`).  Their trigonometric mixtures
+(:func:`phase_mixture`) square to -1 only at integer multiples of pi/2, where
+they are one of the two; :func:`gamma_classify` tells which, or rejects the
+candidate.
 
 The equation is written once: one residual sum serves the free form, the
 form coupled to a grade-1 potential field ``A`` (``- charge A phi gamma``)
-and the 4D Dirac form, and one block sum their plane-wave amplitudes.
+and the 4D Dirac form.
 """
 from __future__ import annotations
 
@@ -30,8 +33,6 @@ from .algebra import (
     Multivector,
     e,
     even_masks,
-    gather_matrix,
-    nullspace,
     pseudoscalar,
     tables,
 )
@@ -179,75 +180,52 @@ def _times_gamma(gamma: GammaChoice) -> BladeOperator:
     return BladeOperator.right(gamma.as_multivector())
 
 
-def _operator_blocks(masks, axes, right: BladeOperator, mass_op: BladeOperator):
-    """``(V, M)``: ``V`` stacks the matrices of ``amp -> e_a amp right`` over
-    ``axes``, and ``M`` is that of ``mass_op``, on the blades ``masks``."""
-    vec = np.stack([gather_matrix(masks, BladeOperator.left(e(CL32, a)), right) for a in axes])
-    vec.setflags(write=False)
-    return vec, gather_matrix(masks, mass_op)
+def _seeded_momenta(k, mass, seeds: tuple[Multivector, Multivector]):
+    """``(K c, c, m)`` as rows: ``c`` is ``seeds[0]``, or ``seeds[1]`` where
+    the mass is negative, and ``m`` is the mass as a column.
 
-
-@lru_cache(maxsize=None)
-def _constraint_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
-    """``(V, P)``: ``V[a]`` is ``amp -> e_a amp gamma`` and ``P`` is ``amp -> E amp``."""
-    return _operator_blocks(even_masks(CL32), range(5), _times_gamma(gamma), _LEFT_PSEUDO)
-
-
-def _block_sum(k: np.ndarray, mass, blocks) -> np.ndarray:
-    """``sum_a k^a V[a] + mass M`` of the blocks ``(V, M)``, zeros as +0.0.
-
-    ``k`` is one finite momentum or ``N``, with one finite mass or ``N``.
-    Each ``V[a]`` is a signed permutation that shares no entry with another
-    block, so an entry of ``k @ V`` has at most one nonzero term, each term
-    is exact, and no order of the sum (nor the BLAS) changes a bit.
-    """
-    mass = np.asarray(mass, dtype=np.float64)
-    if not (np.isfinite(k).all() and np.isfinite(mass).all()):
-        raise ValueError("momentum and mass must be finite")
-    vec, mass_block = blocks
-    mat = (k @ vec.reshape(len(vec), -1)).reshape(k.shape[:-1] + mass_block.shape)
-    mat += mass[..., None, None] * mass_block
-    mat += 0.0
-    return mat
-
-
-def momentum_constraint_matrix(k, mass, gamma: GammaChoice) -> np.ndarray:
-    """Matrix (32 x 16) of ``amp -> K amp gamma + m E amp`` on the even basis.
-
-    ``k`` is one momentum ``(5,)`` or ``N`` of them ``(N, 5)``, with one
-    mass or ``N``; ``N`` momenta give an ``(N, 32, 16)`` stack, each matrix
-    bit for bit the one of its momentum alone.  ``gamma`` is one blade, so
-    the sum of the precomputed blocks (:func:`_block_sum`) is exactly the
-    product that it replaces.
+    ``k`` is ``N`` momenta ``(N, 5)`` with one mass or ``N``.  ``c`` is a
+    blade, so each coefficient of ``K c`` is one exact term ``+-k^a``.
     """
     k = np.asarray(k, dtype=np.float64)
-    if k.ndim not in (1, 2) or k.shape[-1] != 5:
-        raise ValueError(f"momenta must have shape (5,) or (N, 5), got {k.shape}")
-    return _block_sum(k, mass, _constraint_blocks(gamma))
+    mass = np.broadcast_to(np.asarray(mass, dtype=np.float64), k.shape[:-1])
+    if not (np.isfinite(k).all() and np.isfinite(mass).all()):
+        raise ValueError("momentum and mass must be finite")
+    seed = np.where((mass < 0)[..., None], seeds[1].coeffs, seeds[0].coeffs)
+    return _kernels.gp(tables(CL32).sign, _momentum_rows(k), seed), seed, mass[..., None]
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rows over their Euclidean norms, zeros as +0.0.  An all-zero row,
+    which only ``k = 0`` at ``m = 0`` gives and where every even amplitude
+    solves, becomes the scalar 1."""
+    rows[~rows.any(axis=-1), 0] = 1.0
+    return rows / np.hypot.reduce(rows, axis=-1, keepdims=True) + 0.0
+
+
+#: Seeds ``c`` of :func:`plane_wave_amplitudes` at ``m >= 0`` and ``m < 0``.
+#: Under ``e0E`` the scalar seed gives ``m + k^0`` as the only mass term,
+#: which is 0 at rest when ``m < 0``; ``e01`` gives ``m - k^0`` there.
+_SEEDS = {
+    "e12": (Multivector.scalar(1.0), Multivector.scalar(1.0)),
+    "e0E": (Multivector.scalar(1.0), e(CL32, 0, 1)),
+}
 
 
 def plane_wave_amplitudes(k, mass, gamma: GammaChoice) -> np.ndarray:
-    """The first null direction of each momentum's constraint, as ``(N, 32)`` rows.
+    """A unit amplitude ``m c - E K c gamma`` for each momentum, as ``(N, 32)`` rows.
 
-    ``k`` holds ``N`` momenta ``(N, 5)`` with one mass or ``N``.  One SVD
-    of the stack of constraint matrices gives every amplitude: the right
-    singular vector of the first singular value at most 1e-10 times the
-    largest, as in :func:`~fermion5d.algebra.nullspace`, whose first column
-    each row equals bit for bit.  Raises when a momentum has none.
+    ``k`` holds ``N`` momenta ``(N, 5)`` with one mass or ``N``.  ``E`` is
+    central with ``E^2 = 1``, ``gamma^2 = -1`` and ``K^2 = -m^2`` on shell,
+    so ``K amp gamma + m E amp = m K c gamma - m^2 E c + m^2 E c - m K c
+    gamma = 0`` for every even seed ``c`` (:data:`_SEEDS`).  The five blades
+    ``E e_a c gamma`` are distinct, so each coefficient is one of ``+-m``,
+    ``+-k^a``, or under ``e0E`` ``m + k^0`` (seed 1) or ``m - k^0`` (seed
+    e01), a sum of same-sign terms.  The norm is at least ``sqrt(2) |m|``
+    and vanishes only at ``k = 0, m = 0``.
     """
-    mats = momentum_constraint_matrix(k, mass, gamma)
-    if mats.ndim != 3:
-        raise ValueError("momenta must have shape (N, 5)")
-    _, s, vt = np.linalg.svd(mats, full_matrices=False)
-    null = s <= 1e-10 * s[:, :1]
-    if not null[:, -1].all():  # s descends: the last value is the smallest
-        raise ValueError("momentum constraint has no nontrivial amplitude")
-    rows = vt[np.arange(len(vt)), null.argmax(axis=1)]
-    if not s[:, 0].all():  # a zero matrix: every direction is null, take the first
-        rows[s[:, 0] == 0.0] = np.eye(vt.shape[-1])[0]
-    amps = np.zeros((len(rows), CL32.n_blades))
-    amps[:, list(even_masks(CL32))] = rows
-    return amps
+    kc, c, m = _seeded_momenta(k, mass, _SEEDS[gamma.variant])
+    return _unit_rows(m * c - _LEFT_PSEUDO(_times_gamma(gamma)(kc)))
 
 
 def constraint_residuals(k, amplitudes, mass, gamma: GammaChoice) -> np.ndarray:
@@ -349,9 +327,10 @@ def build_plane_waves(k_spatial, k4, mass, gamma: GammaChoice) -> tuple[np.ndarr
     """Momenta ``(N, 5)`` and amplitudes ``(N, 32)`` of ``N`` plane waves.
 
     ``k_spatial`` is ``(N, 3)`` with ``N`` (or one) ``k4`` and masses.
-    Solves each k^0, takes every first null-space amplitude from one SVD
-    (:func:`plane_wave_amplitudes`) and checks the momentum constraint on
-    every row, as :class:`PlaneWave` does for one wave.
+    Solves each k^0, takes every amplitude in closed form
+    (:func:`plane_wave_amplitudes`: signed gathers, no matrix) and checks
+    the momentum constraint on every row, as :class:`PlaneWave` does for
+    one wave.
     """
     k = _on_shell(k_spatial, k4, mass)
     amps = plane_wave_amplitudes(k, mass, gamma)
@@ -362,7 +341,7 @@ def build_plane_waves(k_spatial, k4, mass, gamma: GammaChoice) -> tuple[np.ndarr
 def build_plane_wave(
     k_spatial: Sequence[float], k4: float, mass: float, gamma: GammaChoice
 ) -> PlaneWave:
-    """Solve k^0 and pick the first null-space amplitude.
+    """Solve k^0 and take the closed-form amplitude.
 
     The batch of :func:`build_plane_waves` on one wave; :class:`PlaneWave`
     checks the constraint.
@@ -498,36 +477,32 @@ def sector_fields(field: ArrayField) -> tuple[ArrayField, ArrayField]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hestenes_blocks() -> tuple[np.ndarray, np.ndarray]:
-    """``(V, R)``: ``psi -> e_mu psi e12`` and ``psi -> psi e012`` on the e4-free even blades."""
-    return _operator_blocks(NO_E4_EVEN_MASKS, range(4), _TIMES_E12, _RIGHT_E012)
+#: Seeds ``chi`` of :func:`solve_hestenes_amplitude` at ``m >= 0`` and ``m < 0``.
+_HESTENES_SEEDS = (e(CL32, 0), e(CL32, 3))
 
 
-def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> list[Multivector]:
-    """Amplitudes for the 4D wave: null space of ``K psi e12 - m psi e012``.
+def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> Multivector:
+    """A unit amplitude ``K chi e12 + m chi e012`` of the 4D wave, which
+    solves ``K psi e12 = m psi e012``.
 
-    Works on the eight even blades free of the second time generator; the
-    matrix is a sum of precomputed blocks, as in
-    :func:`momentum_constraint_matrix`.
+    ``K^2 = -m^2`` on shell, ``e12^2 = -1``, ``e012^2 = 1`` and ``e012 e12
+    = e12 e012 = -e0`` give ``K psi e12 - m psi e012 = m^2 chi - m K chi e0
+    + m K chi e0 - m^2 chi = 0`` for every odd ``chi``.  ``chi = e0`` has
+    the term ``-(m + k^0) e12``, which is 0 at rest when ``m < 0``, so
+    ``chi = e3`` there (its ``e0123`` term is ``k^0 - m``).  The amplitude
+    has no e4.
     """
     k4 = np.asarray(k4, dtype=np.float64)
     if k4.shape != (4,):
         raise ValueError("four-vectors expected")
-    basis = nullspace(_block_sum(k4, -mass, _hestenes_blocks()))
-    coeffs = np.zeros((basis.shape[1], CL32.n_blades))
-    coeffs[:, list(NO_E4_EVEN_MASKS)] = basis.T
-    return [Multivector(row, CL32) for row in coeffs]
+    kc, chi, m = _seeded_momenta([[*k4, 0.0]], mass, _HESTENES_SEEDS)
+    return Multivector(_unit_rows(_TIMES_E12(kc) + m * _RIGHT_E012(chi))[0], CL32)
 
 
 def hestenes_plane_wave_field(k_spatial: Sequence[float], mass: float) -> PhaseField:
-    """4D Dirac plane wave as a five-coordinate field flat along the last axis,
-    with the first null-space amplitude."""
+    """4D Dirac plane wave as a five-coordinate field flat along the last
+    axis, with the amplitude of :func:`solve_hestenes_amplitude`."""
     k_spatial = np.asarray(k_spatial, dtype=np.float64)
     k0 = solve_time_component(k_spatial, 0.0, mass)
-    k4 = np.array([k0, *k_spatial])
-    basis = solve_hestenes_amplitude(k4, mass)
-    if not basis:
-        raise ValueError("no nontrivial 4D amplitude")
-    amplitude = basis[0]
+    amplitude = solve_hestenes_amplitude([k0, *k_spatial], mass)
     return PhaseField(amplitude, amplitude * _E12, (-k0, *k_spatial, 0.0))

@@ -33,7 +33,6 @@ from fermion5d.algebra import (
     gather_matrix,
     kernel_backend,
     linear_map_matrix,
-    nullspace,
     odd_masks,
     pseudoscalar,
     random_multivector,
@@ -387,17 +386,6 @@ def test_linear_map_matrix_restricted_input_basis(rng):
     assert mat.shape == (32, 16)
     x = random_multivector(rng, CL32, even=True)
     assert np.allclose(mat @ x.coeffs[list(evens)], fn(x).coeffs, atol=1e-14, rtol=0.0)
-
-
-def test_nullspace_finds_exact_kernel():
-    mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    basis = nullspace(mat)
-    assert basis.shape == (3, 1)
-    assert np.allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0])
-    full = nullspace(np.zeros((2, 3)))
-    assert full.shape[1] == 3
-    none = nullspace(np.eye(3))
-    assert none.shape == (3, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ flat index of its worst per-sample gap: with ``worst_at`` removed from each
 check and the document re-rendered with ``json.dumps(indent=2,
 ensure_ascii=False) + "\n"``, each equals its previous bytes, so no check's
 name, status, measured bits or tolerance moved; the 7 table and CSV files
-did not change.  To add a case,
+did not change.  The 12 ``verify``, ``planewave`` and ``beyond --demo
+scalar`` files were regenerated once more when the plane-wave amplitudes
+took their closed form: only ``measured`` and ``worst_at`` values moved,
+and every spectrum file stayed byte-identical.  To add a case,
 run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
 build and add a row below.
 """

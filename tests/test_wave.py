@@ -13,11 +13,10 @@ from fermion5d.algebra import (
     e,
     even_masks,
     linear_map_matrix,
-    nullspace,
     pseudoscalar,
     random_multivector,
 )
-from fermion5d.beyond import pair_residuals
+from fermion5d.beyond import ScalarPotentialDemo, pair_residuals
 from fermion5d.spinor import idempotent_split_coeffs
 from fermion5d.fields import (
     METRIC_SIGNS,
@@ -40,10 +39,10 @@ from fermion5d.wave import (
     dirac5_residuals,
     gamma_classify,
     hestenes_dirac_residual,
-    momentum_constraint_matrix,
     hestenes_plane_wave_field,
     hestenes_sample_residuals,
     phase_mixture,
+    plane_wave_amplitudes,
     plane_wave_field,
     sector_fields,
     solve_hestenes_amplitude,
@@ -58,13 +57,62 @@ def momentum_vector(k):
     return Multivector(wave._momentum_rows(np.asarray(k, dtype=np.float64)))
 
 
+def nullspace(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis (columns) via SVD: the right singular
+    vectors whose singular values are at most 1e-10 times the largest.  The
+    reference that the closed-form amplitudes are held to."""
+    u, s, vt = np.linalg.svd(matrix)
+    if s.size == 0 or s[0] == 0.0:
+        return np.eye(matrix.shape[1])
+    keep = s <= 1e-10 * s[0]
+    # vt rows beyond len(s) correspond to exactly-null directions
+    extra = vt.shape[0] - s.size
+    null_rows = np.concatenate([np.nonzero(keep)[0], np.arange(s.size, s.size + extra)])
+    return vt[null_rows].T.copy() if null_rows.size else np.zeros((matrix.shape[1], 0))
+
+
+def constraint_oracle(k, mass, gamma):
+    """Matrix of ``amp -> K amp gamma + m E amp`` on the even blades, one
+    multivector product chain per column."""
+    kvec = momentum_vector(k)
+    gmv = gamma.as_multivector()
+    return linear_map_matrix(
+        lambda mv: kvec * mv * gmv + mass * (pseudoscalar(CL32) * mv), CL32, even_masks(CL32)
+    )
+
+
+def hestenes_oracle(k4, mass):
+    """Matrix of ``psi -> K psi e12 - m psi e012`` on the e4-free even blades."""
+    kvec = momentum_vector([*k4, 0.0])
+    e12, e012 = e(CL32, 1, 2), e(CL32, 0, 1, 2)
+    return linear_map_matrix(
+        lambda mv: kvec * mv * e12 - mass * (mv * e012), CL32, NO_E4_EVEN_MASKS
+    )
+
+
 def amplitude_basis(k, mass, gamma):
     """Orthonormal basis of the even amplitudes that satisfy the momentum
-    constraint: the null space of its matrix, on the even blades."""
-    basis = nullspace(momentum_constraint_matrix(k, mass, gamma))
+    constraint: the reference null space of its matrix, on the even blades."""
+    basis = nullspace(constraint_oracle(k, mass, gamma))
     coeffs = np.zeros((basis.shape[1], CL32.n_blades))
     coeffs[:, list(even_masks(CL32))] = basis.T
     return [Multivector(row) for row in coeffs]
+
+
+def distance_to_span(basis, vector):
+    """Largest coefficient of ``vector`` off the span of orthonormal columns."""
+    return np.abs(vector - basis @ (basis.T @ vector)).max()
+
+
+def test_nullspace_finds_exact_kernel():
+    mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    basis = nullspace(mat)
+    assert basis.shape == (3, 1)
+    assert np.allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0])
+    full = nullspace(np.zeros((2, 3)))
+    assert full.shape[1] == 3
+    none = nullspace(np.eye(3))
+    assert none.shape == (3, 0)
 
 
 def sample_points(rng, count=4, scale=0.7):
@@ -296,7 +344,7 @@ def test_reduction_with_a_constant_electric_potential(rng):
     # gauge shift: a wave with k0 offset by q*a0 solves the coupled equation
     mass, charge, a0 = 1.0, 0.25, 0.6
     k_free = np.array([math.sqrt(1.0 + 0.09), 0.3, 0.0, 0.0])
-    amp = solve_hestenes_amplitude(k_free, mass)[0]
+    amp = solve_hestenes_amplitude(k_free, mass)
     k_shifted = np.array([*(k_free + [charge * a0, 0.0, 0.0, 0.0]), 0.0])
     amp_g = amp * e(CL32, 1, 2)
 
@@ -403,12 +451,17 @@ def test_a_non_finite_point_raises_one_line_naming_its_row(bad):
 
 
 def test_hestenes_amplitude_space_has_dimension_four():
-    k4 = np.array([math.sqrt(2.04), 0.2, -1.0, 0.0])
-    basis = solve_hestenes_amplitude(k4, 1.0)
-    assert len(basis) == 4
-    for amp in basis:
+    # the reference null space has dimension 4; the closed form lies in it,
+    # on the e4-free blades, at positive, zero and negative mass
+    cases = (((0.2, -1.0, 0.0), 1.0), ((0.3, 0.1, -0.2), 0.0), ((0.2, -1.0, 0.0), -0.7))
+    for k_spatial, mass in cases:
+        k4 = np.array([solve_time_component(k_spatial, 0.0, mass), *k_spatial])
+        basis = nullspace(hestenes_oracle(k4, mass))
+        assert basis.shape[1] == 4
+        amp = solve_hestenes_amplitude(k4, mass)
         present = {int(m) for m in np.nonzero(amp.coeffs)[0]}
         assert present <= set(NO_E4_EVEN_MASKS)
+        assert distance_to_span(basis, amp.coeffs[list(NO_E4_EVEN_MASKS)]) < 1e-14
 
 
 def test_hestenes_plane_wave_is_flat_and_solves_the_reduced_equation(rng):
@@ -419,36 +472,8 @@ def test_hestenes_plane_wave_is_flat_and_solves_the_reduced_equation(rng):
 
 
 # ---------------------------------------------------------------------------
-# batch residuals and precomputed constraint blocks
+# batch residuals
 # ---------------------------------------------------------------------------
-
-
-def assert_blocks_equal(got, want):
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert got.flags.c_contiguous and not got.flags.writeable
-
-
-@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
-def test_constraint_blocks_equal_the_product_construction_bitwise(gamma):
-    gmv, masks = gamma.as_multivector(), even_masks(CL32)
-    vec = np.stack(
-        [linear_map_matrix(lambda mv, a=a: e(CL32, a) * mv * gmv, CL32, masks) for a in range(5)]
-    )
-    pseudo = linear_map_matrix(lambda mv: pseudoscalar(CL32) * mv, CL32, masks)
-    got_vec, got_pseudo = wave._constraint_blocks(gamma)
-    assert_blocks_equal(got_vec, vec)
-    assert_blocks_equal(got_pseudo, pseudo)
-
-
-def test_hestenes_blocks_equal_the_product_construction_bitwise():
-    e12, e012, masks = e(CL32, 1, 2), e(CL32, 0, 1, 2), NO_E4_EVEN_MASKS
-    vec = np.stack(
-        [linear_map_matrix(lambda mv, a=a: e(CL32, a) * mv * e12, CL32, masks) for a in range(4)]
-    )
-    right = linear_map_matrix(lambda mv: mv * e012, CL32, masks)
-    got_vec, got_right = wave._hestenes_blocks()
-    assert_blocks_equal(got_vec, vec)
-    assert_blocks_equal(got_right, right)
 
 
 def test_batch_residuals_equal_the_point_residuals_bitwise(rng):
@@ -595,15 +620,15 @@ def test_a_potential_without_charge_is_the_free_residual(rng):
     assert with_potential.coeffs.tobytes() == hestenes_dirac_residual(field, 1.0, x).coeffs.tobytes()
 
 
-def constraint_oracle(k, mass, gamma):
-    kvec = momentum_vector(k)
-    gmv = gamma.as_multivector()
-    return linear_map_matrix(
-        lambda mv: kvec * mv * gmv + mass * (pseudoscalar(CL32) * mv), CL32, even_masks(CL32)
-    )
+def unit_coeffs(mv: Multivector) -> np.ndarray:
+    """Coefficients over their Euclidean norm, zeros as +0.0."""
+    return mv.coeffs / np.hypot.reduce(mv.coeffs) + 0.0
 
 
-def test_constraint_matrix_equals_the_product_formula_bitwise(rng):
+def test_amplitudes_equal_the_product_formula_bitwise(rng):
+    # m c - E K c gamma, with c = e01 under e0E at negative mass, written with
+    # multivector products; on shell or not, the gathers give the same bits
+    pseudo = pseudoscalar(CL32)
     ks = [rng.uniform(-2, 2, size=5) for _ in range(10)]
     ks += [np.array([1.0, 0.0, 0.0, 0.0, 0.0]), np.array([1.0, -0.0, 0.5, 0.0, -0.25])]
     ks += [np.round(k) for k in ks[:4]]
@@ -616,30 +641,36 @@ def test_constraint_matrix_equals_the_product_formula_bitwise(rng):
         assert momentum_vector(k).coeffs.tobytes() == summed.coeffs.tobytes()
         for mass in (1.0, 0.0, -0.7, float(k[0])):
             for gamma in BOTH_GAMMAS:
-                got = momentum_constraint_matrix(k, mass, gamma)
-                assert got.tobytes() == constraint_oracle(k, mass, gamma).tobytes()
+                flip = gamma.variant == GammaChoice.E0E_VARIANT and mass < 0
+                seed = e(CL32, 0, 1) if flip else Multivector.scalar(1.0)
+                kc = momentum_vector(k) * seed
+                want = unit_coeffs(mass * seed - pseudo * kc * gamma.as_multivector())
+                got = plane_wave_amplitudes(k[None], mass, gamma)[0]
+                assert got.tobytes() == want.tobytes()
 
 
 def test_hestenes_amplitudes_equal_the_product_formula_bitwise(rng):
+    # K chi e12 + m chi e012, with chi = e3 at negative mass, written with
+    # multivector products, and in the reference null space
     e12, e012 = e(CL32, 1, 2), e(CL32, 0, 1, 2)
-    for _ in range(8):
+    for n in range(8):
         k_spatial = rng.uniform(-1, 1, size=3)
-        mass = float(rng.uniform(0.2, 1.5))
+        mass = float(rng.uniform(0.2, 1.5)) * (-1) ** n
         k4 = np.array([math.sqrt(float(k_spatial @ k_spatial) + mass * mass), *k_spatial])
-        kvec = momentum_vector(np.concatenate([k4, [0.0]]))
-        mat = linear_map_matrix(
-            lambda mv: kvec * mv * e12 - mass * (mv * e012), CL32, NO_E4_EVEN_MASKS
-        )
-        basis = nullspace(mat)
+        chi = e(CL32, 3) if mass < 0 else e(CL32, 0)
+        want = unit_coeffs(momentum_vector([*k4, 0.0]) * chi * e12 + mass * (chi * e012))
         got = solve_hestenes_amplitude(k4, mass)
-        assert len(got) == basis.shape[1] == 4
-        for i, amp in enumerate(got):
-            assert amp.coeffs[list(NO_E4_EVEN_MASKS)].tobytes() == basis[:, i].tobytes()
+        assert got.coeffs.tobytes() == want.tobytes()
+        basis = nullspace(hestenes_oracle(k4, mass))
+        assert basis.shape[1] == 4
+        assert distance_to_span(basis, got.coeffs[list(NO_E4_EVEN_MASKS)]) < 1e-14
 
 
 def test_non_finite_momentum_is_rejected():
-    with pytest.raises(ValueError, match="finite"):
-        momentum_constraint_matrix([math.inf, 0, 0, 0, 0], 1.0, GammaChoice.e12())
+    for k, mass in (([math.inf, 0, 0, 0, 0], 1.0), ([1.0, 0, 0, 0, 0], math.nan)):
+        for gamma in BOTH_GAMMAS:
+            with pytest.raises(ValueError, match="finite"):
+                plane_wave_amplitudes([k], mass, gamma)
     with pytest.raises(ValueError, match="finite"):
         solve_hestenes_amplitude([1.0, math.nan, 0.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="overflows"):
@@ -672,22 +703,44 @@ def test_batch_amplitudes_equal_the_per_wave_ones_bitwise(gamma):
         wave = build_plane_wave(k_spatial[i], k4[i], m, gamma)
         assert k[i].tobytes() == wave.k.tobytes()
         assert amps[i].tobytes() == wave.amplitude.coeffs.tobytes()
-        first = amplitude_basis(k[i], m, gamma)[0]
-        assert amps[i].tobytes() == first.coeffs.tobytes()
-    # the zero matrix of the massless rest frame: every direction is null
+    # the zero matrix of the massless rest frame: every direction is null,
+    # and the amplitude is the scalar 1
     assert amps[-2].tobytes() == Multivector.scalar(1.0).coeffs.tobytes()
 
 
-def test_constraint_matrix_stack_equals_the_matrix_of_each_row(rng):
-    k = rng.uniform(-2, 2, size=(6, 5))
-    masses = rng.uniform(0, 2, size=6)
-    for gamma in BOTH_GAMMAS:
-        stack = momentum_constraint_matrix(k, masses, gamma)
-        assert stack.shape == (6, 32, 16)
-        for row, m, mat in zip(k, masses, stack):
-            assert mat.tobytes() == momentum_constraint_matrix(row, float(m), gamma).tobytes()
-    with pytest.raises(ValueError, match="shape"):
-        momentum_constraint_matrix(np.zeros((2, 4)), 1.0, GammaChoice.e12())
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_closed_form_amplitudes_lie_in_the_reference_null_space(gamma):
+    # the grid at both signs of the mass, and the rest frame at m > 0, m = 0
+    # and m < 0, where a fixed seed could give a zero amplitude
+    k_spatial, k4, masses = momentum_grid()
+    k_spatial = np.concatenate([k_spatial, k_spatial, np.zeros((3, 3))])
+    k4 = np.concatenate([k4, k4, np.zeros(3)])
+    masses = np.concatenate([masses, -masses, [1.0, 0.0, -1.0]])
+    k, amps = build_plane_waves(k_spatial, k4, masses, gamma)
+    evens = list(even_masks(CL32))
+    assert not np.delete(amps, evens, axis=1).any()
+    pseudo, gmv = pseudoscalar(CL32), gamma.as_multivector()
+    for kk, m, amp in zip(k, masses, amps):
+        basis = nullspace(constraint_oracle(kk, m, gamma))
+        assert basis.shape[1] == (8 if kk.any() or m else 16)
+        assert distance_to_span(basis, amp[evens]) < 1e-14
+        assert np.hypot.reduce(amp) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        if m and kk[1:].any():
+            # negative control: the sign-flipped m + E K gamma misses the
+            # constraint (under e0E it is 0 at rest, a trivial solution)
+            flipped = unit_coeffs(m + pseudo * momentum_vector(kk) * gmv)
+            with pytest.raises(ValueError, match="violates the momentum constraint"):
+                wave._require_constraint(kk, flipped, m, gamma)
+
+
+def test_scalar_demo_carriers_at_zero_and_negative_mass_build(rng):
+    # mass + potential is 0 and -1: the rest-frame carriers need the scalar 1
+    # fallback and the e3 seed
+    for potential, want in ((-1.0, Multivector.scalar(1.0)), (-2.0, e(CL32, 0, 1, 2, 3))):
+        demo = ScalarPotentialDemo(1.0, potential)
+        assert demo.carrier.value(np.zeros(5)) == want
+        for x in sample_points(rng, count=2):
+            assert hestenes_dirac_residual(demo.carrier, 1.0 + potential, x).inf_norm() < 1e-15
 
 
 def test_batch_constraint_residuals_equal_the_product_formula(rng):
@@ -730,24 +783,6 @@ def test_batch_build_runs_the_constraint_check_on_every_row(monkeypatch):
     k_spatial = np.array([[0.1, 0.2, 0.3], [0.4, -0.2, 0.0], [-0.5, 0.0, 0.7]])
     with pytest.raises(ValueError, match="violates the momentum constraint"):
         build_plane_waves(k_spatial, 0.0, [1.0, 1.1, 1.2], GammaChoice.e12())
-
-
-@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
-def test_svd_without_u_matches_the_full_svd_bitwise(gamma):
-    # plane_wave_amplitudes reads only s and vt and skips U
-    # (full_matrices=False).  LAPACK does not promise that both calls give
-    # the same bits; with numpy's LAPACK they do on the (25, 32, 16) stacks
-    # verify builds, and this pins it.
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        masses = rng.uniform(0.5, 1.5, size=25)
-        k, _ = build_plane_waves(rng.uniform(-1.0, 1.0, size=(25, 3)), 0.0, masses, gamma)
-        mats = momentum_constraint_matrix(k, masses, gamma)
-        assert mats.shape == (25, CL32.n_blades, 16)
-        _, s_full, vt_full = np.linalg.svd(mats)
-        _, s, vt = np.linalg.svd(mats, full_matrices=False)
-        assert s.tobytes() == s_full.tobytes()
-        assert vt.tobytes() == vt_full.tobytes()
 
 
 def test_gamma_choice_has_only_the_two_pure_variants():
