@@ -147,8 +147,8 @@ class _ProfileField(ArrayField):
     ``f`` is evaluated point by point (``math.exp``, ``math.cos``), so a
     point's value does not depend on its batch.  ``d/dx4`` raises the order;
     the spacetime partials are the carrier's.  ``values`` evaluates
-    ``f^(n)`` and ``samples`` evaluates ``f^(n)`` and ``f^(n+1)``, each once
-    per point, on one evaluation of the carrier.
+    ``f^(n)`` and the jet ``f^(n)`` and ``f^(n+1)``, each once per point, on
+    one evaluation of the carrier's jet, which ``f^(n)`` scales whole.
     """
 
     def __init__(
@@ -156,27 +156,27 @@ class _ProfileField(ArrayField):
     ):
         self._profile, self._carrier, self._order, self._mass = profile, carrier, order, mass
 
-    def _scaled(self, order: int, pts: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-        """Each of ``arrays`` (rows ``(..., N, 32)``) times ``f^(order)`` at
+    def _scaled(self, order: int, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``rows`` (``(..., N, 32)``, such as a jet) times ``f^(order)`` at
         the points, mapped as above when there is a mass."""
         prof = _column([self._profile(w, order) for w in pts[:, 4]])
         if self._mass is None:
-            return [prof * rows for rows in arrays]
-        return [_RIGHT_E012(_LEFT_E4(-prof * rows)) / self._mass for rows in arrays]
+            return prof * rows
+        return _RIGHT_E012(_LEFT_E4(-prof * rows)) / self._mass
 
     def values(self, points) -> np.ndarray:
         pts = as_points(points)
-        return self._scaled(self._order, pts, self._carrier.values(pts))[0]
+        return self._scaled(self._order, pts, self._carrier.values(pts))
 
-    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
+    def _jet(self, points) -> np.ndarray:
         pts = as_points(points)
-        values, partials = self._carrier.samples(pts)
-        out_values, out_partials = self._scaled(self._order, pts, values, partials)
-        out_partials[4] = self._scaled(self._order + 1, pts, values)[0]
-        return out_values, out_partials
+        carrier = self._carrier._jet(pts)
+        jet = self._scaled(self._order, pts, carrier)
+        jet[5] = self._scaled(self._order + 1, pts, carrier[0])
+        return jet
 
     def partials(self, points) -> np.ndarray:
-        return self.samples(points)[1]
+        return self._jet(points)[1:]
 
 
 class ScalarPotentialDemo:
@@ -255,11 +255,12 @@ def scalar_potential_residuals(demo: ScalarPotentialDemo, points) -> tuple[np.nd
     pts = as_points(points)
     # one carrier evaluation gives xi_plus = f psi, its spacetime partials
     # f d_mu psi and the curvature f'' psi; f' psi (the d4 partial) is not read
-    carrier_values, carrier_partials = demo.carrier.samples(pts)
-    values, partials = demo.xi_plus._scaled(0, pts, carrier_values, carrier_partials[:4])
-    (curvature,) = demo.xi_plus._scaled(2, pts, carrier_values)
+    carrier = demo.carrier._jet(pts)
+    jet = demo.xi_plus._scaled(0, pts, carrier[:5])
+    curvature = demo.xi_plus._scaled(2, pts, carrier[0])
+    values = jet[0]
     right = _RIGHT_E012(values)
-    common = add_gradient(np.zeros_like(values), partials, range(4)) - demo.mass * right
+    common = add_gradient(np.zeros_like(values), jet[1:], range(4)) - demo.mass * right
     second_form = common - _RIGHT_E012(curvature) / demo.mass
     potential_form = common - demo.potential * right
     return second_form, potential_form

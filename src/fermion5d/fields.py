@@ -8,18 +8,23 @@ differences with a configurable step.
 
 The batch forms ``values(points) -> (N, 32)`` and ``partials(points) -> (5,
 N, 32)`` evaluate a whole ``(N, 5)`` point array at once, row ``n`` equal bit
-for bit to the per-point call at ``points[n]``, and ``samples(points)`` gives
-both from one evaluation.  Every field is an :class:`ArrayField`, the type
-every function of the package that takes a field is annotated with: its
-per-point methods are the batch on one point, and no batch method goes
-through a per-point method.  User-supplied per-point callables are wrapped by
-:class:`AnalyticField` (value and derivative) or
-:class:`FiniteDifferenceField` (value only), whose batch methods loop over
-the callables, not over the field's own per-point methods.
+for bit to the per-point call at ``points[n]``.  One evaluation of both is
+the field's *jet*, one ``(6, N, 32)`` array: slot 0 holds the values and
+slot ``1 + a`` the partial ``d_a``.  ``samples(points)`` returns the two as
+views of one jet, and the residuals of :mod:`fermion5d.wave` read the jet
+itself, with one signed gather per equation (:func:`add_gradient`'s tables,
+the mass operator in the leading slot).  Every field is an
+:class:`ArrayField`, the type every function of the package that takes a
+field is annotated with: its per-point methods are the batch on one point,
+and no batch method goes through a per-point method.  User-supplied
+per-point callables are wrapped by :class:`AnalyticField` (value and
+derivative) or :class:`FiniteDifferenceField` (value only), whose batch
+methods loop over the callables, not over the field's own per-point methods.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,31 +35,52 @@ from .algebra import CL32, BladeOperator, Multivector, e
 METRIC_SIGNS = np.array([-1.0, 1.0, 1.0, 1.0, -1.0])
 METRIC_SIGNS.setflags(write=False)
 
-#: ``x -> e_a x`` for a = 0..4 as the rows of one signed gather ``(index,
-#: sign)``: ``(e_a x)[k] = sign[a, k, 0] * x[index[a, k]]``.
-_LEFT_E = [BladeOperator.left(e(CL32, a)) for a in range(5)]
-_LEFT_E = np.stack([op.index for op in _LEFT_E]), np.stack([op.sign for op in _LEFT_E])[..., None]
+#: ``x -> e_a x`` for a = 0..4: ``(e_a x)[k] = sign[k] * x[index[k]]``.
+_LEFT_E = tuple(BladeOperator.left(e(CL32, a)) for a in range(5))
 _ACCUMULATE = tuple(np.subtract if g < 0 else np.add for g in METRIC_SIGNS)
+
+
+@lru_cache(maxsize=None)
+def _gradient_gather(axes: tuple[int, ...], lead: BladeOperator | None = None):
+    """The terms ``e_a d_a`` over ``axes`` as one signed gather, built once
+    per ``(axes, lead)`` and read-only: ``(source, index, sign, accumulate)``.
+
+    Without ``lead`` it reads partials ``(5, N, 32)``: term ``i`` is
+    ``sign[i] * partials[source[i], :, index[i]]``, the slot axis first.
+    With ``lead`` (a :class:`BladeOperator`) it reads a jet ``(6, N, 32)``:
+    term 0 is ``lead`` applied to the values (jet slot 0) and term ``1 + i``
+    is ``e_a d_a`` (jet slot ``1 + a``).  ``accumulate[i]`` is ``np.add``,
+    or ``np.subtract`` on the lowered axes t and w, for the ``i``-th axis.
+    """
+    ops, source = [_LEFT_E[a] for a in axes], list(axes)
+    if lead is not None:
+        ops, source = [lead, *ops], [0, *(a + 1 for a in axes)]
+    index = np.array([op.index for op in ops], dtype=np.intp).reshape(-1, CL32.n_blades)
+    sign = np.array([op.sign for op in ops], dtype=np.float64).reshape(-1, CL32.n_blades, 1)
+    source = np.array(source, dtype=np.intp).reshape(-1, 1)
+    for table in (source, index, sign):
+        table.setflags(write=False)
+    return source, index, sign, tuple(_ACCUMULATE[a] for a in axes)
 
 
 def add_gradient(res: np.ndarray, partials, axes) -> np.ndarray:
     """``res + sum_a e_a d^a field`` over ``axes``, added in place in that order.
 
     ``partials[a]`` holds the lower-index ``d_a field`` as rows ``(..., 32)``
-    (``res``'s shape).  One signed gather reads every term ``e_a d_a`` of
-    ``axes`` and no other axis, with +0.0 zeros, bit for bit the product.
-    Raising the index subtracts the term on the lowered axes (t and w):
-    ``res - t`` is bit for bit ``res + (-1) t``, signed zeros included.
+    (``res``'s shape).  One signed gather (:func:`_gradient_gather`) reads
+    every term ``e_a d_a`` of ``axes`` and no other axis, with +0.0 zeros,
+    bit for bit the product.  Raising the index subtracts the term on the
+    lowered axes (t and w): ``res - t`` is bit for bit ``res + (-1) t``,
+    signed zeros included.
     """
-    index, sign = _LEFT_E
-    ax = np.array(axes, dtype=np.intp)
+    source, index, sign, accumulate = _gradient_gather(tuple(axes))
     # advanced indices around a slice put their axes first: (axes, 32, rows)
     rows = partials.reshape(len(partials), -1, CL32.n_blades)
-    terms = rows[ax[:, None], :, index.take(ax, 0)]
-    terms *= sign.take(ax, 0)
+    terms = rows[source, :, index]
+    terms *= sign
     terms += 0.0
-    for a, term in zip(ax, terms):
-        _ACCUMULATE[a](res, term.T.reshape(res.shape), out=res)
+    for add, term in zip(accumulate, terms):
+        add(res, term.T.reshape(res.shape), out=res)
     return res
 
 
@@ -91,12 +117,22 @@ class ArrayField:
 
     A subclass defines ``values`` and one of ``partials`` or
     ``_axis_partials(axis, points)``, the ``(N, 32)`` rows of ``d_axis``;
-    each of the two defaults to the other.  ``samples`` returns both; a
-    subclass whose two share one evaluation overrides it.
+    each of the two defaults to the other.  ``_jet(points)`` is both in one
+    ``(6, N, 32)`` array, values in slot 0 and ``d_a`` in slot ``1 + a``;
+    ``samples`` returns them as views of it, and the residuals of
+    :mod:`fermion5d.wave` read it whole.  A subclass whose values and
+    partials share one evaluation overrides ``_jet``.
     """
 
+    def _jet(self, points) -> np.ndarray:
+        pts = as_points(points)
+        jet = np.empty((6, len(pts), CL32.n_blades))
+        jet[0], jet[1:] = self.values(pts), self.partials(pts)
+        return jet
+
     def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
-        return self.values(points), self.partials(points)
+        jet = self._jet(points)
+        return jet[0], jet[1:]
 
     def partials(self, points) -> np.ndarray:
         pts = as_points(points)
@@ -178,11 +214,12 @@ class PhaseField(ArrayField):
 
     ``A``, ``B`` and ``k`` are one row each, or ``N`` rows ``(N, 32)`` and
     ``(N, 5)`` paired with the rows of an ``(N, 5)`` point array, so that
-    ``N`` waves at one point each are one field.  Each phase is ``np.dot``
-    of a ``k`` with one point and goes through ``math.cos`` and
-    ``math.sin``, so every point's value is independent of the batch it is
-    evaluated in (a matrix-vector product can round the phases differently).
-    A phase that is not finite (a NaN or infinite coordinate) raises.
+    ``N`` waves at one point each are one field.  Each phase is the dot
+    product of a ``k`` with one point (``np.vdot``, the kernel of ``np.dot``
+    on 1-D rows) and goes through ``math.cos`` and ``math.sin``, so every
+    point's value is independent of the batch it is evaluated in (a
+    matrix-vector product can round the phases differently).  A phase that
+    is not finite (a NaN or infinite coordinate) raises.
     """
 
     def __init__(self, cos_amp, sin_amp, k_low):
@@ -193,6 +230,14 @@ class PhaseField(ArrayField):
         if self._k_low.shape[-1:] != (5,) or self._k_low.ndim > 2:
             raise ValueError(f"k must have shape (5,) or (N, 5), got {self._k_low.shape}")
         self._k_low.setflags(write=False)
+        # k as the column that scales the partials: (5, 1, 1) for one k,
+        # (5, N, 1) for one k per point
+        self._k_column = self._k_low.T.reshape(5, -1, 1)
+        # U = [A, B] and V = [B, -A], each (2, 1 or N, 32): U cos + V sin
+        # holds the values A cos + B sin and the slope B cos - A sin
+        a, b, shape = self._cos_amp, self._sin_amp, (2, -1, self._cos_amp.shape[-1])
+        self._cos_terms = np.stack(np.broadcast_arrays(a, b)).reshape(shape)
+        self._sin_terms = np.stack(np.broadcast_arrays(b, -a)).reshape(shape)
 
     def _cos_sin(self, points) -> tuple[np.ndarray, np.ndarray]:
         pts = as_points(points)
@@ -201,35 +246,34 @@ class PhaseField(ArrayField):
             ks = [ks] * len(pts)
         elif len(ks) != len(pts):
             raise ValueError(f"{len(ks)} rows of k cannot pair with {len(pts)} points")
-        try:
-            phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
-        except RuntimeWarning:  # inf - inf or an overflow, under a warnings filter that raises
-            with np.errstate(invalid="ignore", over="ignore"):
-                phases = [float(np.dot(k, x)) for k, x in zip(ks, pts)]
+        # np.vdot runs np.dot's kernel on 1-D rows (the same bits) but checks
+        # no floating-point flags, so a phase that is not finite raises below
+        # with no RuntimeWarning printed first
+        phases = [float(np.vdot(k, x)) for k, x in zip(ks, pts)]
         for n, th in enumerate(phases):
             if not math.isfinite(th):
                 row = pts[n].tolist()
                 raise ValueError(f"the phase k.x = {th} at point row {n} {row} is not finite")
-        cos = np.array([math.cos(th) for th in phases]).reshape(-1, 1)
-        sin = np.array([math.sin(th) for th in phases]).reshape(-1, 1)
-        return cos, sin
-
-    def _mix(self, cos, sin) -> np.ndarray:
-        return self._cos_amp * cos + self._sin_amp * sin
-
-    def _slopes(self, cos, sin) -> np.ndarray:
-        # k is (5, 1, 1) for one k, (5, N, 1) for one k per point
-        return self._k_low.T.reshape(5, -1, 1) * self._mix(-sin, cos)
+        cos = np.fromiter(map(math.cos, phases), np.float64, len(phases))
+        sin = np.fromiter(map(math.sin, phases), np.float64, len(phases))
+        return cos[:, None], sin[:, None]
 
     def values(self, points) -> np.ndarray:
-        return self._mix(*self._cos_sin(points))
+        cos, sin = self._cos_sin(points)
+        return self._cos_amp * cos + self._sin_amp * sin
 
     def partials(self, points) -> np.ndarray:
-        return self._slopes(*self._cos_sin(points))
-
-    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
         cos, sin = self._cos_sin(points)
-        return self._mix(cos, sin), self._slopes(cos, sin)
+        return self._k_column * (self._cos_terms[1] * cos + self._sin_terms[1] * sin)
+
+    def _jet(self, points) -> np.ndarray:
+        cos, sin = self._cos_sin(points)
+        value_slope = self._cos_terms * cos
+        value_slope += self._sin_terms * sin
+        jet = np.empty((6, *value_slope.shape[1:]))
+        jet[0] = value_slope[0]
+        np.multiply(self._k_column, value_slope[1], out=jet[1:])
+        return jet
 
 
 def random_points(rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:

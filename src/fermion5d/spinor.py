@@ -17,7 +17,9 @@ gather ``Y`` of the input ``c``: ``(c + 0.0) - Y`` for the plus half and
 ``c - Y`` for the minus half, so a caller that keeps one half computes only
 that one.  :func:`pm_split_coeffs` and :func:`idempotent_split_coeffs` apply
 them along the last axis of coefficient arrays of any shape, bit for bit equal
-to the multivector products they replace.
+to the multivector products they replace; on a field's ``(6, N, 32)`` jet one
+call splits the values and the partials, with one odd-blade check and one
+gather.
 """
 from __future__ import annotations
 

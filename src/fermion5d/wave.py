@@ -40,11 +40,11 @@ from .fields import (
     METRIC_SIGNS,
     ArrayField,
     PhaseField,
-    add_gradient,
     as_point,
     as_points,
     minkowski_dot,
 )
+from .fields import _gradient_gather
 from .spinor import _idempotent_half, pm_split
 
 _PSEUDO = pseudoscalar(CL32)
@@ -180,19 +180,30 @@ def _times_gamma(gamma: GammaChoice) -> BladeOperator:
     return BladeOperator.right(gamma.as_multivector())
 
 
-def _seeded_momenta(k, mass, seeds: tuple[Multivector, Multivector]):
-    """``(K c, c, m)`` as rows: ``c`` is ``seeds[0]``, or ``seeds[1]`` where
-    the mass is negative, and ``m`` is the mass as a column.
+def _seeded_momenta(k, mass, seeds):
+    """``(K c, c, m)`` as rows: ``c`` is the first seed of :func:`_seed_pair`,
+    or the second where the mass is negative, and ``m`` is the mass as a column.
 
     ``k`` is ``N`` momenta ``(N, 5)`` with one mass or ``N``.  ``c`` is a
-    blade, so each coefficient of ``K c`` is one exact term ``+-k^a``.
+    blade, so ``K c`` is the signed gather of ``K``'s rows by ``c`` (each
+    coefficient one exact term ``+-k^a``), taken for each seed and selected
+    per row.
     """
     k = np.asarray(k, dtype=np.float64)
     mass = np.broadcast_to(np.asarray(mass, dtype=np.float64), k.shape[:-1])
     if not (np.isfinite(k).all() and np.isfinite(mass).all()):
         raise ValueError("momentum and mass must be finite")
-    seed = np.where((mass < 0)[..., None], seeds[1].coeffs, seeds[0].coeffs)
-    return _kernels.gp(tables(CL32).sign, _momentum_rows(k), seed), seed, mass[..., None]
+    (seed, other), (times_seed, times_other) = seeds
+    momenta = _momentum_rows(k)
+    negative = (mass < 0)[..., None]
+    kc = np.where(negative, times_other(momenta), times_seed(momenta))
+    return kc, np.where(negative, other, seed), mass[..., None]
+
+
+def _seed_pair(*seeds: Multivector):
+    """The seeds at ``m >= 0`` and ``m < 0`` as coefficient rows, and their
+    right products ``x -> x c`` as signed gathers."""
+    return tuple(c.coeffs for c in seeds), tuple(BladeOperator.right(c) for c in seeds)
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -207,8 +218,8 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 #: Under ``e0E`` the scalar seed gives ``m + k^0`` as the only mass term,
 #: which is 0 at rest when ``m < 0``; ``e01`` gives ``m - k^0`` there.
 _SEEDS = {
-    "e12": (Multivector.scalar(1.0), Multivector.scalar(1.0)),
-    "e0E": (Multivector.scalar(1.0), e(CL32, 0, 1)),
+    "e12": _seed_pair(Multivector.scalar(1.0), Multivector.scalar(1.0)),
+    "e0E": _seed_pair(Multivector.scalar(1.0), e(CL32, 0, 1)),
 }
 
 
@@ -356,14 +367,35 @@ def build_plane_wave(
 # ---------------------------------------------------------------------------
 
 
-def _equation_sum(mass_op, values, partials, mass, axes, coupling=None) -> np.ndarray:
-    """``mass_op(phi) mass [- coupling] + sum_a e_a d^a phi`` over ``axes``, in that
-    order: the first-order equation, with ``E phi``, the mass and five axes,
-    or (4D) with ``phi e012``, minus the mass and four axes."""
-    res = mass_op(values) * mass
+#: The two forms of the first-order equation as gathers over a jet (see
+#: :func:`~fermion5d.fields._gradient_gather`): ``E phi`` and the five axes,
+#: ``phi e012`` and the four spacetime axes.
+_FIVE_D = _gradient_gather(tuple(range(5)), _LEFT_PSEUDO)
+_FOUR_D = _gradient_gather(tuple(range(4)), _RIGHT_E012)
+
+
+def _equation_sum(form, jet, mass, coupling=None) -> np.ndarray:
+    """``lead(phi) mass [- coupling] + sum_a e_a d^a phi`` over the form's
+    axes, in that order: the first-order equation, with ``E phi``, the mass
+    and five axes (:data:`_FIVE_D`), or (4D, :data:`_FOUR_D`) with ``phi
+    e012``, minus the mass and four axes.
+
+    ``jet`` is a field's ``(6, N, 32)`` jet, ``mass`` one number or one per
+    row, ``coupling`` ``(N, 32)`` rows.  One gather reads every term; the
+    sum runs on the ``(32, N)`` term of the lead slot, and the rows come
+    back as its transpose.
+    """
+    source, index, sign, accumulate = form
+    terms = jet[source, :, index]  # (1 + axes, 32, N)
+    terms *= sign
+    terms += 0.0
+    res = terms[0]
+    res *= mass
     if coupling is not None:
-        res -= coupling
-    return add_gradient(res, partials, axes)
+        res -= coupling.T
+    for add, term in zip(accumulate, terms[1:]):
+        add(res, term, out=res)
+    return res.T
 
 
 def _coupling(charge, potential, values, points, times_gamma: BladeOperator, no_e4: bool):
@@ -386,12 +418,12 @@ def _coupling(charge, potential, values, points, times_gamma: BladeOperator, no_
 
 def dirac5_residuals(field: ArrayField, mass: float, points) -> np.ndarray:
     """:func:`dirac5_residual` at every row of an ``(N, 5)`` point array."""
-    return _equation_sum(_LEFT_PSEUDO, *field.samples(as_points(points)), float(mass), range(5))
+    return _equation_sum(_FIVE_D, field._jet(as_points(points)), float(mass))
 
 
 def dirac5_residual(field: ArrayField, mass: float, x: Sequence[float]) -> Multivector:
     """Left side minus right side of the free equation at a point."""
-    return Multivector(dirac5_residuals(field, mass, [as_point(x)])[0])
+    return Multivector(dirac5_residuals(field, mass, as_point(x)[None])[0])
 
 
 def dirac5_potential_residuals(
@@ -410,9 +442,9 @@ def dirac5_potential_residuals(
     bit for bit, and the potential is not read.
     """
     pts = as_points(points)
-    values, partials = field.samples(pts)
-    coupling = _coupling(charge, potential, values, pts, _times_gamma(gamma), no_e4=False)
-    return _equation_sum(_LEFT_PSEUDO, values, partials, float(mass), range(5), coupling)
+    jet = field._jet(pts)
+    coupling = _coupling(charge, potential, jet[0], pts, _times_gamma(gamma), no_e4=False)
+    return _equation_sum(_FIVE_D, jet, float(mass), coupling)
 
 
 def hestenes_dirac_residual(
@@ -424,10 +456,10 @@ def hestenes_dirac_residual(
     against :data:`CYLINDER_TOLERANCE`); at nonzero charge the potential is
     a field whose values must be grade-1 with no second-time component.
     """
-    pts = [as_point(x)]
-    values, partials = field.samples(pts)
-    coupling = _coupling(charge, potential, values, pts, _TIMES_E12, no_e4=True)
-    return Multivector(hestenes_sample_residuals(values, partials, mass, coupling)[0])
+    pts = as_point(x)[None]
+    jet = field._jet(pts)
+    coupling = _coupling(charge, potential, jet[0], pts, _TIMES_E12, no_e4=True)
+    return Multivector(_hestenes_residuals(jet, mass, coupling)[0])
 
 
 def hestenes_sample_residuals(values, partials, mass, coupling=None) -> np.ndarray:
@@ -439,14 +471,18 @@ def hestenes_sample_residuals(values, partials, mass, coupling=None) -> np.ndarr
     ``mass`` is one mass or one per row.  Raises unless ``|d4 phi| <``
     :data:`CYLINDER_TOLERANCE` on every row; a NaN fails that test.
     """
-    d4 = float(np.abs(partials[4]).max(initial=0.0))
+    return _hestenes_residuals(np.concatenate(([values], partials)), mass, coupling)
+
+
+def _hestenes_residuals(jet, mass, coupling=None) -> np.ndarray:
+    """:func:`hestenes_sample_residuals` on a ``(6, N, 32)`` jet."""
+    d4 = float(np.abs(jet[5]).max(initial=0.0))
     if not d4 < CYLINDER_TOLERANCE:
         raise ValueError(
             f"field varies along the second time axis (|d4| = {d4:.3e}); "
             "the 4D reduction does not apply"
         )
-    mass = -np.asarray(mass, dtype=np.float64)[..., None]
-    return _equation_sum(_RIGHT_E012, values, partials, mass, range(4), coupling)
+    return _equation_sum(_FOUR_D, jet, -np.asarray(mass, dtype=np.float64), coupling)
 
 
 class _SectorHalf(ArrayField):
@@ -463,8 +499,8 @@ class _SectorHalf(ArrayField):
     def partials(self, points) -> np.ndarray:
         return _idempotent_half(self._base.partials(points), self._half)
 
-    def samples(self, points) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(_idempotent_half(rows, self._half) for rows in self._base.samples(points))
+    def _jet(self, points) -> np.ndarray:
+        return _idempotent_half(self._base._jet(points), self._half)
 
 
 def sector_fields(field: ArrayField) -> tuple[ArrayField, ArrayField]:
@@ -478,7 +514,7 @@ def sector_fields(field: ArrayField) -> tuple[ArrayField, ArrayField]:
 
 
 #: Seeds ``chi`` of :func:`solve_hestenes_amplitude` at ``m >= 0`` and ``m < 0``.
-_HESTENES_SEEDS = (e(CL32, 0), e(CL32, 3))
+_HESTENES_SEEDS = _seed_pair(e(CL32, 0), e(CL32, 3))
 
 
 def solve_hestenes_amplitude(k4: Sequence[float], mass: float) -> Multivector:

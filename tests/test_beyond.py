@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fermion5d import wave
 from fermion5d.algebra import CL32, Multivector, e
 from fermion5d.beyond import (
     CURRENT_MASKS,
@@ -38,6 +39,7 @@ from fermion5d.fields import (
     PhaseField,
     add_gradient,
 )
+from fermion5d.fields import _gradient_gather
 from fermion5d.spinor import cylinder_check
 from fermion5d.wave import GammaChoice, build_plane_wave, hestenes_plane_wave_field, sector_fields
 
@@ -159,6 +161,30 @@ def test_add_gradient_is_the_multivector_sum_on_signed_zeros(rng, axes, start):
         begin = Multivector(np.full(CL32.n_blades, start))
         expected = oracle_gradient(begin, lambda a: Multivector(partials[a, n]), axes)
         assert row.tobytes() == expected.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("axes", [(0, 2), ()])
+def test_add_gradient_on_axes_no_equation_uses_is_the_multivector_sum(rng, axes):
+    partials = rng.choice([0.0, -0.0, 1.5, -0.75], size=(5, 16, CL32.n_blades))
+    for start in (0.0, -0.0):
+        got = add_gradient(np.full((16, CL32.n_blades), start), partials, axes)
+        for n, row in enumerate(got):
+            begin = Multivector(np.full(CL32.n_blades, start))
+            expected = oracle_gradient(begin, lambda a: Multivector(partials[a, n]), axes)
+            assert row.tobytes() == expected.coeffs.tobytes()
+
+
+def test_the_gradient_gathers_are_built_once_and_read_only():
+    # the two equation forms are the memoised tables with their mass operator
+    assert _gradient_gather((0, 1, 2, 3, 4), wave._LEFT_PSEUDO) is wave._FIVE_D
+    assert _gradient_gather((0, 1, 2, 3), wave._RIGHT_E012) is wave._FOUR_D
+    for axes in [(0, 2), (), (4,), (0, 1, 2, 3)]:
+        tables = _gradient_gather(axes)
+        assert _gradient_gather(axes) is tables
+        for table in tables[:3] + wave._FIVE_D[:3] + wave._FOUR_D[:3]:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
 
 def assert_rows_are_the_point_calls(batch, point_fn, points):

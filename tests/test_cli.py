@@ -897,6 +897,29 @@ def child_env() -> dict:
     return env
 
 
+def test_a_phase_that_is_not_finite_is_one_error_line_and_no_warning():
+    # the default warnings filters of a fresh interpreter: numpy's "invalid
+    # value encountered" RuntimeWarning would be printed to stderr
+    code = (
+        "import math\n"
+        "from fermion5d.wave import GammaChoice, build_plane_wave, dirac5_residual\n"
+        "field = build_plane_wave((0.3, -0.2, 0.1), 0.0, 1.0, GammaChoice.e12()).field()\n"
+        "try:\n"
+        "    dirac5_residual(field, 1.0, [math.inf, math.inf, 0.0, 0.0, 0.0])\n"
+        "except ValueError as exc:\n"
+        "    print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    env = child_env()
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("ValueError: the phase k.x = nan at point row 0")
+    assert len(result.stdout.splitlines()) == 1
+
+
 @pytest.mark.parametrize("option", ["--s", "--mass"])
 def test_overflowing_scalar_demo_writes_one_stderr_line(option):
     # a fresh interpreter with every warning shown: numpy's once-per-location

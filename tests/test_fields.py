@@ -22,6 +22,7 @@ from fermion5d.beyond import (
 )
 from fermion5d.fields import (
     AnalyticField,
+    ArrayField,
     ConstantField,
     FiniteDifferenceField,
     PhaseField,
@@ -248,8 +249,8 @@ def test_a_sector_half_computes_only_its_own_half(rng, monkeypatch):
     for h, half in enumerate(sector_fields(hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0))):
         halves.clear()
         hestenes_dirac_residual(half, 1.0, x)
-        # one call for the values and one for the partials, each of this half
-        assert [args[1] for args in halves] == [h, h]
+        # one call on the base field's jet (values and partials), of this half
+        assert [(args[0].shape, args[1]) for args in halves] == [((6, 1, CL32.n_blades), h)]
 
 
 class GatherCountingArray(np.ndarray):
@@ -277,3 +278,29 @@ def test_add_gradient_gathers_once_per_call(rng, axes):
     assert len(GatherCountingArray.gathers) == 1
     expected = add_gradient(np.zeros((3, CL32.n_blades)), np.asarray(partials), axes)
     assert np.asarray(got).tobytes() == expected.tobytes()
+
+
+class CountingJetField(ArrayField):
+    """A field whose jet records the gathers read from it."""
+
+    def __init__(self, base: ArrayField):
+        self.base = base
+
+    def values(self, points):
+        return self.base.values(points)
+
+    def partials(self, points):
+        return self.base.partials(points)
+
+    def _jet(self, points):
+        return self.base._jet(points).view(GatherCountingArray)
+
+
+@pytest.mark.parametrize("residual", [dirac5_residual, hestenes_dirac_residual])
+def test_a_point_residual_gathers_once_for_the_equation_sum(rng, residual):
+    field = CountingJetField(hestenes_plane_wave_field((0.2, -0.1, 0.3), 1.0))
+    x = rng.uniform(-1.0, 1.0, size=5)
+    GatherCountingArray.gathers = []
+    got = residual(field, 1.0, x)
+    assert len(GatherCountingArray.gathers) == 1
+    assert got.coeffs.tobytes() == residual(field.base, 1.0, x).coeffs.tobytes()
