@@ -346,6 +346,12 @@ class RadialSolution:
         return -self.params.mass * (d * d / (1.0 + eps))
 
 
+def _below_root(decay, shift, coupling) -> np.ndarray:
+    """Whether the termination gap ``d (n_r + q) - lambda sqrt(1 - d^2)`` is
+    negative at ``decay``: the one sign test of the decay bisection."""
+    return decay * shift - coupling * np.sqrt((1.0 - decay) * (1.0 + decay)) < 0.0
+
+
 def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
     """Decay constants ``d = |beta| / m`` at the roots of the termination
     gap ``d (n_r + q) - lambda sqrt(1 - d^2)``, strictly increasing on (0, 1).
@@ -353,19 +359,45 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
     Rooting in the decay rather than the energy keeps the termination
     identity sharp when the energy is within ulps of the rest mass (weak
     coupling), where d(decay)/d(energy) blows up.  The gap is ``-lambda`` at
-    0 and ``n_r + q`` at 1, so (0, 1) brackets every root; each state is
-    bisected until its bracket is two adjacent floats (at most about 1100
-    steps, down to the smallest subnormal, as every step shrinks it)."""
+    0 and ``n_r + q`` at 1, so (0, 1) brackets every root; each state's
+    bracket is bisected until it is two adjacent floats, and the root is its
+    midpoint.
+
+    The bisection starts next to the root, with the bits of one from (0, 1).
+    The closed-form root ``lambda / hypot(n_r + q, lambda)`` lies in a
+    dyadic bracket ``[k w, (k+1) w]``, ``w = 2^(e - 45)`` for its binary
+    exponent ``e``: about 256 ulps.  When the gap's sign at one end
+    disagrees, the bracket moves by one width.  A bisection from (0, 1)
+    halves exact dyadic brackets, so when its width reaches ``w`` it holds a
+    bracket of that grid whose ends it tested.  The float gap's sign flips
+    only within a few ulps of the root, so on the grid it changes once: both
+    hold the same bracket and end on the same two floats, this one in about
+    9 rounds instead of 56-63.  A state whose guess is 0 or subnormal, where
+    ``w`` need not be a float, or whose moved bracket still disagrees,
+    starts from (0, 1); only such a state takes up to about 1100 steps, down
+    to the smallest subnormal, as every step shrinks its bracket."""
     coupling, shift = np.array([(p.coupling, p.n_r + p.series_exponent)
                                 for p in params_seq], dtype=np.float64).reshape(-1, 2).T
-    lo, hi = np.zeros(len(coupling)), np.ones(len(coupling))
+    guess = coupling / np.hypot(shift, coupling)
+    exponent = np.frexp(guess)[1] - 45
+    cell = np.floor(np.ldexp(guess, -exponent))
+    # (k-1) w .. (k+2) w, the last clipped to 1 where it would pass it
+    ends = np.minimum(np.ldexp(cell + np.array([[-1.0], [0.0], [1.0], [2.0]]), exponent), 1.0)
+    below = _below_root(ends, shift, coupling)
+    # the guess's bracket, or the one a width below (above) it when the gap
+    # is not negative at k w (is negative at (k+1) w); (0, 1) where the
+    # bracket's ends still disagree
+    columns, start = np.arange(len(coupling)), below[1:3].sum(axis=0)
+    lo, hi = ends[start, columns], ends[start + 1, columns]
+    fits = below[start, columns] & ~below[start + 1, columns] & (guess >= np.finfo(float).tiny)
+    lo, hi = np.where(fits, lo, 0.0), np.where(fits, hi, 1.0)
     active = np.ones(len(coupling), dtype=bool)
     while True:
         mid = 0.5 * (lo + hi)
         active &= (mid != lo) & (mid != hi)
         if not active.any():
             return (0.5 * (lo + hi)).tolist()
-        below = mid * shift - coupling * np.sqrt((1.0 - mid) * (1.0 + mid)) < 0.0
+        below = _below_root(mid, shift, coupling)
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
 
 
@@ -449,7 +481,7 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     # map selects part of the indicial kernel (n_r = 0) or vanishes on all of it
     # (n_r >= 1): both are thresholded against the product of the scales of the
     # termination map and of each step on it, a generic chain's.
-    termination = terminate(_EYE)
+    termination = r_minus_rhz + binding * rhz + beta * _EYE
     termination_norm = _column_scale(termination)
     generic_scale = termination_norm.copy()
     for p, k in reversed(list(enumerate(counts))):  # powers n_r .. 1, as each state's product
@@ -491,40 +523,49 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
     termination_relative = _norms(terminate(unit[..., None])[..., 0]) / scale
     indicial = np.abs(s_mat @ c0 - q * c0).max(axis=(1, 2))
+    s_err, t_err, peaks, relative, vacuity, indicial = (values.tolist() for values in (
+        s_square_err, t_square_err, peak, termination_relative,
+        residuals.max(axis=1) / generic_scale, indicial))
     results: list = []
     for i, params in enumerate(group):
-        state = f"kappa={params.kappa}, n_r={params.n_r}"
-        if not s_square_err[i] <= SQUARE_IDENTITY_BOUND * params.kappa**2:
-            error = (f"S^2 = q^2 I fails: error {s_square_err[i]:.3e} exceeds "
-                     f"{SQUARE_IDENTITY_BOUND:.0e} kappa^2 ({state})")
+        if not s_err[i] <= SQUARE_IDENTITY_BOUND * params.kappa**2:
+            error = (f"S^2 = q^2 I fails: error {s_err[i]:.3e} exceeds "
+                     f"{SQUARE_IDENTITY_BOUND:.0e} kappa^2 ({_state(params)})")
         elif decays[i] == 0.0:  # the root lies below the smallest subnormal
-            error = f"decay constant rounds to 0 ({state}, coupling={params.coupling:.3e})"
+            error = (f"decay constant rounds to 0 ({_state(params)}, "
+                     f"coupling={params.coupling:.3e})")
         elif kernel_dims[i] == 0:
             error = ("no terminating series at the root energy: smallest termination "
-                     f"residual {residuals[i].min():.3e} exceeds {threshold[i]:.3e} ({state})")
-        elif peak[i] == 0.0:
+                     f"residual {residuals[i].min():.3e} exceeds {threshold[i]:.3e} "
+                     f"({_state(params)})")
+        elif peaks[i] == 0.0:
             error = ("series underflows: every component of its last coefficient is 0 "
-                     f"({state}, coupling={params.coupling:.3e})")
-        elif not termination_relative[i] <= SVD_GAP_THRESHOLD:
+                     f"({_state(params)}, coupling={params.coupling:.3e})")
+        elif not relative[i] <= SVD_GAP_THRESHOLD:
             error = ("series does not terminate: relative termination residual "
-                     f"{termination_relative[i]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}")
+                     f"{relative[i]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}")
         else:
             mass, energy = params.mass, params.mass * energies[i]
             series = RadialSeries(params.series_exponent, -mass * decays[i],
                                   coefficients[i, :params.n_r + 1], mass)
             diagnostics = {
-                "termination_relative": float(termination_relative[i]),
+                "termination_relative": relative[i],
                 "termination_kernel_dim": kernel_dims[i],
-                "termination_vacuity": float(residuals[i].max() / generic_scale[i]),
+                "termination_vacuity": vacuity[i],
                 "closed_form_delta": abs(energy - sommerfeld_energy(params)),
-                "indicial_residual": float(indicial[i]),
-                "s_square_error": float(s_square_err[i]),
-                "t_square_error": float(t_square_err[i]),
+                "indicial_residual": indicial[i],
+                "s_square_error": s_err[i],
+                "t_square_error": t_err[i],
             }
             results.append(RadialSolution(params, energy, series, diagnostics))
             continue
         results.append(RuntimeError(error))
     return results
+
+
+def _state(params: CoulombParams) -> str:
+    """The ``kappa=.., n_r=..`` label of a state in an error message."""
+    return f"kappa={params.kappa}, n_r={params.n_r}"
 
 
 def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | RuntimeError]:
@@ -533,9 +574,12 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     element that is not a :class:`CoulombParams` raises ``TypeError``.  A
     state of mass m is that of mass 1 scaled: m times the energy and the
     decay, and the same coefficients in ``rho = m r``.  One bisection roots
-    every state; per phase bivector, one propagation of every state's
-    indicial kernel gives, as column norms, the admissible columns and, among
-    them, those that set the series direction (see the module docstring).
+    every state, each from a bracket of about 256 ulps around its
+    closed-form decay, and ends on the bits that one from (0, 1) gives (see
+    :func:`_termination_decays`); per phase bivector, one propagation of
+    every state's indicial kernel gives, as column norms, the admissible
+    columns and, among them, those that set the series direction (see the
+    module docstring).
     """
     params_seq, groups, results = list(params_seq), {}, {}
     for i, params in enumerate(params_seq):

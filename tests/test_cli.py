@@ -920,6 +920,21 @@ def test_a_phase_that_is_not_finite_is_one_error_line_and_no_warning():
     assert len(result.stdout.splitlines()) == 1
 
 
+def test_a_subnormal_coupling_spectrum_prints_no_warning():
+    # the default warnings filters of a fresh interpreter: the decay
+    # bisection's bracket around a subnormal guess must not divide by zero
+    env = child_env()
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "fermion5d", "spectrum", "--alpha", "1e-320", "--max-n", "2",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert json.loads(result.stdout)["summary"] == {"passed": 2, "failed": 0}
+
+
 @pytest.mark.parametrize("option", ["--s", "--mass"])
 def test_overflowing_scalar_demo_writes_one_stderr_line(option):
     # a fresh interpreter with every warning shown: numpy's once-per-location

@@ -564,6 +564,121 @@ def test_every_state_of_the_coupling_sweep_terminates():
     assert solved == 270
 
 
+def bisected_decays(params_seq):
+    """Each state's decay by a bisection of the termination gap ``d (n_r + q)
+    - lambda sqrt(m^2 - d^2)`` from (0, m), which brackets its root, until
+    the bracket is two adjacent floats: the solver's root search before it
+    started next to the closed form, run on every state at once."""
+    mass, coupling, shift = (np.array(column, dtype=np.float64) for column in zip(
+        *[(p.mass, p.coupling, p.n_r + p.series_exponent) for p in params_seq]))
+    lo, hi = np.zeros_like(mass), mass.copy()
+    done = np.zeros(len(mass), dtype=bool)
+    while True:
+        mid = 0.5 * (lo + hi)
+        done |= (mid == lo) | (mid == hi)
+        if done.all():
+            return (0.5 * (lo + hi)).tolist()
+        below = mid * shift - coupling * np.sqrt((mass - mid) * (mass + mid)) < 0.0
+        lo, hi = np.where(~done & below, mid, lo), np.where(~done & ~below, mid, hi)
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def spectrum_batches():
+    """Spectrum's ``--max-n 8`` batch at each Z = 1..137 and the default alpha."""
+    return [[CoulombParams(1.0, z * FINE_STRUCTURE, kappa, n_r)
+             for kappa, n_r in cli._spectrum_states(8)] for z in range(1, 138)]
+
+
+def coupling_sweep():
+    """kappa = +-1..+-8 and n_r = 0..11 at couplings from the smallest
+    subnormal to within 1e-15 of |kappa|, one batch per coupling."""
+    couplings = [5e-324, 1e-320, 1e-310, 1e-300, 1e-70, 1e-20, 1e-12, 1e-6, 0.0073, 0.3, 0.9]
+    batches = [[CoulombParams(1.0, c, sign * k, n_r)
+                for k in range(1, 9) for sign in (1, -1) for n_r in range(12)] for c in couplings]
+    batches.append([CoulombParams(1.0, k * (1 - 1e-15), sign * k, n_r)
+                    for k in range(1, 9) for sign in (1, -1) for n_r in range(12)])
+    return batches
+
+
+def test_the_decays_keep_the_bits_of_a_bisection_from_0():
+    # each state's bisection starts at a 256-ulp bracket around the closed
+    # form, and ends on the two floats that a bisection from (0, 1) ends on
+    spectrum = [p for batch in spectrum_batches() for p in batch]
+    for batch in [spectrum] + coupling_sweep():
+        assert hexes(coulomb._termination_decays(batch)) == hexes(bisected_decays(batch))
+
+
+def test_a_gap_whose_sign_flips_twice_near_the_root_keeps_the_bisections_root():
+    # at Z = 21, kappa = -2, n_r = 3 the float gap changes sign twice within
+    # four ulps: a bisection from +-8 ulps around the closed form ends on
+    # 0.030670528098577836, and the closed form itself is one ulp above
+    params = CoulombParams(1.0, 21 * FINE_STRUCTURE, -2, 3)
+    shift = params.n_r + params.series_exponent
+    closed = params.coupling / math.hypot(shift, params.coupling)
+    (decay,) = coulomb._termination_decays([params])
+    assert decay.hex() == "0x1.f68184c89aae0p-6" == hexes(bisected_decays([params]))[0]
+    assert closed.hex() == "0x1.f68184c89aae1p-6"
+
+
+def recorded_sign_tests(monkeypatch) -> list:
+    """The arguments of every call of the decay bisection's sign test, from now on."""
+    calls = []
+    sign_test = coulomb._below_root
+
+    def counting(*args):
+        calls.append(args)
+        return sign_test(*args)
+
+    monkeypatch.setattr(coulomb, "_below_root", counting)
+    return calls
+
+
+def test_each_spectrum_batch_roots_in_a_few_sign_tests(monkeypatch):
+    # from (0, 1) a batch took 56-63 sign tests; a silent fall-back to
+    # (0, 1) would keep every bit and lose the time
+    calls = recorded_sign_tests(monkeypatch)
+    for batch in spectrum_batches():
+        calls.clear()
+        coulomb._termination_decays(batch)
+        assert len(calls) <= 14, batch[0].coupling
+    # a subnormal guess has no 256-ulp bracket: it starts from (0, 1), with
+    # one sign test per halving down to its root near 2^-1030
+    params = CoulombParams(1.0, 1e-310, -1, 0)
+    calls.clear()
+    assert hexes(coulomb._termination_decays([params])) == hexes(bisected_decays([params]))
+    assert len(calls) > 1000
+
+
+@pytest.mark.parametrize("coupling, kappa, n_r", [
+    ("0x1.595c64e7359b5p-1", 1, 5),  # the guess's bracket lies a width above the root
+    ("0x1.d5ee1fc8c8f34p+2", 8, 2),  # and here a width below it
+])
+def test_a_bracket_moved_by_one_width_keeps_the_bits_and_the_short_path(
+        coupling, kappa, n_r, monkeypatch):
+    params = CoulombParams(1.0, float.fromhex(coupling), kappa, n_r)
+    calls = recorded_sign_tests(monkeypatch)
+    assert hexes(coulomb._termination_decays([params])) == hexes(bisected_decays([params]))
+    assert len(calls) <= 14
+
+
+def test_subnormal_couplings_solve_with_no_warning():
+    # a bracket built by dividing by its width raised "divide by zero" when
+    # the guess is 0
+    grid = [CoulombParams(1.0, coupling, kappa, n_r) for coupling in (5e-324, 1e-320, 1e-310)
+            for kappa in (1, -1, 2, -2) for n_r in range(3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = solve_radials(grid)
+    for params, result in zip(grid, results):
+        if params.coupling == 5e-324:
+            assert str(result).startswith("decay constant rounds to 0"), params
+        else:
+            assert not isinstance(result, RuntimeError), (params, result)
+
+
 def column_scale(block):
     """Largest column 2-norm of ``block``: the solver's lower bound on ``|block|_2``."""
     return np.linalg.norm(block, axis=0).max()
@@ -576,30 +691,13 @@ def spectral_norm(block):
 def solve_step_by_step(params, scale_of=column_scale):
     """The solver's energy, kernel dimension, vacuity and series, recomputed
     the way they were before the recurrence steps were built in one batch:
-    ``series_exponent`` read on every bisection step, one
-    ``np.linalg.solve`` per recurrence step and one ``scale_of`` per block
-    of the threshold scale.  The series direction follows the solver's
-    rule, the fixed probe projected onto the top singular subspace of the
-    final coefficients."""
+    the decay of :func:`bisected_decays`, one ``np.linalg.solve`` per
+    recurrence step and one ``scale_of`` per block of the threshold scale.
+    The series direction follows the solver's rule, the fixed probe
+    projected onto the top singular subspace of the final coefficients."""
     m, coupling, n_r = params.mass, params.coupling, params.n_r
     q = params.series_exponent
-
-    def gap(decay):
-        shift = n_r + params.series_exponent
-        return decay * shift - coupling * np.sqrt((m - decay) * (m + decay))
-
-    # the solver's root search: (0, m) brackets the root, bisected to two
-    # adjacent floats
-    lo, hi = 0.0, m
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    decay = 0.5 * (lo + hi)
+    (decay,) = bisected_decays([params])
     energy = math.sqrt((m - decay) * (m + decay))
 
     s_mat = angular_coupling_matrix(params.kappa, coupling, params.gamma)
