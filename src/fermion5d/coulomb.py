@@ -33,21 +33,15 @@ many states at once with no LAPACK call: per phase bivector, the states are
 sorted so that those still stepping form a prefix, and each one's whole
 indicial kernel is propagated once.
 
-The kernel basis makes column norms do the work of singular values.  The
-right product ``P: x -> x e3 e4`` is a signed permutation with ``P^2 = I``
-that commutes bit for bit with ``Z``, ``R H Z`` and ``R``, so with ``S``,
-``T``, every step and the termination map, and it pairs the 8 kernel blades
-of each sign of kappa.  The basis columns are ``(S + qI) (e_b +- P e_b)``
-over one blade ``b`` of each pair, scaled to unit norm: ``P``-eigenvectors
-that span the kernel.  ``P`` is symmetric, so the images of columns of
-opposite eigenvalue are orthogonal; columns of one eigenvalue lie in
-different blocks of the block-diagonal radial operators, which the maps keep
-apart.  So the images of the basis under the termination map and under the
-map to the last coefficient have orthogonal columns: each column norm is a
-singular value, and the subspace that terminates is spanned by whole
-columns.  The kernel's raw columns would not do: under ``e12`` a ``4 x 4``
-block holds two of them, ``c`` and ``P c``, which the termination map sends
-to non-orthogonal images.
+The radial system is eight Dirac radial pairs.  The right product ``P: x
+-> x e3 e4`` is a signed permutation with ``P^2 = I`` that pairs the even
+blades, and in the basis ``e_b +- P e_b`` of its eigenvectors ``Z``, ``R H
+Z`` and ``R`` split, under either phase bivector, into the same eight 2 x 2
+blocks, with ``Z = diag(1, -1)`` in each (checked exactly, once per phase
+bivector).  So the solver works on 2-vectors, one per block: each block
+holds one column of the indicial kernel, and as the columns lie in
+disjoint blocks, so do their images, and each column norm is a singular
+value of the maps the solver thresholds.
 
 Each constant operator is a chain of signed blade gathers on the even basis.
 A chain that flips even and odd grades ends with the gather of ``x -> E x``,
@@ -80,17 +74,15 @@ from .wave import GammaChoice, _times_gamma
 _LEFT_PSEUDO = BladeOperator.left(pseudoscalar(CL32))  # x -> E x
 _LEFT_E0, _RIGHT_E0 = BladeOperator.left(e(CL32, 0)), BladeOperator.right(e(CL32, 0))
 _LEFT_E3 = BladeOperator.left(e(CL32, 3))  # the radial unit
-_RIGHT_E34 = BladeOperator.right(e(CL32, 3, 4))  # the kernel pairing P
+_RIGHT_E34 = BladeOperator.right(e(CL32, 3, 4))  # the pairing P of the block basis
 _EVEN_MASKS, _ODD_MASKS = list(even_masks(CL32)), list(odd_masks(CL32))
-_EYE = np.eye(16)
-_EYE.setflags(write=False)
 
 #: Bound on ``|S^2 - q^2 I|``, relative to kappa^2, past which a state is an error.
 SQUARE_IDENTITY_BOUND = 1e-12
 #: Relative bound on the termination residual of a series, also the bound,
-#: relative to a generic chain's scale, on the termination column norm (a
-#: singular value, see the module docstring) that counts a kernel column as
-#: terminating.
+#: relative to a generic chain's scale, on the termination norm of a block's
+#: kernel column (a singular value, see the module docstring) that counts it
+#: as terminating.
 SVD_GAP_THRESHOLD = 1e-10
 #: Fixed generic vector whose projection onto the terminating subspace picks the
 #: series direction: square roots of the first sixteen primes, rationally independent.
@@ -132,56 +124,59 @@ def radial_left_matrix() -> np.ndarray:
     return even_operator_matrix(_LEFT_E3, _LEFT_PSEUDO)
 
 
-@functools.lru_cache(maxsize=1)
-def _kernel_pairing() -> tuple[np.ndarray, np.ndarray]:
-    """The pairing ``P: x -> x e3 e4`` (module docstring) and, for kappa < 0 and
-    > 0, the ``(16, 8)`` vectors ``(e_b +- P e_b) / sqrt 2`` over one blade ``b``
-    of each pair it makes of the blades where ``Z = sign kappa``; read-only.
-
-    It does not depend on the phase bivector, so it is built once, lazily;
-    :func:`_radial_blocks` checks that ``P`` commutes with each bivector's
-    blocks.  Raises unless ``P`` is a signed permutation with ``P^2 = I`` that
-    commutes with ``Z`` and moves every blade.
-    """
-    p, z = even_operator_matrix(_RIGHT_E34), e0_sandwich_matrix()
-    if not (np.array_equal(np.abs(p) @ np.abs(p).T, _EYE) and np.array_equal(p @ p, _EYE)
-            and np.array_equal(p @ z, z @ p) and not np.diag(p).any()):
-        raise RuntimeError("the kernel pairing P is not a signed permutation with P^2 = I "
-                           "that commutes with Z and moves every blade")
-    partner = np.abs(p).argmax(axis=0)  # P e_b = +-e_partner[b]
-    starts = np.empty((2, 16, 8))
-    for sign, vectors in zip((-1.0, 1.0), starts):
-        firsts = [b for b in np.flatnonzero(np.diag(z) == sign) if b < partner[b]]
-        vectors[:, 0::2] = (_EYE + p)[:, firsts] * math.sqrt(0.5)
-        vectors[:, 1::2] = (_EYE - p)[:, firsts] * math.sqrt(0.5)
-    for mat in (p, starts):
-        mat.setflags(write=False)
-    return p, starts
-
-
 @functools.lru_cache(maxsize=8)
 def _radial_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constant blocks ``(Z, R H Z, R)`` of the radial system, read-only.
 
     They depend only on the phase bivector, so they are built once per phase
-    bivector and shared by every ``S`` and ``T``.  Raises unless they have
-    the structure that :func:`_indicial_kernel` relies on, and unless the
-    pairing ``P`` of :func:`_kernel_pairing` commutes with each of them.
+    bivector and shared by every ``S`` and ``T``; :func:`_dirac_blocks`
+    checks their structure.
     """
     z, r = e0_sandwich_matrix(), radial_left_matrix()
     rhz = r @ gamma_e0_right_matrix(gamma) @ z
-    perm = np.abs(rhz)  # nonnegative with perm perm^T = I: a permutation
-    if not (np.array_equal(np.abs(z), _EYE) and np.array_equal(perm @ perm.T, _EYE)
-            and not (z @ rhz + rhz @ z).any()):
-        raise RuntimeError(f"radial blocks of {gamma.variant} are not Z = diag(+-1) and "
-                           "a signed permutation RHZ that anticommutes with it")
-    p = _kernel_pairing()[0]
-    if not all(np.array_equal(p @ mat, mat @ p) for mat in (rhz, r)):
-        raise RuntimeError(f"the kernel pairing P does not commute with the radial blocks "
-                           f"of {gamma.variant}")
     for mat in (z, rhz, r):
         mat.setflags(write=False)
     return z, rhz, r
+
+
+@functools.lru_cache(maxsize=8)
+def _dirac_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
+    """The block basis ``U`` (module docstring) and the ``(3, 8, 2, 2)`` tables
+    of ``U^T M U / 2`` for ``M = Z, R H Z, R`` (:func:`_radial_blocks`),
+    read-only, built once per phase bivector; every entry is an integer.
+
+    ``U``'s columns are the eigenvectors ``e_b +- P e_b`` of the pairing ``P:
+    x -> x e3 e4``, over one blade ``b`` of each pair, unnormalised (``U^T U
+    = 2I``).  Columns ``2k`` and ``2k + 1`` span block ``k``: a blade where
+    ``Z = +1``, then the one ``R`` maps it to; blocks 0..3 hold the ``+1``
+    eigenvectors and blocks 4..7 the ``-1`` ones at the same blades and
+    slots.  Raises unless ``U`` is a basis of ``P``-eigenvectors, nothing of
+    the three lies outside the blocks, the 16 x 16 matrices rebuild from the
+    tables bit for bit, and every block of ``Z`` is ``diag(1, -1)`` and of
+    ``R H Z`` is +-1 off its diagonal, as :func:`_indicial_kernel` needs.
+    """
+    p, dense, k = even_operator_matrix(_RIGHT_E34), np.array(_radial_blocks(gamma)), np.arange(8)
+    z, r, eye = dense[0], dense[2], np.eye(16)
+    partner, link = np.abs(p).argmax(axis=0), np.abs(r).argmax(axis=0)  # P e_b = +-e_partner[b]
+    heads = [b for b in range(16) if b < partner[b] and z[b, b] > 0]
+    blades = [blade for b in heads for blade in (b, min(link[b], partner[link[b]]))]
+    basis = np.concatenate([(eye + p)[:, blades], (eye - p)[:, blades]], axis=1)
+    if not (np.array_equal(basis.T @ basis, 2.0 * eye)
+            and np.array_equal(p @ basis, basis * np.repeat([1.0, -1.0], 8))):
+        raise RuntimeError("the pairing P does not give a basis e_b +- P e_b of its eigenvectors")
+    full = (basis.T @ dense @ basis / 2).reshape(3, 8, 2, 8, 2)
+    tables = np.ascontiguousarray(full[:, k, :, k].swapaxes(0, 1))
+    diagonal = np.zeros_like(full)
+    diagonal[:, k, :, k] = tables.swapaxes(0, 1)
+    if not (np.array_equal(diagonal, full)
+            and np.array_equal(basis @ diagonal.reshape(3, 16, 16) @ basis.T / 2, dense)
+            and np.array_equal(tables[0], np.broadcast_to(np.diag([1.0, -1.0]), (8, 2, 2)))
+            and np.array_equal(np.abs(tables[1]), np.broadcast_to(1.0 - np.eye(2), (8, 2, 2)))):
+        raise RuntimeError(f"the radial blocks of {gamma.variant} do not split into eight 2 x 2 "
+                           "blocks of P-eigenvectors, Z = diag(1, -1) and R H Z off its diagonal")
+    for mat in (basis, tables):
+        mat.setflags(write=False)
+    return basis, tables
 
 
 def angular_coupling_matrix(kappa: int, coupling: float, gamma: GammaChoice) -> np.ndarray:
@@ -306,27 +301,24 @@ class RadialSeries:
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.setflags(write=False)
 
-    def _prefactor(self, r: float) -> tuple[float, float]:
-        """``rho`` and ``rho^q exp(beta r)`` (r must be positive and finite)."""
+    def _terms(self, r: float) -> tuple[np.ndarray, np.ndarray]:
+        """The powers ``q + p`` and the terms ``rho^(q+p) exp(beta r)`` (r positive
+        and finite), each one exponential in ``log m + log r``: 0 where the decay
+        underflows, however large ``rho^(q+p)``, and finite where ``m r`` does."""
         if not 0 < r < math.inf:
             raise ValueError("radius must be positive and finite")
-        rho = self.unit * r
-        return rho, rho**self.exponent * math.exp(self.decay * r)
-
-    def _polynomial(self, rho: float) -> np.ndarray:
-        return rho ** np.arange(self.coefficients.shape[0]) @ self.coefficients
+        powers, rho = self.exponent + np.arange(self.coefficients.shape[0]), self.unit * r
+        log_rho = math.log(rho) if rho else math.log(self.unit) + math.log(r)  # m r underflows
+        return powers, np.exp(powers * log_rho + self.decay * r)
 
     def evaluate(self, r: float) -> np.ndarray:
         """Even-subalgebra coordinates of ``u(r)``."""
-        rho, pref = self._prefactor(r)
-        return pref * self._polynomial(rho)
+        return self._terms(r)[1] @ self.coefficients
 
     def derivative(self, r: float) -> np.ndarray:
         """Coordinates of ``du/dr`` from the analytic series."""
-        rho, pref = self._prefactor(r)
-        p = np.arange(1, self.coefficients.shape[0])
-        dpoly = self.unit * ((p * rho ** (p - 1)) @ self.coefficients[1:])
-        return pref * ((self.exponent / r + self.decay) * self._polynomial(rho) + dpoly)
+        powers, terms = self._terms(r)
+        return ((powers / r + self.decay) * terms) @ self.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,128 +393,134 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
 
 
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """2-norms along the last axis, each one dot product as for a single vector."""
-    return np.sqrt(rows[..., None, :] @ rows[..., :, None])[..., 0, 0]
+def _apply(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``B v`` for the 2 x 2 blocks of a ``(..., 2, 2)`` stack and the ``(..., 2)`` vectors."""
+    return blocks[..., 0] * vectors[..., :1] + blocks[..., 1] * vectors[..., 1:]
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """2-norms along the last axis, each a sum of squares as for a single vector."""
+    return np.sqrt((vectors * vectors).sum(axis=-1))
 
 
 def _column_scale(blocks: np.ndarray) -> np.ndarray:
-    """Largest column 2-norm of each matrix of a ``(..., 16, 16)`` stack: ``max_j
-    |B e_j| <= |B|_2``, so a threshold from it is never looser than one from singular
-    values.  The mass-1 blocks' entries are of order 1, so squares are summed as they are."""
-    return np.sqrt((blocks * blocks).sum(axis=-2)).max(axis=-1)
+    """Largest blade-basis column 2-norm of each matrix of an ``(N, 8, 2, 2)`` stack
+    of blocks: ``max_b |B e_b| <= |B|_2``, so a threshold from it is never looser than
+    one from singular values.  ``e_b = (u+ +- u-) / sqrt 2``, with ``u+`` and ``u-``
+    unit columns at one slot of blocks k < 4 and k + 4, whose images are orthogonal:
+    ``|B e_b|^2`` is the mean of theirs, squares summed as they are (entries O(1))."""
+    entries = blocks * blocks
+    squares = entries[..., 0, :] + entries[..., 1, :]
+    return np.sqrt(0.5 * (squares[:, :4] + squares[:, 4:])).reshape(len(blocks), 8).max(axis=1)
 
 
 def _step_inverses(s_plus_q: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
-    """``((p+q) I - S)^-1 = ((S + qI) + pI) / (p (p+2q))`` of a stack, as ``S^2 = q^2 I``."""
-    return (s_plus_q + p * _EYE) / (p * (p + 2 * q))
+    """``((p+q) I - S)^-1 = ((S + qI) + pI) / (p (p+2q))`` of 2 x 2 blocks, as ``S^2 = q^2 I``."""
+    return (s_plus_q + p * np.eye(2)) / (p * (p + 2 * q))
 
 
 def _indicial_kernel(s_plus_q, kappas, couplings, q) -> np.ndarray:
-    """Orthonormal bases ``(N, 16, 8)`` of the indicial kernels ``null(S - qI)``,
-    each column an eigenvector of the pairing ``P`` (:func:`_kernel_pairing`).
+    """Unit columns ``(N, 8, 2)`` of the indicial kernels ``null(S - qI)``, one
+    per block of an ``(N, 8, 2, 2)`` stack ``S + qI``.
 
     ``S^2 = q^2 I`` puts the columns of ``S + qI`` in the kernel.  ``Z`` is
-    diagonal +-1 and ``R H Z`` a signed permutation anticommuting with it, so
-    the column at each of the 8 blades where ``Z = sign kappa`` holds
-    ``|kappa| + q`` there and ``+-lambda`` at one blade where ``Z = -sign
-    kappa``: disjoint supports, orthonormal once scaled by their norm.  The
-    columns taken are those at ``(e_b +- P e_b) / sqrt 2``, which ``P`` maps
-    onto ``+-`` themselves bit for bit: columns of opposite eigenvalue are
-    exactly orthogonal, and those of one eigenvalue share no row."""
-    starts = _kernel_pairing()[1][(kappas[:, 0, 0] > 0).astype(int)]
-    return (s_plus_q @ starts) / np.hypot(np.abs(kappas) + q, couplings)
+    ``diag(1, -1)`` in each block and ``R H Z`` is +-1 off its diagonal
+    (:func:`_dirac_blocks`), so the column at the slot where ``Z = sign
+    kappa`` (the first for kappa > 0) holds ``|kappa| + q`` there and
+    ``+-lambda`` at the other: its norm is ``hypot(|kappa| + q, lambda)``."""
+    slots = (kappas[:, 0, 0, 0] < 0).astype(int)
+    norm = np.hypot(np.abs(kappas) + q, couplings)[..., 0]
+    return s_plus_q[np.arange(len(slots)), :, :, slots] / norm
 
 
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     """Solutions, or errors, of states that share the phase bivector, sorted by n_r
-    from the largest down, solved at mass 1 from their decays, then scaled."""
-    n_r, gamma = np.array([p.n_r for p in group]), group[0].gamma
-    _, rhz, r = _radial_blocks(gamma)
+    from the largest down, solved at mass 1 from their decays, then scaled.  Every
+    matrix is a stack of the eight 2 x 2 blocks and every vector one of eight
+    2-vectors (module docstring)."""
+    n_r, size = np.array([p.n_r for p in group]), len(group)
+    basis, (z, rhz, r) = _dirac_blocks(group[0].gamma)
     energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
+    eye = np.eye(2)
 
     def col(values) -> np.ndarray:
-        return np.array(values, dtype=np.float64)[:, None, None]
+        return np.array(values, dtype=np.float64)[:, None, None, None]
 
     def square_error(mat: np.ndarray, square: list) -> np.ndarray:
-        return np.abs(mat @ mat - col(square) * _EYE).max(axis=(1, 2))
+        return np.abs(mat @ mat - col(square) * eye).max(axis=(1, 2, 3))
 
     q = col([p.series_exponent for p in group])
     kappas, couplings = col([p.kappa for p in group]), col([p.coupling for p in group])
-    s_mat = angular_coupling_matrix(kappas, couplings, gamma)
-    s_plus_q = s_mat + q * _EYE
+    s_mat = kappas * z + couplings * rhz
+    s_plus_q = s_mat + q * eye
     s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
-    t_mat = mass_energy_matrix(1.0, col(energies), gamma)
-    t_square_err = square_error(t_mat, [1.0 - b**2 for b in energies])
+    t_square_err = square_error(r - col(energies) * rhz, [1.0 - b**2 for b in energies])
 
     # (beta I + T) in split form, T = (R - RHZ) + b RHZ with the binding b =
     # 1 - eps = d^2 / (1 + eps): its eigenvalues are +-d up to the rounding of
     # b alone, whereas the rounded eps in T = R - eps RHZ moves them by
     # ~ulp(eps) / d, above the termination bound at weak coupling.  R - RHZ
-    # has at most two +-1 or +-2 entries per row: one rounding per component.
-    r_minus_rhz = r - rhz
+    # has entries 0, +-1 and +-2: one rounding per entry.
     binding = col([d * d / (1.0 + b) for d, b in zip(decays, energies)])
-    beta = col([-d for d in decays])
+    termination = (r - rhz) + binding * rhz - col(decays) * eye
 
-    def terminate(c: np.ndarray, k=None) -> np.ndarray:
-        """``(beta I + T) c`` for the first ``k`` states (all by default)."""
-        return r_minus_rhz @ c + binding[:k] * (rhz @ c) + beta[:k] * c
-
-    # every state's steps for p = 1..n_r, power-major: the states stepping at
-    # power p are a prefix, as they are sorted by n_r
+    # every state's steps for p = 1..n_r: the states stepping at power p are a
+    # prefix, as they are sorted by n_r
     counts = [int((n_r >= p).sum()) for p in range(1, n_r[0] + 1)]
-    offsets = np.cumsum([0] + counts)
-    steps = np.empty((offsets[-1], 16, 16))
-    for p, count in enumerate(counts):
-        steps[offsets[p]:offsets[p + 1]] = _step_inverses(s_plus_q[:count], q[:count], p + 1)
+    steps = [_step_inverses(s_plus_q[:k], q[:k], p) for p, k in enumerate(counts, 1)]
 
     # C_0 must satisfy (S - q I) C_0 = 0 and, propagated by C_p = ((p+q) I - S)^-1
     # (-(beta I + T) C_{p-1}), (beta I + T) C_{n_r} = 0.  At the root the termination
     # map selects part of the indicial kernel (n_r = 0) or vanishes on all of it
     # (n_r >= 1): both are thresholded against the product of the scales of the
     # termination map and of each step on it, a generic chain's.
-    termination = r_minus_rhz + binding * rhz + beta * _EYE
     termination_norm = _column_scale(termination)
     generic_scale = termination_norm.copy()
-    for p, k in reversed(list(enumerate(counts))):  # powers n_r .. 1, as each state's product
-        generic_scale[:k] *= _column_scale(steps[offsets[p]:offsets[p + 1]] @ -termination[:k])
+    for step in reversed(steps):  # powers n_r .. 1, as each state's product
+        generic_scale[:len(step)] *= _column_scale(step @ -termination[:len(step)])
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
     # chain[p] holds C_p of every kernel column for the states stepping at power
-    # p, and final each state's C_{n_r}.  The columns' images under the
-    # termination map and under the map to C_{n_r} are orthogonal (module
-    # docstring), so their norms are singular values and the admissible
-    # subspace is spanned by the columns whose residual is below the threshold
+    # p, and final each state's C_{n_r}.  The columns lie in different blocks,
+    # so the admissible subspace is spanned by those whose residual is below
+    # the threshold
     kernel = _indicial_kernel(s_plus_q, kappas, couplings, q)
     chain, final = [kernel], kernel.copy()
-    for p, count in enumerate(counts):
-        chain.append(steps[offsets[p]:offsets[p + 1]] @ -terminate(chain[-1][:count], count))
-        final[:count] = chain[-1]
-    residuals = _norms(terminate(final).swapaxes(1, 2))
+    for step, k in zip(steps, counts):
+        chain.append(-_apply(step, _apply(termination[:k], chain[-1][:k])))
+        final[:k] = chain[-1]
+    residuals = _norms(_apply(termination, final))
     admissible = residuals <= threshold[:, None]
     kernel_dims = admissible.sum(axis=1).tolist()
     # keep the admissible columns whose final coefficient is largest, not those
     # it vanishes on by cancellation (close couplings make neighboring levels
     # almost align).  That norm is often degenerate, so the series starts from a
-    # fixed vector projected onto the span of every column within the band
-    reach = np.where(admissible, _norms(final.swapaxes(1, 2)), 0.0)
+    # fixed vector, taken into the block basis, projected onto the span of every
+    # column within the band
+    probe = (_DIRECTION_PROBE @ basis * math.sqrt(0.5)).reshape(8, 2)
+    reach = np.where(admissible, _norms(final), 0.0)
     top = admissible & (reach >= (1.0 - 1e-8) * reach.max(axis=1, keepdims=True))
-    weights = np.where(top, _DIRECTION_PROBE @ kernel, 0.0)
-    # a unit C_0: the kernel is orthonormal, so |kernel w| = |w|
+    weights = np.where(top, (probe * kernel).sum(axis=-1), 0.0)
+    # a unit C_0: the kernel columns are orthonormal, so |kernel w| = |w|
     weights = (weights / np.where(kernel_dims, _norms(weights), 1.0)[:, None])[..., None]
-    coefficients = np.zeros((len(group), len(chain), 16))
+    blocked = np.zeros((size, len(chain), 8, 2))
     for p, c in enumerate(chain):
-        coefficients[:len(c), p] = (c @ weights[:len(c)])[..., 0]
+        blocked[:len(c), p] = c * weights[:len(c)]
+    # back to the blades: U has two entries +-1 in each blade's row, one in a
+    # column of each P-eigenvalue, so each blade is (c+ +- c-) sqrt(1/2)
+    blades, columns = np.nonzero(basis)  # row by row
+    signed = blocked.reshape(size, -1, 16)[..., columns] * basis[blades, columns]
+    coefficients = (signed[..., 0::2] + signed[..., 1::2]) * math.sqrt(0.5)
 
     # post-check: the termination map annihilates the last coefficient
     # relative to its scale (a non-terminating direction scores O(1)); both
     # norms are of last / max|last|, so tiny squares do not underflow to 0 / 0
-    last, c0 = (final @ weights)[..., 0], coefficients[:, :1].swapaxes(1, 2)
-    peak = np.abs(last).max(axis=1)
-    unit = last / np.where(peak > 0.0, peak, 1.0)[:, None]
-    scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
-    termination_relative = _norms(terminate(unit[..., None])[..., 0]) / scale
-    indicial = np.abs(s_mat @ c0 - q * c0).max(axis=(1, 2))
+    peak = np.abs(coefficients[np.arange(size), n_r]).max(axis=1)
+    unit = final * weights / np.where(peak > 0.0, peak, 1.0)[:, None, None]
+    scale = termination_norm * np.where(peak > 0.0, _norms(unit.reshape(size, 16)), 1.0)
+    termination_relative = _norms(_apply(termination, unit).reshape(size, 16)) / scale
+    c0 = blocked[:, 0]
+    indicial = np.abs(_apply(s_mat, c0) - q[..., 0] * c0).max(axis=(1, 2))
     s_err, t_err, peaks, relative, vacuity, indicial = (values.tolist() for values in (
         s_square_err, t_square_err, peak, termination_relative,
         residuals.max(axis=1) / generic_scale, indicial))
@@ -577,9 +575,9 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     every state, each from a bracket of about 256 ulps around its
     closed-form decay, and ends on the bits that one from (0, 1) gives (see
     :func:`_termination_decays`); per phase bivector, one propagation of
-    every state's indicial kernel gives, as column norms, the admissible
-    columns and, among them, those that set the series direction (see the
-    module docstring).
+    every state's indicial kernel, one 2-vector in each of the eight Dirac
+    blocks (module docstring), gives as block norms the admissible columns
+    and, among them, those that set the series direction.
     """
     params_seq, groups, results = list(params_seq), {}, {}
     for i, params in enumerate(params_seq):
@@ -607,8 +605,8 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     kappa > 0 when the phase bivector is e0 times the pseudoscalar, the
     Dirac-Coulomb selection rule), when its last coefficient underflows to
     zero, or when the decay constant rounds to 0 (coupling 5e-324).  This is
-    :func:`solve_radials` on a batch of one, with no LAPACK call whatever
-    ``n_r`` is.
+    :func:`solve_radials` on a batch of one: eight 2 x 2 Dirac pairs and no
+    LAPACK call, whatever ``n_r`` is.
     """
     (result,) = solve_radials([params])
     if isinstance(result, RuntimeError):

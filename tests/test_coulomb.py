@@ -8,6 +8,7 @@ the (n, j) parametrization, which shares no code with the implementation.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -139,11 +140,12 @@ def test_cached_blocks_are_keyed_by_phase_bivector():
     assert all(a is b for a, b in zip(again, (z12, rhz12, r12)))
 
 
-@pytest.mark.parametrize("broken", ["z-scaled", "rhz-entry-2", "rhz-two-in-a-row", "rhz-commutes"])
-def test_radial_blocks_refuse_blocks_without_the_kernel_structure(broken, monkeypatch):
-    # Z diagonal +-1 and RHZ a signed permutation that anticommutes with it
-    # are what make the indicial kernel exact.  Each case breaks one of the
-    # three and keeps the other two; H = R X Z^-1 makes R H Z = X, as R^2 = I
+@pytest.mark.parametrize("broken", ["z-scaled", "rhz-entry-2", "rhz-two-in-a-row",
+                                    "rhz-commutes", "rhz-out-of-block", "r-out-of-block"])
+def test_dirac_blocks_refuse_blocks_without_the_kernel_structure(broken, monkeypatch):
+    # Z = diag(1, -1) and RHZ +-1 off the diagonal in every 2 x 2 block, and
+    # nothing outside the blocks, are what make the indicial kernel exact.
+    # Each case breaks one of them
     z, rhz, r = (np.array(block) for block in coulomb._radial_blocks(GammaChoice.e12()))
     if broken == "z-scaled":
         z *= 2.0  # still anticommutes with RHZ
@@ -152,13 +154,14 @@ def test_radial_blocks_refuse_blocks_without_the_kernel_structure(broken, monkey
     elif broken == "rhz-two-in-a-row":
         # a second entry between opposite Z signs keeps the anticommutation
         rhz[0, np.flatnonzero((np.diag(z) != z[0, 0]) & (rhz[0] == 0))[0]] = 1.0
-    else:
+    elif broken == "rhz-commutes":
         rhz = z.copy()  # a signed permutation that commutes with Z
-    monkeypatch.setattr(coulomb, "e0_sandwich_matrix", lambda: z)
-    monkeypatch.setattr(coulomb, "gamma_e0_right_matrix",
-                        lambda gamma: r @ rhz @ np.diag(1.0 / np.diag(z)))
-    with pytest.raises(RuntimeError, match="are not Z = diag"):
-        coulomb._radial_blocks.__wrapped__(GammaChoice.e12())
+    else:  # two blades where Z = +1, in different blocks, swap their images
+        block = rhz if broken == "rhz-out-of-block" else r
+        block[:, [1, 2]] = block[:, [2, 1]]
+    monkeypatch.setattr(coulomb, "_radial_blocks", lambda gamma: (z, rhz, r))
+    with pytest.raises(RuntimeError, match="do not split into eight 2 x 2 blocks"):
+        coulomb._dirac_blocks.__wrapped__(GammaChoice.e12())
 
 
 def column_loop_operator_matrix(fn):
@@ -222,6 +225,7 @@ def test_the_operator_builders_multiply_no_multivectors(monkeypatch):
     for gamma in BOTH_GAMMAS:
         gamma_e0_right_matrix(gamma)
         coulomb._radial_blocks.__wrapped__(gamma)
+        coulomb._dirac_blocks.__wrapped__(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -737,6 +741,13 @@ def solve_step_by_step(params, scale_of=column_scale):
     return energy, kernel_dim, vacuity, np.array(propagate(start / np.linalg.norm(start)))
 
 
+@functools.lru_cache(maxsize=None)
+def reference_solution(params):
+    """:func:`solve_step_by_step` with its default scale, once per state: two
+    tests compare the whole grid with it."""
+    return solve_step_by_step(params)
+
+
 def diagnostic_grid():
     """Both phase bivectors, weak to strong coupling, kappa = +-1..+-4 and
     n_r = 0..5, including the 20 selection-rule cells that raise."""
@@ -753,7 +764,7 @@ def assert_matches_step_by_step(params, solution):
     """``solution`` (a solution or an error) against :func:`solve_step_by_step`:
     True for a selection-rule cell, which must be an error."""
     gamma, kappa, n_r = params.gamma, params.kappa, params.n_r
-    energy, kernel_dim, vacuity, coefficients = solve_step_by_step(params)
+    energy, kernel_dim, vacuity, coefficients = reference_solution(params)
     if kernel_dim == 0:
         assert gamma.variant == GammaChoice.E0E_VARIANT and n_r == 0 and kappa > 0
         assert isinstance(solution, RuntimeError), params
@@ -782,74 +793,112 @@ def test_solver_diagnostics_match_a_step_by_step_recomputation():
     assert raised == 20  # e0 E, n_r = 0, kappa = 1..4, at each coupling
 
 
+def blocks_of(dense):
+    """The ``(N, 8, 2, 2)`` diagonal blocks of 16 x 16 matrices in the solver's
+    block basis, and the largest entry of each matrix outside them."""
+    basis, k = coulomb._dirac_blocks(GammaChoice.e12())[0], np.arange(8)
+    full = (basis.T @ dense @ basis / 2).reshape(-1, 8, 2, 8, 2)
+    blocks = full[:, k, :, k].swapaxes(0, 1)
+    outside = full.copy()
+    outside[:, k, :, k] = 0.0
+    return blocks, np.abs(outside).max(axis=(1, 2, 3, 4))
+
+
 def test_column_scale_bounds_the_2_norm_and_keeps_every_kernel_dimension():
-    # each factor of the threshold scale is a largest column norm, at most
-    # the 2-norm that set it before, so no threshold is looser; and on the
-    # grid a threshold from 2-norms admits the same kernel dimensions
-    bound = 1.0 + 4.0 * np.finfo(np.float64).eps
+    # each factor of the threshold scale is a largest column norm in the
+    # blade basis, taken from the blocks: at most the 2-norm that set it
+    # before, so no threshold is looser, and the dense matrix's own largest
+    # column norm to within roundoff.  On the grid a threshold from 2-norms
+    # admits the same kernel dimensions
+    bound = 1.0 + 4.0 * EPS
     grid = list(diagnostic_grid())
     for params, result in zip(grid, solve_radials(grid)):
-        blocks = []
+        dense = []
 
         def recorded(block):
-            blocks.append(block)
+            dense.append(block)
             return spectral_norm(block)
 
         kernel_dim = solve_step_by_step(params, recorded)[1]
         solved = not isinstance(result, RuntimeError)
         assert kernel_dim == (result.diagnostics["termination_kernel_dim"] if solved else 0), params
-        scales = coulomb._column_scale(np.array(blocks))
-        assert np.all(scales <= [spectral_norm(block) * bound for block in blocks]), params
+        dense = np.array(dense)
+        blocks, outside = blocks_of(dense)
+        assert (outside <= 1e-15 * np.abs(dense).max(axis=(1, 2))).all(), params
+        scales = coulomb._column_scale(blocks)
+        assert np.all(scales <= [spectral_norm(block) * bound for block in dense]), params
+        columns = [column_scale(block) for block in dense]
+        assert np.abs(scales - columns).max() <= 4.0 * EPS * max(columns), params
 
 
-def test_kernel_columns_keep_orthogonal_images(monkeypatch):
-    # the solver reads singular values as column norms: of the termination
-    # map and of the map to the last coefficient, on its P-eigen kernel basis.
-    # That needs both images to have orthogonal columns, which the Gram
-    # matrices of the columns it measured show.  The columns it admits are
-    # rounding noise, all kept together, so a pair of two of them is not
-    # compared; the last coefficients are compared with the largest, as the
-    # band that picks the series direction compares them
-    measured = []
+@pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
+def test_the_block_basis_splits_the_radial_system_exactly(gamma):
+    # the solver's kernel columns lie in different blocks, so their images
+    # do too: each column norm is a singular value.  That rests on the
+    # tables, which must rebuild every dense matrix bit for bit; S too, and T
+    # to within one rounding of its entries
+    basis, tables = coulomb._dirac_blocks(gamma)
+    pairing = even_operator_matrix(coulomb._RIGHT_E34)
+    assert np.array_equal(basis, coulomb._dirac_blocks(BOTH_GAMMAS[0])[0])  # either bivector's
+    assert np.array_equal(basis.T @ basis, 2.0 * EYE)
+    assert np.array_equal(pairing @ basis, basis * np.repeat([1.0, -1.0], 8))
+    # blocks k and k + 4 hold the same blades at the same slots, as
+    # _column_scale reads them
+    assert np.array_equal(np.abs(basis[:, :8]), np.abs(basis[:, 8:]))
+    assert not (basis.flags.writeable or tables.flags.writeable)
+    assert np.array_equal(tables, np.round(tables))
+    assert np.array_equal(tables[0], np.broadcast_to(np.diag([1.0, -1.0]), (8, 2, 2)))
 
-    def recording(rows, _norms=coulomb._norms):
-        if rows.ndim == 3:  # (states, columns, 16): the column norms
-            measured.append(np.array(rows[0]))
-        return _norms(rows)
+    def dense_of(blocks):
+        block_diagonal = np.zeros((16, 16))
+        for k, block in enumerate(blocks):
+            block_diagonal[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+        return basis @ block_diagonal @ basis.T / 2
 
-    monkeypatch.setattr(coulomb, "_norms", recording)
-    off_diagonal = 1.0 - np.eye(8)
-    for params in diagnostic_grid():
-        measured.clear()
-        (result,) = solve_radials([params])
-        termination, final = (columns @ columns.T for columns in measured)
-        norms = np.sqrt(np.diag(termination))
-        dim = 0 if isinstance(result, RuntimeError) else result.diagnostics["termination_kernel_dim"]
-        admitted = np.zeros(8, dtype=bool)
-        admitted[np.argsort(norms, kind="stable")[:dim]] = True
-        compared = ~np.outer(admitted, admitted)
-        bound = 1e-14 * np.outer(norms, norms)
-        assert (np.abs(termination * off_diagonal) <= bound)[compared].all(), params
-        largest = np.sqrt(np.diag(final)).max()
-        assert (np.abs(final * off_diagonal) <= 1e-14 * largest**2).all(), params
+    for blocks, dense in zip(tables, coulomb._radial_blocks(gamma)):
+        assert np.array_equal(dense_of(blocks), dense)
+        assert blocks_of(dense[None])[1][0] == 0.0
+    z, rhz, r = tables
+    for kappa, coupling, energy in ((-2, 0.3, 0.9), (3, 0.0073, 0.99997), (1, 1e-8, 1.0)):
+        assert np.array_equal(dense_of(kappa * z + coupling * rhz),
+                              angular_coupling_matrix(kappa, coupling, gamma))
+        t_mat = mass_energy_matrix(1.0, energy, gamma)
+        assert np.abs(dense_of(r - energy * rhz) - t_mat).max() <= EPS
+
+
+@pytest.mark.parametrize("kappa, coupling, energy", [(-2, 0.3, 0.9), (3, 0.3, 0.9),
+                                                     (1, 0.0073, 0.99997), (-4, 0.9, 0.5)])
+def test_e12_is_the_e0e_system_at_kappa_and_at_minus_kappa(kappa, coupling, energy):
+    # in the block basis, e12's blocks of P-eigenvalue -1 are e0E's at kappa
+    # and its blocks of eigenvalue +1 are e0E's at -kappa with the two slots
+    # swapped (which exchanges Z = +-1): so e12 solves kappa > 0 at n_r = 0,
+    # which e0E, Dirac's radial pairs, does not
+    def system(gamma, kappa):
+        z, rhz, r = coulomb._dirac_blocks(gamma)[1]
+        return kappa * z + coupling * rhz, r - energy * rhz
+
+    for e12, e0e_kappa, e0e_minus in zip(system(GammaChoice.e12(), kappa),
+                                         system(GammaChoice.e0E(), kappa),
+                                         system(GammaChoice.e0E(), -kappa)):
+        assert np.array_equal(e12[4:], e0e_kappa[4:])
+        assert np.array_equal(e12[:4], e0e_minus[:4, ::-1, ::-1])
+        assert not np.array_equal(e12[:4], e0e_kappa[:4])  # not the other way round
 
 
 @pytest.mark.parametrize("product", ["right-e12", "left-e34"])
-def test_the_kernel_pairing_refuses_a_product_without_its_structure(product, monkeypatch):
-    # x -> x e1 e2 squares to -I, which the pairing's builder refuses; x -> e3 e4 x
-    # passes it (an involution that commutes with Z and moves every blade) but
-    # anticommutes with R, which the radial blocks refuse
-    if product == "right-e12":
-        monkeypatch.setattr(coulomb, "_RIGHT_E34", BladeOperator.right(e(CL32, 1, 2)))
-        with pytest.raises(RuntimeError, match="is not a signed permutation with P\\^2 = I"):
-            coulomb._kernel_pairing.__wrapped__()
-        return
-    monkeypatch.setattr(coulomb, "_RIGHT_E34", BladeOperator.left(e(CL32, 3, 4)))
-    pairing = coulomb._kernel_pairing.__wrapped__()
-    monkeypatch.setattr(coulomb, "_kernel_pairing", lambda: pairing)
+def test_dirac_blocks_refuse_a_pairing_without_its_structure(product, monkeypatch):
+    # x -> x e1 e2 squares to -I, so e_b +- P e_b are not its eigenvectors;
+    # x -> e3 e4 x is an involution that commutes with Z and moves every
+    # blade, so they are, but it anticommutes with R, so the radial blocks do
+    # not split in their basis
+    operator = BladeOperator.right(e(CL32, 1, 2)) if product == "right-e12" else (
+        BladeOperator.left(e(CL32, 3, 4)))
+    monkeypatch.setattr(coulomb, "_RIGHT_E34", operator)
+    message = ("does not give a basis e_b \\+- P e_b of its eigenvectors" if product == "right-e12"
+               else "do not split into eight 2 x 2 blocks")
     for gamma in BOTH_GAMMAS:
-        with pytest.raises(RuntimeError, match="does not commute with the radial blocks"):
-            coulomb._radial_blocks.__wrapped__(gamma)
+        with pytest.raises(RuntimeError, match=message):
+            coulomb._dirac_blocks.__wrapped__(gamma)
 
 
 def test_one_batch_of_the_whole_grid_isolates_each_state():
@@ -961,72 +1010,71 @@ IDENTITY_COUPLINGS = (1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-20, *np.logspace(
 
 
 def identity_grid(gamma):
-    """``(kappa, coupling, q, S)`` as ``(N, 1, 1)`` columns and a stack, for
-    kappa = +-1..+-21 at every coupling of :data:`IDENTITY_COUPLINGS`."""
+    """``(kappa, coupling, q, S)`` as ``(N, 1, 1, 1)`` columns and the stack of
+    ``S``'s ``(N, 8, 2, 2)`` blocks, for kappa = +-1..+-21 at every coupling of
+    :data:`IDENTITY_COUPLINGS`."""
     kappa, coupling = np.meshgrid([k for k in range(-21, 22) if k], IDENTITY_COUPLINGS)
-    kappa, coupling = kappa.reshape(-1, 1, 1).astype(float), coupling.reshape(-1, 1, 1)
+    kappa, coupling = kappa.reshape(-1, 1, 1, 1).astype(float), coupling.reshape(-1, 1, 1, 1)
     q = np.sqrt((kappa - coupling) * (kappa + coupling))  # as series_exponent rounds it
-    return kappa, coupling, q, angular_coupling_matrix(kappa, coupling, gamma)
+    z, rhz, _ = coulomb._dirac_blocks(gamma)[1]
+    return kappa, coupling, q, kappa * z + coupling * rhz
 
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_closed_form_steps_match_the_lapack_inverse(gamma):
     # ((p+q) I - S)^-1 = ((S + qI) + pI) / (p (p+2q)) against np.linalg.inv, for
-    # the powers of `spectrum --max-n 8`.  The bound is the sum of both errors:
+    # each 2 x 2 block at the powers of `spectrum --max-n 8`, relative to the
+    # largest entry of the state's step.  The bound is the sum of both errors:
     # where they differ most, against a 40-digit inverse, LAPACK's is 9 eps
-    # and the closed form's 5 eps, relative to the largest entry
+    # and the closed form's 5 eps
     kappa, coupling, q, s_mat = identity_grid(gamma)
+    eye = np.eye(2)
     worst = (0.0, None)
     for p in range(1, 9):
-        closed = coulomb._step_inverses(s_mat + q * EYE, q, p)
-        reference = np.linalg.inv((p + q) * EYE - s_mat)
-        relative = np.abs(closed - reference).max(axis=(1, 2)) / np.abs(reference).max(axis=(1, 2))
+        closed = coulomb._step_inverses(s_mat + q * eye, q, p)
+        reference = np.linalg.inv((p + q) * eye - s_mat)
+        largest = np.abs(reference).max(axis=(1, 2, 3))
+        relative = np.abs(closed - reference).max(axis=(1, 2, 3)) / largest
         assert (relative <= 16 * EPS).all(), (p, relative.max() / EPS)
-        if relative.max() > worst[0]:
+        if relative.max() >= worst[0]:
             worst = (relative.max(), (p, relative.argmax(), closed[relative.argmax()]))
     p, i, closed = worst[1]
     with mp.workdps(40):
-        shifted = mp.matrix((-s_mat[i]).tolist()) + (p + mp.mpf(q[i, 0, 0])) * mp.eye(16)
-        exact = np.array((shifted**-1).tolist(), dtype=np.float64)
+        shift = (p + mp.mpf(q[i, 0, 0, 0])) * mp.eye(2)
+        exact = np.array([((shift - mp.matrix(block.tolist()))**-1).tolist()
+                          for block in s_mat[i]], dtype=np.float64)
     assert np.abs(closed - exact).max() <= 6 * EPS * np.abs(exact).max()
 
 
 @pytest.mark.parametrize("gamma", BOTH_GAMMAS, ids=lambda g: g.variant)
 def test_structured_indicial_kernel_matches_the_svd_kernel(gamma):
     kappa, coupling, q, s_mat = identity_grid(gamma)
-    kernel = coulomb._indicial_kernel(s_mat + q * EYE, kappa, coupling, q)
-    # the columns are eigenvectors of the pairing P, with eigenvalues +1, -1, +1,
-    # ..., exactly; P is a symmetric involution, so columns of opposite
-    # eigenvalue are exactly orthogonal, and those of one eigenvalue share no row
-    pairing = coulomb._kernel_pairing()[0]
-    parity = np.tile([1.0, -1.0], 4)
-    assert np.array_equal(pairing @ kernel, kernel * parity)
-    assert np.array_equal(pairing, pairing.T)
-    nonzero = kernel != 0.0
-    assert (nonzero.sum(axis=1) == 4).all()
-    for sign in (1.0, -1.0):
-        assert (nonzero[:, :, parity == sign].sum(axis=2) <= 1).all()
-    gram = kernel.swapaxes(1, 2) @ kernel
-    assert np.abs(gram - np.eye(8)).max() <= 2 * EPS
-    # the kernel the SVD finds: the same subspace, up to the SVD's own error,
-    # which reaches 1.01e-14 at |kappa| = 13
-    svd_kernel = np.swapaxes(np.linalg.svd(s_mat - q * EYE)[2][:, 8:], 1, 2)
-    projectors = kernel @ kernel.swapaxes(1, 2), svd_kernel @ svd_kernel.swapaxes(1, 2)
+    kernel = coulomb._indicial_kernel(s_mat + q * np.eye(2), kappa, coupling, q)
+    # unit columns, one per block
+    assert np.abs(coulomb._norms(kernel) - 1.0).max() <= 2 * EPS
+    # in the blades: the kernel the SVD finds, the same subspace, up to the
+    # SVD's own error, which reaches 1.01e-14 at |kappa| = 13
+    basis = coulomb._dirac_blocks(gamma)[0].reshape(16, 8, 2)
+    columns = np.einsum("bks,nks->nbk", basis, kernel) * math.sqrt(0.5)
+    dense = angular_coupling_matrix(kappa[..., 0], coupling[..., 0], gamma)
+    svd_kernel = np.swapaxes(np.linalg.svd(dense - q[..., 0] * EYE)[2][:, 8:], 1, 2)
+    projectors = columns @ columns.swapaxes(1, 2), svd_kernel @ svd_kernel.swapaxes(1, 2)
     assert np.abs(projectors[0] - projectors[1]).max() <= 64 * EPS
-    # (S - qI) K is (kappa^2 - lambda^2 - q^2) / |column| at one entry per
-    # column: not 0, as q is a rounded square root, but within eps |kappa|,
+    # (S - qI) k is (kappa^2 - lambda^2 - q^2) / |column| at one slot of each
+    # block: not 0, as q is a rounded square root, but within eps |kappa|,
     # where the SVD kernel's residual reaches 76 eps |kappa|
-    residual = np.abs((s_mat - q * EYE) @ kernel).max(axis=(1, 2))
-    assert (residual <= EPS * np.abs(kappa[:, 0, 0])).all()
+    residual = np.abs(coulomb._apply(s_mat, kernel) - q[..., 0] * kernel).max(axis=(1, 2))
+    assert (residual <= EPS * np.abs(kappa[:, 0, 0, 0])).all()
 
 
 def test_a_failed_square_identity_is_an_error_for_every_state(monkeypatch):
     # the solver takes its steps and kernel from S^2 = q^2 I, so a block that
-    # breaks it (one sign of R H Z flipped) makes every state an error
-    z, rhz, r = coulomb._radial_blocks(GammaChoice.e12())
-    flipped = np.array(rhz)
-    flipped[0, np.flatnonzero(flipped[0])[0]] *= -1.0
-    monkeypatch.setattr(coulomb, "_radial_blocks", lambda gamma: (z, flipped, r))
+    # breaks it (one sign inside a 2 x 2 block of R H Z flipped) makes every
+    # state an error
+    basis, tables = coulomb._dirac_blocks(GammaChoice.e12())
+    flipped = np.array(tables)
+    flipped[1, 0, 0, 1] *= -1.0
+    monkeypatch.setattr(coulomb, "_dirac_blocks", lambda gamma: (basis, flipped))
     batch = [CoulombParams(mass=1.0, coupling=c, kappa=k, n_r=n_r)
              for c in (1e-4, 0.3, 0.9) for k in (-2, -1, 1, 2) for n_r in range(3)]
     for params, result in zip(batch, solve_radials(batch)):
@@ -1053,6 +1101,34 @@ def test_series_evaluate_matches_its_derivative():
             analytic = series.derivative(r)
             scale = np.abs(analytic).max() + 1.0
             assert np.abs(numeric - analytic).max() / scale < 1e-8, (mass, r)
+
+
+@pytest.mark.filterwarnings("error")
+def test_series_is_zero_where_its_decay_underflows():
+    # rho^q and rho^p were taken apart from exp(beta r): at r = 1e160 rho^q
+    # raised a bare OverflowError, and at 1e110 rho^3 overflowed to inf, so
+    # that 0 * inf gave NaN in every slot
+    for params, radius in ((CoulombParams(1.0, 0.3, -2, 1), 1e160),
+                           (CoulombParams(1.0, 0.3, -1, 3), 1e110)):
+        series = solve_radial(params).series
+        for r in (radius, 1e300):
+            assert math.exp(series.decay * r) == 0.0
+            for method in (series.evaluate, series.derivative):
+                values = method(r)
+                assert values.shape == (16,) and not values.any(), (params, r)
+        # before it underflows the series is finite, and where neither factor
+        # under- or overflows it is the prefactor times the polynomial
+        assert np.isfinite(series.evaluate(300.0)).all() and series.evaluate(300.0).any()
+        for mass in (1.0, 3.5e-7):
+            series = solve_radial(replace(params, mass=mass)).series
+            for r in np.array([1e-3, 0.1, 1.0, 2.5, 10.0]) / mass:
+                rho, q = mass * r, series.exponent
+                powers = rho ** np.arange(params.n_r + 1)
+                expected = rho**q * math.exp(series.decay * r) * (powers @ series.coefficients)
+                assert (np.abs(series.evaluate(r) - expected).max()
+                        <= 1e-12 * np.abs(expected).max()), (params, mass, r)
+        # where rho = m r underflows to 0 its log is log m + log r: u is finite
+        assert np.isfinite(series.evaluate(1e-320)).all(), params
 
 
 def test_series_multivector_is_even():

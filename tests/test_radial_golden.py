@@ -5,9 +5,12 @@ diagnostic could drift unseen.  ``tests/golden/radial_solutions.json`` holds,
 for spectrum's 64 states (``--max-n 8``) at Z = 1, 37 and 92 under both
 phase bivectors, each state's energy and decay as ``float.hex``, a SHA-256 of
 its coefficient bytes and every diagnostic (floats as ``float.hex``), or its
-error string.  It was written before the decay bisection started from a
-narrow bracket around the closed-form guess.  To rewrite it on a trusted
-build, run ``PYTHONPATH=src python tests/test_radial_golden.py``.
+error string.  It was last written when the solver moved onto the eight
+2 x 2 blocks of the radial system, which changed diagnostics and coefficient
+hashes in the last bits but no energy, decay, kernel dimension or error.  To
+rewrite it on a trusted build, run ``PYTHONPATH=src python
+tests/test_radial_golden.py``: it prints, per record field, how many states
+changed against the file it replaces.
 """
 from __future__ import annotations
 
@@ -63,5 +66,38 @@ def test_every_radial_solution_matches_the_golden_file():
             assert records[case][state] == record, (case, state)
 
 
+def test_the_regeneration_summary_counts_the_states_each_field_changed_in():
+    old, new = (json.loads(GOLDEN.read_text()) for _ in range(2))
+    records = [record for states in new.values() for record in states.values()]
+    records[0]["energy"] = records[1]["diagnostics"]["termination_vacuity"] = "0x0p+0"
+    del records[2]["decay"]
+    summary = changed_fields(old, new)
+    changed = {name: count for name, (count, total) in summary.items() if count}
+    assert changed == {"energy": 1, "decay": 1, "diagnostics.termination_vacuity": 1}
+    assert {total for _, total in summary.values()} == {384}
+
+
+def _fields(record: dict) -> dict:
+    """A record's fields, the diagnostics one by one."""
+    fields = {name: value for name, value in record.items() if name != "diagnostics"}
+    fields.update((f"diagnostics.{name}", value)
+                  for name, value in record.get("diagnostics", {}).items())
+    return fields
+
+
+def changed_fields(old: dict, new: dict) -> dict:
+    """``{field: (states whose field changed, states)}`` over the records of the
+    ``new`` golden document; a field present on one side only counts as changed."""
+    pairs = [(_fields(old.get(case, {}).get(state, {})), _fields(record))
+             for case, states in new.items() for state, record in states.items()]
+    names = sorted({name for pair in pairs for fields in pair for name in fields})
+    return {name: (sum(a.get(name) != b.get(name) for a, b in pairs), len(pairs))
+            for name in names}
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(radial_records(), indent=1) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = radial_records()
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
+    for name, (changed, total) in changed_fields(old, new).items():
+        print(f"{name}: {changed} of {total} states changed")
