@@ -41,7 +41,11 @@ blocks, with ``Z = diag(1, -1)`` in each (checked exactly, once per phase
 bivector).  So the solver works on 2-vectors, one per block: each block
 holds one column of the indicial kernel, and as the columns lie in
 disjoint blocks, so do their images, and each column norm is a singular
-value of the maps the solver thresholds.
+value of the maps the solver thresholds.  The series is one of these pairs,
+picked by index: the lowest admissible block of ``P = -1`` (blocks 4..7),
+which carries the kappa system under either phase bivector and which the
+idempotent ``(1 - e3 e4)`` keeps; only e12's kappa > 0, n_r = 0 states have
+none and take the lowest admissible block of ``P = +1``.
 
 Each constant operator is a chain of signed blade gathers on the even basis.
 A chain that flips even and odd grades ends with the gather of ``x -> E x``,
@@ -84,9 +88,6 @@ SQUARE_IDENTITY_BOUND = 1e-12
 #: kernel column (a singular value, see the module docstring) that counts it
 #: as terminating.
 SVD_GAP_THRESHOLD = 1e-10
-#: Fixed generic vector whose projection onto the terminating subspace picks the
-#: series direction: square roots of the first sixteen primes, rationally independent.
-_DIRECTION_PROBE = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
 
 #: Orbital letters for l = 0, 1, 2, ...: "spdf", then alphabetical from g,
 #: skipping j and the letters already used (p, s).
@@ -316,9 +317,11 @@ class RadialSeries:
         return self._terms(r)[1] @ self.coefficients
 
     def derivative(self, r: float) -> np.ndarray:
-        """Coordinates of ``du/dr`` from the analytic series."""
+        """Coordinates of ``du/dr`` from the analytic series; each term is
+        divided by ``r`` before its power multiplies it, so ``1 / r`` does not
+        overflow at subnormal radii."""
         powers, terms = self._terms(r)
-        return ((powers / r + self.decay) * terms) @ self.coefficients
+        return (powers * (terms / r) + self.decay * terms) @ self.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -492,35 +495,28 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     residuals = _norms(_apply(termination, final))
     admissible = residuals <= threshold[:, None]
     kernel_dims = admissible.sum(axis=1).tolist()
-    # keep the admissible columns whose final coefficient is largest, not those
-    # it vanishes on by cancellation (close couplings make neighboring levels
-    # almost align).  That norm is often degenerate, so the series starts from a
-    # fixed vector, taken into the block basis, projected onto the span of every
-    # column within the band
-    probe = (_DIRECTION_PROBE @ basis * math.sqrt(0.5)).reshape(8, 2)
-    reach = np.where(admissible, _norms(final), 0.0)
-    top = admissible & (reach >= (1.0 - 1e-8) * reach.max(axis=1, keepdims=True))
-    weights = np.where(top, (probe * kernel).sum(axis=-1), 0.0)
-    # a unit C_0: the kernel columns are orthonormal, so |kernel w| = |w|
-    weights = (weights / np.where(kernel_dims, _norms(weights), 1.0)[:, None])[..., None]
-    blocked = np.zeros((size, len(chain), 8, 2))
+    # the series is one Dirac pair: the unit kernel column of the lowest
+    # admissible block of P = -1, which carries the kappa system under either
+    # phase bivector and which the idempotent keeps; where there is none
+    # (e12's kappa > 0 at n_r = 0), the lowest admissible block of P = +1
+    order = np.r_[4:8, 0:4]
+    pick, rows = order[admissible[:, order].argmax(axis=1)], np.arange(size)
+    pair = np.zeros((size, len(chain), 2))
     for p, c in enumerate(chain):
-        blocked[:len(c), p] = c * weights[:len(c)]
-    # back to the blades: U has two entries +-1 in each blade's row, one in a
-    # column of each P-eigenvalue, so each blade is (c+ +- c-) sqrt(1/2)
-    blades, columns = np.nonzero(basis)  # row by row
-    signed = blocked.reshape(size, -1, 16)[..., columns] * basis[blades, columns]
-    coefficients = (signed[..., 0::2] + signed[..., 1::2]) * math.sqrt(0.5)
+        pair[:len(c), p] = c[rows[:len(c)], pick[:len(c)]]
+    # back to the blades: each of U's columns is +-1 on two blades, so each
+    # blade of the block is +-c sqrt(1/2) and every other blade is 0
+    coefficients = pair @ basis.reshape(16, 8, 2)[:, pick].transpose(1, 2, 0) * math.sqrt(0.5)
 
     # post-check: the termination map annihilates the last coefficient
     # relative to its scale (a non-terminating direction scores O(1)); both
     # norms are of last / max|last|, so tiny squares do not underflow to 0 / 0
-    peak = np.abs(coefficients[np.arange(size), n_r]).max(axis=1)
-    unit = final * weights / np.where(peak > 0.0, peak, 1.0)[:, None, None]
-    scale = termination_norm * np.where(peak > 0.0, _norms(unit.reshape(size, 16)), 1.0)
-    termination_relative = _norms(_apply(termination, unit).reshape(size, 16)) / scale
-    c0 = blocked[:, 0]
-    indicial = np.abs(_apply(s_mat, c0) - q[..., 0] * c0).max(axis=(1, 2))
+    peak = np.abs(coefficients[rows, n_r]).max(axis=1)
+    unit = pair[rows, n_r] / np.where(peak > 0.0, peak, 1.0)[:, None]
+    scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
+    termination_relative = _norms(_apply(termination[rows, pick], unit)) / scale
+    c0 = pair[:, 0]
+    indicial = np.abs(_apply(s_mat[rows, pick], c0) - q[:, 0, 0] * c0).max(axis=1)
     s_err, t_err, peaks, relative, vacuity, indicial = (values.tolist() for values in (
         s_square_err, t_square_err, peak, termination_relative,
         residuals.max(axis=1) / generic_scale, indicial))
@@ -576,8 +572,9 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     closed-form decay, and ends on the bits that one from (0, 1) gives (see
     :func:`_termination_decays`); per phase bivector, one propagation of
     every state's indicial kernel, one 2-vector in each of the eight Dirac
-    blocks (module docstring), gives as block norms the admissible columns
-    and, among them, those that set the series direction.
+    blocks (module docstring), gives as block norms the admissible columns,
+    and the series is the chain of the lowest admissible block of ``P = -1``
+    (of ``P = +1`` where there is none).
     """
     params_seq, groups, results = list(params_seq), {}, {}
     for i, params in enumerate(params_seq):
@@ -601,7 +598,7 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     (see the module docstring).  Its ``termination_vacuity`` is the 2-norm of
     the termination map on the indicial kernel over the threshold scale, a
     lower bound on the product of 2-norms, so it can exceed 1.  Raises when
-    ``S^2 = q^2 I`` fails, when no series direction terminates (n_r = 0 with
+    ``S^2 = q^2 I`` fails, when no block's kernel column terminates (n_r = 0 with
     kappa > 0 when the phase bivector is e0 times the pseudoscalar, the
     Dirac-Coulomb selection rule), when its last coefficient underflows to
     zero, or when the decay constant rounds to 0 (coupling 5e-324).  This is

@@ -5,9 +5,11 @@ diagnostic could drift unseen.  ``tests/golden/radial_solutions.json`` holds,
 for spectrum's 64 states (``--max-n 8``) at Z = 1, 37 and 92 under both
 phase bivectors, each state's energy and decay as ``float.hex``, a SHA-256 of
 its coefficient bytes and every diagnostic (floats as ``float.hex``), or its
-error string.  It was last written when the solver moved onto the eight
-2 x 2 blocks of the radial system, which changed diagnostics and coefficient
-hashes in the last bits but no energy, decay, kernel dimension or error.  To
+error string.  It was last written when the series became one Dirac pair
+picked by block index (block 4 for every state here), which changed every
+coefficient hash, every ``termination_relative`` and most
+``indicial_residual`` values, but no energy, decay, kernel dimension,
+vacuity or error.  To
 rewrite it on a trusted build, run ``PYTHONPATH=src python
 tests/test_radial_golden.py``: it prints, per record field, how many states
 changed against the file it replaces.
