@@ -13,6 +13,16 @@ vacuity or error.  To
 rewrite it on a trusted build, run ``PYTHONPATH=src python
 tests/test_radial_golden.py``: it prints, per record field, how many states
 changed against the file it replaces.
+
+``tests/golden/radial_grid_digests.json`` reaches past spectrum's states:
+both phase bivectors at masses 1 and 3.5e-7, 20 couplings from 5e-324 to
+0.999999, kappa = +-1..+-4 and n_r = 0..12, 8,320 states solved as one
+batch.  Per record field (energy, decay, coefficient bytes, each
+diagnostic, and a status that is ``ok`` or the error string) it holds one
+SHA-256 over every state's value, so a single bit moved anywhere on the
+grid changes a digest.  It was written before the solver's blocks became
+two Dirac pairs, each fourfold, and held through that change.  The same
+run of this file rewrites it and prints which digests changed.
 """
 from __future__ import annotations
 
@@ -22,11 +32,14 @@ from pathlib import Path
 
 from fermion5d.cli import _spectrum_states
 from fermion5d.constants import FINE_STRUCTURE
-from fermion5d.coulomb import CoulombParams, solve_radials
+from fermion5d.coulomb import CoulombParams, _state, solve_radials
 from fermion5d.wave import GammaChoice
 
 GOLDEN = Path(__file__).parent / "golden" / "radial_solutions.json"
+GRID_DIGESTS = Path(__file__).parent / "golden" / "radial_grid_digests.json"
 CHARGES = (1, 37, 92)
+GRID_COUPLINGS = (5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-20, 1e-12, 1e-8,
+                  1e-6, 1e-4, 1e-3, 0.0073, 0.05, 0.3, 0.5, 0.9, 0.99, 0.999999)
 
 
 def _record(result) -> dict:
@@ -97,9 +110,41 @@ def changed_fields(old: dict, new: dict) -> dict:
             for name in names}
 
 
+def grid_digests() -> dict:
+    """``{field: sha256}`` over the wide grid's records, each value hashed as
+    ``<state>\\t<value>`` lines, with ``-`` where a state has no such field."""
+    states = [CoulombParams(mass, coupling, kappa, n_r, gamma)
+              for gamma in (GammaChoice.e12(), GammaChoice.e0E()) for mass in (1.0, 3.5e-7)
+              for coupling in GRID_COUPLINGS for kappa in (-4, -3, -2, -1, 1, 2, 3, 4)
+              for n_r in range(13)]
+    rows = []
+    for params, result in zip(states, solve_radials(states)):
+        fields = _fields(_record(result))
+        fields["status"] = fields.pop("error", "ok")
+        label = (f"{params.gamma.variant} m={params.mass.hex()} "
+                 f"lambda={params.coupling.hex()} {_state(params)}")
+        rows.append((label, fields))
+    names = sorted({name for _, fields in rows for name in fields})
+    return {name: hashlib.sha256("".join(f"{label}\t{fields.get(name, '-')}\n"
+                                         for label, fields in rows).encode()).hexdigest()
+            for name in names}
+
+
+def test_every_digest_of_the_wide_grid_matches_the_golden_file():
+    golden = json.loads(GRID_DIGESTS.read_text())
+    digests = grid_digests()
+    assert [name for name in golden if digests.get(name) != golden[name]] == []
+    assert sorted(digests) == sorted(golden)
+
+
 if __name__ == "__main__":
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     new = radial_records()
     GOLDEN.write_text(json.dumps(new, indent=1) + "\n")
     for name, (changed, total) in changed_fields(old, new).items():
         print(f"{name}: {changed} of {total} states changed")
+    old = json.loads(GRID_DIGESTS.read_text()) if GRID_DIGESTS.exists() else {}
+    new = grid_digests()
+    GRID_DIGESTS.write_text(json.dumps(new, indent=1) + "\n")
+    for name in sorted(set(old) | set(new)):
+        print(f"grid {name}: {'same' if old.get(name) == new.get(name) else 'changed'}")
