@@ -33,19 +33,19 @@ many states at once with no LAPACK call: per phase bivector, the states are
 sorted so that those still stepping form a prefix, and each one's whole
 indicial kernel is propagated once.
 
-The radial system is eight Dirac radial pairs.  The right product ``P: x
--> x e3 e4`` is a signed permutation with ``P^2 = I`` that pairs the even
-blades, and in the basis ``e_b +- P e_b`` of its eigenvectors ``Z``, ``R H
-Z`` and ``R`` split, under either phase bivector, into the same eight 2 x 2
-blocks, with ``Z = diag(1, -1)`` in each (checked exactly, once per phase
-bivector).  So the solver works on 2-vectors, one per block: each block
-holds one column of the indicial kernel, and as the columns lie in
+The radial system is two Dirac radial pairs, each fourfold.  The right
+product ``P: x -> x e3 e4`` is a signed permutation with ``P^2 = I`` that
+pairs the even blades, and in the basis ``e_b +- P e_b`` of its
+eigenvectors ``Z``, ``R H Z`` and ``R`` split, under either phase bivector,
+into eight 2 x 2 blocks, ``Z = diag(1, -1) = D`` in each: every block of
+``P = +1`` is block 0, and of ``P = -1`` block 4, or its ``D``-conjugate,
+one sign for all three (checked exactly, once per phase bivector).  So the
+solver works on the two pairs: each block holds one column of the indicial
+kernel, of one norm, bit for bit, in a pair's four; the columns lie in
 disjoint blocks, so do their images, and each column norm is a singular
-value of the maps the solver thresholds.  The series is one of these pairs,
-picked by index: the lowest admissible block of ``P = -1`` (blocks 4..7),
-which carries the kappa system under either phase bivector and which the
-idempotent ``(1 - e3 e4)`` keeps; only e12's kappa > 0, n_r = 0 states have
-none and take the lowest admissible block of ``P = +1``.
+value of the maps the solver thresholds.  The series is the ``P = -1`` pair,
+which carries the kappa system under either phase bivector and which ``(1 -
+e3 e4)`` keeps, where admissible, else ``P = +1`` (e12's kappa > 0, n_r = 0).
 
 Each constant operator is a chain of signed blade gathers on the even basis.
 A chain that flips even and odd grades ends with the gather of ``x -> E x``,
@@ -153,8 +153,10 @@ def _dirac_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors and blocks 4..7 the ``-1`` ones at the same blades and
     slots.  Raises unless ``U`` is a basis of ``P``-eigenvectors, nothing of
     the three lies outside the blocks, the 16 x 16 matrices rebuild from the
-    tables bit for bit, and every block of ``Z`` is ``diag(1, -1)`` and of
-    ``R H Z`` is +-1 off its diagonal, as :func:`_indicial_kernel` needs.
+    tables bit for bit, every block of ``Z`` is ``D = diag(1, -1)`` and of ``R
+    H Z`` is +-1 off its diagonal (:func:`_indicial_kernel`), and each is
+    block 0 (4 for ``P = -1``) or its ``D``-conjugate, one sign for all three,
+    which makes the solver's two pairs each fourfold.
     """
     p, dense, k = even_operator_matrix(_RIGHT_E34), np.array(_radial_blocks(gamma)), np.arange(8)
     z, r, eye = dense[0], dense[2], np.eye(16)
@@ -169,12 +171,14 @@ def _dirac_blocks(gamma: GammaChoice) -> tuple[np.ndarray, np.ndarray]:
     tables = np.ascontiguousarray(full[:, k, :, k].swapaxes(0, 1))
     diagonal = np.zeros_like(full)
     diagonal[:, k, :, k] = tables.swapaxes(0, 1)
-    if not (np.array_equal(diagonal, full)
+    pair = tables[:, k // 4 * 4]  # block k's pair, block 0 or 4
+    same = [(tables == d @ pair @ d).all(axis=(0, 2, 3)) for d in (np.eye(2), np.diag([1, -1]))]
+    if not (np.array_equal(diagonal, full) and np.logical_or(*same).all()
             and np.array_equal(basis @ diagonal.reshape(3, 16, 16) @ basis.T / 2, dense)
             and np.array_equal(tables[0], np.broadcast_to(np.diag([1.0, -1.0]), (8, 2, 2)))
             and np.array_equal(np.abs(tables[1]), np.broadcast_to(1.0 - np.eye(2), (8, 2, 2)))):
         raise RuntimeError(f"the radial blocks of {gamma.variant} do not split into eight 2 x 2 "
-                           "blocks of P-eigenvectors, Z = diag(1, -1) and R H Z off its diagonal")
+                           "blocks of P-eigenvectors: two Dirac pairs, each fourfold")
     for mat in (basis, tables):
         mat.setflags(write=False)
     return basis, tables
@@ -302,26 +306,27 @@ class RadialSeries:
         object.__setattr__(self, "coefficients", coeffs)
         coeffs.setflags(write=False)
 
-    def _terms(self, r: float) -> tuple[np.ndarray, np.ndarray]:
-        """The powers ``q + p`` and the terms ``rho^(q+p) exp(beta r)`` (r positive
-        and finite), each one exponential in ``log m + log r``: 0 where the decay
-        underflows, however large ``rho^(q+p)``, and finite where ``m r`` does."""
+    def _terms(self, r: float, divisor: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+        """The powers ``q + p`` and the terms ``rho^(q+p) exp(beta r) / divisor`` (r
+        positive and finite), each one exponential, with ``log rho = log m + log r``
+        where ``m r`` is not normal: 0 where the decay underflows, however large
+        ``rho^(q+p)``, and to within roundoff wherever the term itself is normal."""
         if not 0 < r < math.inf:
             raise ValueError("radius must be positive and finite")
         powers, rho = self.exponent + np.arange(self.coefficients.shape[0]), self.unit * r
-        log_rho = math.log(rho) if rho else math.log(self.unit) + math.log(r)  # m r underflows
-        return powers, np.exp(powers * log_rho + self.decay * r)
+        log_rho = math.log(rho) if rho >= 2.0**-1022 else math.log(self.unit) + math.log(r)
+        return powers, np.exp(powers * log_rho + self.decay * r - math.log(divisor))
 
     def evaluate(self, r: float) -> np.ndarray:
         """Even-subalgebra coordinates of ``u(r)``."""
         return self._terms(r)[1] @ self.coefficients
 
     def derivative(self, r: float) -> np.ndarray:
-        """Coordinates of ``du/dr`` from the analytic series; each term is
-        divided by ``r`` before its power multiplies it, so ``1 / r`` does not
-        overflow at subnormal radii."""
-        powers, terms = self._terms(r)
-        return (powers * (terms / r) + self.decay * terms) @ self.coefficients
+        """Coordinates of ``du/dr = sum_p (q + p + beta r) (term_p / r) C_p``, each
+        term over ``r`` taken in the exponent, so it is normal wherever that term of
+        ``du/dr`` is, however tiny ``r`` and the term itself are."""
+        powers, over_r = self._terms(r, r)
+        return ((powers + self.decay * r) * over_r) @ self.coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,14 +412,12 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def _column_scale(blocks: np.ndarray) -> np.ndarray:
-    """Largest blade-basis column 2-norm of each matrix of an ``(N, 8, 2, 2)`` stack
-    of blocks: ``max_b |B e_b| <= |B|_2``, so a threshold from it is never looser than
-    one from singular values.  ``e_b = (u+ +- u-) / sqrt 2``, with ``u+`` and ``u-``
-    unit columns at one slot of blocks k < 4 and k + 4, whose images are orthogonal:
-    ``|B e_b|^2`` is the mean of theirs, squares summed as they are (entries O(1))."""
-    entries = blocks * blocks
-    squares = entries[..., 0, :] + entries[..., 1, :]
-    return np.sqrt(0.5 * (squares[:, :4] + squares[:, 4:])).reshape(len(blocks), 8).max(axis=1)
+    """Largest blade-basis column 2-norm of each matrix of an ``(N, 2, 2, 2)`` stack of
+    its Dirac pairs: ``max_b |B e_b| <= |B|_2``, so a threshold from it is never looser
+    than one from singular values.  ``e_b = (u+ +- u-) / sqrt 2``, ``u+-`` unit columns
+    at one slot of a block of each pair, with orthogonal images as long as the pair's:
+    ``|B e_b|^2 = (|B_0 e|^2 + |B_4 e|^2) / 2``, squares summed as they are (O(1))."""
+    return np.sqrt(0.5 * (blocks * blocks).sum(axis=2).sum(axis=1)).max(axis=1)
 
 
 def _step_inverses(s_plus_q: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
@@ -423,8 +426,8 @@ def _step_inverses(s_plus_q: np.ndarray, q: np.ndarray, p: int) -> np.ndarray:
 
 
 def _indicial_kernel(s_plus_q, kappas, couplings, q) -> np.ndarray:
-    """Unit columns ``(N, 8, 2)`` of the indicial kernels ``null(S - qI)``, one
-    per block of an ``(N, 8, 2, 2)`` stack ``S + qI``.
+    """Unit columns ``(N, K, 2)`` of the indicial kernels ``null(S - qI)``, one
+    per block of an ``(N, K, 2, 2)`` stack ``S + qI`` (the solver's two pairs).
 
     ``S^2 = q^2 I`` puts the columns of ``S + qI`` in the kernel.  ``Z`` is
     ``diag(1, -1)`` in each block and ``R H Z`` is +-1 off its diagonal
@@ -439,12 +442,12 @@ def _indicial_kernel(s_plus_q, kappas, couplings, q) -> np.ndarray:
 def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     """Solutions, or errors, of states that share the phase bivector, sorted by n_r
     from the largest down, solved at mass 1 from their decays, then scaled.  Every
-    matrix is a stack of the eight 2 x 2 blocks and every vector one of eight
-    2-vectors (module docstring)."""
+    matrix is a stack of the 2 x 2 blocks of the two Dirac pairs, ``P = +1`` then
+    ``P = -1``, and every vector one of two 2-vectors, each fourfold (module docstring)."""
     n_r, size = np.array([p.n_r for p in group]), len(group)
-    basis, (z, rhz, r) = _dirac_blocks(group[0].gamma)
-    energies = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays]
-    eye = np.eye(2)
+    basis, tables = _dirac_blocks(group[0].gamma)
+    (z, rhz, r), basis = tables[:, ::4], basis.reshape(16, 8, 2)[:, ::4]  # blocks 0 and 4
+    energies, eye = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays], np.eye(2)
 
     def col(values) -> np.ndarray:
         return np.array(values, dtype=np.float64)[:, None, None, None]
@@ -483,10 +486,10 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         generic_scale[:len(step)] *= _column_scale(step @ -termination[:len(step)])
     threshold = SVD_GAP_THRESHOLD * generic_scale
 
-    # chain[p] holds C_p of every kernel column for the states stepping at power
-    # p, and final each state's C_{n_r}.  The columns lie in different blocks,
-    # so the admissible subspace is spanned by those whose residual is below
-    # the threshold
+    # chain[p] holds C_p of both pairs' kernel columns for the states stepping
+    # at power p, and final each state's C_{n_r}.  The columns lie in different
+    # blocks, so the admissible subspace is spanned by those whose residual is
+    # below the threshold, four blocks per admissible pair
     kernel = _indicial_kernel(s_plus_q, kappas, couplings, q)
     chain, final = [kernel], kernel.copy()
     for step, k in zip(steps, counts):
@@ -494,19 +497,17 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
         final[:k] = chain[-1]
     residuals = _norms(_apply(termination, final))
     admissible = residuals <= threshold[:, None]
-    kernel_dims = admissible.sum(axis=1).tolist()
-    # the series is one Dirac pair: the unit kernel column of the lowest
-    # admissible block of P = -1, which carries the kappa system under either
-    # phase bivector and which the idempotent keeps; where there is none
-    # (e12's kappa > 0 at n_r = 0), the lowest admissible block of P = +1
-    order = np.r_[4:8, 0:4]
-    pick, rows = order[admissible[:, order].argmax(axis=1)], np.arange(size)
+    kernel_dims = (4 * admissible.sum(axis=1)).tolist()
+    # the series is the unit kernel column of the P = -1 pair, which carries
+    # the kappa system under either phase bivector and which the idempotent
+    # keeps; where it is not admissible (e12's kappa > 0 at n_r = 0), of P = +1
+    pick, rows = np.where(admissible[:, 1], 1, 0), np.arange(size)
     pair = np.zeros((size, len(chain), 2))
     for p, c in enumerate(chain):
         pair[:len(c), p] = c[rows[:len(c)], pick[:len(c)]]
     # back to the blades: each of U's columns is +-1 on two blades, so each
     # blade of the block is +-c sqrt(1/2) and every other blade is 0
-    coefficients = pair @ basis.reshape(16, 8, 2)[:, pick].transpose(1, 2, 0) * math.sqrt(0.5)
+    coefficients = pair @ basis[:, pick].transpose(1, 2, 0) * math.sqrt(0.5)
 
     # post-check: the termination map annihilates the last coefficient
     # relative to its scale (a non-terminating direction scores O(1)); both
@@ -515,8 +516,7 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     unit = pair[rows, n_r] / np.where(peak > 0.0, peak, 1.0)[:, None]
     scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
     termination_relative = _norms(_apply(termination[rows, pick], unit)) / scale
-    c0 = pair[:, 0]
-    indicial = np.abs(_apply(s_mat[rows, pick], c0) - q[:, 0, 0] * c0).max(axis=1)
+    indicial = np.abs(_apply(s_mat[rows, pick], pair[:, 0]) - q[:, 0, 0] * pair[:, 0]).max(axis=1)
     s_err, t_err, peaks, relative, vacuity, indicial = (values.tolist() for values in (
         s_square_err, t_square_err, peak, termination_relative,
         residuals.max(axis=1) / generic_scale, indicial))
@@ -571,10 +571,10 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     every state, each from a bracket of about 256 ulps around its
     closed-form decay, and ends on the bits that one from (0, 1) gives (see
     :func:`_termination_decays`); per phase bivector, one propagation of
-    every state's indicial kernel, one 2-vector in each of the eight Dirac
-    blocks (module docstring), gives as block norms the admissible columns,
-    and the series is the chain of the lowest admissible block of ``P = -1``
-    (of ``P = +1`` where there is none).
+    every state's indicial kernel, one 2-vector in each of the two Dirac
+    pairs, each fourfold (module docstring), gives as pair norms the
+    admissible columns, and the series is the chain of the ``P = -1`` pair
+    where it is admissible (of the ``P = +1`` pair where it is not).
     """
     params_seq, groups, results = list(params_seq), {}, {}
     for i, params in enumerate(params_seq):
@@ -602,8 +602,8 @@ def solve_radial(params: CoulombParams) -> RadialSolution:
     kappa > 0 when the phase bivector is e0 times the pseudoscalar, the
     Dirac-Coulomb selection rule), when its last coefficient underflows to
     zero, or when the decay constant rounds to 0 (coupling 5e-324).  This is
-    :func:`solve_radials` on a batch of one: eight 2 x 2 Dirac pairs and no
-    LAPACK call, whatever ``n_r`` is.
+    :func:`solve_radials` on a batch of one: two 2 x 2 Dirac pairs, each
+    fourfold, and no LAPACK call, whatever ``n_r`` is.
     """
     (result,) = solve_radials([params])
     if isinstance(result, RuntimeError):

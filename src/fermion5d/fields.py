@@ -101,6 +101,16 @@ def as_points(points) -> np.ndarray:
     return pts
 
 
+def _finite_rows(points):
+    """The rows of ``as_points(points)``, each checked on its Python floats as
+    it is reached: a coordinate that is not finite raises one line."""
+    for n, x in enumerate(as_points(points)):
+        row = x.tolist()
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"a coordinate at point row {n} {row} is not finite")
+        yield x
+
+
 def minkowski_dot(a: Sequence[float], b: Sequence[float]) -> float:
     """Inner product with signature (-,+,+,+,-) on (t, x, y, z, w)."""
     return float(np.dot(METRIC_SIGNS * as_point(a), as_point(b)))
@@ -151,7 +161,8 @@ class ArrayField:
 
 
 class AnalyticField(ArrayField):
-    """Field defined by explicit per-point value and derivative callables."""
+    """Field defined by explicit per-point value and derivative callables,
+    which never see a point that is not finite: such a point raises."""
 
     def __init__(
         self,
@@ -162,10 +173,10 @@ class AnalyticField(ArrayField):
         self._partial = partial_fn
 
     def values(self, points) -> np.ndarray:
-        return _rows([self._value(x) for x in as_points(points)])
+        return _rows([self._value(x) for x in _finite_rows(points)])
 
     def _axis_partials(self, axis, points) -> np.ndarray:
-        return _rows([self._partial(axis, x) for x in as_points(points)])
+        return _rows([self._partial(axis, x) for x in _finite_rows(points)])
 
 
 class _CentralDifferenceField(ArrayField):
@@ -192,21 +203,24 @@ class _CentralDifferenceField(ArrayField):
 
 class FiniteDifferenceField(_CentralDifferenceField):
     """Central-difference derivatives (O(step^2)) around a per-point value
-    callable."""
+    callable, which never sees a point that is not finite: such a point
+    raises, named as the callable would have received it."""
 
     def __init__(self, value_fn: Callable[[np.ndarray], Multivector], step: float = DEFAULT_FD_STEP):
-        super().__init__(lambda pts: _rows([value_fn(x) for x in pts]), step)
+        super().__init__(lambda pts: _rows([value_fn(x) for x in _finite_rows(pts)]), step)
 
 
 class ConstantField(ArrayField):
+    """One multivector at every point; a point that is not finite raises."""
+
     def __init__(self, mv: Multivector):
-        self._coeffs = mv.coeffs
+        self._mv = mv
 
     def values(self, points) -> np.ndarray:
-        return np.tile(self._coeffs, (len(as_points(points)), 1))
+        return _rows([self._mv for _ in _finite_rows(points)])
 
     def partials(self, points) -> np.ndarray:
-        return np.zeros((5, len(as_points(points)), self._coeffs.size))
+        return np.zeros((5, *self.values(points).shape))
 
 
 class PhaseField(ArrayField):

@@ -186,17 +186,15 @@ for _name, _field in FIELDS.items():
     ENTRIES[f"{_name}.partials"] = (_field.partials, _partials)
     ENTRIES[f"{_name}.samples"] = (_field.samples, lambda n: (_rows(n), _partials(n)))
 
-#: Entries whose first evaluation at a point is a :class:`PhaseField` phase,
-#: which rejects a point that is not finite.  The others start from the
-#: source pair's plus half (``math.cos(inf)`` raises a bare math error), a
-#: user's callable (``FiniteDifferenceField`` gives NaN rows) or a constant.
+#: Entries whose first evaluation at a point is a :class:`PhaseField` phase
+#: or one of the user-field wrappers (``AnalyticField``, ``ConstantField``,
+#: ``FiniteDifferenceField``), each of which rejects a point that is not
+#: finite.  The others start from the source pair's plus half
+#: (``math.cos(inf)`` raises a bare math error).
 PHASE_BACKED = sorted(
     name
     for name in ENTRIES
-    if not name.startswith(
-        ("source_current", "sourced_massless", "source_pair.plus")
-        + ("AnalyticField", "ConstantField", "FiniteDifferenceField")
-    )
+    if not name.startswith(("source_current", "sourced_massless", "source_pair.plus"))
 )
 
 #: Entries that need at least one point: zero rows raise this one message.

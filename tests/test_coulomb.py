@@ -143,11 +143,14 @@ def test_cached_blocks_are_keyed_by_phase_bivector():
 
 
 @pytest.mark.parametrize("broken", ["z-scaled", "rhz-entry-2", "rhz-two-in-a-row",
-                                    "rhz-commutes", "rhz-out-of-block", "r-out-of-block"])
+                                    "rhz-commutes", "rhz-out-of-block", "r-out-of-block",
+                                    "rhz-sign-without-r"])
 def test_dirac_blocks_refuse_blocks_without_the_kernel_structure(broken, monkeypatch):
     # Z = diag(1, -1) and RHZ +-1 off the diagonal in every 2 x 2 block, and
-    # nothing outside the blocks, are what make the indicial kernel exact.
-    # Each case breaks one of them
+    # nothing outside the blocks, are what make the indicial kernel exact;
+    # every block the D-conjugate of its pair's, D = diag(1, -1), or the pair
+    # itself, one sign for all three, is what lets the solver count each of
+    # the two pairs four times.  Each case breaks one of them
     z, rhz, r = (np.array(block) for block in coulomb._radial_blocks(GammaChoice.e12()))
     if broken == "z-scaled":
         z *= 2.0  # still anticommutes with RHZ
@@ -158,6 +161,17 @@ def test_dirac_blocks_refuse_blocks_without_the_kernel_structure(broken, monkeyp
         rhz[0, np.flatnonzero((np.diag(z) != z[0, 0]) & (rhz[0] == 0))[0]] = 1.0
     elif broken == "rhz-commutes":
         rhz = z.copy()  # a signed permutation that commutes with Z
+    elif broken == "rhz-sign-without-r":
+        # block 1 of RHZ flips its signs off the diagonal and R keeps its
+        # own: each block still has the kernel structure, but block 1 is
+        # neither block 0 nor its D-conjugate
+        basis, tables = coulomb._dirac_blocks(GammaChoice.e12())
+        blocks = np.array(tables[1])
+        blocks[1] *= -1.0
+        block_diagonal = np.zeros((16, 16))
+        for k, block in enumerate(blocks):
+            block_diagonal[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+        rhz = basis @ block_diagonal @ basis.T / 2
     else:  # two blades where Z = +1, in different blocks, swap their images
         block = rhz if broken == "rhz-out-of-block" else r
         block[:, [1, 2]] = block[:, [2, 1]]
@@ -854,7 +868,7 @@ def test_column_scale_bounds_the_2_norm_and_keeps_every_kernel_dimension():
         dense = np.array(dense)
         blocks, outside = blocks_of(dense)
         assert (outside <= 1e-15 * np.abs(dense).max(axis=(1, 2))).all(), params
-        scales = coulomb._column_scale(blocks)
+        scales = coulomb._column_scale(blocks[:, ::4])  # the two Dirac pairs, blocks 0 and 4
         assert np.all(scales <= [spectral_norm(block) * bound for block in dense]), params
         columns = [column_scale(block) for block in dense]
         assert np.abs(scales - columns).max() <= 4.0 * EPS * max(columns), params
@@ -1235,6 +1249,39 @@ def test_series_derivative_is_finite_at_subnormal_radii():
     q = series.exponent
     leading = q * math.exp((q - 1.0) * math.log(1e-310)) * series.coefficients[0]
     assert np.abs(series.derivative(1e-310) - leading).max() <= 1e-12 * np.abs(leading).max()
+
+
+@pytest.mark.filterwarnings("error")
+def test_series_matches_a_40_digit_reference_at_tiny_radii():
+    # derivative read 0 at mass 1, kappa = -2, n_r = 3, r = 1e-200, where
+    # rho^(q+p) underflowed before 1 / r multiplied it, and evaluate was 9.3 %
+    # off at mass 2.5, r = 5e-324, where m r is subnormal.  With log rho =
+    # log m + log r there and 1 / r taken in the exponent, the worst relative
+    # error measured 7.7e-14 (derivative) and 4.3e-14 (evaluate), wherever
+    # the reference is at least 2^52 times the smallest normal float
+    floor, worst = 2.0**52 * 2.0**-1022, {}
+    for gamma in BOTH_GAMMAS:
+        for mass in (1.0, 3.5e-7, 2.5, 1e3):
+            for coupling, kappa, n_r in ((0.3, -2, 3), (0.9, -1, 0), (1e-6, -1, 2), (0.5, 3, 4)):
+                series = solve_radial(CoulombParams(mass, coupling, kappa, n_r, gamma)).series
+                for r in (5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-100, 1e-20):
+                    with mp.workdps(40):
+                        radius, decay = mp.mpf(r), mp.mpf(series.decay)
+                        log_rho = mp.log(mp.mpf(series.unit) * radius)
+                        powers = [series.exponent + p for p in range(n_r + 1)]
+                        value = [mp.exp(k * log_rho + decay * radius) for k in powers]
+                        slope = [term * (k / radius + decay) for k, term in zip(powers, value)]
+                        columns = series.coefficients.T.tolist()
+                        references = {name: np.array([float(mp.fdot(terms, c)) for c in columns])
+                                      for name, terms in zip(("evaluate", "derivative"),
+                                                             (value, slope))}
+                    for name, reference in references.items():
+                        scale = np.abs(reference).max()
+                        if scale >= floor:
+                            error = np.abs(getattr(series, name)(r) - reference).max() / scale
+                            worst[name] = max(worst.get(name, 0.0), error)
+    assert set(worst) == {"evaluate", "derivative"}
+    assert worst["evaluate"] <= 1e-12 and worst["derivative"] <= 1e-12, worst
 
 
 @pytest.mark.filterwarnings("error")
