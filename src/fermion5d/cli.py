@@ -71,7 +71,7 @@ from .coulomb import (
     mass_energy_matrix,
     radial_left_matrix,
     solve_radial,
-    solve_radials,
+    solve_radial_columns,
     sommerfeld_energy,
     spectroscopic_label,
     quantum_numbers,
@@ -456,37 +456,28 @@ def _run_spectrum(args: argparse.Namespace) -> int:
             f"coupling Z*alpha = {coupling:.6f} is outside the bound-state "
             "domain; the series exponent needs coupling^2 < kappa^2 with |kappa| = 1"
         )
-    rows, rel_errors = [], []
-    default_constants = args.alpha == FINE_STRUCTURE and args.electron_mass_ev == ELECTRON_MASS_EV
-    states = _spectrum_states(args.max_n)
-    params_seq = [CoulombParams(mass=1.0, coupling=coupling, kappa=k, n_r=n) for k, n in states]
-    energies: dict[tuple[int, int], float] = {}
-    for (kappa, n_r), params, solved in zip(states, params_seq, solve_radials(params_seq)):
-        closed = sommerfeld_energy(params)
-        energies[(kappa, n_r)] = closed
-        # no terminating series within the solver's bound: a failed check
-        solver_energy = math.nan if isinstance(solved, RuntimeError) else solved.energy
-        rel_errors.append(abs(solver_energy - closed) / closed)
-        n, j = quantum_numbers(kappa, n_r)
-        rows.append(
-            {
-                "label": spectroscopic_label(kappa, n_r),
-                "kappa": kappa,
-                "n_r": n_r,
-                "n": n,
-                "j": j,
-                "binding_ev": (closed - 1.0) * args.electron_mass_ev,
-                "solver_binding_ev": (solver_energy - 1.0) * args.electron_mass_ev,
-            }
-        )
-
+    kappa, n_r = np.array(_spectrum_states(args.max_n)).T
+    table = solve_radial_columns(kappa, n_r, coupling)
     # one gap per table row; the NaN of a failed solve fails the check
-    checks = [make_check("closed-form-vs-series-solver", "spectrum", rel_errors, 1e-9)]
-    split = [float((-kappa, n_r) in energies and energies[(-kappa, n_r)] != closed)
-             for (kappa, n_r), closed in energies.items()]
-    checks.append(make_check("angular-sign-degeneracy-bitwise", "spectrum", split, 0.0))
+    checks = [make_check("closed-form-vs-series-solver", "spectrum",
+                         np.abs(table.energy - table.closed) / table.closed, 1e-9)]
+    # each closed form against that of (-kappa, n_r), where that state is listed
+    partner = np.full((2 * args.max_n + 1, args.max_n), math.nan)
+    partner[kappa, n_r] = table.closed
+    partner = partner[-kappa, n_r]
+    split = (partner == partner) & (partner != table.closed)
+    checks.append(make_check("angular-sign-degeneracy-bitwise", "spectrum", split * 1.0, 0.0))
 
-    if args.z == 1 and default_constants:
+    hydrogen = (args.z == 1 and args.alpha == FINE_STRUCTURE
+                and args.electron_mass_ev == ELECTRON_MASS_EV)
+    rows = []
+    if hydrogen or args.format != "json":  # rows only where they are printed or read
+        bindings = [((energy - 1.0) * args.electron_mass_ev).tolist()
+                    for energy in (table.closed, table.energy)]
+        for k, n, *binding in zip(kappa.tolist(), n_r.tolist(), *bindings):
+            rows.append(dict(zip(_SPECTRUM_FIELDS, (spectroscopic_label(k, n), k, n,
+                                                    *quantum_numbers(k, n), *binding))))
+    if hydrogen:
         by_label = {row["label"]: row["binding_ev"] for row in rows}
         targets = [("1s1/2", -13.6059), ("2s1/2", -3.402), ("2p1/2", -3.402), ("2p3/2", -3.401)]
         checks += [

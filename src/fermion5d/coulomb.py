@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -280,6 +280,14 @@ def sommerfeld_energy(params: CoulombParams) -> float:
     return params.mass / math.sqrt(1.0 + (params.coupling / (params.n_r + q)) ** 2)
 
 
+def closed_form(kappa, n_r, coupling, mass=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of :attr:`CoulombParams.series_exponent` and :func:`sommerfeld_energy`,
+    bit for bit: the square is C ``pow``, as Python's ``**`` takes it, not ``x * x``,
+    which differs from it in the last bit for some floats."""
+    q = np.sqrt((kappa - coupling) * (kappa + coupling))
+    return q, mass / np.sqrt(1.0 + np.float_power(coupling / (n_r + q), 2))
+
+
 # ---------------------------------------------------------------------------
 # radial series solution
 # ---------------------------------------------------------------------------
@@ -346,15 +354,30 @@ class RadialSolution:
         return -self.params.mass * (d * d / (1.0 + eps))
 
 
+class RadialColumns(NamedTuple):
+    """States as columns in input order (:func:`solve_radial_columns`); ``energy`` and
+    the series ``decay`` are NaN, and ``error`` a message, not None, where one fails;
+    ``diagnostics`` are by name, and state i's coefficients ``coefficients[i, :n_r + 1]``."""
+
+    q: np.ndarray
+    closed: np.ndarray
+    energy: np.ndarray
+    decay: np.ndarray
+    error: list
+    diagnostics: dict
+    coefficients: np.ndarray
+
+
 def _below_root(decay, shift, coupling) -> np.ndarray:
     """Whether the termination gap ``d (n_r + q) - lambda sqrt(1 - d^2)`` is
     negative at ``decay``: the one sign test of the decay bisection."""
     return decay * shift - coupling * np.sqrt((1.0 - decay) * (1.0 + decay)) < 0.0
 
 
-def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
+def _termination_decays(coupling: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """Decay constants ``d = |beta| / m`` at the roots of the termination
-    gap ``d (n_r + q) - lambda sqrt(1 - d^2)``, strictly increasing on (0, 1).
+    gap ``d (n_r + q) - lambda sqrt(1 - d^2)``, strictly increasing on (0, 1),
+    for the columns of the couplings and shifts ``n_r + q``.
 
     Rooting in the decay rather than the energy keeps the termination
     identity sharp when the energy is within ulps of the rest mass (weak
@@ -376,8 +399,6 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
     ``w`` need not be a float, or whose moved bracket still disagrees,
     starts from (0, 1); only such a state takes up to about 1100 steps, down
     to the smallest subnormal, as every step shrinks its bracket."""
-    coupling, shift = np.array([(p.coupling, p.n_r + p.series_exponent)
-                                for p in params_seq], dtype=np.float64).reshape(-1, 2).T
     guess = coupling / np.hypot(shift, coupling)
     exponent = np.frexp(guess)[1] - 45
     cell = np.floor(np.ldexp(guess, -exponent))
@@ -396,7 +417,7 @@ def _termination_decays(params_seq: list[CoulombParams]) -> list[float]:
         mid = 0.5 * (lo + hi)
         active &= (mid != lo) & (mid != hi)
         if not active.any():
-            return (0.5 * (lo + hi)).tolist()
+            return 0.5 * (lo + hi)
         below = _below_root(mid, shift, coupling)
         lo, hi = np.where(active & below, mid, lo), np.where(active & ~below, mid, hi)
 
@@ -439,41 +460,51 @@ def _indicial_kernel(s_plus_q, kappas, couplings, q) -> np.ndarray:
     return s_plus_q[np.arange(len(slots)), :, :, slots] / norm
 
 
-def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
-    """Solutions, or errors, of states that share the phase bivector, sorted by n_r
-    from the largest down, solved at mass 1 from their decays, then scaled.  Every
-    matrix is a stack of the 2 x 2 blocks of the two Dirac pairs, ``P = +1`` then
-    ``P = -1``, and every vector one of two 2-vectors, each fourfold (module docstring)."""
-    n_r, size = np.array([p.n_r for p in group]), len(group)
-    basis, tables = _dirac_blocks(group[0].gamma)
+def solve_radial_columns(kappa, n_r, coupling, mass=1.0,
+                         gamma: GammaChoice | None = None) -> RadialColumns:
+    """Solutions, or errors, of states under one phase bivector (e12 by default), as
+    :class:`RadialColumns` in input order: ``kappa`` and ``n_r`` are integer columns,
+    ``coupling`` and ``mass`` columns or one value each, of states that
+    :class:`CoulombParams` accepts (not checked again).  The states are solved at
+    mass 1 from their decays, sorted by n_r from the largest down, then scaled, and
+    an error is formatted only for a state that fails.  Every matrix is a stack of
+    the 2 x 2 blocks of the two Dirac pairs, ``P = +1`` then ``P = -1``, and every
+    vector one of two 2-vectors, each fourfold (module docstring)."""
+    kappa, n_r = np.asarray(kappa), np.asarray(n_r)
+    coupling, mass = (np.broadcast_to(np.asarray(value, dtype=np.float64), kappa.shape)
+                      for value in (coupling, mass))
+    q, closed = closed_form(kappa, n_r, coupling, mass)
+    decays = _termination_decays(coupling, n_r + q)
+    order, size = np.argsort(-n_r, kind="stable"), len(kappa)
+    kappa, n_r, coupling, decays = (column[order] for column in (kappa, n_r, coupling, decays))
+    basis, tables = _dirac_blocks(gamma or GammaChoice.e12())
     (z, rhz, r), basis = tables[:, ::4], basis.reshape(16, 8, 2)[:, ::4]  # blocks 0 and 4
-    energies, eye = [math.sqrt((1.0 - d) * (1.0 + d)) for d in decays], np.eye(2)
+    energies, eye = np.sqrt((1.0 - decays) * (1.0 + decays)), np.eye(2)
 
     def col(values) -> np.ndarray:
-        return np.array(values, dtype=np.float64)[:, None, None, None]
+        return np.asarray(values, dtype=np.float64)[:, None, None, None]
 
-    def square_error(mat: np.ndarray, square: list) -> np.ndarray:
+    def square_error(mat: np.ndarray, square: np.ndarray) -> np.ndarray:
         return np.abs(mat @ mat - col(square) * eye).max(axis=(1, 2, 3))
 
-    q = col([p.series_exponent for p in group])
-    kappas, couplings = col([p.kappa for p in group]), col([p.coupling for p in group])
+    kappas, couplings, qs = col(kappa), col(coupling), col(q[order])
     s_mat = kappas * z + couplings * rhz
-    s_plus_q = s_mat + q * eye
-    s_square_err = square_error(s_mat, [p.kappa**2 - p.coupling**2 for p in group])
-    t_square_err = square_error(r - col(energies) * rhz, [1.0 - b**2 for b in energies])
+    s_plus_q = s_mat + qs * eye
+    s_square_err = square_error(s_mat, kappa * kappa - np.float_power(coupling, 2))
+    t_square_err = square_error(r - col(energies) * rhz, 1.0 - np.float_power(energies, 2))
 
     # (beta I + T) in split form, T = (R - RHZ) + b RHZ with the binding b =
     # 1 - eps = d^2 / (1 + eps): its eigenvalues are +-d up to the rounding of
     # b alone, whereas the rounded eps in T = R - eps RHZ moves them by
     # ~ulp(eps) / d, above the termination bound at weak coupling.  R - RHZ
     # has entries 0, +-1 and +-2: one rounding per entry.
-    binding = col([d * d / (1.0 + b) for d, b in zip(decays, energies)])
+    binding = col(decays * decays / (1.0 + energies))
     termination = (r - rhz) + binding * rhz - col(decays) * eye
 
     # every state's steps for p = 1..n_r: the states stepping at power p are a
     # prefix, as they are sorted by n_r
     counts = [int((n_r >= p).sum()) for p in range(1, n_r[0] + 1)]
-    steps = [_step_inverses(s_plus_q[:k], q[:k], p) for p, k in enumerate(counts, 1)]
+    steps = [_step_inverses(s_plus_q[:k], qs[:k], p) for p, k in enumerate(counts, 1)]
 
     # C_0 must satisfy (S - q I) C_0 = 0 and, propagated by C_p = ((p+q) I - S)^-1
     # (-(beta I + T) C_{p-1}), (beta I + T) C_{n_r} = 0.  At the root the termination
@@ -490,14 +521,14 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     # at power p, and final each state's C_{n_r}.  The columns lie in different
     # blocks, so the admissible subspace is spanned by those whose residual is
     # below the threshold, four blocks per admissible pair
-    kernel = _indicial_kernel(s_plus_q, kappas, couplings, q)
+    kernel = _indicial_kernel(s_plus_q, kappas, couplings, qs)
     chain, final = [kernel], kernel.copy()
     for step, k in zip(steps, counts):
         chain.append(-_apply(step, _apply(termination[:k], chain[-1][:k])))
         final[:k] = chain[-1]
     residuals = _norms(_apply(termination, final))
     admissible = residuals <= threshold[:, None]
-    kernel_dims = (4 * admissible.sum(axis=1)).tolist()
+    kernel_dims = 4 * admissible.sum(axis=1)
     # the series is the unit kernel column of the P = -1 pair, which carries
     # the kappa system under either phase bivector and which the idempotent
     # keeps; where it is not admissible (e12's kappa > 0 at n_r = 0), of P = +1
@@ -515,51 +546,37 @@ def _solve_group(group: list[CoulombParams], decays: list[float]) -> list:
     peak = np.abs(coefficients[rows, n_r]).max(axis=1)
     unit = pair[rows, n_r] / np.where(peak > 0.0, peak, 1.0)[:, None]
     scale = termination_norm * np.where(peak > 0.0, _norms(unit), 1.0)
-    termination_relative = _norms(_apply(termination[rows, pick], unit)) / scale
-    indicial = np.abs(_apply(s_mat[rows, pick], pair[:, 0]) - q[:, 0, 0] * pair[:, 0]).max(axis=1)
-    s_err, t_err, peaks, relative, vacuity, indicial = (values.tolist() for values in (
-        s_square_err, t_square_err, peak, termination_relative,
-        residuals.max(axis=1) / generic_scale, indicial))
-    results: list = []
-    for i, params in enumerate(group):
-        if not s_err[i] <= SQUARE_IDENTITY_BOUND * params.kappa**2:
-            error = (f"S^2 = q^2 I fails: error {s_err[i]:.3e} exceeds "
-                     f"{SQUARE_IDENTITY_BOUND:.0e} kappa^2 ({_state(params)})")
-        elif decays[i] == 0.0:  # the root lies below the smallest subnormal
-            error = (f"decay constant rounds to 0 ({_state(params)}, "
-                     f"coupling={params.coupling:.3e})")
-        elif kernel_dims[i] == 0:
-            error = ("no terminating series at the root energy: smallest termination "
-                     f"residual {residuals[i].min():.3e} exceeds {threshold[i]:.3e} "
-                     f"({_state(params)})")
-        elif peaks[i] == 0.0:
-            error = ("series underflows: every component of its last coefficient is 0 "
-                     f"({_state(params)}, coupling={params.coupling:.3e})")
-        elif not relative[i] <= SVD_GAP_THRESHOLD:
-            error = ("series does not terminate: relative termination residual "
-                     f"{relative[i]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}")
-        else:
-            mass, energy = params.mass, params.mass * energies[i]
-            series = RadialSeries(params.series_exponent, -mass * decays[i],
-                                  coefficients[i, :params.n_r + 1], mass)
-            diagnostics = {
-                "termination_relative": relative[i],
-                "termination_kernel_dim": kernel_dims[i],
-                "termination_vacuity": vacuity[i],
-                "closed_form_delta": abs(energy - sommerfeld_energy(params)),
-                "indicial_residual": indicial[i],
-                "s_square_error": s_err[i],
-                "t_square_error": t_err[i],
-            }
-            results.append(RadialSolution(params, energy, series, diagnostics))
-            continue
-        results.append(RuntimeError(error))
-    return results
-
-
-def _state(params: CoulombParams) -> str:
-    """The ``kappa=.., n_r=..`` label of a state in an error message."""
-    return f"kappa={params.kappa}, n_r={params.n_r}"
+    relative = _norms(_apply(termination[rows, pick], unit)) / scale
+    mass, energy = mass[order], mass[order] * energies
+    diagnostics = {
+        "termination_relative": relative,
+        "termination_kernel_dim": kernel_dims,
+        "termination_vacuity": residuals.max(axis=1) / generic_scale,
+        "closed_form_delta": np.abs(energy - closed[order]),
+        "indicial_residual": np.abs(_apply(s_mat[rows, pick], pair[:, 0])
+                                    - qs[:, 0, 0] * pair[:, 0]).max(axis=1),
+        "s_square_error": s_square_err,
+        "t_square_error": t_square_err,
+    }
+    failures = (~(s_square_err <= SQUARE_IDENTITY_BOUND * (kappa * kappa)), decays == 0.0,
+                kernel_dims == 0, peak == 0.0, ~(relative <= SVD_GAP_THRESHOLD))
+    failed, errors = np.logical_or.reduce(failures), [None] * size
+    for i in np.flatnonzero(failed).tolist():  # the first failure of each state
+        state = f"kappa={kappa[i]}, n_r={n_r[i]}"
+        errors[order[i]] = next(text for text, bad in zip((
+            f"S^2 = q^2 I fails: error {s_square_err[i]:.3e} exceeds "
+            f"{SQUARE_IDENTITY_BOUND:.0e} kappa^2 ({state})",
+            f"decay constant rounds to 0 ({state}, coupling={coupling[i]:.3e})",
+            "no terminating series at the root energy: smallest termination "
+            f"residual {residuals[i].min():.3e} exceeds {threshold[i]:.3e} ({state})",
+            "series underflows: every component of its last coefficient is 0 "
+            f"({state}, coupling={coupling[i]:.3e})",
+            "series does not terminate: relative termination residual "
+            f"{relative[i]:.3e} exceeds {SVD_GAP_THRESHOLD:.1e}"), failures) if bad[i])
+    back = np.argsort(order)
+    energy, decay = (np.where(failed, math.nan, v)[back] for v in (energy, -mass * decays))
+    return RadialColumns(q, closed, energy, decay, errors,
+                         {name: v[back] for name, v in diagnostics.items()}, coefficients[back])
 
 
 def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | RuntimeError]:
@@ -574,19 +591,28 @@ def solve_radials(params_seq: Iterable[CoulombParams]) -> list[RadialSolution | 
     every state's indicial kernel, one 2-vector in each of the two Dirac
     pairs, each fourfold (module docstring), gives as pair norms the
     admissible columns, and the series is the chain of the ``P = -1`` pair
-    where it is admissible (of the ``P = +1`` pair where it is not).
+    where it is admissible (of the ``P = +1`` pair where it is not).  The
+    objects are built from the columns of :func:`solve_radial_columns`, one
+    call per phase bivector.
     """
-    params_seq, groups, results = list(params_seq), {}, {}
+    params_seq, groups = list(params_seq), {}
     for i, params in enumerate(params_seq):
         if not isinstance(params, CoulombParams):
             raise TypeError(f"state {i} is a {type(params).__name__}, not a CoulombParams")
         groups.setdefault(params.gamma, []).append(i)
-    decays = _termination_decays(params_seq)
-    for members in groups.values():
-        members.sort(key=lambda i: -params_seq[i].n_r)  # stable: ties keep input order
+    results: list = [None] * len(params_seq)
+    for gamma, members in groups.items():
         group = [params_seq[i] for i in members]
-        results.update(zip(members, _solve_group(group, [decays[i] for i in members])))
-    return [results[i] for i in range(len(params_seq))]
+        table = solve_radial_columns(*zip(*[(p.kappa, p.n_r, p.coupling, p.mass) for p in group]),
+                                     gamma)
+        diagnostics = zip(*(column.tolist() for column in table.diagnostics.values()))
+        for i, params, error, q, energy, decay, coefficients, values in zip(
+                members, group, table.error, table.q.tolist(), table.energy.tolist(),
+                table.decay.tolist(), table.coefficients, diagnostics):
+            results[i] = RuntimeError(error) if error else RadialSolution(
+                params, energy, RadialSeries(q, decay, coefficients[:params.n_r + 1], params.mass),
+                dict(zip(table.diagnostics, values)))
+    return results
 
 
 def solve_radial(params: CoulombParams) -> RadialSolution:

@@ -25,7 +25,7 @@ from fermion5d import _kernels, beyond, cli, coulomb, report
 from fermion5d.algebra import CL32, CL41, Multivector, e, pseudoscalar
 from fermion5d.cli import main
 from fermion5d.constants import ELECTRON_MASS_EV, FINE_STRUCTURE
-from fermion5d.coulomb import solve_radials
+from fermion5d.coulomb import solve_radial_columns
 from fermion5d.fields import AnalyticField, PhaseField
 from fermion5d.report import ReportDocument, make_check
 
@@ -169,6 +169,37 @@ def test_verify_builds_few_multivectors_and_kernel_calls(capsys, monkeypatch):
     assert counts["multivectors"] <= 700, counts
     assert counts["kernel_calls"] <= 370, counts
 
+
+
+def warm_radial_counts(argv, capsys, monkeypatch) -> dict:
+    """Per-state radial objects built and scalar closed forms taken by a
+    second, warm request."""
+    assert run_cli(argv, capsys)[0] == 0  # fill the per-process caches first
+    counts = dict.fromkeys(("CoulombParams", "RadialSeries", "RadialSolution",
+                            "sommerfeld_energy", "series_exponent"), 0)
+
+    def counting(name, call):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    for cls in (coulomb.CoulombParams, coulomb.RadialSeries, coulomb.RadialSolution):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
+    exponent = counting("series_exponent", coulomb.CoulombParams.series_exponent.fget)
+    monkeypatch.setattr(coulomb.CoulombParams, "series_exponent", property(exponent))
+    energy = counting("sommerfeld_energy", coulomb.sommerfeld_energy)
+    for module in (coulomb, cli):
+        monkeypatch.setattr(module, "sommerfeld_energy", energy)
+    assert run_cli(argv, capsys)[0] == 0
+    return counts
+
+
+def test_a_warm_spectrum_builds_no_per_state_object(capsys, monkeypatch):
+    # spectrum reads the solver's columns: one object per state made 64 of
+    # each class and 128 sommerfeld_energy and 320 series_exponent calls
+    argv = ["spectrum", "--z", "37", "--max-n", "8", "--format", "json"]
+    assert set(warm_radial_counts(argv, capsys, monkeypatch).values()) == {0}
 
 @pytest.mark.parametrize(
     "argv",
@@ -392,14 +423,17 @@ def test_spectrum_reports_a_series_solver_failure_as_a_failed_check(capsys, monk
     # a batch solver that finds no terminating series for the n_r = 2 states
     batches = []
 
-    def failing_solver(params_seq):
-        batches.append(len(params_seq))
-        return [
-            RuntimeError("series does not terminate") if params.n_r == 2 else solved
-            for params, solved in zip(params_seq, solve_radials(params_seq))
-        ]
+    def failing_solver(kappa, n_r, coupling):
+        batches.append(len(kappa))
+        table, lost = solve_radial_columns(kappa, n_r, coupling), n_r == 2
+        return table._replace(
+            energy=np.where(lost, math.nan, table.energy),
+            decay=np.where(lost, math.nan, table.decay),
+            error=["series does not terminate" if gone else error
+                   for gone, error in zip(lost, table.error)],
+        )
 
-    monkeypatch.setattr(cli, "solve_radials", failing_solver)
+    monkeypatch.setattr(cli, "solve_radial_columns", failing_solver)
     argv = ["spectrum"]
     code, out, err = run_cli(argv + ["--format", "json"], capsys)
     assert code == 1
@@ -430,21 +464,24 @@ def test_spectrum_longest_ragged_chain_matches_states_solved_alone(capsys, monke
     # --max-n 21 at Z = 137: 441 states, n_r up to 20, in one batch
     batches = []
 
-    def recording(params_seq):
-        batches.append((params_seq, solve_radials(params_seq)))
-        return batches[-1][1]
+    def recording(kappa, n_r, coupling):
+        batches.append((kappa, n_r, coupling, solve_radial_columns(kappa, n_r, coupling)))
+        return batches[-1][-1]
 
-    monkeypatch.setattr(cli, "solve_radials", recording)
+    monkeypatch.setattr(cli, "solve_radial_columns", recording)
     code, out, _ = run_cli(["spectrum", "--z", "137", "--max-n", "21", "--format", "json"], capsys)
     assert code == 0
     assert all(c["status"] == "pass" for c in load_document(out)["checks"])
-    ((params_seq, solved),) = batches
-    assert len(params_seq) == 21**2 and max(p.n_r for p in params_seq) == 20
-    for params, result in list(zip(params_seq, solved))[::7]:
+    ((kappa, n_r, coupling, table),) = batches
+    assert len(kappa) == 21**2 and max(n_r) == 20
+    for i in range(0, len(kappa), 7):
+        params = coulomb.CoulombParams(1.0, coupling, int(kappa[i]), int(n_r[i]))
         alone = coulomb.solve_radial(params)
-        assert result.energy == alone.energy, params
-        assert result.series.coefficients.tobytes() == alone.series.coefficients.tobytes(), params
-        assert result.diagnostics == alone.diagnostics, params
+        assert table.energy[i] == alone.energy, params
+        coefficients = table.coefficients[i, :n_r[i] + 1]
+        assert coefficients.tobytes() == alone.series.coefficients.tobytes(), params
+        diagnostics = {name: column.tolist()[i] for name, column in table.diagnostics.items()}
+        assert diagnostics == alone.diagnostics, params
 
 
 @pytest.mark.parametrize("max_n, last_letter", [(9, "l"), (12, "o")])
@@ -730,7 +767,7 @@ def test_a_nan_measurement_fails_its_check(argv, target, failing, capsys, monkey
     "argv, target",
     [
         (["verify", "--trials", "2"], "_coulomb_checks"),
-        (["spectrum", "--format", "json"], "solve_radials"),
+        (["spectrum", "--format", "json"], "solve_radial_columns"),
         (["planewave"], "build_plane_wave"),
         (["beyond", "--demo", "sources"], "SourceCurrent"),
     ],

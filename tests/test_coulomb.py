@@ -349,6 +349,20 @@ def test_degeneracy_in_the_angular_sign_is_bitwise():
                 assert plus == minus
 
 
+
+@pytest.mark.parametrize("mass", [1.0, 3.5e-7])
+def test_the_closed_form_columns_keep_the_bits_of_the_scalars(mass):
+    # Python's ** squares by C pow, which differs from x * x in the last bit
+    # for some floats, so the columns must square the same way
+    couplings = (5e-324, 1e-300, 1e-12, 0.0073, 0.3, 0.9, 0.999999)
+    cells = [(c, sign * k, n_r) for c in couplings for k in range(1, 22) for sign in (1, -1)
+             for n_r in range(21) if c**2 < k**2]
+    coupling, kappa, n_r = (np.array(column) for column in zip(*cells))
+    q, energy = coulomb.closed_form(kappa, n_r, coupling, mass)
+    states = [CoulombParams(mass, *cell) for cell in cells]
+    assert q.tobytes() == np.array([p.series_exponent for p in states]).tobytes()
+    assert energy.tobytes() == np.array([sommerfeld_energy(p) for p in states]).tobytes()
+
 def test_ladder_orderings():
     # all levels bound, below the rest mass, deeper for smaller n
     couplings = (0.01, 0.3)
@@ -512,7 +526,7 @@ def test_tiny_couplings_root_at_the_closed_form_decay(coupling, n_r):
     params = CoulombParams(mass=1.0, coupling=coupling, kappa=-1, n_r=n_r)
     shift = n_r + params.series_exponent
     exact = params.mass * coupling / math.sqrt(shift**2 + coupling**2)
-    (decay,) = coulomb._termination_decays([params])
+    (decay,) = termination_decays([params])
     assert abs(decay - exact) <= 1e-15 * exact
     if coupling == 1e-300 and n_r == 3:
         # the last coefficient scales like d^3 and underflows to zero
@@ -584,6 +598,13 @@ def test_every_state_of_the_coupling_sweep_terminates():
     assert solved == 270
 
 
+def termination_decays(params_seq) -> np.ndarray:
+    """The solver's decays of the states, from their coupling and ``n_r + q`` columns."""
+    coupling, shift = (np.array(column, dtype=np.float64) for column in zip(
+        *[(p.coupling, p.n_r + p.series_exponent) for p in params_seq]))
+    return coulomb._termination_decays(coupling, shift)
+
+
 def bisected_decays(params_seq):
     """Each state's decay by a bisection of the termination gap ``d (n_r + q)
     - lambda sqrt(m^2 - d^2)`` from (0, m), which brackets its root, until
@@ -628,7 +649,7 @@ def test_the_decays_keep_the_bits_of_a_bisection_from_0():
     # form, and ends on the two floats that a bisection from (0, 1) ends on
     spectrum = [p for batch in spectrum_batches() for p in batch]
     for batch in [spectrum] + coupling_sweep():
-        assert hexes(coulomb._termination_decays(batch)) == hexes(bisected_decays(batch))
+        assert hexes(termination_decays(batch)) == hexes(bisected_decays(batch))
 
 
 def test_a_gap_whose_sign_flips_twice_near_the_root_keeps_the_bisections_root():
@@ -638,7 +659,7 @@ def test_a_gap_whose_sign_flips_twice_near_the_root_keeps_the_bisections_root():
     params = CoulombParams(1.0, 21 * FINE_STRUCTURE, -2, 3)
     shift = params.n_r + params.series_exponent
     closed = params.coupling / math.hypot(shift, params.coupling)
-    (decay,) = coulomb._termination_decays([params])
+    (decay,) = termination_decays([params])
     assert decay.hex() == "0x1.f68184c89aae0p-6" == hexes(bisected_decays([params]))[0]
     assert closed.hex() == "0x1.f68184c89aae1p-6"
 
@@ -662,13 +683,13 @@ def test_each_spectrum_batch_roots_in_a_few_sign_tests(monkeypatch):
     calls = recorded_sign_tests(monkeypatch)
     for batch in spectrum_batches():
         calls.clear()
-        coulomb._termination_decays(batch)
+        termination_decays(batch)
         assert len(calls) <= 14, batch[0].coupling
     # a subnormal guess has no 256-ulp bracket: it starts from (0, 1), with
     # one sign test per halving down to its root near 2^-1030
     params = CoulombParams(1.0, 1e-310, -1, 0)
     calls.clear()
-    assert hexes(coulomb._termination_decays([params])) == hexes(bisected_decays([params]))
+    assert hexes(termination_decays([params])) == hexes(bisected_decays([params]))
     assert len(calls) > 1000
 
 
@@ -680,7 +701,7 @@ def test_a_bracket_moved_by_one_width_keeps_the_bits_and_the_short_path(
         coupling, kappa, n_r, monkeypatch):
     params = CoulombParams(1.0, float.fromhex(coupling), kappa, n_r)
     calls = recorded_sign_tests(monkeypatch)
-    assert hexes(coulomb._termination_decays([params])) == hexes(bisected_decays([params]))
+    assert hexes(termination_decays([params])) == hexes(bisected_decays([params]))
     assert len(calls) <= 14
 
 

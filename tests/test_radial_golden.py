@@ -32,7 +32,7 @@ from pathlib import Path
 
 from fermion5d.cli import _spectrum_states
 from fermion5d.constants import FINE_STRUCTURE
-from fermion5d.coulomb import CoulombParams, _state, solve_radials
+from fermion5d.coulomb import CoulombParams, solve_radials
 from fermion5d.wave import GammaChoice
 
 GOLDEN = Path(__file__).parent / "golden" / "radial_solutions.json"
@@ -122,7 +122,7 @@ def grid_digests() -> dict:
         fields = _fields(_record(result))
         fields["status"] = fields.pop("error", "ok")
         label = (f"{params.gamma.variant} m={params.mass.hex()} "
-                 f"lambda={params.coupling.hex()} {_state(params)}")
+                 f"lambda={params.coupling.hex()} kappa={params.kappa}, n_r={params.n_r}")
         rows.append((label, fields))
     names = sorted({name for _, fields in rows for name in fields})
     return {name: hashlib.sha256("".join(f"{label}\t{fields.get(name, '-')}\n"
