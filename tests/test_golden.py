@@ -17,12 +17,15 @@ name, status, measured bits or tolerance moved; the 7 table and CSV files
 did not change.  The 12 ``verify``, ``planewave`` and ``beyond --demo
 scalar`` files were regenerated once more when the plane-wave amplitudes
 took their closed form: only ``measured`` and ``worst_at`` values moved,
-and every spectrum file stayed byte-identical.  To add a case,
-run ``python -m fermion5d <argv> > tests/golden/<name>.out`` on a trusted
-build and add a row below.
+and every spectrum file stayed byte-identical.  To add a case, add a row
+below and run ``PYTHONPATH=src python tests/test_golden.py`` on a trusted
+build: it rewrites every case's file from the current CLI and prints, per
+file, ``same`` or ``changed``.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -98,3 +101,13 @@ def test_cli_output_matches_the_golden_file(name, capsys):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+if __name__ == "__main__":
+    for name, (argv, _) in CASES.items():
+        out, path = io.StringIO(), GOLDEN / f"{name}.out"
+        with contextlib.redirect_stdout(out):
+            main(argv)
+        old = path.read_bytes() if path.exists() else None
+        path.write_bytes(out.getvalue().encode())
+        print(f"{name}: {'same' if old == out.getvalue().encode() else 'changed'}")
