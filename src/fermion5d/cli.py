@@ -472,8 +472,11 @@ def _run_spectrum(args: argparse.Namespace) -> int:
                 and args.electron_mass_ev == ELECTRON_MASS_EV)
     rows = []
     if hydrogen or args.format != "json":  # rows only where they are printed or read
-        bindings = [((energy - 1.0) * args.electron_mass_ev).tolist()
-                    for energy in (table.closed, table.energy)]
+        # -d^2 / (1 + eps) m_e, which does not cancel at weak coupling: from the
+        # closed form's d = lambda / hypot(n_r + q, lambda), and from the solver's decay
+        closed_d = coupling / np.hypot(n_r + table.q, coupling)
+        bindings = [(-(d * d / (1.0 + eps)) * args.electron_mass_ev).tolist()
+                    for d, eps in ((closed_d, table.closed), (-table.decay, table.energy))]
         for k, n, *binding in zip(kappa.tolist(), n_r.tolist(), *bindings):
             rows.append(dict(zip(_SPECTRUM_FIELDS, (spectroscopic_label(k, n), k, n,
                                                     *quantum_numbers(k, n), *binding))))

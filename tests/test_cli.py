@@ -386,7 +386,9 @@ def test_spectrum_scales_with_the_electron_mass_flag(capsys):
         capsys,
     )
     binding = float(out.strip().split("\n")[1].split(",")[5])
-    assert binding == pytest.approx(2 * -13.605874258219037, rel=1e-12)
+    # m_e (sqrt(1 - alpha^2) - 1) to 50 digits; the printed (energy - 1) m_e
+    # it was frozen from cancelled to -13.605874258219037
+    assert binding == pytest.approx(2 * -13.605874258289766, rel=1e-12)
 
 
 def test_spectrum_hydrogen_checks_require_default_constants(capsys):
@@ -483,6 +485,24 @@ def test_spectrum_longest_ragged_chain_matches_states_solved_alone(capsys, monke
         diagnostics = {name: column.tolist()[i] for name, column in table.diagnostics.items()}
         assert diagnostics == alone.diagnostics, params
 
+
+
+@pytest.mark.parametrize("alpha", ["1e-12", "1e-8"])
+def test_spectrum_bindings_do_not_cancel_at_weak_coupling(alpha, capsys):
+    # printed as (energy - 1) m_e, both columns read 0.0 at alpha 1e-12 and
+    # the run exited 0; from the decay they follow -m_e lambda^2 / (2 n^2),
+    # and the solver's column is RadialSolution.binding_energy m_e, bit for bit
+    code, out, _ = run_cli(["spectrum", "--alpha", alpha, "--max-n", "4", "--format", "csv"],
+                           capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip("\n").split("\n")[1:]]
+    assert len(rows) == 16
+    for label, kappa, n_r, n, _, binding, solver in rows:
+        expected = -ELECTRON_MASS_EV * float(alpha) ** 2 / (2 * int(n) ** 2)
+        for value in (binding, solver):
+            assert abs(float(value) - expected) <= 1e-9 * abs(expected), label
+        params = coulomb.CoulombParams(1.0, float(alpha), int(kappa), int(n_r))
+        assert float(solver) == coulomb.solve_radial(params).binding_energy * ELECTRON_MASS_EV
 
 @pytest.mark.parametrize("max_n, last_letter", [(9, "l"), (12, "o")])
 def test_spectrum_runs_past_the_first_eight_orbital_letters(max_n, last_letter, capsys):

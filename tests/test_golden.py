@@ -17,10 +17,15 @@ name, status, measured bits or tolerance moved; the 7 table and CSV files
 did not change.  The 12 ``verify``, ``planewave`` and ``beyond --demo
 scalar`` files were regenerated once more when the plane-wave amplitudes
 took their closed form: only ``measured`` and ``worst_at`` values moved,
-and every spectrum file stayed byte-identical.  To add a case, add a row
-below and run ``PYTHONPATH=src python tests/test_golden.py`` on a trusted
-build: it rewrites every case's file from the current CLI and prints, per
-file, ``same`` or ``changed``.
+and every spectrum file stayed byte-identical.  ``spectrum_json`` and the
+three spectrum CSV files were regenerated once when the binding energies
+were printed as ``-d^2 / (1 + eps) m_e`` from the decay, not as ``(energy -
+1) m_e``: only the two binding columns, the ``hydrogen-*`` measured values
+and the skipped ``ground-state-printed-table-gap`` moved (each binding by at
+most 8e-11 relative), and every other file stayed byte-identical.  To add a
+case, add a row below and run ``PYTHONPATH=src python tests/test_golden.py``
+on a trusted build: it rewrites every case's file from the current CLI and
+prints, per file, ``same`` or ``changed``.
 """
 from __future__ import annotations
 
