@@ -503,7 +503,7 @@ def solve_radial_columns(kappa, n_r, coupling, mass=1.0,
 
     # every state's steps for p = 1..n_r: the states stepping at power p are a
     # prefix, as they are sorted by n_r
-    counts = [int((n_r >= p).sum()) for p in range(1, n_r[0] + 1)]
+    counts = [int((n_r >= p).sum()) for p in range(1, n_r.max(initial=0) + 1)]
     steps = [_step_inverses(s_plus_q[:k], qs[:k], p) for p, k in enumerate(counts, 1)]
 
     # C_0 must satisfy (S - q I) C_0 = 0 and, propagated by C_p = ((p+q) I - S)^-1

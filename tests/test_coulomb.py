@@ -363,6 +363,12 @@ def test_the_closed_form_columns_keep_the_bits_of_the_scalars(mass):
     assert q.tobytes() == np.array([p.series_exponent for p in states]).tobytes()
     assert energy.tobytes() == np.array([sommerfeld_energy(p) for p in states]).tobytes()
 
+
+def test_a_batch_of_no_state_gives_empty_columns():
+    table = coulomb.solve_radial_columns(np.zeros(0, dtype=int), np.zeros(0, dtype=int), 0.3)
+    assert table.error == [] and table.coefficients.shape[0] == 0
+    assert all(len(column) == 0 for column in (table.q, table.energy, *table.diagnostics.values()))
+
 def test_ladder_orderings():
     # all levels bound, below the rest mass, deeper for smaller n
     couplings = (0.01, 0.3)
