@@ -34,6 +34,10 @@ Every field built here evaluates whole ``(N, 5)`` point arrays with array
 operations, and each computation has one batch function (``pair_residuals``,
 ``scalar_potential_residuals``, ...) with one row per point.  A per-point
 form is that batch on one point and exists only where ``perfbench`` calls it.
+The scalar-potential residuals read the carrier's jet with the one signed
+gather of the four-dimensional equation (:data:`fermion5d.wave._FOUR_D`) and
+scale its terms by the profile afterwards, bit for bit the gathers of the
+scaled field.
 
 Index convention: raising the second-time index flips the sign of the
 derivative (``d^4 = -d_4``), exactly as in :mod:`fermion5d.wave`.
@@ -47,8 +51,8 @@ import numpy as np
 
 from .algebra import CL32, BladeOperator, Multivector, e
 from .fields import ArrayField, PhaseField, add_gradient, as_point, as_points
-from .fields import _CentralDifferenceField
-from .wave import hestenes_plane_wave_field
+from .fields import _CentralDifferenceField, _finite_points, _gather_terms
+from .wave import _FOUR_D, hestenes_plane_wave_field
 
 __all__ = [
     "DEMO_GRID_POINTS",
@@ -251,19 +255,39 @@ class ScalarPotentialDemo:
 
 
 def scalar_potential_residuals(demo: ScalarPotentialDemo, points) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`scalar_potential_residual` at every row of an ``(N, 5)`` point array."""
+    """:func:`scalar_potential_residual` at every row of an ``(N, 5)`` point
+    array: ``(second_form, potential_form)``, each ``(N, 32)``.
+
+    With ``xi_plus = f(x4) psi`` and ``common = e_mu d^mu xi_plus
+    - m xi_plus e012``, the forms are ``common - (f'' psi e012) / m`` and
+    ``common - s xi_plus e012``.  One signed gather of the carrier's jet
+    (:data:`~fermion5d.wave._FOUR_D`) reads ``psi e012`` and the terms
+    ``e_mu d_mu psi``, and the profile scales them afterwards: ``f`` and
+    ``f''`` are evaluated once per point.  A gather multiplies by +-1, which
+    is exact, and the trailing ``+ 0.0`` clears signed zeros, so each scaled
+    term is bit for bit the gather of the scaled carrier.  The gradient terms
+    are added from +0.0 in axis order (t subtracted), then ``m xi_plus e012``
+    is taken off, the order of :func:`~fermion5d.fields.add_gradient` on the
+    scaled partials: every row is bit for bit that composition's.
+    """
     pts = as_points(points)
-    # one carrier evaluation gives xi_plus = f psi, its spacetime partials
-    # f d_mu psi and the curvature f'' psi; f' psi (the d4 partial) is not read
-    carrier = demo.carrier._jet(pts)
-    jet = demo.xi_plus._scaled(0, pts, carrier[:5])
-    curvature = demo.xi_plus._scaled(2, pts, carrier[0])
-    values = jet[0]
-    right = _RIGHT_E012(values)
-    common = add_gradient(np.zeros_like(values), jet[1:], range(4)) - demo.mass * right
-    second_form = common - _RIGHT_E012(curvature) / demo.mass
+    # (5, 32, N): psi e012, then e_mu d_mu psi for mu = 0..3
+    terms = _gather_terms(_FOUR_D, demo.carrier._jet(pts))
+    ws = pts[:, 4].tolist()
+    profile = np.array([demo.profile(w, 0) for w in ws])
+    curvature = terms[0] * np.array([demo.profile(w, 2) for w in ws])
+    curvature += 0.0
+    terms *= profile
+    terms += 0.0
+    right = terms[0]
+    accumulate = _FOUR_D[3]
+    common = accumulate[0](0.0, terms[1])
+    for add, term in zip(accumulate[1:], terms[2:]):
+        add(common, term, out=common)
+    common -= demo.mass * right
+    second_form = common - curvature / demo.mass
     potential_form = common - demo.potential * right
-    return second_form, potential_form
+    return second_form.T, potential_form.T
 
 
 def scalar_potential_residual(
@@ -283,7 +307,7 @@ def scalar_potential_residual(
     Both vanish on the demo field; their difference vanishing is exactly the
     eigenvalue relation between the second-time curvature and ``m s``.
     """
-    second_form, potential_form = scalar_potential_residuals(demo, [as_point(x)])
+    second_form, potential_form = scalar_potential_residuals(demo, as_point(x)[None])
     return Multivector(second_form[0]), Multivector(potential_form[0])
 
 
@@ -437,14 +461,15 @@ def source_current(
 
 
 class _SourcePlusHalf(ArrayField):
-    """``-x1 cos(x4) e0e1``, the plus half of :func:`oscillating_source_pair`."""
+    """``-x1 cos(x4) e0e1``, the plus half of :func:`oscillating_source_pair`;
+    a point that is not finite raises."""
 
     def values(self, points) -> np.ndarray:
-        pts = as_points(points)
+        pts = _finite_points(points)
         return _column([-x1 * math.cos(w) for x1, w in pts[:, [1, 4]]]) * _E01.coeffs
 
     def partials(self, points) -> np.ndarray:
-        pts = as_points(points)
+        pts = _finite_points(points)
         out = np.zeros((5, len(pts), CL32.n_blades))
         out[1] = _column([-math.cos(w) for w in pts[:, 4]]) * _E01.coeffs
         out[4] = _column([x1 * math.sin(w) for x1, w in pts[:, [1, 4]]]) * _E01.coeffs

@@ -63,6 +63,18 @@ def _gradient_gather(axes: tuple[int, ...], lead: BladeOperator | None = None):
     return source, index, sign, tuple(_ACCUMULATE[a] for a in axes)
 
 
+def _gather_terms(gather, rows: np.ndarray) -> np.ndarray:
+    """The terms of a :func:`_gradient_gather` table read from ``rows``
+    (partials ``(5, N, 32)`` or a jet ``(6, N, 32)``) in one signed gather,
+    with +0.0 zeros: ``(terms, 32, N)``, as advanced indices around a slice
+    put their axes first."""
+    source, index, sign, _ = gather
+    terms = rows[source, :, index]
+    terms *= sign
+    terms += 0.0
+    return terms
+
+
 def add_gradient(res: np.ndarray, partials, axes) -> np.ndarray:
     """``res + sum_a e_a d^a field`` over ``axes``, added in place in that order.
 
@@ -73,13 +85,9 @@ def add_gradient(res: np.ndarray, partials, axes) -> np.ndarray:
     lowered axes (t and w): ``res - t`` is bit for bit ``res + (-1) t``,
     signed zeros included.
     """
-    source, index, sign, accumulate = _gradient_gather(tuple(axes))
-    # advanced indices around a slice put their axes first: (axes, 32, rows)
-    rows = partials.reshape(len(partials), -1, CL32.n_blades)
-    terms = rows[source, :, index]
-    terms *= sign
-    terms += 0.0
-    for add, term in zip(accumulate, terms):
+    gather = _gradient_gather(tuple(axes))
+    terms = _gather_terms(gather, partials.reshape(len(partials), -1, CL32.n_blades))
+    for add, term in zip(gather[3], terms):
         add(res, term.T.reshape(res.shape), out=res)
     return res
 
@@ -109,6 +117,16 @@ def _finite_rows(points):
         if not all(map(math.isfinite, row)):
             raise ValueError(f"a coordinate at point row {n} {row} is not finite")
         yield x
+
+
+def _finite_points(points) -> np.ndarray:
+    """``as_points(points)``, checked with one array test: a coordinate that
+    is not finite raises :func:`_finite_rows`'s line for its row."""
+    pts = as_points(points)
+    if not np.isfinite(pts).all():
+        for _ in _finite_rows(pts):  # raises at the first row that is not finite
+            pass
+    return pts
 
 
 def minkowski_dot(a: Sequence[float], b: Sequence[float]) -> float:

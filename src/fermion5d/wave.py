@@ -385,6 +385,8 @@ def _equation_sum(form, jet, mass, coupling=None) -> np.ndarray:
     sum runs on the ``(32, N)`` term of the lead slot, and the rows come
     back as its transpose.
     """
+    # fields._gather_terms, inlined: its call is about 0.2 us of an 8 us sum
+    # at one point, the per-point residuals' hottest step
     source, index, sign, accumulate = form
     terms = jet[source, :, index]  # (1 + axes, 32, N)
     terms *= sign

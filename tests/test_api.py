@@ -186,17 +186,6 @@ for _name, _field in FIELDS.items():
     ENTRIES[f"{_name}.partials"] = (_field.partials, _partials)
     ENTRIES[f"{_name}.samples"] = (_field.samples, lambda n: (_rows(n), _partials(n)))
 
-#: Entries whose first evaluation at a point is a :class:`PhaseField` phase
-#: or one of the user-field wrappers (``AnalyticField``, ``ConstantField``,
-#: ``FiniteDifferenceField``), each of which rejects a point that is not
-#: finite.  The others start from the source pair's plus half
-#: (``math.cos(inf)`` raises a bare math error).
-PHASE_BACKED = sorted(
-    name
-    for name in ENTRIES
-    if not name.startswith(("source_current", "sourced_massless", "source_pair.plus"))
-)
-
 #: Entries that need at least one point: zero rows raise this one message.
 NEEDS_A_POINT = {
     "angular_reduction_check", "cylinder_check", "minus_constancy_ratio", "source_current"
@@ -240,8 +229,12 @@ def test_a_batch_entry_returns_its_shape_or_raises_one_line(name):
 
 
 @pytest.mark.parametrize("point", list(NON_FINITE.values()), ids=list(NON_FINITE))
-@pytest.mark.parametrize("name", PHASE_BACKED)
+@pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_a_phase_backed_entry_rejects_a_point_that_is_not_finite(name, point):
+    # every entry's first evaluation at a point is a PhaseField phase, the
+    # source pair's plus half or a user-field wrapper (AnalyticField,
+    # ConstantField, FiniteDifferenceField), and each of them rejects a
+    # point that is not finite with one line that names the row
     call, _ = ENTRIES[name]
     with pytest.raises(ValueError, match="is not finite") as info:
         call(point)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fermion5d import wave
-from fermion5d.algebra import CL32, Multivector, e
+from fermion5d.algebra import CL32, BladeOperator, Multivector, e
 from fermion5d.beyond import (
     CURRENT_MASKS,
     DEMO_GRID_POINTS,
@@ -245,6 +245,84 @@ def test_scalar_demo_solves_both_reduced_forms(rng, s):
         assert potential_form.inf_norm() < 1e-9
         assert (second_form - potential_form).inf_norm() < 1e-9
     assert np.all(demo.eigen_residuals(pts) < 1e-9)
+
+
+RIGHT_E012 = BladeOperator.right(E012)
+
+
+def composed_scalar_potential_residuals(demo, points):
+    """The composition the one-gather form replaced, kept as its reference:
+    ``f psi`` and ``f'' psi`` scaled from the carrier's jet, :func:`add_gradient`
+    on the scaled partials and three ``x e012`` gathers."""
+    pts = np.asarray(points, dtype=np.float64)
+    carrier = demo.carrier._jet(pts)
+    jet = np.array([demo.profile(w, 0) for w in pts[:, 4]]).reshape(-1, 1) * carrier[:5]
+    curvature = np.array([demo.profile(w, 2) for w in pts[:, 4]]).reshape(-1, 1) * carrier[0]
+    right = RIGHT_E012(jet[0])
+    common = add_gradient(np.zeros_like(jet[0]), jet[1:], range(4)) - demo.mass * right
+    return common - RIGHT_E012(curvature) / demo.mass, common - demo.potential * right
+
+
+def bits(forms) -> list[bytes]:
+    return [np.asarray(form).tobytes() for form in forms]
+
+
+def outcome(call):
+    """:func:`bits` of what ``call()`` returns, or its exception's type and text."""
+    try:
+        return bits(call())
+    except Exception as exc:  # compared, not swallowed
+        return [type(exc), str(exc)]
+
+
+@pytest.mark.parametrize("s", [0.3, -0.25, 0.0])
+@pytest.mark.parametrize("count", [0, 1, 17])
+def test_scalar_residuals_are_the_composed_form_bitwise(rng, s, count):
+    for mass in (1e-3, 1.0, 1e3):
+        demo = ScalarPotentialDemo(mass, s, k_spatial=tuple(rng.uniform(-1.0, 1.0, size=3)))
+        for scale in (0.5, 10.0):
+            pts = sample_points(rng, count, scale)
+            got = scalar_potential_residuals(demo, pts)
+            assert bits(got) == bits(composed_scalar_potential_residuals(demo, pts))
+            assert all(form.shape == (count, CL32.n_blades) for form in got)
+            for form in (0, 1):
+                assert_rows_are_the_point_calls(
+                    got[form], lambda x: scalar_potential_residual(demo, x)[form], pts
+                )
+
+
+def test_scalar_residuals_raise_as_the_composed_form_where_the_profile_overflows(rng):
+    # exp(rate * w) overflows at w = 1e4 for rate >= 1 (here 1 and sqrt(3))
+    for mass, s in ((1.0, 1.0), (3.0, 1.0)):
+        demo = ScalarPotentialDemo(mass, s, k_spatial=(0.2, -0.15, 0.1))
+        pts = sample_points(rng, count=3)
+        pts[1, 4] = 1e4
+        got = outcome(lambda: scalar_potential_residuals(demo, pts))
+        assert got == outcome(lambda: composed_scalar_potential_residuals(demo, pts))
+        assert got[0] is OverflowError
+        assert got == outcome(lambda: scalar_potential_residual(demo, pts[1]))
+
+
+def test_scalar_residuals_compose_no_blade_product(rng, monkeypatch):
+    # one signed gather of the carrier's jet: no BladeOperator call and no
+    # add_gradient, for the batch and for one point
+    from fermion5d import beyond, fields
+
+    demo = ScalarPotentialDemo(1.0, 0.1, k_spatial=(0.2, -0.15, 0.1))
+    pts = sample_points(rng, count=3)
+    expected = composed_scalar_potential_residuals(demo, pts)
+
+    def refuse(*args):
+        raise AssertionError("a blade product was composed")
+
+    monkeypatch.setattr(BladeOperator, "__call__", refuse)
+    monkeypatch.setattr(fields, "add_gradient", refuse)
+    monkeypatch.setattr(beyond, "add_gradient", refuse)
+    got = scalar_potential_residuals(demo, pts)
+    point = scalar_potential_residual(demo, pts[2])
+    monkeypatch.undo()
+    assert bits(got) == bits(expected)
+    assert bits(form.coeffs for form in point) == bits(form[2] for form in expected)
 
 
 def test_scalar_demo_supports_an_oscillatory_regime(rng):
